@@ -430,7 +430,6 @@ void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
         "run_select: this plan executes i32/u32 keys on the u32 carrier; "
         "use the DeviceBuffer<uint32_t> overload");
   }
-  const AlgoRow* row = find_algo_row(impl.algo);  // non-null by construction
   ws.bind(impl.layout);
   simgpu::DeviceBuffer<float> input = in;
   if (impl.negate) {
@@ -447,7 +446,7 @@ void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
     }
     input = neg;
   }
-  row->run(dev, impl, ws, input, out_vals, out_idx);
+  run_planned(dev, impl, ws, input, out_vals, out_idx);
   if (impl.negate) {
     const std::size_t out_total = impl.shape.batch * impl.shape.k;
     for (std::size_t i = 0; i < out_total; ++i) {
@@ -467,7 +466,6 @@ void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
         "run_select: this plan executes on the float carrier; use the "
         "DeviceBuffer<float> overload");
   }
-  const AlgoRow* row = find_algo_row(impl.algo);  // non-null by construction
   ws.bind(impl.layout);
   simgpu::DeviceBuffer<std::uint32_t> input = in;
   if (impl.negate) {
@@ -486,11 +484,7 @@ void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
     }
     input = neg;
   }
-  if (row->run_u32 == nullptr) {
-    throw std::logic_error("run_select: registry row lacks a u32 carrier "
-                           "thunk despite an integer dtype plan");
-  }
-  row->run_u32(dev, impl, ws, input, out_vals, out_idx);
+  run_planned(dev, impl, ws, input, out_vals, out_idx);
   if (impl.negate) {
     const std::size_t out_total = impl.shape.batch * impl.shape.k;
     for (std::size_t i = 0; i < out_total; ++i) {
@@ -705,9 +699,10 @@ std::vector<SelectResult> run_on_device(simgpu::Device& dev,
   dev.upload(in, data.first(batch * n));
   auto out_vals = dev.alloc<float>(batch * k, "select output vals");
   auto out_idx = dev.alloc<std::uint32_t>(batch * k, "select output idx");
-  // select_device handles largest-K uniformly (natively for AIR, via the
-  // registry's negate wrap for everything else), so out_vals already holds
-  // values in the requested order.
+  // select_device handles largest-K uniformly (natively for AIR,
+  // RadixSelect and stream-radix, via the registry's negate wrap for
+  // everything else), so out_vals already holds values in the requested
+  // order.
   select_device(dev, in, batch, n, k, out_vals, out_idx, algo, opt);
   if (san != nullptr) {
     // Only issues raised by THIS selection abort it; a long-lived Device

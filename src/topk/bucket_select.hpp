@@ -479,19 +479,4 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
   }
 }
 
-/// One-shot entry point: plan + bind a local workspace + run.
-template <typename T>
-void bucket_select(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                   std::size_t batch, std::size_t n, std::size_t k,
-                   simgpu::DeviceBuffer<T> out_vals,
-                   simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                   const BucketSelectOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      bucket_select_plan<T>(Shape{batch, n, k, false}, dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  bucket_select_run(dev, plan, ws, in, out_vals, out_idx);
-}
-
 }  // namespace topk

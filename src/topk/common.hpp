@@ -17,8 +17,9 @@ namespace topk {
 /// vary per algorithm (alpha, digit widths, queue shapes) live in the
 /// per-algorithm Options structs, which the plan functions take alongside
 /// the Shape; `greatest` sits here because the registry resolves it once for
-/// all algorithms (only the AIR family selects natively in both directions —
-/// everything else gets the negate-wrap at the dispatch layer).
+/// all algorithms (the AIR family, RadixSelect and stream-radix select
+/// natively in both directions — everything else gets the negate-wrap at
+/// the dispatch layer).
 struct Shape {
   std::size_t batch = 1;
   std::size_t n = 0;

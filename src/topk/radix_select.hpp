@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -21,26 +22,37 @@ struct RadixSelectOptions {
   std::size_t items_per_block = 16 * 1024;
 };
 
-/// Execution plan for RadixSelect: the per-pass kernel names (interned once
-/// at plan time, so running a pass never builds a string) plus workspace
-/// segments for the histogram, cursors, the candidate ping-pong buffers and
-/// the host-side histogram staging.
+/// The host-driven radix pass loop: one k-selection over `count` source
+/// elements, shared by RadixSelect (one loop per batch row) and the
+/// streaming large-K row (one per chunk and per union fold).  Per pass the
+/// host launches a histogram kernel, copies the histogram back, scans it
+/// for the target digit and launches a filter; winners append to the
+/// destination, ties at the target digit move to the candidate ping-pong.
+///
+/// Largest-K is native: `order` is xor-ed into every radix key (AIR's
+/// direction mask), so the smallest masked key is always the best and no
+/// negated input copy is ever staged.  The kernel names belong to the
+/// owning plan, so each row keeps its own KernelStats, footprints and
+/// schedule.
 template <typename T>
-struct RadixSelectPlan {
-  RadixSelectOptions opt;
-  std::size_t batch = 0;
-  std::size_t n = 0;
-  std::size_t k = 0;
+struct RadixPassLoop {
+  using Bits = typename RadixTraits<T>::Bits;
+
+  std::size_t n = 0;  ///< row length (launch shape context only)
+  std::size_t k = 0;  ///< winners per loop
+  int block_threads = 256;
+  std::size_t items_per_block = 16 * 1024;
   int nb = 0;
   std::uint32_t mask = 0;
-  int num_passes = 0;
+  Bits order = 0;  ///< 0 selects the smallest K, all-ones the largest
 
   struct Pass {
-    std::string_view hist_name;    // interned "CalculateOccurence(<p>)"
-    std::string_view filter_name;  // interned "Filter(<p>)"
+    std::string_view hist_name;
+    std::string_view filter_name;
     int start_bit = 0;
   };
   std::vector<Pass> passes;
+  std::string_view take_name;  ///< terminal copy of the tied remainder
 
   std::size_t seg_hist = 0;
   std::size_t seg_counters = 0;
@@ -49,438 +61,447 @@ struct RadixSelectPlan {
   std::size_t seg_host_hist = 0;
 };
 
-/// Footprint contracts for the host-managed RadixSelect kernels.  The
-/// per-pass kernels register under their bare family names; the histogram
-/// bound is segment-sized because the bucket count is a digit-width tuning
-/// option that must not be folded into a shape-generic contract.
-inline void register_radix_select_footprints() {
+/// What one radix pass loop selects from: `count` elements of `vals` from
+/// `base`.  With `idx` empty the source is an input-row slice whose indices
+/// are synthesized as idx0 + j; otherwise a (vals, idx) buffer pair.
+template <typename T>
+struct RadixSource {
+  simgpu::DeviceBuffer<T> vals;
+  simgpu::DeviceBuffer<std::uint32_t> idx;
+  std::size_t base = 0;
+  std::size_t count = 0;
+  std::size_t idx0 = 0;
+};
+
+namespace radix_detail {
+
+/// Operand lists of the loop's kernels, registered by each row under its
+/// own kernel names.  The histogram and candidate bounds are segment-sized
+/// because the bucket count and candidate capacity are tuning options that
+/// must not be folded into a shape-generic contract.
+inline std::vector<simgpu::OperandSpec> memset_operands() {
   using simgpu::Access;
   using simgpu::AffineVar;
   using simgpu::WriteScope;
+  return {
+      {"hist", Access::kWrite, WriteScope::kSingleBlock,
+       {{AffineVar::kSegElems}}, 4},
+      {"counters", Access::kWrite, WriteScope::kSingleBlock,
+       {{AffineVar::kOne, 2}}, 4},
+  };
+}
+
+inline std::vector<simgpu::OperandSpec> hist_operands() {
+  using simgpu::Access;
+  using simgpu::AffineVar;
+  using simgpu::WriteScope;
+  return {
+      {"in", Access::kRead, WriteScope::kNone, {{AffineVar::kBatchN}}, 8,
+       /*optional=*/true},
+      {"src_val", Access::kRead, WriteScope::kNone,
+       {{AffineVar::kSegElems}}, 8, /*optional=*/true},
+      {"hist", Access::kAtomic, WriteScope::kNone, {{AffineVar::kSegElems}},
+       4},
+  };
+}
+
+/// Winners append through the reserved cursor 0 to (win_val, win_idx),
+/// bounded by `win_extent`; ties go to (dst_val, dst_idx) through cursor 1.
+inline std::vector<simgpu::OperandSpec> filter_operands(
+    const char* win_val, const char* win_idx, simgpu::AffineVar win_extent) {
+  using simgpu::Access;
+  using simgpu::AffineVar;
+  using simgpu::WriteScope;
+  return {
+      {"in", Access::kRead, WriteScope::kNone, {{AffineVar::kBatchN}}, 8,
+       /*optional=*/true},
+      {"src_val", Access::kRead, WriteScope::kNone,
+       {{AffineVar::kSegElems}}, 8, /*optional=*/true},
+      {"src_idx", Access::kRead, WriteScope::kNone,
+       {{AffineVar::kSegElems}}, 4, /*optional=*/true},
+      {"counters", Access::kAtomic, WriteScope::kNone,
+       {{AffineVar::kOne, 2}}, 4},
+      {win_val, Access::kWrite, WriteScope::kReserved, {{win_extent}}, 8},
+      {win_idx, Access::kWrite, WriteScope::kReserved, {{win_extent}}, 4},
+      {"dst_val", Access::kWrite, WriteScope::kReserved,
+       {{AffineVar::kSegElems}}, 8},
+      {"dst_idx", Access::kWrite, WriteScope::kReserved,
+       {{AffineVar::kSegElems}}, 4},
+  };
+}
+
+}  // namespace radix_detail
+
+/// Plan one radix pass loop: the per-pass digit schedule (kernel names are
+/// left for the owning plan to intern) and its workspace segments, with
+/// `cand_cap` elements per candidate buffer.
+template <typename T, typename Options>
+RadixPassLoop<T> radix_pass_loop_plan(const Shape& s, const Options& opt,
+                                      std::size_t cand_cap,
+                                      simgpu::WorkspaceLayout& layout) {
+  using Traits = RadixTraits<T>;
+  using Bits = typename Traits::Bits;
+  RadixPassLoop<T> l;
+  l.n = s.n;
+  l.k = s.k;
+  l.block_threads = opt.block_threads;
+  l.items_per_block = opt.items_per_block;
+  l.nb = 1 << opt.digit_bits;
+  l.mask = static_cast<std::uint32_t>(l.nb - 1);
+  l.order = s.greatest ? static_cast<Bits>(~Bits{0}) : Bits{0};
+  const int num_passes =
+      (Traits::kBits + opt.digit_bits - 1) / opt.digit_bits;
+  l.passes.resize(static_cast<std::size_t>(num_passes));
+  for (int pass = 0; pass < num_passes; ++pass) {
+    l.passes[static_cast<std::size_t>(pass)].start_bit =
+        std::max(0, Traits::kBits - (pass + 1) * opt.digit_bits);
+  }
+  l.seg_hist = layout.add<std::uint32_t>("radix digit histogram",
+                                         static_cast<std::size_t>(l.nb));
+  l.seg_counters = layout.add<std::uint32_t>("radix cursors", 2);
+  l.seg_val[0] = layout.add<T>("radix cand vals 0", cand_cap);
+  l.seg_val[1] = layout.add<T>("radix cand vals 1", cand_cap);
+  l.seg_idx[0] = layout.add<std::uint32_t>("radix cand idx 0", cand_cap);
+  l.seg_idx[1] = layout.add<std::uint32_t>("radix cand idx 1", cand_cap);
+  l.seg_host_hist = layout.add<std::uint32_t>(
+      "radix host hist", static_cast<std::size_t>(l.nb), /*host=*/true);
+  return l;
+}
+
+/// Record one radix pass loop into the nominal schedule for the static
+/// auditor.  Every pass is assumed to scan all `count` source elements (the
+/// real pass and candidate counts shrink data-dependently, so this is the
+/// conservative superset of any run).  `src_val == kBindInput` reads the
+/// caller's input; otherwise (src_val, src_idx) name a segment pair.  The
+/// winner binds carry the owning row's operand spellings.
+template <typename T>
+void record_radix_pass_loop(simgpu::KernelSchedule* sched,
+                            const RadixPassLoop<T>& l,
+                            const simgpu::DeviceSpec& spec, std::size_t count,
+                            int src_val, int src_idx,
+                            const simgpu::OperandBind& win_val,
+                            const simgpu::OperandBind& win_idx) {
+  const auto seg = [](std::size_t id) { return static_cast<int>(id); };
+  const int grid =
+      make_grid(1, count, spec, l.block_threads, l.items_per_block)
+          .total_blocks();
+  int cur = 0;
+  for (std::size_t pass = 0; pass < l.passes.size(); ++pass) {
+    const bool from_input = pass == 0 && src_val == simgpu::kBindInput;
+    const int sv = pass == 0 ? src_val : seg(l.seg_val[cur]);
+    const int si = pass == 0 ? src_idx : seg(l.seg_idx[cur]);
+    simgpu::record_launch(sched, "Memset", 1, l.block_threads, 1, l.n, l.k,
+                          {{"hist", seg(l.seg_hist)},
+                           {"counters", seg(l.seg_counters)}});
+    std::vector<simgpu::OperandBind> hist_binds;
+    std::vector<simgpu::OperandBind> filter_binds;
+    if (from_input) {
+      hist_binds.push_back({"in", simgpu::kBindInput});
+      filter_binds.push_back({"in", simgpu::kBindInput});
+    } else {
+      hist_binds.push_back({"src_val", sv});
+      filter_binds.push_back({"src_val", sv});
+      filter_binds.push_back({"src_idx", si});
+    }
+    hist_binds.push_back({"hist", seg(l.seg_hist)});
+    simgpu::record_launch(sched, l.passes[pass].hist_name, grid,
+                          l.block_threads, 1, l.n, l.k,
+                          std::move(hist_binds));
+    simgpu::record_host(
+        sched, "histogram",
+        {{"hist", seg(l.seg_hist), simgpu::Access::kRead},
+         {"host_hist", seg(l.seg_host_hist), simgpu::Access::kWrite}});
+    simgpu::record_host(
+        sched, "scan+find_digit",
+        {{"host_hist", seg(l.seg_host_hist), simgpu::Access::kRead}});
+    filter_binds.push_back({"counters", seg(l.seg_counters)});
+    filter_binds.push_back(win_val);
+    filter_binds.push_back(win_idx);
+    filter_binds.push_back({"dst_val", seg(l.seg_val[1 - cur])});
+    filter_binds.push_back({"dst_idx", seg(l.seg_idx[1 - cur])});
+    simgpu::record_launch(sched, l.passes[pass].filter_name, grid,
+                          l.block_threads, 1, l.n, l.k,
+                          std::move(filter_binds));
+    cur = 1 - cur;
+  }
+  simgpu::record_launch(sched, l.take_name, 1, l.block_threads, 1, l.n, l.k,
+                        {{"src_val", seg(l.seg_val[cur])},
+                         {"src_idx", seg(l.seg_idx[cur])},
+                         win_val, win_idx});
+}
+
+/// Run one radix pass loop: write the k best of `src` (under the loop's
+/// order) to (win_val, win_idx) at [win_base, win_base + k), in digit order
+/// of discovery, then the tied remainder.  This is the classic host-managed
+/// radix top-K (Alabi et al. 2012 / DrTopK): the per-pass D2H histogram
+/// copy and the synchronizations it implies are exactly the overhead AIR
+/// Top-K's iteration-fused design eliminates (paper §3.1, Fig. 8).
+template <typename T>
+void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
+                         simgpu::Workspace& ws, const RadixSource<T>& src,
+                         simgpu::DeviceBuffer<T> win_val,
+                         simgpu::DeviceBuffer<std::uint32_t> win_idx,
+                         std::size_t win_base) {
+  using Traits = RadixTraits<T>;
+  using Bits = typename Traits::Bits;
+
+  const std::size_t n = l.n;
+  const std::size_t k = l.k;
+  const int nb = l.nb;
+  const std::uint32_t mask = l.mask;
+  const Bits order = l.order;
+  auto ghist = ws.get<std::uint32_t>(l.seg_hist);
+  auto counters = ws.get<std::uint32_t>(l.seg_counters);
+  const simgpu::DeviceBuffer<T> cand_val[2] = {ws.get<T>(l.seg_val[0]),
+                                               ws.get<T>(l.seg_val[1])};
+  const simgpu::DeviceBuffer<std::uint32_t> cand_idx[2] = {
+      ws.get<std::uint32_t>(l.seg_idx[0]),
+      ws.get<std::uint32_t>(l.seg_idx[1])};
+  const std::span<std::uint32_t> host_hist(
+      ws.host_ptr<std::uint32_t>(l.seg_host_hist),
+      static_cast<std::size_t>(nb));
+
+  std::uint64_t k_rem = k;
+  std::uint64_t count = src.count;
+  std::uint64_t out_written = 0;
+  int cur = 0;  // candidate ping-pong side holding the current candidates
+
+  for (std::size_t p = 0; p < l.passes.size(); ++p) {
+    const int start_bit = l.passes[p].start_bit;
+    // Pass 0 reads the source; later passes the candidates the last filter
+    // kept.  Only an input slice synthesizes its indices.
+    const bool first = p == 0;
+    const bool from_slice = first && src.idx.size() == 0;
+    const auto src_val = first ? src.vals : cand_val[cur];
+    const auto src_idx = first ? src.idx : cand_idx[cur];
+    const std::size_t src_base = first ? src.base : 0;
+    const std::size_t idx0 = src.idx0;
+    const auto dst_val = cand_val[1 - cur];
+    const auto dst_idx = cand_idx[1 - cur];
+    const auto digit_of = [=](T v) {
+      return static_cast<std::uint32_t>((Traits::to_radix(v) ^ order) >>
+                                        start_bit) &
+             mask;
+    };
+
+    // ---- kernel 0: cudaMemset analogue for histogram + cursors -----------
+    {
+      simgpu::LaunchConfig cfg{"Memset", 1, l.block_threads, 1, n, k};
+      simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
+        for (int d = 0; d < nb; ++d) {
+          ctx.store<std::uint32_t>(ghist, static_cast<std::size_t>(d), 0);
+        }
+        ctx.store<std::uint32_t>(counters, 0, 0);
+        ctx.store<std::uint32_t>(counters, 1, 0);
+      });
+    }
+
+    // ---- kernel 1: histogram over the current candidates -----------------
+    const GridShape hshape = make_grid(1, count, dev.spec(), l.block_threads,
+                                       l.items_per_block);
+    const int bpp = hshape.blocks_per_problem;
+    {
+      simgpu::LaunchConfig cfg{l.passes[p].hist_name, hshape.total_blocks(),
+                               l.block_threads, 1, n, k};
+      simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
+        auto shist =
+            ctx.shared_zero<std::uint32_t>(static_cast<std::size_t>(nb));
+        std::uint32_t* const hraw = shist.unchecked_data();
+        const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
+        const std::size_t first_elem = src_base + begin;
+        if (hraw == nullptr) {
+          ctx.for_each_elem(src_val, first_elem, end - begin,
+                            [&](std::size_t, T v) { ++shist[digit_of(v)]; });
+        } else if constexpr (std::is_same_v<T, float>) {
+          // SIMD-ized digit histogram over the contiguous candidate chunk
+          // (hraw != nullptr already implies the unsanitized tile path).
+          // Tile loads charge the same bytes as the scalar scan and the
+          // bulk ctx.ops below is shared, so KernelStats stay bit-identical;
+          // accumulation order does not matter.
+          std::size_t i = 0;
+          const std::size_t total = end - begin;
+          while (i < total) {
+            const std::size_t c = std::min(simgpu::kTileElems, total - i);
+            const std::span<const float> tv =
+                ctx.load_tile(src_val, first_elem + i, c);
+            simgpu::simd::histogram_digits_f32(
+                tv.data(), tv.size(),  // lint:allow-raw-access
+                order, start_bit, mask, hraw);
+            i += c;
+          }
+        } else {
+          ctx.for_each_elem(src_val, first_elem, end - begin,
+                            [&](std::size_t, T v) { ++hraw[digit_of(v)]; });
+        }
+        ctx.ops(3 * (end - begin));
+        ctx.sync();
+        for (int d = 0; d < nb; ++d) {
+          if (shist[static_cast<std::size_t>(d)] != 0) {
+            ctx.atomic_add_scattered(ghist, static_cast<std::size_t>(d),
+                                     shist[static_cast<std::size_t>(d)]);
+          }
+        }
+        ctx.ops(static_cast<std::uint64_t>(nb));
+      });
+    }
+
+    // ---- host round trip: copy histogram, prefix-sum, pick digit ---------
+    dev.copy_to_host(ghist, host_hist, "histogram");
+    dev.host_compute("scan+find_digit", static_cast<std::uint64_t>(3 * nb));
+    std::uint64_t less = 0;
+    std::uint32_t target_digit = 0;
+    std::uint64_t target_count = 0;
+    for (int d = 0; d < nb; ++d) {
+      const std::uint32_t c = host_hist[static_cast<std::size_t>(d)];
+      if (less + c >= k_rem) {
+        target_digit = static_cast<std::uint32_t>(d);
+        target_count = c;
+        break;
+      }
+      less += c;
+    }
+
+    // ---- kernel 2: filter (winners out, ties to the other buffer) --------
+    {
+      simgpu::LaunchConfig cfg{l.passes[p].filter_name, hshape.total_blocks(),
+                               l.block_threads, 1, n, k};
+      const std::uint64_t out_cursor_base = win_base + out_written;
+      simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
+        const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
+        const auto filter = [&](std::size_t, T v, std::uint32_t id) {
+          const std::uint32_t digit = digit_of(v);
+          if (digit < target_digit) {
+            const std::uint32_t pos = ctx.atomic_add(counters, 0, 1u);
+            ctx.store(win_val, out_cursor_base + pos, v);
+            ctx.store(win_idx, out_cursor_base + pos, id);
+          } else if (digit == target_digit) {
+            const std::uint32_t pos = ctx.atomic_add(counters, 1, 1u);
+            ctx.store(dst_val, pos, v);
+            ctx.store(dst_idx, pos, id);
+          }
+        };
+        if (from_slice) {
+          ctx.for_each_elem(src_val, src_base + begin, end - begin,
+                            [&](std::size_t j, T v) {
+                              filter(begin + j, v,
+                                     static_cast<std::uint32_t>(idx0 + begin +
+                                                                j));
+                            });
+        } else {
+          scan_pairs(ctx, src_val, src_idx, src_base, begin, end, filter);
+        }
+        ctx.ops(4 * (end - begin));
+      });
+    }
+
+    out_written += less;
+    k_rem -= less;
+    count = target_count;
+    cur = 1 - cur;
+
+    // The host decides whether more passes are needed; it must synchronize
+    // to know the device state is consistent before the next decision.
+    dev.synchronize("host check");
+    if (k_rem == count || p + 1 == l.passes.size()) {
+      // All remaining candidates tie at the K-th value (or digits are
+      // exhausted): copy the first k_rem of them to the destination.
+      const std::uint64_t take = k_rem;
+      const auto fin_val = cand_val[cur];
+      const auto fin_idx = cand_idx[cur];
+      const std::uint64_t out_cursor_base = win_base + out_written;
+      simgpu::LaunchConfig cfg{l.take_name, 1, l.block_threads, 1, n, k};
+      simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
+        copy_pairs(ctx, fin_val, fin_idx, 0, win_val, win_idx,
+                   out_cursor_base, take);
+        ctx.ops(take);
+      });
+      dev.synchronize("final");
+      out_written += take;
+      break;
+    }
+  }
+  if (out_written != k) {
+    throw std::logic_error("radix pass loop: wrote " +
+                           std::to_string(out_written) + " of " +
+                           std::to_string(k) + " results");
+  }
+}
+
+/// Execution plan for RadixSelect: one radix pass loop over n-sized
+/// candidate buffers, run once per batch row.
+template <typename T>
+struct RadixSelectPlan {
+  std::size_t batch = 0;
+  RadixPassLoop<T> loop;
+};
+
+/// Footprint contracts for the host-managed RadixSelect kernels.  The
+/// per-pass kernels register under their bare family names; winners land
+/// directly in the caller's output.
+inline void register_radix_select_footprints() {
+  simgpu::register_footprint({"Memset", radix_detail::memset_operands()});
   simgpu::register_footprint(
-      {"Memset",
-       {
-           {"hist",
-            Access::kWrite,
-            WriteScope::kSingleBlock,
-            {{AffineVar::kSegElems}},
-            4},
-           {"counters",
-            Access::kWrite,
-            WriteScope::kSingleBlock,
-            {{AffineVar::kOne, 2}},
-            4},
-       }});
+      {"CalculateOccurence", radix_detail::hist_operands()});
   simgpu::register_footprint(
-      {"CalculateOccurence",
-       {
-           {"in",
-            Access::kRead,
-            WriteScope::kNone,
-            {{AffineVar::kBatchN}},
-            8,
-            /*optional=*/true},
-           {"src_val",
-            Access::kRead,
-            WriteScope::kNone,
-            {{AffineVar::kSegElems}},
-            8,
-            /*optional=*/true},
-           {"hist", Access::kAtomic, WriteScope::kNone,
-            {{AffineVar::kSegElems}}, 4},
-       }});
-  simgpu::register_footprint(
-      {"Filter",
-       {
-           {"in",
-            Access::kRead,
-            WriteScope::kNone,
-            {{AffineVar::kBatchN}},
-            8,
-            /*optional=*/true},
-           {"src_val",
-            Access::kRead,
-            WriteScope::kNone,
-            {{AffineVar::kSegElems}},
-            8,
-            /*optional=*/true},
-           {"src_idx",
-            Access::kRead,
-            WriteScope::kNone,
-            {{AffineVar::kSegElems}},
-            4,
-            /*optional=*/true},
-           {"counters", Access::kAtomic, WriteScope::kNone,
-            {{AffineVar::kOne, 2}}, 4},
-           {"out_vals",
-            Access::kWrite,
-            WriteScope::kReserved,
-            {{AffineVar::kBatchK}},
-            8},
-           {"out_idx",
-            Access::kWrite,
-            WriteScope::kReserved,
-            {{AffineVar::kBatchK}},
-            4},
-           {"dst_val",
-            Access::kWrite,
-            WriteScope::kReserved,
-            {{AffineVar::kSegElems}},
-            8},
-           {"dst_idx",
-            Access::kWrite,
-            WriteScope::kReserved,
-            {{AffineVar::kSegElems}},
-            4},
-       }});
+      {"Filter", radix_detail::filter_operands("out_vals", "out_idx",
+                                               simgpu::AffineVar::kBatchK)});
   register_copy_remainder_footprint();
 }
 
-/// Phase 1 of RadixSelect: validate, precompute the pass schedule (start
-/// bits and interned kernel names) and lay out the workspace.
+/// Phase 1 of RadixSelect: validate, plan the pass loop under this row's
+/// kernel names and lay out the workspace.
 template <typename T>
 RadixSelectPlan<T> radix_select_plan(const Shape& s,
                                      const simgpu::DeviceSpec& spec,
                                      const RadixSelectOptions& opt,
                                      simgpu::WorkspaceLayout& layout,
                                      simgpu::KernelSchedule* sched = nullptr) {
-  using Traits = RadixTraits<T>;
-
   validate_problem(s.n, s.k, s.batch);
 
   RadixSelectPlan<T> p;
-  p.opt = opt;
   p.batch = s.batch;
-  p.n = s.n;
-  p.k = s.k;
-  p.nb = 1 << opt.digit_bits;
-  p.mask = static_cast<std::uint32_t>(p.nb - 1);
-  p.num_passes = (Traits::kBits + opt.digit_bits - 1) / opt.digit_bits;
-  p.passes.reserve(static_cast<std::size_t>(p.num_passes));
-  for (int pass = 0; pass < p.num_passes; ++pass) {
-    typename RadixSelectPlan<T>::Pass pp;
-    pp.start_bit = std::max(0, Traits::kBits - (pass + 1) * opt.digit_bits);
-    pp.hist_name = simgpu::intern_name("CalculateOccurence(" +
-                                       std::to_string(pass) + ")");
-    pp.filter_name = simgpu::intern_name("Filter(" + std::to_string(pass) +
-                                         ")");
-    p.passes.push_back(pp);
+  p.loop = radix_pass_loop_plan<T>(s, opt, s.n, layout);
+  for (std::size_t pass = 0; pass < p.loop.passes.size(); ++pass) {
+    const std::string id = std::to_string(pass);
+    p.loop.passes[pass].hist_name =
+        simgpu::intern_name("CalculateOccurence(" + id + ")");
+    p.loop.passes[pass].filter_name =
+        simgpu::intern_name("Filter(" + id + ")");
   }
-
-  p.seg_hist = layout.add<std::uint32_t>("radix digit histogram",
-                                         static_cast<std::size_t>(p.nb));
-  p.seg_counters = layout.add<std::uint32_t>("radix cursors", 2);
-  p.seg_val[0] = layout.add<T>("radix cand vals 0", s.n);
-  p.seg_val[1] = layout.add<T>("radix cand vals 1", s.n);
-  p.seg_idx[0] = layout.add<std::uint32_t>("radix cand idx 0", s.n);
-  p.seg_idx[1] = layout.add<std::uint32_t>("radix cand idx 1", s.n);
-  p.seg_host_hist = layout.add<std::uint32_t>(
-      "radix host hist", static_cast<std::size_t>(p.nb), /*host=*/true);
+  p.loop.take_name = simgpu::intern_name("CopyRemainder");
 
   if (sched != nullptr) {
     register_radix_select_footprints();
-    // Nominal per-problem unrolling for the static auditor: every pass is
-    // assumed to scan the full n candidates (the real pass count and
-    // candidate counts shrink data-dependently, so this is the conservative
-    // superset of any actual execution).
-    const GridShape hshape =
-        make_grid(1, s.n, spec, opt.block_threads, opt.items_per_block);
-    int cur = 0;
-    for (int pass = 0; pass < p.num_passes; ++pass) {
-      const auto& pp = p.passes[static_cast<std::size_t>(pass)];
-      simgpu::record_launch(sched, "Memset", 1, opt.block_threads, 1, s.n,
-                            s.k,
-                            {{"hist", static_cast<int>(p.seg_hist)},
-                             {"counters", static_cast<int>(p.seg_counters)}});
-      std::vector<simgpu::OperandBind> hist_binds;
-      if (pass == 0) {
-        hist_binds.push_back({"in", simgpu::kBindInput});
-      } else {
-        hist_binds.push_back({"src_val", static_cast<int>(p.seg_val[cur])});
-      }
-      hist_binds.push_back({"hist", static_cast<int>(p.seg_hist)});
-      simgpu::record_launch(sched, pp.hist_name, hshape.total_blocks(),
-                            opt.block_threads, 1, s.n, s.k,
-                            std::move(hist_binds));
-      simgpu::record_host(
-          sched, "histogram",
-          {{"hist", static_cast<int>(p.seg_hist), simgpu::Access::kRead},
-           {"host_hist", static_cast<int>(p.seg_host_hist),
-            simgpu::Access::kWrite}});
-      simgpu::record_host(sched, "scan+find_digit",
-                          {{"host_hist", static_cast<int>(p.seg_host_hist),
-                            simgpu::Access::kRead}});
-      std::vector<simgpu::OperandBind> filter_binds;
-      if (pass == 0) {
-        filter_binds.push_back({"in", simgpu::kBindInput});
-      } else {
-        filter_binds.push_back({"src_val", static_cast<int>(p.seg_val[cur])});
-        filter_binds.push_back({"src_idx", static_cast<int>(p.seg_idx[cur])});
-      }
-      filter_binds.push_back({"counters", static_cast<int>(p.seg_counters)});
-      filter_binds.push_back({"out_vals", simgpu::kBindOutVals});
-      filter_binds.push_back({"out_idx", simgpu::kBindOutIdx});
-      filter_binds.push_back({"dst_val", static_cast<int>(p.seg_val[1 - cur])});
-      filter_binds.push_back({"dst_idx", static_cast<int>(p.seg_idx[1 - cur])});
-      simgpu::record_launch(sched, pp.filter_name, hshape.total_blocks(),
-                            opt.block_threads, 1, s.n, s.k,
-                            std::move(filter_binds));
-      cur = 1 - cur;
-    }
-    simgpu::record_launch(sched, "CopyRemainder", 1, opt.block_threads, 1,
-                          s.n, s.k,
-                          {{"src_val", static_cast<int>(p.seg_val[cur])},
-                           {"src_idx", static_cast<int>(p.seg_idx[cur])},
+    record_radix_pass_loop(sched, p.loop, spec, s.n, simgpu::kBindInput,
+                           simgpu::kBindInput,
                            {"out_vals", simgpu::kBindOutVals},
-                           {"out_idx", simgpu::kBindOutIdx}});
+                           {"out_idx", simgpu::kBindOutIdx});
   }
   return p;
 }
 
-/// Phase 2 of RadixSelect (Alabi et al. 2012 / DrTopK-style): the classic
-/// parallel radix top-K where the *host* orchestrates every iteration.
-///
-/// Per radix pass the host launches a histogram kernel, copies the histogram
-/// back over PCIe, computes the prefix sum and the target digit on the CPU,
-/// then launches a filter kernel.  This host engagement — the per-iteration
-/// D2H copies and the synchronizations they imply — is exactly the overhead
-/// AIR Top-K's iteration-fused design eliminates (paper §3.1, Fig. 8).
-///
-/// Batched problems are processed one at a time, as the original
-/// implementations do; nothing amortizes the per-iteration host round trips,
-/// which is why the paper sees up to 574x speedups at batch size 100.
+/// Phase 2 of RadixSelect: the pass loop once per batch row, each row's
+/// winners straight into its output slice.  Nothing amortizes the
+/// per-iteration host round trips across rows, which is why the paper sees
+/// up to 574x speedups at batch size 100.
 template <typename T>
 void radix_select_run(simgpu::Device& dev, const RadixSelectPlan<T>& plan,
                       simgpu::Workspace& ws, simgpu::DeviceBuffer<T> in,
                       simgpu::DeviceBuffer<T> out_vals,
                       simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  using Traits = RadixTraits<T>;
-  using Bits = typename Traits::Bits;
-
-  const std::size_t batch = plan.batch;
-  const std::size_t n = plan.n;
-  const std::size_t k = plan.k;
-  const RadixSelectOptions& opt = plan.opt;
-  if (in.size() < batch * n) {
+  const std::size_t n = plan.loop.n;
+  const std::size_t k = plan.loop.k;
+  if (in.size() < plan.batch * n) {
     throw std::invalid_argument("radix_select: input too small");
   }
-  if (out_vals.size() < batch * k || out_idx.size() < batch * k) {
+  if (out_vals.size() < plan.batch * k || out_idx.size() < plan.batch * k) {
     throw std::invalid_argument("radix_select: output buffers too small");
   }
-
-  const int nb = plan.nb;
-  const std::uint32_t mask = plan.mask;
-  const int num_passes = plan.num_passes;
-
-  auto ghist = ws.get<std::uint32_t>(plan.seg_hist);
-  auto counters = ws.get<std::uint32_t>(plan.seg_counters);
-  simgpu::DeviceBuffer<T> cand_val[2] = {ws.get<T>(plan.seg_val[0]),
-                                         ws.get<T>(plan.seg_val[1])};
-  simgpu::DeviceBuffer<std::uint32_t> cand_idx[2] = {
-      ws.get<std::uint32_t>(plan.seg_idx[0]),
-      ws.get<std::uint32_t>(plan.seg_idx[1])};
-  const std::span<std::uint32_t> host_hist(
-      ws.host_ptr<std::uint32_t>(plan.seg_host_hist),
-      static_cast<std::size_t>(nb));
-
-  for (std::size_t prob = 0; prob < batch; ++prob) {
-    std::uint64_t k_rem = k;
-    std::uint64_t count = n;
-    std::uint64_t out_base = prob * k;
-    std::uint64_t out_written = 0;
-    int cur = 0;  // candidate ping-pong side holding the current candidates
-
-    for (int p = 0; p < num_passes; ++p) {
-      const int start_bit = plan.passes[static_cast<std::size_t>(p)].start_bit;
-      const bool from_input = (p == 0);
-      const auto src_val = cand_val[cur];
-      const auto src_idx = cand_idx[cur];
-      const auto dst_val = cand_val[1 - cur];
-      const auto dst_idx = cand_idx[1 - cur];
-
-      // ---- kernel 0: cudaMemset analogue for histogram + cursors ---------
-      {
-        simgpu::LaunchConfig cfg{"Memset", 1, opt.block_threads, 1, n, k};
-        simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
-          for (int d = 0; d < nb; ++d) {
-            ctx.store<std::uint32_t>(ghist, static_cast<std::size_t>(d), 0);
-          }
-          ctx.store<std::uint32_t>(counters, 0, 0);
-          ctx.store<std::uint32_t>(counters, 1, 0);
-        });
-      }
-
-      // ---- kernel 1: histogram over the current candidates ---------------
-      const GridShape hshape = make_grid(1, count, dev.spec(),
-                                         opt.block_threads,
-                                         opt.items_per_block);
-      {
-        simgpu::LaunchConfig cfg{
-            plan.passes[static_cast<std::size_t>(p)].hist_name,
-            hshape.total_blocks(), opt.block_threads, 1, n, k};
-        const int bpp = hshape.blocks_per_problem;
-        simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
-          auto shist = ctx.shared_zero<std::uint32_t>(
-              static_cast<std::size_t>(nb));
-          std::uint32_t* const hraw = shist.unchecked_data();
-          const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
-          const int sb = start_bit;
-          const std::uint32_t dm = mask;
-          const auto scan_with = [&](auto&& bump) {
-            if (from_input) {
-              ctx.for_each_elem(in, prob * n + begin, end - begin, bump);
-            } else {
-              ctx.for_each_elem(src_val, begin, end - begin, bump);
-            }
-          };
-          if (hraw != nullptr) {
-            bool vectorized = false;
-            if constexpr (std::is_same_v<T, float>) {
-              // SIMD-ized digit histogram over the contiguous candidate
-              // chunk (hraw != nullptr already implies the unsanitized tile
-              // path).  Tile loads charge the same bytes as the scalar scan
-              // and the bulk ctx.ops below is shared, so KernelStats stay
-              // bit-identical; accumulation order does not matter.
-              const auto base = from_input ? prob * n + begin : begin;
-              std::size_t i = 0;
-              const std::size_t total = end - begin;
-              while (i < total) {
-                const std::size_t c = std::min(simgpu::kTileElems, total - i);
-                const std::span<const float> tv =
-                    from_input ? ctx.load_tile(in, base + i, c)
-                               : ctx.load_tile(src_val, base + i, c);
-                simgpu::simd::histogram_digits_f32(
-                    tv.data(), tv.size(),  // lint:allow-raw-access
-                    0u, sb, dm, hraw);
-                i += c;
-              }
-              vectorized = true;
-            }
-            if (!vectorized) {
-              scan_with([&](std::size_t, T v) {
-                ++hraw[static_cast<std::uint32_t>(Traits::to_radix(v) >> sb) &
-                       dm];
-              });
-            }
-          } else {
-            scan_with([&](std::size_t, T v) {
-              ++shist[static_cast<std::uint32_t>(Traits::to_radix(v) >> sb) &
-                      dm];
-            });
-          }
-          ctx.ops(3 * (end - begin));
-          ctx.sync();
-          for (int d = 0; d < nb; ++d) {
-            if (shist[static_cast<std::size_t>(d)] != 0) {
-              ctx.atomic_add_scattered(ghist, static_cast<std::size_t>(d),
-                                       shist[static_cast<std::size_t>(d)]);
-            }
-          }
-          ctx.ops(static_cast<std::uint64_t>(nb));
-        });
-      }
-
-      // ---- host round trip: copy histogram, prefix-sum, pick digit -------
-      dev.copy_to_host(ghist, host_hist, "histogram");
-      dev.host_compute("scan+find_digit",
-                       static_cast<std::uint64_t>(3 * nb));
-      std::uint64_t less = 0;
-      std::uint32_t target_digit = 0;
-      std::uint64_t target_count = 0;
-      for (int d = 0; d < nb; ++d) {
-        const std::uint32_t c = host_hist[static_cast<std::size_t>(d)];
-        if (less + c >= k_rem) {
-          target_digit = static_cast<std::uint32_t>(d);
-          target_count = c;
-          break;
-        }
-        less += c;
-      }
-
-      // ---- kernel 2: filter (results out, candidates to the other buffer)
-      {
-        simgpu::LaunchConfig cfg{
-            plan.passes[static_cast<std::size_t>(p)].filter_name,
-            hshape.total_blocks(), opt.block_threads, 1, n, k};
-        const int bpp = hshape.blocks_per_problem;
-        const std::uint64_t out_cursor_base = out_base + out_written;
-        simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
-          const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
-          const auto filter = [&](std::size_t, T v, std::uint32_t id) {
-            const Bits key = Traits::to_radix(v);
-            const std::uint32_t digit =
-                static_cast<std::uint32_t>(key >> start_bit) & mask;
-            if (digit < target_digit) {
-              const std::uint32_t pos = ctx.atomic_add(counters, 0, 1u);
-              ctx.store(out_vals, out_cursor_base + pos, v);
-              ctx.store(out_idx, out_cursor_base + pos, id);
-            } else if (digit == target_digit) {
-              const std::uint32_t pos = ctx.atomic_add(counters, 1, 1u);
-              ctx.store(dst_val, pos, v);
-              ctx.store(dst_idx, pos, id);
-            }
-          };
-          if (from_input) {
-            ctx.for_each_elem(in, prob * n + begin, end - begin,
-                              [&](std::size_t j, T v) {
-                                filter(begin + j, v,
-                                       static_cast<std::uint32_t>(begin + j));
-                              });
-          } else {
-            scan_pairs(ctx, src_val, src_idx, 0, begin, end, filter);
-          }
-          ctx.ops(4 * (end - begin));
-        });
-      }
-
-      out_written += less;
-      k_rem -= less;
-      count = target_count;
-      cur = 1 - cur;
-
-      // The host decides whether more passes are needed; it must synchronize
-      // to know the device state is consistent before the next decision.
-      dev.synchronize("host check");
-      if (k_rem == count || p == num_passes - 1) {
-        // All remaining candidates tie at the K-th value (or digits are
-        // exhausted): copy the first k_rem of them to the output.
-        const std::uint64_t take = k_rem;
-        const auto fin_val = cand_val[cur];
-        const auto fin_idx = cand_idx[cur];
-        const std::uint64_t out_cursor_base = out_base + out_written;
-        simgpu::LaunchConfig cfg{"CopyRemainder", 1, opt.block_threads, 1, n,
-                                 k};
-        simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
-          copy_pairs(ctx, fin_val, fin_idx, 0, out_vals, out_idx,
-                     out_cursor_base, take);
-          ctx.ops(take);
-        });
-        dev.synchronize("final");
-        out_written += take;
-        break;
-      }
-    }
-    if (out_written != k) {
-      throw std::logic_error("radix_select: wrote " +
-                             std::to_string(out_written) + " of " +
-                             std::to_string(k) + " results");
-    }
+  for (std::size_t prob = 0; prob < plan.batch; ++prob) {
+    radix_pass_loop_run(dev, plan.loop, ws,
+                        RadixSource<T>{in, {}, prob * n, n, 0}, out_vals,
+                        out_idx, prob * k);
   }
-}
-
-/// One-shot entry point: plan + bind a local workspace + run.
-template <typename T>
-void radix_select(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                  std::size_t batch, std::size_t n, std::size_t k,
-                  simgpu::DeviceBuffer<T> out_vals,
-                  simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                  const RadixSelectOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      radix_select_plan<T>(Shape{batch, n, k, false}, dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  radix_select_run(dev, plan, ws, in, out_vals, out_idx);
 }
 
 }  // namespace topk

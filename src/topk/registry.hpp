@@ -2,7 +2,10 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <stdexcept>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 
 #include "core/topk.hpp"
@@ -22,14 +25,14 @@
 #include "topk/warp_select.hpp"
 
 /// Table-driven selector registry: every Algo resolves to one AlgoRow holding
-/// its CLI key, display name, K ceiling, native largest-K capability, and the
-/// two-phase plan/run thunks.  The four AIR ablation variants collapse onto
-/// one plan/run pair parameterized by AirTopkOptions flags, and GridSelect's
+/// its CLI key, display name, K ceiling, native largest-K capability and its
+/// plan function.  The four AIR ablation variants collapse onto one plan
+/// function parameterized by AirTopkOptions flags, and GridSelect's
 /// thread-queue ablation onto grid_select with shared_queue = false.
 ///
 /// Dispatch through the table never touches the heap: row lookup is a linear
 /// scan of a constexpr array, the plan lives in a variant inside PlanImpl,
-/// and the run thunks std::get the concrete plan out by type.
+/// and run_planned visits that variant to reach the plan type's *_run.
 namespace topk {
 
 /// The concrete, cacheable product of plan_select(): resolved algorithm,
@@ -73,16 +76,17 @@ namespace registry_detail {
 
 using PlanFn = void (*)(PlanImpl&, const simgpu::DeviceSpec&,
                         const SelectOptions&);
-using RunFn = void (*)(simgpu::Device&, const PlanImpl&, simgpu::Workspace&,
-                       simgpu::DeviceBuffer<float>, simgpu::DeviceBuffer<float>,
-                       simgpu::DeviceBuffer<std::uint32_t>);
-/// u32-carrier run thunk: the same algorithm instantiated at uint32_t, fed
-/// radix ordinals.  nullptr on rows whose dtype mask excludes the integer
-/// key types.
-using RunFnU32 = void (*)(simgpu::Device&, const PlanImpl&, simgpu::Workspace&,
-                          simgpu::DeviceBuffer<std::uint32_t>,
-                          simgpu::DeviceBuffer<std::uint32_t>,
-                          simgpu::DeviceBuffer<std::uint32_t>);
+
+/// Call `plan(tag)` with a value of the key carrier the plan executes on:
+/// uint32_t for integer dtypes (radix ordinals), float otherwise.
+template <typename F>
+void on_carrier(const PlanImpl& impl, F&& plan) {
+  if (impl.u32_carrier) {
+    plan(std::uint32_t{});
+  } else {
+    plan(float{});
+  }
+}
 
 /// One AirTopkOptions for all four AIR table rows: the ablation variants are
 /// flag deltas on the same planner, not separate implementations.
@@ -96,164 +100,73 @@ inline AirTopkOptions air_options_for(Algo algo, const SelectOptions& opt) {
   return o;
 }
 
-template <typename T>
-void plan_air_t(PlanImpl& impl, const simgpu::DeviceSpec& spec,
-                const SelectOptions& opt) {
-  impl.plan = air_topk_plan<T>(impl.shape, spec,
-                               air_options_for(impl.algo, opt), impl.layout,
-                               &impl.schedule);
-}
-
 inline void plan_air(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                      const SelectOptions& opt) {
-  impl.u32_carrier ? plan_air_t<std::uint32_t>(impl, spec, opt)
-                   : plan_air_t<float>(impl, spec, opt);
-}
-
-inline void run_air(simgpu::Device& dev, const PlanImpl& impl,
-                    simgpu::Workspace& ws, simgpu::DeviceBuffer<float> in,
-                    simgpu::DeviceBuffer<float> out_vals,
-                    simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  air_topk_run(dev, std::get<AirTopkPlan<float>>(impl.plan), ws, in, out_vals,
-               out_idx);
-}
-
-inline void run_air_u32(simgpu::Device& dev, const PlanImpl& impl,
-                        simgpu::Workspace& ws,
-                        simgpu::DeviceBuffer<std::uint32_t> in,
-                        simgpu::DeviceBuffer<std::uint32_t> out_vals,
-                        simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  air_topk_run(dev, std::get<AirTopkPlan<std::uint32_t>>(impl.plan), ws, in,
-               out_vals, out_idx);
-}
-
-template <typename T>
-void plan_grid_t(PlanImpl& impl, const simgpu::DeviceSpec& spec) {
-  GridSelectOptions o;
-  o.shared_queue = impl.algo != Algo::kGridSelectThreadQueue;
-  impl.plan =
-      grid_select_plan<T>(impl.shape, spec, o, impl.layout, &impl.schedule);
+  on_carrier(impl, [&](auto key) {
+    impl.plan = air_topk_plan<decltype(key)>(impl.shape, spec,
+                                             air_options_for(impl.algo, opt),
+                                             impl.layout, &impl.schedule);
+  });
 }
 
 inline void plan_grid(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                       const SelectOptions&) {
-  impl.u32_carrier ? plan_grid_t<std::uint32_t>(impl, spec)
-                   : plan_grid_t<float>(impl, spec);
-}
-
-inline void run_grid(simgpu::Device& dev, const PlanImpl& impl,
-                     simgpu::Workspace& ws, simgpu::DeviceBuffer<float> in,
-                     simgpu::DeviceBuffer<float> out_vals,
-                     simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  grid_select_run(dev, std::get<GridSelectPlan<float>>(impl.plan), ws, in,
-                  out_vals, out_idx);
-}
-
-inline void run_grid_u32(simgpu::Device& dev, const PlanImpl& impl,
-                         simgpu::Workspace& ws,
-                         simgpu::DeviceBuffer<std::uint32_t> in,
-                         simgpu::DeviceBuffer<std::uint32_t> out_vals,
-                         simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  grid_select_run(dev, std::get<GridSelectPlan<std::uint32_t>>(impl.plan), ws,
-                  in, out_vals, out_idx);
-}
-
-template <typename T>
-void plan_radix_t(PlanImpl& impl, const simgpu::DeviceSpec& spec) {
-  impl.plan =
-      radix_select_plan<T>(impl.shape, spec, {}, impl.layout, &impl.schedule);
+  GridSelectOptions o;
+  o.shared_queue = impl.algo != Algo::kGridSelectThreadQueue;
+  on_carrier(impl, [&](auto key) {
+    impl.plan = grid_select_plan<decltype(key)>(impl.shape, spec, o,
+                                                impl.layout, &impl.schedule);
+  });
 }
 
 inline void plan_radix(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                        const SelectOptions&) {
-  impl.u32_carrier ? plan_radix_t<std::uint32_t>(impl, spec)
-                   : plan_radix_t<float>(impl, spec);
-}
-
-inline void run_radix(simgpu::Device& dev, const PlanImpl& impl,
-                      simgpu::Workspace& ws, simgpu::DeviceBuffer<float> in,
-                      simgpu::DeviceBuffer<float> out_vals,
-                      simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  radix_select_run(dev, std::get<RadixSelectPlan<float>>(impl.plan), ws, in,
-                   out_vals, out_idx);
-}
-
-inline void run_radix_u32(simgpu::Device& dev, const PlanImpl& impl,
-                          simgpu::Workspace& ws,
-                          simgpu::DeviceBuffer<std::uint32_t> in,
-                          simgpu::DeviceBuffer<std::uint32_t> out_vals,
-                          simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  radix_select_run(dev, std::get<RadixSelectPlan<std::uint32_t>>(impl.plan),
-                   ws, in, out_vals, out_idx);
-}
-
-template <typename T>
-void plan_faiss_t(PlanImpl& impl, const simgpu::DeviceSpec& spec,
-                  int num_warps, std::string_view name) {
-  impl.plan = faiss_detail::faiss_select_plan<T>(impl.shape, spec, num_warps,
-                                                 name, impl.layout,
-                                                 &impl.schedule);
+  on_carrier(impl, [&](auto key) {
+    impl.plan = radix_select_plan<decltype(key)>(impl.shape, spec, {},
+                                                 impl.layout, &impl.schedule);
+  });
 }
 
 inline void plan_warp(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                       const SelectOptions&) {
-  impl.u32_carrier
-      ? plan_faiss_t<std::uint32_t>(impl, spec, /*num_warps=*/1, "WarpSelect")
-      : plan_faiss_t<float>(impl, spec, /*num_warps=*/1, "WarpSelect");
+  on_carrier(impl, [&](auto key) {
+    impl.plan = faiss_detail::faiss_select_plan<decltype(key)>(
+        impl.shape, spec, /*num_warps=*/1, "WarpSelect", impl.layout,
+        &impl.schedule);
+  });
 }
 
 inline void plan_block(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                        const SelectOptions&) {
-  impl.u32_carrier
-      ? plan_faiss_t<std::uint32_t>(impl, spec, /*num_warps=*/4, "BlockSelect")
-      : plan_faiss_t<float>(impl, spec, /*num_warps=*/4, "BlockSelect");
-}
-
-inline void run_faiss(simgpu::Device& dev, const PlanImpl& impl,
-                      simgpu::Workspace& ws, simgpu::DeviceBuffer<float> in,
-                      simgpu::DeviceBuffer<float> out_vals,
-                      simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  faiss_detail::faiss_select_run(dev, std::get<faiss_detail::FaissSelectPlan<float>>(impl.plan), ws, in,
-                   out_vals, out_idx);
-}
-
-inline void run_faiss_u32(simgpu::Device& dev, const PlanImpl& impl,
-                          simgpu::Workspace& ws,
-                          simgpu::DeviceBuffer<std::uint32_t> in,
-                          simgpu::DeviceBuffer<std::uint32_t> out_vals,
-                          simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  faiss_detail::faiss_select_run(
-      dev, std::get<faiss_detail::FaissSelectPlan<std::uint32_t>>(impl.plan),
-      ws, in, out_vals, out_idx);
-}
-
-template <typename T>
-void plan_bitonic_t(PlanImpl& impl, const simgpu::DeviceSpec& spec) {
-  impl.plan =
-      bitonic_topk_plan<T>(impl.shape, spec, {}, impl.layout, &impl.schedule);
+  on_carrier(impl, [&](auto key) {
+    impl.plan = faiss_detail::faiss_select_plan<decltype(key)>(
+        impl.shape, spec, /*num_warps=*/4, "BlockSelect", impl.layout,
+        &impl.schedule);
+  });
 }
 
 inline void plan_bitonic(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                          const SelectOptions&) {
-  impl.u32_carrier ? plan_bitonic_t<std::uint32_t>(impl, spec)
-                   : plan_bitonic_t<float>(impl, spec);
+  on_carrier(impl, [&](auto key) {
+    impl.plan = bitonic_topk_plan<decltype(key)>(impl.shape, spec, {},
+                                                 impl.layout, &impl.schedule);
+  });
 }
 
-inline void run_bitonic(simgpu::Device& dev, const PlanImpl& impl,
-                        simgpu::Workspace& ws, simgpu::DeviceBuffer<float> in,
-                        simgpu::DeviceBuffer<float> out_vals,
-                        simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  bitonic_topk_run(dev, std::get<BitonicTopkPlan<float>>(impl.plan), ws, in,
-                   out_vals, out_idx);
+inline void plan_sort(PlanImpl& impl, const simgpu::DeviceSpec& spec,
+                      const SelectOptions&) {
+  on_carrier(impl, [&](auto key) {
+    impl.plan = sort_topk_plan<decltype(key)>(impl.shape, spec, {},
+                                              impl.layout, &impl.schedule);
+  });
 }
 
-inline void run_bitonic_u32(simgpu::Device& dev, const PlanImpl& impl,
-                            simgpu::Workspace& ws,
-                            simgpu::DeviceBuffer<std::uint32_t> in,
-                            simgpu::DeviceBuffer<std::uint32_t> out_vals,
-                            simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  bitonic_topk_run(dev, std::get<BitonicTopkPlan<std::uint32_t>>(impl.plan),
-                   ws, in, out_vals, out_idx);
+inline void plan_stream_radix(PlanImpl& impl, const simgpu::DeviceSpec& spec,
+                              const SelectOptions&) {
+  on_carrier(impl, [&](auto key) {
+    impl.plan = stream_radix_plan<decltype(key)>(impl.shape, spec, {},
+                                                 impl.layout, &impl.schedule);
+  });
 }
 
 inline void plan_quick(PlanImpl& impl, const simgpu::DeviceSpec& spec,
@@ -262,97 +175,16 @@ inline void plan_quick(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                                        &impl.schedule);
 }
 
-inline void run_quick(simgpu::Device& dev, const PlanImpl& impl,
-                      simgpu::Workspace& ws, simgpu::DeviceBuffer<float> in,
-                      simgpu::DeviceBuffer<float> out_vals,
-                      simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  quick_select_run(dev, std::get<QuickSelectPlan<float>>(impl.plan), ws, in,
-                   out_vals, out_idx);
-}
-
 inline void plan_bucket(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                         const SelectOptions&) {
   impl.plan = bucket_select_plan<float>(impl.shape, spec, {}, impl.layout,
                                         &impl.schedule);
 }
 
-inline void run_bucket(simgpu::Device& dev, const PlanImpl& impl,
-                       simgpu::Workspace& ws, simgpu::DeviceBuffer<float> in,
-                       simgpu::DeviceBuffer<float> out_vals,
-                       simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  bucket_select_run(dev, std::get<BucketSelectPlan<float>>(impl.plan), ws, in,
-                    out_vals, out_idx);
-}
-
 inline void plan_sample(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                         const SelectOptions&) {
   impl.plan = sample_select_plan<float>(impl.shape, spec, {}, impl.layout,
                                         &impl.schedule);
-}
-
-inline void run_sample(simgpu::Device& dev, const PlanImpl& impl,
-                       simgpu::Workspace& ws, simgpu::DeviceBuffer<float> in,
-                       simgpu::DeviceBuffer<float> out_vals,
-                       simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  sample_select_run(dev, std::get<SampleSelectPlan<float>>(impl.plan), ws, in,
-                    out_vals, out_idx);
-}
-
-inline void plan_sort(PlanImpl& impl, const simgpu::DeviceSpec& spec,
-                      const SelectOptions&) {
-  if (impl.u32_carrier) {
-    impl.plan = sort_topk_plan<std::uint32_t>(impl.shape, spec, {},
-                                              impl.layout, &impl.schedule);
-  } else {
-    impl.plan = sort_topk_plan<float>(impl.shape, spec, {}, impl.layout,
-                                      &impl.schedule);
-  }
-}
-
-inline void run_sort(simgpu::Device& dev, const PlanImpl& impl,
-                     simgpu::Workspace& ws, simgpu::DeviceBuffer<float> in,
-                     simgpu::DeviceBuffer<float> out_vals,
-                     simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  sort_topk_run(dev, std::get<SortTopkPlan<float>>(impl.plan), ws, in,
-                out_vals, out_idx);
-}
-
-inline void run_sort_u32(simgpu::Device& dev, const PlanImpl& impl,
-                         simgpu::Workspace& ws,
-                         simgpu::DeviceBuffer<std::uint32_t> in,
-                         simgpu::DeviceBuffer<std::uint32_t> out_vals,
-                         simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  sort_topk_run(dev, std::get<SortTopkPlan<std::uint32_t>>(impl.plan), ws, in,
-                out_vals, out_idx);
-}
-
-inline void plan_stream_radix(PlanImpl& impl, const simgpu::DeviceSpec& spec,
-                              const SelectOptions&) {
-  if (impl.u32_carrier) {
-    impl.plan = stream_radix_plan<std::uint32_t>(impl.shape, spec, {},
-                                                 impl.layout, &impl.schedule);
-  } else {
-    impl.plan = stream_radix_plan<float>(impl.shape, spec, {}, impl.layout,
-                                         &impl.schedule);
-  }
-}
-
-inline void run_stream_radix(simgpu::Device& dev, const PlanImpl& impl,
-                             simgpu::Workspace& ws,
-                             simgpu::DeviceBuffer<float> in,
-                             simgpu::DeviceBuffer<float> out_vals,
-                             simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  stream_radix_run(dev, std::get<StreamRadixPlan<float>>(impl.plan), ws, in,
-                   out_vals, out_idx);
-}
-
-inline void run_stream_radix_u32(simgpu::Device& dev, const PlanImpl& impl,
-                                 simgpu::Workspace& ws,
-                                 simgpu::DeviceBuffer<std::uint32_t> in,
-                                 simgpu::DeviceBuffer<std::uint32_t> out_vals,
-                                 simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  stream_radix_run(dev, std::get<StreamRadixPlan<std::uint32_t>>(impl.plan),
-                   ws, in, out_vals, out_idx);
 }
 
 inline void plan_fused_warp(PlanImpl& impl, const simgpu::DeviceSpec& spec,
@@ -369,27 +201,10 @@ inline void plan_fused_block(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                                         &impl.schedule);
 }
 
-inline void run_fused(simgpu::Device& dev, const PlanImpl& impl,
-                      simgpu::Workspace& ws, simgpu::DeviceBuffer<float> in,
-                      simgpu::DeviceBuffer<float> out_vals,
-                      simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  fused_rowwise_run(dev, std::get<FusedRowwisePlan<float>>(impl.plan), ws, in,
-                    out_vals, out_idx);
-}
-
 inline void plan_shard_merge(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                              const SelectOptions&) {
   impl.plan = shard_merge_plan<float>(impl.shape, spec, {}, impl.layout,
                                       &impl.schedule);
-}
-
-inline void run_shard_merge(simgpu::Device& dev, const PlanImpl& impl,
-                            simgpu::Workspace& ws,
-                            simgpu::DeviceBuffer<float> in,
-                            simgpu::DeviceBuffer<float> out_vals,
-                            simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  shard_merge_run(dev, std::get<ShardMergePlan<float>>(impl.plan), ws, in,
-                  out_vals, out_idx);
 }
 
 inline void plan_bucket_approx(PlanImpl& impl, const simgpu::DeviceSpec& spec,
@@ -400,27 +215,108 @@ inline void plan_bucket_approx(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                                         &impl.schedule);
 }
 
-inline void run_bucket_approx(simgpu::Device& dev, const PlanImpl& impl,
-                              simgpu::Workspace& ws,
-                              simgpu::DeviceBuffer<float> in,
-                              simgpu::DeviceBuffer<float> out_vals,
-                              simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  bucket_approx_run(dev, std::get<BucketApproxPlan<float>>(impl.plan), ws, in,
-                    out_vals, out_idx);
+/// Plan type -> its *_run, for both carriers; the only place the registry
+/// names run functions.
+template <typename T, typename... A>
+void run_plan(const SortTopkPlan<T>& p, simgpu::Device& d, A&&... a) {
+  sort_topk_run(d, p, a...);
 }
+template <typename T, typename... A>
+void run_plan(const BitonicTopkPlan<T>& p, simgpu::Device& d, A&&... a) {
+  bitonic_topk_run(d, p, a...);
+}
+template <typename T, typename... A>
+void run_plan(const QuickSelectPlan<T>& p, simgpu::Device& d, A&&... a) {
+  quick_select_run(d, p, a...);
+}
+template <typename T, typename... A>
+void run_plan(const BucketSelectPlan<T>& p, simgpu::Device& d, A&&... a) {
+  bucket_select_run(d, p, a...);
+}
+template <typename T, typename... A>
+void run_plan(const SampleSelectPlan<T>& p, simgpu::Device& d, A&&... a) {
+  sample_select_run(d, p, a...);
+}
+template <typename T, typename... A>
+void run_plan(const RadixSelectPlan<T>& p, simgpu::Device& d, A&&... a) {
+  radix_select_run(d, p, a...);
+}
+template <typename T, typename... A>
+void run_plan(const AirTopkPlan<T>& p, simgpu::Device& d, A&&... a) {
+  air_topk_run(d, p, a...);
+}
+template <typename T, typename... A>
+void run_plan(const GridSelectPlan<T>& p, simgpu::Device& d, A&&... a) {
+  grid_select_run(d, p, a...);
+}
+template <typename T, typename... A>
+void run_plan(const faiss_detail::FaissSelectPlan<T>& p, simgpu::Device& d,
+              A&&... a) {
+  faiss_detail::faiss_select_run(d, p, a...);
+}
+template <typename T, typename... A>
+void run_plan(const FusedRowwisePlan<T>& p, simgpu::Device& d, A&&... a) {
+  fused_rowwise_run(d, p, a...);
+}
+template <typename T, typename... A>
+void run_plan(const ShardMergePlan<T>& p, simgpu::Device& d, A&&... a) {
+  shard_merge_run(d, p, a...);
+}
+template <typename T, typename... A>
+void run_plan(const BucketApproxPlan<T>& p, simgpu::Device& d, A&&... a) {
+  bucket_approx_run(d, p, a...);
+}
+template <typename T, typename... A>
+void run_plan(const StreamRadixPlan<T>& p, simgpu::Device& d, A&&... a) {
+  stream_radix_run(d, p, a...);
+}
+
+/// The key carrier a per-algorithm plan was instantiated at.
+template <typename Plan>
+struct plan_carrier;
+template <template <typename> class Plan, typename T>
+struct plan_carrier<Plan<T>> {
+  using type = T;
+};
 
 }  // namespace registry_detail
 
+/// Run the plan held in `impl` on carrier-T buffers: one std::visit over the
+/// plan variant, each alternative forwarded to its *_run.  A plan whose
+/// carrier is not T is a registry bug (run_select checks the public carrier
+/// first), reported as std::logic_error.
+template <typename T>
+void run_planned(simgpu::Device& dev, const PlanImpl& impl,
+                 simgpu::Workspace& ws, simgpu::DeviceBuffer<T> in,
+                 simgpu::DeviceBuffer<T> out_vals,
+                 simgpu::DeviceBuffer<std::uint32_t> out_idx) {
+  std::visit(
+      [&](const auto& plan) {
+        using Plan = std::decay_t<decltype(plan)>;
+        if constexpr (std::is_same_v<
+                          typename registry_detail::plan_carrier<Plan>::type,
+                          T>) {
+          registry_detail::run_plan(plan, dev, ws, in, out_vals, out_idx);
+        } else {
+          throw std::logic_error(
+              "run_select: the plan's key carrier does not match the "
+              "buffers (registry row planned the wrong instantiation)");
+        }
+      },
+      impl.plan);
+}
+
 /// One registry row per Algo value.  `k_limit` of 0 means no ceiling below n
 /// (paper §2.2 gives the partial-sorting methods their hard limits).  kAuto
-/// has no thunks: it is resolved to a concrete algorithm before lookup.
+/// has no plan function: it is resolved to a concrete algorithm before
+/// lookup.  The run side needs no column: run_planned visits the plan.
 ///
 /// `dtypes` is the KeyType bitmask the row accepts (key_type_bit): the
 /// radix/comparison kernels that are fully carrier-generic declare all five
-/// key types and supply `run_u32`; the float-arithmetic tiers (pivots,
-/// bucket math, packed-u64 SIMD paths) stay float-family.  `streaming` rows
-/// bound their scratch independently of n and are exempt from the device's
-/// max_select_elems single-select capacity check.
+/// key types and plan on the u32 carrier for integers; the float-arithmetic
+/// tiers (pivots, bucket math, packed-u64 SIMD paths) stay float-family.
+/// `streaming` rows bound their scratch independently of n and are exempt
+/// from the device's max_select_elems single-select capacity check.
 struct AlgoRow {
   Algo algo;
   std::string_view key;   ///< CLI/parse key (algo_key / parse_algo)
@@ -428,75 +324,53 @@ struct AlgoRow {
   std::size_t k_limit;
   bool native_greatest;
   registry_detail::PlanFn plan;
-  registry_detail::RunFn run;
-  registry_detail::RunFnU32 run_u32;
   unsigned dtypes;  ///< supported-KeyType bitmask (key_type_bit)
   bool streaming;   ///< scratch bounded independent of n; no n capacity cap
 };
 
 inline constexpr std::array<AlgoRow, 20> kAlgoTable = {{
     {Algo::kAirTopk, "air", "AIR Top-K", 0, true, &registry_detail::plan_air,
-     &registry_detail::run_air, &registry_detail::run_air_u32, kDtypesAll,
-     false},
+     kDtypesAll, false},
     {Algo::kGridSelect, "grid", "GridSelect", 2048, false,
-     &registry_detail::plan_grid, &registry_detail::run_grid,
-     &registry_detail::run_grid_u32, kDtypesAll, false},
-    {Algo::kRadixSelect, "radixselect", "RadixSelect", 0, false,
-     &registry_detail::plan_radix, &registry_detail::run_radix,
-     &registry_detail::run_radix_u32, kDtypesAll, false},
+     &registry_detail::plan_grid, kDtypesAll, false},
+    {Algo::kRadixSelect, "radixselect", "RadixSelect", 0, true,
+     &registry_detail::plan_radix, kDtypesAll, false},
     {Algo::kWarpSelect, "warp", "WarpSelect", 2048, false,
-     &registry_detail::plan_warp, &registry_detail::run_faiss,
-     &registry_detail::run_faiss_u32, kDtypesAll, false},
+     &registry_detail::plan_warp, kDtypesAll, false},
     {Algo::kBlockSelect, "block", "BlockSelect", 2048, false,
-     &registry_detail::plan_block, &registry_detail::run_faiss,
-     &registry_detail::run_faiss_u32, kDtypesAll, false},
+     &registry_detail::plan_block, kDtypesAll, false},
     {Algo::kBitonicTopk, "bitonic", "Bitonic Top-K", 256, false,
-     &registry_detail::plan_bitonic, &registry_detail::run_bitonic,
-     &registry_detail::run_bitonic_u32, kDtypesAll, false},
+     &registry_detail::plan_bitonic, kDtypesAll, false},
     {Algo::kQuickSelect, "quick", "QuickSelect", 0, false,
-     &registry_detail::plan_quick, &registry_detail::run_quick, nullptr,
-     kDtypesFloatFamily, false},
+     &registry_detail::plan_quick, kDtypesFloatFamily, false},
     {Algo::kBucketSelect, "bucket", "BucketSelect", 0, false,
-     &registry_detail::plan_bucket, &registry_detail::run_bucket, nullptr,
-     kDtypesFloatFamily, false},
+     &registry_detail::plan_bucket, kDtypesFloatFamily, false},
     {Algo::kSampleSelect, "sample", "SampleSelect", 0, false,
-     &registry_detail::plan_sample, &registry_detail::run_sample, nullptr,
-     kDtypesFloatFamily, false},
+     &registry_detail::plan_sample, kDtypesFloatFamily, false},
     {Algo::kSort, "sort", "Sort", 0, false, &registry_detail::plan_sort,
-     &registry_detail::run_sort, &registry_detail::run_sort_u32, kDtypesAll,
-     false},
+     kDtypesAll, false},
     {Algo::kAirTopkNoAdaptive, "air-noadaptive", "AIR Top-K (no adaptive)", 0,
-     true, &registry_detail::plan_air, &registry_detail::run_air,
-     &registry_detail::run_air_u32, kDtypesAll, false},
+     true, &registry_detail::plan_air, kDtypesAll, false},
     {Algo::kAirTopkNoEarlyStop, "air-noearlystop", "AIR Top-K (no early stop)",
-     0, true, &registry_detail::plan_air, &registry_detail::run_air,
-     &registry_detail::run_air_u32, kDtypesAll, false},
+     0, true, &registry_detail::plan_air, kDtypesAll, false},
     {Algo::kAirTopkFusedFilter, "air-fusedfilter",
      "AIR Top-K (fused last filter)", 0, true, &registry_detail::plan_air,
-     &registry_detail::run_air, &registry_detail::run_air_u32, kDtypesAll,
-     false},
+     kDtypesAll, false},
     {Algo::kGridSelectThreadQueue, "grid-threadqueue",
      "GridSelect (thread queues)", 2048, false, &registry_detail::plan_grid,
-     &registry_detail::run_grid, &registry_detail::run_grid_u32, kDtypesAll,
-     false},
-    {Algo::kFusedWarpRowwise, "fused-warp", "Fused row-wise (warp/row)", 2048,
-     false, &registry_detail::plan_fused_warp, &registry_detail::run_fused,
-     nullptr, kDtypesFloatFamily, false},
-    {Algo::kFusedBlockRowwise, "fused-block", "Fused row-wise (block/row)",
-     2048, false, &registry_detail::plan_fused_block,
-     &registry_detail::run_fused, nullptr, kDtypesFloatFamily, false},
-    {Algo::kShardMerge, "shard-merge", "Shard candidate merge", 2048, false,
-     &registry_detail::plan_shard_merge, &registry_detail::run_shard_merge,
-     nullptr, kDtypesFloatFamily, false},
-    {Algo::kBucketApprox, "bucket-approx", "Bucketed approximate Top-K", 2048,
-     false, &registry_detail::plan_bucket_approx,
-     &registry_detail::run_bucket_approx, nullptr, kDtypesFloatFamily, false},
-    {Algo::kStreamRadix, "stream-radix", "Streaming radix select", kMaxK,
-     true, &registry_detail::plan_stream_radix,
-     &registry_detail::run_stream_radix,
-     &registry_detail::run_stream_radix_u32, kDtypesAll, true},
-    {Algo::kAuto, "auto", "Auto", 0, false, nullptr, nullptr, nullptr,
      kDtypesAll, false},
+    {Algo::kFusedWarpRowwise, "fused-warp", "Fused row-wise (warp/row)", 2048,
+     false, &registry_detail::plan_fused_warp, kDtypesFloatFamily, false},
+    {Algo::kFusedBlockRowwise, "fused-block", "Fused row-wise (block/row)",
+     2048, false, &registry_detail::plan_fused_block, kDtypesFloatFamily,
+     false},
+    {Algo::kShardMerge, "shard-merge", "Shard candidate merge", 2048, false,
+     &registry_detail::plan_shard_merge, kDtypesFloatFamily, false},
+    {Algo::kBucketApprox, "bucket-approx", "Bucketed approximate Top-K", 2048,
+     false, &registry_detail::plan_bucket_approx, kDtypesFloatFamily, false},
+    {Algo::kStreamRadix, "stream-radix", "Streaming radix select", kMaxK,
+     true, &registry_detail::plan_stream_radix, kDtypesAll, true},
+    {Algo::kAuto, "auto", "Auto", 0, false, nullptr, kDtypesAll, false},
 }};
 
 /// The registry row for `algo`, or nullptr for values outside the enum.

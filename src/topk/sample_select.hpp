@@ -588,19 +588,4 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
   }
 }
 
-/// One-shot entry point: plan + bind a local workspace + run.
-template <typename T>
-void sample_select(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                   std::size_t batch, std::size_t n, std::size_t k,
-                   simgpu::DeviceBuffer<T> out_vals,
-                   simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                   const SampleSelectOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      sample_select_plan<T>(Shape{batch, n, k, false}, dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  sample_select_run(dev, plan, ws, in, out_vals, out_idx);
-}
-
 }  // namespace topk

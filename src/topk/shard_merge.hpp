@@ -503,19 +503,4 @@ void shard_merge_run(simgpu::Device& dev, const ShardMergePlan<T>& plan,
   }
 }
 
-/// One-shot entry point: plan + bind a local workspace + run.
-template <typename T>
-void shard_merge(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                 std::size_t batch, std::size_t n, std::size_t k,
-                 simgpu::DeviceBuffer<T> out_vals,
-                 simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                 const ShardMergeOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      shard_merge_plan<T>(Shape{batch, n, k, false}, dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  shard_merge_run(dev, plan, ws, in, out_vals, out_idx);
-}
-
 }  // namespace topk

@@ -182,19 +182,47 @@ TEST(NativeGreatest, AirComplementedKeysSelectLargest) {
 }
 
 TEST(NativeGreatest, CoreRouteDoesNotMutateInput) {
-  // AIR's native largest-K must not need the negate-copy fallback: the
-  // device input stays byte-identical.
+  // The native largest-K rows (AIR, RadixSelect, stream-radix) must not need
+  // the negate-copy fallback: no "negated input" segment on either carrier,
+  // the device input stays byte-identical, and the answers match Sort's
+  // negate-wrapped ones.
   simgpu::Device dev;
   const auto values = data::uniform_values(5000, 22);
+  const std::size_t n = values.size(), k = 25;
   SelectOptions opt;
   opt.greatest = true;
-  const SelectResult air = select(dev, values, 25, Algo::kAirTopk, opt);
-  const SelectResult sort_based = select(dev, values, 25, Algo::kSort, opt);
   auto sorted = [](std::vector<float> v) {
     std::sort(v.begin(), v.end());
     return v;
   };
-  EXPECT_EQ(sorted(air.values), sorted(sort_based.values));
+  const SelectResult sort_based = select(dev, values, k, Algo::kSort, opt);
+  for (const Algo algo :
+       {Algo::kAirTopk, Algo::kRadixSelect, Algo::kStreamRadix}) {
+    for (const KeyType dtype : {KeyType::kF32, KeyType::kI32}) {
+      SelectOptions o = opt;
+      o.dtype = dtype;
+      const ExecutionPlan plan = plan_select(dev.spec(), 1, n, k, algo, o);
+      for (const auto& seg : plan.layout().segments) {
+        EXPECT_NE(seg.name, "negated input")
+            << algo_name(algo) << " " << key_type_name(dtype);
+      }
+    }
+    const ExecutionPlan plan = plan_select(dev.spec(), 1, n, k, algo, opt);
+    auto in = dev.alloc<float>(n);
+    std::copy(values.begin(), values.end(), in.data());
+    auto ov = dev.alloc<float>(k);
+    auto oi = dev.alloc<std::uint32_t>(k);
+    simgpu::Workspace ws(dev);
+    run_select(dev, plan, ws, in, ov, oi);
+    EXPECT_TRUE(std::equal(values.begin(), values.end(), in.data()))
+        << algo_name(algo);
+    EXPECT_EQ(sorted(std::vector<float>(ov.data(), ov.data() + k)),
+              sorted(sort_based.values))
+        << algo_name(algo);
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(values[oi.data()[i]], ov.data()[i]) << algo_name(algo);
+    }
+  }
 }
 
 TEST(SortedOutput, ResultsComeBackBestFirst) {

@@ -115,7 +115,12 @@ TEST(GenericKeys, RadixSelectOnUnsignedInts) {
   check_algo<std::uint32_t>(
       data, 99,
       [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-        radix_select(dev, in, 1, n, k, ov, oi);
+        simgpu::WorkspaceLayout layout;
+        const auto plan = radix_select_plan<std::uint32_t>(
+            Shape{1, n, k, false}, dev.spec(), {}, layout);
+        simgpu::Workspace ws(dev);
+        ws.bind(layout);
+        radix_select_run(dev, plan, ws, in, ov, oi);
       },
       "radix_select u32");
 }

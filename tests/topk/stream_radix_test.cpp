@@ -11,6 +11,7 @@
 #include <functional>
 #include <random>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,23 +41,37 @@ std::vector<T> reference_best(std::span<const T> data, std::size_t k,
   return want;
 }
 
-/// Drive stream_radix() directly with an artificially small chunk target so
-/// the union-fold path runs many times at test-sized n.
+/// One direct plan/run of the streaming row with an artificially small
+/// chunk target, so the union-fold path runs many times at test-sized n.
+/// Results are checked here; the launched kernels' stats go to `stats`.
 template <typename T>
-void check_direct(const std::vector<T>& data, std::size_t batch,
-                  std::size_t n, std::size_t k, bool greatest,
-                  std::size_t chunk_target) {
+void run_direct(const std::vector<T>& data, std::size_t batch, std::size_t n,
+                std::size_t k, bool greatest, std::size_t chunk_target,
+                bool sanitize, std::vector<simgpu::KernelStats>& stats) {
   simgpu::Device dev;
-  dev.enable_sanitizer();
+  if (sanitize) dev.enable_sanitizer();
   auto in = dev.alloc<T>(batch * n);
   std::copy(data.begin(), data.end(), in.data());
-  // The host-side staging copy bypasses the shadow; mark it like an upload.
-  dev.sanitizer()->mark_initialized(in.data(), batch * n * sizeof(T));
+  if (sanitize) {
+    // The host-side staging copy bypasses the shadow; mark it like an upload.
+    dev.sanitizer()->mark_initialized(in.data(), batch * n * sizeof(T));
+  }
   auto ov = dev.alloc<T>(batch * k);
   auto oi = dev.alloc<std::uint32_t>(batch * k);
   StreamRadixOptions opt;
   opt.chunk_target = chunk_target;
-  stream_radix<T>(dev, in, batch, n, k, ov, oi, opt, greatest);
+  simgpu::WorkspaceLayout layout;
+  const auto plan = stream_radix_plan<T>(Shape{batch, n, k, greatest},
+                                         dev.spec(), opt, layout);
+  simgpu::Workspace ws(dev);
+  ws.bind(layout);
+  dev.clear_events();
+  stream_radix_run(dev, plan, ws, in, ov, oi);
+  for (const auto& e : dev.events()) {
+    if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
+      stats.push_back(ke->stats);
+    }
+  }
   for (std::size_t b = 0; b < batch; ++b) {
     const std::span<const T> row(data.data() + b * n, n);
     std::vector<T> got(ov.data() + b * k, ov.data() + (b + 1) * k);
@@ -67,10 +82,48 @@ void check_direct(const std::vector<T>& data, std::size_t batch,
     }
     std::sort(got.begin(), got.end());
     ASSERT_EQ(got, reference_best(row, k, greatest))
-        << "row " << b << " chunk_target=" << chunk_target;
+        << "row " << b << " chunk_target=" << chunk_target
+        << " sanitize=" << sanitize;
   }
-  ASSERT_TRUE(dev.sanitizer()->snapshot().clean())
-      << dev.sanitizer()->snapshot().to_string();
+  if (sanitize) {
+    ASSERT_TRUE(dev.sanitizer()->snapshot().clean())
+        << dev.sanitizer()->snapshot().to_string();
+  }
+}
+
+/// Run the small-chunk driver with the sanitizer off (tile path and, for
+/// float keys, the SIMD digit histogram of every pass including the union
+/// folds) and on (scalar shared-memory histogram); both must answer
+/// correctly and launch identical KernelStats.  The per-block maxima are
+/// left out: blocks run concurrently, and which block of a filter pass gets
+/// the heaviest slice follows the order in which the previous pass's blocks
+/// appended their candidates.
+template <typename T>
+void check_direct(const std::vector<T>& data, std::size_t batch,
+                  std::size_t n, std::size_t k, bool greatest,
+                  std::size_t chunk_target) {
+  std::vector<simgpu::KernelStats> fast;
+  std::vector<simgpu::KernelStats> checked;
+  run_direct(data, batch, n, k, greatest, chunk_target, false, fast);
+  run_direct(data, batch, n, k, greatest, chunk_target, true, checked);
+  ASSERT_FALSE(fast.empty());
+  ASSERT_EQ(fast.size(), checked.size());
+  for (std::size_t i = 0; i < fast.size(); ++i) {
+    const simgpu::KernelStats& x = fast[i];
+    const simgpu::KernelStats& y = checked[i];
+    const std::string at = "kernel[" + std::to_string(i) + "] = " +
+                           std::string(x.name) +
+                           " chunk_target=" + std::to_string(chunk_target);
+    EXPECT_EQ(x.name, y.name) << at;
+    EXPECT_EQ(x.grid_blocks, y.grid_blocks) << at;
+    EXPECT_EQ(x.block_threads, y.block_threads) << at;
+    EXPECT_EQ(x.bytes_read, y.bytes_read) << at;
+    EXPECT_EQ(x.bytes_written, y.bytes_written) << at;
+    EXPECT_EQ(x.lane_ops, y.lane_ops) << at;
+    EXPECT_EQ(x.atomic_ops, y.atomic_ops) << at;
+    EXPECT_EQ(x.scattered_atomic_ops, y.scattered_atomic_ops) << at;
+    EXPECT_EQ(x.block_syncs, y.block_syncs) << at;
+  }
 }
 
 TEST(StreamRadix, FoldLoopCorrectAcrossChunkSchedules) {

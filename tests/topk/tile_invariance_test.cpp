@@ -73,14 +73,16 @@ struct RunTrace {
 };
 
 RunTrace run_once(std::span<const float> data, std::size_t batch,
-                  std::size_t n, std::size_t k, Algo algo, bool tile,
-                  bool warpfast, bool simcheck, bool pool = true) {
+                  std::size_t n, std::size_t k, Algo algo, bool greatest,
+                  bool tile, bool warpfast, bool simcheck, bool pool = true) {
   simgpu::set_tile_path_enabled(tile);
   simgpu::set_warpfast_path_enabled(warpfast);
   simgpu::set_pool_enabled(pool);
   simgpu::Device dev;
   if (simcheck) dev.enable_sanitizer();
-  const auto results = select_batch(dev, data, batch, n, k, algo);
+  SelectOptions opt;
+  opt.greatest = greatest;
+  const auto results = select_batch(dev, data, batch, n, k, algo, opt);
 
   RunTrace t;
   for (const auto& e : dev.events()) {
@@ -90,11 +92,20 @@ RunTrace run_once(std::span<const float> data, std::size_t batch,
   }
   t.model_us = simgpu::CostModel(dev.spec()).total_us(dev.events());
   for (std::size_t b = 0; b < batch; ++b) {
-    const std::string err = verify_topk(
-        std::span<const float>(data.data() + b * n, n), k, results[b]);
+    // verify_topk checks smallest-K; largest-K is checked as the smallest K
+    // of the negated row.
+    std::vector<float> row(data.begin() + static_cast<long>(b * n),
+                           data.begin() + static_cast<long>((b + 1) * n));
+    SelectResult checked = results[b];
+    if (greatest) {
+      for (float& v : row) v = -v;
+      for (float& v : checked.values) v = -v;
+    }
+    const std::string err = verify_topk(row, k, checked);
     EXPECT_TRUE(err.empty())
-        << algo_name(algo) << " tile=" << tile << " warpfast=" << warpfast
-        << " simcheck=" << simcheck << " problem " << b << ": " << err;
+        << algo_name(algo) << " greatest=" << greatest << " tile=" << tile
+        << " warpfast=" << warpfast << " simcheck=" << simcheck
+        << " problem " << b << ": " << err;
     std::vector<float> vals = results[b].values;
     std::sort(vals.begin(), vals.end());
     t.sorted_values.push_back(std::move(vals));
@@ -136,6 +147,7 @@ struct InvarianceCase {
   std::size_t batch;
   std::size_t n;
   std::size_t k;
+  bool greatest = false;
 };
 
 std::string case_name(const ::testing::TestParamInfo<InvarianceCase>& info) {
@@ -144,42 +156,41 @@ std::string case_name(const ::testing::TestParamInfo<InvarianceCase>& info) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
   return name + "_b" + std::to_string(info.param.batch) + "_n" +
-         std::to_string(info.param.n) + "_k" + std::to_string(info.param.k);
+         std::to_string(info.param.n) + "_k" + std::to_string(info.param.k) +
+         (info.param.greatest ? "_largest" : "");
 }
 
 class TileInvariance : public ::testing::TestWithParam<InvarianceCase> {};
 
 TEST_P(TileInvariance, StatsAndModeledTimeBitIdenticalAcrossModes) {
-  const auto [algo, batch, n, k] = GetParam();
+  const auto [algo, batch, n, k, greatest] = GetParam();
   TileGuard guard;
   std::uint64_t seed = 77;
   for (const auto& spec : standard_distributions()) {
     const auto values = data::generate(spec, batch * n, seed++);
-    const RunTrace scalar =
-        run_once(values, batch, n, k, algo, false, false, false);
-    const RunTrace tile =
-        run_once(values, batch, n, k, algo, true, false, false);
+    const auto leg = [&](bool tile, bool warpfast, bool simcheck,
+                         bool pool = true) {
+      return run_once(values, batch, n, k, algo, greatest, tile, warpfast,
+                      simcheck, pool);
+    };
+    const RunTrace scalar = leg(false, false, false);
+    const RunTrace tile = leg(true, false, false);
     // Warpfast without the tile path must be inert: the warp fast path only
     // activates on tile-backed spans, so this leg is bit-identical to scalar.
-    const RunTrace wf_no_tile =
-        run_once(values, batch, n, k, algo, false, true, false);
-    const RunTrace wf =
-        run_once(values, batch, n, k, algo, true, true, false);
+    const RunTrace wf_no_tile = leg(false, true, false);
+    const RunTrace wf = leg(true, true, false);
     // Under simcheck the warp fast path gates itself off; this leg proves
     // the exact per-round path reproduces the fast path's bulk charges.
-    const RunTrace wf_checked =
-        run_once(values, batch, n, k, algo, true, true, true);
+    const RunTrace wf_checked = leg(true, true, true);
     // Memory-pool invariance: slab provenance never feeds the cost model,
     // so disabling pooled reuse must be invisible to counters, modeled time
     // and results — on the scalar baseline, with both fast paths, and under
     // simcheck.
-    const RunTrace nopool_scalar =
-        run_once(values, batch, n, k, algo, false, false, false, false);
-    const RunTrace nopool_wf =
-        run_once(values, batch, n, k, algo, true, true, false, false);
-    const RunTrace nopool_checked =
-        run_once(values, batch, n, k, algo, true, true, true, false);
-    const std::string what = std::string(algo_name(algo)) + " on " +
+    const RunTrace nopool_scalar = leg(false, false, false, false);
+    const RunTrace nopool_wf = leg(true, true, false, false);
+    const RunTrace nopool_checked = leg(true, true, true, false);
+    const std::string what = std::string(algo_name(algo)) +
+                             (greatest ? " largest-K" : "") + " on " +
                              spec.name();
     ASSERT_FALSE(scalar.kernels.empty()) << what;
     expect_identical_stats(scalar, tile, what + " [tile vs scalar]");
@@ -209,19 +220,27 @@ std::vector<InvarianceCase> cases() {
   // tile helpers).  The warp-queue family — GridSelect in both queue
   // flavours, WarpSelect, BlockSelect, both fused row-wise variants, and the
   // bucketed approximate tier (exact at the default recall_target = 1.0) —
-  // additionally exercises the threshold-gated warp fast path.
+  // additionally exercises the threshold-gated warp fast path.  RadixSelect
+  // and stream-radix run the same radix pass loop (SIMD digit histogram on
+  // the tile path).
   const Algo algos[] = {Algo::kAirTopk,          Algo::kSort,
                         Algo::kRadixSelect,      Algo::kGridSelect,
                         Algo::kAirTopkFusedFilter, Algo::kWarpSelect,
                         Algo::kBlockSelect,      Algo::kGridSelectThreadQueue,
                         Algo::kFusedWarpRowwise, Algo::kFusedBlockRowwise,
-                        Algo::kBucketApprox};
+                        Algo::kBucketApprox,     Algo::kStreamRadix};
   std::vector<InvarianceCase> cases;
   for (Algo algo : algos) {
     cases.push_back({algo, 1, 999, 1});          // sub-tile problem
     cases.push_back({algo, 1, 4096, 64});        // a few exact tiles
     cases.push_back({algo, 1, 70001, 517});      // many tiles + ragged tail
     cases.push_back({algo, 3, 10007, 100});      // batched, odd sizes
+  }
+  // Native largest-K rows xor a direction mask into every radix key, the
+  // SIMD histogram included.
+  for (Algo algo : {Algo::kAirTopk, Algo::kRadixSelect, Algo::kStreamRadix}) {
+    cases.push_back({algo, 1, 70001, 517, true});
+    cases.push_back({algo, 3, 10007, 100, true});
   }
   return cases;
 }

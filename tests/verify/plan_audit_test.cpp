@@ -343,7 +343,7 @@ TEST(PlanAudit, NegateWrapPrependsHostStepAndStaysClean) {
   topk::SelectOptions opt;
   opt.greatest = true;
   const topk::ExecutionPlan plan =
-      topk::plan_select(spec, 1, 4096, 32, topk::Algo::kRadixSelect, opt);
+      topk::plan_select(spec, 1, 4096, 32, topk::Algo::kGridSelect, opt);
   const simgpu::KernelSchedule& sched = plan.schedule();
   ASSERT_FALSE(sched.steps.empty());
   EXPECT_EQ(sched.steps.front().kind, simgpu::KernelStep::Kind::kHost);
