@@ -5,10 +5,12 @@
 // query of N = 2^26 — sixteen device-loads of data.  No single-device plan
 // can serve it; the shard coordinator splits it into 16 shards (4 rounds
 // over the pool), runs the ordinary per-shard selection through the cached
-// plan / pooled workspace layer, gathers the per-shard candidate lists, and
-// reduces them with the hierarchical device-side merge.  The result is
-// exact — verified here against the host reference — and the modeled
-// timing shows where the microseconds go, per phase and per shard.
+// plan / pooled workspace layer, gathers each shard's candidates with one
+// packed copy, and reduces them where merge_site() prices it cheapest: on
+// the host for a few thousand candidates, with the hierarchical device-side
+// merge beyond that (16 x 256 = 4096 here).  The result is exact —
+// verified here against the host reference — and the modeled timing shows
+// where the microseconds go, per phase and per shard.
 //
 // The same query submitted to topk::serve engages the identical path
 // automatically: the service notices N above the device ceiling and routes
@@ -60,9 +62,15 @@ int main() {
   std::cout << "modeled time: " << r.timing.total_us << " us\n"
             << "  select " << r.timing.select_us << " us (busiest device, "
             << (r.shards + r.devices - 1) / r.devices << " rounds)\n"
-            << "  gather " << r.timing.gather_us << " us (candidate D2H)\n"
-            << "  merge  " << r.timing.merge_us << " us (H2D + merge tree)\n"
-            << "  output " << r.timing.output_us << " us (result D2H)\n\n";
+            << "  gather " << r.timing.gather_us
+            << " us (one packed candidate D2H per shard)\n"
+            << "  merge  " << r.timing.merge_us << " us (on the "
+            << topk::shard::merge_site_name(r.merge)
+            << (r.merge == topk::shard::MergeSite::kDevice
+                    ? ": candidate H2D + merge tree)\n"
+                    : ": selection over the gathered candidates)\n")
+            << "  output " << r.timing.output_us
+            << " us (packed result D2H; 0 after a host merge)\n\n";
 
   std::cout << "per-shard breakdown (selection + gather, modeled):\n";
   for (std::size_t s = 0; s < r.shard_us.size(); ++s) {
@@ -71,7 +79,8 @@ int main() {
   }
   std::cout << "plan cache: " << coord.plan_cache_hits() << " hits / "
             << coord.plan_cache_misses()
-            << " misses (one per distinct shard shape, one for the merge)"
+            << " misses (one per distinct shard shape, one for a device "
+               "merge)"
             << "\n\n";
 
   if (!err.empty()) return 1;

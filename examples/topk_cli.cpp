@@ -174,7 +174,8 @@ int main(int argc, char** argv) {
     std::cout << "verified OK | modeled " << r.timing.total_us
               << " us = select " << r.timing.select_us << " + gather "
               << r.timing.gather_us << " + merge " << r.timing.merge_us
-              << " + output " << r.timing.output_us << "\n";
+              << " (" << topk::shard::merge_site_name(r.merge) << ") + output "
+              << r.timing.output_us << "\n";
     for (std::size_t s = 0; s < r.shard_us.size(); ++s) {
       std::cout << "  shard " << s << " (device " << s % r.devices
                 << "): " << r.shard_us[s] << " us\n";

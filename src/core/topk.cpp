@@ -414,7 +414,8 @@ ExecutionPlan plan_select(const simgpu::DeviceSpec& spec, std::size_t batch,
     neg.n = n;
     neg.k = k;
     neg.binds = {{"in", simgpu::kBindInput, simgpu::Access::kRead},
-                 {"negated", impl->seg_negated, simgpu::Access::kWrite}};
+                 {"negated", static_cast<int>(impl->seg_negated),
+                  simgpu::Access::kWrite}};
     impl->schedule.steps.insert(impl->schedule.steps.begin(), std::move(neg));
   }
   return ExecutionPlan(std::move(impl));

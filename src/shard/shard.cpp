@@ -1,6 +1,7 @@
 #include "shard/shard.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -11,6 +12,7 @@
 #include "topk/common.hpp"
 #include "topk/key_codec.hpp"
 #include "topk/partial_sort_common.hpp"
+#include "topk/radix_traits.hpp"
 
 namespace topk::shard {
 
@@ -35,7 +37,62 @@ void validate_query(std::size_t n, std::size_t k) {
   throw std::invalid_argument(err.str());
 }
 
+/// Bytes of one packed result copy: k values followed by k indices (or,
+/// after a device merge, k positions into the candidate array).
+std::size_t packed_bytes(std::size_t k) {
+  return 2 * k * sizeof(std::uint32_t);
+}
+
+/// The host merge over m candidates, as the one host step it is booked as.
+simgpu::HostComputeEvent host_merge_event(std::size_t m) {
+  return {"shard host merge", host_merge_ops(m)};
+}
+
+/// Modeled time of an event sequence on one device under `spec`.
+double priced_us(const simgpu::DeviceSpec& spec, simgpu::EventLog log) {
+  return simgpu::CostModel(spec).total_us(log);
+}
+
 }  // namespace
+
+const char* merge_site_name(MergeSite site) {
+  switch (site) {
+    case MergeSite::kHost:
+      return "host";
+    case MergeSite::kDevice:
+      return "device";
+    case MergeSite::kNone:
+      return "none";
+  }
+  return "none";
+}
+
+std::uint64_t host_merge_ops(std::size_t m) {
+  // m * ceil(log2 m); bit_width(m - 1) is ceil(log2 m) for m >= 1.
+  return m == 0 ? 0 : m * static_cast<std::uint64_t>(std::bit_width(m - 1));
+}
+
+MergeSite merge_site(std::size_t shards, std::size_t k,
+                     const simgpu::DeviceSpec& spec) {
+  if (shards <= 1) return MergeSite::kNone;
+  const std::size_t m = shards * k;
+  // The cheapest device merge there could be: the candidate upload, one
+  // launch that does no work (min_kernel_duration_us) and the packed result
+  // download.  The real ShardMerge plan only costs more.
+  simgpu::KernelStats no_work;
+  no_work.name = "ShardMerge floor";
+  no_work.grid_blocks = 1;
+  no_work.block_threads = 32;
+  simgpu::EventLog device;
+  device.emplace_back(simgpu::MemcpyEvent{
+      simgpu::MemcpyEvent::Dir::kHostToDevice, m * sizeof(float), {}});
+  device.emplace_back(simgpu::KernelEvent{no_work});
+  device.emplace_back(simgpu::MemcpyEvent{
+      simgpu::MemcpyEvent::Dir::kDeviceToHost, packed_bytes(k), {}});
+  return priced_us(spec, {host_merge_event(m)}) <= priced_us(spec, device)
+             ? MergeSite::kHost
+             : MergeSite::kDevice;
+}
 
 std::size_t min_shards(std::size_t n, const simgpu::DeviceSpec& spec) {
   const std::size_t cap = std::max<std::size_t>(1, spec.max_select_elems);
@@ -62,16 +119,26 @@ double estimated_sharded_cost_us(Algo algo, std::size_t shards,
       static_cast<double>((shards + devices - 1) / devices);
   const double lat = spec.pcie_latency_us;
   const double bw = spec.pcie_bytes_per_us();
-  const double kk = static_cast<double>(k);
-  // Selection: shards run device-parallel, rounds serialize; the gather is
-  // two D2H copies (values + indices) per shard.
-  double cost = rounds * estimated_batch_cost_us(algo, 1, n_shard, k) +
-                static_cast<double>(shards) * (2.0 * lat + kk * 8.0 / bw);
-  if (shards > 1) {
-    // Candidate H2D to the merge device, the merge tree, result D2H.
-    cost += lat + static_cast<double>(shards) * kk * 4.0 / bw;
-    cost += estimated_batch_cost_us(Algo::kShardMerge, 1, shards * k, k);
-    cost += 2.0 * lat + kk * 8.0 / bw;
+  const double packed_copy_us =
+      lat + static_cast<double>(packed_bytes(k)) / bw;
+  // Selection and gather: shards run device-parallel, rounds serialize, and
+  // every shard pays one packed copy on its device (for one shard, that
+  // copy is the result transfer).
+  double cost =
+      rounds * (estimated_batch_cost_us(algo, 1, n_shard, k) + packed_copy_us);
+  const std::size_t m = shards * k;
+  switch (merge_site(shards, k, spec)) {
+    case MergeSite::kNone:
+      break;
+    case MergeSite::kHost:
+      cost += priced_us(spec, {host_merge_event(m)});
+      break;
+    case MergeSite::kDevice:
+      // Candidate H2D to device 0, the merge tree, packed result D2H.
+      cost += lat + static_cast<double>(m * sizeof(float)) / bw +
+              estimated_batch_cost_us(Algo::kShardMerge, 1, m, k) +
+              packed_copy_us;
+      break;
   }
   return cost;
 }
@@ -109,10 +176,11 @@ std::size_t recommend_shards(std::size_t n, std::size_t k,
 
 ShardedPlan plan_sharded(const simgpu::DeviceSpec& spec, std::size_t n,
                          std::size_t k, std::size_t shards, Algo algo,
-                         const SelectOptions& opt) {
+                         const SelectOptions& opt, std::size_t devices) {
   validate_query(n, k);
-  shards = std::clamp(shards == 0 ? recommend_shards(n, k, 1, spec) : shards,
-                      min_shards(n, spec), max_shards(n, k));
+  shards = std::clamp(
+      shards == 0 ? recommend_shards(n, k, devices, spec) : shards,
+      min_shards(n, spec), max_shards(n, k));
   if (algo == Algo::kAuto) {
     WorkloadHints hints;
     hints.shards = shards;
@@ -124,6 +192,7 @@ ShardedPlan plan_sharded(const simgpu::DeviceSpec& spec, std::size_t n,
   sp.n = n;
   sp.k = k;
   sp.shard_algo = algo;
+  sp.merge = merge_site(shards, k, spec);
   // Shards see smallest-K plans: largest-K is negated once at the
   // coordinator boundary, never inside the per-shard plans.
   SelectOptions shard_opt;
@@ -144,7 +213,7 @@ ShardedPlan plan_sharded(const simgpu::DeviceSpec& spec, std::size_t n,
     sp.plans.emplace_back(label.str(),
                           plan_select(spec, 1, len, k, algo, shard_opt));
   }
-  if (shards > 1) {
+  if (sp.merge == MergeSite::kDevice) {
     std::ostringstream label;
     label << "merge shard-merge n=" << shards * k << " k=" << k;
     sp.plans.emplace_back(
@@ -158,12 +227,18 @@ struct Coordinator::DeviceSlot {
   simgpu::Device dev;
   simgpu::Workspace ws;
   simgpu::DeviceBuffer<float> in;
-  simgpu::DeviceBuffer<float> out_vals;
-  simgpu::DeviceBuffer<std::uint32_t> out_idx;
+  /// One contiguous 2·out_cap-word block; a query with k <= out_cap uses
+  /// its first 2k words as (k values | k indices), so one copy moves both.
+  simgpu::DeviceBuffer<std::uint32_t> out;
   simgpu::DeviceBuffer<float> merge_in;  ///< slot 0 only
   std::size_t in_cap = 0;
   std::size_t out_cap = 0;
   std::size_t merge_cap = 0;
+
+  /// The packed result block of a k-selection.
+  [[nodiscard]] simgpu::DeviceBuffer<std::uint32_t> packed(std::size_t k) const {
+    return out.subspan(0, 2 * k);
+  }
 
   explicit DeviceSlot(const simgpu::DeviceSpec& spec) : dev(spec), ws(dev) {}
 };
@@ -248,9 +323,11 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
   res.shard_algo = algo;
   res.shard_us.resize(S, 0.0);
 
-  // ---- phase 1: per-shard selection + candidate gather -------------------
-  std::vector<float> cand_vals(S * k);
-  std::vector<std::uint32_t> cand_idx(S * k);
+  // ---- phase 1: per-shard selection + one packed gather per shard --------
+  // Shard s's candidates land at gathered[s·2k, (s+1)·2k): k value words,
+  // then k indices (rebased to the query below).
+  const std::size_t w = 2 * k;
+  std::vector<std::uint32_t> gathered(S * w);
   std::vector<double> dev_select_us(devices_used, 0.0);
   std::vector<double> dev_gather_us(devices_used, 0.0);
   for (std::size_t s = 0; s < S; ++s) {
@@ -263,8 +340,7 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
       slot.in_cap = len;
     }
     if (slot.out_cap < k) {
-      slot.out_vals = slot.dev.alloc<float>(k, "shard out vals");
-      slot.out_idx = slot.dev.alloc<std::uint32_t>(k, "shard out idx");
+      slot.out = slot.dev.alloc<std::uint32_t>(2 * k, "shard out (vals | idx)");
       slot.out_cap = k;
     }
     const ExecutionPlan& plan = plan_for(len, algo);
@@ -275,66 +351,109 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
     simgpu::Sanitizer* const san = slot.dev.sanitizer();
     const std::size_t issues_before = san != nullptr ? san->issue_count() : 0;
     const double before = model.total_us(slot.dev.events());
-    run_select(slot.dev, plan, slot.ws, slot.in, slot.out_vals, slot.out_idx);
+    const simgpu::DeviceBuffer<std::uint32_t> out = slot.packed(k);
+    run_select(slot.dev, plan, slot.ws, slot.in,
+               out.subspan(0, k).as<float>(), out.subspan(k, k));
     const double selected = model.total_us(slot.dev.events());
-    slot.dev.copy_to_host(slot.out_vals, std::span<float>(cand_vals).subspan(s * k, k),
-                          "shard gather vals");
-    slot.dev.copy_to_host(slot.out_idx,
-                          std::span<std::uint32_t>(cand_idx).subspan(s * k, k),
-                          "shard gather idx");
-    const double gathered = model.total_us(slot.dev.events());
-    res.shard_us[s] = gathered - before;
+    slot.dev.copy_to_host(
+        out, std::span<std::uint32_t>(gathered).subspan(s * w, w),
+        "shard gather");
+    const double gathered_at = model.total_us(slot.dev.events());
+    res.shard_us[s] = gathered_at - before;
     dev_select_us[s % devices_used] += selected - before;
-    dev_gather_us[s % devices_used] += gathered - selected;
+    dev_gather_us[s % devices_used] += gathered_at - selected;
     if (san != nullptr) throw_if_new_issues(*san, issues_before, algo);
     // Rebase shard-local indices into the query's index space host-side.
     const auto base = static_cast<std::uint32_t>(begin);
-    for (std::size_t i = 0; i < k; ++i) cand_idx[s * k + i] += base;
+    for (std::size_t i = 0; i < k; ++i) gathered[s * w + k + i] += base;
   }
   // Devices run concurrently: each phase costs its busiest device.
   for (std::size_t d = 0; d < devices_used; ++d) {
     res.timing.select_us = std::max(res.timing.select_us, dev_select_us[d]);
     res.timing.gather_us = std::max(res.timing.gather_us, dev_gather_us[d]);
   }
+  // Candidate c (shard c / k, rank c % k) in the gathered blocks.
+  const auto value_bits = [&](std::size_t c) {
+    return gathered[c / k * w + c % k];
+  };
+  const auto index_of = [&](std::size_t c) {
+    return gathered[c / k * w + k + c % k];
+  };
 
-  // ---- phase 2: hierarchical cross-shard merge on device 0 ---------------
+  // ---- phase 2: cross-shard merge where merge_site() puts it -------------
+  const std::size_t nm = S * k;
+  res.merge = merge_site(S, k, spec);
   res.topk.values.resize(k);
   res.topk.indices.resize(k);
-  if (S == 1) {
-    std::copy_n(cand_vals.begin(), k, res.topk.values.begin());
-    std::copy_n(cand_idx.begin(), k, res.topk.indices.begin());
-    // Unsharded: the gather copies ARE the final result transfer.
-    res.timing.output_us = res.timing.gather_us;
-    res.timing.gather_us = 0.0;
-  } else {
-    DeviceSlot& m = *slots_[0];
-    const std::size_t nm = S * k;
-    if (m.merge_cap < nm) {
-      m.merge_in = m.dev.alloc<float>(nm, "shard merge candidates");
-      m.merge_cap = nm;
+  DeviceSlot& m = *slots_[0];
+  switch (res.merge) {
+    case MergeSite::kNone:
+      for (std::size_t i = 0; i < k; ++i) {
+        res.topk.values[i] = std::bit_cast<float>(value_bits(i));
+        res.topk.indices[i] = index_of(i);
+      }
+      // Unsharded: the gather copy IS the final result transfer.
+      res.timing.output_us = res.timing.gather_us;
+      res.timing.gather_us = 0.0;
+      break;
+    case MergeSite::kHost: {
+      // The host already holds every candidate.  Keys pack (radix ordinal
+      // << 32 | query index): a total order on the float carrier that is
+      // deterministic under ties and well-defined for NaN.
+      std::vector<std::uint64_t> keys(nm);
+      for (std::size_t c = 0; c < nm; ++c) {
+        const std::uint32_t ord = RadixTraits<float>::to_radix(
+            std::bit_cast<float>(value_bits(c)));
+        keys[c] = std::uint64_t{ord} << 32 | index_of(c);
+      }
+      std::nth_element(keys.begin(), keys.begin() + static_cast<long>(k - 1),
+                       keys.end());
+      for (std::size_t i = 0; i < k; ++i) {
+        res.topk.values[i] = RadixTraits<float>::from_radix(
+            static_cast<std::uint32_t>(keys[i] >> 32));
+        res.topk.indices[i] = static_cast<std::uint32_t>(keys[i]);
+      }
+      const double before = model.total_us(m.dev.events());
+      const simgpu::HostComputeEvent step = host_merge_event(nm);
+      m.dev.host_compute(step.label, step.host_ops);
+      res.timing.merge_us = model.total_us(m.dev.events()) - before;
+      break;
     }
-    const ExecutionPlan& mplan = plan_for(nm, Algo::kShardMerge);
-    simgpu::Sanitizer* const san = m.dev.sanitizer();
-    const std::size_t issues_before = san != nullptr ? san->issue_count() : 0;
-    const double before = model.total_us(m.dev.events());
-    m.dev.upload_recorded(m.merge_in, std::span<const float>(cand_vals),
-                          "shard candidate gather");
-    run_select(m.dev, mplan, m.ws, m.merge_in, m.out_vals, m.out_idx);
-    const double merged = model.total_us(m.dev.events());
-    std::vector<std::uint32_t> merge_pos(k);
-    m.dev.copy_to_host(m.out_vals, std::span<float>(res.topk.values),
-                       "merged vals");
-    m.dev.copy_to_host(m.out_idx, std::span<std::uint32_t>(merge_pos),
-                       "merged idx");
-    res.timing.merge_us = merged - before;
-    res.timing.output_us = model.total_us(m.dev.events()) - merged;
-    if (san != nullptr) {
-      throw_if_new_issues(*san, issues_before, Algo::kShardMerge);
-    }
-    // The merge indexes the candidate array; map back through the gathered
-    // (already rebased) per-shard indices.
-    for (std::size_t i = 0; i < k; ++i) {
-      res.topk.indices[i] = cand_idx[merge_pos[i]];
+    case MergeSite::kDevice: {
+      if (m.merge_cap < nm) {
+        m.merge_in = m.dev.alloc<float>(nm, "shard merge candidates");
+        m.merge_cap = nm;
+      }
+      std::vector<float> cand_vals(nm);
+      for (std::size_t c = 0; c < nm; ++c) {
+        cand_vals[c] = std::bit_cast<float>(value_bits(c));
+      }
+      const ExecutionPlan& mplan = plan_for(nm, Algo::kShardMerge);
+      simgpu::Sanitizer* const san = m.dev.sanitizer();
+      const std::size_t issues_before =
+          san != nullptr ? san->issue_count() : 0;
+      const double before = model.total_us(m.dev.events());
+      m.dev.upload_recorded(m.merge_in, std::span<const float>(cand_vals),
+                            "shard candidate gather");
+      const simgpu::DeviceBuffer<std::uint32_t> out = m.packed(k);
+      run_select(m.dev, mplan, m.ws, m.merge_in,
+                 out.subspan(0, k).as<float>(), out.subspan(k, k));
+      const double merged = model.total_us(m.dev.events());
+      std::vector<std::uint32_t> result(w);
+      m.dev.copy_to_host(out, std::span<std::uint32_t>(result),
+                         "merged (vals | pos)");
+      res.timing.merge_us = merged - before;
+      res.timing.output_us = model.total_us(m.dev.events()) - merged;
+      if (san != nullptr) {
+        throw_if_new_issues(*san, issues_before, Algo::kShardMerge);
+      }
+      // The merge ranks the candidate array and returns positions into it;
+      // map those back through the gathered (already rebased) indices.
+      for (std::size_t i = 0; i < k; ++i) {
+        res.topk.values[i] = std::bit_cast<float>(result[i]);
+        res.topk.indices[i] = index_of(result[k + i]);
+      }
+      break;
     }
   }
 

@@ -40,6 +40,18 @@ class DeviceBuffer {
     return DeviceBuffer<T>(data_ + offset, count);
   }
 
+  /// The same storage viewed as a same-size element type, like casting a
+  /// device pointer (e.g. the float half of a packed u32 allocation).  The
+  /// element count and byte extent are unchanged, so bounds checks and the
+  /// sanitizer's per-element shadow cells cover the view exactly as they
+  /// cover the buffer.
+  template <typename U>
+  [[nodiscard]] DeviceBuffer<U> as() const {
+    static_assert(sizeof(U) == sizeof(T),
+                  "DeviceBuffer::as reinterprets same-size elements only");
+    return DeviceBuffer<U>(reinterpret_cast<U*>(data_), size_);
+  }
+
  private:
   T* data_ = nullptr;
   std::size_t size_ = 0;

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -373,6 +375,16 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
         copy_first(k_rem);
         dev.synchronize("final");
         break;
+      }
+      if (!std::isfinite(hi - lo)) {
+        // An infinite range makes scale 0: every key lands in bucket 0 and
+        // no pass ever shrinks the candidates.  A finite range always
+        // progresses (the minimum lands in bucket 0, the maximum in nb-1).
+        std::ostringstream err;
+        err << "bucket_select: row " << prob << " has the non-finite key "
+            << "range [" << lo << ", " << hi << "]; interpolation bucketing "
+            << "cannot split it";
+        throw std::runtime_error(err.str());
       }
       const double scale = static_cast<double>(nb) / (hi - lo);
 

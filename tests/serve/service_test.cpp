@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -256,6 +257,33 @@ TEST(TopkService, StatsLatencySummaryIsOrdered) {
   EXPECT_LE(s.latency.p99_us, s.latency.max_us);
   EXPECT_GT(s.latency.p50_us, 0.0);
   EXPECT_GT(s.modeled_device_us, 0.0);
+}
+
+// BucketSelect refuses a row whose key range is infinite; the service must
+// resolve the request kFailed with that diagnostic rather than hang a worker.
+TEST(TopkService, NonFiniteBucketSelectRowFails) {
+  std::vector<float> keys(4096, std::numeric_limits<float>::infinity());
+  for (std::size_t i = 0; i < 6; ++i) keys[i * 700] = static_cast<float>(i);
+  for (const bool greatest : {false, true}) {
+    SCOPED_TRACE(greatest ? "greatest" : "least");
+    ServiceConfig cfg;
+    cfg.max_batch = 1;
+    cfg.greatest = greatest;
+    TopkService svc(cfg);
+    auto fut = svc.submit(std::vector<float>(keys), 64, std::nullopt,
+                          Algo::kBucketSelect);
+    const QueryResult r = fut.get();
+    EXPECT_EQ(r.status, QueryStatus::kFailed);
+    EXPECT_NE(r.error.find("bucket_select"), std::string::npos) << r.error;
+    // The worker survives the failure and serves the next request.
+    const auto ok_keys = keys_for(4096, 3);
+    const QueryResult ok =
+        svc.submit(std::vector<float>(ok_keys), 64, std::nullopt,
+                   Algo::kBucketSelect)
+            .get();
+    ASSERT_EQ(ok.status, QueryStatus::kOk) << ok.error;
+    svc.shutdown();
+  }
 }
 
 }  // namespace

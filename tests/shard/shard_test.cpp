@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <functional>
 #include <random>
+#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,31 +66,55 @@ void expect_exact(std::span<const float> data, std::size_t k, bool greatest,
 // Fixed-seed sweep: shard counts x registry algorithms x least/greatest.
 // ---------------------------------------------------------------------------
 
+/// Results are best-first when the sorted option is on.
+void expect_best_first(const SelectResult& r, bool greatest) {
+  for (std::size_t i = 1; i < r.values.size(); ++i) {
+    if (greatest) {
+      EXPECT_GE(r.values[i - 1], r.values[i]) << "rank " << i;
+    } else {
+      EXPECT_LE(r.values[i - 1], r.values[i]) << "rank " << i;
+    }
+  }
+}
+
+// k = 100 merges every multi-shard count on the host; k = 1024 keeps two
+// shards on the host and sends 4 and 7 shards (4096+ candidates) to the
+// device merge, so both placements run every registry row.
 TEST(ShardSweep, AllAlgorithmsAllShardCounts) {
   const std::size_t n = std::size_t{1} << 16;
-  const std::size_t k = 100;
   const std::vector<float> data = uniform_data(n, 1234);
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{4}, std::size_t{7}}) {
-    const std::size_t n_shard = (n + shards - 1) / shards;
-    for (const Algo algo : all_algorithms()) {
-      if (algo == Algo::kAuto) continue;
-      if (k > max_k(algo, n_shard)) continue;
-      for (const bool greatest : {false, true}) {
-        shard::ShardConfig cfg;
-        cfg.devices = 4;
-        cfg.shards = shards;
-        cfg.algo = algo;
-        cfg.options.greatest = greatest;
-        const shard::ShardedResult res = shard::sharded_select(data, k, cfg);
-        EXPECT_EQ(res.shards, shards);
-        EXPECT_EQ(res.shard_algo, algo);
-        SCOPED_TRACE(algo_name(algo) + (greatest ? " greatest" : " least") +
-                     " shards=" + std::to_string(shards));
-        expect_exact(data, k, greatest, res.topk);
+  const simgpu::DeviceSpec spec;
+  std::set<shard::MergeSite> sites;
+  for (const std::size_t k : {std::size_t{100}, std::size_t{1024}}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                     std::size_t{4}, std::size_t{7}}) {
+      const std::size_t n_shard = (n + shards - 1) / shards;
+      for (const Algo algo : all_algorithms()) {
+        if (algo == Algo::kAuto) continue;
+        if (k > max_k(algo, n_shard)) continue;
+        for (const bool greatest : {false, true}) {
+          shard::ShardConfig cfg;
+          cfg.devices = 4;
+          cfg.shards = shards;
+          cfg.algo = algo;
+          cfg.options.greatest = greatest;
+          cfg.options.sorted = k > 100;
+          const shard::ShardedResult res =
+              shard::sharded_select(data, k, cfg);
+          SCOPED_TRACE(algo_name(algo) + (greatest ? " greatest" : " least") +
+                       " shards=" + std::to_string(shards) +
+                       " k=" + std::to_string(k));
+          EXPECT_EQ(res.shards, shards);
+          EXPECT_EQ(res.shard_algo, algo);
+          EXPECT_EQ(res.merge, shard::merge_site(shards, k, spec));
+          sites.insert(res.merge);
+          expect_exact(data, k, greatest, res.topk);
+          if (cfg.options.sorted) expect_best_first(res.topk, greatest);
+        }
       }
     }
   }
+  EXPECT_EQ(sites.size(), std::size_t{3}) << "none, host and device merges";
 }
 
 TEST(ShardSweep, SortedResultsAreBestFirst) {
@@ -99,13 +125,7 @@ TEST(ShardSweep, SortedResultsAreBestFirst) {
     cfg.options.greatest = greatest;
     cfg.options.sorted = true;
     const shard::ShardedResult res = shard::sharded_select(data, 64, cfg);
-    for (std::size_t i = 1; i < res.topk.values.size(); ++i) {
-      if (greatest) {
-        EXPECT_GE(res.topk.values[i - 1], res.topk.values[i]);
-      } else {
-        EXPECT_LE(res.topk.values[i - 1], res.topk.values[i]);
-      }
-    }
+    expect_best_first(res.topk, greatest);
     expect_exact(data, 64, greatest, res.topk);
   }
 }
@@ -115,23 +135,37 @@ TEST(ShardSweep, SortedResultsAreBestFirst) {
 // candidates from it.
 TEST(ShardSweep, TiesStraddlingShardBoundaries) {
   const std::size_t n = 10007;  // prime: no boundary aligns with the pattern
-  const std::size_t k = 64;
   std::vector<float> data(n);
   for (std::size_t i = 0; i < n; ++i) {
     data[i] = static_cast<float>(i % 3);  // huge tie classes 0, 1, 2
   }
-  for (const std::size_t shards :
-       {std::size_t{2}, std::size_t{4}, std::size_t{7}}) {
-    for (const bool greatest : {false, true}) {
-      shard::ShardConfig cfg;
-      cfg.shards = shards;
-      cfg.options.greatest = greatest;
-      const shard::ShardedResult res = shard::sharded_select(data, k, cfg);
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   (greatest ? " greatest" : " least"));
-      expect_exact(data, k, greatest, res.topk);
+  // k = 64 merges on the host at every shard count; k = 1024 merges 2
+  // shards on the host and 4 or 7 shards on the device.
+  std::set<shard::MergeSite> sites;
+  for (const std::size_t k : {std::size_t{64}, std::size_t{1024}}) {
+    for (const std::size_t shards :
+         {std::size_t{2}, std::size_t{4}, std::size_t{7}}) {
+      for (const bool greatest : {false, true}) {
+        for (const bool sorted : {false, true}) {
+          shard::ShardConfig cfg;
+          cfg.shards = shards;
+          cfg.options.greatest = greatest;
+          cfg.options.sorted = sorted;
+          const shard::ShardedResult res =
+              shard::sharded_select(data, k, cfg);
+          SCOPED_TRACE("k=" + std::to_string(k) + " shards=" +
+                       std::to_string(shards) +
+                       (greatest ? " greatest" : " least") +
+                       (sorted ? " sorted" : ""));
+          sites.insert(res.merge);
+          expect_exact(data, k, greatest, res.topk);
+          if (sorted) expect_best_first(res.topk, greatest);
+        }
+      }
     }
   }
+  EXPECT_TRUE(sites.count(shard::MergeSite::kHost));
+  EXPECT_TRUE(sites.count(shard::MergeSite::kDevice));
 }
 
 TEST(ShardSweep, KEqualsShardCapacityEdge) {
@@ -238,9 +272,9 @@ TEST(ShardRecommend, SmallQueriesStayUnsharded) {
 TEST(ShardRecommend, ShardedCostRaceSpeedsUpLargeQueries) {
   // Modeled 4-shard time at a large shape must beat the 1-shard candidate;
   // the recommender's cost race depends on this ordering.  The shape must
-  // be big enough that the per-shard kernel savings clear the fixed PCIe /
-  // merge floor (~45us under the default spec) — 2^26 is the acceptance
-  // shape, 2^24 sits too close to the floor for a 4x split to pay off.
+  // be big enough that the per-shard kernel savings clear the fixed floor
+  // (one packed gather copy plus the merge, ~15us under the default spec);
+  // 2^26 is the acceptance shape.
   const simgpu::DeviceSpec spec;
   const std::size_t n = std::size_t{1} << 26, k = 256;
   const double t1 = shard::estimated_sharded_cost_us(Algo::kAuto, 1, 4, n, k,
@@ -265,6 +299,176 @@ TEST(ShardRecommend, HintedRecommendationUsesPerShardShape) {
 }
 
 // ---------------------------------------------------------------------------
+// Merge placement: one priced decision, read by the coordinator, the planner
+// and the estimate alike.
+// ---------------------------------------------------------------------------
+
+/// Modeled time of one packed (k values | k indices) PCIe copy.
+double packed_copy_us(const simgpu::DeviceSpec& spec, std::size_t k) {
+  return spec.pcie_latency_us +
+         static_cast<double>(2 * k * sizeof(std::uint32_t)) /
+             spec.pcie_bytes_per_us();
+}
+
+/// Modeled time of the host merge step over m candidates.
+double host_merge_us(const simgpu::DeviceSpec& spec, std::size_t m) {
+  return static_cast<double>(shard::host_merge_ops(m)) /
+         (spec.host_ops_per_sec * 1e-6);
+}
+
+TEST(ShardPlacement, HostOpsAreSortLike) {
+  EXPECT_EQ(shard::host_merge_ops(256), std::uint64_t{256 * 8});
+  EXPECT_EQ(shard::host_merge_ops(1024), std::uint64_t{1024 * 10});
+  EXPECT_EQ(shard::host_merge_ops(1000), std::uint64_t{1000 * 10});
+  EXPECT_EQ(shard::host_merge_ops(2), std::uint64_t{2});
+}
+
+TEST(ShardPlacement, HostAndDeviceMergesBookTheirPhases) {
+  const std::vector<float> data = uniform_data(std::size_t{1} << 16, 55);
+  shard::ShardConfig cfg;
+  cfg.devices = 4;
+  cfg.shards = 4;
+  shard::Coordinator coord(cfg);
+  const simgpu::DeviceSpec& spec = cfg.device_spec;
+
+  // 4 x 256 candidates: the host step (about 6.8 us) undercuts any device
+  // merge (at least two PCIe latencies plus a launch).
+  const shard::ShardedResult host = coord.select(data, 256);
+  ASSERT_EQ(host.merge, shard::MergeSite::kHost);
+  expect_exact(data, 256, false, host.topk);
+  EXPECT_EQ(host.timing.output_us, 0.0) << "the result is already on the host";
+  EXPECT_NEAR(host.timing.merge_us, host_merge_us(spec, 1024), 1e-9);
+  EXPECT_NEAR(host.timing.gather_us, packed_copy_us(spec, 256), 1e-9);
+  EXPECT_FALSE(shard::plan_sharded(spec, data.size(), 256, 4, host.shard_algo)
+                   .plans.back()
+                   .first.starts_with("merge"));
+
+  // 4 x 1024 candidates: the host step (about 33 us) loses to the device.
+  const shard::ShardedResult dev = coord.select(data, 1024);
+  ASSERT_EQ(dev.merge, shard::MergeSite::kDevice);
+  expect_exact(data, 1024, false, dev.topk);
+  EXPECT_NEAR(dev.timing.output_us, packed_copy_us(spec, 1024), 1e-9)
+      << "one packed (values | positions) copy";
+  EXPECT_NEAR(dev.timing.gather_us, packed_copy_us(spec, 1024), 1e-9);
+  // No cheaper than the device floor the placement priced: candidate H2D,
+  // one minimum-duration launch, the packed result copy.
+  const double floor_us =
+      spec.pcie_latency_us + 4096.0 * sizeof(float) / spec.pcie_bytes_per_us() +
+      spec.kernel_launch_overhead_us + spec.min_kernel_duration_us +
+      packed_copy_us(spec, 1024);
+  EXPECT_GE(dev.timing.merge_us + dev.timing.output_us, floor_us);
+  const shard::ShardedPlan sp =
+      shard::plan_sharded(spec, data.size(), 1024, 4, dev.shard_algo);
+  EXPECT_EQ(sp.merge, shard::MergeSite::kDevice);
+  EXPECT_TRUE(sp.plans.back().first.starts_with("merge"));
+}
+
+TEST(ShardPlacement, DecisionIsPricedFromTheSpec) {
+  // 4 x 512 = 2048 candidates: host 15.0 us against a device floor of
+  // 22.0 us under the default spec.
+  const simgpu::DeviceSpec base;
+  EXPECT_EQ(shard::merge_site(1, 512, base), shard::MergeSite::kNone);
+  EXPECT_EQ(shard::merge_site(4, 512, base), shard::MergeSite::kHost);
+  simgpu::DeviceSpec fast_pcie = base;
+  fast_pcie.pcie_latency_us = 4.0;  // device floor drops to 14.0 us
+  EXPECT_EQ(shard::merge_site(4, 512, fast_pcie), shard::MergeSite::kDevice);
+  simgpu::DeviceSpec slow_host = base;
+  slow_host.host_ops_per_sec = 1e9;  // host step grows to 22.5 us
+  EXPECT_EQ(shard::merge_site(4, 512, slow_host), shard::MergeSite::kDevice);
+  simgpu::DeviceSpec fast_host = base;
+  fast_host.host_ops_per_sec = 1e10;  // 4 x 1024 now merges on the host
+  EXPECT_EQ(shard::merge_site(4, 1024, base), shard::MergeSite::kDevice);
+  EXPECT_EQ(shard::merge_site(4, 1024, fast_host), shard::MergeSite::kHost);
+
+  // The coordinator follows the spec it runs on.
+  const std::vector<float> data = uniform_data(std::size_t{1} << 15, 8);
+  for (const auto& [spec, want] :
+       {std::pair{base, shard::MergeSite::kHost},
+        std::pair{fast_pcie, shard::MergeSite::kDevice}}) {
+    shard::ShardConfig cfg;
+    cfg.shards = 4;
+    cfg.device_spec = spec;
+    const shard::ShardedResult r = shard::sharded_select(data, 512, cfg);
+    EXPECT_EQ(r.merge, want);
+    expect_exact(data, 512, false, r.topk);
+  }
+}
+
+TEST(ShardPlacement, GatherIsOnePackedCopyPerShardOnTheBusiestDevice) {
+  const std::vector<float> data = uniform_data(std::size_t{1} << 16, 61);
+  const simgpu::DeviceSpec spec;
+  const std::size_t k = 64;
+  for (const auto& [shards, devices] :
+       {std::pair<std::size_t, std::size_t>{4, 4}, {7, 4}, {4, 2}, {5, 1}}) {
+    shard::ShardConfig cfg;
+    cfg.devices = devices;
+    cfg.shards = shards;
+    const shard::ShardedResult r = shard::sharded_select(data, k, cfg);
+    SCOPED_TRACE("shards=" + std::to_string(shards) +
+                 " devices=" + std::to_string(devices));
+    const double rounds =
+        static_cast<double>((shards + devices - 1) / devices);
+    EXPECT_NEAR(r.timing.gather_us, rounds * packed_copy_us(spec, k), 1e-9);
+    EXPECT_EQ(r.merge, shard::MergeSite::kHost);
+    expect_exact(data, k, false, r.topk);
+  }
+  // One shard: its packed copy is the result transfer.
+  shard::ShardConfig one;
+  one.shards = 1;
+  const shard::ShardedResult r = shard::sharded_select(data, k, one);
+  EXPECT_EQ(r.merge, shard::MergeSite::kNone);
+  EXPECT_EQ(r.timing.gather_us, 0.0);
+  EXPECT_EQ(r.timing.merge_us, 0.0);
+  EXPECT_NEAR(r.timing.output_us, packed_copy_us(spec, k), 1e-9);
+}
+
+TEST(ShardPlacement, EstimatePricesWhatTheCoordinatorBooks) {
+  // Host-side shape, 7 shards on 4 devices (two rounds): the estimate's
+  // transfer and merge terms equal the measured gather + merge + output.
+  const std::size_t n = std::size_t{1} << 16, k = 128, shards = 7;
+  const std::vector<float> data = uniform_data(n, 71);
+  shard::ShardConfig cfg;
+  cfg.devices = 4;
+  cfg.shards = shards;
+  const shard::ShardedResult r = shard::sharded_select(data, k, cfg);
+  ASSERT_EQ(r.merge, shard::MergeSite::kHost);
+  const double rounds = 2.0;
+  const double selection =
+      rounds * estimated_batch_cost_us(r.shard_algo, 1,
+                                       (n + shards - 1) / shards, k);
+  const double est = shard::estimated_sharded_cost_us(
+      r.shard_algo, shards, cfg.devices, n, k, cfg.device_spec);
+  const double measured =
+      r.timing.gather_us + r.timing.merge_us + r.timing.output_us;
+  EXPECT_NEAR(est - selection, measured, 1e-9 * measured);
+}
+
+// plan_sharded resolves shards = 0 for the pool it is told about, so the
+// auditor and the coordinator agree on the shard count and the merge site.
+TEST(ShardPlacement, PlannerAndCoordinatorAgreeOnThePool) {
+  const simgpu::DeviceSpec spec;  // default: no capacity pressure
+  const std::size_t n = std::size_t{1} << 24, k = 256;
+  const shard::ShardedPlan one = shard::plan_sharded(spec, n, k, 0,
+                                                     Algo::kAuto, {}, 1);
+  EXPECT_EQ(one.shards, std::size_t{1}) << "one device: rounds serialize";
+  EXPECT_EQ(one.merge, shard::MergeSite::kNone);
+
+  const shard::ShardedPlan four =
+      shard::plan_sharded(spec, n, k, 0, Algo::kAuto);  // default pool of 4
+  const std::vector<float> data = uniform_data(n, 81);
+  shard::ShardConfig cfg;
+  cfg.devices = 4;
+  shard::Coordinator coord(cfg);
+  const shard::ShardedResult r = coord.select(data, k);
+  EXPECT_EQ(four.shards, r.shards);
+  EXPECT_EQ(four.merge, r.merge);
+  EXPECT_EQ(four.shard_algo, r.shard_algo);
+  EXPECT_EQ(r.shards, std::size_t{4});
+  EXPECT_EQ(r.merge, shard::MergeSite::kHost);
+  expect_exact(data, k, false, r.topk);
+}
+
+// ---------------------------------------------------------------------------
 // Modeled scale-out: with a pool of 4 devices, 4 shards must be markedly
 // faster than 1 shard in modeled time (deterministic, not wall clock).
 // ---------------------------------------------------------------------------
@@ -272,8 +476,8 @@ TEST(ShardRecommend, HintedRecommendationUsesPerShardShape) {
 TEST(ShardScaling, FourShardsBeatOneShardInModeledTime) {
   // The acceptance shape: N = 2^26 over a 4-device pool.  4 shards must
   // deliver near-linear scaling (>= 2.8x) over the 1-shard baseline in
-  // modeled time, and the cross-shard merge (candidate H2D + merge
-  // kernels) must stay under 10% of the sharded total.
+  // modeled time, and the cross-shard merge (here the host step over
+  // 4 x 256 candidates) must stay under 10% of the sharded total.
   const std::size_t n = std::size_t{1} << 26, k = 256;
   const std::vector<float> data = uniform_data(n, 11);
 

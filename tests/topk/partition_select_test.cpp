@@ -1,4 +1,7 @@
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,6 +74,28 @@ TEST(BucketSelect, AllEqualCandidatesAfterFirstSplit) {
   std::vector<float> values(30000, 5.0f);
   for (std::size_t i = 0; i < 10; ++i) values[i * 7] = 1.0f;
   expect_correct(dev, values, 100, Algo::kBucketSelect);
+}
+
+// An infinite key range makes every interpolated bucket index 0, so no pass
+// could ever shrink the candidates: the run must refuse the row up front
+// instead of looping forever.
+TEST(BucketSelect, NonFiniteKeyRangeFailsFast) {
+  std::vector<float> values(4096, std::numeric_limits<float>::infinity());
+  for (std::size_t i = 0; i < 6; ++i) values[i * 700] = static_cast<float>(i);
+  for (const bool greatest : {false, true}) {
+    SCOPED_TRACE(greatest ? "greatest" : "least");
+    simgpu::Device dev;
+    SelectOptions opt;
+    opt.greatest = greatest;
+    try {
+      (void)select(dev, values, 64, Algo::kBucketSelect, opt);
+      FAIL() << "a non-finite key range must throw";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("row 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("inf"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(SampleSelect, DuplicateDominatedInputTriggersPivotFallback) {

@@ -22,7 +22,8 @@
 //   --sharded  additionally audit the plans a sharded multi-device query
 //              executes (topk::shard::plan_sharded against a device capped
 //              at 2^22 keys): every distinct per-shard plan plus the
-//              cross-shard merge plan, including the N = 2^26 shape no
+//              cross-shard merge plan when the merge runs on a device
+//              (host merges have none), including the N = 2^26 shape no
 //              single capped device can serve
 //   --json     emit one JSON report document on stdout
 //   --verbose  print every audited configuration, not just failures
@@ -152,6 +153,8 @@ std::vector<ShardedAudit> audit_sharded(const simgpu::DeviceSpec& base) {
     try {
       const topk::shard::ShardedPlan sp = topk::shard::plan_sharded(
           spec, row.n, row.k, row.shards, topk::Algo::kAuto);
+      // A host merge has no device plan to audit; the label says so.
+      shape << " merge=" << topk::shard::merge_site_name(sp.merge);
       for (const auto& [label, plan] : sp.plans) {
         ShardedAudit a;
         a.label = shape.str() + " :: " + label;
