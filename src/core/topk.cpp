@@ -33,10 +33,6 @@ std::optional<Algo> parse_algo(std::string_view key) {
   return std::nullopt;
 }
 
-std::optional<Algo> algo_from_string(std::string_view key) {
-  return parse_algo(key);
-}
-
 std::span<const Algo> all_algorithms() {
   static constexpr std::array<Algo, 14> kAll = {
       Algo::kAirTopk,      Algo::kGridSelect,  Algo::kRadixSelect,
@@ -601,13 +597,18 @@ void sort_carrier_row_best_first(std::vector<Carrier>& vals,
 /// Typed execution on a carrier domain: upload the encoded keys, run the
 /// carrier-typed plan, then gather payloads and decode per row.  Carrier is
 /// float (f32/f16/bf16) or uint32_t (i32/u32); `dtype` is the user-facing
-/// key type the codec decodes back to.
+/// key type the codec decodes back to.  Every host select() overload runs
+/// here; the float ones pass their keys straight through as kF32.
 template <typename Carrier>
 std::vector<SelectResult> run_carrier_on_device(
     simgpu::Device& dev, std::span<const Carrier> encoded, KeyType dtype,
     std::size_t batch, std::size_t n, std::size_t k, Algo algo,
     const SelectOptions& opt, PayloadView payload) {
+  // Resolve auto dispatch up front so sanitizer issue attribution names the
+  // concrete algorithm that actually runs.
   algo = resolve_algo(algo, n, k, batch, opt.recall_target, dtype);
+  // Enable checking before the input/output allocations so they are known
+  // to the shadow (attribution + uninitialized-read tracking end to end).
   if (simcheck_env_enabled() && dev.sanitizer() == nullptr) {
     dev.enable_sanitizer();
   }
@@ -626,6 +627,8 @@ std::vector<SelectResult> run_carrier_on_device(
   simgpu::Workspace ws(dev);
   run_select(dev, plan, ws, in, out_vals, out_idx);
   if (san != nullptr) {
+    // Only issues raised by THIS selection abort it; a long-lived Device
+    // whose report already holds findings from earlier runs keeps working.
     throw_if_new_issues(*san, issues_before, algo);
   }
   std::vector<SelectResult> results(batch);
@@ -679,55 +682,15 @@ std::vector<SelectResult> run_typed_on_device(simgpu::Device& dev,
                                       payload);
 }
 
-std::vector<SelectResult> run_on_device(simgpu::Device& dev,
-                                        std::span<const float> data,
-                                        std::size_t batch, std::size_t n,
-                                        std::size_t k, Algo algo,
-                                        const SelectOptions& opt) {
-  // Resolve auto dispatch up front so sanitizer issue attribution names the
-  // concrete algorithm that actually runs.
-  algo = resolve_algo(algo, n, k, batch, opt.recall_target);
-  // Enable checking before the input/output allocations so they are known
-  // to the shadow (attribution + uninitialized-read tracking end to end).
-  if (simcheck_env_enabled() && dev.sanitizer() == nullptr) {
-    dev.enable_sanitizer();
-  }
-  simgpu::Sanitizer* const san = dev.sanitizer();
-  const std::size_t issues_before = san != nullptr ? san->issue_count() : 0;
-
-  simgpu::ScopedWorkspace ws(dev);
-  auto in = dev.alloc<float>(batch * n, "select input");
-  dev.upload(in, data.first(batch * n));
-  auto out_vals = dev.alloc<float>(batch * k, "select output vals");
-  auto out_idx = dev.alloc<std::uint32_t>(batch * k, "select output idx");
-  // select_device handles largest-K uniformly (natively for AIR,
-  // RadixSelect and stream-radix, via the registry's negate wrap for
-  // everything else), so out_vals already holds values in the requested
-  // order.
-  select_device(dev, in, batch, n, k, out_vals, out_idx, algo, opt);
-  if (san != nullptr) {
-    // Only issues raised by THIS selection abort it; a long-lived Device
-    // whose report already holds findings from earlier runs keeps working.
-    throw_if_new_issues(*san, issues_before, algo);
-  }
-  std::vector<SelectResult> results(batch);
-  std::vector<std::uint32_t> order;  // permutation scratch, shared by rows
-  for (std::size_t b = 0; b < batch; ++b) {
-    SelectResult& r = results[b];
-    r.values.assign(out_vals.data() + b * k, out_vals.data() + (b + 1) * k);
-    r.indices.assign(out_idx.data() + b * k, out_idx.data() + (b + 1) * k);
-    if (opt.sorted) sort_result_best_first(r, opt.greatest, order);
-  }
-  return results;
-}
-
 }  // namespace
 
 SelectResult select(simgpu::Device& dev, std::span<const float> data,
                     std::size_t k, Algo algo, const SelectOptions& opt) {
   validate_select_args("select", data.size(), 1, data.size(), k,
                        opt.recall_target);
-  return run_on_device(dev, data, 1, data.size(), k, algo, opt).front();
+  return run_carrier_on_device<float>(dev, data, KeyType::kF32, 1,
+                                     data.size(), k, algo, opt, {})
+      .front();
 }
 
 std::vector<SelectResult> select_batch(simgpu::Device& dev,
@@ -737,7 +700,8 @@ std::vector<SelectResult> select_batch(simgpu::Device& dev,
                                        const SelectOptions& opt) {
   validate_select_args("select_batch", data.size(), batch, n, k,
                        opt.recall_target);
-  return run_on_device(dev, data, batch, n, k, algo, opt);
+  return run_carrier_on_device<float>(dev, data, KeyType::kF32, batch, n, k,
+                                     algo, opt, {});
 }
 
 SelectResult select(simgpu::Device& dev, KeyView keys, std::size_t k,

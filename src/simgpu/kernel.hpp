@@ -19,6 +19,7 @@
 #include "simgpu/device.hpp"
 #include "simgpu/footprint.hpp"
 #include "simgpu/sanitizer.hpp"
+#include "simgpu/scratch_alloc.hpp"
 #include "simgpu/shared_arena.hpp"
 #include "simgpu/simd.hpp"
 
@@ -829,6 +830,7 @@ KernelStats launch(Device& dev, const LaunchConfig& cfg, Body&& body) {
       static_cast<std::size_t>(cfg.grid), [&](std::size_t b) {
         std::vector<std::byte>& arena = detail::shared_arena();
         if (arena.size() < shared_cap) arena.resize(shared_cap);
+        const BlockScratch scratch;  // engine scratch dies with the block
         BlockCtx ctx(static_cast<int>(b), cfg.grid, cfg.block_threads,
                      arena.data(), shared_cap, san, cfg.name, launch_id);
         body(ctx);

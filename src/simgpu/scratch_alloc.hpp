@@ -1,98 +1,113 @@
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <new>
 #include <vector>
 
 namespace simgpu {
 
+class BlockScratch;
+
 namespace scratch_detail {
 
-/// Per-thread freelist of power-of-two byte blocks backing the engines'
-/// host-side scratch vectors (TopkList's merge scratch, the warp engines'
-/// staging queues).  Those vectors are short-lived — constructed inside a
-/// kernel body and destroyed when the block retires — so without pooling
-/// every simulated block pays host-allocator round trips on the hot path,
-/// and the two-phase run() contract (zero allocations in steady state,
-/// gated by bench_substrate's operator-new hook) could never hold for the
-/// partial-sorting family.  With the freelist, the first execution of a
-/// given shape warms the per-thread buckets and every later block reuses
-/// the same blocks; deallocation never calls operator new (push_back into
-/// reserved bucket capacity), so the steady state is allocation-free.
-///
-/// The freelist is bounded per size class; overflow blocks are freed
-/// normally.  Blocks may migrate between threads (allocated on one, freed
-/// into another's freelist) — both freelists serve future acquires, and
-/// each freelist is thread-local so there are no races.
-class Freelist {
+/// Fixed per-thread size of the block scratch arena.  Covers the engine
+/// scratch of one block at the largest shapes (32 WarpSelect engines at
+/// k = 2048 hold about 3 MiB) with headroom.  Pages are committed only as
+/// blocks touch them.
+inline constexpr std::size_t kArenaBytes = std::size_t{8} << 20;
+
+/// Per-thread bump arena backing the selection engines' host-side scratch
+/// vectors (TopkList's merge scratch, the warp engines' queues).  Those
+/// vectors live inside one simulated block, so launch() opens a BlockScratch
+/// scope around every block: inside it allocations bump from the arena, and
+/// the scope rewinds the arena when the block retires.  Like the
+/// shared-memory arena, the arena is allocated once per thread before the
+/// thread runs a block (ThreadPool sizes both), so a warmed run is
+/// allocation-free whichever thread each block lands on (the two-phase
+/// run() contract bench_substrate gates).  Requests outside a block scope,
+/// or past the arena's end, go to the host allocator.
+class Arena {
  public:
-  static Freelist& instance() {
-    thread_local Freelist fl;
-    return fl;
+  static Arena& instance() {
+    thread_local Arena arena;
+    return arena;
   }
 
   void* take(std::size_t bytes) {
-    auto& bucket = buckets_[size_class(bytes)];
-    if (!bucket.empty()) {
-      void* p = bucket.back();
-      bucket.pop_back();
+    const std::size_t need = round_up(bytes);
+    if (depth_ > 0 && need <= kArenaBytes - top_) {
+      void* p = base_.get() + top_;
+      top_ += need;
       return p;
     }
-    return ::operator new(class_bytes(size_class(bytes)));
+    return ::operator new(bytes);
   }
 
   void give(void* p, std::size_t bytes) noexcept {
-    auto& bucket = buckets_[size_class(bytes)];
-    if (bucket.size() >= kMaxPerClass) {
+    const auto at = reinterpret_cast<std::uintptr_t>(p);
+    const auto base = reinterpret_cast<std::uintptr_t>(base_.get());
+    if (at < base || at >= base + kArenaBytes) {
       ::operator delete(p);
       return;
     }
-    // Growing the bucket allocates, but that happens O(log) times per
-    // thread and class — never in steady state.
-    bucket.push_back(p);
+    // Freed memory is reclaimed when the block retires; only the newest
+    // allocation can be popped before that.
+    if (at - base + round_up(bytes) == top_) top_ = at - base;
   }
 
-  Freelist(const Freelist&) = delete;
-  Freelist& operator=(const Freelist&) = delete;
+  Arena(const Arena&) = delete;
+  Arena& operator=(const Arena&) = delete;
 
  private:
-  // 2^6 .. 2^31 byte classes; anything larger is served class 31-equivalent
-  // by index clamping below (no engine scratch approaches that size).
-  static constexpr std::size_t kMinShift = 6;
-  static constexpr std::size_t kNumClasses = 26;
-  /// Bound on idle blocks retained per class: must cover the peak number of
-  /// same-sized live vectors per thread (one block's worth of engines, each
-  /// holding a handful of vectors) with headroom.
-  static constexpr std::size_t kMaxPerClass = 64;
+  friend class simgpu::BlockScratch;
 
-  Freelist() = default;
-  ~Freelist() {
-    for (auto& bucket : buckets_) {
-      for (void* p : bucket) ::operator delete(p);
-    }
+  Arena() = default;
+
+  static std::size_t round_up(std::size_t bytes) {
+    constexpr std::size_t kAlign = alignof(std::max_align_t);
+    return (bytes + kAlign - 1) / kAlign * kAlign;
   }
 
-  static std::size_t size_class(std::size_t bytes) {
-    const std::size_t rounded = std::bit_ceil(bytes | (std::size_t{1} << kMinShift));
-    const auto cls = static_cast<std::size_t>(std::countr_zero(rounded)) - kMinShift;
-    return cls < kNumClasses ? cls : kNumClasses - 1;
-  }
-
-  static std::size_t class_bytes(std::size_t cls) {
-    return std::size_t{1} << (cls + kMinShift);
-  }
-
-  std::array<std::vector<void*>, kNumClasses> buckets_;
+  struct Release {
+    void operator()(std::byte* p) const noexcept { ::operator delete(p); }
+  };
+  // Raw storage, not value-initialized: pages stay untouched until used.
+  std::unique_ptr<std::byte, Release> base_{
+      static_cast<std::byte*>(::operator new(kArenaBytes))};
+  std::size_t top_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace scratch_detail
 
-/// Allocator routing through the per-thread scratch freelist above.  Used
+/// Scope of one simulated block's engine scratch (see
+/// scratch_detail::Arena): ScratchAlloc serves from the thread's arena while
+/// a scope is open, and the scope rewinds the arena when it closes.  Scratch
+/// vectors must not outlive the block that allocated them.
+class BlockScratch {
+ public:
+  BlockScratch()
+      : arena_(scratch_detail::Arena::instance()), mark_(arena_.top_) {
+    ++arena_.depth_;
+  }
+  ~BlockScratch() {
+    --arena_.depth_;
+    arena_.top_ = mark_;
+  }
+  BlockScratch(const BlockScratch&) = delete;
+  BlockScratch& operator=(const BlockScratch&) = delete;
+
+ private:
+  scratch_detail::Arena& arena_;
+  std::size_t mark_;
+};
+
+/// Allocator routing through the calling thread's block scratch arena.  Used
 /// for the short-lived per-block scratch vectors of the selection engines so
-/// repeated kernel executions of the same shape perform no host allocations
-/// after warm-up.  Stateless: all instances are interchangeable.
+/// repeated kernel executions perform no host allocations.  Stateless: all
+/// instances are interchangeable.
 template <typename T>
 struct ScratchAlloc {
   using value_type = T;
@@ -103,10 +118,10 @@ struct ScratchAlloc {
 
   [[nodiscard]] T* allocate(std::size_t n) {
     return static_cast<T*>(
-        scratch_detail::Freelist::instance().take(n * sizeof(T)));
+        scratch_detail::Arena::instance().take(n * sizeof(T)));
   }
   void deallocate(T* p, std::size_t n) noexcept {
-    scratch_detail::Freelist::instance().give(p, n * sizeof(T));
+    scratch_detail::Arena::instance().give(p, n * sizeof(T));
   }
 
   friend bool operator==(const ScratchAlloc&, const ScratchAlloc&) {
@@ -114,7 +129,7 @@ struct ScratchAlloc {
   }
 };
 
-/// A std::vector drawing from the scratch freelist.
+/// A std::vector drawing from the block scratch arena.
 template <typename T>
 using ScratchVec = std::vector<T, ScratchAlloc<T>>;
 

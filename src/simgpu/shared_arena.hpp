@@ -15,11 +15,9 @@ namespace simgpu::detail {
 inline constexpr std::size_t kSharedArenaBytes = 256 * 1024;
 
 /// The calling thread's shared-memory arena, allocated on first touch.
-/// ThreadPool workers touch it at thread start, before any kernel can be
-/// launched, so worker-side first touches never land inside a timed region;
-/// driver threads touch it on their first launch (callers that gate on
-/// steady-state allocations must issue one warm-up launch, which they need
-/// anyway to warm caches and pools).
+/// ThreadPool workers touch it at thread start and a driving thread at the
+/// start of each run_blocks call, before it runs any block, so one warm-up
+/// launch sizes every arena a timed launch can use.
 inline std::vector<std::byte>& shared_arena() {
   thread_local std::vector<std::byte> arena(kSharedArenaBytes);
   return arena;

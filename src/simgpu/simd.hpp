@@ -468,10 +468,10 @@ inline void merge_sorted_u64(const std::uint64_t* a, std::size_t an,
 
 /// Radix-digit histogram over float keys: for each of p[0..n), bump
 /// hist[((ord(key) ^ xor_mask) >> shift) & digit_mask], where `ord` is the
-/// same monotone sign-flip map as topk::RadixTraits<float>::to_radix (and
-/// key_to_ord).  The accumulation order is irrelevant to the result, so the
-/// vector and scalar bodies are bit-identical.  Used by the histogram passes
-/// of the AIR / RadixSelect families on their contiguous input tiles.
+/// same monotone sign-flip map as topk::RadixTraits<float>::to_radix.  The
+/// accumulation order is irrelevant to the result, so the vector and scalar
+/// bodies are bit-identical.  Used by the histogram passes of the AIR /
+/// RadixSelect families on their contiguous input tiles.
 inline void histogram_digits_f32(const float* p, std::size_t n,
                                  std::uint32_t xor_mask, int shift,
                                  std::uint32_t digit_mask,
@@ -494,10 +494,10 @@ inline void histogram_digits_f32(const float* p, std::size_t n,
 /// Filter-and-pack one warp round of float keys: write
 /// (ord(key) << 32 | index) to out[] for each key strictly below
 /// `threshold`, preserving lane order, and return the count.  `ord` is the
-/// same monotone sign-flip map as topk::key_to_ord<float>.  Indices are
-/// ext_idx[u] when non-null, else base_index + u.  `out` must hold n slots;
-/// the scalar fallback writes (then overwrites) at the cursor branchlessly,
-/// so slots beyond the returned count may hold garbage.
+/// same monotone sign-flip map as topk::RadixTraits<float>::to_radix.
+/// Indices are ext_idx[u] when non-null, else base_index + u.  `out` must
+/// hold n slots; the scalar fallback writes (then overwrites) at the cursor
+/// branchlessly, so slots beyond the returned count may hold garbage.
 inline std::size_t pack_below_f32(const float* p, const std::uint32_t* ext_idx,
                                   std::uint32_t base_index, std::size_t n,
                                   float threshold, std::uint64_t* out) {

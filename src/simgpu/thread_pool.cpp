@@ -3,9 +3,23 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "simgpu/scratch_alloc.hpp"
 #include "simgpu/shared_arena.hpp"
 
 namespace simgpu {
+
+namespace {
+
+/// Size the calling thread's block arenas (simulated shared memory and
+/// engine scratch) before it runs any block: block-to-thread assignment
+/// varies run to run, so a lazy first touch inside a block could otherwise
+/// allocate inside a caller's timed region.
+void prepare_block_arenas() {
+  detail::shared_arena();
+  scratch_detail::Arena::instance();
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t workers = num_threads > 0 ? num_threads - 1 : 0;
@@ -54,10 +68,7 @@ void ThreadPool::drain(Batch& batch) {
 }
 
 void ThreadPool::worker_loop() {
-  // Size this worker's simulated shared-memory arena before any kernel can
-  // hand it blocks: block-to-thread assignment varies run to run, so a lazy
-  // first touch here could otherwise allocate inside a caller's timed region.
-  detail::shared_arena();
+  prepare_block_arenas();
   std::uint64_t seen_generation = 0;
   for (;;) {
     Batch* batch = nullptr;
@@ -87,6 +98,7 @@ void ThreadPool::worker_loop() {
 void ThreadPool::run_ranges(std::size_t num_blocks, RangeFn invoke,
                             void* ctx) {
   if (num_blocks == 0) return;
+  prepare_block_arenas();  // the calling thread runs blocks too
   Batch batch;
   batch.num_blocks = num_blocks;
   batch.invoke = invoke;

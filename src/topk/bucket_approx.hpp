@@ -1,10 +1,8 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -14,6 +12,7 @@
 #include "topk/common.hpp"
 #include "topk/partial_sort_common.hpp"
 #include "topk/shard_merge.hpp"
+#include "topk/warp_scan.hpp"
 #include "topk/warp_select.hpp"
 
 namespace topk {
@@ -336,86 +335,6 @@ BucketApproxPlan<T> bucket_approx_plan(const Shape& s,
   return p;
 }
 
-namespace bucket_approx_detail {
-
-/// One scan block's work: W warp engines reduce the block's chunk
-/// [cbegin, cend) of the row at `base` to its q smallest, left merged into
-/// engines[0] (sorted ascending, indices row-relative).  Warpfast path:
-/// region-hoisted load_tile + span_rounds, the fused row-wise idiom; exact
-/// path: per-round warp loads.  Both legs load every chunk element exactly
-/// once and drive the same engine rounds, so per-launch charges are
-/// invariant across {tile × warpfast} by the engine contracts.
-template <typename T>
-void scan_chunk(
-    simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> in, std::size_t base,
-    std::size_t cbegin, std::size_t cend, std::size_t keep, int warps,
-    bool tile,
-    std::array<std::optional<faiss_detail::WarpSelectEngine<T>>,
-               simgpu::kMaxWarpsPerBlock>& engines) {
-  for (int w = 0; w < warps; ++w) {
-    engines[static_cast<std::size_t>(w)].emplace(ctx, keep);
-  }
-  const std::size_t chunk_len = cend - cbegin;
-  if (ctx.warpfast_enabled()) {
-    for (int w = 0; w < warps; ++w) {
-      auto& eng = *engines[static_cast<std::size_t>(w)];
-      const auto [wb, we] = block_chunk(chunk_len, warps, w);
-      const std::size_t abs0 = cbegin + wb;
-      const std::size_t count = we - wb;
-      const std::size_t region = 4096;
-      for (std::size_t r = 0; r < count; r += region) {
-        const std::size_t rc = std::min(region, count - r);
-        const std::span<const T> tv = ctx.load_tile(in, base + abs0 + r, rc);
-        eng.span_rounds(ctx, tv, {}, static_cast<std::uint32_t>(abs0 + r));
-      }
-      eng.finalize(ctx);
-    }
-  } else {
-    ctx.for_each_warp([&](simgpu::Warp& warp) {
-      auto& eng = *engines[static_cast<std::size_t>(warp.index())];
-      const auto [wb, we] = block_chunk(chunk_len, warps, warp.index());
-      const std::size_t abs0 = cbegin + wb;
-      const std::size_t abs1 = cbegin + we;
-      T values[simgpu::kWarpSize];
-      std::uint32_t indices[simgpu::kWarpSize];
-      bool valid[simgpu::kWarpSize];
-      for (std::size_t pos = abs0; pos < abs1; pos += simgpu::kWarpSize) {
-        const std::size_t c =
-            std::min<std::size_t>(simgpu::kWarpSize, abs1 - pos);
-        if (tile) {
-          const std::span<const T> tv = ctx.load_tile(in, base + pos, c);
-          warp.each([&](int lane) {
-            const auto u = static_cast<std::size_t>(lane);
-            valid[lane] = u < tv.size();
-            if (valid[lane]) {
-              values[lane] = tv[u];
-              indices[lane] = static_cast<std::uint32_t>(pos + u);
-            }
-          });
-        } else {
-          warp.each([&](int lane) {
-            const std::size_t i = pos + static_cast<std::size_t>(lane);
-            valid[lane] = i < abs1;
-            if (valid[lane]) {
-              values[lane] = ctx.load(in, base + i);
-              indices[lane] = static_cast<std::uint32_t>(i);
-            }
-          });
-        }
-        eng.round(ctx, values, indices, valid);
-      }
-      eng.finalize(ctx);
-    });
-  }
-  ctx.sync();
-  for (int w = 1; w < warps; ++w) {
-    engines[0]->list().merge_list(ctx,
-                                  engines[static_cast<std::size_t>(w)]->list());
-  }
-}
-
-}  // namespace bucket_approx_detail
-
 /// Phase 2: the scan pass (direct-emitting when C*q == k), then the
 /// shared-memory refine sort.
 template <typename T>
@@ -435,56 +354,42 @@ void bucket_approx_run(simgpu::Device& dev, const BucketApproxPlan<T>& plan,
   const std::size_t cand = plan.cand;
   const std::size_t L = plan.sort_len;
   const int warps = plan.warps;
-  const bool tile = simgpu::tile_path_enabled();
-  const auto scan_grid = static_cast<int>(plan.batch * chunks);
-  const int scan_threads = warps * simgpu::kWarpSize;
-
-  if (plan.direct) {
-    simgpu::LaunchConfig cfg{"BucketApproxScanEmit", scan_grid, scan_threads,
-                             plan.batch, n, k};
-    simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
-      const auto blk = static_cast<std::size_t>(ctx.block_idx());
-      const std::size_t prob = blk / chunks;
-      const std::size_t chunk = blk % chunks;
-      const auto [cbegin, cend] =
-          block_chunk(n, static_cast<int>(chunks), static_cast<int>(chunk));
-      std::array<std::optional<faiss_detail::WarpSelectEngine<T>>,
-                 simgpu::kMaxWarpsPerBlock>
-          engines;
-      bucket_approx_detail::scan_chunk(ctx, in, prob * n, cbegin, cend, keep,
-                                       warps, tile, engines);
-      // C*q == k: each chunk's sorted q-list is this block's slice of the
-      // output — the candidate union is the (approximate) result.
-      shard_merge_detail::store_list(ctx, engines[0]->list().keys(),
-                                     engines[0]->list().indices(), out_vals,
-                                     out_idx, prob * k + chunk * keep, keep);
-    });
-    return;
+  // C*q == k: each chunk's sorted q-list is its block's slice of the output
+  // (the candidate union is the approximate result); otherwise the lists
+  // land in the candidate segments for the refine.
+  simgpu::DeviceBuffer<T> cand_val = out_vals;
+  simgpu::DeviceBuffer<std::uint32_t> cand_idx = out_idx;
+  if (!plan.direct) {
+    cand_val = ws.get<T>(plan.seg_cand_val);
+    cand_idx = ws.get<std::uint32_t>(plan.seg_cand_idx);
   }
-
-  const auto cand_val = ws.get<T>(plan.seg_cand_val);
-  const auto cand_idx = ws.get<std::uint32_t>(plan.seg_cand_idx);
 
   {
-    simgpu::LaunchConfig cfg{"BucketApproxScan", scan_grid, scan_threads,
-                             plan.batch, n, k};
+    simgpu::LaunchConfig cfg{
+        plan.direct ? "BucketApproxScanEmit" : "BucketApproxScan",
+        static_cast<int>(plan.batch * chunks), warps * simgpu::kWarpSize,
+        plan.batch, n, k};
     simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
       const auto blk = static_cast<std::size_t>(ctx.block_idx());
       const std::size_t prob = blk / chunks;
       const std::size_t chunk = blk % chunks;
       const auto [cbegin, cend] =
           block_chunk(n, static_cast<int>(chunks), static_cast<int>(chunk));
-      std::array<std::optional<faiss_detail::WarpSelectEngine<T>>,
-                 simgpu::kMaxWarpsPerBlock>
-          engines;
-      bucket_approx_detail::scan_chunk(ctx, in, prob * n, cbegin, cend, keep,
-                                       warps, tile, engines);
-      shard_merge_detail::store_list(ctx, engines[0]->list().keys(),
-                                     engines[0]->list().indices(), cand_val,
-                                     cand_idx, (prob * chunks + chunk) * keep,
-                                     keep);
+      // W warp engines reduce the chunk to its q smallest: each warp scans
+      // its contiguous slice, then the warp lists merge into warp 0's.
+      warp_scan::WarpEngines<faiss_detail::WarpSelectEngine<T>> engines(
+          warps, ctx, keep);
+      warp_scan::scan_contiguous(ctx, engines, in, {}, [&](int w) {
+        const auto [wb, we] = block_chunk(cend - cbegin, warps, w);
+        return warp_scan::WarpRange{prob * n, cbegin + wb, cbegin + we};
+      });
+      ctx.sync();
+      const auto& list = engines.merged_list(ctx);
+      warp_scan::store_list(ctx, list.keys(), list.indices(), cand_val,
+                            cand_idx, (prob * chunks + chunk) * keep, keep);
     });
   }
+  if (plan.direct) return;
 
   simgpu::LaunchConfig cfg{"BucketApproxRefine", static_cast<int>(plan.batch),
                            1024, plan.batch, n, k};
@@ -492,46 +397,14 @@ void bucket_approx_run(simgpu::Device& dev, const BucketApproxPlan<T>& plan,
     const auto prob = static_cast<std::size_t>(ctx.block_idx());
     auto keys = ctx.shared<T>(L, "bucket refine keys");
     auto idx = ctx.shared<std::uint32_t>(L, "bucket refine idx");
-    shard_merge_detail::load_list(ctx, cand_val, cand_idx, prob * cand, keys,
-                                  idx, cand);
+    warp_scan::load_list(ctx, cand_val, cand_idx, prob * cand, keys, idx,
+                         cand);
     for (std::size_t i = cand; i < L; ++i) {
       keys[i] = sort_sentinel<T>();
       idx[i] = 0;
     }
-    // Same fast-path contract as the shard-merge run sort: the network
-    // charge is data-oblivious, so bill it in closed form and sort packed
-    // (key, index) words host-side; value sequence identical, equal-key
-    // index order open (merge_prune precedent).
-    if constexpr (kPackableKey<T>) {
-      if (ctx.warpfast_enabled()) {
-        ctx.ops(bitonic_sort_ops(L));
-        const auto rk = raw_view(keys);
-        const auto rx = raw_view(idx);
-        simgpu::ScratchVec<std::uint64_t> packed;
-        packed.resize(L);
-        if (!rk.empty() && !rx.empty()) {
-          for (std::size_t i = 0; i < L; ++i) {
-            packed[i] = pack_key_idx<T>(rk[i], rx[i]);
-          }
-        } else {
-          for (std::size_t i = 0; i < L; ++i) {
-            packed[i] = pack_key_idx<T>(keys[i], idx[i]);
-          }
-        }
-        std::sort(packed.begin(), packed.end());
-        for (std::size_t i = 0; i < k; ++i) {
-          keys[i] =
-              ord_to_key<T>(static_cast<std::uint32_t>(packed[i] >> 32));
-          idx[i] = static_cast<std::uint32_t>(packed[i]);
-        }
-        shard_merge_detail::store_list(ctx, keys, idx, out_vals, out_idx,
-                                       prob * k, k);
-        return;
-      }
-    }
-    bitonic_sort(ctx, keys, idx);
-    shard_merge_detail::store_list(ctx, keys, idx, out_vals, out_idx,
-                                   prob * k, k);
+    shard_merge_detail::sort_pairs(ctx, keys, idx, L, k);
+    warp_scan::store_list(ctx, keys, idx, out_vals, out_idx, prob * k, k);
   });
 }
 

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -14,6 +12,7 @@
 #include "topk/common.hpp"
 #include "topk/grid_select.hpp"
 #include "topk/partial_sort_common.hpp"
+#include "topk/warp_scan.hpp"
 #include "topk/warp_select.hpp"
 
 namespace topk {
@@ -229,8 +228,6 @@ void fused_rowwise_run_warp(simgpu::Device& dev,
   const std::size_t n = plan.n;
   const std::size_t k = plan.k;
   const int rpb = plan.rows_per_block;
-  const bool tile = simgpu::tile_path_enabled();
-  const bool has_in_idx = !plan.opt.in_idx.empty();
   const auto ext_idx = plan.opt.in_idx;
 
   simgpu::LaunchConfig cfg{"FusedRowwise_warp", plan.grid,
@@ -240,92 +237,20 @@ void fused_rowwise_run_warp(simgpu::Device& dev,
         static_cast<std::size_t>(ctx.block_idx()) * static_cast<std::size_t>(rpb);
     const int rows = static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(rpb), batch - row0));
-    const bool warpfast = ctx.warpfast_enabled();
-    std::array<std::optional<faiss_detail::WarpSelectEngine<T>>,
-               simgpu::kMaxWarpsPerBlock>
-        engines;
-    for (int w = 0; w < rows; ++w) {
-      engines[static_cast<std::size_t>(w)].emplace(ctx, k);
-    }
-
-    if (warpfast) {
-      // Pack-and-replay over the warp's CONTIGUOUS row — the structural
-      // edge over the strided shared-queue scans: one vectorized
-      // filter-and-pack per region feeds span_rounds(), which replays
-      // only candidate-bearing rounds.  Charges stay bit-identical to
-      // the exact path: every round's kEmptyRoundLaneOps floor is
-      // bulk-charged, candidates are re-checked against the current
-      // threshold at their round's replay point, and skipped rounds
-      // never mutate the queue, so the push sequence — and its
-      // content-dependent charges — is unchanged.
-      const std::size_t region = std::size_t{4096};
-      for (int w = 0; w < rows; ++w) {
-        auto& eng = *engines[static_cast<std::size_t>(w)];
-        const std::size_t base = (row0 + static_cast<std::size_t>(w)) * n;
-        for (std::size_t r = 0; r < n; r += region) {
-          const std::size_t rc = std::min(region, n - r);
-          const std::span<const T> tv = ctx.load_tile(in, base + r, rc);
-          const std::span<const std::uint32_t> ti =
-              has_in_idx ? ctx.load_tile(ext_idx, base + r, rc)
-                         : std::span<const std::uint32_t>{};
-          eng.span_rounds(ctx, tv, ti, static_cast<std::uint32_t>(r));
-        }
-        eng.finalize(ctx);
-      }
-    } else {
-      ctx.for_each_warp([&](simgpu::Warp& warp) {
-        const int w = warp.index();
-        if (w >= rows) return;
-        auto& eng = *engines[static_cast<std::size_t>(w)];
-        const std::size_t base = (row0 + static_cast<std::size_t>(w)) * n;
-        T values[simgpu::kWarpSize];
-        std::uint32_t indices[simgpu::kWarpSize];
-        bool valid[simgpu::kWarpSize];
-        for (std::size_t pos = 0; pos < n; pos += simgpu::kWarpSize) {
-          const std::size_t c =
-              std::min<std::size_t>(simgpu::kWarpSize, n - pos);
-          if (tile) {
-            const std::span<const T> tv = ctx.load_tile(in, base + pos, c);
-            const std::span<const std::uint32_t> ti =
-                has_in_idx ? ctx.load_tile(ext_idx, base + pos, c)
-                           : std::span<const std::uint32_t>{};
-            warp.each([&](int lane) {
-              const auto u = static_cast<std::size_t>(lane);
-              valid[lane] = u < tv.size();
-              if (valid[lane]) {
-                values[lane] = tv[u];
-                indices[lane] = has_in_idx
-                                    ? ti[u]
-                                    : static_cast<std::uint32_t>(pos + u);
-              }
-            });
-          } else {
-            warp.each([&](int lane) {
-              const std::size_t i = pos + static_cast<std::size_t>(lane);
-              valid[lane] = i < n;
-              if (valid[lane]) {
-                values[lane] = ctx.load(in, base + i);
-                indices[lane] = has_in_idx
-                                    ? ctx.load(ext_idx, base + i)
-                                    : static_cast<std::uint32_t>(i);
-              }
-            });
-          }
-          eng.round(ctx, values, indices, valid);
-        }
-        eng.finalize(ctx);
-      });
-    }
-
+    // Each warp scans its whole row contiguously, which is what lets the
+    // warpfast leg pack-and-replay the row instead of gating regions.
+    warp_scan::WarpEngines<faiss_detail::WarpSelectEngine<T>> engines(rows,
+                                                                      ctx, k);
+    warp_scan::scan_contiguous(ctx, engines, in, ext_idx, [&](int w) {
+      return warp_scan::WarpRange{(row0 + static_cast<std::size_t>(w)) * n,
+                                  0, n};
+    });
     // Direct output: each warp owns its row's k-slice.
     for (int w = 0; w < rows; ++w) {
-      const std::size_t row = row0 + static_cast<std::size_t>(w);
-      const auto keys = engines[static_cast<std::size_t>(w)]->list().keys();
-      const auto idx = engines[static_cast<std::size_t>(w)]->list().indices();
-      for (std::size_t i = 0; i < k; ++i) {
-        ctx.store(out_vals, row * k + i, keys[i]);
-        ctx.store(out_idx, row * k + i, idx[i]);
-      }
+      const auto& list = engines[w].list();
+      warp_scan::store_list(ctx, list.keys(), list.indices(), out_vals,
+                            out_idx, (row0 + static_cast<std::size_t>(w)) * k,
+                            k);
     }
   });
 }
@@ -346,10 +271,8 @@ void fused_rowwise_run_block(simgpu::Device& dev,
   const std::size_t k = plan.k;
   const std::size_t cap = plan.cap;
   const int num_warps = plan.num_warps;
-  const bool tile = simgpu::tile_path_enabled();
-  const bool has_in_idx = !plan.opt.in_idx.empty();
+  const auto warps = static_cast<std::size_t>(num_warps);
   const auto ext_idx = plan.opt.in_idx;
-
   const auto part_val = ws.get<T>(plan.seg_part_val);
   const auto part_idx = ws.get<std::uint32_t>(plan.seg_part_idx);
 
@@ -359,199 +282,31 @@ void fused_rowwise_run_block(simgpu::Device& dev,
                              num_warps * simgpu::kWarpSize, batch, n, k};
     simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
       const auto row = static_cast<std::size_t>(ctx.block_idx());
-      const std::size_t base = row * n;
-      const bool warpfast = ctx.warpfast_enabled();
-      std::array<std::optional<SharedQueueEngine<T>>,
-                 simgpu::kMaxWarpsPerBlock>
-          engines;
-      for (int w = 0; w < num_warps; ++w) {
-        engines[static_cast<std::size_t>(w)].emplace(ctx, k);
-      }
-
-      const std::size_t stride =
-          static_cast<std::size_t>(num_warps) * simgpu::kWarpSize;
-      if (warpfast) {
-        // Region-hoisted scan with adaptive per-warp gating, exactly as in
-        // grid_select (charges are bit-identical to the exact path).
-        const std::size_t region = stride * 64;
-        std::array<std::uint8_t, simgpu::kMaxWarpsPerBlock> gate_sleep{};
-        std::array<std::uint8_t, simgpu::kMaxWarpsPerBlock> gate_backoff{};
-        for (std::size_t r = 0; r < n; r += region) {
-          const std::size_t rc = std::min(region, n - r);
-          const std::span<const T> tv = ctx.load_tile(in, base + r, rc);
-          const std::span<const std::uint32_t> ti =
-              has_in_idx ? ctx.load_tile(ext_idx, base + r, rc)
-                         : std::span<const std::uint32_t>{};
-          for (int w = 0; w < num_warps; ++w) {
-            auto& eng = *engines[static_cast<std::size_t>(w)];
-            const std::size_t warp_off =
-                static_cast<std::size_t>(w) * simgpu::kWarpSize;
-            if (gate_sleep[static_cast<std::size_t>(w)] == 0) {
-              const T gate = eng.kth();
-              std::size_t rounds = 0;
-              std::size_t below = 0;
-              for (std::size_t off = warp_off; off < rc; off += stride) {
-                const std::size_t c =
-                    std::min<std::size_t>(simgpu::kWarpSize, rc - off);
-                below +=
-                    simgpu::BlockCtx::count_below(tv.subspan(off, c), gate);
-                ++rounds;
-              }
-              if (below == 0) {
-                gate_backoff[static_cast<std::size_t>(w)] = 0;
-                ctx.ops(rounds * kEmptyRoundLaneOps);
-                continue;
-              }
-              const std::uint8_t next =
-                  gate_backoff[static_cast<std::size_t>(w)];
-              gate_backoff[static_cast<std::size_t>(w)] =
-                  next == 0 ? 1
-                            : static_cast<std::uint8_t>(next < 8 ? next * 2
-                                                                 : 8);
-              gate_sleep[static_cast<std::size_t>(w)] =
-                  gate_backoff[static_cast<std::size_t>(w)];
-            } else {
-              --gate_sleep[static_cast<std::size_t>(w)];
-            }
-            for (std::size_t off = warp_off; off < rc; off += stride) {
-              const std::size_t c =
-                  std::min<std::size_t>(simgpu::kWarpSize, rc - off);
-              eng.round_span(ctx, tv.subspan(off, c),
-                             has_in_idx ? ti.subspan(off, c) : ti,
-                             static_cast<std::uint32_t>(r + off));
-            }
-          }
-        }
-        for (int w = 0; w < num_warps; ++w) {
-          engines[static_cast<std::size_t>(w)]->finalize(ctx);
-        }
-      } else {
-        ctx.for_each_warp([&](simgpu::Warp& warp) {
-          auto& eng = *engines[static_cast<std::size_t>(warp.index())];
-          T values[simgpu::kWarpSize];
-          std::uint32_t indices[simgpu::kWarpSize];
-          bool valid[simgpu::kWarpSize];
-          const std::size_t warp_off =
-              static_cast<std::size_t>(warp.index()) * simgpu::kWarpSize;
-          for (std::size_t pos = warp_off; pos < n; pos += stride) {
-            const std::size_t c =
-                std::min<std::size_t>(simgpu::kWarpSize, n - pos);
-            if (tile) {
-              const std::span<const T> tv = ctx.load_tile(in, base + pos, c);
-              const std::span<const std::uint32_t> ti =
-                  has_in_idx ? ctx.load_tile(ext_idx, base + pos, c)
-                             : std::span<const std::uint32_t>{};
-              warp.each([&](int lane) {
-                const auto u = static_cast<std::size_t>(lane);
-                valid[lane] = u < tv.size();
-                if (valid[lane]) {
-                  values[lane] = tv[u];
-                  indices[lane] = has_in_idx
-                                      ? ti[u]
-                                      : static_cast<std::uint32_t>(pos + u);
-                }
-              });
-            } else {
-              warp.each([&](int lane) {
-                const std::size_t i = pos + static_cast<std::size_t>(lane);
-                valid[lane] = i < n;
-                if (valid[lane]) {
-                  values[lane] = ctx.load(in, base + i);
-                  indices[lane] = has_in_idx
-                                      ? ctx.load(ext_idx, base + i)
-                                      : static_cast<std::uint32_t>(i);
-                }
-              });
-            }
-            eng.round(ctx, values, indices, valid);
-          }
-          eng.finalize(ctx);
-        });
-      }
+      // Region length of the warpfast leg: 64 rounds per warp.
+      constexpr std::size_t kRegionRounds = 64;
+      warp_scan::WarpEngines<SharedQueueEngine<T>> engines(num_warps, ctx,
+                                                           k);
+      warp_scan::scan_interleaved(ctx, engines, in, ext_idx, row * n, 0, n,
+                                  kRegionRounds);
       ctx.sync();
-
-      // Publish each warp's sorted list (padded to cap) into the row's
-      // slice of the partial segments; the merge kernel prunes them.
+      // Publish each warp's sorted list into the row's slice of the
+      // partial segments; the merge kernel prunes them.
       for (int w = 0; w < num_warps; ++w) {
-        auto& list = engines[static_cast<std::size_t>(w)]->list();
-        const auto mk = list.keys();
-        const auto mi = list.indices();
-        const std::size_t out_base =
-            (row * static_cast<std::size_t>(num_warps) +
-             static_cast<std::size_t>(w)) *
-            cap;
-        for (std::size_t i = 0; i < cap; ++i) {
-          const bool live = i < k;
-          ctx.store(part_val, out_base + i,
-                    live ? static_cast<T>(mk[i]) : sort_sentinel<T>());
-          ctx.store(part_idx, out_base + i,
-                    live ? static_cast<std::uint32_t>(mi[i])
-                         : std::uint32_t{0});
-        }
+        warp_scan::publish_padded(
+            ctx, engines[w].list(), part_val, part_idx,
+            (row * warps + static_cast<std::size_t>(w)) * cap, cap);
       }
     });
   }
 
   // ---- kernel 2: per-row merge of the warp partial lists -----------------
-  {
-    simgpu::LaunchConfig cfg{"FusedRowwise_block_merge", plan.grid, 1024,
-                             batch, n, k};
-    simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
-      const auto row = static_cast<std::size_t>(ctx.block_idx());
-      auto acc_keys = ctx.shared<T>(cap, "fused merge acc keys");
-      auto acc_idx = ctx.shared<std::uint32_t>(cap, "fused merge acc idx");
-      auto tmp_keys = ctx.shared<T>(cap, "fused merge tmp keys");
-      auto tmp_idx = ctx.shared<std::uint32_t>(cap, "fused merge tmp idx");
-      // Pull one warp's sorted partial list into shared memory, riding the
-      // tile path for the device-memory side when it is enabled.
-      const auto load_partial = [&](auto& dst_keys, auto& dst_idx,
-                                    std::size_t src_base) {
-        if (tile) {
-          const auto rk = raw_view(dst_keys);
-          const auto ri = raw_view(dst_idx);
-          std::size_t i = 0;
-          while (i < cap) {
-            const std::size_t c = std::min(simgpu::kTileElems, cap - i);
-            const std::span<const T> tk =
-                ctx.load_tile(part_val, src_base + i, c);
-            const std::span<const std::uint32_t> tix =
-                ctx.load_tile(part_idx, src_base + i, c);
-            if (!rk.empty() && !ri.empty()) {
-              std::copy(tk.begin(), tk.end(),
-                        rk.begin() + static_cast<std::ptrdiff_t>(i));
-              std::copy(tix.begin(), tix.end(),
-                        ri.begin() + static_cast<std::ptrdiff_t>(i));
-            } else {
-              for (std::size_t u = 0; u < tk.size(); ++u) {
-                dst_keys[i + u] = tk[u];
-                dst_idx[i + u] = tix[u];
-              }
-            }
-            i += c;
-          }
-        } else {
-          for (std::size_t i = 0; i < cap; ++i) {
-            dst_keys[i] = ctx.load(part_val, src_base + i);
-            dst_idx[i] = ctx.load(part_idx, src_base + i);
-          }
-        }
-      };
-      load_partial(acc_keys, acc_idx,
-                   row * static_cast<std::size_t>(num_warps) * cap);
-      for (int w = 1; w < num_warps; ++w) {
-        const std::size_t src_base =
-            (row * static_cast<std::size_t>(num_warps) +
-             static_cast<std::size_t>(w)) *
-            cap;
-        load_partial(tmp_keys, tmp_idx, src_base);
-        merge_prune(ctx, acc_keys, acc_idx, tmp_keys, tmp_idx);
-      }
-      for (std::size_t i = 0; i < k; ++i) {
-        ctx.store(out_vals, row * k + i, acc_keys[i]);
-        ctx.store(out_idx, row * k + i, acc_idx[i]);
-      }
-    });
-  }
+  simgpu::LaunchConfig cfg{"FusedRowwise_block_merge", plan.grid, 1024, batch,
+                           n, k};
+  simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
+    const auto row = static_cast<std::size_t>(ctx.block_idx());
+    warp_scan::merge_lists(ctx, part_val, part_idx, row * warps * cap, warps,
+                           cap, out_vals, out_idx, row * k, k);
+  });
 }
 
 /// Phase 2 dispatcher shared by both registry rows.

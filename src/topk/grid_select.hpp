@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -14,6 +13,7 @@
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
 #include "topk/partial_sort_common.hpp"
+#include "topk/warp_scan.hpp"
 #include "topk/warp_select.hpp"
 
 namespace topk {
@@ -481,15 +481,9 @@ void grid_select_run(simgpu::Device& dev, const GridSelectPlan<T>& plan,
   const std::size_t cap = plan.cap;
   const int num_warps = plan.num_warps;
   const GridShape shape = plan.shape;
-  const int bpp = shape.blocks_per_problem;
+  const std::size_t bpp = static_cast<std::size_t>(shape.blocks_per_problem);
   const bool shared_queue = opt.shared_queue;
-  // Captured at launch time: each warp round loads one contiguous 32-wide
-  // tile instead of 32 scalar loads when the fast path is on.
-  const bool tile = simgpu::tile_path_enabled();
-
-  const bool has_in_idx = !opt.in_idx.empty();
   const auto ext_idx = opt.in_idx;
-
   const bool direct_output = plan.direct_output;
   simgpu::DeviceBuffer<T> part_val;
   simgpu::DeviceBuffer<std::uint32_t> part_idx;
@@ -507,285 +501,50 @@ void grid_select_run(simgpu::Device& dev, const GridSelectPlan<T>& plan,
     simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
       const std::size_t prob = shape.problem_of(ctx.block_idx());
       const int bip = shape.block_in_problem(ctx.block_idx());
-      const auto [begin, end] = block_chunk(n, bpp, bip);
-      const std::size_t base = prob * n;
-      // Per-block gate: tile path + TOPK_SIM_WARPFAST + no sanitizer.
-      const bool warpfast = ctx.warpfast_enabled();
-
-      // One engine per warp, constructed in place (no per-block heap
-      // traffic); shared-queue engines allocate from block shared memory,
-      // the thread-queue variant keeps queues in registers.
-      std::array<std::optional<SharedQueueEngine<T>>,
-                 simgpu::kMaxWarpsPerBlock>
-          sq;
-      std::array<std::optional<faiss_detail::WarpSelectEngine<T>>,
-                 simgpu::kMaxWarpsPerBlock>
-          tq;
-      for (int w = 0; w < num_warps; ++w) {
-        if (shared_queue) {
-          sq[static_cast<std::size_t>(w)].emplace(ctx, k);
-        } else {
-          tq[static_cast<std::size_t>(w)].emplace(ctx, k);
-        }
-      }
-
-      const std::size_t stride =
-          static_cast<std::size_t>(num_warps) * simgpu::kWarpSize;
-
-      // Warpfast scan: region-hoisted tile loads.  One load_tile per
-      // stride-aligned region (instead of per 32-wide round) keeps the data
-      // L1-hot across each warp's threshold scans and amortizes the
-      // per-call accounting.  Byte charges are identical to per-round
-      // loads — every element of the chunk is loaded exactly once either
-      // way and BlockCounters are per block, not per warp — and engine
-      // states are warp-independent, so interleaving warps per region
-      // instead of scanning warp-major changes only the order of charges,
-      // never their totals.  The exact path loads the index tile every
-      // round too, so the byte charges match whether or not a round has
-      // candidates.
-      const auto scan_warpfast = [&](auto& engs) {
-        const std::size_t region = stride * 64;
-        // Adaptive region gating: a failed gate (candidates present) wastes
-        // its count pass, and failures cluster while the warp's threshold is
-        // still loose.  After each failure the gate sleeps for twice as many
-        // regions as before (capped), and any success resets the backoff.
-        // Gated and ungated regions charge BlockCounters identically (the
-        // per-round path floors empty rounds itself), so the heuristic only
-        // ever affects wall clock.
-        std::array<std::uint8_t, simgpu::kMaxWarpsPerBlock> gate_sleep{};
-        std::array<std::uint8_t, simgpu::kMaxWarpsPerBlock> gate_backoff{};
-        for (std::size_t r = begin; r < end; r += region) {
-          const std::size_t rc = std::min(region, end - r);
-          const std::span<const T> tv = ctx.load_tile(in, base + r, rc);
-          const std::span<const std::uint32_t> ti =
-              has_in_idx ? ctx.load_tile(ext_idx, base + r, rc)
-                         : std::span<const std::uint32_t>{};
-          for (int w = 0; w < num_warps; ++w) {
-            auto& eng = *engs[static_cast<std::size_t>(w)];
-            const std::size_t warp_off =
-                static_cast<std::size_t>(w) * simgpu::kWarpSize;
-            // Region gate: count candidates across all of this warp's
-            // sub-rounds under the region-entry threshold.  The threshold
-            // only tightens, and only at flushes — which need candidates —
-            // so it is the loosest threshold any round in the region will
-            // see: zero here means every round is provably empty.  Empty
-            // rounds charge exactly the per-round floor and touch no state,
-            // so one bulk charge replaces them bit-identically and the
-            // engine round machinery runs only for candidate regions.
-            if (gate_sleep[static_cast<std::size_t>(w)] == 0) {
-              const T gate = eng.kth();
-              std::size_t rounds = 0;
-              std::size_t below = 0;
-              for (std::size_t off = warp_off; off < rc; off += stride) {
-                const std::size_t c =
-                    std::min<std::size_t>(simgpu::kWarpSize, rc - off);
-                below +=
-                    simgpu::BlockCtx::count_below(tv.subspan(off, c), gate);
-                ++rounds;
-              }
-              if (below == 0) {
-                gate_backoff[static_cast<std::size_t>(w)] = 0;
-                ctx.ops(rounds * kEmptyRoundLaneOps);
-                continue;
-              }
-              const std::uint8_t next = gate_backoff[static_cast<std::size_t>(
-                  w)];
-              gate_backoff[static_cast<std::size_t>(w)] =
-                  next == 0 ? 1 : static_cast<std::uint8_t>(
-                                      next < 8 ? next * 2 : 8);
-              gate_sleep[static_cast<std::size_t>(w)] =
-                  gate_backoff[static_cast<std::size_t>(w)];
-            } else {
-              --gate_sleep[static_cast<std::size_t>(w)];
-            }
-            for (std::size_t off = warp_off; off < rc; off += stride) {
-              const std::size_t c =
-                  std::min<std::size_t>(simgpu::kWarpSize, rc - off);
-              eng.round_span(ctx, tv.subspan(off, c),
-                             has_in_idx ? ti.subspan(off, c) : ti,
-                             static_cast<std::uint32_t>(r + off));
-            }
-          }
-        }
-        for (int w = 0; w < num_warps; ++w)
-          engs[static_cast<std::size_t>(w)]->finalize(ctx);
-      };
-
-      // Exact scan, one loop for both engine families (they share the
-      // round / finalize surface), with two load variants: tile (tile
-      // load, exact round every time) and scalar.
-      const auto scan = [&](simgpu::Warp& warp, auto& eng) {
-        T values[simgpu::kWarpSize];
-        std::uint32_t indices[simgpu::kWarpSize];
-        bool valid[simgpu::kWarpSize];
-        const std::size_t warp_off =
-            static_cast<std::size_t>(warp.index()) * simgpu::kWarpSize;
-        for (std::size_t pos = begin + warp_off; pos < end; pos += stride) {
-          if (tile) {
-            const std::span<const T> tv = ctx.load_tile(
-                in, base + pos,
-                std::min<std::size_t>(simgpu::kWarpSize, end - pos));
-            const std::span<const std::uint32_t> ti =
-                has_in_idx
-                    ? ctx.load_tile(
-                          ext_idx, base + pos,
-                          std::min<std::size_t>(simgpu::kWarpSize, end - pos))
-                    : std::span<const std::uint32_t>{};
-            warp.each([&](int lane) {
-              const auto u = static_cast<std::size_t>(lane);
-              valid[lane] = u < tv.size();
-              if (valid[lane]) {
-                values[lane] = tv[u];
-                indices[lane] = has_in_idx
-                                    ? ti[u]
-                                    : static_cast<std::uint32_t>(pos + u);
-              }
-            });
-          } else {
-            warp.each([&](int lane) {
-              const std::size_t i = pos + static_cast<std::size_t>(lane);
-              valid[lane] = i < end;
-              if (valid[lane]) {
-                values[lane] = ctx.load(in, base + i);
-                indices[lane] = has_in_idx ? ctx.load(ext_idx, base + i)
-                                           : static_cast<std::uint32_t>(i);
-              }
-            });
-          }
-          eng.round(ctx, values, indices, valid);
-        }
-        eng.finalize(ctx);
-      };
-      if (warpfast) {
-        if (shared_queue) {
-          scan_warpfast(sq);
-        } else {
-          scan_warpfast(tq);
-        }
-      } else {
-        ctx.for_each_warp([&](simgpu::Warp& warp) {
-          const auto w = static_cast<std::size_t>(warp.index());
-          if (shared_queue) {
-            scan(warp, *sq[w]);
-          } else {
-            scan(warp, *tq[w]);
-          }
-        });
-      }
-      ctx.sync();
-
-      // The shared-queue and thread-queue lists view different storage
-      // types, so merge within each branch and emit through one generic
-      // lambda.
-      const auto emit = [&](auto& merged) {
-        // Hoist the accessors: keys()/indices() materialize lazily on the
-        // warpfast path, so per-element calls would re-check per element.
-        const auto mk = merged.keys();
-        const auto mi = merged.indices();
+      const auto [begin, end] = block_chunk(n, static_cast<int>(bpp), bip);
+      // Region length of the warpfast leg: 64 rounds per warp.
+      constexpr std::size_t kRegionRounds = 64;
+      // Both queue designs run the same scan; the block's warp lists are
+      // merged into one, which is either the result (one block per
+      // problem) or this block's partial list (padded to cap).
+      const auto select = [&](auto& engines) {
+        warp_scan::scan_interleaved(ctx, engines, in, ext_idx, prob * n,
+                                    begin, end, kRegionRounds);
+        ctx.sync();
+        const auto& merged = engines.merged_list(ctx);
         if (direct_output) {
-          for (std::size_t i = 0; i < k; ++i) {
-            ctx.store(out_vals, prob * k + i, mk[i]);
-            ctx.store(out_idx, prob * k + i, mi[i]);
-          }
-          return;
-        }
-        // Publish the block's sorted partial list (padded to cap).
-        const std::size_t out_base =
-            (prob * static_cast<std::size_t>(bpp) +
-             static_cast<std::size_t>(bip)) *
-            cap;
-        for (std::size_t i = 0; i < cap; ++i) {
-          const bool live = i < k;
-          ctx.store(part_val, out_base + i,
-                    live ? static_cast<T>(mk[i]) : sort_sentinel<T>());
-          ctx.store(part_idx, out_base + i,
-                    live ? static_cast<std::uint32_t>(mi[i])
-                         : std::uint32_t{0});
+          warp_scan::store_list(ctx, merged.keys(), merged.indices(),
+                                out_vals, out_idx, prob * k, k);
+        } else {
+          const std::size_t slot = prob * bpp + static_cast<std::size_t>(bip);
+          warp_scan::publish_padded(ctx, merged, part_val, part_idx,
+                                    slot * cap, cap);
         }
       };
       if (shared_queue) {
-        auto& merged = sq[0]->list();
-        for (int w = 1; w < num_warps; ++w) {
-          merged.merge_list(ctx, sq[static_cast<std::size_t>(w)]->list());
-        }
-        emit(merged);
+        warp_scan::WarpEngines<SharedQueueEngine<T>> engines(num_warps, ctx,
+                                                             k);
+        select(engines);
       } else {
-        auto& merged = tq[0]->list();
-        for (int w = 1; w < num_warps; ++w) {
-          merged.merge_list(ctx, tq[static_cast<std::size_t>(w)]->list());
-        }
-        emit(merged);
+        warp_scan::WarpEngines<faiss_detail::WarpSelectEngine<T>> engines(
+            num_warps, ctx, k);
+        select(engines);
       }
     });
   }
   if (direct_output) return;
 
   // ---- kernel 2: cross-block merge ---------------------------------------
-  {
-    // One wide block per problem: the real kernel tree-merges the partial
-    // lists across its warps, so the launch shape (and hence the modeled
-    // bandwidth share) uses a full 1024-thread block.
-    simgpu::LaunchConfig cfg{"GridSelect_merge", static_cast<int>(batch),
-                             1024, batch, n, k};
-    simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
-      const auto prob = static_cast<std::size_t>(ctx.block_idx());
-      auto acc_keys = ctx.shared<T>(cap, "gridselect merge acc keys");
-      auto acc_idx = ctx.shared<std::uint32_t>(cap, "gridselect merge acc idx");
-      auto tmp_keys = ctx.shared<T>(cap, "gridselect merge tmp keys");
-      auto tmp_idx = ctx.shared<std::uint32_t>(cap, "gridselect merge tmp idx");
-      // Pull one block's sorted partial list into shared memory, riding the
-      // tile path for the device-memory side when it is enabled.
-      const auto load_partial = [&](auto& dst_keys, auto& dst_idx,
-                                    std::size_t src_base) {
-        if (tile) {
-          // Shared-memory destinations: write through the raw spans when
-          // the tile gate makes that legal (shared accesses are never
-          // charged, so the proxy fallback is charge-identical).
-          const auto rk = raw_view(dst_keys);
-          const auto ri = raw_view(dst_idx);
-          std::size_t i = 0;
-          while (i < cap) {
-            const std::size_t c = std::min(simgpu::kTileElems, cap - i);
-            const std::span<const T> tk =
-                ctx.load_tile(part_val, src_base + i, c);
-            const std::span<const std::uint32_t> tix =
-                ctx.load_tile(part_idx, src_base + i, c);
-            if (!rk.empty() && !ri.empty()) {
-              std::copy(tk.begin(), tk.end(),
-                        rk.begin() + static_cast<std::ptrdiff_t>(i));
-              std::copy(tix.begin(), tix.end(),
-                        ri.begin() + static_cast<std::ptrdiff_t>(i));
-            } else {
-              for (std::size_t u = 0; u < tk.size(); ++u) {
-                dst_keys[i + u] = tk[u];
-                dst_idx[i + u] = tix[u];
-              }
-            }
-            i += c;
-          }
-        } else {
-          for (std::size_t i = 0; i < cap; ++i) {
-            dst_keys[i] = ctx.load(part_val, src_base + i);
-            dst_idx[i] = ctx.load(part_idx, src_base + i);
-          }
-        }
-      };
-      load_partial(acc_keys, acc_idx,
-                   prob * static_cast<std::size_t>(bpp) * cap);
-      for (int b = 1; b < bpp; ++b) {
-        const std::size_t src_base =
-            (prob * static_cast<std::size_t>(bpp) +
-             static_cast<std::size_t>(b)) *
-            cap;
-        load_partial(tmp_keys, tmp_idx, src_base);
-        merge_prune(ctx, acc_keys, acc_idx, tmp_keys, tmp_idx);
-      }
-      for (std::size_t i = 0; i < k; ++i) {
-        ctx.store(out_vals, prob * k + i, acc_keys[i]);
-        ctx.store(out_idx, prob * k + i, acc_idx[i]);
-      }
-    });
-  }
+  // One wide block per problem: the real kernel tree-merges the partial
+  // lists across its warps, so the launch shape (and hence the modeled
+  // bandwidth share) uses a full 1024-thread block.
+  simgpu::LaunchConfig cfg{"GridSelect_merge", static_cast<int>(batch), 1024,
+                           batch, n, k};
+  simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
+    const auto prob = static_cast<std::size_t>(ctx.block_idx());
+    warp_scan::merge_lists(ctx, part_val, part_idx, prob * bpp * cap, bpp,
+                           cap, out_vals, out_idx, prob * k, k);
+  });
 }
 
 /// One-shot entry point: plan + bind a local workspace + run.

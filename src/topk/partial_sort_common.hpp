@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -13,7 +12,7 @@
 #include "simgpu/scratch_alloc.hpp"
 #include "simgpu/simd.hpp"
 #include "topk/bitonic.hpp"
-
+#include "topk/radix_traits.hpp"
 
 namespace topk {
 
@@ -40,43 +39,17 @@ inline constexpr std::uint64_t kEmptyRoundLaneOps = simgpu::kWarpSize + 1;
 template <typename T>
 inline constexpr bool kPackableKey = sizeof(T) == 4 && std::is_arithmetic_v<T>;
 
-/// Monotone map from key to uint32: ord(a) < ord(b)  iff  a < b.  The
-/// float variant is the classic sign-flip trick; NaNs never reach the
-/// packed structures (every offered candidate passed a `<` threshold
-/// test first).
-template <typename T>
-  requires kPackableKey<T>
-[[nodiscard]] inline std::uint32_t key_to_ord(T v) {
-  if constexpr (std::is_floating_point_v<T>) {
-    const auto b = std::bit_cast<std::uint32_t>(v);
-    return (b & 0x80000000u) ? ~b : (b | 0x80000000u);
-  } else if constexpr (std::is_signed_v<T>) {
-    return std::bit_cast<std::uint32_t>(v) ^ 0x80000000u;
-  } else {
-    return static_cast<std::uint32_t>(v);
-  }
-}
-
-template <typename T>
-  requires kPackableKey<T>
-[[nodiscard]] inline T ord_to_key(std::uint32_t u) {
-  if constexpr (std::is_floating_point_v<T>) {
-    const std::uint32_t b = (u & 0x80000000u) ? (u & 0x7FFFFFFFu) : ~u;
-    return std::bit_cast<T>(b);
-  } else if constexpr (std::is_signed_v<T>) {
-    return std::bit_cast<T>(u ^ 0x80000000u);
-  } else {
-    return static_cast<T>(u);
-  }
-}
-
-/// (key, index) -> uint64 ordered by (key asc, index asc).  No valid pair
-/// packs to 0 (ordinal 0 is not in key_to_ord's image for non-NaN keys),
-/// which the heap exploits for its pad entries.
+/// (key, index) -> uint64 ordered by (key asc, index asc): the key's radix
+/// ordinal (RadixTraits, the monotone map the radix rows sort by) above the
+/// index.  No value is reserved: on the u32 carrier key 0 at index 0 packs
+/// to 0, and a key equal to sort_sentinel<T>() packs like the sentinel pads
+/// of the selection state, so such keys collide with empty slots (an open
+/// defect: the pad needs an index no real element has).
 template <typename T>
   requires kPackableKey<T>
 [[nodiscard]] inline std::uint64_t pack_key_idx(T v, std::uint32_t index) {
-  return (static_cast<std::uint64_t>(key_to_ord<T>(v)) << 32) | index;
+  return (static_cast<std::uint64_t>(RadixTraits<T>::to_radix(v)) << 32) |
+         index;
 }
 
 namespace detail {
@@ -128,7 +101,7 @@ class TopkList {
   [[nodiscard]] T kth() const {
     if constexpr (kPackedHeap) {
       if (!tsorted_.empty()) {
-        return ord_to_key<T>(
+        return RadixTraits<T>::from_radix(
             static_cast<std::uint32_t>(tsorted_[k_ - 1] >> 32));
       }
     } else {
@@ -489,7 +462,8 @@ class TopkList {
       // The packed state is kept sorted (ascending by key, then index),
       // so materialization is a straight unpack.
       for (std::size_t i = 0; i < k_; ++i) {
-        keys_[i] = ord_to_key<T>(static_cast<std::uint32_t>(tsorted_[i] >> 32));
+        keys_[i] = RadixTraits<T>::from_radix(
+            static_cast<std::uint32_t>(tsorted_[i] >> 32));
         idx_[i] = static_cast<std::uint32_t>(tsorted_[i]);
       }
     } else {

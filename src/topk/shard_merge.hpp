@@ -10,6 +10,8 @@
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
 #include "topk/partial_sort_common.hpp"
+#include "topk/radix_traits.hpp"
+#include "topk/warp_scan.hpp"
 
 namespace topk {
 
@@ -246,78 +248,48 @@ ShardMergePlan<T> shard_merge_plan(const Shape& s,
 
 namespace shard_merge_detail {
 
-/// Pull `count` already-sorted (value, index) pairs from device memory into
-/// a pair of shared-memory views, riding the tile path when enabled (same
-/// idiom as the fused row-wise merge kernel).
-template <typename T, typename KS, typename IS>
-void load_list(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> val,
-               simgpu::DeviceBuffer<std::uint32_t> idx, std::size_t base,
-               KS& dst_keys, IS& dst_idx, std::size_t count) {
-  if (simgpu::tile_path_enabled()) {
-    const auto rk = raw_view(dst_keys);
-    const auto ri = raw_view(dst_idx);
-    std::size_t i = 0;
-    while (i < count) {
-      const std::size_t c = std::min(simgpu::kTileElems, count - i);
-      const std::span<const T> tk = ctx.load_tile(val, base + i, c);
-      const std::span<const std::uint32_t> tix = ctx.load_tile(idx, base + i, c);
-      if (!rk.empty() && !ri.empty()) {
-        std::copy(tk.begin(), tk.end(),
-                  rk.begin() + static_cast<std::ptrdiff_t>(i));
-        std::copy(tix.begin(), tix.end(),
-                  ri.begin() + static_cast<std::ptrdiff_t>(i));
+/// Sort L shared-memory (key, index) pairs ascending.  Warpfast fast path
+/// for packable keys: charge the exact data-oblivious network cost and sort
+/// packed (key, index) words host-side — the value sequence is identical to
+/// the network's, only the order of equal keys can differ, which the result
+/// contract leaves open (merge_prune precedent).  Only the first `keep`
+/// pairs are guaranteed written back.
+template <typename KS, typename IS>
+void sort_pairs(simgpu::BlockCtx& ctx, KS& keys, IS& idx, std::size_t L,
+                std::size_t keep) {
+  using T = typename KS::value_type;
+  if constexpr (kPackableKey<T>) {
+    if (ctx.warpfast_enabled()) {
+      ctx.ops(bitonic_sort_ops(L));
+      const auto rk = raw_view(keys);
+      const auto rx = raw_view(idx);
+      simgpu::ScratchVec<std::uint64_t> packed;
+      packed.resize(L);
+      if (!rk.empty() && !rx.empty()) {
+        for (std::size_t i = 0; i < L; ++i) {
+          packed[i] = pack_key_idx<T>(rk[i], rx[i]);
+        }
       } else {
-        for (std::size_t u = 0; u < tk.size(); ++u) {
-          dst_keys[i + u] = tk[u];
-          dst_idx[i + u] = tix[u];
+        for (std::size_t i = 0; i < L; ++i) {
+          packed[i] = pack_key_idx<T>(keys[i], idx[i]);
         }
       }
-      i += c;
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      dst_keys[i] = ctx.load(val, base + i);
-      dst_idx[i] = ctx.load(idx, base + i);
-    }
-  }
-}
-
-/// Store the first `count` pairs of a pair of shared views to device memory.
-template <typename T, typename KS, typename IS>
-void store_list(simgpu::BlockCtx& ctx, const KS& src_keys, const IS& src_idx,
-                simgpu::DeviceBuffer<T> val,
-                simgpu::DeviceBuffer<std::uint32_t> idx, std::size_t base,
-                std::size_t count) {
-  if (simgpu::tile_path_enabled()) {
-    const auto rk = raw_view(src_keys);
-    const auto ri = raw_view(src_idx);
-    if (!rk.empty() && !ri.empty()) {
-      std::size_t i = 0;
-      while (i < count) {
-        const std::size_t c = std::min(simgpu::kTileElems, count - i);
-        ctx.store_tile(val, base + i,
-                       std::span<const T>(rk.data() + i, c));
-        ctx.store_tile(idx, base + i,
-                       std::span<const std::uint32_t>(ri.data() + i, c));
-        i += c;
+      std::sort(packed.begin(), packed.end());
+      for (std::size_t i = 0; i < keep; ++i) {
+        keys[i] = RadixTraits<T>::from_radix(
+            static_cast<std::uint32_t>(packed[i] >> 32));
+        idx[i] = static_cast<std::uint32_t>(packed[i]);
       }
       return;
     }
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    ctx.store(val, base + i, src_keys[i]);
-    ctx.store(idx, base + i, src_idx[i]);
-  }
+  bitonic_sort(ctx, keys, idx);
 }
 
 /// Load one run of `count` input values starting at flat offset `in_base`
 /// into shared views (indices seeded `begin + i`, tail padded with the
-/// sentinel), then sort it ascending.  Warpfast fast path for packable
-/// keys: charge the exact data-oblivious network cost and sort packed
-/// (key, index) words host-side — the value sequence is identical to the
-/// network's, only the order of equal keys can differ, which the result
-/// contract leaves open (merge_prune precedent).  Only the first `keep`
-/// pairs are guaranteed written back.
+/// sentinel), then sort it ascending (sort_pairs; the first `keep` pairs
+/// are guaranteed written back).
 template <typename T, typename KS, typename IS>
 void sort_run(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> in,
               std::size_t in_base, std::size_t begin, std::size_t count,
@@ -348,32 +320,7 @@ void sort_run(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> in,
     keys[i] = sort_sentinel<T>();
     idx[i] = 0;
   }
-
-  if constexpr (kPackableKey<T>) {
-    if (ctx.warpfast_enabled()) {
-      ctx.ops(bitonic_sort_ops(L));
-      const auto rk = raw_view(keys);
-      const auto rx = raw_view(idx);
-      simgpu::ScratchVec<std::uint64_t> packed;
-      packed.resize(L);
-      if (!rk.empty() && !rx.empty()) {
-        for (std::size_t i = 0; i < L; ++i) {
-          packed[i] = pack_key_idx<T>(rk[i], rx[i]);
-        }
-      } else {
-        for (std::size_t i = 0; i < L; ++i) {
-          packed[i] = pack_key_idx<T>(keys[i], idx[i]);
-        }
-      }
-      std::sort(packed.begin(), packed.end());
-      for (std::size_t i = 0; i < keep; ++i) {
-        keys[i] = ord_to_key<T>(static_cast<std::uint32_t>(packed[i] >> 32));
-        idx[i] = static_cast<std::uint32_t>(packed[i]);
-      }
-      return;
-    }
-  }
-  bitonic_sort(ctx, keys, idx);
+  sort_pairs(ctx, keys, idx, L, keep);
 }
 
 }  // namespace shard_merge_detail
@@ -410,7 +357,7 @@ void shard_merge_run(simgpu::Device& dev, const ShardMergePlan<T>& plan,
       auto keys = ctx.shared<T>(L, "shard sort keys");
       auto idx = ctx.shared<std::uint32_t>(L, "shard sort idx");
       shard_merge_detail::sort_run(ctx, in, prob * n, 0, n, L, k, keys, idx);
-      shard_merge_detail::store_list(ctx, keys, idx, out_vals, out_idx,
+      warp_scan::store_list(ctx, keys, idx, out_vals, out_idx,
                                      prob * k, k);
     });
     return;
@@ -439,7 +386,7 @@ void shard_merge_run(simgpu::Device& dev, const ShardMergePlan<T>& plan,
       auto idx = ctx.shared<std::uint32_t>(L, "shard sort idx");
       shard_merge_detail::sort_run(ctx, in, prob * n + begin, begin, count, L,
                                    cap, keys, idx);
-      shard_merge_detail::store_list(ctx, keys, idx, rv, ri,
+      warp_scan::store_list(ctx, keys, idx, rv, ri,
                                      (prob * R + run) * cap, cap);
     });
   }
@@ -468,17 +415,8 @@ void shard_merge_run(simgpu::Device& dev, const ShardMergePlan<T>& plan,
       const std::size_t src_base = (prob * src_stride + 2 * j) * cap;
       const std::size_t dst_base = (prob * dst_stride + j) * cap;
       if (2 * j + 1 < r_in_now) {
-        auto acc_keys = ctx.shared<T>(cap, "shard merge acc keys");
-        auto acc_idx = ctx.shared<std::uint32_t>(cap, "shard merge acc idx");
-        auto tmp_keys = ctx.shared<T>(cap, "shard merge tmp keys");
-        auto tmp_idx = ctx.shared<std::uint32_t>(cap, "shard merge tmp idx");
-        shard_merge_detail::load_list(ctx, sv, si, src_base, acc_keys,
-                                      acc_idx, cap);
-        shard_merge_detail::load_list(ctx, sv, si, src_base + cap, tmp_keys,
-                                      tmp_idx, cap);
-        merge_prune(ctx, acc_keys, acc_idx, tmp_keys, tmp_idx);
-        shard_merge_detail::store_list(ctx, acc_keys, acc_idx, dv, di,
-                                       dst_base, cap);
+        warp_scan::merge_lists(ctx, sv, si, src_base, 2, cap, dv, di,
+                               dst_base, cap);
       } else {
         // Odd leftover run: pass it through to the next level unchanged.
         copy_pairs(ctx, sv, si, src_base, dv, di, dst_base, cap);

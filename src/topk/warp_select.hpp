@@ -1,9 +1,7 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -14,11 +12,11 @@
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
 #include "topk/partial_sort_common.hpp"
+#include "topk/warp_scan.hpp"
 
 namespace topk {
 
 namespace faiss_detail {
-
 
 /// One warp's WarpSelect state: a warp-wide sorted top-K list plus 32
 /// per-lane thread queues, both register-resident (Faiss WarpSelect /
@@ -82,25 +80,6 @@ class WarpSelectEngine {
       return tq_count_[static_cast<std::size_t>(lane)] >= qlen_;
     });
     if (full_mask != 0) flush(ctx);
-  }
-
-  /// round() for prefix-valid lane batches, with the threshold-gated fast
-  /// path: a round in which no element beats the current threshold inserts
-  /// nothing, cannot trip the queue-full vote, and leaves every queue
-  /// untouched — so charge its exact cost in bulk and skip the emulation.
-  void round_gated(simgpu::BlockCtx& ctx, const T* values,
-                   const std::uint32_t* indices, std::size_t count) {
-    if (ctx.warpfast_enabled() &&
-        simgpu::BlockCtx::count_below(std::span<const T>(values, count),
-                                      list_.kth()) == 0) {
-      ctx.ops(kEmptyRoundLaneOps);
-      return;
-    }
-    bool valid[simgpu::kWarpSize];
-    for (int lane = 0; lane < simgpu::kWarpSize; ++lane) {
-      valid[lane] = static_cast<std::size_t>(lane) < count;
-    }
-    round(ctx, values, indices, valid);
   }
 
   /// Vectorized round over one contiguous prefix-valid tile (warpfast
@@ -388,134 +367,20 @@ void faiss_select_run(simgpu::Device& dev, const FaissSelectPlan<T>& plan,
                                 ": buffer too small");
   }
 
-  // Captured at launch time, like grid_select: warp rounds load one
-  // contiguous 32-wide tile instead of 32 scalar loads when enabled.
-  const bool tile = simgpu::tile_path_enabled();
-
   simgpu::LaunchConfig cfg{kernel_name, static_cast<int>(batch),
                            num_warps * simgpu::kWarpSize, batch, n, k};
   simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
     const auto prob = static_cast<std::size_t>(ctx.block_idx());
-    const std::size_t base = prob * n;
-    // Per-block gate: tile path + TOPK_SIM_WARPFAST + no sanitizer.
-    const bool warpfast = ctx.warpfast_enabled();
-    // One engine per warp, constructed in place (no per-block heap churn
-    // from the old vector-of-unique_ptr storage).
-    std::array<std::optional<WarpSelectEngine<T>>, simgpu::kMaxWarpsPerBlock>
-        engines;
-    for (int w = 0; w < num_warps; ++w) {
-      engines[static_cast<std::size_t>(w)].emplace(ctx, k);
-    }
-
-    const std::size_t stride =
-        static_cast<std::size_t>(num_warps) * simgpu::kWarpSize;
-    if (warpfast) {
-      // Region-hoisted scan, as in grid_select: one load_tile per
-      // stride-aligned region with every warp consuming its strided rounds
-      // from the span.  Byte charges equal the per-round loads (each
-      // element loaded exactly once into the per-block counters) and warp
-      // engines are independent, so only the charge order changes.
-      const std::size_t region = stride * 8;
-      // Adaptive region gating with per-warp exponential backoff (see
-      // grid_select): failed gates waste their count pass, so after each
-      // failure the gate sleeps for twice as many regions (capped); any
-      // success resets it.  Gated and ungated regions charge identically.
-      std::array<std::uint8_t, simgpu::kMaxWarpsPerBlock> gate_sleep{};
-      std::array<std::uint8_t, simgpu::kMaxWarpsPerBlock> gate_backoff{};
-      for (std::size_t r = 0; r < n; r += region) {
-        const std::size_t rc = std::min(region, n - r);
-        const std::span<const T> tv = ctx.load_tile(in, base + r, rc);
-        for (int w = 0; w < num_warps; ++w) {
-          auto& eng = *engines[static_cast<std::size_t>(w)];
-          const std::size_t warp_off =
-              static_cast<std::size_t>(w) * simgpu::kWarpSize;
-          // Region gate (see grid_select): the region-entry threshold is
-          // the loosest any round here will see, so zero candidates under
-          // it proves every round empty — bulk-charge the per-round floor
-          // and skip the round machinery bit-identically.
-          if (gate_sleep[static_cast<std::size_t>(w)] == 0) {
-            const T gate = eng.kth();
-            std::size_t rounds = 0;
-            std::size_t below = 0;
-            for (std::size_t off = warp_off; off < rc; off += stride) {
-              const std::size_t c =
-                  std::min<std::size_t>(simgpu::kWarpSize, rc - off);
-              below += simgpu::BlockCtx::count_below(tv.subspan(off, c), gate);
-              ++rounds;
-            }
-            if (below == 0) {
-              gate_backoff[static_cast<std::size_t>(w)] = 0;
-              ctx.ops(rounds * kEmptyRoundLaneOps);
-              continue;
-            }
-            const std::uint8_t next = gate_backoff[static_cast<std::size_t>(w)];
-            gate_backoff[static_cast<std::size_t>(w)] =
-                next == 0 ? 1
-                          : static_cast<std::uint8_t>(next < 8 ? next * 2 : 8);
-            gate_sleep[static_cast<std::size_t>(w)] =
-                gate_backoff[static_cast<std::size_t>(w)];
-          } else {
-            --gate_sleep[static_cast<std::size_t>(w)];
-          }
-          for (std::size_t off = warp_off; off < rc; off += stride) {
-            const std::size_t c =
-                std::min<std::size_t>(simgpu::kWarpSize, rc - off);
-            eng.round_span(ctx, tv.subspan(off, c), {},
-                           static_cast<std::uint32_t>(r + off));
-          }
-        }
-      }
-      for (int w = 0; w < num_warps; ++w) {
-        engines[static_cast<std::size_t>(w)]->finalize(ctx);
-      }
-    } else {
-      ctx.for_each_warp([&](simgpu::Warp& warp) {
-        auto& eng = *engines[static_cast<std::size_t>(warp.index())];
-        T values[simgpu::kWarpSize];
-        std::uint32_t indices[simgpu::kWarpSize];
-        bool valid[simgpu::kWarpSize];
-        const std::size_t warp_off =
-            static_cast<std::size_t>(warp.index()) * simgpu::kWarpSize;
-        for (std::size_t pos = warp_off; pos < n; pos += stride) {
-          const std::size_t c =
-              std::min<std::size_t>(simgpu::kWarpSize, n - pos);
-          if (tile) {
-            const std::span<const T> tv = ctx.load_tile(in, base + pos, c);
-            warp.each([&](int lane) {
-              const auto u = static_cast<std::size_t>(lane);
-              valid[lane] = u < tv.size();
-              if (valid[lane]) {
-                values[lane] = tv[u];
-                indices[lane] = static_cast<std::uint32_t>(pos + u);
-              }
-            });
-          } else {
-            warp.each([&](int lane) {
-              const std::size_t i = pos + static_cast<std::size_t>(lane);
-              valid[lane] = i < n;
-              if (valid[lane]) {
-                values[lane] = ctx.load(in, base + i);
-                indices[lane] = static_cast<std::uint32_t>(i);
-              }
-            });
-          }
-          eng.round(ctx, values, indices, valid);
-        }
-        eng.finalize(ctx);
-      });
-    }
+    // Region length of the warpfast leg: 8 rounds per warp.
+    constexpr std::size_t kRegionRounds = 8;
+    warp_scan::WarpEngines<WarpSelectEngine<T>> engines(num_warps, ctx, k);
+    warp_scan::scan_interleaved(ctx, engines, in, {}, prob * n, 0, n,
+                                kRegionRounds);
     ctx.sync();
-
     // BlockSelect: merge the warp lists into warp 0's list.
-    for (int w = 1; w < num_warps; ++w) {
-      engines[0]->list().merge_list(ctx, engines[static_cast<std::size_t>(w)]->list());
-    }
-    const auto keys = engines[0]->list().keys();
-    const auto idx = engines[0]->list().indices();
-    for (std::size_t i = 0; i < k; ++i) {
-      ctx.store(out_vals, prob * k + i, keys[i]);
-      ctx.store(out_idx, prob * k + i, idx[i]);
-    }
+    const auto& list = engines.merged_list(ctx);
+    warp_scan::store_list(ctx, list.keys(), list.indices(), out_vals, out_idx,
+                          prob * k, k);
   });
 }
 

@@ -70,7 +70,7 @@ TEST(RecommendCoverage, ResolveAlgoExpandsAuto) {
 }
 
 TEST(RecommendCoverage, AutoSpellingRoundTrips) {
-  const auto parsed = algo_from_string("auto");
+  const auto parsed = parse_algo("auto");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, Algo::kAuto);
   EXPECT_EQ(algo_name(Algo::kAuto), "Auto");

@@ -14,8 +14,12 @@
 #include <bit>
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -25,6 +29,8 @@
 #include "core/topk.hpp"
 #include "data/distributions.hpp"
 #include "simgpu/simgpu.hpp"
+#include "topk/fused_rowwise.hpp"
+#include "topk/grid_select.hpp"
 #include "topk/key_codec.hpp"
 
 namespace topk {
@@ -378,6 +384,337 @@ TEST(TypedTileInvariance, DtypeAndPayloadInvisibleToCounterStream) {
     ASSERT_EQ(scalar.kernels.size(), nopay.kernels.size())
         << leg.what << ": payload gather must stay off-device";
     EXPECT_EQ(scalar.model_us, nopay.model_us) << leg.what;
+  }
+}
+
+// ---- warp-queue family count pin ------------------------------------------
+// The suite above compares fast-path settings within one build; this pin
+// compares builds.  Every KernelStats field of every kernel, plus the
+// modeled µs, is recorded for each warp-queue row at one batch-1 and one
+// batch-8 shape, so a refactor of the shared scan must reproduce the
+// recorded counts exactly.  On a mismatch the test prints the row it
+// measured in table syntax.
+
+struct PinnedKernel {
+  const char* name;
+  int grid_blocks;
+  int block_threads;
+  std::uint64_t bytes_read;
+  std::uint64_t bytes_written;
+  std::uint64_t lane_ops;
+  std::uint64_t atomic_ops;
+  std::uint64_t scattered_atomic_ops;
+  std::uint64_t block_syncs;
+  std::uint64_t max_block_bytes;
+  std::uint64_t max_block_lane_ops;
+};
+
+struct PinnedRecord {
+  const char* label;
+  double model_us;
+  std::vector<PinnedKernel> kernels;
+};
+
+struct PinnedRun {
+  std::string label;
+  Algo algo;
+  double recall_target;
+  std::size_t batch;
+  std::size_t n;
+  std::size_t k;
+  const PinnedRecord* want;  // null until recorded
+};
+
+std::string pin_row(const std::string& label, const RunTrace& got) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", got.model_us);
+  std::string s = "    {\"" + label + "\", " + buf + ", {\n";
+  for (const simgpu::KernelStats& x : got.kernels) {
+    s += "        {\"" + std::string(x.name) + "\", " +
+         std::to_string(x.grid_blocks) + ", " +
+         std::to_string(x.block_threads) + ", " +
+         std::to_string(x.bytes_read) + ", " +
+         std::to_string(x.bytes_written) + ", " + std::to_string(x.lane_ops) +
+         ", " + std::to_string(x.atomic_ops) + ", " +
+         std::to_string(x.scattered_atomic_ops) + ", " +
+         std::to_string(x.block_syncs) + ", " +
+         std::to_string(x.max_block_bytes) + ", " +
+         std::to_string(x.max_block_lane_ops) + "},\n";
+  }
+  return s + "    }},\n";
+}
+
+RunTrace run_pinned(const PinnedRun& run) {
+  simgpu::set_tile_path_enabled(true);
+  simgpu::set_warpfast_path_enabled(true);
+  simgpu::set_pool_enabled(true);
+  const auto data = data::generate({data::Distribution::kUniform, 0},
+                                   run.batch * run.n, 0x5EED);
+  simgpu::Device dev;
+  SelectOptions opt;
+  opt.recall_target = run.recall_target;
+  select_batch(dev, data, run.batch, run.n, run.k, run.algo, opt);
+  RunTrace t;
+  for (const auto& e : dev.events()) {
+    if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
+      t.kernels.push_back(ke->stats);
+    }
+  }
+  t.model_us = simgpu::CostModel(dev.spec()).total_us(dev.events());
+  return t;
+}
+
+// Recorded before the warp-queue scan was shared: TOPK_SIM_THREADS=1, tile
+// and warpfast on, the default device spec.  Kernel fields in KernelStats
+// order: name, grid_blocks, block_threads, bytes_read, bytes_written,
+// lane_ops, atomic_ops, scattered_atomic_ops, block_syncs, max_block_bytes,
+// max_block_lane_ops.
+const PinnedRecord kRecorded[] = {
+    {"grid b1 n70001 k100", 0x1.39c439f1b1631p+3, {
+        {"GridSelect_partial", 5, 256, 280004, 5120, 580392, 0, 0, 5, 57028, 117433},
+        {"GridSelect_merge", 1, 1024, 5120, 800, 2304, 0, 0, 0, 5920, 2304},
+    }},
+    {"grid-threadqueue b1 n70001 k100", 0x1.39c439f1b1631p+3, {
+        {"GridSelect_partial_threadqueue", 5, 256, 280004, 5120, 823938, 0, 0, 5, 57028, 166510},
+        {"GridSelect_merge", 1, 1024, 5120, 800, 2304, 0, 0, 0, 5920, 2304},
+    }},
+    {"warp b1 n70001 k100", 0x1.582dcb5df3cb6p+7, {
+        {"WarpSelect", 1, 32, 280004, 800, 137988, 0, 0, 1, 280804, 137988},
+    }},
+    {"block b1 n70001 k100", 0x1.672dcb5df3cb6p+5, {
+        {"BlockSelect", 1, 128, 280004, 800, 261566, 0, 0, 1, 280804, 261566},
+    }},
+    {"fused-warp b1 n70001 k100", 0x1.582dcb5df3cb6p+7, {
+        {"FusedRowwise_warp", 1, 32, 280004, 800, 137988, 0, 0, 0, 280804, 137988},
+    }},
+    {"fused-block b1 n70001 k100", 0x1.b41b89a1de654p+4, {
+        {"FusedRowwise_block", 1, 256, 280004, 8192, 211699, 0, 0, 1, 288196, 211699},
+        {"FusedRowwise_block_merge", 1, 1024, 8192, 800, 4032, 0, 0, 0, 8992, 4032},
+    }},
+    {"bucket-approx@1.0 b1 n70001 k100", 0x1.1p+3, {
+        {"BucketApproxScan", 32, 864, 280004, 25600, 2859552, 0, 0, 32, 9552, 89361},
+        {"BucketApproxRefine", 1, 1024, 25600, 800, 159744, 0, 0, 0, 26400, 159744},
+    }},
+    {"bucket-approx@0.9 b1 n70001 k100", 0x1.1p+3, {
+        {"BucketApproxScan", 32, 864, 280004, 1280, 984418, 0, 0, 32, 8792, 31099},
+        {"BucketApproxRefine", 1, 1024, 1280, 800, 4608, 0, 0, 0, 2080, 4608},
+    }},
+    {"grid b8 n10007 k64", 0x1.63dedfa00719cp+2, {
+        {"GridSelect_partial", 8, 256, 320224, 4096, 441600, 0, 0, 8, 40540, 56033},
+    }},
+    {"grid-threadqueue b8 n10007 k64", 0x1.63dedfa00719cp+2, {
+        {"GridSelect_partial_threadqueue", 8, 256, 320224, 4096, 779704, 0, 0, 8, 40540, 99855},
+    }},
+    {"warp b8 n10007 k64", 0x1.afbdbf400e338p+4, {
+        {"WarpSelect", 8, 32, 320224, 4096, 279687, 0, 0, 8, 40540, 36521},
+    }},
+    {"block b8 n10007 k64", 0x1.13dedfa00719cp+3, {
+        {"BlockSelect", 8, 128, 320224, 4096, 559080, 0, 0, 8, 40540, 71681},
+    }},
+    {"fused-warp b8 n10007 k64", 0x1.afbdbf400e338p+4, {
+        {"FusedRowwise_warp", 1, 256, 320224, 4096, 279687, 0, 0, 0, 324320, 279687},
+    }},
+    {"fused-block b8 n10007 k64", 0x1.1a97ea406aebcp+3, {
+        {"FusedRowwise_block", 8, 256, 320224, 32768, 427264, 0, 0, 8, 44124, 54241},
+        {"FusedRowwise_block_merge", 8, 1024, 32768, 4096, 14336, 0, 0, 0, 4608, 1792},
+    }},
+    {"bucket-approx@1.0 b8 n10007 k64", 0x1.1p+3, {
+        {"BucketApproxScan", 32, 864, 320224, 16384, 2538016, 0, 0, 32, 10520, 79313},
+        {"BucketApproxRefine", 8, 1024, 16384, 4096, 36864, 0, 0, 0, 2560, 4608},
+    }},
+    {"bucket-approx@0.9 b8 n10007 k64", 0x1.1p+3, {
+        {"BucketApproxScan", 32, 864, 320224, 4352, 1251277, 0, 0, 32, 10144, 39368},
+        {"BucketApproxRefine", 8, 1024, 4352, 4096, 14336, 0, 0, 0, 1056, 1792},
+    }},
+};
+
+std::vector<PinnedRun> pinned_runs() {
+  struct Row {
+    const char* label;
+    Algo algo;
+    double recall;
+  };
+  const Row rows[] = {
+      {"grid", Algo::kGridSelect, 1.0},
+      {"grid-threadqueue", Algo::kGridSelectThreadQueue, 1.0},
+      {"warp", Algo::kWarpSelect, 1.0},
+      {"block", Algo::kBlockSelect, 1.0},
+      {"fused-warp", Algo::kFusedWarpRowwise, 1.0},
+      {"fused-block", Algo::kFusedBlockRowwise, 1.0},
+      {"bucket-approx@1.0", Algo::kBucketApprox, 1.0},
+      {"bucket-approx@0.9", Algo::kBucketApprox, 0.9},
+  };
+  std::vector<PinnedRun> runs;
+  for (const auto& [batch, n, k] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{1, 70001, 100},
+        {8, 10007, 64}}) {
+    for (const Row& r : rows) {
+      PinnedRun run{std::string(r.label) + " b" + std::to_string(batch) +
+                        " n" + std::to_string(n) + " k" + std::to_string(k),
+                    r.algo, r.recall, batch, n, k, nullptr};
+      for (const PinnedRecord& rec : kRecorded) {
+        if (run.label == rec.label) run.want = &rec;
+      }
+      runs.push_back(std::move(run));
+    }
+  }
+  return runs;
+}
+
+TEST(WarpQueueCountPin, KernelStatsAndModeledTimeMatchRecording) {
+  TileGuard guard;
+  for (const PinnedRun& run : pinned_runs()) {
+    const RunTrace got = run_pinned(run);
+    bool same = run.want != nullptr &&
+                got.kernels.size() == run.want->kernels.size() &&
+                got.model_us == run.want->model_us;
+    for (std::size_t i = 0; same && i < got.kernels.size(); ++i) {
+      const simgpu::KernelStats& x = got.kernels[i];
+      const PinnedKernel& y = run.want->kernels[i];
+      same = x.name == y.name && x.grid_blocks == y.grid_blocks &&
+             x.block_threads == y.block_threads &&
+             x.bytes_read == y.bytes_read &&
+             x.bytes_written == y.bytes_written && x.lane_ops == y.lane_ops &&
+             x.atomic_ops == y.atomic_ops &&
+             x.scattered_atomic_ops == y.scattered_atomic_ops &&
+             x.block_syncs == y.block_syncs &&
+             x.max_block_bytes == y.max_block_bytes &&
+             x.max_block_lane_ops == y.max_block_lane_ops;
+    }
+    EXPECT_TRUE(same) << run.label << " differs from its recording; measured:\n"
+                      << pin_row(run.label, got);
+  }
+}
+
+// ---- in_idx leg -----------------------------------------------------------
+// The rows that accept external input indices (GridSelect in both queue
+// flavours, both fused row-wise variants) must charge identically on every
+// {tile x warpfast x simcheck} leg with in_idx bound, and every returned
+// index must be one of its row's external ids, paired with that id's key.
+
+struct InIdxTrace {
+  RunTrace trace;
+  std::vector<float> vals;
+  std::vector<std::uint32_t> idx;
+};
+
+enum class InIdxRow { kGrid, kGridThreadQueue, kFusedWarp, kFusedBlock };
+
+InIdxTrace run_in_idx(InIdxRow row, std::span<const float> keys,
+                      std::span<const std::uint32_t> ids, std::size_t batch,
+                      std::size_t n, std::size_t k, bool tile, bool warpfast,
+                      bool simcheck) {
+  simgpu::set_tile_path_enabled(tile);
+  simgpu::set_warpfast_path_enabled(warpfast);
+  simgpu::Device dev;
+  if (simcheck) dev.enable_sanitizer();
+  auto in = dev.alloc<float>(batch * n);
+  auto in_idx = dev.alloc<std::uint32_t>(batch * n);
+  auto ov = dev.alloc<float>(batch * k);
+  auto oi = dev.alloc<std::uint32_t>(batch * k);
+  dev.upload(in, keys);
+  dev.upload(in_idx, ids);
+  if (row == InIdxRow::kGrid || row == InIdxRow::kGridThreadQueue) {
+    GridSelectOptions opt;
+    opt.shared_queue = row == InIdxRow::kGrid;
+    opt.in_idx = in_idx;
+    grid_select(dev, in, batch, n, k, ov, oi, opt);
+  } else {
+    FusedRowwiseOptions opt;
+    opt.in_idx = in_idx;
+    fused_rowwise(dev, in, batch, n, k, ov, oi,
+                  row == InIdxRow::kFusedBlock, opt);
+  }
+  InIdxTrace t;
+  for (const auto& e : dev.events()) {
+    if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
+      t.trace.kernels.push_back(ke->stats);
+    }
+  }
+  t.trace.model_us = simgpu::CostModel(dev.spec()).total_us(dev.events());
+  t.vals.assign(ov.data(), ov.data() + batch * k);
+  t.idx.assign(oi.data(), oi.data() + batch * k);
+  for (std::size_t b = 0; b < batch; ++b) {
+    std::vector<float> sorted(t.vals.begin() + static_cast<long>(b * k),
+                              t.vals.begin() + static_cast<long>((b + 1) * k));
+    std::sort(sorted.begin(), sorted.end());
+    t.trace.sorted_values.push_back(std::move(sorted));
+  }
+  if (simcheck) {
+    const auto rep = dev.sanitizer()->snapshot();
+    t.trace.sanitizer_clean = rep.clean();
+    t.trace.sanitizer_report = rep.to_string();
+  }
+  return t;
+}
+
+TEST(InIdxLeg, ExternalIdsChargeIdenticallyOnEveryLeg) {
+  TileGuard guard;
+  const struct {
+    InIdxRow row;
+    const char* what;
+    std::size_t batch, n, k;
+  } cases[] = {
+      {InIdxRow::kGrid, "grid", 1, 70001, 100},
+      {InIdxRow::kGrid, "grid", 3, 10007, 64},
+      {InIdxRow::kGridThreadQueue, "grid-threadqueue", 1, 70001, 100},
+      {InIdxRow::kFusedWarp, "fused-warp", 8, 5003, 64},
+      {InIdxRow::kFusedBlock, "fused-block", 8, 5003, 64},
+  };
+  for (const auto& c : cases) {
+    const auto keys = data::generate({data::Distribution::kAdversarial, 20},
+                                     c.batch * c.n, 0x1D);
+    // Distinct ids within each row, unrelated to positions.
+    std::vector<std::uint32_t> ids(c.batch * c.n);
+    for (std::size_t b = 0; b < c.batch; ++b) {
+      for (std::size_t j = 0; j < c.n; ++j) {
+        ids[b * c.n + j] = static_cast<std::uint32_t>(
+            (0x9E3779B1u * (b + 1)) ^ (2654435761u * j + 17u));
+      }
+    }
+    // Each returned (value, index) pair must be one of its row's
+    // (key, id) pairs, and the values the row's k smallest keys.
+    const auto check_pairs = [&](const InIdxTrace& t, const std::string& at) {
+      for (std::size_t b = 0; b < c.batch; ++b) {
+        std::unordered_map<std::uint32_t, float> key_of;
+        for (std::size_t j = 0; j < c.n; ++j) {
+          key_of.emplace(ids[b * c.n + j], keys[b * c.n + j]);
+        }
+        for (std::size_t i = 0; i < c.k; ++i) {
+          const auto it = key_of.find(t.idx[b * c.k + i]);
+          ASSERT_NE(it, key_of.end()) << at << " row " << b << " slot " << i;
+          EXPECT_EQ(it->second, t.vals[b * c.k + i])
+              << at << " row " << b << " slot " << i;
+        }
+        const auto row = keys.begin() + static_cast<long>(b * c.n);
+        std::vector<float> want(row, row + static_cast<long>(c.n));
+        std::partial_sort(want.begin(), want.begin() + static_cast<long>(c.k),
+                          want.end());
+        want.resize(c.k);
+        EXPECT_EQ(t.trace.sorted_values[b], want) << at << " row " << b;
+      }
+    };
+    const std::string what = std::string(c.what) + " b" +
+                             std::to_string(c.batch) + " n" +
+                             std::to_string(c.n);
+    const InIdxTrace base = run_in_idx(c.row, keys, ids, c.batch, c.n, c.k,
+                                       false, false, false);
+    check_pairs(base, what + " scalar");
+    for (const bool tile : {false, true}) {
+      for (const bool warpfast : {false, true}) {
+        for (const bool simcheck : {false, true}) {
+          const std::string at = what + " tile=" + std::to_string(tile) +
+                                 " warpfast=" + std::to_string(warpfast) +
+                                 " simcheck=" + std::to_string(simcheck);
+          const InIdxTrace leg = run_in_idx(c.row, keys, ids, c.batch, c.n,
+                                            c.k, tile, warpfast, simcheck);
+          expect_identical_stats(base.trace, leg.trace, at);
+          check_pairs(leg, at);
+          EXPECT_TRUE(leg.trace.sanitizer_clean)
+              << at << ":\n" << leg.trace.sanitizer_report;
+        }
+      }
+    }
   }
 }
 
