@@ -10,18 +10,24 @@
 //   - the threshold-gated warp fast path (TOPK_SIM_WARPFAST, "warpfast"),
 //     A/B'd as warpfast off vs on (tile on in both) for the WarpSelect
 //     family rows (GridSelect, WarpSelect), whose cost is per-lane round
-//     emulation rather than memory accounting.
+//     emulation rather than memory accounting, and for the partition rows
+//     (SampleSelect, QuickSelect, BucketSelect) and Bitonic Top-K, whose
+//     splitter searches, scans and networks run packed or bulk-charged
+//     with both fast paths on.
 //
 // The A/B ratios are the substrate speedups that let default sweeps raise
 // TOPK_MAX_LOG_N toward the paper's N = 2^30 regime.  The binary also counts
 // heap allocations inside each timed run (a global operator-new hook) — the
 // regression canary for the per-block engine-construction cost — and it
-// GATES: it exits non-zero when the GridSelect or WarpSelect warpfast
-// speedup at the largest swept N falls below a floor (20× / 6× full run,
-// 3× in --smoke, where shared-runner noise and tiny N compress ratios;
-// WarpSelect's floor is lower because its exact path — per-thread register
+// GATES: it exits non-zero when a gated row's fast-path speedup at the
+// largest swept N falls below a floor: GridSelect 20× / WarpSelect 6× full
+// run, 3× in --smoke, where shared-runner noise and tiny N compress ratios
+// (WarpSelect's floor is lower because its exact path — per-thread register
 // queues, no shared-queue insertion machinery — is already cheap, and its
-// warpfast leg sits at the single-core memory-bandwidth floor).
+// warpfast leg sits at the single-core memory-bandwidth floor); SampleSelect
+// and Bitonic Top-K 6× full run, 4× in --smoke.  QuickSelect and
+// BucketSelect are reported without a gate: their exact paths are already
+// within about 2× of the fast one.
 // The gated ratio is fast-paths-on (tile + warpfast, the default config)
 // versus fast-paths-off — the scalar per-lane emulation, i.e. what every
 // run cost before the fast paths existed and still costs under simcheck.
@@ -168,10 +174,29 @@ std::string fmt_double(double v) {
   return os.str();
 }
 
-/// The WarpSelect-family algorithms whose rows get the warpfast A/B leg and
-/// a speedup gate.
-bool warpfast_family(topk::Algo algo) {
-  return algo == topk::Algo::kGridSelect || algo == topk::Algo::kWarpSelect;
+/// Rows that get the warpfast A/B leg (tile + warpfast, the default
+/// config), with their speedup floors at the largest swept N (full run,
+/// --smoke); a floor of 0 reports the ratio without gating it.
+struct FastPathRow {
+  topk::Algo algo;
+  double floor_full;
+  double floor_smoke;
+};
+
+constexpr FastPathRow kFastPathRows[] = {
+    {topk::Algo::kGridSelect, 20.0, 3.0},
+    {topk::Algo::kWarpSelect, 6.0, 3.0},
+    {topk::Algo::kSampleSelect, 6.0, 4.0},
+    {topk::Algo::kBitonicTopk, 6.0, 4.0},
+    {topk::Algo::kQuickSelect, 0.0, 0.0},
+    {topk::Algo::kBucketSelect, 0.0, 0.0},
+};
+
+const FastPathRow* fast_path_row(topk::Algo algo) {
+  for (const FastPathRow& r : kFastPathRows) {
+    if (r.algo == algo) return &r;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -195,15 +220,16 @@ int main(int argc, char** argv) {
     log_ns.push_back(ln);
   }
 
-  const topk::Algo algos[] = {topk::Algo::kAirTopk, topk::Algo::kSort,
-                              topk::Algo::kRadixSelect,
-                              topk::Algo::kGridSelect,
-                              topk::Algo::kWarpSelect};
+  const topk::Algo algos[] = {
+      topk::Algo::kAirTopk,      topk::Algo::kSort,
+      topk::Algo::kRadixSelect,  topk::Algo::kGridSelect,
+      topk::Algo::kWarpSelect,   topk::Algo::kSampleSelect,
+      topk::Algo::kBitonicTopk,  topk::Algo::kQuickSelect,
+      topk::Algo::kBucketSelect};
 
   // Warpfast speedup (both fast paths on vs both off) at the largest swept
-  // N, per gated algorithm; checked against the floors after the sweep.
-  double grid_wf_speedup = 0.0;
-  double warp_wf_speedup = 0.0;
+  // N, per warpfast-leg row; checked against the floors after the sweep.
+  std::vector<std::pair<const FastPathRow*, double>> wf_speedups;
 
   std::vector<Row> rows;
   std::cout
@@ -221,16 +247,14 @@ int main(int argc, char** argv) {
       const Row on = measure(dev, data, n, k, algo, true, false, reps);
       std::vector<const Row*> printed = {&off, &on};
       Row wf;
-      if (warpfast_family(algo)) {
+      if (const FastPathRow* fp = fast_path_row(algo)) {
         wf = measure(dev, data, n, k, algo, true, true, reps);
         printed.push_back(&wf);
         if (algo == topk::Algo::kGridSelect) {
           grid_cold.emplace_back(n, wf.cold_allocs);
         }
-        const double wf_speedup = off.wall_ms / wf.wall_ms;
         if (ln == log_ns.back()) {
-          (algo == topk::Algo::kGridSelect ? grid_wf_speedup
-                                           : warp_wf_speedup) = wf_speedup;
+          wf_speedups.emplace_back(fp, off.wall_ms / wf.wall_ms);
         }
       }
       const double tile_speedup = off.wall_ms / on.wall_ms;
@@ -287,18 +311,19 @@ int main(int argc, char** argv) {
   std::cout << "wrote BENCH_substrate.json (" << rows.size() << " rows)\n";
 
   // ---- warpfast speedup gates ---------------------------------------------
-  const double grid_floor = smoke ? 3.0 : 20.0;
-  const double warp_floor = smoke ? 3.0 : 6.0;
   bool ok = true;
-  const auto gate = [&](const char* name, double got, double floor) {
-    std::cout << "gate: " << name << " warpfast speedup at N=2^"
-              << log_ns.back() << " = " << fmt_double(got) << " (floor "
-              << fmt_double(floor) << ") -> "
-              << (got >= floor ? "PASS" : "FAIL") << "\n";
-    if (got < floor) ok = false;
-  };
-  gate("GridSelect", grid_wf_speedup, grid_floor);
-  gate("WarpSelect", warp_wf_speedup, warp_floor);
+  for (const auto& [fp, got] : wf_speedups) {
+    const double floor = smoke ? fp->floor_smoke : fp->floor_full;
+    std::cout << (floor > 0.0 ? "gate: " : "report: ")
+              << topk::algo_name(fp->algo) << " warpfast speedup at N=2^"
+              << log_ns.back() << " = " << fmt_double(got);
+    if (floor > 0.0) {
+      std::cout << " (floor " << fmt_double(floor) << ") -> "
+                << (got >= floor ? "PASS" : "FAIL");
+      if (got < floor) ok = false;
+    }
+    std::cout << "\n";
+  }
 
   // ---- GridSelect cold-start allocation gate: flat in N -------------------
   // GridSelect's grid grows with N (more blocks, one shared-queue engine

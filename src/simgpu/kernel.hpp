@@ -605,6 +605,22 @@ class BlockCtx {
     return ScatterWriter<T>(this, b, bulk);
   }
 
+  /// Read-side counterpart of scatter_writer for exactly `count`
+  /// data-dependent element reads of `b` (a search over a small table, say).
+  /// On the tile fast path without a sanitizer the byte cost is charged here
+  /// in bulk and the raw base pointer is returned, so each read is a plain
+  /// load.  Otherwise nothing is charged and nullptr is returned: the caller
+  /// reads through load(), which charges and shadows per element.  Reading
+  /// a different number of elements than `count` breaks counter invariance
+  /// between the two modes — the count is the caller's promise.
+  template <typename T>
+  [[nodiscard]] const T* prepaid_reads(const DeviceBuffer<T>& b,
+                                       std::uint64_t count) {
+    if (!tile_path_enabled() || san_ != nullptr) return nullptr;
+    counters_.bytes_read += count * sizeof(T);
+    return b.data();
+  }
+
   /// ---- Threshold-gated warp fast path ------------------------------------
 
   /// True when kernels may take the threshold-gated warp fast path for this

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <type_traits>
 
 /// Host-side vector kernels for the emulator's warpfast scan path.  These are
 /// pure compute helpers: they never touch BlockCounters, so they cannot
@@ -235,9 +237,11 @@ __attribute__((target("avx512f"))) inline __m512i load8_pad_u64(
 /// unloaded element is >= its run's head, and the low 8 of the 16 in
 /// registers cannot contain an element above either head (that would
 /// force 9 elements below it into the low half).  Requires an % 8 == 0,
-/// outn % 8 == 0, outn <= an, bn >= 1; b's ragged tail is loaded with
-/// ~0-padding, and pads can never be emitted because the union holds at
-/// least outn real elements.
+/// outn % 8 == 0, bn >= 1, and either outn <= an (b's ragged tail is loaded
+/// with ~0-padding, and pads can never be emitted because the union holds
+/// at least outn real elements) or a full merge: bn % 8 == 0 and
+/// outn == an + bn.  A full merge has no block left to load for its last 8
+/// outputs; they are the final carry, the 8 largest, already sorted.
 __attribute__((target("avx512f"))) inline void merge_sorted_u64_avx512(
     const std::uint64_t* a, std::size_t an, const std::uint64_t* b,
     std::size_t bn, std::uint64_t* out, std::size_t outn) {
@@ -255,9 +259,11 @@ __attribute__((target("avx512f"))) inline void merge_sorted_u64_avx512(
     v = _mm512_loadu_si512(a);
     ai = 8;
   }
-  for (std::size_t t = 0; t < outn; t += 8) {
+  const std::size_t loaded_out = outn == an + bn ? outn - 8 : outn;
+  for (std::size_t t = 0; t < loaded_out; t += 8) {
     // One side always has a block left: the loop consumes t + 16 lanes
-    // through iteration t and an + 8 * ceil(bn / 8) >= outn + 8.
+    // through iteration t, and either an + 8 * ceil(bn / 8) >= outn + 8 or
+    // the loop stops one block early (full merge).
     const bool from_b = (bi < bn) && (ai >= an || b[bi] < a[ai]);
     __m512i u;
     if (from_b) {
@@ -279,6 +285,7 @@ __attribute__((target("avx512f"))) inline void merge_sorted_u64_avx512(
     _mm512_storeu_si512(out + t, lo);
     v = hi;
   }
+  if (loaded_out != outn) _mm512_storeu_si512(out + loaded_out, v);
 }
 
 /// Monotone float->uint32 ordinal map (sign-flip trick), vectorized:
@@ -390,6 +397,69 @@ __attribute__((target("avx512f"))) inline std::size_t count_below_f32_avx512(
   return below;
 }
 
+/// One probe of splitter_classes for 16 keys: which lanes' splitter at
+/// index `at` is <= the lane's key.  Keys travel as raw 32-bit lanes.
+template <bool kFloat, typename T>
+__attribute__((target("avx512f"))) inline __mmask16 splitter_le(
+    const T* split, __m512i at, __m512i key) {
+  if constexpr (kFloat) {
+    // Ordered compare: false when either side is NaN, like C++ <=.
+    return _mm512_cmp_ps_mask(_mm512_i32gather_ps(at, split, 4),
+                              _mm512_castsi512_ps(key), _CMP_LE_OQ);
+  } else {
+    return _mm512_cmple_epu32_mask(_mm512_i32gather_epi32(at, split, 4), key);
+  }
+}
+
+/// Vector body of splitter_classes.  Each probe is a gather that depends on
+/// the previous one, so eight 16-key searches run interleaved to keep several
+/// gathers in flight; the tail runs 16 keys at a time, lanes past n
+/// searching with key 0 (their gather indices stay inside the table) and not
+/// stored.
+template <bool kFloat, typename T>
+__attribute__((target("avx512f"))) inline void splitter_classes_avx512(
+    const T* split, std::uint32_t first_step, const T* v, std::size_t n,
+    std::uint32_t* cls) {
+  constexpr int kGroups = 8;
+  std::size_t i = 0;
+  for (; i + 16 * kGroups <= n; i += 16 * kGroups) {
+    __m512i key[kGroups];
+    __m512i pos[kGroups];
+    for (int g = 0; g < kGroups; ++g) {
+      key[g] = _mm512_loadu_si512(v + i + 16 * g);
+      pos[g] = _mm512_setzero_si512();
+    }
+    for (std::uint32_t step = first_step; step > 0; step /= 2) {
+      const __m512i back = _mm512_set1_epi32(static_cast<int>(step - 1));
+      const __m512i stride = _mm512_set1_epi32(static_cast<int>(step));
+      for (int g = 0; g < kGroups; ++g) {
+        const __mmask16 le = splitter_le<kFloat>(
+            split, _mm512_add_epi32(pos[g], back), key[g]);
+        pos[g] = _mm512_mask_add_epi32(pos[g], le, pos[g], stride);
+      }
+    }
+    for (int g = 0; g < kGroups; ++g) {
+      _mm512_storeu_si512(cls + i + 16 * g, pos[g]);
+    }
+  }
+  for (; i < n; i += 16) {
+    const __mmask16 live =
+        n - i >= 16 ? static_cast<__mmask16>(0xFFFF)
+                    : static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512i key = _mm512_maskz_loadu_epi32(live, v + i);
+    __m512i pos = _mm512_setzero_si512();
+    for (std::uint32_t step = first_step; step > 0; step /= 2) {
+      const __mmask16 le = splitter_le<kFloat>(
+          split,
+          _mm512_add_epi32(pos, _mm512_set1_epi32(static_cast<int>(step - 1))),
+          key);
+      pos = _mm512_mask_add_epi32(pos, le, pos,
+                                  _mm512_set1_epi32(static_cast<int>(step)));
+    }
+    _mm512_mask_storeu_epi32(cls + i, live, pos);
+  }
+}
+
 #endif  // SIMGPU_SIMD_X86
 
 }  // namespace detail
@@ -418,6 +488,35 @@ inline void sort32_u64(std::uint64_t* v) {
   detail::sort32_u64_scalar(v);
 }
 
+/// Branch-free search of a sorted table of 2^probes - 1 splitters: for each
+/// key v[i], cls[i] = its probe-sequence position, that is the number of
+/// splitters <= v[i] (the binary search lo = 0, hi = 2^probes - 1,
+/// mid = (lo + hi) / 2 makes exactly these probes, so the result matches it
+/// even for an unsorted table).  A NaN key compares false at every probe and
+/// gets 0.  Float and uint32 keys search 16 at a time, one gather per probe,
+/// when the host has AVX-512; requires probes >= 1.
+template <typename T>
+inline void splitter_classes(const T* split, int probes, std::span<const T> v,
+                             std::uint32_t* cls) {
+  const std::uint32_t first_step = std::uint32_t{1} << (probes - 1);
+#if SIMGPU_SIMD_X86
+  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, std::uint32_t>) {
+    if (have_avx512f()) {
+      detail::splitter_classes_avx512<std::is_same_v<T, float>>(
+          split, first_step, v.data(), v.size(), cls);
+      return;
+    }
+  }
+#endif
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    std::uint32_t pos = 0;
+    for (std::uint32_t step = first_step; step > 0; step /= 2) {
+      pos += split[pos + step - 1] <= v[i] ? step : 0;
+    }
+    cls[i] = pos;
+  }
+}
+
 /// How many of p[0..n) are strictly below `threshold` (float keys).
 [[nodiscard]] inline std::size_t count_below_f32(const float* p, std::size_t n,
                                                  float threshold) {
@@ -434,7 +533,8 @@ inline void sort32_u64(std::uint64_t* v) {
 /// runs a[0..an) and b[0..bn) into out[0..outn), ascending.  Requires
 /// outn <= an + bn; `out` must not alias either input.  Equal values are
 /// interchangeable bit patterns, so the result does not depend on which
-/// body runs.
+/// body runs.  The vector body covers a-prefix merges (outn <= an) and
+/// full merges (outn == an + bn) of 8-aligned runs.
 inline void merge_sorted_u64(const std::uint64_t* a, std::size_t an,
                              const std::uint64_t* b, std::size_t bn,
                              std::uint64_t* out, std::size_t outn) {
@@ -444,7 +544,8 @@ inline void merge_sorted_u64(const std::uint64_t* a, std::size_t an,
     return;
   }
 #if SIMGPU_SIMD_X86
-  if (an % 8 == 0 && outn % 8 == 0 && outn <= an && have_avx512f()) {
+  if (an % 8 == 0 && outn % 8 == 0 &&
+      (outn <= an || (bn % 8 == 0 && outn == an + bn)) && have_avx512f()) {
     detail::merge_sorted_u64_avx512(a, an, b, bn, out, outn);
     return;
   }

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "simgpu/simgpu.hpp"
@@ -194,6 +197,44 @@ BitonicTopkPlan<T> bitonic_topk_plan(const Shape& s,
   return p;
 }
 
+namespace detail {
+
+/// Sort buf[0, len) — packed (key, index) entries, len a power of two >= 32
+/// — as 32-entry runs (simd::sort32_u64) merged pairwise
+/// (simd::merge_sorted_u64), and return the `keep` smallest, ascending: a
+/// pointer into buf or tmp, whichever the last merge wrote.  The last level
+/// merges only those `keep` (keep <= len / 2 when len > 32).
+inline const std::uint64_t* sort_packed_smallest(std::uint64_t* buf,
+                                                 std::uint64_t* tmp,
+                                                 std::size_t len,
+                                                 std::size_t keep) {
+  for (std::size_t r = 0; r < len; r += 32) simgpu::simd::sort32_u64(buf + r);
+  std::uint64_t* src = buf;
+  std::uint64_t* dst = tmp;
+  for (std::size_t w = 32; w < len; w *= 2) {
+    const std::size_t outn = 2 * w == len ? keep : 2 * w;
+    for (std::size_t r = 0; r < len; r += 2 * w) {
+      simgpu::simd::merge_sorted_u64(src + r, w, src + r + w, w, dst + r,
+                                     outn);
+    }
+    std::swap(src, dst);
+  }
+  return src;
+}
+
+/// Split packed entries back into keys and indices (pack_key_idx inverted).
+template <typename T>
+inline void unpack_key_idx(const std::uint64_t* packed, std::size_t len,
+                           T* keys, std::uint32_t* idx) {
+  for (std::size_t i = 0; i < len; ++i) {
+    keys[i] = RadixTraits<T>::from_radix(
+        static_cast<std::uint32_t>(packed[i] >> 32));
+    idx[i] = static_cast<std::uint32_t>(packed[i]);
+  }
+}
+
+}  // namespace detail
+
 /// Phase 2 of Bitonic Top-K (Shanbhag, Pirk, Madden 2018): a pure
 /// partial-sorting method that halves the working set once per pass.  The
 /// input is viewed as next_pow2(k)-sized chunks; pass 0 sorts each pair of
@@ -205,6 +246,19 @@ BitonicTopkPlan<T> bitonic_topk_plan(const Shape& s,
 /// merge is an O(k log k) bitonic network — which is why its running time
 /// climbs steeply with K (paper Fig. 6) and why K is capped at 256 by
 /// shared-memory capacity (paper §2.2).
+///
+/// Under the warpfast gate with 32-bit keys (kPackableKey: the f32 and u32
+/// carriers), each network step runs as a packed sort instead of an
+/// emulated network, as TopkList does: chunks move as (key, index) uint64s
+/// (pack_key_idx), pass 0 sorts each chunk pair and keeps the cap smallest,
+/// and the halving passes keep the cap smallest of two sorted chunks with
+/// one merge.  Every block charges the exact networks' closed forms
+/// (bitonic_sort_ops, merge_prune_ops — pinned against the networks in
+/// partial_sort_test) and the same tile traffic, so KernelStats and modeled
+/// time are unchanged.  Keys order by radix ordinal, then index: among keys
+/// tied at the K-th value the returned indices may differ from the
+/// network's, which the result contract leaves open.  Pads are ~0, above
+/// every real entry, so the network's +inf pads are never returned.
 template <typename T>
 void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
                       simgpu::Workspace& ws, simgpu::DeviceBuffer<T> in,
@@ -240,6 +294,37 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
       const std::size_t prob = shape.problem_of(ctx.block_idx());
       const int bip = shape.block_in_problem(ctx.block_idx());
       const auto [pbegin, pend] = block_chunk(pairs, bpp, bip);
+      if constexpr (kPackableKey<T>) {
+        if (ctx.warpfast_enabled()) {
+          const std::size_t len = std::max<std::size_t>(32, 2 * cap);
+          std::uint64_t buf[2 * kMaxBitonicTopkK];
+          std::uint64_t tmp[2 * kMaxBitonicTopkK];
+          T keys[kMaxBitonicTopkK];
+          std::uint32_t idx[kMaxBitonicTopkK];
+          for (std::size_t p = pbegin; p < pend; ++p) {
+            // The pair's real elements are one contiguous input run; the
+            // network reads exactly these and pads the rest.
+            const std::size_t first = 2 * p * cap;
+            const std::size_t m = std::min(2 * cap, n - first);
+            const std::span<const T> in_tile =
+                ctx.load_tile(in, prob * n + first, m);
+            for (std::size_t i = 0; i < m; ++i) {
+              buf[i] = pack_key_idx<T>(in_tile[i],
+                                       static_cast<std::uint32_t>(first + i));
+            }
+            std::fill(buf + m, buf + len, ~std::uint64_t{0});
+            detail::unpack_key_idx(
+                detail::sort_packed_smallest(buf, tmp, len, cap), cap, keys,
+                idx);
+            ctx.ops(2 * bitonic_sort_ops(cap) + merge_prune_ops(cap));
+            const std::size_t at = (prob * pairs + p) * cap;
+            ctx.store_tile(dst_val, at, std::span<const T>(keys, cap));
+            ctx.store_tile(dst_idx, at,
+                           std::span<const std::uint32_t>(idx, cap));
+          }
+          return;
+        }
+      }
       auto a_keys = ctx.shared<T>(cap, "bitonic chunk a keys");
       auto a_idx = ctx.shared<std::uint32_t>(cap, "bitonic chunk a idx");
       auto b_keys = ctx.shared<T>(cap, "bitonic chunk b keys");
@@ -290,6 +375,39 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
       const std::size_t prob = shape.problem_of(ctx.block_idx());
       const int bip = shape.block_in_problem(ctx.block_idx());
       const auto [pbegin, pend] = block_chunk(pairs, bpp, bip);
+      if constexpr (kPackableKey<T>) {
+        if (ctx.warpfast_enabled()) {
+          std::uint64_t buf[2 * kMaxBitonicTopkK];
+          std::uint64_t merged[kMaxBitonicTopkK];
+          T keys[kMaxBitonicTopkK];
+          std::uint32_t idx[kMaxBitonicTopkK];
+          for (std::size_t p = pbegin; p < pend; ++p) {
+            const std::size_t src = (prob * src_stride + 2 * p) * cap;
+            const std::size_t dst = (prob * dst_stride + p) * cap;
+            if (2 * p + 1 >= src_chunks) {
+              copy_pairs(ctx, src_val, src_idx, src, dst_val, dst_idx, dst,
+                         cap);
+              continue;
+            }
+            // Chunks 2p and 2p + 1 are adjacent: one tile each for keys and
+            // indices covers both.
+            const std::span<const T> tk = ctx.load_tile(src_val, src, 2 * cap);
+            const std::span<const std::uint32_t> ti =
+                ctx.load_tile(src_idx, src, 2 * cap);
+            for (std::size_t i = 0; i < 2 * cap; ++i) {
+              buf[i] = pack_key_idx<T>(tk[i], ti[i]);
+            }
+            simgpu::simd::merge_sorted_u64(buf, cap, buf + cap, cap, merged,
+                                           cap);
+            detail::unpack_key_idx(merged, cap, keys, idx);
+            ctx.ops(merge_prune_ops(cap));
+            ctx.store_tile(dst_val, dst, std::span<const T>(keys, cap));
+            ctx.store_tile(dst_idx, dst,
+                           std::span<const std::uint32_t>(idx, cap));
+          }
+          return;
+        }
+      }
       auto a_keys = ctx.shared<T>(cap, "bitonic merge a keys");
       auto a_idx = ctx.shared<std::uint32_t>(cap, "bitonic merge a idx");
       auto b_keys = ctx.shared<T>(cap, "bitonic merge b keys");
@@ -325,10 +443,8 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
     const auto fin_idx = work_idx[cur];
     simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
       const auto prob = static_cast<std::size_t>(ctx.block_idx());
-      for (std::size_t i = 0; i < k; ++i) {
-        ctx.store(out_vals, prob * k + i, ctx.load(fin_val, prob * cap + i));
-        ctx.store(out_idx, prob * k + i, ctx.load(fin_idx, prob * cap + i));
-      }
+      copy_pairs(ctx, fin_val, fin_idx, prob * cap, out_vals, out_idx,
+                 prob * k, k);
     });
   }
 }

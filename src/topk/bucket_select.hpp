@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -298,6 +299,7 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
     std::uint64_t out_cursor = prob * k;
     int cur = 0;
     bool from_input = true;
+    LevelGuard guard("bucket_select", prob, count);
 
     while (true) {
       const auto src_val = cand_val[cur];
@@ -313,15 +315,8 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
                                  opt.block_threads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           const auto [begin, end] = block_chunk(m, bpp, ctx.block_idx());
-          for (std::size_t i = begin; i < end; ++i) {
-            if (fi) {
-              ctx.store(out_vals, dst + i, ctx.load(in, prob * n + i));
-              ctx.store(out_idx, dst + i, static_cast<std::uint32_t>(i));
-            } else {
-              ctx.store(out_vals, dst + i, ctx.load(src_val, i));
-              ctx.store(out_idx, dst + i, ctx.load(src_idx, i));
-            }
-          }
+          copy_candidates(ctx, fi, in, prob * n, src_val, src_idx, begin, end,
+                          out_vals, out_idx, dst);
         });
         out_cursor += m;
       };
@@ -353,12 +348,13 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
           const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
           T lo = std::numeric_limits<T>::max();
           T hi = std::numeric_limits<T>::lowest();
-          for (std::size_t i = begin; i < end; ++i) {
-            const T v =
-                from_input ? ctx.load(in, prob * n + i) : ctx.load(src_val, i);
-            lo = std::min(lo, v);
-            hi = std::max(hi, v);
-          }
+          const auto src = from_input ? in : src_val;
+          const std::size_t base = from_input ? prob * n : 0;
+          ctx.for_each_elem(src, base + begin, end - begin,
+                            [&](std::size_t, T v) {
+                              lo = std::min(lo, v);
+                              hi = std::max(hi, v);
+                            });
           ctx.ops(2 * (end - begin));
           if (begin < end) {
             ctx.atomic_min(minmax, 0, lo);
@@ -387,6 +383,13 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
         throw std::runtime_error(err.str());
       }
       const double scale = static_cast<double>(nb) / (hi - lo);
+      // Interpolated bucket of a key, clamped to [0, nb).
+      const auto bucket_of = [=](T v) {
+        const auto raw = static_cast<std::int64_t>(
+            (static_cast<double>(v) - lo) * scale);
+        return static_cast<std::uint32_t>(
+            std::clamp<std::int64_t>(raw, 0, nb - 1));
+      };
 
       // ---- kernel 2: interpolation histogram ------------------------------
       {
@@ -404,14 +407,18 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
           auto shist =
               ctx.shared_zero<std::uint32_t>(static_cast<std::size_t>(nb));
           const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
-          for (std::size_t i = begin; i < end; ++i) {
-            const T v =
-                from_input ? ctx.load(in, prob * n + i) : ctx.load(src_val, i);
-            const auto b = std::min<std::int64_t>(
-                nb - 1, static_cast<std::int64_t>(
-                            (static_cast<double>(v) - lo) * scale));
-            ++shist[static_cast<std::size_t>(std::max<std::int64_t>(0, b))];
-          }
+          std::uint32_t* const hist = shist.unchecked_data();
+          const auto src = from_input ? in : src_val;
+          const std::size_t base = from_input ? prob * n : 0;
+          ctx.for_each_elem(src, base + begin, end - begin,
+                            [&](std::size_t, T v) {
+                              const std::uint32_t b = bucket_of(v);
+                              if (hist != nullptr) {
+                                ++hist[b];
+                              } else {
+                                ++shist[b];
+                              }
+                            });
           ctx.ops(4 * (end - begin));
           ctx.sync();
           for (int d = 0; d < nb; ++d) {
@@ -453,26 +460,16 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
           AggregatedAppender<T, std::uint32_t> cand_app(
               dst_val, dst_idx, 0, counters, 1, count,
               "bucket_select candidates");
-          for (std::size_t i = begin; i < end; ++i) {
-            T v;
-            std::uint32_t id;
-            if (from_input) {
-              v = ctx.load(in, prob * n + i);
-              id = static_cast<std::uint32_t>(i);
-            } else {
-              v = ctx.load(src_val, i);
-              id = ctx.load(src_idx, i);
-            }
-            const auto raw = static_cast<std::int64_t>(
-                (static_cast<double>(v) - lo) * scale);
-            const auto b = static_cast<std::uint32_t>(
-                std::min<std::int64_t>(nb - 1, std::max<std::int64_t>(0, raw)));
-            if (b < target) {
-              out_app.push(ctx, v, id);
-            } else if (b == target) {
-              cand_app.push(ctx, v, id);
-            }
-          }
+          scan_candidates(
+              ctx, from_input, in, prob * n, src_val, src_idx, begin, end,
+              [&](T v, std::uint32_t id) {
+                const std::uint32_t b = bucket_of(v);
+                if (b < target) {
+                  out_app.push(ctx, v, id);
+                } else if (b == target) {
+                  cand_app.push(ctx, v, id);
+                }
+              });
           out_app.flush(ctx);
           cand_app.flush(ctx);
           ctx.ops(5 * (end - begin));
@@ -484,6 +481,7 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
       count = target_count;
       cur = 1 - cur;
       from_input = false;
+      guard.next(count);
     }
     if (out_cursor != prob * k + k) {
       throw std::logic_error("bucket_select: result count mismatch");

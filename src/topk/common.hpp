@@ -136,6 +136,105 @@ inline void copy_pairs(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> src_val,
   }
 }
 
+/// Tile-granular visit of the candidates [begin, end) of one partition
+/// level: `f(vals, ids)` once per tile of up to kTileElems candidates, where
+/// ids[u] is the index of vals[u].  On the first level the candidates are
+/// the raw input row in[in_base + i] with index i, afterwards the
+/// (value, index) pairs of a candidate buffer.  Tile path only; callers
+/// that must also run with it off use scan_candidates.
+template <typename T, typename F>
+inline void scan_candidate_tiles(simgpu::BlockCtx& ctx, bool from_input,
+                                 simgpu::DeviceBuffer<T> in,
+                                 std::size_t in_base,
+                                 simgpu::DeviceBuffer<T> src_val,
+                                 simgpu::DeviceBuffer<std::uint32_t> src_idx,
+                                 std::size_t begin, std::size_t end, F&& f) {
+  std::uint32_t positions[simgpu::kTileElems];
+  for (std::size_t i = begin; i < end;) {
+    const std::size_t c = std::min(simgpu::kTileElems, end - i);
+    if (from_input) {
+      const std::span<const T> tv = ctx.load_tile(in, in_base + i, c);
+      for (std::size_t u = 0; u < tv.size(); ++u) {
+        positions[u] = static_cast<std::uint32_t>(i + u);
+      }
+      f(tv, std::span<const std::uint32_t>(positions, tv.size()));
+    } else {
+      const std::span<const T> tv = ctx.load_tile(src_val, i, c);
+      const std::span<const std::uint32_t> ti = ctx.load_tile(src_idx, i, c);
+      const std::size_t m = std::min(tv.size(), ti.size());
+      f(tv.first(m), ti.first(m));
+    }
+    i += c;
+  }
+}
+
+/// Visit the candidates [begin, end) of one partition level (see
+/// scan_candidate_tiles), calling `f(value, index)` per candidate.
+/// Tile-granular when the fast path is on, scalar loads otherwise; the
+/// counted traffic is identical either way.  The input scan of the
+/// partition rows (QuickSelect, SampleSelect, BucketSelect).
+template <typename T, typename F>
+inline void scan_candidates(simgpu::BlockCtx& ctx, bool from_input,
+                            simgpu::DeviceBuffer<T> in, std::size_t in_base,
+                            simgpu::DeviceBuffer<T> src_val,
+                            simgpu::DeviceBuffer<std::uint32_t> src_idx,
+                            std::size_t begin, std::size_t end, F&& f) {
+  if (simgpu::tile_path_enabled()) {
+    scan_candidate_tiles(ctx, from_input, in, in_base, src_val, src_idx,
+                         begin, end,
+                         [&](std::span<const T> tv,
+                             std::span<const std::uint32_t> ti) {
+                           for (std::size_t u = 0; u < tv.size(); ++u) {
+                             f(tv[u], ti[u]);
+                           }
+                         });
+  } else {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (from_input) {
+        f(ctx.load(in, in_base + i), static_cast<std::uint32_t>(i));
+      } else {
+        const T v = ctx.load(src_val, i);
+        f(v, ctx.load(src_idx, i));
+      }
+    }
+  }
+}
+
+/// Copy the candidates [begin, end) of a partition level (see
+/// scan_candidate_tiles) to dst[dst_base + begin ...]: value plus index,
+/// where a raw input candidate's index is its position.  Tile-granular when
+/// the fast path is on, scalar otherwise; either way it charges one value
+/// read, plus one index read for buffered candidates, and two stores per
+/// element.
+template <typename T>
+inline void copy_candidates(simgpu::BlockCtx& ctx, bool from_input,
+                            simgpu::DeviceBuffer<T> in, std::size_t in_base,
+                            simgpu::DeviceBuffer<T> src_val,
+                            simgpu::DeviceBuffer<std::uint32_t> src_idx,
+                            std::size_t begin, std::size_t end,
+                            simgpu::DeviceBuffer<T> dst_val,
+                            simgpu::DeviceBuffer<std::uint32_t> dst_idx,
+                            std::size_t dst_base) {
+  std::size_t at = dst_base + begin;
+  if (simgpu::tile_path_enabled()) {
+    scan_candidate_tiles(ctx, from_input, in, in_base, src_val, src_idx,
+                         begin, end,
+                         [&](std::span<const T> tv,
+                             std::span<const std::uint32_t> ti) {
+                           ctx.store_tile(dst_val, at, tv);
+                           ctx.store_tile(dst_idx, at, ti);
+                           at += tv.size();
+                         });
+  } else {
+    scan_candidates(ctx, from_input, in, in_base, src_val, src_idx, begin,
+                    end, [&](T v, std::uint32_t id) {
+                      ctx.store(dst_val, at, v);
+                      ctx.store(dst_idx, at, id);
+                      ++at;
+                    });
+  }
+}
+
 /// Warp-aggregated append into parallel (value, index) output arrays that
 /// share one atomic cursor — the standard GPU idiom (used by RAFT's
 /// select_radix and GpuSelection) where a warp ballots its writers, the
@@ -175,11 +274,17 @@ class AggregatedAppender {
       throw std::logic_error(std::string(overflow_what_) +
                              ": aggregated append overflow");
     }
-    for (std::size_t i = 0; i < staged_; ++i) {
-      ctx.store(vals_, dst_base_ + static_cast<std::size_t>(base) + i,
-                staged_v_[i]);
-      ctx.store(idx_, dst_base_ + static_cast<std::size_t>(base) + i,
-                staged_i_[i]);
+    // The reserved slots are contiguous, so the staged run is two tiles.
+    const std::size_t at = dst_base_ + static_cast<std::size_t>(base);
+    if (simgpu::tile_path_enabled()) {
+      ctx.store_tile(vals_, at, std::span<const T>(staged_v_, staged_));
+      ctx.store_tile(idx_, at,
+                     std::span<const std::uint32_t>(staged_i_, staged_));
+    } else {
+      for (std::size_t i = 0; i < staged_; ++i) {
+        ctx.store(vals_, at + i, staged_v_[i]);
+        ctx.store(idx_, at + i, staged_i_[i]);
+      }
     }
     ctx.ops(2);  // ballot + leader election of the aggregated atomic
     staged_ = 0;
@@ -197,6 +302,40 @@ class AggregatedAppender {
   T staged_v_[kStage];
   std::uint32_t staged_i_[kStage];
   std::size_t staged_ = 0;
+};
+
+/// Liveness bound of the host-looped partition rows (QuickSelect,
+/// SampleSelect, BucketSelect).  On ordered keys every level shrinks the
+/// candidate count, but a NaN pivot compares false against every key,
+/// sends them all to one side, and the count never falls.  next() takes each
+/// level's surviving count and throws std::logic_error, naming the row and
+/// problem, once kMaxStalledLevels consecutive levels have not shrunk it; a
+/// level that stalls and then recovers is legal.  Host-side only: it records
+/// no event, so counts and modeled time are unaffected.
+class LevelGuard {
+ public:
+  static constexpr int kMaxStalledLevels = 64;
+
+  LevelGuard(const char* row, std::size_t problem, std::uint64_t count)
+      : row_(row), problem_(problem), count_(count) {}
+
+  void next(std::uint64_t count) {
+    stalled_ = count < count_ ? 0 : stalled_ + 1;
+    count_ = count;
+    if (stalled_ >= kMaxStalledLevels) {
+      throw std::logic_error(
+          std::string(row_) + ": problem " + std::to_string(problem_) +
+          ": the candidate count (" + std::to_string(count_) +
+          ") has not fallen in " + std::to_string(kMaxStalledLevels) +
+          " consecutive levels; a NaN pivot sends every key to one side");
+    }
+  }
+
+ private:
+  const char* row_;
+  std::size_t problem_;
+  std::uint64_t count_;
+  int stalled_ = 0;
 };
 
 /// Footprint contract for the "CopyRemainder" terminal kernel shared by the

@@ -272,7 +272,10 @@ void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
   auto counters = ws.get<std::uint32_t>(plan.seg_counters);
   auto probe_buf = ws.get<T>(plan.seg_probe);
 
-  const auto copy_out = [&](simgpu::DeviceBuffer<T> v,
+  // Copy the first m candidates of buffer (v, ix) — or, when `fi`, of the
+  // raw input row `prob` — to the output slice at dst.
+  const auto copy_out = [&](bool fi, std::size_t prob,
+                            simgpu::DeviceBuffer<T> v,
                             simgpu::DeviceBuffer<std::uint32_t> ix,
                             std::uint64_t dst, std::uint64_t m) {
     if (m == 0) return;
@@ -283,10 +286,8 @@ void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
                              opt.block_threads, 1, n, k};
     simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
       const auto [begin, end] = block_chunk(m, bpp, ctx.block_idx());
-      for (std::size_t i = begin; i < end; ++i) {
-        ctx.store(out_vals, dst + i, ctx.load(v, i));
-        ctx.store(out_idx, dst + i, ctx.load(ix, i));
-      }
+      copy_candidates(ctx, fi, in, prob * n, v, ix, begin, end, out_vals,
+                      out_idx, dst);
     });
   };
 
@@ -296,28 +297,12 @@ void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
     std::uint64_t out_cursor = prob * k;
     int src = 0, d_less = 1, d_greater = 2;
     bool from_input = true;
+    LevelGuard guard("quick_select", prob, count);
 
     while (true) {
       if (count == k_rem) {
-        copy_out(bv[src], bi[src], out_cursor, from_input ? 0 : count);
-        if (from_input) {
-          // Degenerate k == n on the very first iteration: the candidates
-          // are still the raw input.
-          const GridShape shape = make_grid(1, count, dev.spec(),
-                                            opt.block_threads,
-                                            opt.items_per_block);
-          const int bpp = shape.blocks_per_problem;
-          const std::uint64_t dst = out_cursor;
-          simgpu::LaunchConfig cfg{"collect_results", shape.total_blocks(),
-                                   opt.block_threads, 1, n, k};
-          simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
-            const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
-            for (std::size_t i = begin; i < end; ++i) {
-              ctx.store(out_vals, dst + i, ctx.load(in, prob * n + i));
-              ctx.store(out_idx, dst + i, static_cast<std::uint32_t>(i));
-            }
-          });
-        }
+        // From the input only on the degenerate k == n first iteration.
+        copy_out(from_input, prob, bv[src], bi[src], out_cursor, count);
         out_cursor += count;
         dev.synchronize("final");
         break;
@@ -367,35 +352,24 @@ void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
                                  opt.block_threads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
-          // GpuSelection partitions with warp-aggregated atomics.
-          AggregatedAppender<T, std::uint32_t> less_app(
-              less_val, less_idx, 0, counters, 0, count, "quick_select less");
-          AggregatedAppender<T, std::uint32_t> eq_app(
-              eq_val, eq_idx, 0, counters, 1, count, "quick_select eq");
-          AggregatedAppender<T, std::uint32_t> greater_app(
-              greater_val, greater_idx, 0, counters, 2, count,
-              "quick_select greater");
-          for (std::size_t i = begin; i < end; ++i) {
-            T v;
-            std::uint32_t id;
-            if (from_input) {
-              v = ctx.load(in, prob * n + i);
-              id = static_cast<std::uint32_t>(i);
-            } else {
-              v = ctx.load(src_val, i);
-              id = ctx.load(src_idx, i);
-            }
-            if (v < pivot) {
-              less_app.push(ctx, v, id);
-            } else if (v == pivot) {
-              eq_app.push(ctx, v, id);
-            } else {
-              greater_app.push(ctx, v, id);
-            }
-          }
-          less_app.flush(ctx);
-          eq_app.flush(ctx);
-          greater_app.flush(ctx);
+          // GpuSelection partitions with warp-aggregated atomics: one
+          // appender per side, indexed by the side (less, equal, greater).
+          AggregatedAppender<T, std::uint32_t> side[3] = {
+              {less_val, less_idx, 0, counters, 0, count,
+               "quick_select less"},
+              {eq_val, eq_idx, 0, counters, 1, count, "quick_select eq"},
+              {greater_val, greater_idx, 0, counters, 2, count,
+               "quick_select greater"}};
+          scan_candidates(ctx, from_input, in, prob * n, src_val, src_idx,
+                          begin, end, [&](T v, std::uint32_t id) {
+                            // Branch-free side pick; a key unordered with
+                            // the pivot (NaN) goes to the greater side.
+                            const unsigned s =
+                                2u - 2u * static_cast<unsigned>(v < pivot) -
+                                static_cast<unsigned>(v == pivot);
+                            side[s].push(ctx, v, id);
+                          });
+          for (auto& app : side) app.flush(ctx);
           ctx.ops(3 * (end - begin));
         });
       }
@@ -413,23 +387,24 @@ void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
         from_input = false;
       } else if (k_rem <= n_less + n_eq) {
         // The less partition is fully in; pivot-equal elements fill the rest.
-        copy_out(less_val, less_idx, out_cursor, n_less);
+        copy_out(false, prob, less_val, less_idx, out_cursor, n_less);
         out_cursor += n_less;
-        copy_out(eq_val, eq_idx, out_cursor, k_rem - n_less);
+        copy_out(false, prob, eq_val, eq_idx, out_cursor, k_rem - n_less);
         out_cursor += k_rem - n_less;
         dev.synchronize("final");
         break;
       } else {
         // less + equal are all results; recurse into the greater partition.
-        copy_out(less_val, less_idx, out_cursor, n_less);
+        copy_out(false, prob, less_val, less_idx, out_cursor, n_less);
         out_cursor += n_less;
-        copy_out(eq_val, eq_idx, out_cursor, n_eq);
+        copy_out(false, prob, eq_val, eq_idx, out_cursor, n_eq);
         out_cursor += n_eq;
         k_rem -= n_less + n_eq;
         count = host_counts[2];
         std::swap(src, d_greater);
         from_input = false;
       }
+      guard.next(count);
     }
     if (out_cursor != prob * k + k) {
       throw std::logic_error("quick_select: result count mismatch");

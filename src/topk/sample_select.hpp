@@ -1,7 +1,9 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -342,6 +344,7 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
     int cur = 0;
     bool from_input = true;
     bool force_pivot = false;
+    LevelGuard guard("sample_select", prob, count);
 
     while (true) {
       const auto src_val = cand_val[cur];
@@ -358,15 +361,8 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
                                  opt.block_threads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
-          for (std::size_t i = begin; i < end; ++i) {
-            if (fi) {
-              ctx.store(out_vals, dst + i, ctx.load(in, prob * n + i));
-              ctx.store(out_idx, dst + i, static_cast<std::uint32_t>(i));
-            } else {
-              ctx.store(out_vals, dst + i, ctx.load(src_val, i));
-              ctx.store(out_idx, dst + i, ctx.load(src_idx, i));
-            }
-          }
+          copy_candidates(ctx, fi, in, prob * n, src_val, src_idx, begin, end,
+                          out_vals, out_idx, dst);
         });
         out_cursor += count;
         dev.synchronize("final");
@@ -382,6 +378,23 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           auto keys = ctx.shared<T>(padded, "sample sort keys");
           auto idx = ctx.shared<std::uint32_t>(padded, "sample sort idx");
+          T* const rk = keys.unchecked_data();
+          std::uint32_t* const ri = idx.unchecked_data();
+          if (rk != nullptr && ri != nullptr) {
+            // Tile path: stage and emit through raw shared memory.
+            scan_pairs(ctx, src_val, src_idx, 0, 0, count,
+                       [&](std::size_t i, T v, std::uint32_t id) {
+                         rk[i] = v;
+                         ri[i] = id;
+                       });
+            std::fill(rk + count, rk + padded, sort_sentinel<T>());
+            std::fill(ri + count, ri + padded, 0u);
+            bitonic_sort(ctx, keys, idx);
+            ctx.store_tile(out_vals, dst, std::span<const T>(rk, take));
+            ctx.store_tile(out_idx, dst,
+                           std::span<const std::uint32_t>(ri, take));
+            return;
+          }
           for (std::size_t i = 0; i < padded; ++i) {
             if (i < count) {
               keys[i] = ctx.load(src_val, i);
@@ -455,11 +468,18 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
         });
       }
       const std::size_t num_splitters = splitters.size();
+      // With 2^m - 1 splitters every search takes exactly m probes, so a
+      // block's splitter reads are known before its scan and can be charged
+      // in bulk (prepaid_reads); any other count keeps the per-probe loads.
+      const int probes = !degenerate && std::has_single_bit(num_splitters + 1)
+                             ? std::countr_zero(num_splitters + 1)
+                             : 0;
+      // The element's class: in pivot mode less / equal / greater, else the
+      // number of splitters <= v by binary search, one load per probe.
       const auto classify = [=](simgpu::BlockCtx& ctx, T v) -> std::uint32_t {
         if (degenerate) {
           return v < pivot ? 0u : (v == pivot ? 1u : 2u);
         }
-        // Binary search: number of splitters <= v.
         std::size_t lo = 0, hi = num_splitters;
         while (lo < hi) {
           const std::size_t mid = (lo + hi) / 2;
@@ -471,6 +491,15 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
         }
         return static_cast<std::uint32_t>(lo);
       };
+      // The block's splitter table when its searches' reads can be prepaid
+      // (then simd::splitter_classes, probing the same positions
+      // branch-free, replaces classify), else null.
+      const auto prepaid_splitters = [=](simgpu::BlockCtx& ctx,
+                                         std::size_t elems) -> const T* {
+        if (probes == 0) return nullptr;
+        return ctx.prepaid_reads(splitter_buf,
+                                 static_cast<std::uint64_t>(probes) * elems);
+      };
       {
         simgpu::LaunchConfig cfg{"sample_histogram", shape.total_blocks(),
                                  opt.block_threads, 1, n, k};
@@ -478,10 +507,28 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
           auto shist = ctx.shared_zero<std::uint32_t>(
               static_cast<std::size_t>(classes));
           const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
-          for (std::size_t i = begin; i < end; ++i) {
-            const T v =
-                from_input ? ctx.load(in, prob * n + i) : ctx.load(src_val, i);
-            ++shist[classify(ctx, v)];
+          std::uint32_t* const hist = shist.unchecked_data();
+          const auto bump = [&](std::uint32_t c) {
+            if (hist != nullptr) {
+              ++hist[c];
+            } else {
+              ++shist[c];
+            }
+          };
+          const auto src = from_input ? in : src_val;
+          const std::size_t base = from_input ? prob * n : 0;
+          if (const T* const split = prepaid_splitters(ctx, end - begin);
+              split != nullptr) {
+            std::uint32_t cls[simgpu::kTileElems];
+            for (std::size_t i = begin; i < end; i += simgpu::kTileElems) {
+              const std::span<const T> tile = ctx.load_tile(
+                  src, base + i, std::min(simgpu::kTileElems, end - i));
+              simgpu::simd::splitter_classes(split, probes, tile, cls);
+              for (std::size_t u = 0; u < tile.size(); ++u) bump(cls[u]);
+            }
+          } else {
+            ctx.for_each_elem(src, base + begin, end - begin,
+                              [&](std::size_t, T v) { bump(classify(ctx, v)); });
           }
           ctx.ops(10 * (end - begin));  // ~log2(255) compares per element
           ctx.sync();
@@ -526,22 +573,29 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
           AggregatedAppender<T, std::uint32_t> cand_app(
               dst_val, dst_idx, 0, counters, 1, count,
               "sample_select candidates");
-          for (std::size_t i = begin; i < end; ++i) {
-            T v;
-            std::uint32_t id;
-            if (from_input) {
-              v = ctx.load(in, prob * n + i);
-              id = static_cast<std::uint32_t>(i);
-            } else {
-              v = ctx.load(src_val, i);
-              id = ctx.load(src_idx, i);
-            }
-            const std::uint32_t b = classify(ctx, v);
+          const auto route = [&](std::uint32_t b, T v, std::uint32_t id) {
             if (b < target) {
               out_app.push(ctx, v, id);
             } else if (b == target) {
               cand_app.push(ctx, v, id);
             }
+          };
+          if (const T* const split = prepaid_splitters(ctx, end - begin);
+              split != nullptr) {
+            std::uint32_t cls[simgpu::kTileElems];
+            scan_candidate_tiles(
+                ctx, from_input, in, prob * n, src_val, src_idx, begin, end,
+                [&](std::span<const T> tv, std::span<const std::uint32_t> ti) {
+                  simgpu::simd::splitter_classes(split, probes, tv, cls);
+                  for (std::size_t u = 0; u < tv.size(); ++u) {
+                    route(cls[u], tv[u], ti[u]);
+                  }
+                });
+          } else {
+            scan_candidates(ctx, from_input, in, prob * n, src_val, src_idx,
+                            begin, end, [&](T v, std::uint32_t id) {
+                              route(classify(ctx, v), v, id);
+                            });
           }
           out_app.flush(ctx);
           cand_app.flush(ctx);
@@ -566,10 +620,7 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
         simgpu::LaunchConfig cfg{"CopyRemainder", 1, opt.block_threads, 1, n,
                                  k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
-          for (std::uint64_t i = 0; i < take; ++i) {
-            ctx.store(out_vals, dst + i, ctx.load(fv, i));
-            ctx.store(out_idx, dst + i, ctx.load(fi2, i));
-          }
+          copy_pairs(ctx, fv, fi2, 0, out_vals, out_idx, dst, take);
         });
         out_cursor += take;
         dev.synchronize("final");
@@ -578,9 +629,11 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
       if (count == prev_count) {
         // Splitter buckets failed to shrink the candidate set (can happen
         // when the sample misses the diversity of the data): fall back to a
-        // three-way pivot partition next level, which always makes progress.
+        // three-way pivot partition next level, which always makes progress
+        // on keys ordered with the pivot.
         force_pivot = true;
       }
+      guard.next(count);
     }
     if (out_cursor != prob * k + k) {
       throw std::logic_error("sample_select: result count mismatch");

@@ -286,5 +286,34 @@ TEST(TopkService, NonFiniteBucketSelectRowFails) {
   }
 }
 
+// QuickSelect and SampleSelect give up on a row of NaNs (a NaN pivot never
+// shrinks it); the service must resolve the request kFailed and keep
+// serving instead of hanging a worker.
+TEST(TopkService, AllNaNPartitionRowFails) {
+  const std::vector<float> keys(65536, std::numeric_limits<float>::quiet_NaN());
+  const struct {
+    Algo algo;
+    const char* row;
+  } rows[] = {{Algo::kQuickSelect, "quick_select"},
+              {Algo::kSampleSelect, "sample_select"}};
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.row);
+    ServiceConfig cfg;
+    cfg.max_batch = 1;
+    TopkService svc(cfg);
+    const QueryResult r =
+        svc.submit(std::vector<float>(keys), 64, std::nullopt, row.algo)
+            .get();
+    EXPECT_EQ(r.status, QueryStatus::kFailed);
+    EXPECT_NE(r.error.find(row.row), std::string::npos) << r.error;
+    // The worker survives the failure and serves the next request.
+    const QueryResult ok = svc.submit(keys_for(4096, 3), 64, std::nullopt,
+                                      row.algo)
+                               .get();
+    ASSERT_EQ(ok.status, QueryStatus::kOk) << ok.error;
+    svc.shutdown();
+  }
+}
+
 }  // namespace
 }  // namespace topk::serve

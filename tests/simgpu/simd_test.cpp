@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -149,6 +150,87 @@ TEST(MergeSorted, KeepsSmallestOfUnionAcrossShapes) {
         << "trial " << trial << " an=" << an << " bn=" << bn
         << " outn=" << outn;
     EXPECT_EQ(out[outn], 0x5EEDu);  // no overwrite past outn
+  }
+}
+
+TEST(MergeSorted, FullLengthMergeEmitsEveryElement) {
+  // outn == an + bn: 8-aligned runs take the vector body, which flushes its
+  // final carry; ragged runs take the scalar loop.  Both must emit the
+  // whole union, sorted, including runs made of ~0 pads.
+  std::mt19937_64 rng(0xF011);
+  for (int trial = 0; trial < 1500; ++trial) {
+    const bool aligned = trial % 2 == 0;
+    const std::size_t an = aligned ? 8 * (1 + rng() % 40) : 1 + rng() % 300;
+    const std::size_t bn = aligned ? 8 * (1 + rng() % 40) : 1 + rng() % 41;
+    std::vector<std::uint64_t> a(an), b(bn);
+    for (auto& x : a) x = trial % 7 == 0 ? ~std::uint64_t{0} : rng() % 512;
+    for (auto& x : b) x = rng() % 512;
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    std::vector<std::uint64_t> expect;
+    expect.reserve(an + bn);
+    std::merge(a.begin(), a.end(), b.begin(), b.end(),
+               std::back_inserter(expect));
+    std::vector<std::uint64_t> out(an + bn + 1, 0x5EEDu);
+    merge_sorted_u64(a.data(), an, b.data(), bn, out.data(), an + bn);
+    ASSERT_TRUE(std::equal(expect.begin(), expect.end(), out.begin()))
+        << "trial " << trial << " an=" << an << " bn=" << bn;
+    EXPECT_EQ(out[an + bn], 0x5EEDu);  // no overwrite past the union
+  }
+}
+
+/// The binary search splitter_classes must reproduce probe for probe.
+template <typename T>
+std::uint32_t binary_search_class(const std::vector<T>& split, T v) {
+  std::size_t lo = 0, hi = split.size();
+  while (lo < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (split[mid] <= v) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return static_cast<std::uint32_t>(lo);
+}
+
+TEST(SplitterClasses, MatchesTheBinarySearchProbeForProbe) {
+  std::mt19937_64 rng(0x5911);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int probes = 1 + trial % 8;
+    const std::size_t splitters = (std::size_t{1} << probes) - 1;
+    // Past 128 keys the vector body interleaves 8 searches of 16; shorter
+    // runs and tails go 16 at a time with a ragged last vector.
+    const std::size_t n = 1 + rng() % 400;
+    std::vector<float> fs(splitters), fv(n);
+    std::vector<std::uint32_t> us(splitters), uv(n);
+    for (std::size_t i = 0; i < splitters; ++i) {
+      fs[i] = static_cast<float>(rng() % 64) - 32.0f;
+      us[i] = static_cast<std::uint32_t>(rng() % 64) * 0x4000000u;
+    }
+    // Sorted tables except every fifth trial, whose unsorted table still
+    // has one answer: the binary search's probe sequence.
+    if (trial % 5 != 0) {
+      std::sort(fs.begin(), fs.end());
+      std::sort(us.begin(), us.end());
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      fv[i] = i % 7 == 3 ? std::numeric_limits<float>::quiet_NaN()
+                         : static_cast<float>(rng() % 80) - 40.0f;
+      uv[i] = static_cast<std::uint32_t>(rng());
+    }
+    std::vector<std::uint32_t> fc(n + 1, 0xABCDu), uc(n + 1, 0xABCDu);
+    splitter_classes(fs.data(), probes, std::span<const float>(fv), fc.data());
+    splitter_classes(us.data(), probes, std::span<const std::uint32_t>(uv),
+                     uc.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(fc[i], binary_search_class(fs, fv[i]))
+          << "trial " << trial << " f32 key " << fv[i];
+      ASSERT_EQ(uc[i], binary_search_class(us, uv[i]))
+          << "trial " << trial << " u32 key " << uv[i];
+    }
+    EXPECT_EQ(fc[n], 0xABCDu);  // no store past n
+    EXPECT_EQ(uc[n], 0xABCDu);
   }
 }
 

@@ -1,6 +1,8 @@
 #include "topk/common.hpp"
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -84,6 +86,33 @@ TEST(AggregatedAppender, AppendsAllItemsWithBatchedAtomics) {
     EXPECT_FALSE(seen[id]);
     seen[id] = true;
     EXPECT_EQ(vals.data()[i], static_cast<float>(id));
+  }
+}
+
+TEST(LevelGuard, ThrowsOnlyAfterTheBoundOfStalledLevels) {
+  // Stalls that end before the bound are legal: a NaN pivot may stall a
+  // level and the next one recover.
+  LevelGuard recovers("row", 3, 1000);
+  for (int i = 0; i + 1 < LevelGuard::kMaxStalledLevels; ++i) {
+    recovers.next(1000);
+  }
+  recovers.next(999);
+  for (int i = 0; i + 1 < LevelGuard::kMaxStalledLevels; ++i) {
+    recovers.next(999);
+  }
+  recovers.next(10);
+
+  LevelGuard stalls("quick_select", 3, 1000);
+  for (int i = 0; i + 1 < LevelGuard::kMaxStalledLevels; ++i) {
+    stalls.next(1000);
+  }
+  try {
+    stalls.next(1000);
+    FAIL() << "the bound-th stalled level must throw";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("quick_select"), std::string::npos) << what;
+    EXPECT_NE(what.find("problem 3"), std::string::npos) << what;
   }
 }
 

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -94,6 +95,61 @@ TEST(BucketSelect, NonFiniteKeyRangeFailsFast) {
       const std::string what = e.what();
       EXPECT_NE(what.find("row 0"), std::string::npos) << what;
       EXPECT_NE(what.find("inf"), std::string::npos) << what;
+    }
+  }
+}
+
+// A NaN pivot compares false against every key and sends them all to the
+// greater side, so a row of NaNs never shrinks.  QuickSelect and
+// SampleSelect must fail with an error naming the row and the problem
+// instead of looping forever (QuickSelect from n = 4096; SampleSelect sorts
+// rows up to its small threshold on chip, so it needs a longer row).
+TEST(PartitionRows, AllNaNRowFailsInsteadOfHanging) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const struct {
+    Algo algo;
+    const char* row;
+    std::size_t n;
+  } cases[] = {{Algo::kQuickSelect, "quick_select", 4096},
+               {Algo::kQuickSelect, "quick_select", 65536},
+               {Algo::kSampleSelect, "sample_select", 65536}};
+  for (const auto& c : cases) {
+    for (const bool greatest : {false, true}) {
+      SCOPED_TRACE(std::string(c.row) + " n=" + std::to_string(c.n) +
+                   (greatest ? " greatest" : " least"));
+      // Problem 0 is finite and answers; problem 1 is all NaN.
+      std::vector<float> values = data::uniform_values(2 * c.n, 5);
+      std::fill(values.begin() + static_cast<long>(c.n), values.end(), nan);
+      simgpu::Device dev;
+      SelectOptions opt;
+      opt.greatest = greatest;
+      try {
+        (void)select_batch(dev, values, 2, c.n, 64, c.algo, opt);
+        FAIL() << "an all-NaN row must throw";
+      } catch (const std::logic_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(c.row), std::string::npos) << what;
+        EXPECT_NE(what.find("problem 1"), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+// The liveness bound must not trip on legal tie-heavy rows: all-equal and
+// two-value rows, k = 1 and k = n, on all three partition rows.
+TEST(PartitionRows, TieHeavyRowsStillAnswer) {
+  simgpu::Device dev;
+  for (const Algo algo :
+       {Algo::kQuickSelect, Algo::kSampleSelect, Algo::kBucketSelect}) {
+    for (const std::size_t n : {std::size_t{4096}, std::size_t{65536}}) {
+      std::vector<float> two = data::uniform_values(n, 11);
+      for (float& x : two) x = x < 0.5f ? -1.0f : 1.0f;
+      const std::vector<float> rows[] = {std::vector<float>(n, 3.0f), two};
+      for (const auto& values : rows) {
+        for (const std::size_t k : {std::size_t{1}, n / 2, n}) {
+          expect_correct(dev, values, k, algo);
+        }
+      }
     }
   }
 }

@@ -13,9 +13,11 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -166,58 +168,93 @@ std::string case_name(const ::testing::TestParamInfo<InvarianceCase>& info) {
          (info.param.greatest ? "_largest" : "");
 }
 
+/// Run `c` on `values` on every {tile × warpfast × simcheck × pool} leg and
+/// expect each leg bit-identical to the scalar baseline, with simcheck
+/// clean.
+void expect_invariant_across_modes(std::span<const float> values,
+                                   const InvarianceCase& c,
+                                   const std::string& what) {
+  const auto leg = [&](bool tile, bool warpfast, bool simcheck,
+                       bool pool = true) {
+    return run_once(values, c.batch, c.n, c.k, c.algo, c.greatest, tile,
+                    warpfast, simcheck, pool);
+  };
+  const RunTrace scalar = leg(false, false, false);
+  const RunTrace tile = leg(true, false, false);
+  // Warpfast without the tile path must be inert: the warp fast path only
+  // activates on tile-backed spans, so this leg is bit-identical to scalar.
+  const RunTrace wf_no_tile = leg(false, true, false);
+  const RunTrace wf = leg(true, true, false);
+  // Under simcheck the warp fast path gates itself off; this leg proves
+  // the exact per-round path reproduces the fast path's bulk charges.
+  const RunTrace wf_checked = leg(true, true, true);
+  // Memory-pool invariance: slab provenance never feeds the cost model,
+  // so disabling pooled reuse must be invisible to counters, modeled time
+  // and results — on the scalar baseline, with both fast paths, and under
+  // simcheck.
+  const RunTrace nopool_scalar = leg(false, false, false, false);
+  const RunTrace nopool_wf = leg(true, true, false, false);
+  const RunTrace nopool_checked = leg(true, true, true, false);
+  ASSERT_FALSE(scalar.kernels.empty()) << what;
+  expect_identical_stats(scalar, tile, what + " [tile vs scalar]");
+  expect_identical_stats(scalar, wf_no_tile,
+                         what + " [warpfast w/o tile vs scalar]");
+  expect_identical_stats(scalar, wf, what + " [tile+warpfast vs scalar]");
+  expect_identical_stats(scalar, wf_checked,
+                         what + " [tile+warpfast+simcheck vs scalar]");
+  expect_identical_stats(scalar, nopool_scalar,
+                         what + " [pool off vs scalar]");
+  expect_identical_stats(scalar, nopool_wf,
+                         what + " [pool off + tile+warpfast vs scalar]");
+  expect_identical_stats(scalar, nopool_checked,
+                         what + " [pool off + simcheck vs scalar]");
+  EXPECT_TRUE(wf_checked.sanitizer_clean)
+      << what << " raised issues with the fast paths enabled:\n"
+      << wf_checked.sanitizer_report;
+  EXPECT_TRUE(nopool_checked.sanitizer_clean)
+      << what << " raised issues with the pool disabled:\n"
+      << nopool_checked.sanitizer_report;
+}
+
+std::string case_what(const InvarianceCase& c, const std::string& data) {
+  return std::string(algo_name(c.algo)) + (c.greatest ? " largest-K" : "") +
+         " on " + data;
+}
+
 class TileInvariance : public ::testing::TestWithParam<InvarianceCase> {};
 
 TEST_P(TileInvariance, StatsAndModeledTimeBitIdenticalAcrossModes) {
-  const auto [algo, batch, n, k, greatest] = GetParam();
+  const InvarianceCase& c = GetParam();
   TileGuard guard;
   std::uint64_t seed = 77;
   for (const auto& spec : standard_distributions()) {
-    const auto values = data::generate(spec, batch * n, seed++);
-    const auto leg = [&](bool tile, bool warpfast, bool simcheck,
-                         bool pool = true) {
-      return run_once(values, batch, n, k, algo, greatest, tile, warpfast,
-                      simcheck, pool);
-    };
-    const RunTrace scalar = leg(false, false, false);
-    const RunTrace tile = leg(true, false, false);
-    // Warpfast without the tile path must be inert: the warp fast path only
-    // activates on tile-backed spans, so this leg is bit-identical to scalar.
-    const RunTrace wf_no_tile = leg(false, true, false);
-    const RunTrace wf = leg(true, true, false);
-    // Under simcheck the warp fast path gates itself off; this leg proves
-    // the exact per-round path reproduces the fast path's bulk charges.
-    const RunTrace wf_checked = leg(true, true, true);
-    // Memory-pool invariance: slab provenance never feeds the cost model,
-    // so disabling pooled reuse must be invisible to counters, modeled time
-    // and results — on the scalar baseline, with both fast paths, and under
-    // simcheck.
-    const RunTrace nopool_scalar = leg(false, false, false, false);
-    const RunTrace nopool_wf = leg(true, true, false, false);
-    const RunTrace nopool_checked = leg(true, true, true, false);
-    const std::string what = std::string(algo_name(algo)) +
-                             (greatest ? " largest-K" : "") + " on " +
-                             spec.name();
-    ASSERT_FALSE(scalar.kernels.empty()) << what;
-    expect_identical_stats(scalar, tile, what + " [tile vs scalar]");
-    expect_identical_stats(scalar, wf_no_tile,
-                           what + " [warpfast w/o tile vs scalar]");
-    expect_identical_stats(scalar, wf, what + " [tile+warpfast vs scalar]");
-    expect_identical_stats(scalar, wf_checked,
-                           what + " [tile+warpfast+simcheck vs scalar]");
-    expect_identical_stats(scalar, nopool_scalar,
-                           what + " [pool off vs scalar]");
-    expect_identical_stats(scalar, nopool_wf,
-                           what + " [pool off + tile+warpfast vs scalar]");
-    expect_identical_stats(scalar, nopool_checked,
-                           what + " [pool off + simcheck vs scalar]");
-    EXPECT_TRUE(wf_checked.sanitizer_clean)
-        << what << " raised issues with the fast paths enabled:\n"
-        << wf_checked.sanitizer_report;
-    EXPECT_TRUE(nopool_checked.sanitizer_clean)
-        << what << " raised issues with the pool disabled:\n"
-        << nopool_checked.sanitizer_report;
+    const auto values = data::generate(spec, c.batch * c.n, seed++);
+    expect_invariant_across_modes(values, c, case_what(c, spec.name()));
   }
+}
+
+/// The partition rows and Bitonic Top-K: tile scans, prepaid splitter reads
+/// and packed networks under both fast paths.
+constexpr Algo kPartitionRows[] = {Algo::kBitonicTopk, Algo::kQuickSelect,
+                                   Algo::kSampleSelect, Algo::kBucketSelect};
+
+/// Shapes for the partition rows: sub-tile and exact tiles (unless
+/// `large_only`), then many tiles with a ragged tail (Bitonic Top-K at its
+/// largest K) and a batch with odd sizes, each in both directions.
+std::vector<InvarianceCase> partition_row_cases(bool large_only) {
+  std::vector<InvarianceCase> cases;
+  for (Algo algo : kPartitionRows) {
+    const std::size_t big_k = algo == Algo::kBitonicTopk ? 256 : 517;
+    if (!large_only) {
+      cases.push_back({algo, 1, 999, 1});
+      cases.push_back({algo, 1, 4096, 64});
+    }
+    for (const bool greatest : {false, true}) {
+      cases.push_back({algo, 1, 70001, big_k, greatest});
+      cases.push_back({algo, 3, 10007, 100, greatest});
+    }
+  }
+  return cases;
 }
 
 std::vector<InvarianceCase> cases() {
@@ -228,7 +265,8 @@ std::vector<InvarianceCase> cases() {
   // bucketed approximate tier (exact at the default recall_target = 1.0) —
   // additionally exercises the threshold-gated warp fast path.  RadixSelect
   // and stream-radix run the same radix pass loop (SIMD digit histogram on
-  // the tile path).
+  // the tile path).  The partition rows and Bitonic Top-K follow
+  // (partition_row_cases).
   const Algo algos[] = {Algo::kAirTopk,          Algo::kSort,
                         Algo::kRadixSelect,      Algo::kGridSelect,
                         Algo::kAirTopkFusedFilter, Algo::kWarpSelect,
@@ -248,10 +286,51 @@ std::vector<InvarianceCase> cases() {
     cases.push_back({algo, 1, 70001, 517, true});
     cases.push_back({algo, 3, 10007, 100, true});
   }
+  const auto partition = partition_row_cases(/*large_only=*/false);
+  cases.insert(cases.end(), partition.begin(), partition.end());
   return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, TileInvariance, ::testing::ValuesIn(cases()),
+                         case_name);
+
+// ---- partition rows on tie-heavy keys --------------------------------------
+// Keys with few distinct values drive the partition rows down their rarer
+// paths: SampleSelect's three-way pivot mode and its equal-class exit,
+// QuickSelect's equal-partition exit, BucketSelect's all-equal exit, and
+// recursion over several levels; Bitonic Top-K sees ties across chunks.
+
+std::vector<float> tie_heavy_values(int kind, std::size_t count,
+                                    std::uint64_t seed) {
+  auto v = data::uniform_values(count, seed);
+  switch (kind) {
+    case 0:  // two values
+      for (float& x : v) x = x < 0.5f ? 1.0f : 2.0f;
+      return v;
+    case 1:  // nine values, nine in ten of them the smallest
+      for (float& x : v) x = x < 0.9f ? 1.0f : std::floor(x * 80.0f) - 70.0f;
+      return v;
+    default:  // radix-adversarial: only the last two bits vary
+      return data::radix_adversarial_values(count, 30, seed);
+  }
+}
+
+class TieHeavyInvariance : public ::testing::TestWithParam<InvarianceCase> {};
+
+TEST_P(TieHeavyInvariance, StatsAndModeledTimeBitIdenticalAcrossModes) {
+  const InvarianceCase& c = GetParam();
+  TileGuard guard;
+  const char* const names[] = {"two values", "nine values",
+                               "radix-adversarial m=30"};
+  for (int kind = 0; kind < 3; ++kind) {
+    const auto values = tie_heavy_values(kind, c.batch * c.n, 0x7E + kind);
+    expect_invariant_across_modes(values, c, case_what(c, names[kind]));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PartitionRows, TieHeavyInvariance,
+                         ::testing::ValuesIn(partition_row_cases(
+                             /*large_only=*/true)),
                          case_name);
 
 // ---- typed keys across the same mode grid ---------------------------------
@@ -528,31 +607,25 @@ const PinnedRecord kRecorded[] = {
     }},
 };
 
-std::vector<PinnedRun> pinned_runs() {
-  struct Row {
-    const char* label;
-    Algo algo;
-    double recall;
-  };
-  const Row rows[] = {
-      {"grid", Algo::kGridSelect, 1.0},
-      {"grid-threadqueue", Algo::kGridSelectThreadQueue, 1.0},
-      {"warp", Algo::kWarpSelect, 1.0},
-      {"block", Algo::kBlockSelect, 1.0},
-      {"fused-warp", Algo::kFusedWarpRowwise, 1.0},
-      {"fused-block", Algo::kFusedBlockRowwise, 1.0},
-      {"bucket-approx@1.0", Algo::kBucketApprox, 1.0},
-      {"bucket-approx@0.9", Algo::kBucketApprox, 0.9},
-  };
+struct PinRow {
+  const char* label;
+  Algo algo;
+  double recall;
+};
+
+/// Every row at one batch-1 and one batch-8 shape, each paired with its
+/// entry in `recorded` (null when the label has none).
+std::vector<PinnedRun> pinned_runs(std::span<const PinRow> rows,
+                                   std::span<const PinnedRecord> recorded) {
   std::vector<PinnedRun> runs;
   for (const auto& [batch, n, k] :
        {std::tuple<std::size_t, std::size_t, std::size_t>{1, 70001, 100},
         {8, 10007, 64}}) {
-    for (const Row& r : rows) {
+    for (const PinRow& r : rows) {
       PinnedRun run{std::string(r.label) + " b" + std::to_string(batch) +
                         " n" + std::to_string(n) + " k" + std::to_string(k),
                     r.algo, r.recall, batch, n, k, nullptr};
-      for (const PinnedRecord& rec : kRecorded) {
+      for (const PinnedRecord& rec : recorded) {
         if (run.label == rec.label) run.want = &rec;
       }
       runs.push_back(std::move(run));
@@ -561,9 +634,9 @@ std::vector<PinnedRun> pinned_runs() {
   return runs;
 }
 
-TEST(WarpQueueCountPin, KernelStatsAndModeledTimeMatchRecording) {
+void expect_matches_recording(const std::vector<PinnedRun>& runs) {
   TileGuard guard;
-  for (const PinnedRun& run : pinned_runs()) {
+  for (const PinnedRun& run : runs) {
     const RunTrace got = run_pinned(run);
     bool same = run.want != nullptr &&
                 got.kernels.size() == run.want->kernels.size() &&
@@ -584,6 +657,658 @@ TEST(WarpQueueCountPin, KernelStatsAndModeledTimeMatchRecording) {
     EXPECT_TRUE(same) << run.label << " differs from its recording; measured:\n"
                       << pin_row(run.label, got);
   }
+}
+
+TEST(WarpQueueCountPin, KernelStatsAndModeledTimeMatchRecording) {
+  const PinRow rows[] = {
+      {"grid", Algo::kGridSelect, 1.0},
+      {"grid-threadqueue", Algo::kGridSelectThreadQueue, 1.0},
+      {"warp", Algo::kWarpSelect, 1.0},
+      {"block", Algo::kBlockSelect, 1.0},
+      {"fused-warp", Algo::kFusedWarpRowwise, 1.0},
+      {"fused-block", Algo::kFusedBlockRowwise, 1.0},
+      {"bucket-approx@1.0", Algo::kBucketApprox, 1.0},
+      {"bucket-approx@0.9", Algo::kBucketApprox, 0.9},
+  };
+  expect_matches_recording(pinned_runs(rows, kRecorded));
+}
+
+// ---- partition rows, Bitonic Top-K and AIR count pin ----------------------
+// The same pin for the rows whose scans, splitter searches and networks run
+// on the tile and warp fast paths: Bitonic Top-K, QuickSelect, SampleSelect,
+// BucketSelect, and AIR, whose filter appends through the same
+// AggregatedAppender as the three partition rows.  Recorded before those
+// fast paths existed, under the same settings as kRecorded.
+const PinnedRecord kPartitionRecorded[] = {
+    {"bitonic b1 n70001 k100", 0x1.1cp+5, {
+        {"BitonicTopK_sort_prune(0)", 35, 256, 280004, 280576, 1139840, 0, 0, 0, 16384, 33280},
+        {"BitonicTopK_merge(1)", 18, 256, 280576, 140288, 78912, 0, 0, 0, 24576, 4608},
+        {"BitonicTopK_merge(2)", 9, 256, 140288, 70656, 39168, 0, 0, 0, 24576, 4608},
+        {"BitonicTopK_merge(3)", 5, 256, 70656, 35840, 19584, 0, 0, 0, 21504, 4032},
+        {"BitonicTopK_merge(4)", 3, 256, 35840, 18432, 9792, 0, 0, 0, 18432, 3456},
+        {"BitonicTopK_merge(5)", 2, 256, 18432, 9216, 5184, 0, 0, 0, 15360, 2880},
+        {"BitonicTopK_merge(6)", 1, 256, 9216, 5120, 2304, 0, 0, 0, 14336, 2304},
+        {"BitonicTopK_merge(7)", 1, 256, 5120, 3072, 1152, 0, 0, 0, 8192, 1152},
+        {"BitonicTopK_merge(8)", 1, 256, 3072, 2048, 576, 0, 0, 0, 5120, 576},
+        {"BitonicTopK_merge(9)", 1, 256, 2048, 1024, 576, 0, 0, 0, 3072, 576},
+        {"BitonicTopK_emit", 1, 256, 800, 800, 0, 0, 0, 0, 1600, 0},
+    }},
+    {"quick b1 n70001 k100", 0x1.d567540aa3673p+8, {
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 5, 256, 280004, 560008, 214391, 2194, 0, 0, 168012, 42881},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 20248, 20248, 7755, 81, 0, 0, 40496, 7755},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 12560, 12560, 4812, 51, 0, 0, 25120, 4812},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 9400, 9400, 3601, 38, 0, 0, 18800, 3601},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 7408, 7408, 2838, 30, 0, 0, 14816, 2838},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 2280, 2280, 877, 11, 0, 0, 4560, 877},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1360, 1360, 524, 7, 0, 0, 2720, 524},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1216, 1216, 470, 7, 0, 0, 2432, 470},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 856, 856, 331, 5, 0, 0, 1712, 331},
+        {"collect_results", 1, 256, 168, 168, 0, 0, 0, 0, 336, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 680, 680, 265, 5, 0, 0, 1360, 265},
+        {"collect_results", 1, 256, 520, 520, 0, 0, 0, 0, 1040, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 152, 152, 63, 3, 0, 0, 304, 63},
+        {"collect_results", 1, 256, 40, 40, 0, 0, 0, 0, 80, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 104, 104, 45, 3, 0, 0, 208, 45},
+        {"collect_results", 1, 256, 16, 16, 0, 0, 0, 0, 32, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 80, 80, 36, 3, 0, 0, 160, 36},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 56, 56, 27, 3, 0, 0, 112, 27},
+        {"collect_results", 1, 256, 24, 24, 0, 0, 0, 0, 48, 0},
+    }},
+    {"sample b1 n70001 k100", 0x1.2576ce43c616fp+7, {
+        {"sample", 1, 256, 4096, 4096, 2048, 0, 0, 0, 8192, 2048},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 5, 256, 2520036, 0, 700010, 0, 1280, 5, 504036, 140010},
+        {"sample_filter", 5, 256, 2520036, 2864, 770041, 15, 0, 0, 504640, 154017},
+        {"small_sort", 1, 256, 2864, 800, 11520, 0, 0, 0, 3664, 11520},
+    }},
+    {"bucket b1 n70001 k100", 0x1.4cc2992c43357p+7, {
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 5, 256, 280004, 0, 140002, 10, 0, 0, 56004, 28002},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 5, 256, 280004, 0, 280004, 0, 1280, 5, 56004, 56004},
+        {"bucket_filter", 5, 256, 280004, 2120, 350025, 10, 0, 0, 56488, 70009},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1060, 0, 530, 2, 0, 0, 1060, 530},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 1060, 0, 1060, 0, 166, 1, 1060, 1060},
+        {"bucket_filter", 1, 256, 2120, 808, 1335, 5, 0, 0, 2928, 1335},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 12, 0, 6, 2, 0, 0, 12, 6},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 12, 0, 12, 0, 3, 1, 12, 12},
+        {"bucket_filter", 1, 256, 24, 16, 19, 2, 0, 0, 40, 19},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+    }},
+    {"air b1 n70001 k100", 0x1.4e81dcf9abc96p+4, {
+        {"air_init", 1, 256, 0, 20576, 2048, 0, 0, 0, 20576, 2048},
+        {"iteration_fused_kernel(1)", 5, 256, 286220, 40, 714346, 5, 244, 5, 62064, 146144},
+        {"iteration_fused_kernel(2)", 5, 256, 286536, 896, 714366, 15, 19, 5, 62540, 146148},
+        {"iteration_fused_kernel(3)", 5, 256, 392, 112, 200, 10, 0, 0, 112, 42},
+        {"last_filter_kernel", 5, 256, 80, 0, 0, 0, 0, 0, 16, 0},
+    }},
+    {"bitonic b8 n10007 k64", 0x1.d8p+4, {
+        {"BitonicTopK_sort_prune(0)", 80, 256, 320224, 323584, 1011200, 0, 0, 0, 8192, 12800},
+        {"BitonicTopK_merge(1)", 40, 256, 323584, 163840, 79872, 0, 0, 0, 12288, 2048},
+        {"BitonicTopK_merge(2)", 24, 256, 163840, 81920, 40960, 0, 0, 0, 10752, 1792},
+        {"BitonicTopK_merge(3)", 16, 256, 81920, 40960, 20480, 0, 0, 0, 7680, 1280},
+        {"BitonicTopK_merge(4)", 8, 256, 40960, 20480, 10240, 0, 0, 0, 7680, 1280},
+        {"BitonicTopK_merge(5)", 8, 256, 20480, 12288, 4096, 0, 0, 0, 4096, 512},
+        {"BitonicTopK_merge(6)", 8, 256, 12288, 8192, 2048, 0, 0, 0, 2560, 256},
+        {"BitonicTopK_merge(7)", 8, 256, 8192, 4096, 2048, 0, 0, 0, 1536, 256},
+        {"BitonicTopK_emit", 8, 256, 4096, 4096, 0, 0, 0, 0, 1024, 0},
+    }},
+    {"quick b8 n10007 k64", 0x1.b1498245ce38fp+11, {
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 40028, 80056, 30651, 315, 0, 0, 120084, 30651},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 70248, 70248, 26895, 276, 0, 0, 140496, 26895},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 48864, 48864, 18710, 193, 0, 0, 97728, 18710},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 5136, 5136, 1970, 22, 0, 0, 10272, 1970},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 888, 888, 345, 6, 0, 0, 1776, 345},
+        {"collect_results", 1, 256, 360, 360, 0, 0, 0, 0, 720, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 520, 520, 203, 4, 0, 0, 1040, 203},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 232, 232, 93, 3, 0, 0, 464, 93},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 216, 216, 87, 3, 0, 0, 432, 87},
+        {"collect_results", 1, 256, 64, 64, 0, 0, 0, 0, 128, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 144, 144, 60, 3, 0, 0, 288, 60},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 96, 96, 42, 3, 0, 0, 192, 42},
+        {"collect_results", 1, 256, 56, 56, 0, 0, 0, 0, 112, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 32, 32, 18, 3, 0, 0, 64, 18},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 16, 16, 10, 2, 0, 0, 32, 10},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 40028, 80056, 30649, 314, 0, 0, 120084, 30649},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 55288, 55288, 21169, 218, 0, 0, 110576, 21169},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 46776, 46776, 17911, 185, 0, 0, 93552, 17911},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 12664, 12664, 4851, 51, 0, 0, 25328, 4851},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 4048, 4048, 1554, 18, 0, 0, 8096, 1554},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1112, 1112, 429, 6, 0, 0, 2224, 429},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 768, 768, 298, 5, 0, 0, 1536, 298},
+        {"collect_results", 1, 256, 264, 264, 0, 0, 0, 0, 528, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 496, 496, 194, 4, 0, 0, 992, 194},
+        {"collect_results", 1, 256, 152, 152, 0, 0, 0, 0, 304, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 336, 336, 134, 4, 0, 0, 672, 134},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 272, 272, 108, 3, 0, 0, 544, 108},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 208, 208, 84, 3, 0, 0, 416, 84},
+        {"collect_results", 1, 256, 64, 64, 0, 0, 0, 0, 128, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 136, 136, 57, 3, 0, 0, 272, 57},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 48, 48, 24, 3, 0, 0, 96, 24},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 32, 32, 18, 3, 0, 0, 64, 18},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 16, 16, 10, 2, 0, 0, 32, 10},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 40028, 80056, 30651, 315, 0, 0, 120084, 30651},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 56632, 56632, 21683, 223, 0, 0, 113264, 21683},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 41416, 41416, 15857, 163, 0, 0, 82832, 15857},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 8384, 8384, 3214, 35, 0, 0, 16768, 3214},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 2648, 2648, 1017, 12, 0, 0, 5296, 1017},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1360, 1360, 526, 8, 0, 0, 2720, 526},
+        {"collect_results", 1, 256, 272, 272, 0, 0, 0, 0, 544, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1080, 1080, 417, 6, 0, 0, 2160, 417},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 576, 576, 224, 4, 0, 0, 1152, 224},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 312, 312, 123, 3, 0, 0, 624, 123},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 240, 240, 96, 3, 0, 0, 480, 96},
+        {"collect_results", 1, 256, 136, 136, 0, 0, 0, 0, 272, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 96, 96, 42, 3, 0, 0, 192, 42},
+        {"collect_results", 1, 256, 24, 24, 0, 0, 0, 0, 48, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 64, 64, 30, 3, 0, 0, 128, 30},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 48, 48, 24, 3, 0, 0, 96, 24},
+        {"collect_results", 1, 256, 24, 24, 0, 0, 0, 0, 48, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 16, 16, 10, 2, 0, 0, 32, 10},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 40028, 80056, 30649, 314, 0, 0, 120084, 30649},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 52944, 52944, 20270, 208, 0, 0, 105888, 20270},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 31184, 31184, 11942, 124, 0, 0, 62368, 11942},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 23712, 23712, 9080, 94, 0, 0, 47424, 9080},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 14320, 14320, 5486, 58, 0, 0, 28640, 5486},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 6944, 6944, 2662, 29, 0, 0, 13888, 2662},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 3872, 3872, 1486, 17, 0, 0, 7744, 1486},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 792, 792, 307, 5, 0, 0, 1584, 307},
+        {"collect_results", 1, 256, 320, 320, 0, 0, 0, 0, 640, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 464, 464, 180, 3, 0, 0, 928, 180},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 256, 256, 102, 3, 0, 0, 512, 102},
+        {"collect_results", 1, 256, 80, 80, 0, 0, 0, 0, 160, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 168, 168, 69, 3, 0, 0, 336, 69},
+        {"collect_results", 1, 256, 40, 40, 0, 0, 0, 0, 80, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 120, 120, 51, 3, 0, 0, 240, 51},
+        {"collect_results", 1, 256, 40, 40, 0, 0, 0, 0, 80, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 40028, 80056, 30651, 315, 0, 0, 120084, 30651},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 53560, 53560, 20507, 211, 0, 0, 107120, 20507},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 37584, 37584, 14392, 149, 0, 0, 75168, 14392},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 27480, 27480, 10523, 109, 0, 0, 54960, 10523},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 12952, 12952, 4961, 52, 0, 0, 25904, 4961},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 5368, 5368, 2059, 23, 0, 0, 10736, 2059},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 2392, 2392, 919, 11, 0, 0, 4784, 919},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 752, 752, 292, 5, 0, 0, 1504, 292},
+        {"collect_results", 1, 256, 344, 344, 0, 0, 0, 0, 688, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 400, 400, 156, 3, 0, 0, 800, 156},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 232, 232, 93, 3, 0, 0, 464, 93},
+        {"collect_results", 1, 256, 152, 152, 0, 0, 0, 0, 304, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 40028, 80056, 30649, 314, 0, 0, 120084, 30649},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 18864, 18864, 7226, 76, 0, 0, 37728, 7226},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 5216, 5216, 2002, 23, 0, 0, 10432, 2002},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 3120, 3120, 1200, 15, 0, 0, 6240, 1200},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 2072, 2072, 797, 10, 0, 0, 4144, 797},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 616, 616, 239, 4, 0, 0, 1232, 239},
+        {"collect_results", 1, 256, 472, 472, 0, 0, 0, 0, 944, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 136, 136, 57, 3, 0, 0, 272, 57},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 72, 72, 33, 3, 0, 0, 144, 33},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 40, 40, 21, 3, 0, 0, 80, 21},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 24, 24, 15, 3, 0, 0, 48, 15},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 40028, 80056, 30651, 315, 0, 0, 120084, 30651},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 25960, 25960, 9941, 103, 0, 0, 51920, 9941},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 13496, 13496, 5171, 55, 0, 0, 26992, 5171},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 10112, 10112, 3874, 41, 0, 0, 20224, 3874},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 4832, 4832, 1854, 21, 0, 0, 9664, 1854},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1072, 1072, 414, 6, 0, 0, 2144, 414},
+        {"collect_results", 1, 256, 344, 344, 0, 0, 0, 0, 688, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 720, 720, 280, 5, 0, 0, 1440, 280},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 408, 408, 159, 3, 0, 0, 816, 159},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 232, 232, 93, 3, 0, 0, 464, 93},
+        {"collect_results", 1, 256, 88, 88, 0, 0, 0, 0, 176, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 136, 136, 57, 3, 0, 0, 272, 57},
+        {"collect_results", 1, 256, 32, 32, 0, 0, 0, 0, 64, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 96, 96, 42, 3, 0, 0, 192, 42},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 80, 80, 36, 3, 0, 0, 160, 36},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 64, 64, 30, 3, 0, 0, 128, 30},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 24, 24, 15, 3, 0, 0, 48, 15},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 40028, 80056, 30651, 315, 0, 0, 120084, 30651},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 34872, 34872, 13353, 138, 0, 0, 69744, 13353},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 17088, 17088, 6546, 69, 0, 0, 34176, 6546},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 8624, 8624, 3304, 35, 0, 0, 17248, 3304},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 3776, 3776, 1450, 17, 0, 0, 7552, 1450},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1808, 1808, 696, 9, 0, 0, 3616, 696},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1032, 1032, 399, 6, 0, 0, 2064, 399},
+        {"collect_results", 1, 256, 448, 448, 0, 0, 0, 0, 896, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 576, 576, 226, 5, 0, 0, 1152, 226},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 264, 264, 105, 3, 0, 0, 528, 105},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 184, 184, 75, 3, 0, 0, 368, 75},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 168, 168, 69, 3, 0, 0, 336, 69},
+        {"collect_results", 1, 256, 24, 24, 0, 0, 0, 0, 48, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 136, 136, 57, 3, 0, 0, 272, 57},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 96, 96, 42, 3, 0, 0, 192, 42},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 72, 72, 33, 3, 0, 0, 144, 33},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 40, 40, 21, 3, 0, 0, 80, 21},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 16, 16, 10, 2, 0, 0, 32, 10},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+    }},
+    {"sample b8 n10007 k64", 0x1.f424a5e62ac11p+9, {
+        {"sample", 1, 256, 4096, 4096, 2048, 0, 0, 0, 8192, 2048},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 360252, 0, 100070, 0, 256, 1, 360252, 100070},
+        {"sample_filter", 1, 256, 360252, 512, 110081, 2, 0, 0, 360764, 110081},
+        {"CopyRemainder", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"sample", 1, 256, 4096, 4096, 2048, 0, 0, 0, 8192, 2048},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 360252, 0, 100070, 0, 256, 1, 360252, 100070},
+        {"sample_filter", 1, 256, 360252, 784, 110085, 4, 0, 0, 361036, 110085},
+        {"small_sort", 1, 256, 400, 128, 672, 0, 0, 0, 528, 672},
+        {"sample", 1, 256, 4096, 4096, 2048, 0, 0, 0, 8192, 2048},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 360252, 0, 100070, 0, 256, 1, 360252, 100070},
+        {"sample_filter", 1, 256, 360252, 1048, 110087, 5, 0, 0, 361300, 110087},
+        {"small_sort", 1, 256, 616, 80, 1792, 0, 0, 0, 696, 1792},
+        {"sample", 1, 256, 4096, 4096, 2048, 0, 0, 0, 8192, 2048},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 360252, 0, 100070, 0, 256, 1, 360252, 100070},
+        {"sample_filter", 1, 256, 360252, 576, 110083, 3, 0, 0, 360828, 110083},
+        {"small_sort", 1, 256, 224, 160, 240, 0, 0, 0, 384, 240},
+        {"sample", 1, 256, 4096, 4096, 2048, 0, 0, 0, 8192, 2048},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 360252, 0, 100070, 0, 256, 1, 360252, 100070},
+        {"sample_filter", 1, 256, 360252, 584, 110083, 3, 0, 0, 360836, 110083},
+        {"small_sort", 1, 256, 584, 512, 1792, 0, 0, 0, 1096, 1792},
+        {"sample", 1, 256, 4096, 4096, 2048, 0, 0, 0, 8192, 2048},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 360252, 0, 100070, 0, 256, 1, 360252, 100070},
+        {"sample_filter", 1, 256, 360252, 768, 110085, 4, 0, 0, 361020, 110085},
+        {"small_sort", 1, 256, 272, 16, 672, 0, 0, 0, 288, 672},
+        {"sample", 1, 256, 4096, 4096, 2048, 0, 0, 0, 8192, 2048},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 360252, 0, 100070, 0, 256, 1, 360252, 100070},
+        {"sample_filter", 1, 256, 360252, 1176, 110089, 6, 0, 0, 361428, 110089},
+        {"small_sort", 1, 256, 1048, 384, 4608, 0, 0, 0, 1432, 4608},
+        {"sample", 1, 256, 4096, 4096, 2048, 0, 0, 0, 8192, 2048},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 360252, 0, 100070, 0, 256, 1, 360252, 100070},
+        {"sample_filter", 1, 256, 360252, 768, 110083, 3, 0, 0, 361020, 110083},
+        {"small_sort", 1, 256, 768, 512, 1792, 0, 0, 0, 1280, 1792},
+    }},
+    {"bucket b8 n10007 k64", 0x1.c6e1cbbf83366p+9, {
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 40028, 0, 20014, 2, 0, 0, 40028, 20014},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 40028, 0, 40028, 0, 256, 1, 40028, 40028},
+        {"bucket_filter", 1, 256, 40028, 624, 50043, 4, 0, 0, 40652, 50043},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 140, 0, 70, 2, 0, 0, 140, 70},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 140, 0, 140, 0, 33, 1, 140, 140},
+        {"bucket_filter", 1, 256, 280, 168, 179, 2, 0, 0, 448, 179},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 40028, 0, 20014, 2, 0, 0, 40028, 20014},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 40028, 0, 40028, 0, 256, 1, 40028, 40028},
+        {"bucket_filter", 1, 256, 40028, 544, 50041, 3, 0, 0, 40572, 50041},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 160, 0, 80, 2, 0, 0, 160, 80},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 160, 0, 160, 0, 39, 1, 160, 160},
+        {"bucket_filter", 1, 256, 320, 288, 206, 3, 0, 0, 608, 206},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 40028, 0, 20014, 2, 0, 0, 40028, 20014},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 40028, 0, 40028, 0, 256, 1, 40028, 40028},
+        {"bucket_filter", 1, 256, 40028, 600, 50043, 4, 0, 0, 40628, 50043},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 160, 0, 80, 2, 0, 0, 160, 80},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 160, 0, 160, 0, 38, 1, 160, 160},
+        {"bucket_filter", 1, 256, 320, 232, 204, 2, 0, 0, 552, 204},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 40028, 0, 20014, 2, 0, 0, 40028, 20014},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 40028, 0, 40028, 0, 256, 1, 40028, 40028},
+        {"bucket_filter", 1, 256, 40028, 736, 50043, 4, 0, 0, 40764, 50043},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 180, 0, 90, 2, 0, 0, 180, 90},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 180, 0, 180, 0, 42, 1, 180, 180},
+        {"bucket_filter", 1, 256, 360, 136, 229, 2, 0, 0, 496, 229},
+        {"CopyRemainder", 1, 256, 16, 16, 0, 0, 0, 0, 32, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 40028, 0, 20014, 2, 0, 0, 40028, 20014},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 40028, 0, 40028, 0, 256, 1, 40028, 40028},
+        {"bucket_filter", 1, 256, 40028, 664, 50043, 4, 0, 0, 40692, 50043},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 192, 0, 96, 2, 0, 0, 192, 96},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 192, 0, 192, 0, 45, 1, 192, 192},
+        {"bucket_filter", 1, 256, 384, 232, 244, 2, 0, 0, 616, 244},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 40028, 0, 20014, 2, 0, 0, 40028, 20014},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 40028, 0, 40028, 0, 256, 1, 40028, 40028},
+        {"bucket_filter", 1, 256, 40028, 616, 50043, 4, 0, 0, 40644, 50043},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 164, 0, 82, 2, 0, 0, 164, 82},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 164, 0, 164, 0, 38, 1, 164, 164},
+        {"bucket_filter", 1, 256, 328, 224, 209, 2, 0, 0, 552, 209},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 40028, 0, 20014, 2, 0, 0, 40028, 20014},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 40028, 0, 40028, 0, 256, 1, 40028, 40028},
+        {"bucket_filter", 1, 256, 40028, 688, 50043, 4, 0, 0, 40716, 50043},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 180, 0, 90, 2, 0, 0, 180, 90},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 180, 0, 180, 0, 43, 1, 180, 180},
+        {"bucket_filter", 1, 256, 360, 184, 229, 2, 0, 0, 544, 229},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 40028, 0, 20014, 2, 0, 0, 40028, 20014},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 40028, 0, 40028, 0, 256, 1, 40028, 40028},
+        {"bucket_filter", 1, 256, 40028, 664, 50043, 4, 0, 0, 40692, 50043},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 180, 0, 90, 2, 0, 0, 180, 90},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 180, 0, 180, 0, 42, 1, 180, 180},
+        {"bucket_filter", 1, 256, 360, 208, 229, 2, 0, 0, 568, 229},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+    }},
+    {"air b8 n10007 k64", 0x1.27959b1e11fp+4, {
+        {"air_init", 8, 256, 0, 164608, 16384, 0, 0, 0, 20576, 2048},
+        {"iteration_fused_kernel(1)", 8, 256, 368696, 336, 849712, 8, 374, 8, 46132, 106214},
+        {"iteration_fused_kernel(2)", 8, 256, 339776, 4736, 837468, 30, 67, 6, 46248, 106220},
+        {"iteration_fused_kernel(3)", 8, 256, 856, 248, 682, 12, 0, 0, 216, 152},
+        {"last_filter_kernel", 8, 256, 128, 0, 0, 0, 0, 0, 16, 0},
+    }},
+};
+
+TEST(PartitionCountPin, KernelStatsAndModeledTimeMatchRecording) {
+  const PinRow rows[] = {
+      {"bitonic", Algo::kBitonicTopk, 1.0},
+      {"quick", Algo::kQuickSelect, 1.0},
+      {"sample", Algo::kSampleSelect, 1.0},
+      {"bucket", Algo::kBucketSelect, 1.0},
+      {"air", Algo::kAirTopk, 1.0},
+  };
+  expect_matches_recording(pinned_runs(rows, kPartitionRecorded));
 }
 
 // ---- in_idx leg -----------------------------------------------------------

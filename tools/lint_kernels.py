@@ -8,13 +8,14 @@ kernel bypasses both the traffic accounting and the simcheck sanitizer, so
 this linter rejects any ``.data()`` / ``.host_span()`` call textually inside
 a ``launch(...)`` call expression under ``src/topk``.
 
-Raw-span *escapes* — ``unchecked_data()`` on a SharedSpan and the
-``raw_view(...)`` unwrap helper — are a second, related hazard: they are only
-legal behind the tile/warpfast gates, because ``unchecked_data()`` returns a
-usable pointer exclusively while the tile fast path is on and no sanitizer is
-attached.  Every escape site must therefore show gate evidence in an
-*enclosing brace scope*: a nullptr/empty check of the unwrapped result (the
-canonical gate — the null return *is* the gate state), or an explicit
+Raw-span *escapes* — ``unchecked_data()`` on a SharedSpan, the
+``raw_view(...)`` unwrap helper and ``BlockCtx::prepaid_reads()`` (a raw
+device pointer whose reads were charged in bulk) — are a second, related
+hazard: they are only legal behind the tile/warpfast gates, because each
+returns a usable pointer exclusively while the tile fast path is on and no
+sanitizer is attached.  Every escape site must therefore show gate evidence
+in an *enclosing brace scope*: a nullptr/empty check of the unwrapped result
+(the canonical gate — the null return *is* the gate state), or an explicit
 ``tile_path_enabled()`` / ``warpfast_enabled()`` / per-block gate flag test.
 The search walks outward from the innermost scope containing the escape
 (including each scope's ``if (...)`` header), so evidence in a *neighboring*
@@ -55,7 +56,10 @@ import sys
 
 LAUNCH_RE = re.compile(r"(?<![\w:])(?:simgpu\s*::\s*)?launch\s*\(")
 RAW_ACCESS_RE = re.compile(r"\.\s*(data|host_span)\s*\(")
-ESCAPE_RE = re.compile(r"\.\s*(unchecked_data)\s*\(|(?<![\w:])(raw_view)\s*\(")
+ESCAPE_RE = re.compile(
+    r"\.\s*(unchecked_data|prepaid_reads)\s*(?:<[^<>()]*>\s*)?\("
+    r"|(?<![\w:])(raw_view)\s*\("
+)
 GATE_EVIDENCE_RE = re.compile(
     r"[!=]=\s*nullptr|\.\s*empty\s*\(|tile_path_enabled\s*\("
     r"|warpfast_enabled\s*\(|packed_q_|kProxyView"
@@ -431,6 +435,26 @@ void gated(simgpu::SharedSpan<float> s) {
 }
 """
 
+# BlockCtx::prepaid_reads() hands out a raw device pointer (bulk-charged
+# reads), null off the unsanitized tile path: the same gate rule applies.
+BAD_PREPAID_SAMPLE = """
+void classify(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<float> split) {
+  const float* s = ctx.prepaid_reads(split, 8);
+  use(s[3]);  // dereferenced without the null check
+}
+"""
+
+GOOD_PREPAID_SAMPLE = """
+void classify(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<float> split) {
+  const float* s = ctx.prepaid_reads<float>(split, 8);
+  if (s != nullptr) {
+    use(s[3]);
+  } else {
+    use(ctx.load(split, 3));
+  }
+}
+"""
+
 # The old fixed-window heuristic accepted this: the escape in leak() has no
 # gate, but a *neighboring* function a few lines below checks a pointer
 # against nullptr.  Scope-aware search must still flag leak().
@@ -559,6 +583,13 @@ def self_test() -> int:
     good_escape = lint_text(GOOD_ESCAPE_SAMPLE, "<good-escape>")
     if good_escape:
         return fail(f"false positives in GOOD_ESCAPE_SAMPLE: {good_escape}")
+    bad_prepaid = lint_text(BAD_PREPAID_SAMPLE, "<bad-prepaid>")
+    if len(bad_prepaid) != 1 or bad_prepaid[0]["rule"] != "escape-gate":
+        return fail("an ungated prepaid_reads() pointer must be flagged: "
+                    f"{bad_prepaid}")
+    good_prepaid = lint_text(GOOD_PREPAID_SAMPLE, "<good-prepaid>")
+    if good_prepaid:
+        return fail(f"false positives in GOOD_PREPAID_SAMPLE: {good_prepaid}")
     neighbor = lint_text(NEIGHBOR_GATE_SAMPLE, "<neighbor-gate>")
     if len(neighbor) != 1 or neighbor[0]["rule"] != "escape-gate":
         return fail("scope awareness: a gate in a neighboring function must "
