@@ -34,7 +34,12 @@ AlphaResult run_alpha(const simgpu::DeviceSpec& spec,
   dev.clear_events();
   topk::AirTopkOptions opt;
   opt.alpha = alpha;
-  topk::air_topk(dev, in, 1, values.size(), k, ov, oi, opt);
+  simgpu::WorkspaceLayout layout;
+  const auto plan = topk::air_topk_plan<float>(
+      topk::Shape{1, values.size(), k}, spec, opt, layout);
+  simgpu::Workspace air_ws(dev);
+  air_ws.bind(layout);
+  topk::air_topk_run(dev, plan, air_ws, in, ov, oi);
   return {simgpu::CostModel(spec).total_us(dev.events()),
           dev.peak_live_bytes()};
 }

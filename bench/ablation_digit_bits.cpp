@@ -29,7 +29,12 @@ DigitResult run_digits(const simgpu::DeviceSpec& spec,
   dev.clear_events();
   topk::AirTopkOptions opt;
   opt.digit_bits = digit_bits;
-  topk::air_topk(dev, in, 1, values.size(), k, ov, oi, opt);
+  simgpu::WorkspaceLayout layout;
+  const auto plan = topk::air_topk_plan<float>(
+      topk::Shape{1, values.size(), k}, spec, opt, layout);
+  simgpu::Workspace air_ws(dev);
+  air_ws.bind(layout);
+  topk::air_topk_run(dev, plan, air_ws, in, ov, oi);
   std::size_t kernels = 0;
   for (const auto& e : dev.events()) {
     kernels += std::holds_alternative<simgpu::KernelEvent>(e) ? 1u : 0u;

@@ -33,7 +33,12 @@ double run_variant(const simgpu::DeviceSpec& spec,
   topk::GridSelectOptions o;
   o.shared_queue = shared_queue;
   o.items_per_block = 256 * 1024;  // keep warm-up << steady state per warp
-  topk::grid_select(dev, in, 1, values.size(), k, ov, oi, o);
+  simgpu::WorkspaceLayout layout;
+  const auto plan = topk::grid_select_plan<float>(
+      topk::Shape{1, values.size(), k}, spec, o, layout);
+  simgpu::Workspace grid_ws(dev);
+  grid_ws.bind(layout);
+  topk::grid_select_run(dev, plan, grid_ws, in, ov, oi);
   return simgpu::CostModel(spec).total_us(dev.events());
 }
 

@@ -81,8 +81,13 @@ int main() {
   auto out_idx = dev.alloc<std::uint32_t>(kQueries * kNeighbors);
   topk::FusedRowwiseOptions opt;
   opt.in_idx = in_idx;
-  topk::fused_rowwise<float>(dev, rerank, kQueries, kShortlist, kNeighbors,
-                             out_vals, out_idx, /*block_variant=*/false, opt);
+  simgpu::WorkspaceLayout layout;
+  const auto plan = topk::fused_rowwise_plan<float>(
+      topk::Shape{kQueries, kShortlist, kNeighbors}, dev.spec(), opt,
+      /*block_variant=*/false, layout);
+  simgpu::Workspace ws(dev);
+  ws.bind(layout);
+  topk::fused_rowwise_run(dev, plan, ws, rerank, out_vals, out_idx);
 
   // ---- verify ----------------------------------------------------------
   // The fused answer must equal a per-row reference select over the same

@@ -117,7 +117,12 @@ int main() {
       ctx.store(d_distances, row, row_distance(ctx, d_vectors, row, squery));
     }
   });
-  topk::grid_select(dev, d_distances, 1, kN, kK, d_out_val, d_out_idx);
+  simgpu::WorkspaceLayout layout;
+  const auto plan = topk::grid_select_plan<float>(topk::Shape{1, kN, kK},
+                                                  dev.spec(), {}, layout);
+  simgpu::Workspace ws(dev);
+  ws.bind(layout);
+  topk::grid_select_run(dev, plan, ws, d_distances, d_out_val, d_out_idx);
   const std::uint64_t staged_bytes = traffic(dev);
 
   // Both paths must agree with the host reference.

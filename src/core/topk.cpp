@@ -12,6 +12,7 @@
 #include <type_traits>
 
 #include "topk/key_codec.hpp"
+#include "topk/key_order.hpp"
 #include "topk/registry.hpp"
 
 namespace topk {
@@ -260,15 +261,22 @@ Algo resolve_algo(Algo algo, std::size_t n, std::size_t k,
   return recommend_algorithm(n, k, hints);
 }
 
-void sort_result_best_first(SelectResult& r, bool greatest,
-                            std::vector<std::uint32_t>& order_scratch) {
-  const std::size_t k = r.values.size();
+namespace {
+
+/// Reorder one row best-first under `ord`, in place: values, indices and
+/// (when non-empty) payload permuted together.  `order_scratch` holds the
+/// permutation and is resized to k on every call.
+template <typename T>
+void sort_row_best_first(std::vector<T>& vals, std::vector<std::uint32_t>& idx,
+                         std::vector<std::uint64_t>& payload,
+                         KeyOrder<T> ord,
+                         std::vector<std::uint32_t>& order_scratch) {
+  const std::size_t k = vals.size();
   order_scratch.resize(k);
   std::iota(order_scratch.begin(), order_scratch.end(), 0U);
   std::sort(order_scratch.begin(), order_scratch.end(),
             [&](std::uint32_t a, std::uint32_t b) {
-              return greatest ? r.values[a] > r.values[b]
-                              : r.values[a] < r.values[b];
+              return ord.less(vals[a], vals[b]);
             });
   // Apply the permutation in place (dest[i] = src[order[i]]): chase each
   // source slot through the already-swapped prefix, then swap it into
@@ -277,10 +285,19 @@ void sort_result_best_first(SelectResult& r, bool greatest,
     std::size_t j = order_scratch[i];
     while (j < i) j = order_scratch[j];
     if (j != i) {
-      std::swap(r.values[i], r.values[j]);
-      std::swap(r.indices[i], r.indices[j]);
+      std::swap(vals[i], vals[j]);
+      std::swap(idx[i], idx[j]);
+      if (!payload.empty()) std::swap(payload[i], payload[j]);
     }
   }
+}
+
+}  // namespace
+
+void sort_result_best_first(SelectResult& r, bool greatest,
+                            std::vector<std::uint32_t>& order_scratch) {
+  sort_row_best_first(r.values, r.indices, r.payload,
+                      KeyOrder<float>(greatest), order_scratch);
 }
 
 namespace {
@@ -380,40 +397,7 @@ ExecutionPlan plan_select(const simgpu::DeviceSpec& spec, std::size_t batch,
   impl->shape = Shape{batch, n, k, opt.greatest};
   impl->dtype = opt.dtype;
   impl->u32_carrier = key_type_is_integer(opt.dtype);
-  // WLOG the paper selects the smallest K; algorithms without a native
-  // largest-K order get a negate wrap: plan a device segment for the
-  // negated copy here, apply it in run_select.  On the u32 carrier the wrap
-  // is a bitwise complement of the radix ordinals, not a float negation.
-  impl->negate = opt.greatest && !row->native_greatest;
-  if (impl->negate) {
-    impl->seg_negated =
-        impl->u32_carrier
-            ? impl->layout.add<std::uint32_t>("negated input", batch * n)
-            : impl->layout.add<float>("negated input", batch * n);
-  }
   row->plan(*impl, spec, opt);
-  if (impl->negate) {
-    // The plan function recorded its schedule against the caller's input
-    // buffer, but under the negate wrap run_select feeds the kernels the
-    // negated copy.  Rewrite the input binds to the negated segment and
-    // prepend the host negation so the static auditor sees the sequence
-    // that actually executes (and the segment's first write).
-    for (simgpu::KernelStep& step : impl->schedule.steps) {
-      for (simgpu::OperandBind& bind : step.binds) {
-        if (bind.target == simgpu::kBindInput) bind.target = impl->seg_negated;
-      }
-    }
-    simgpu::KernelStep neg;
-    neg.kind = simgpu::KernelStep::Kind::kHost;
-    neg.name = "negate input";
-    neg.batch = batch;
-    neg.n = n;
-    neg.k = k;
-    neg.binds = {{"in", simgpu::kBindInput, simgpu::Access::kRead},
-                 {"negated", static_cast<int>(impl->seg_negated),
-                  simgpu::Access::kWrite}};
-    impl->schedule.steps.insert(impl->schedule.steps.begin(), std::move(neg));
-  }
   return ExecutionPlan(std::move(impl));
 }
 
@@ -428,28 +412,7 @@ void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
         "use the DeviceBuffer<uint32_t> overload");
   }
   ws.bind(impl.layout);
-  simgpu::DeviceBuffer<float> input = in;
-  if (impl.negate) {
-    const std::size_t total = impl.shape.batch * impl.shape.n;
-    if (in.size() < total) {
-      throw std::invalid_argument("run_select: input smaller than batch*n");
-    }
-    simgpu::DeviceBuffer<float> neg = ws.get<float>(impl.seg_negated);
-    for (std::size_t i = 0; i < total; ++i) neg.data()[i] = -in.data()[i];
-    if (simgpu::Sanitizer* san = dev.sanitizer()) {
-      // The host-side copy bypasses the shadow; mark it like an upload so
-      // the kernels' reads are not flagged uninitialized.
-      san->mark_initialized(neg.data(), total * sizeof(float));
-    }
-    input = neg;
-  }
-  run_planned(dev, impl, ws, input, out_vals, out_idx);
-  if (impl.negate) {
-    const std::size_t out_total = impl.shape.batch * impl.shape.k;
-    for (std::size_t i = 0; i < out_total; ++i) {
-      out_vals.data()[i] = -out_vals.data()[i];
-    }
-  }
+  run_planned(dev, impl, ws, in, out_vals, out_idx);
 }
 
 void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
@@ -464,30 +427,7 @@ void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
         "DeviceBuffer<float> overload");
   }
   ws.bind(impl.layout);
-  simgpu::DeviceBuffer<std::uint32_t> input = in;
-  if (impl.negate) {
-    // The largest-K wrap on radix ordinals: complement is the monotone
-    // order reversal of the unsigned domain (float negation's counterpart),
-    // and complementing the selected ordinals undoes it exactly.
-    const std::size_t total = impl.shape.batch * impl.shape.n;
-    if (in.size() < total) {
-      throw std::invalid_argument("run_select: input smaller than batch*n");
-    }
-    simgpu::DeviceBuffer<std::uint32_t> neg =
-        ws.get<std::uint32_t>(impl.seg_negated);
-    for (std::size_t i = 0; i < total; ++i) neg.data()[i] = ~in.data()[i];
-    if (simgpu::Sanitizer* san = dev.sanitizer()) {
-      san->mark_initialized(neg.data(), total * sizeof(std::uint32_t));
-    }
-    input = neg;
-  }
-  run_planned(dev, impl, ws, input, out_vals, out_idx);
-  if (impl.negate) {
-    const std::size_t out_total = impl.shape.batch * impl.shape.k;
-    for (std::size_t i = 0; i < out_total; ++i) {
-      out_vals.data()[i] = ~out_vals.data()[i];
-    }
-  }
+  run_planned(dev, impl, ws, in, out_vals, out_idx);
 }
 
 void select_device(simgpu::Device& dev, simgpu::DeviceBuffer<float> in,
@@ -566,34 +506,6 @@ void validate_payload_arg(const char* fn, PayloadView payload,
   }
 }
 
-/// Best-first reorder in the carrier domain: carrier order equals key order
-/// for every dtype (total, NaN-safe for f16/bf16 ordinals), so sorting
-/// BEFORE decode avoids the float-comparison hazards a decoded sort would
-/// reintroduce.  Permutes values, indices and (when present) payload.
-template <typename Carrier>
-void sort_carrier_row_best_first(std::vector<Carrier>& vals,
-                                 std::vector<std::uint32_t>& idx,
-                                 std::vector<std::uint64_t>& payload,
-                                 bool greatest,
-                                 std::vector<std::uint32_t>& order_scratch) {
-  const std::size_t k = vals.size();
-  order_scratch.resize(k);
-  std::iota(order_scratch.begin(), order_scratch.end(), 0U);
-  std::sort(order_scratch.begin(), order_scratch.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return greatest ? vals[b] < vals[a] : vals[a] < vals[b];
-            });
-  for (std::size_t i = 0; i < k; ++i) {
-    std::size_t j = order_scratch[i];
-    while (j < i) j = order_scratch[j];
-    if (j != i) {
-      std::swap(vals[i], vals[j]);
-      std::swap(idx[i], idx[j]);
-      if (!payload.empty()) std::swap(payload[i], payload[j]);
-    }
-  }
-}
-
 /// Typed execution on a carrier domain: upload the encoded keys, run the
 /// carrier-typed plan, then gather payloads and decode per row.  Carrier is
 /// float (f32/f16/bf16) or uint32_t (i32/u32); `dtype` is the user-facing
@@ -645,8 +557,12 @@ std::vector<SelectResult> run_carrier_on_device(
       }
     }
     if (opt.sorted) {
-      sort_carrier_row_best_first(cvals, r.indices, r.payload, opt.greatest,
-                                  order);
+      // Best-first in the carrier domain: carrier order equals key order
+      // for every dtype (total, NaN-safe for f16/bf16 ordinals), so sorting
+      // BEFORE decode avoids the float-comparison hazards a decoded sort
+      // would reintroduce.
+      sort_row_best_first(cvals, r.indices, r.payload,
+                          KeyOrder<Carrier>(opt.greatest), order);
     }
     if constexpr (std::is_same_v<Carrier, float>) {
       r.values.assign(cvals.begin(), cvals.end());

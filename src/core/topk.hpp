@@ -72,8 +72,7 @@ class bf16;   // topk/bf16.hpp
 ///    representable in float, totally ordered — NaNs by bit pattern) and
 ///    decoded back after selection.
 ///  - u32 carrier: i32/u32 keys are encoded to their monotone radix ordinal
-///    and the algorithm is instantiated at uint32_t (largest-K wraps via
-///    bitwise complement instead of float negation).
+///    and the algorithm is instantiated at uint32_t.
 /// Registry rows declare which key types they accept (algo_supports_dtype);
 /// recommend_algorithm filters its cost race by them.
 enum class KeyType : std::uint8_t { kF32 = 0, kF16, kBF16, kI32, kU32 };
@@ -251,7 +250,8 @@ struct SelectResult {
 };
 
 /// Reorder a result best-first in place: ascending values for smallest-K,
-/// descending for largest-K, with values and indices permuted together.
+/// descending for largest-K (KeyOrder::less), with values, indices and any
+/// payload permuted together.
 /// `order_scratch` holds the permutation and is resized to k on every call;
 /// batched post-passes hoist one scratch vector outside the row loop so the
 /// sort allocates nothing per row once warm.  Shared by select()'s sorted
@@ -262,7 +262,9 @@ void sort_result_best_first(SelectResult& r, bool greatest,
 /// Extra knobs forwarded to the algorithms.
 struct SelectOptions {
   int alpha = 128;                ///< AIR adaptive threshold (paper §5: 128)
-  bool greatest = false;          ///< select largest instead of smallest
+  /// Select the largest K instead of the smallest (the plan's KeyOrder,
+  /// topk/key_order.hpp, applied wherever keys are compared).
+  bool greatest = false;
   bool sorted = false;            ///< order results best-first
   /// Recall the approximate tier (Algo::kBucketApprox) sizes its bucket
   /// shape for; must be in (0, 1].  At the default 1.0 the tier keeps k
@@ -365,8 +367,7 @@ class ExecutionPlan {
 /// precompute everything the run needs — kernel schedule, grids, interned
 /// kernel names, and the named workspace segments.  Pure function of
 /// (spec, shape, algo, opt): no Device needed, safe to cache and share.
-/// Largest-K on an algorithm without a native descending order plans an
-/// extra "negated input" segment; run_select applies the negation wrap.
+/// A largest-K plan has the same layout and schedule as its smallest-K twin.
 [[nodiscard]] ExecutionPlan plan_select(const simgpu::DeviceSpec& spec,
                                         std::size_t batch, std::size_t n,
                                         std::size_t k, Algo algo,
@@ -384,9 +385,7 @@ void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
                 simgpu::DeviceBuffer<std::uint32_t> out_idx);
 
 /// u32-carrier run: same contract as the float overload, for plans built
-/// with an integer dtype (i32/u32 keys encoded to radix ordinals).  Largest-K
-/// on a non-native-greatest algorithm wraps via bitwise complement of the
-/// ordinals instead of float negation.
+/// with an integer dtype (i32/u32 keys encoded to radix ordinals).
 void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
                 simgpu::Workspace& ws,
                 simgpu::DeviceBuffer<std::uint32_t> in,

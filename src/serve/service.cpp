@@ -14,6 +14,7 @@
 #include "simgpu/cost_model.hpp"
 #include "simgpu/simgpu.hpp"
 #include "topk/key_codec.hpp"
+#include "topk/key_order.hpp"
 
 namespace topk::serve {
 
@@ -37,10 +38,10 @@ SelectResult trim_result(SelectResult&& r, std::size_t k, bool greatest,
   }
   std::vector<std::uint32_t> order(r.values.size());
   std::iota(order.begin(), order.end(), 0u);
+  const KeyOrder<float> ord(greatest);
   std::nth_element(order.begin(), order.begin() + static_cast<long>(k) - 1,
                    order.end(), [&](std::uint32_t a, std::uint32_t b) {
-                     return greatest ? r.values[a] > r.values[b]
-                                     : r.values[a] < r.values[b];
+                     return ord.less(r.values[a], r.values[b]);
                    });
   SelectResult out;
   out.values.reserve(k);

@@ -11,8 +11,8 @@
 
 #include "topk/common.hpp"
 #include "topk/key_codec.hpp"
+#include "topk/key_order.hpp"
 #include "topk/partial_sort_common.hpp"
-#include "topk/radix_traits.hpp"
 
 namespace topk::shard {
 
@@ -193,10 +193,11 @@ ShardedPlan plan_sharded(const simgpu::DeviceSpec& spec, std::size_t n,
   sp.k = k;
   sp.shard_algo = algo;
   sp.merge = merge_site(shards, k, spec);
-  // Shards see smallest-K plans: largest-K is negated once at the
-  // coordinator boundary, never inside the per-shard plans.
+  // Shards and the merge plan in the query's direction (the merge row
+  // ignores alpha).
   SelectOptions shard_opt;
   shard_opt.alpha = opt.alpha;
+  shard_opt.greatest = opt.greatest;
   // block_chunk yields at most two distinct shard lengths (base + 1 for the
   // leading remainder chunks, base for the rest) — the first and last shard
   // between them exhibit both.
@@ -218,7 +219,7 @@ ShardedPlan plan_sharded(const simgpu::DeviceSpec& spec, std::size_t n,
     label << "merge shard-merge n=" << shards * k << " k=" << k;
     sp.plans.emplace_back(
         label.str(),
-        plan_select(spec, 1, shards * k, k, Algo::kShardMerge, {}));
+        plan_select(spec, 1, shards * k, k, Algo::kShardMerge, shard_opt));
   }
   return sp;
 }
@@ -280,18 +281,12 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
     algo = recommend_algorithm(n, k, hints);
   }
 
-  // Largest-K, handled exactly once: shards select the smallest of the
-  // negated input, the merged values are negated back below.  Per-shard
-  // plans therefore never carry their own negate wrap.
-  const bool negate = cfg_.options.greatest;
-  std::span<const float> src = data;
-  if (negate) {
-    stage_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) stage_[i] = -data[i];
-    src = stage_;
-  }
+  // Every plan of the query, the merge's included, selects in its
+  // direction (the merge row ignores alpha).
+  const KeyOrder<float> ord(cfg_.options.greatest);
   SelectOptions shard_opt;
   shard_opt.alpha = cfg_.options.alpha;
+  shard_opt.greatest = ord.greatest();
 
   const std::size_t devices_used = std::min(S, slots_.size());
   const bool simcheck = simcheck_env_enabled();
@@ -311,9 +306,7 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
       return it->second;
     }
     ++plan_misses_;
-    const SelectOptions& popt =
-        palgo == Algo::kShardMerge ? SelectOptions{} : shard_opt;
-    return plans_.emplace(key, plan_select(spec, 1, pn, k, palgo, popt))
+    return plans_.emplace(key, plan_select(spec, 1, pn, k, palgo, shard_opt))
         .first->second;
   };
 
@@ -347,7 +340,7 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
     // Scatter is an unrecorded upload: like the paper's measured regions
     // (and select()'s own staging), a shard's timed region starts with its
     // slice resident on the device.
-    slot.dev.upload(slot.in, src.subspan(begin, len));
+    slot.dev.upload(slot.in, data.subspan(begin, len));
     simgpu::Sanitizer* const san = slot.dev.sanitizer();
     const std::size_t issues_before = san != nullptr ? san->issue_count() : 0;
     const double before = model.total_us(slot.dev.events());
@@ -397,20 +390,17 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
       res.timing.gather_us = 0.0;
       break;
     case MergeSite::kHost: {
-      // The host already holds every candidate.  Keys pack (radix ordinal
+      // The host already holds every candidate.  Keys pack (key ordinal
       // << 32 | query index): a total order on the float carrier that is
       // deterministic under ties and well-defined for NaN.
       std::vector<std::uint64_t> keys(nm);
       for (std::size_t c = 0; c < nm; ++c) {
-        const std::uint32_t ord = RadixTraits<float>::to_radix(
-            std::bit_cast<float>(value_bits(c)));
-        keys[c] = std::uint64_t{ord} << 32 | index_of(c);
+        keys[c] = ord.pack(std::bit_cast<float>(value_bits(c)), index_of(c));
       }
       std::nth_element(keys.begin(), keys.begin() + static_cast<long>(k - 1),
                        keys.end());
       for (std::size_t i = 0; i < k; ++i) {
-        res.topk.values[i] = RadixTraits<float>::from_radix(
-            static_cast<std::uint32_t>(keys[i] >> 32));
+        res.topk.values[i] = ord.unpack(keys[i]);
         res.topk.indices[i] = static_cast<std::uint32_t>(keys[i]);
       }
       const double before = model.total_us(m.dev.events());
@@ -457,9 +447,6 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
     }
   }
 
-  if (negate) {
-    for (float& v : res.topk.values) v = -v;
-  }
   if (cfg_.options.sorted) {
     std::vector<std::uint32_t> order;
     sort_result_best_first(res.topk, cfg_.options.greatest, order);
@@ -493,8 +480,8 @@ ShardedResult Coordinator::select_typed(KeyView keys, std::size_t k,
   } else {
     // Encode to the exact float carrier (the 16-bit radix ordinal) so the
     // shards and the merge see a totally ordered float stream; decoded back
-    // after the merge.  The negate-at-boundary wrap composes: carrier order
-    // is key order, so negating carriers selects the key-largest.
+    // after the merge.  Carrier order is key order, so either direction
+    // selects the same keys on the carriers as on the keys.
     typed_stage_.resize(keys.size);
     codec::encode_keys_f32(keys, typed_stage_.data());
     res = select(std::span<const float>(typed_stage_), k, shards, algo);

@@ -32,10 +32,9 @@
 ///        S·k values ──H2D──> device 0 ──ShardMerge plan──> packed
 ///        (k values | k positions) ──one D2H──> exact top-k
 ///
-/// Largest-K is handled ONCE at the coordinator boundary: the input is
-/// negated while staging shards and the final values are negated back, so
-/// neither the per-shard plans nor the merge ever see a negate wrap of
-/// their own (no double negation, no per-shard wrap overhead).
+/// Largest-K is the options' direction on every plan of the query: the
+/// per-shard plans and the merge plan select natively (KeyOrder), and the
+/// host merge packs the same KeyOrder's keys, so no key is ever rewritten.
 namespace topk::shard {
 
 /// Pool + query configuration for a Coordinator.
@@ -52,7 +51,8 @@ struct ShardConfig {
   /// Per-shard selection algorithm (kAuto recommends at the per-shard
   /// shape via WorkloadHints::shards).
   Algo algo = Algo::kAuto;
-  /// greatest / sorted / alpha, applied at the coordinator boundary.
+  /// greatest (every plan's direction), sorted (the final result) and
+  /// alpha (the per-shard plans).
   SelectOptions options{};
 };
 
@@ -150,7 +150,6 @@ class Coordinator {
   /// per (n, k, shards) triple, plus one merge-plan entry per (shards, k)
   /// that merges on a device.
   std::map<std::tuple<std::size_t, std::size_t, Algo>, ExecutionPlan> plans_;
-  std::vector<float> stage_;  ///< host staging scratch (negation, slicing)
   std::vector<float> typed_stage_;  ///< f16/bf16 carrier-encoded keys
   std::size_t plan_hits_ = 0;
   std::size_t plan_misses_ = 0;

@@ -631,19 +631,26 @@ class BlockCtx {
   [[nodiscard]] bool warpfast_enabled() const { return warpfast_; }
 
   /// Vectorizable scan primitive for threshold-gated warp rounds: how many
-  /// elements of `tile` are strictly below `threshold`.  The compare is
-  /// branch-free so -O2 autovectorizes it.  Purely an emulator-side compute
-  /// helper — it charges nothing; callers charge the authoritative round
-  /// formula (a candidate-free round costs exactly what the exact
+  /// elements of `tile`, with `mask` xor-ed into their bits (a selection
+  /// direction, topk::KeyOrder), are strictly below `threshold`.  The compare
+  /// is branch-free so -O2 autovectorizes it.  Purely an emulator-side
+  /// compute helper — it charges nothing; callers charge the authoritative
+  /// round formula (a candidate-free round costs exactly what the exact
   /// ballot-based round charges, see topk::kEmptyRoundLaneOps).
   template <typename T>
   [[nodiscard]] static std::size_t count_below(std::span<const T> tile,
-                                               T threshold) {
+                                               T threshold,
+                                               simd::KeyBits<T> mask = 0) {
     if constexpr (std::is_same_v<T, float>) {
-      return simd::count_below_f32(tile.data(), tile.size(), threshold);
+      return simd::count_below_f32(tile.data(), tile.size(), threshold, mask);
     } else {
+      using Bits = simd::KeyBits<T>;
       std::size_t below = 0;
-      for (const T& v : tile) below += static_cast<std::size_t>(v < threshold);
+      for (const T& v : tile) {
+        const T key = std::bit_cast<T>(
+            static_cast<Bits>(std::bit_cast<Bits>(v) ^ mask));
+        below += static_cast<std::size_t>(key < threshold);
+      }
       return below;
     }
   }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -23,6 +24,12 @@
 #endif
 
 namespace simgpu::simd {
+
+/// The unsigned word as wide as a 4- or 8-byte key: the type of a key-order
+/// xor mask (topk::KeyOrder), which the masked helpers xor into every key.
+template <typename T>
+using KeyBits =
+    std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
 
 #if SIMGPU_SIMD_X86
 [[nodiscard]] inline bool have_avx512f() {
@@ -85,6 +92,58 @@ inline void sort16_u64_scalar(std::uint64_t* v) {
   std::uint64_t tmp[16];
   merge_runs_u64<8>(tmp, v, v + 8);
   for (std::size_t i = 0; i < 16; ++i) v[i] = tmp[i];
+}
+
+/// Portable bodies of count_below_f32, pack_below_f32 and
+/// splitter_classes (see those for the contracts).  The scalar pack writes
+/// (then overwrites) at the cursor branchlessly.
+inline std::size_t count_below_f32_scalar(const float* p, std::size_t n,
+                                          float threshold,
+                                          std::uint32_t mask) {
+  std::size_t below = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float key =
+        std::bit_cast<float>(std::bit_cast<std::uint32_t>(p[i]) ^ mask);
+    below += static_cast<std::size_t>(key < threshold);
+  }
+  return below;
+}
+
+inline std::size_t pack_below_f32_scalar(const float* p,
+                                         const std::uint32_t* ext_idx,
+                                         std::uint32_t base_index,
+                                         std::size_t n, float threshold,
+                                         std::uint64_t* out,
+                                         std::uint32_t mask) {
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t b = std::bit_cast<std::uint32_t>(p[i]) ^ mask;
+    const std::uint32_t ord = (b & 0x80000000u) ? ~b : (b | 0x80000000u);
+    const std::uint32_t idx =
+        ext_idx != nullptr ? ext_idx[i]
+                           : base_index + static_cast<std::uint32_t>(i);
+    out[m] = (static_cast<std::uint64_t>(ord) << 32) | idx;
+    m += static_cast<std::size_t>(std::bit_cast<float>(b) < threshold);
+  }
+  return m;
+}
+
+template <typename T>
+inline void splitter_classes_scalar(const T* split, std::uint32_t first_step,
+                                    std::span<const T> v, std::uint32_t* cls,
+                                    KeyBits<T> mask) {
+  using Bits = KeyBits<T>;
+  const auto key = [mask](T x) {
+    return std::bit_cast<T>(static_cast<Bits>(std::bit_cast<Bits>(x) ^ mask));
+  };
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const T kv = key(v[i]);
+    std::uint32_t pos = 0;
+    for (std::uint32_t step = first_step; step > 0; step /= 2) {
+      pos += key(split[pos + step - 1]) <= kv ? step : 0;
+    }
+    cls[i] = pos;
+  }
 }
 
 /// Scalar sort32: four register-resident sort8 networks plus three
@@ -325,13 +384,14 @@ __attribute__((target("avx512f"))) inline std::size_t pack_below16_avx512(
 }
 
 /// Fused threshold-filter + pack for one warp round (n <= 32 floats):
-/// append (ord << 32 | index) for every key strictly below `threshold` to
-/// `out`, in lane order, and return the candidate count.  Indices are
-/// ext_idx[u] when given, else base_index + u.
+/// append (ord << 32 | index) for every key (bits xor `mask`) strictly below
+/// `threshold` to `out`, in lane order, and return the candidate count.
+/// Indices are ext_idx[u] when given, else base_index + u.
 __attribute__((target("avx512f"))) inline std::size_t pack_below_f32_avx512(
     const float* p, const std::uint32_t* ext_idx, std::uint32_t base_index,
-    std::size_t n, float threshold, std::uint64_t* out) {
+    std::size_t n, float threshold, std::uint64_t* out, std::uint32_t mask) {
   const __m512 t = _mm512_set1_ps(threshold);
+  const __m512i xm = _mm512_set1_epi32(static_cast<int>(mask));
   const __m512i iota =
       _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
   std::size_t m = 0;
@@ -339,7 +399,8 @@ __attribute__((target("avx512f"))) inline std::size_t pack_below_f32_avx512(
     const __mmask16 live =
         n - i >= 16 ? static_cast<__mmask16>(0xFFFF)
                     : static_cast<__mmask16>((1u << (n - i)) - 1u);
-    const __m512 v = _mm512_maskz_loadu_ps(live, p + i);
+    const __m512 v = _mm512_castsi512_ps(_mm512_xor_si512(
+        _mm512_castps_si512(_mm512_maskz_loadu_ps(live, p + i)), xm));
     const __m512i idx =
         ext_idx != nullptr
             ? _mm512_maskz_loadu_epi32(live, ext_idx + i)
@@ -380,17 +441,21 @@ __attribute__((target("avx512f"))) inline void histogram_digits_f32_avx512(
 }
 
 __attribute__((target("avx512f"))) inline std::size_t count_below_f32_avx512(
-    const float* p, std::size_t n, float threshold) {
+    const float* p, std::size_t n, float threshold, std::uint32_t mask) {
   const __m512 t = _mm512_set1_ps(threshold);
+  const __m512i xm = _mm512_set1_epi32(static_cast<int>(mask));
   std::size_t below = 0;
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __mmask16 m = _mm512_cmp_ps_mask(_mm512_loadu_ps(p + i), t, _CMP_LT_OQ);
+    const __m512 v = _mm512_castsi512_ps(
+        _mm512_xor_si512(_mm512_loadu_si512(p + i), xm));
+    const __mmask16 m = _mm512_cmp_ps_mask(v, t, _CMP_LT_OQ);
     below += static_cast<std::size_t>(__builtin_popcount(m));
   }
   if (i < n) {
     const __mmask16 tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
-    const __m512 v = _mm512_maskz_loadu_ps(tail, p + i);
+    const __m512 v = _mm512_castsi512_ps(
+        _mm512_xor_si512(_mm512_maskz_loadu_epi32(tail, p + i), xm));
     const __mmask16 m = _mm512_mask_cmp_ps_mask(tail, v, t, _CMP_LT_OQ);
     below += static_cast<std::size_t>(__builtin_popcount(m));
   }
@@ -398,16 +463,18 @@ __attribute__((target("avx512f"))) inline std::size_t count_below_f32_avx512(
 }
 
 /// One probe of splitter_classes for 16 keys: which lanes' splitter at
-/// index `at` is <= the lane's key.  Keys travel as raw 32-bit lanes.
+/// index `at`, its bits xor `xm`, is <= the lane's key.  Keys travel as
+/// 32-bit lanes, already masked.
 template <bool kFloat, typename T>
 __attribute__((target("avx512f"))) inline __mmask16 splitter_le(
-    const T* split, __m512i at, __m512i key) {
+    const T* split, __m512i at, __m512i key, __m512i xm) {
+  const __m512i s = _mm512_xor_si512(_mm512_i32gather_epi32(at, split, 4), xm);
   if constexpr (kFloat) {
     // Ordered compare: false when either side is NaN, like C++ <=.
-    return _mm512_cmp_ps_mask(_mm512_i32gather_ps(at, split, 4),
-                              _mm512_castsi512_ps(key), _CMP_LE_OQ);
+    return _mm512_cmp_ps_mask(_mm512_castsi512_ps(s), _mm512_castsi512_ps(key),
+                              _CMP_LE_OQ);
   } else {
-    return _mm512_cmple_epu32_mask(_mm512_i32gather_epi32(at, split, 4), key);
+    return _mm512_cmple_epu32_mask(s, key);
   }
 }
 
@@ -419,14 +486,15 @@ __attribute__((target("avx512f"))) inline __mmask16 splitter_le(
 template <bool kFloat, typename T>
 __attribute__((target("avx512f"))) inline void splitter_classes_avx512(
     const T* split, std::uint32_t first_step, const T* v, std::size_t n,
-    std::uint32_t* cls) {
+    std::uint32_t* cls, std::uint32_t mask) {
   constexpr int kGroups = 8;
+  const __m512i xm = _mm512_set1_epi32(static_cast<int>(mask));
   std::size_t i = 0;
   for (; i + 16 * kGroups <= n; i += 16 * kGroups) {
     __m512i key[kGroups];
     __m512i pos[kGroups];
     for (int g = 0; g < kGroups; ++g) {
-      key[g] = _mm512_loadu_si512(v + i + 16 * g);
+      key[g] = _mm512_xor_si512(_mm512_loadu_si512(v + i + 16 * g), xm);
       pos[g] = _mm512_setzero_si512();
     }
     for (std::uint32_t step = first_step; step > 0; step /= 2) {
@@ -434,7 +502,7 @@ __attribute__((target("avx512f"))) inline void splitter_classes_avx512(
       const __m512i stride = _mm512_set1_epi32(static_cast<int>(step));
       for (int g = 0; g < kGroups; ++g) {
         const __mmask16 le = splitter_le<kFloat>(
-            split, _mm512_add_epi32(pos[g], back), key[g]);
+            split, _mm512_add_epi32(pos[g], back), key[g], xm);
         pos[g] = _mm512_mask_add_epi32(pos[g], le, pos[g], stride);
       }
     }
@@ -446,13 +514,14 @@ __attribute__((target("avx512f"))) inline void splitter_classes_avx512(
     const __mmask16 live =
         n - i >= 16 ? static_cast<__mmask16>(0xFFFF)
                     : static_cast<__mmask16>((1u << (n - i)) - 1u);
-    const __m512i key = _mm512_maskz_loadu_epi32(live, v + i);
+    const __m512i key =
+        _mm512_xor_si512(_mm512_maskz_loadu_epi32(live, v + i), xm);
     __m512i pos = _mm512_setzero_si512();
     for (std::uint32_t step = first_step; step > 0; step /= 2) {
       const __mmask16 le = splitter_le<kFloat>(
           split,
           _mm512_add_epi32(pos, _mm512_set1_epi32(static_cast<int>(step - 1))),
-          key);
+          key, xm);
       pos = _mm512_mask_add_epi32(pos, le, pos,
                                   _mm512_set1_epi32(static_cast<int>(step)));
     }
@@ -492,41 +561,37 @@ inline void sort32_u64(std::uint64_t* v) {
 /// key v[i], cls[i] = its probe-sequence position, that is the number of
 /// splitters <= v[i] (the binary search lo = 0, hi = 2^probes - 1,
 /// mid = (lo + hi) / 2 makes exactly these probes, so the result matches it
-/// even for an unsorted table).  A NaN key compares false at every probe and
+/// even for an unsorted table).  `mask` is xor-ed into keys and splitters
+/// alike before they compare.  A NaN key compares false at every probe and
 /// gets 0.  Float and uint32 keys search 16 at a time, one gather per probe,
 /// when the host has AVX-512; requires probes >= 1.
 template <typename T>
 inline void splitter_classes(const T* split, int probes, std::span<const T> v,
-                             std::uint32_t* cls) {
+                             std::uint32_t* cls, KeyBits<T> mask = 0) {
   const std::uint32_t first_step = std::uint32_t{1} << (probes - 1);
 #if SIMGPU_SIMD_X86
   if constexpr (std::is_same_v<T, float> || std::is_same_v<T, std::uint32_t>) {
     if (have_avx512f()) {
       detail::splitter_classes_avx512<std::is_same_v<T, float>>(
-          split, first_step, v.data(), v.size(), cls);
+          split, first_step, v.data(), v.size(), cls, mask);
       return;
     }
   }
 #endif
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    std::uint32_t pos = 0;
-    for (std::uint32_t step = first_step; step > 0; step /= 2) {
-      pos += split[pos + step - 1] <= v[i] ? step : 0;
-    }
-    cls[i] = pos;
-  }
+  detail::splitter_classes_scalar(split, first_step, v, cls, mask);
 }
 
-/// How many of p[0..n) are strictly below `threshold` (float keys).
+/// How many of p[0..n), their bits xor `mask`, are strictly below
+/// `threshold` (float keys).
 [[nodiscard]] inline std::size_t count_below_f32(const float* p, std::size_t n,
-                                                 float threshold) {
+                                                 float threshold,
+                                                 std::uint32_t mask = 0) {
 #if SIMGPU_SIMD_X86
-  if (have_avx512f()) return detail::count_below_f32_avx512(p, n, threshold);
+  if (have_avx512f()) {
+    return detail::count_below_f32_avx512(p, n, threshold, mask);
+  }
 #endif
-  std::size_t below = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    below += static_cast<std::size_t>(p[i] < threshold);
-  return below;
+  return detail::count_below_f32_scalar(p, n, threshold, mask);
 }
 
 /// Write the `outn` smallest of the union of two ascending-sorted uint64
@@ -592,33 +657,24 @@ inline void histogram_digits_f32(const float* p, std::size_t n,
   }
 }
 
-/// Filter-and-pack one warp round of float keys: write
-/// (ord(key) << 32 | index) to out[] for each key strictly below
-/// `threshold`, preserving lane order, and return the count.  `ord` is the
-/// same monotone sign-flip map as topk::RadixTraits<float>::to_radix.
+/// Filter-and-pack one warp round of float keys: with key = p[i]'s bits
+/// xor `mask`, write (ord(key) << 32 | index) to out[] for each key strictly
+/// below `threshold`, preserving lane order, and return the count.  `ord`
+/// is the same monotone sign-flip map as topk::RadixTraits<float>::to_radix.
 /// Indices are ext_idx[u] when non-null, else base_index + u.  `out` must
 /// hold n slots; the scalar fallback writes (then overwrites) at the cursor
 /// branchlessly, so slots beyond the returned count may hold garbage.
 inline std::size_t pack_below_f32(const float* p, const std::uint32_t* ext_idx,
                                   std::uint32_t base_index, std::size_t n,
-                                  float threshold, std::uint64_t* out) {
+                                  float threshold, std::uint64_t* out,
+                                  std::uint32_t mask = 0) {
 #if SIMGPU_SIMD_X86
   if (have_avx512f())
     return detail::pack_below_f32_avx512(p, ext_idx, base_index, n, threshold,
-                                         out);
+                                         out, mask);
 #endif
-  std::size_t m = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t b;
-    __builtin_memcpy(&b, p + i, sizeof(b));
-    const std::uint32_t ord = (b & 0x80000000u) ? ~b : (b | 0x80000000u);
-    const std::uint32_t idx =
-        ext_idx != nullptr ? ext_idx[i]
-                           : base_index + static_cast<std::uint32_t>(i);
-    out[m] = (static_cast<std::uint64_t>(ord) << 32) | idx;
-    m += static_cast<std::size_t>(p[i] < threshold);
-  }
-  return m;
+  return detail::pack_below_f32_scalar(p, ext_idx, base_index, n, threshold,
+                                       out, mask);
 }
 
 }  // namespace simgpu::simd

@@ -10,7 +10,7 @@
 #include "simgpu/simd.hpp"
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
-#include "topk/radix_traits.hpp"
+#include "topk/key_order.hpp"
 
 namespace topk {
 
@@ -32,10 +32,6 @@ struct AirTopkOptions {
   int digit_bits = 11;
   int block_threads = 256;
   std::size_t items_per_block = 16 * 1024;
-  /// Select the LARGEST k instead of the smallest (RAFT's select_max):
-  /// implemented natively by complementing the radix keys, so no extra
-  /// passes or input rewriting are needed.
-  bool greatest = false;
   /// Optional input indices (size batch*n).  When set, the reported result
   /// indices are taken from this buffer instead of the positions in `in` —
   /// the RAFT select_k `in_idx` feature used to chain selections (e.g. a
@@ -94,6 +90,7 @@ struct AirTopkPlan {
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+  KeyOrder<T> order;
   std::vector<air_detail::PassPlan> passes;
   std::vector<std::string_view> pass_names;  // interned per-pass kernel names
   int num_passes = 0;
@@ -274,6 +271,7 @@ AirTopkPlan<T> air_topk_plan(const Shape& s, const simgpu::DeviceSpec& spec,
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
+  p.order = KeyOrder<T>(s.greatest);
   p.passes = plan_passes(Traits::kBits, opt.digit_bits);
   p.num_passes = static_cast<int>(p.passes.size());
   p.pass_names.reserve(p.passes.size());
@@ -393,7 +391,7 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
   const bool has_in_idx = !opt.in_idx.empty();
   const auto in_idx = opt.in_idx;
   // Largest-k == smallest-k in complemented key space.
-  const Bits order_mask = opt.greatest ? static_cast<Bits>(~Bits{0}) : Bits{0};
+  const Bits order_mask = plan.order.radix_mask();
 
   const int num_passes = plan.num_passes;
   const std::uint64_t n_over_alpha = plan.n_over_alpha;
@@ -756,22 +754,6 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
       }
     });
   }
-}
-
-/// One-shot entry point: plan + bind a local workspace + run.
-template <typename T>
-void air_topk(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-              std::size_t batch, std::size_t n, std::size_t k,
-              simgpu::DeviceBuffer<T> out_vals,
-              simgpu::DeviceBuffer<std::uint32_t> out_idx,
-              const AirTopkOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      air_topk_plan<T>(Shape{batch, n, k, opt.greatest}, dev.spec(), opt,
-                       layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  air_topk_run(dev, plan, ws, in, out_vals, out_idx);
 }
 
 }  // namespace topk

@@ -1,24 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <utility>
 
 #include "simgpu/kernel.hpp"
+#include "topk/key_order.hpp"
 
 namespace topk {
-
-/// Largest representable value, used to pad partial-sort working sets up to
-/// power-of-two lengths (the analogue of Faiss' `Limits<T>::getMax()`).
-template <typename K>
-constexpr K sort_sentinel() {
-  if constexpr (std::numeric_limits<K>::has_infinity) {
-    return std::numeric_limits<K>::infinity();
-  } else {
-    return std::numeric_limits<K>::max();
-  }
-}
 
 /// A key/index store the bitonic networks can sort: any indexable view with
 /// an element_type (std::span, simgpu::SharedSpan).  Plain containers like
@@ -61,14 +50,15 @@ namespace detail {
 
 template <SortableView KS, SortableView IS>
 inline void compare_exchange(const KS& keys, const IS& idx, std::size_t i,
-                             std::size_t j, bool ascending) {
+                             std::size_t j, bool ascending,
+                             KeyOrder<typename KS::value_type> ord) {
   using K = typename KS::value_type;
   using I = typename IS::value_type;
   // Read-both / write-both instead of std::swap: the views may hand out
   // proxy references (SharedSpan) rather than K&.
   const K ki = keys[i];
   const K kj = keys[j];
-  const bool do_swap = ascending ? (kj < ki) : (ki < kj);
+  const bool do_swap = ascending ? ord.less(kj, ki) : ord.less(ki, kj);
   if (do_swap) {
     keys[i] = kj;
     keys[j] = ki;
@@ -82,12 +72,13 @@ inline void compare_exchange(const KS& keys, const IS& idx, std::size_t i,
 }  // namespace detail
 
 /// Bitonic merge network: `keys[lo, lo+n)` must form a bitonic sequence;
-/// afterwards it is sorted (ascending if `ascending`).  `n` must be a power
-/// of two.  Charges one lane op per compare-exchange, as each exchange is one
-/// SIMT instruction on the device.
+/// afterwards it is sorted (ascending under `ord` if `ascending`).  `n` must
+/// be a power of two.  Charges one lane op per compare-exchange, as each
+/// exchange is one SIMT instruction on the device.
 template <SortableView KS, SortableView IS>
 void bitonic_merge(simgpu::BlockCtx& ctx, KS keys, IS idx, std::size_t lo,
-                   std::size_t n, bool ascending) {
+                   std::size_t n, bool ascending,
+                   KeyOrder<typename KS::value_type> ord = {}) {
   // Proxy views (SharedSpan) route every element access through the
   // sanitizer hook; when raw access is legal, run the same network over the
   // unwrapped spans so the inner compare-exchange loop stays tight.  The
@@ -97,54 +88,56 @@ void bitonic_merge(simgpu::BlockCtx& ctx, KS keys, IS idx, std::size_t lo,
     const auto rk = raw_view(keys);
     const auto ri = raw_view(idx);
     if (!rk.empty() && !ri.empty()) {
-      bitonic_merge(ctx, rk, ri, lo, n, ascending);
+      bitonic_merge(ctx, rk, ri, lo, n, ascending, ord);
       return;
     }
   }
   for (std::size_t stride = n / 2; stride > 0; stride /= 2) {
     for (std::size_t i = lo; i < lo + n; ++i) {
       if ((i - lo) & stride) continue;  // partner handled from lower index
-      detail::compare_exchange(keys, idx, i, i + stride, ascending);
+      detail::compare_exchange(keys, idx, i, i + stride, ascending, ord);
     }
     ctx.ops(n / 2);
   }
 }
 
-/// Full bitonic sort network over `keys[lo, lo+n)`; `n` must be a power of
-/// two.  O(n log^2 n) compare-exchanges, all charged as lane ops.
+/// Full bitonic sort network over `keys[lo, lo+n)` (ascending under `ord`
+/// if `ascending`); `n` must be a power of two.  O(n log^2 n)
+/// compare-exchanges, all charged as lane ops.
 template <SortableView KS, SortableView IS>
 void bitonic_sort(simgpu::BlockCtx& ctx, KS keys, IS idx, std::size_t lo,
-                  std::size_t n, bool ascending = true) {
+                  std::size_t n, bool ascending = true,
+                  KeyOrder<typename KS::value_type> ord = {}) {
   if constexpr (kProxyView<KS> || kProxyView<IS>) {
     const auto rk = raw_view(keys);
     const auto ri = raw_view(idx);
     if (!rk.empty() && !ri.empty()) {
-      bitonic_sort(ctx, rk, ri, lo, n, ascending);
+      bitonic_sort(ctx, rk, ri, lo, n, ascending, ord);
       return;
     }
   }
   for (std::size_t size = 2; size <= n; size *= 2) {
     for (std::size_t chunk = lo; chunk < lo + n; chunk += size) {
       const bool dir = ascending == (((chunk - lo) / size) % 2 == 0);
-      bitonic_merge(ctx, keys, idx, chunk, size, dir);
+      bitonic_merge(ctx, keys, idx, chunk, size, dir, ord);
     }
   }
 }
 
-/// Convenience overloads covering a whole view.
+/// Convenience overloads covering a whole view, ascending under `ord`.
 template <SortableView KS, SortableView IS>
 void bitonic_sort(simgpu::BlockCtx& ctx, KS keys, IS idx,
-                  bool ascending = true) {
-  bitonic_sort(ctx, keys, idx, 0, keys.size(), ascending);
+                  KeyOrder<typename KS::value_type> ord = {}) {
+  bitonic_sort(ctx, keys, idx, 0, keys.size(), true, ord);
 }
 
 /// std::span form, kept so callers holding containers keep the implicit
 /// container-to-span conversion (`bitonic_sort<float>(ctx, vec, ivec)`).
 template <typename K>
 void bitonic_sort(simgpu::BlockCtx& ctx, std::span<K> keys,
-                  std::span<std::uint32_t> idx, bool ascending = true) {
+                  std::span<std::uint32_t> idx, KeyOrder<K> ord = {}) {
   bitonic_sort<std::span<K>, std::span<std::uint32_t>>(ctx, keys, idx, 0,
-                                                       keys.size(), ascending);
+                                                       keys.size(), true, ord);
 }
 
 /// ---- Closed-form lane-op charges of the networks above ------------------
@@ -183,16 +176,16 @@ constexpr std::uint64_t merge_prune_ops(std::size_t n) {
 inline constexpr std::size_t kMergePruneScratch = 2048;
 
 /// Merge-and-prune, the core partial-sorting step of WarpSelect and
-/// Bitonic Top-K: `a` and `b` are both ascending sorted, same power-of-two
-/// length n.  Afterwards `a` holds the n smallest of the 2n elements, sorted
-/// ascending; `b` is clobbered.
+/// Bitonic Top-K: `a` and `b` are both sorted ascending under `ord`, same
+/// power-of-two length n.  Afterwards `a` holds the n first of the 2n
+/// elements, sorted; `b` is clobbered.
 ///
 /// Works by the classic trick: element-wise min/max of a[i] and b[n-1-i]
-/// leaves the n smallest in `a` as a bitonic sequence, which one merge
-/// network pass then sorts.
+/// leaves the n first in `a` as a bitonic sequence, which one merge network
+/// pass then sorts.
 template <SortableView AK, SortableView AI, SortableView BK, SortableView BI>
 void merge_prune(simgpu::BlockCtx& ctx, AK a_keys, AI a_idx, BK b_keys,
-                 BI b_idx) {
+                 BI b_idx, KeyOrder<typename AK::value_type> ord = {}) {
   // Unwrap proxy views to raw spans when legal (see bitonic_merge) — this
   // is the hot inner loop of every queue/list merge in the WarpSelect
   // family.  unchecked_data() is all-or-nothing per kernel (one global gate
@@ -205,7 +198,7 @@ void merge_prune(simgpu::BlockCtx& ctx, AK a_keys, AI a_idx, BK b_keys,
     const auto rbk = raw_view(b_keys);
     const auto rbi = raw_view(b_idx);
     if (!rak.empty() && !rai.empty() && !rbk.empty() && !rbi.empty()) {
-      merge_prune(ctx, rak, rai, rbk, rbi);
+      merge_prune(ctx, rak, rai, rbk, rbi, ord);
       return;
     }
   }
@@ -233,7 +226,7 @@ void merge_prune(simgpu::BlockCtx& ctx, AK a_keys, AI a_idx, BK b_keys,
       // i, j < n for every step: each advances at most once per element
       // taken and only n elements are taken.  Ties keep the a side.
       const K bv = b_keys[j];
-      const bool takeb = bv < ak[i];
+      const bool takeb = ord.less(bv, ak[i]);
       a_keys[t] = takeb ? bv : ak[i];
       a_idx[t] = takeb ? static_cast<I>(b_idx[j]) : ai[i];
       j += takeb ? 1 : 0;
@@ -245,7 +238,7 @@ void merge_prune(simgpu::BlockCtx& ctx, AK a_keys, AI a_idx, BK b_keys,
     const std::size_t j = n - 1 - i;
     const K av = a_keys[i];
     const K bv = b_keys[j];
-    if (bv < av) {
+    if (ord.less(bv, av)) {
       a_keys[i] = bv;
       b_keys[j] = av;
       const I ai = a_idx[i];
@@ -255,16 +248,17 @@ void merge_prune(simgpu::BlockCtx& ctx, AK a_keys, AI a_idx, BK b_keys,
     }
   }
   ctx.ops(n);
-  bitonic_merge(ctx, a_keys, a_idx, 0, n, /*ascending=*/true);
+  bitonic_merge(ctx, a_keys, a_idx, 0, n, /*ascending=*/true, ord);
 }
 
 /// std::span form (container-to-span convenience, as for bitonic_sort).
 template <typename K>
 void merge_prune(simgpu::BlockCtx& ctx, std::span<K> a_keys,
                  std::span<std::uint32_t> a_idx, std::span<K> b_keys,
-                 std::span<std::uint32_t> b_idx) {
+                 std::span<std::uint32_t> b_idx, KeyOrder<K> ord = {}) {
   merge_prune<std::span<K>, std::span<std::uint32_t>, std::span<K>,
-              std::span<std::uint32_t>>(ctx, a_keys, a_idx, b_keys, b_idx);
+              std::span<std::uint32_t>>(ctx, a_keys, a_idx, b_keys, b_idx,
+                                        ord);
 }
 
 /// Round up to the next power of two (minimum 1).

@@ -29,6 +29,7 @@ struct BitonicTopkPlan {
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+  KeyOrder<T> order;
   std::size_t cap = 0;     // next_pow2(k), the chunk length
   std::size_t chunks0 = 0;
   std::size_t half0 = 0;
@@ -141,6 +142,7 @@ BitonicTopkPlan<T> bitonic_topk_plan(const Shape& s,
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
+  p.order = KeyOrder<T>(s.greatest);
   p.cap = next_pow2(s.k);
   p.chunks0 = (s.n + p.cap - 1) / p.cap;
   p.half0 = (p.chunks0 + 1) / 2;
@@ -203,7 +205,8 @@ namespace detail {
 /// — as 32-entry runs (simd::sort32_u64) merged pairwise
 /// (simd::merge_sorted_u64), and return the `keep` smallest, ascending: a
 /// pointer into buf or tmp, whichever the last merge wrote.  The last level
-/// merges only those `keep` (keep <= len / 2 when len > 32).
+/// merges only those `keep` (keep <= len / 2 when len > 32).  Packed entries
+/// order like their keys under the plan's KeyOrder, so smallest is best.
 inline const std::uint64_t* sort_packed_smallest(std::uint64_t* buf,
                                                  std::uint64_t* tmp,
                                                  std::size_t len,
@@ -222,13 +225,13 @@ inline const std::uint64_t* sort_packed_smallest(std::uint64_t* buf,
   return src;
 }
 
-/// Split packed entries back into keys and indices (pack_key_idx inverted).
+/// Split packed entries back into keys and indices (KeyOrder::pack
+/// inverted).
 template <typename T>
-inline void unpack_key_idx(const std::uint64_t* packed, std::size_t len,
-                           T* keys, std::uint32_t* idx) {
+inline void unpack_pairs(KeyOrder<T> ord, const std::uint64_t* packed,
+                         std::size_t len, T* keys, std::uint32_t* idx) {
   for (std::size_t i = 0; i < len; ++i) {
-    keys[i] = RadixTraits<T>::from_radix(
-        static_cast<std::uint32_t>(packed[i] >> 32));
+    keys[i] = ord.unpack(packed[i]);
     idx[i] = static_cast<std::uint32_t>(packed[i]);
   }
 }
@@ -250,15 +253,16 @@ inline void unpack_key_idx(const std::uint64_t* packed, std::size_t len,
 /// Under the warpfast gate with 32-bit keys (kPackableKey: the f32 and u32
 /// carriers), each network step runs as a packed sort instead of an
 /// emulated network, as TopkList does: chunks move as (key, index) uint64s
-/// (pack_key_idx), pass 0 sorts each chunk pair and keeps the cap smallest,
-/// and the halving passes keep the cap smallest of two sorted chunks with
-/// one merge.  Every block charges the exact networks' closed forms
+/// (KeyOrder::pack), pass 0 sorts each chunk pair and keeps the cap best,
+/// and the halving passes keep the cap best of two sorted chunks with one
+/// merge.  Every block charges the exact networks' closed forms
 /// (bitonic_sort_ops, merge_prune_ops — pinned against the networks in
 /// partial_sort_test) and the same tile traffic, so KernelStats and modeled
-/// time are unchanged.  Keys order by radix ordinal, then index: among keys
-/// tied at the K-th value the returned indices may differ from the
-/// network's, which the result contract leaves open.  Pads are ~0, above
-/// every real entry, so the network's +inf pads are never returned.
+/// time are unchanged.  Keys order by the packed radix ordinal, then index:
+/// among keys tied at the K-th value the returned indices may differ from
+/// the network's, which the result contract leaves open.  Pads are ~0,
+/// above every real entry, so the network's worst-key pads are never
+/// returned.
 template <typename T>
 void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
                       simgpu::Workspace& ws, simgpu::DeviceBuffer<T> in,
@@ -274,6 +278,7 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
 
   const std::size_t cap = plan.cap;
   const std::size_t chunks0 = plan.chunks0;
+  const KeyOrder<T> ord = plan.order;
   simgpu::DeviceBuffer<T> work_val[2] = {ws.get<T>(plan.seg_val[0]),
                                          ws.get<T>(plan.seg_val[1])};
   simgpu::DeviceBuffer<std::uint32_t> work_idx[2] = {
@@ -309,13 +314,13 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
             const std::span<const T> in_tile =
                 ctx.load_tile(in, prob * n + first, m);
             for (std::size_t i = 0; i < m; ++i) {
-              buf[i] = pack_key_idx<T>(in_tile[i],
-                                       static_cast<std::uint32_t>(first + i));
+              buf[i] =
+                  ord.pack(in_tile[i], static_cast<std::uint32_t>(first + i));
             }
             std::fill(buf + m, buf + len, ~std::uint64_t{0});
-            detail::unpack_key_idx(
-                detail::sort_packed_smallest(buf, tmp, len, cap), cap, keys,
-                idx);
+            detail::unpack_pairs(
+                ord, detail::sort_packed_smallest(buf, tmp, len, cap), cap,
+                keys, idx);
             ctx.ops(2 * bitonic_sort_ops(cap) + merge_prune_ops(cap));
             const std::size_t at = (prob * pairs + p) * cap;
             ctx.store_tile(dst_val, at, std::span<const T>(keys, cap));
@@ -338,16 +343,16 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
               keys[i] = ctx.load(in, prob * n + src);
               idx[i] = static_cast<std::uint32_t>(src);
             } else {
-              keys[i] = sort_sentinel<T>();
+              keys[i] = ord.worst();
               idx[i] = 0;
             }
           }
         };
         load_chunk(2 * p, a_keys, a_idx);
         load_chunk(2 * p + 1, b_keys, b_idx);
-        bitonic_sort(ctx, a_keys, a_idx);
-        bitonic_sort(ctx, b_keys, b_idx);
-        merge_prune(ctx, a_keys, a_idx, b_keys, b_idx);
+        bitonic_sort(ctx, a_keys, a_idx, ord);
+        bitonic_sort(ctx, b_keys, b_idx, ord);
+        merge_prune(ctx, a_keys, a_idx, b_keys, b_idx, ord);
         for (std::size_t i = 0; i < cap; ++i) {
           ctx.store(dst_val, (prob * pairs + p) * cap + i, a_keys[i]);
           ctx.store(dst_idx, (prob * pairs + p) * cap + i, a_idx[i]);
@@ -395,11 +400,11 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
             const std::span<const std::uint32_t> ti =
                 ctx.load_tile(src_idx, src, 2 * cap);
             for (std::size_t i = 0; i < 2 * cap; ++i) {
-              buf[i] = pack_key_idx<T>(tk[i], ti[i]);
+              buf[i] = ord.pack(tk[i], ti[i]);
             }
             simgpu::simd::merge_sorted_u64(buf, cap, buf + cap, cap, merged,
                                            cap);
-            detail::unpack_key_idx(merged, cap, keys, idx);
+            detail::unpack_pairs(ord, merged, cap, keys, idx);
             ctx.ops(merge_prune_ops(cap));
             ctx.store_tile(dst_val, dst, std::span<const T>(keys, cap));
             ctx.store_tile(dst_idx, dst,
@@ -424,7 +429,7 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
             b_keys[i] = ctx.load(src_val, src);
             b_idx[i] = ctx.load(src_idx, src);
           }
-          merge_prune(ctx, a_keys, a_idx, b_keys, b_idx);
+          merge_prune(ctx, a_keys, a_idx, b_keys, b_idx, ord);
         }
         for (std::size_t i = 0; i < cap; ++i) {
           ctx.store(dst_val, (prob * dst_stride + p) * cap + i, a_keys[i]);
@@ -447,21 +452,6 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
                  prob * k, k);
     });
   }
-}
-
-/// One-shot entry point: plan + bind a local workspace + run.
-template <typename T>
-void bitonic_topk(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                  std::size_t batch, std::size_t n, std::size_t k,
-                  simgpu::DeviceBuffer<T> out_vals,
-                  simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                  const BitonicTopkOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      bitonic_topk_plan<T>(Shape{batch, n, k, false}, dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  bitonic_topk_run(dev, plan, ws, in, out_vals, out_idx);
 }
 
 }  // namespace topk

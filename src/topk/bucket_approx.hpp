@@ -201,6 +201,7 @@ struct BucketApproxPlan {
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+  KeyOrder<T> order;
   std::size_t chunks = 0;    ///< C: contiguous chunks per row
   std::size_t keep = 0;      ///< q: candidates kept per chunk
   std::size_t cand = 0;      ///< C*q candidates per problem
@@ -300,6 +301,7 @@ BucketApproxPlan<T> bucket_approx_plan(const Shape& s,
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
+  p.order = KeyOrder<T>(s.greatest);
   p.chunks = shape.chunks;
   p.keep = shape.keep;
   p.warps = shape.warps;
@@ -354,6 +356,7 @@ void bucket_approx_run(simgpu::Device& dev, const BucketApproxPlan<T>& plan,
   const std::size_t cand = plan.cand;
   const std::size_t L = plan.sort_len;
   const int warps = plan.warps;
+  const KeyOrder<T> ord = plan.order;
   // C*q == k: each chunk's sorted q-list is its block's slice of the output
   // (the candidate union is the approximate result); otherwise the lists
   // land in the candidate segments for the refine.
@@ -378,7 +381,7 @@ void bucket_approx_run(simgpu::Device& dev, const BucketApproxPlan<T>& plan,
       // W warp engines reduce the chunk to its q smallest: each warp scans
       // its contiguous slice, then the warp lists merge into warp 0's.
       warp_scan::WarpEngines<faiss_detail::WarpSelectEngine<T>> engines(
-          warps, ctx, keep);
+          warps, ctx, keep, ord);
       warp_scan::scan_contiguous(ctx, engines, in, {}, [&](int w) {
         const auto [wb, we] = block_chunk(cend - cbegin, warps, w);
         return warp_scan::WarpRange{prob * n, cbegin + wb, cbegin + we};
@@ -400,10 +403,10 @@ void bucket_approx_run(simgpu::Device& dev, const BucketApproxPlan<T>& plan,
     warp_scan::load_list(ctx, cand_val, cand_idx, prob * cand, keys, idx,
                          cand);
     for (std::size_t i = cand; i < L; ++i) {
-      keys[i] = sort_sentinel<T>();
+      keys[i] = ord.worst();
       idx[i] = 0;
     }
-    shard_merge_detail::sort_pairs(ctx, keys, idx, L, k);
+    shard_merge_detail::sort_pairs(ctx, keys, idx, L, k, ord);
     warp_scan::store_list(ctx, keys, idx, out_vals, out_idx, prob * k, k);
   });
 }
@@ -434,21 +437,6 @@ std::vector<T> bucket_approx_reference(std::span<const T> row, std::size_t k,
                     cand.end());
   cand.resize(kk);
   return cand;
-}
-
-/// One-shot entry point: plan + bind + run.
-template <typename T>
-void bucket_approx(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                   std::size_t batch, std::size_t n, std::size_t k,
-                   simgpu::DeviceBuffer<T> out_vals,
-                   simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                   const BucketApproxOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      bucket_approx_plan<T>(Shape{batch, n, k, false}, dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  bucket_approx_run(dev, plan, ws, in, out_vals, out_idx);
 }
 
 }  // namespace topk

@@ -13,6 +13,7 @@
 
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
+#include "topk/key_order.hpp"
 
 namespace topk {
 
@@ -32,6 +33,7 @@ struct BucketSelectPlan {
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+  KeyOrder<T> order;
   std::size_t seg_val[2] = {0, 0};
   std::size_t seg_idx[2] = {0, 0};
   std::size_t seg_minmax = 0;
@@ -176,6 +178,7 @@ BucketSelectPlan<T> bucket_select_plan(const Shape& s,
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
+  p.order = KeyOrder<T>(s.greatest);
   const auto nb = static_cast<std::size_t>(opt.num_buckets);
   p.seg_val[0] = layout.add<T>("bucket cand vals 0", s.n);
   p.seg_val[1] = layout.add<T>("bucket cand vals 1", s.n);
@@ -281,6 +284,7 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
   }
 
   const int nb = opt.num_buckets;
+  const KeyOrder<T> ord = plan.order;
   simgpu::DeviceBuffer<T> cand_val[2] = {ws.get<T>(plan.seg_val[0]),
                                          ws.get<T>(plan.seg_val[1])};
   simgpu::DeviceBuffer<std::uint32_t> cand_idx[2] = {
@@ -327,7 +331,7 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
         break;
       }
 
-      // ---- kernel 1: min/max reduction ------------------------------------
+      // ---- kernel 1: min/max reduction (of keys) ---------------------------
       {
         simgpu::LaunchConfig cfg{"minmax_memset", 1, 32, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
@@ -352,8 +356,9 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
           const std::size_t base = from_input ? prob * n : 0;
           ctx.for_each_elem(src, base + begin, end - begin,
                             [&](std::size_t, T v) {
-                              lo = std::min(lo, v);
-                              hi = std::max(hi, v);
+                              const T kv = ord.key(v);
+                              lo = std::min(lo, kv);
+                              hi = std::max(hi, kv);
                             });
           ctx.ops(2 * (end - begin));
           if (begin < end) {
@@ -383,10 +388,10 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
         throw std::runtime_error(err.str());
       }
       const double scale = static_cast<double>(nb) / (hi - lo);
-      // Interpolated bucket of a key, clamped to [0, nb).
+      // Interpolated bucket of a value's key, clamped to [0, nb).
       const auto bucket_of = [=](T v) {
         const auto raw = static_cast<std::int64_t>(
-            (static_cast<double>(v) - lo) * scale);
+            (static_cast<double>(ord.key(v)) - lo) * scale);
         return static_cast<std::uint32_t>(
             std::clamp<std::int64_t>(raw, 0, nb - 1));
       };
@@ -410,9 +415,10 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
           std::uint32_t* const hist = shist.unchecked_data();
           const auto src = from_input ? in : src_val;
           const std::size_t base = from_input ? prob * n : 0;
+          const auto bucket = bucket_of;  // held in registers by the loop
           ctx.for_each_elem(src, base + begin, end - begin,
                             [&](std::size_t, T v) {
-                              const std::uint32_t b = bucket_of(v);
+                              const std::uint32_t b = bucket(v);
                               if (hist != nullptr) {
                                 ++hist[b];
                               } else {
@@ -460,10 +466,11 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
           AggregatedAppender<T, std::uint32_t> cand_app(
               dst_val, dst_idx, 0, counters, 1, count,
               "bucket_select candidates");
+          const auto bucket = bucket_of;  // held in registers by the loop
           scan_candidates(
               ctx, from_input, in, prob * n, src_val, src_idx, begin, end,
               [&](T v, std::uint32_t id) {
-                const std::uint32_t b = bucket_of(v);
+                const std::uint32_t b = bucket(v);
                 if (b < target) {
                   out_app.push(ctx, v, id);
                 } else if (b == target) {

@@ -16,10 +16,9 @@ namespace topk {
 /// (batch, n, k) triple plus the selection direction.  Algorithm flags that
 /// vary per algorithm (alpha, digit widths, queue shapes) live in the
 /// per-algorithm Options structs, which the plan functions take alongside
-/// the Shape; `greatest` sits here because the registry resolves it once for
-/// all algorithms (the AIR family, RadixSelect and stream-radix select
-/// natively in both directions — everything else gets the negate-wrap at
-/// the dispatch layer).
+/// the Shape.  The direction has one home: every plan function turns
+/// `greatest` into its KeyOrder (topk/key_order.hpp), which every
+/// comparison, sentinel and packed key of the row goes through.
 struct Shape {
   std::size_t batch = 1;
   std::size_t n = 0;

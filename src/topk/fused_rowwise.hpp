@@ -40,6 +40,7 @@ struct FusedRowwisePlan {
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+  KeyOrder<T> order;
   std::size_t cap = 0;  // next_pow2(k)
   bool block_variant = false;
   int rows_per_block = 1;  // warp variant: rows (= warps) per block
@@ -152,6 +153,7 @@ FusedRowwisePlan<T> fused_rowwise_plan(const Shape& s,
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
+  p.order = KeyOrder<T>(s.greatest);
   p.cap = next_pow2(s.k);
   p.block_variant = block_variant;
   register_fused_rowwise_footprints();
@@ -228,6 +230,7 @@ void fused_rowwise_run_warp(simgpu::Device& dev,
   const std::size_t n = plan.n;
   const std::size_t k = plan.k;
   const int rpb = plan.rows_per_block;
+  const KeyOrder<T> ord = plan.order;
   const auto ext_idx = plan.opt.in_idx;
 
   simgpu::LaunchConfig cfg{"FusedRowwise_warp", plan.grid,
@@ -239,8 +242,8 @@ void fused_rowwise_run_warp(simgpu::Device& dev,
         std::min<std::size_t>(static_cast<std::size_t>(rpb), batch - row0));
     // Each warp scans its whole row contiguously, which is what lets the
     // warpfast leg pack-and-replay the row instead of gating regions.
-    warp_scan::WarpEngines<faiss_detail::WarpSelectEngine<T>> engines(rows,
-                                                                      ctx, k);
+    warp_scan::WarpEngines<faiss_detail::WarpSelectEngine<T>> engines(
+        rows, ctx, k, ord);
     warp_scan::scan_contiguous(ctx, engines, in, ext_idx, [&](int w) {
       return warp_scan::WarpRange{(row0 + static_cast<std::size_t>(w)) * n,
                                   0, n};
@@ -272,6 +275,7 @@ void fused_rowwise_run_block(simgpu::Device& dev,
   const std::size_t cap = plan.cap;
   const int num_warps = plan.num_warps;
   const auto warps = static_cast<std::size_t>(num_warps);
+  const KeyOrder<T> ord = plan.order;
   const auto ext_idx = plan.opt.in_idx;
   const auto part_val = ws.get<T>(plan.seg_part_val);
   const auto part_idx = ws.get<std::uint32_t>(plan.seg_part_idx);
@@ -285,7 +289,7 @@ void fused_rowwise_run_block(simgpu::Device& dev,
       // Region length of the warpfast leg: 64 rounds per warp.
       constexpr std::size_t kRegionRounds = 64;
       warp_scan::WarpEngines<SharedQueueEngine<T>> engines(num_warps, ctx,
-                                                           k);
+                                                           k, ord);
       warp_scan::scan_interleaved(ctx, engines, in, ext_idx, row * n, 0, n,
                                   kRegionRounds);
       ctx.sync();
@@ -305,7 +309,7 @@ void fused_rowwise_run_block(simgpu::Device& dev,
   simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
     const auto row = static_cast<std::size_t>(ctx.block_idx());
     warp_scan::merge_lists(ctx, part_val, part_idx, row * warps * cap, warps,
-                           cap, out_vals, out_idx, row * k, k);
+                           cap, out_vals, out_idx, row * k, k, ord);
   });
 }
 
@@ -325,22 +329,6 @@ void fused_rowwise_run(simgpu::Device& dev, const FusedRowwisePlan<T>& plan,
   } else {
     fused_rowwise_run_warp(dev, plan, in, out_vals, out_idx);
   }
-}
-
-/// One-shot entry point: plan + bind a local workspace + run.
-template <typename T>
-void fused_rowwise(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                   std::size_t batch, std::size_t n, std::size_t k,
-                   simgpu::DeviceBuffer<T> out_vals,
-                   simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                   bool block_variant, const FusedRowwiseOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan = fused_rowwise_plan<T>(Shape{batch, n, k, false},
-                                          dev.spec(), opt, block_variant,
-                                          layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  fused_rowwise_run(dev, plan, ws, in, out_vals, out_idx);
 }
 
 }  // namespace topk

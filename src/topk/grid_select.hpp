@@ -46,16 +46,17 @@ class SharedQueueEngine {
   using SharedList =
       TopkList<T, simgpu::SharedSpan<T>, simgpu::SharedSpan<std::uint32_t>>;
 
-  SharedQueueEngine(simgpu::BlockCtx& ctx, std::size_t k)
+  SharedQueueEngine(simgpu::BlockCtx& ctx, std::size_t k,
+                    KeyOrder<T> ord = {})
       : q_keys_(ctx.shared<T>(simgpu::kWarpSize, "gridselect queue keys")),
         q_idx_(ctx.shared<std::uint32_t>(simgpu::kWarpSize,
                                          "gridselect queue idx")),
         list_keys_(ctx.shared<T>(next_pow2(k), "gridselect list keys")),
         list_idx_(ctx.shared<std::uint32_t>(next_pow2(k),
                                             "gridselect list idx")),
-        list_(list_keys_, list_idx_, k) {
+        list_(list_keys_, list_idx_, k, ord) {
     // Under the warpfast gate, candidates are staged pre-packed (see
-    // pack_key_idx) in a plain member buffer instead of the shared-memory
+    // KeyOrder::pack) in a plain member buffer instead of the shared-memory
     // queue: one 8-byte store per insert and the flush offers uint64s
     // straight into the list's packed heap.  The shared queue is still
     // allocated (shared-memory capacity modeling is unchanged) but not
@@ -67,14 +68,16 @@ class SharedQueueEngine {
   }
 
   [[nodiscard]] T kth() const { return list_.kth(); }
+  [[nodiscard]] KeyOrder<T> order() const { return list_.order(); }
 
   /// Process one warp-wide round of up to 32 loaded elements with the
   /// parallel two-step insertion of Fig. 5.
   void round(simgpu::BlockCtx& ctx, const T* values,
              const std::uint32_t* indices, const bool* valid) {
     const T threshold = list_.kth();
+    const KeyOrder<T> ord = order();
     const std::uint32_t mask = simgpu::Warp::ballot([&](int lane) {
-      return valid[lane] && values[lane] < threshold;
+      return valid[lane] && ord.less(values[lane], threshold);
     });
     // The per-round floor (threshold compare per lane + the ballot) is the
     // one authoritative formula shared with the warpfast bulk charge; a
@@ -125,8 +128,8 @@ class SharedQueueEngine {
   void round_gated(simgpu::BlockCtx& ctx, const T* values,
                    const std::uint32_t* indices, std::size_t count) {
     if (ctx.warpfast_enabled() &&
-        simgpu::BlockCtx::count_below(std::span<const T>(values, count),
-                                      list_.kth()) == 0) {
+        order().count_less(std::span<const T>(values, count), list_.kth()) ==
+            0) {
       ctx.ops(kEmptyRoundLaneOps);
       return;
     }
@@ -149,6 +152,7 @@ class SharedQueueEngine {
                   std::span<const std::uint32_t> ext_idx,
                   std::uint32_t base_index) {
     const T threshold = list_.kth();
+    const KeyOrder<T> ord = order();
     ctx.ops(kEmptyRoundLaneOps);
     if constexpr (kPackableKey<T>) {
       if (packed_q_) {
@@ -163,15 +167,15 @@ class SharedQueueEngine {
         if constexpr (std::is_same_v<T, float>) {
           m = simgpu::simd::pack_below_f32(
               tile.data(), ext_idx.empty() ? nullptr : ext_idx.data(),
-              base_index, tile.size(), threshold, dst);
+              base_index, tile.size(), ord.key(threshold), dst, ord.mask());
         } else {
           m = 0;
           for (std::size_t u = 0; u < tile.size(); ++u) {
-            dst[m] = pack_key_idx<T>(
+            dst[m] = ord.pack(
                 tile[u], ext_idx.empty()
                              ? base_index + static_cast<std::uint32_t>(u)
                              : ext_idx[u]);
-            m += tile[u] < threshold ? 1 : 0;
+            m += ord.less(tile[u], threshold) ? 1 : 0;
           }
         }
         if (m == 0) return;
@@ -196,7 +200,7 @@ class SharedQueueEngine {
     // Vectorized precheck: most rounds carry no candidate once the
     // threshold tightens, and the compare-only scan is far cheaper than
     // the compacting one below.
-    if (simgpu::BlockCtx::count_below(tile, threshold) == 0) return;
+    if (ord.count_less(tile, threshold) == 0) return;
     // Unpackable key types stage through the shared-memory queue as the
     // exact path does (raw spans when legal — shared-memory traffic is
     // never charged, so this is free of KernelStats effects).
@@ -207,13 +211,13 @@ class SharedQueueEngine {
       for (std::size_t u = 0; u < tile.size(); ++u) {
         ck[m] = tile[u];
         ci[m] = base_index + static_cast<std::uint32_t>(u);
-        m += tile[u] < threshold ? 1 : 0;
+        m += ord.less(tile[u], threshold) ? 1 : 0;
       }
     } else {
       for (std::size_t u = 0; u < tile.size(); ++u) {
         ck[m] = tile[u];
         ci[m] = ext_idx[u];
-        m += tile[u] < threshold ? 1 : 0;
+        m += ord.less(tile[u], threshold) ? 1 : 0;
       }
     }
     if (m == 0) return;
@@ -269,7 +273,7 @@ class SharedQueueEngine {
   void q_put(std::size_t pos, T v, std::uint32_t index) {
     if constexpr (kPackableKey<T>) {
       if (packed_q_) {
-        qpack_[pos] = pack_key_idx<T>(v, index);
+        qpack_[pos] = order().pack(v, index);
         return;
       }
     }
@@ -300,6 +304,7 @@ struct GridSelectPlan {
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+  KeyOrder<T> order;
   std::size_t cap = 0;  // next_pow2(k)
   int num_warps = 0;
   GridShape shape;
@@ -401,6 +406,7 @@ GridSelectPlan<T> grid_select_plan(const Shape& s,
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
+  p.order = KeyOrder<T>(s.greatest);
   p.cap = next_pow2(s.k);
   // Shrink the block until the per-warp queue + list state fits the
   // device's shared memory (large K on small-shared-memory devices like
@@ -480,6 +486,7 @@ void grid_select_run(simgpu::Device& dev, const GridSelectPlan<T>& plan,
 
   const std::size_t cap = plan.cap;
   const int num_warps = plan.num_warps;
+  const KeyOrder<T> ord = plan.order;
   const GridShape shape = plan.shape;
   const std::size_t bpp = static_cast<std::size_t>(shape.blocks_per_problem);
   const bool shared_queue = opt.shared_queue;
@@ -523,11 +530,11 @@ void grid_select_run(simgpu::Device& dev, const GridSelectPlan<T>& plan,
       };
       if (shared_queue) {
         warp_scan::WarpEngines<SharedQueueEngine<T>> engines(num_warps, ctx,
-                                                             k);
+                                                             k, ord);
         select(engines);
       } else {
         warp_scan::WarpEngines<faiss_detail::WarpSelectEngine<T>> engines(
-            num_warps, ctx, k);
+            num_warps, ctx, k, ord);
         select(engines);
       }
     });
@@ -543,23 +550,8 @@ void grid_select_run(simgpu::Device& dev, const GridSelectPlan<T>& plan,
   simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
     const auto prob = static_cast<std::size_t>(ctx.block_idx());
     warp_scan::merge_lists(ctx, part_val, part_idx, prob * bpp * cap, bpp,
-                           cap, out_vals, out_idx, prob * k, k);
+                           cap, out_vals, out_idx, prob * k, k, ord);
   });
-}
-
-/// One-shot entry point: plan + bind a local workspace + run.
-template <typename T>
-void grid_select(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                 std::size_t batch, std::size_t n, std::size_t k,
-                 simgpu::DeviceBuffer<T> out_vals,
-                 simgpu::DeviceBuffer<std::uint32_t> out_idx,
-                 const GridSelectOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      grid_select_plan<T>(Shape{batch, n, k, false}, dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  grid_select_run(dev, plan, ws, in, out_vals, out_idx);
 }
 
 }  // namespace topk

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -12,7 +11,7 @@
 #include "simgpu/scratch_alloc.hpp"
 #include "simgpu/simd.hpp"
 #include "topk/bitonic.hpp"
-#include "topk/radix_traits.hpp"
+#include "topk/key_order.hpp"
 
 namespace topk {
 
@@ -31,27 +30,6 @@ inline constexpr std::size_t kMaxBitonicTopkK = 256;  // Bitonic Top-K
 /// which is what lets the fast path skip it and stay bit-identical.
 inline constexpr std::uint64_t kEmptyRoundLaneOps = simgpu::kWarpSize + 1;
 
-/// True when (key, index) pairs of key type T can be packed into one
-/// uint64 whose integer order is (key asc, index asc) — see pack_key_idx.
-/// The warpfast fast path uses this to move candidates through single
-/// 8-byte loads/stores/compares end to end (extraction buffer, staging
-/// queue, selection heap).
-template <typename T>
-inline constexpr bool kPackableKey = sizeof(T) == 4 && std::is_arithmetic_v<T>;
-
-/// (key, index) -> uint64 ordered by (key asc, index asc): the key's radix
-/// ordinal (RadixTraits, the monotone map the radix rows sort by) above the
-/// index.  No value is reserved: on the u32 carrier key 0 at index 0 packs
-/// to 0, and a key equal to sort_sentinel<T>() packs like the sentinel pads
-/// of the selection state, so such keys collide with empty slots (an open
-/// defect: the pad needs an index no real element has).
-template <typename T>
-  requires kPackableKey<T>
-[[nodiscard]] inline std::uint64_t pack_key_idx(T v, std::uint32_t index) {
-  return (static_cast<std::uint64_t>(RadixTraits<T>::to_radix(v)) << 32) |
-         index;
-}
-
 namespace detail {
 
 /// Branchless sort of 32 uint64s in place, used to sort one staged
@@ -67,8 +45,8 @@ inline void sort32_packed(std::uint64_t* v) { simgpu::simd::sort32_u64(v); }
 /// A sorted top-K list with merge-and-prune updates, the common core of
 /// WarpSelect, BlockSelect, GridSelect and Bitonic Top-K.  `keys`/`idx` are
 /// caller-provided storage of `capacity()` elements (registers for the Faiss
-/// selections, shared memory for GridSelect), kept ascending-sorted and
-/// padded with the +inf sentinel.  The storage view types are template
+/// selections, shared memory for GridSelect), kept sorted best-first under
+/// `ord` and padded with ord.worst().  The storage view types are template
 /// parameters so the list works over plain spans (register-resident state)
 /// and simgpu::SharedSpan (sanitizer-shadowed shared memory) alike.
 ///
@@ -79,8 +57,9 @@ template <typename T, typename KeyStore = std::span<T>,
           typename IdxStore = std::span<std::uint32_t>>
 class TopkList {
  public:
-  TopkList(KeyStore keys, IdxStore idx, std::size_t k)
-      : keys_(keys), idx_(idx), k_(k) {
+  TopkList(KeyStore keys, IdxStore idx, std::size_t k,
+           KeyOrder<T> ord = {})
+      : keys_(keys), idx_(idx), k_(k), ord_(ord) {
     if (keys_.size() != idx_.size() || keys_.size() < k) {
       throw std::invalid_argument("TopkList: bad storage");
     }
@@ -88,8 +67,9 @@ class TopkList {
     if (keys_.size() < cap_) {
       throw std::invalid_argument("TopkList: storage must hold next_pow2(k)");
     }
+    const T worst = ord_.worst();
     for (std::size_t i = 0; i < cap_; ++i) {
-      keys_[i] = sort_sentinel<T>();
+      keys_[i] = worst;
       idx_[i] = 0;
     }
   }
@@ -97,20 +77,19 @@ class TopkList {
   [[nodiscard]] std::size_t k() const { return k_; }
   [[nodiscard]] std::size_t capacity() const { return cap_; }
 
-  /// Current K-th smallest value seen (the selection threshold).
+  [[nodiscard]] KeyOrder<T> order() const { return ord_; }
+
+  /// Current K-th best value seen (the selection threshold).
   [[nodiscard]] T kth() const {
     if constexpr (kPackedHeap) {
-      if (!tsorted_.empty()) {
-        return RadixTraits<T>::from_radix(
-            static_cast<std::uint32_t>(tsorted_[k_ - 1] >> 32));
-      }
+      if (!tsorted_.empty()) return ord_.unpack(tsorted_[k_ - 1]);
     } else {
       if (!hkeys_.empty()) return hkeys_[0];
     }
     return keys_[k_ - 1];
   }
 
-  /// Merge `count` candidate pairs into the list, keeping the smallest k.
+  /// Merge `count` candidate pairs into the list, keeping the best k.
   /// Requires `cand_keys.size() == cand_idx.size()` and both at least
   /// `count`.  Any indexable stores work (spans, vectors, SharedSpan).
   ///
@@ -152,16 +131,16 @@ class TopkList {
           const auto ri = raw_view(cand_idx);
           if (!rk.empty() && !ri.empty()) {
             for (std::size_t i = 0; i < count; ++i) {
-              pack_scratch_[i] = pack_key_idx<T>(rk[i], ri[i]);
+              pack_scratch_[i] = ord_.pack(rk[i], ri[i]);
             }
           } else {
             for (std::size_t i = 0; i < count; ++i) {
-              pack_scratch_[i] = pack_key_idx<T>(cand_keys[i], cand_idx[i]);
+              pack_scratch_[i] = ord_.pack(cand_keys[i], cand_idx[i]);
             }
           }
         } else {
           for (std::size_t i = 0; i < count; ++i) {
-            pack_scratch_[i] = pack_key_idx<T>(cand_keys[i], cand_idx[i]);
+            pack_scratch_[i] = ord_.pack(cand_keys[i], cand_idx[i]);
           }
         }
         std::sort(pack_scratch_.begin(), pack_scratch_.end());
@@ -186,7 +165,7 @@ class TopkList {
     // Process candidates in sorted chunks of the list capacity so the
     // merge network size matches the real kernels' fixed-size networks.
     const std::size_t q = next_pow2(count);
-    scratch_keys_.assign(q, sort_sentinel<T>());
+    scratch_keys_.assign(q, ord_.worst());
     scratch_idx_.assign(q, 0);
     // The candidate stores may be SharedSpans; copy through raw pointers
     // when the tile path makes that legal (shared-memory reads are never
@@ -209,7 +188,7 @@ class TopkList {
         scratch_idx_[i] = cand_idx[i];
       }
     }
-    bitonic_sort<T>(ctx, scratch_keys_, scratch_idx_);
+    bitonic_sort<T>(ctx, scratch_keys_, scratch_idx_, ord_);
     for (std::size_t base = 0; base < q; base += cap_) {
       const std::size_t len = std::min(cap_, q - base);
       merge_sorted_chunk(ctx,
@@ -220,7 +199,7 @@ class TopkList {
   }
 
   /// Fast-path-only variant of merge() taking candidates already packed by
-  /// pack_key_idx (the engines stage candidates packed so each one moves
+  /// order().pack (the engines stage candidates packed so each one moves
   /// through a single 8-byte store/load/compare end to end).  Charges are
   /// identical to merge() over the same count; callers must be inside the
   /// warpfast gate — the exact network path has no packed form.
@@ -265,27 +244,28 @@ class TopkList {
     storage_dirty_ = true;
   }
 
-  /// Merge an already ascending-sorted chunk of at most capacity() pairs.
-  /// The chunk is consumed (its storage is clobbered).
+  /// Merge a chunk of at most capacity() pairs, already sorted under
+  /// order().  The chunk is consumed (its storage is clobbered).
   template <SortableView ChunkKeys, SortableView ChunkIdx>
   void merge_sorted_chunk(simgpu::BlockCtx& ctx, ChunkKeys chunk_keys,
                           ChunkIdx chunk_idx) {
     const std::size_t len = chunk_keys.size();
     if (len == cap_) {
       merge_prune(ctx, keys_.subspan(0, cap_), idx_.subspan(0, cap_),
-                  chunk_keys, chunk_idx);
+                  chunk_keys, chunk_idx, ord_);
       return;
     }
     // Short chunk: pad into a capacity-sized scratch and run the same
     // fixed-size network.
-    pad_keys_.assign(cap_, sort_sentinel<T>());
+    pad_keys_.assign(cap_, ord_.worst());
     pad_idx_.assign(cap_, 0);
     for (std::size_t i = 0; i < len; ++i) {
       pad_keys_[i] = chunk_keys[i];
       pad_idx_[i] = chunk_idx[i];
     }
     merge_prune(ctx, keys_.subspan(0, cap_), idx_.subspan(0, cap_),
-                std::span<T>(pad_keys_), std::span<std::uint32_t>(pad_idx_));
+                std::span<T>(pad_keys_), std::span<std::uint32_t>(pad_idx_),
+                ord_);
   }
 
   /// Merge another sorted TopkList of the same capacity into this one.
@@ -314,7 +294,8 @@ class TopkList {
       return;
     }
     merge_prune(ctx, keys_.subspan(0, cap_), idx_.subspan(0, cap_),
-                other.keys_.subspan(0, cap_), other.idx_.subspan(0, cap_));
+                other.keys_.subspan(0, cap_), other.idx_.subspan(0, cap_),
+                ord_);
   }
 
   [[nodiscard]] KeyStore keys() const {
@@ -333,7 +314,7 @@ class TopkList {
   /// 32-bit key types keep the fast-path selection state as a flat
   /// ascending-sorted array of packed (key, index) uint64s, updated one
   /// whole candidate batch at a time: sort the batch (branchless network),
-  /// then one 256-step two-pointer merge keeps the k smallest of the
+  /// then one 256-step two-pointer merge keeps the k first of the
   /// union.  Unlike a per-candidate heap, the batch update has no serial
   /// dependent-address chain — the merge is a straight-line cmov loop —
   /// and exactness is only ever observed at batch boundaries (the
@@ -344,20 +325,17 @@ class TopkList {
   static constexpr bool kPackedHeap = kPackableKey<T>;
 
   /// Generic-heap pad value that can never win a max comparison nor be
-  /// displaced by a real entry: -inf when it exists, else lowest().
-  /// (lowest() alone would be wrong for floats: a real -inf key would rank
-  /// below the pad and a sift could then drag the pad into the heap.)
-  static constexpr T pad_key() {
-    if constexpr (std::numeric_limits<T>::has_infinity) {
-      return -std::numeric_limits<T>::infinity();
-    } else {
-      return std::numeric_limits<T>::lowest();
-    }
+  /// displaced by a real entry: the first key of the order, the reverse of
+  /// worst().  (lowest() alone would be wrong for floats: a real -inf key
+  /// would rank below the pad and a sift could then drag the pad into the
+  /// heap.)
+  [[nodiscard]] T pad_key() const {
+    return KeyOrder<T>(!ord_.greatest()).worst();
   }
 
   /// Seed the fast-path state: k_ sentinel entries mirroring the storage
   /// fill in the constructor (same idx-0 padding the exact path reports
-  /// when fewer than k candidates exist), so the threshold stays +inf and
+  /// when fewer than k candidates exist), so the threshold stays worst() and
   /// every early offer is accepted and replaces a sentinel — warm-up needs
   /// no special casing in either layout.  Tournament (packed): slots are
   /// padded to a multiple of 32.  Generic: a 4-ary max-heap (halved depth
@@ -368,19 +346,19 @@ class TopkList {
   void ensure_heap() const {
     if constexpr (kPackedHeap) {
       if (!tsorted_.empty()) return;
-      tsorted_.assign(k_, pack_key_idx<T>(sort_sentinel<T>(), 0));
+      tsorted_.assign(k_, ord_.pack(ord_.worst(), 0));
       tscratch_.resize(k_);
       return;
     } else {
       if (!hkeys_.empty()) return;
-      hkeys_.assign(k_ + 3, sort_sentinel<T>());
+      hkeys_.assign(k_ + 3, ord_.worst());
       hidx_.assign(k_ + 3, 0);
       for (std::size_t i = k_; i < k_ + 3; ++i) hkeys_[i] = pad_key();
       fill_ = 0;
     }
   }
 
-  /// Replace the sorted state with the k smallest of (state ∪ candidates).
+  /// Replace the sorted state with the k first of (state ∪ candidates).
   /// `c` must be ascending-sorted with `count` live entries.  One forward
   /// merge pass into the double buffer — the 8-lane bitonic register
   /// merge when the host supports it, a branchless clamp-then-select
@@ -409,13 +387,13 @@ class TopkList {
       const T c1 = hkeys_[c + 1];
       const T c2 = hkeys_[c + 2];
       const T c3 = hkeys_[c + 3];
-      const bool b1 = c0 < c1;
-      const bool b2 = c2 < c3;
+      const bool b1 = ord_.less(c0, c1);
+      const bool b2 = ord_.less(c2, c3);
       const T v1 = b1 ? c1 : c0;
       const T v2 = b2 ? c3 : c2;
-      const bool b3 = v1 < v2;
+      const bool b3 = ord_.less(v1, v2);
       const T vc = b3 ? v2 : v1;
-      if (!(v < vc)) break;
+      if (!ord_.less(v, vc)) break;
       const std::size_t mc = b3 ? c + 2 + static_cast<std::size_t>(b2)
                                 : c + static_cast<std::size_t>(b1);
       hkeys_[hole] = vc;
@@ -427,12 +405,12 @@ class TopkList {
   }
 
   /// Offer one candidate to the generic heap: replace-top + sift-down
-  /// when it beats the threshold (strict `<` on the key, matching the
+  /// when it beats the threshold (strict less() on the key, matching the
   /// exact path's rejection of ties).  Warm-up: while the threshold is
   /// still the sentinel every element is a candidate and would full-depth
   /// sift through an all-sentinel heap, so the first k_ offers just fill
   /// slots back-to-front (the root keeps the sentinel, i.e. kth() stays
-  /// +inf exactly like the exact path's list) and one bottom-up build
+  /// worst() exactly like the exact path's list) and one bottom-up build
   /// establishes the invariant.
   void heap_offer(T v, std::uint32_t index) const
     requires(!kPackedHeap)
@@ -449,12 +427,12 @@ class TopkList {
         }
         return;
       }
-      if (!(v < hkeys_[0])) return;
+      if (!ord_.less(v, hkeys_[0])) return;
       sift_hole(0, v, index);
     }
   }
 
-  /// Write the heap contents through the sorted storage (ascending by
+  /// Write the heap contents through the sorted storage (best-first by
   /// value, index-tiebroken for determinism — exactly the packed uint64
   /// order).  Lazy: only runs when the sorted view is actually requested.
   void materialize() const {
@@ -462,8 +440,7 @@ class TopkList {
       // The packed state is kept sorted (ascending by key, then index),
       // so materialization is a straight unpack.
       for (std::size_t i = 0; i < k_; ++i) {
-        keys_[i] = RadixTraits<T>::from_radix(
-            static_cast<std::uint32_t>(tsorted_[i] >> 32));
+        keys_[i] = ord_.unpack(tsorted_[i]);
         idx_[i] = static_cast<std::uint32_t>(tsorted_[i]);
       }
     } else {
@@ -472,9 +449,9 @@ class TopkList {
         sorted_scratch_[i] = {hkeys_[i], hidx_[i]};
       }
       std::sort(sorted_scratch_.begin(), sorted_scratch_.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first < b.first) return true;
-                  if (b.first < a.first) return false;
+                [this](const auto& a, const auto& b) {
+                  if (ord_.less(a.first, b.first)) return true;
+                  if (ord_.less(b.first, a.first)) return false;
                   return a.second < b.second;
                 });
       for (std::size_t i = 0; i < k_; ++i) {
@@ -488,6 +465,7 @@ class TopkList {
   KeyStore keys_;
   IdxStore idx_;
   std::size_t k_;
+  KeyOrder<T> ord_;
   std::size_t cap_ = 0;
   // Flush scratch: lives in registers/shared memory on the device, so it is
   // modeled as on-chip (ops only, no DRAM traffic).  All scratch vectors

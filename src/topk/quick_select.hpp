@@ -10,6 +10,7 @@
 
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
+#include "topk/key_order.hpp"
 
 namespace topk {
 
@@ -30,6 +31,7 @@ struct QuickSelectPlan {
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+  KeyOrder<T> order;
   std::size_t seg_val[3] = {0, 0, 0};
   std::size_t seg_idx[3] = {0, 0, 0};
   std::size_t seg_eq_val = 0;
@@ -162,6 +164,7 @@ QuickSelectPlan<T> quick_select_plan(const Shape& s,
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
+  p.order = KeyOrder<T>(s.greatest);
   // Three rotating candidate buffers: source, the "less" destination and
   // the "greater" destination; plus a buffer for pivot-equal elements.
   p.seg_val[0] = layout.add<T>("quick vals 0", s.n);
@@ -242,10 +245,11 @@ QuickSelectPlan<T> quick_select_plan(const Shape& s,
 /// Phase 2 of QuickSelect (Dashti et al. 2013 / GpuSelection): single-pivot
 /// recursive partitioning.  Each iteration the host reads back a
 /// three-element sample to pick a median-of-three pivot, launches a
-/// partition kernel that splits the candidates into (< pivot, == pivot,
-/// > pivot), copies the partition counts back over PCIe and decides which
-/// side to recurse into.  One full host round trip per iteration with a
-/// data-dependent iteration count — the O(N^2) worst case of paper §2.2.
+/// partition kernel that splits the candidates into (before the pivot,
+/// equal, after it) under the plan's KeyOrder, copies the partition counts
+/// back over PCIe and decides which side to recurse into.  One full host
+/// round trip per iteration with a data-dependent iteration count — the
+/// O(N^2) worst case of paper §2.2.
 template <typename T>
 void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
                       simgpu::Workspace& ws, simgpu::DeviceBuffer<T> in,
@@ -255,6 +259,7 @@ void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
   const std::size_t n = plan.n;
   const std::size_t k = plan.k;
   const QuickSelectOptions& opt = plan.opt;
+  const KeyOrder<T> ord = plan.order;
   if (in.size() < batch * n || out_vals.size() < batch * k ||
       out_idx.size() < batch * k) {
     throw std::invalid_argument("quick_select: buffer too small");
@@ -327,8 +332,9 @@ void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
         dev.copy_to_host(probe_buf, std::span<T>(probe), "pivot sample");
       }
       dev.host_compute("median_of_three", 8);
-      std::sort(probe.begin(), probe.end());
-      const T pivot = probe[1];
+      std::sort(probe.begin(), probe.end(),
+                [&](T a, T b) { return ord.less(a, b); });
+      const T pivot = ord.key(probe[1]);
 
       // ---- partition kernel ----------------------------------------------
       {
@@ -362,11 +368,13 @@ void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
                "quick_select greater"}};
           scan_candidates(ctx, from_input, in, prob * n, src_val, src_idx,
                           begin, end, [&](T v, std::uint32_t id) {
-                            // Branch-free side pick; a key unordered with
-                            // the pivot (NaN) goes to the greater side.
+                            // Branch-free side pick on keys (pivot is one);
+                            // a key unordered with the pivot (NaN) goes to
+                            // the greater side.
+                            const T kv = ord.key(v);
                             const unsigned s =
-                                2u - 2u * static_cast<unsigned>(v < pivot) -
-                                static_cast<unsigned>(v == pivot);
+                                2u - 2u * static_cast<unsigned>(kv < pivot) -
+                                static_cast<unsigned>(kv == pivot);
                             side[s].push(ctx, v, id);
                           });
           for (auto& app : side) app.flush(ctx);

@@ -11,7 +11,7 @@
 #include "simgpu/simd.hpp"
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
-#include "topk/radix_traits.hpp"
+#include "topk/key_order.hpp"
 
 namespace topk {
 
@@ -29,11 +29,10 @@ struct RadixSelectOptions {
 /// for the target digit and launches a filter; winners append to the
 /// destination, ties at the target digit move to the candidate ping-pong.
 ///
-/// Largest-K is native: `order` is xor-ed into every radix key (AIR's
-/// direction mask), so the smallest masked key is always the best and no
-/// negated input copy is ever staged.  The kernel names belong to the
-/// owning plan, so each row keeps its own KernelStats, footprints and
-/// schedule.
+/// The direction is the Shape's KeyOrder: `order` (its radix_mask) is
+/// xor-ed into every radix key, so the smallest masked key is always the
+/// best.  The kernel names belong to the owning plan, so each row keeps its
+/// own KernelStats, footprints and schedule.
 template <typename T>
 struct RadixPassLoop {
   using Bits = typename RadixTraits<T>::Bits;
@@ -140,7 +139,6 @@ RadixPassLoop<T> radix_pass_loop_plan(const Shape& s, const Options& opt,
                                       std::size_t cand_cap,
                                       simgpu::WorkspaceLayout& layout) {
   using Traits = RadixTraits<T>;
-  using Bits = typename Traits::Bits;
   RadixPassLoop<T> l;
   l.n = s.n;
   l.k = s.k;
@@ -148,7 +146,7 @@ RadixPassLoop<T> radix_pass_loop_plan(const Shape& s, const Options& opt,
   l.items_per_block = opt.items_per_block;
   l.nb = 1 << opt.digit_bits;
   l.mask = static_cast<std::uint32_t>(l.nb - 1);
-  l.order = s.greatest ? static_cast<Bits>(~Bits{0}) : Bits{0};
+  l.order = KeyOrder<T>(s.greatest).radix_mask();
   const int num_passes =
       (Traits::kBits + opt.digit_bits - 1) / opt.digit_bits;
   l.passes.resize(static_cast<std::size_t>(num_passes));

@@ -25,10 +25,11 @@
 #include "topk/warp_select.hpp"
 
 /// Table-driven selector registry: every Algo resolves to one AlgoRow holding
-/// its CLI key, display name, K ceiling, native largest-K capability and its
-/// plan function.  The four AIR ablation variants collapse onto one plan
-/// function parameterized by AirTopkOptions flags, and GridSelect's
-/// thread-queue ablation onto grid_select with shared_queue = false.
+/// its CLI key, display name, K ceiling and its plan function.  The four AIR
+/// ablation variants collapse onto one plan function parameterized by
+/// AirTopkOptions flags, and GridSelect's thread-queue ablation onto
+/// grid_select with shared_queue = false.  Every row selects in both
+/// directions: Shape::greatest becomes the plan's KeyOrder.
 ///
 /// Dispatch through the table never touches the heap: row lookup is a linear
 /// scan of a constexpr array, the plan lives in a variant inside PlanImpl,
@@ -42,16 +43,11 @@ namespace topk {
 /// captures it by pointer).
 struct PlanImpl {
   Algo algo = Algo::kAuto;  ///< concrete algorithm (kAuto resolved at plan)
-  Shape shape;              ///< batch/n/k plus the requested order
-  /// Largest-K requested on an algorithm without a native descending order:
-  /// run_select() negates the input into `seg_negated` on the way in and
-  /// negates the output values on the way out (paper WLOG smallest-K).
-  bool negate = false;
-  std::size_t seg_negated = 0;
+  Shape shape;              ///< batch/n/k plus the direction
   /// Key element type this plan executes (SelectOptions::dtype at plan
   /// time), and the carrier it resolved to: i32/u32 keys run the algorithm
-  /// instantiated at uint32_t over monotone radix ordinals (largest-K wraps
-  /// via bitwise complement); everything else runs the float instantiation.
+  /// instantiated at uint32_t over monotone radix ordinals; everything else
+  /// runs the float instantiation.
   KeyType dtype = KeyType::kF32;
   bool u32_carrier = false;
   simgpu::WorkspaceLayout layout;
@@ -93,7 +89,6 @@ void on_carrier(const PlanImpl& impl, F&& plan) {
 inline AirTopkOptions air_options_for(Algo algo, const SelectOptions& opt) {
   AirTopkOptions o;
   o.alpha = opt.alpha;
-  o.greatest = opt.greatest;
   if (algo == Algo::kAirTopkNoAdaptive) o.adaptive = false;
   if (algo == Algo::kAirTopkNoEarlyStop) o.early_stopping = false;
   if (algo == Algo::kAirTopkFusedFilter) o.fuse_last_filter = true;
@@ -322,55 +317,53 @@ struct AlgoRow {
   std::string_view key;   ///< CLI/parse key (algo_key / parse_algo)
   std::string_view name;  ///< human-readable display name (algo_name)
   std::size_t k_limit;
-  bool native_greatest;
   registry_detail::PlanFn plan;
   unsigned dtypes;  ///< supported-KeyType bitmask (key_type_bit)
   bool streaming;   ///< scratch bounded independent of n; no n capacity cap
 };
 
 inline constexpr std::array<AlgoRow, 20> kAlgoTable = {{
-    {Algo::kAirTopk, "air", "AIR Top-K", 0, true, &registry_detail::plan_air,
+    {Algo::kAirTopk, "air", "AIR Top-K", 0, &registry_detail::plan_air,
      kDtypesAll, false},
-    {Algo::kGridSelect, "grid", "GridSelect", 2048, false,
+    {Algo::kGridSelect, "grid", "GridSelect", 2048,
      &registry_detail::plan_grid, kDtypesAll, false},
-    {Algo::kRadixSelect, "radixselect", "RadixSelect", 0, true,
+    {Algo::kRadixSelect, "radixselect", "RadixSelect", 0,
      &registry_detail::plan_radix, kDtypesAll, false},
-    {Algo::kWarpSelect, "warp", "WarpSelect", 2048, false,
+    {Algo::kWarpSelect, "warp", "WarpSelect", 2048,
      &registry_detail::plan_warp, kDtypesAll, false},
-    {Algo::kBlockSelect, "block", "BlockSelect", 2048, false,
+    {Algo::kBlockSelect, "block", "BlockSelect", 2048,
      &registry_detail::plan_block, kDtypesAll, false},
-    {Algo::kBitonicTopk, "bitonic", "Bitonic Top-K", 256, false,
+    {Algo::kBitonicTopk, "bitonic", "Bitonic Top-K", 256,
      &registry_detail::plan_bitonic, kDtypesAll, false},
-    {Algo::kQuickSelect, "quick", "QuickSelect", 0, false,
+    {Algo::kQuickSelect, "quick", "QuickSelect", 0,
      &registry_detail::plan_quick, kDtypesFloatFamily, false},
-    {Algo::kBucketSelect, "bucket", "BucketSelect", 0, false,
+    {Algo::kBucketSelect, "bucket", "BucketSelect", 0,
      &registry_detail::plan_bucket, kDtypesFloatFamily, false},
-    {Algo::kSampleSelect, "sample", "SampleSelect", 0, false,
+    {Algo::kSampleSelect, "sample", "SampleSelect", 0,
      &registry_detail::plan_sample, kDtypesFloatFamily, false},
-    {Algo::kSort, "sort", "Sort", 0, false, &registry_detail::plan_sort,
-     kDtypesAll, false},
+    {Algo::kSort, "sort", "Sort", 0, &registry_detail::plan_sort, kDtypesAll,
+     false},
     {Algo::kAirTopkNoAdaptive, "air-noadaptive", "AIR Top-K (no adaptive)", 0,
-     true, &registry_detail::plan_air, kDtypesAll, false},
+     &registry_detail::plan_air, kDtypesAll, false},
     {Algo::kAirTopkNoEarlyStop, "air-noearlystop", "AIR Top-K (no early stop)",
-     0, true, &registry_detail::plan_air, kDtypesAll, false},
+     0, &registry_detail::plan_air, kDtypesAll, false},
     {Algo::kAirTopkFusedFilter, "air-fusedfilter",
-     "AIR Top-K (fused last filter)", 0, true, &registry_detail::plan_air,
+     "AIR Top-K (fused last filter)", 0, &registry_detail::plan_air,
      kDtypesAll, false},
     {Algo::kGridSelectThreadQueue, "grid-threadqueue",
-     "GridSelect (thread queues)", 2048, false, &registry_detail::plan_grid,
+     "GridSelect (thread queues)", 2048, &registry_detail::plan_grid,
      kDtypesAll, false},
     {Algo::kFusedWarpRowwise, "fused-warp", "Fused row-wise (warp/row)", 2048,
-     false, &registry_detail::plan_fused_warp, kDtypesFloatFamily, false},
+     &registry_detail::plan_fused_warp, kDtypesFloatFamily, false},
     {Algo::kFusedBlockRowwise, "fused-block", "Fused row-wise (block/row)",
-     2048, false, &registry_detail::plan_fused_block, kDtypesFloatFamily,
-     false},
-    {Algo::kShardMerge, "shard-merge", "Shard candidate merge", 2048, false,
+     2048, &registry_detail::plan_fused_block, kDtypesFloatFamily, false},
+    {Algo::kShardMerge, "shard-merge", "Shard candidate merge", 2048,
      &registry_detail::plan_shard_merge, kDtypesFloatFamily, false},
     {Algo::kBucketApprox, "bucket-approx", "Bucketed approximate Top-K", 2048,
-     false, &registry_detail::plan_bucket_approx, kDtypesFloatFamily, false},
+     &registry_detail::plan_bucket_approx, kDtypesFloatFamily, false},
     {Algo::kStreamRadix, "stream-radix", "Streaming radix select", kMaxK,
-     true, &registry_detail::plan_stream_radix, kDtypesAll, true},
-    {Algo::kAuto, "auto", "Auto", 0, false, nullptr, kDtypesAll, false},
+     &registry_detail::plan_stream_radix, kDtypesAll, true},
+    {Algo::kAuto, "auto", "Auto", 0, nullptr, kDtypesAll, false},
 }};
 
 /// The registry row for `algo`, or nullptr for values outside the enum.

@@ -34,6 +34,7 @@ struct SampleSelectPlan {
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+  KeyOrder<T> order;
   std::size_t seg_val[2] = {0, 0};
   std::size_t seg_idx[2] = {0, 0};
   std::size_t seg_hist = 0;
@@ -198,6 +199,7 @@ SampleSelectPlan<T> sample_select_plan(const Shape& s,
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
+  p.order = KeyOrder<T>(s.greatest);
   const auto nb = static_cast<std::size_t>(opt.num_buckets);
   p.seg_val[0] = layout.add<T>("sample cand vals 0", s.n);
   p.seg_val[1] = layout.add<T>("sample cand vals 1", s.n);
@@ -315,6 +317,7 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
   const std::size_t n = plan.n;
   const std::size_t k = plan.k;
   const SampleSelectOptions& opt = plan.opt;
+  const KeyOrder<T> ord = plan.order;
   if (in.size() < batch * n || out_vals.size() < batch * k ||
       out_idx.size() < batch * k) {
     throw std::invalid_argument("sample_select: buffer too small");
@@ -387,9 +390,9 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
                          rk[i] = v;
                          ri[i] = id;
                        });
-            std::fill(rk + count, rk + padded, sort_sentinel<T>());
+            std::fill(rk + count, rk + padded, ord.worst());
             std::fill(ri + count, ri + padded, 0u);
-            bitonic_sort(ctx, keys, idx);
+            bitonic_sort(ctx, keys, idx, ord);
             ctx.store_tile(out_vals, dst, std::span<const T>(rk, take));
             ctx.store_tile(out_idx, dst,
                            std::span<const std::uint32_t>(ri, take));
@@ -400,11 +403,11 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
               keys[i] = ctx.load(src_val, i);
               idx[i] = ctx.load(src_idx, i);
             } else {
-              keys[i] = sort_sentinel<T>();
+              keys[i] = ord.worst();
               idx[i] = 0;
             }
           }
-          bitonic_sort(ctx, keys, idx);
+          bitonic_sort(ctx, keys, idx, ord);
           for (std::uint64_t i = 0; i < take; ++i) {
             ctx.store(out_vals, dst + i, keys[i]);
             ctx.store(out_idx, dst + i, idx[i]);
@@ -433,7 +436,8 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
       dev.copy_to_host(sample_buf.subspan(0, s), sample, "sample");
       dev.host_compute("sort_sample",
                        static_cast<std::uint64_t>(s) * 10);
-      std::sort(sample.begin(), sample.end());
+      std::sort(sample.begin(), sample.end(),
+                [&](T a, T b) { return ord.less(a, b); });
 
       for (int i = 1; i < nb; ++i) {
         splitters[static_cast<std::size_t>(i - 1)] =
@@ -441,12 +445,12 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
                    static_cast<std::size_t>(nb)];
       }
       bool degenerate =
-          !(splitters.front() < splitters.back()) || force_pivot;
+          !ord.less(splitters.front(), splitters.back()) || force_pivot;
       force_pivot = false;
 
       // Degenerate sample (duplicate-dominated data): fall back to a
-      // three-way pivot partition around the repeated value.
-      const T pivot = splitters[splitters.size() / 2];
+      // three-way pivot partition around the repeated value (as a key).
+      const T pivot = ord.key(splitters[splitters.size() / 2]);
       dev.upload_recorded(splitter_buf, std::span<const T>(splitters),
                           "splitters");
 
@@ -474,16 +478,18 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
       const int probes = !degenerate && std::has_single_bit(num_splitters + 1)
                              ? std::countr_zero(num_splitters + 1)
                              : 0;
-      // The element's class: in pivot mode less / equal / greater, else the
-      // number of splitters <= v by binary search, one load per probe.
+      // The element's class, on keys: in pivot mode less / equal / greater,
+      // else the number of splitters <= v by binary search, one load per
+      // probe.
       const auto classify = [=](simgpu::BlockCtx& ctx, T v) -> std::uint32_t {
+        const T kv = ord.key(v);
         if (degenerate) {
-          return v < pivot ? 0u : (v == pivot ? 1u : 2u);
+          return kv < pivot ? 0u : (kv == pivot ? 1u : 2u);
         }
         std::size_t lo = 0, hi = num_splitters;
         while (lo < hi) {
           const std::size_t mid = (lo + hi) / 2;
-          if (ctx.load(splitter_buf, mid) <= v) {
+          if (ord.key(ctx.load(splitter_buf, mid)) <= kv) {
             lo = mid + 1;
           } else {
             hi = mid;
@@ -523,7 +529,8 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
             for (std::size_t i = begin; i < end; i += simgpu::kTileElems) {
               const std::span<const T> tile = ctx.load_tile(
                   src, base + i, std::min(simgpu::kTileElems, end - i));
-              simgpu::simd::splitter_classes(split, probes, tile, cls);
+              simgpu::simd::splitter_classes(split, probes, tile, cls,
+                                             ord.mask());
               for (std::size_t u = 0; u < tile.size(); ++u) bump(cls[u]);
             }
           } else {
@@ -586,7 +593,8 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
             scan_candidate_tiles(
                 ctx, from_input, in, prob * n, src_val, src_idx, begin, end,
                 [&](std::span<const T> tv, std::span<const std::uint32_t> ti) {
-                  simgpu::simd::splitter_classes(split, probes, tv, cls);
+                  simgpu::simd::splitter_classes(split, probes, tv, cls,
+                                                 ord.mask());
                   for (std::size_t u = 0; u < tv.size(); ++u) {
                     route(cls[u], tv[u], ti[u]);
                   }

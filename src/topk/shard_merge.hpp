@@ -10,7 +10,6 @@
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
 #include "topk/partial_sort_common.hpp"
-#include "topk/radix_traits.hpp"
 #include "topk/warp_scan.hpp"
 
 namespace topk {
@@ -38,6 +37,7 @@ struct ShardMergePlan {
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+  KeyOrder<T> order;
   std::size_t cap = 0;      ///< next_pow2(k): per-run candidate list length
   std::size_t run_len = 0;  ///< sorted-run length L (power of two, >= cap)
   std::size_t runs = 0;     ///< R = ceil(n / L) runs per problem
@@ -165,6 +165,7 @@ ShardMergePlan<T> shard_merge_plan(const Shape& s,
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
+  p.order = KeyOrder<T>(s.greatest);
   p.cap = next_pow2(s.k);
   register_shard_merge_footprints();
 
@@ -248,17 +249,17 @@ ShardMergePlan<T> shard_merge_plan(const Shape& s,
 
 namespace shard_merge_detail {
 
-/// Sort L shared-memory (key, index) pairs ascending.  Warpfast fast path
-/// for packable keys: charge the exact data-oblivious network cost and sort
-/// packed (key, index) words host-side — the value sequence is identical to
-/// the network's, only the order of equal keys can differ, which the result
-/// contract leaves open (merge_prune precedent).  Only the first `keep`
-/// pairs are guaranteed written back.
+/// Sort L shared-memory (key, index) pairs best-first under `ord`.
+/// Warpfast fast path for packable keys: charge the exact data-oblivious
+/// network cost and sort packed (key, index) words host-side — the value
+/// sequence is identical to the network's, only the order of equal keys can
+/// differ, which the result contract leaves open (merge_prune precedent).
+/// Only the first `keep` pairs are guaranteed written back.
 template <typename KS, typename IS>
 void sort_pairs(simgpu::BlockCtx& ctx, KS& keys, IS& idx, std::size_t L,
-                std::size_t keep) {
-  using T = typename KS::value_type;
-  if constexpr (kPackableKey<T>) {
+                std::size_t keep,
+                KeyOrder<typename KS::value_type> ord) {
+  if constexpr (kPackableKey<typename KS::value_type>) {
     if (ctx.warpfast_enabled()) {
       ctx.ops(bitonic_sort_ops(L));
       const auto rk = raw_view(keys);
@@ -266,34 +267,32 @@ void sort_pairs(simgpu::BlockCtx& ctx, KS& keys, IS& idx, std::size_t L,
       simgpu::ScratchVec<std::uint64_t> packed;
       packed.resize(L);
       if (!rk.empty() && !rx.empty()) {
-        for (std::size_t i = 0; i < L; ++i) {
-          packed[i] = pack_key_idx<T>(rk[i], rx[i]);
-        }
+        for (std::size_t i = 0; i < L; ++i) packed[i] = ord.pack(rk[i], rx[i]);
       } else {
         for (std::size_t i = 0; i < L; ++i) {
-          packed[i] = pack_key_idx<T>(keys[i], idx[i]);
+          packed[i] = ord.pack(keys[i], idx[i]);
         }
       }
       std::sort(packed.begin(), packed.end());
       for (std::size_t i = 0; i < keep; ++i) {
-        keys[i] = RadixTraits<T>::from_radix(
-            static_cast<std::uint32_t>(packed[i] >> 32));
+        keys[i] = ord.unpack(packed[i]);
         idx[i] = static_cast<std::uint32_t>(packed[i]);
       }
       return;
     }
   }
-  bitonic_sort(ctx, keys, idx);
+  bitonic_sort(ctx, keys, idx, ord);
 }
 
 /// Load one run of `count` input values starting at flat offset `in_base`
 /// into shared views (indices seeded `begin + i`, tail padded with the
-/// sentinel), then sort it ascending (sort_pairs; the first `keep` pairs
+/// worst key), then sort it best-first (sort_pairs; the first `keep` pairs
 /// are guaranteed written back).
 template <typename T, typename KS, typename IS>
 void sort_run(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> in,
               std::size_t in_base, std::size_t begin, std::size_t count,
-              std::size_t L, std::size_t keep, KS& keys, IS& idx) {
+              std::size_t L, std::size_t keep, KS& keys, IS& idx,
+              KeyOrder<T> ord) {
   if (simgpu::tile_path_enabled()) {
     const auto rk = raw_view(keys);
     std::size_t i = 0;
@@ -317,10 +316,10 @@ void sort_run(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> in,
     idx[i] = static_cast<std::uint32_t>(begin + i);
   }
   for (std::size_t i = count; i < L; ++i) {
-    keys[i] = sort_sentinel<T>();
+    keys[i] = ord.worst();
     idx[i] = 0;
   }
-  sort_pairs(ctx, keys, idx, L, keep);
+  sort_pairs(ctx, keys, idx, L, keep, ord);
 }
 
 }  // namespace shard_merge_detail
@@ -347,6 +346,7 @@ void shard_merge_run(simgpu::Device& dev, const ShardMergePlan<T>& plan,
   const std::size_t cap = plan.cap;
   const std::size_t L = plan.run_len;
   const std::size_t R = plan.runs;
+  const KeyOrder<T> ord = plan.order;
 
   // ---- single-run fast path: sort once, emit directly --------------------
   if (R == 1) {
@@ -356,7 +356,8 @@ void shard_merge_run(simgpu::Device& dev, const ShardMergePlan<T>& plan,
       const auto prob = static_cast<std::size_t>(ctx.block_idx());
       auto keys = ctx.shared<T>(L, "shard sort keys");
       auto idx = ctx.shared<std::uint32_t>(L, "shard sort idx");
-      shard_merge_detail::sort_run(ctx, in, prob * n, 0, n, L, k, keys, idx);
+      shard_merge_detail::sort_run(ctx, in, prob * n, 0, n, L, k, keys, idx,
+                                   ord);
       warp_scan::store_list(ctx, keys, idx, out_vals, out_idx,
                                      prob * k, k);
     });
@@ -385,7 +386,7 @@ void shard_merge_run(simgpu::Device& dev, const ShardMergePlan<T>& plan,
       auto keys = ctx.shared<T>(L, "shard sort keys");
       auto idx = ctx.shared<std::uint32_t>(L, "shard sort idx");
       shard_merge_detail::sort_run(ctx, in, prob * n + begin, begin, count, L,
-                                   cap, keys, idx);
+                                   cap, keys, idx, ord);
       warp_scan::store_list(ctx, keys, idx, rv, ri,
                                      (prob * R + run) * cap, cap);
     });
@@ -416,7 +417,7 @@ void shard_merge_run(simgpu::Device& dev, const ShardMergePlan<T>& plan,
       const std::size_t dst_base = (prob * dst_stride + j) * cap;
       if (2 * j + 1 < r_in_now) {
         warp_scan::merge_lists(ctx, sv, si, src_base, 2, cap, dv, di,
-                               dst_base, cap);
+                               dst_base, cap, ord);
       } else {
         // Odd leftover run: pass it through to the next level unchanged.
         copy_pairs(ctx, sv, si, src_base, dv, di, dst_base, cap);

@@ -7,7 +7,7 @@
 
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
-#include "topk/radix_traits.hpp"
+#include "topk/key_order.hpp"
 
 namespace topk {
 
@@ -27,6 +27,7 @@ struct SortTopkPlan {
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+  KeyOrder<T> order;
   int nb = 0;
   std::uint32_t mask = 0;
   int num_passes = 0;
@@ -138,6 +139,7 @@ SortTopkPlan<T> sort_topk_plan(const Shape& s, const simgpu::DeviceSpec& spec,
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
+  p.order = KeyOrder<T>(s.greatest);
   p.nb = 1 << opt.digit_bits;
   p.mask = static_cast<std::uint32_t>(p.nb - 1);
   p.num_passes = (Traits::kBits + opt.digit_bits - 1) / opt.digit_bits;
@@ -221,6 +223,8 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
 
   const int nb = plan.nb;
   const std::uint32_t mask = plan.mask;
+  // Sort the keys' radix ordinals: largest-K sorts them complemented.
+  const Bits order = plan.order.radix_mask();
   const int bpp = plan.shape.blocks_per_problem;
 
   simgpu::DeviceBuffer<Bits> keys[2] = {ws.get<Bits>(plan.seg_keys[0]),
@@ -249,7 +253,7 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
             const std::size_t c = std::min(simgpu::kTileElems, end - i);
             const std::span<const T> tv = ctx.load_tile(in, prob * n + i, c);
             for (std::size_t u = 0; u < tv.size(); ++u) {
-              kbuf[u] = Traits::to_radix(tv[u]);
+              kbuf[u] = Traits::to_radix(tv[u]) ^ order;
               ibuf[u] = static_cast<std::uint32_t>(i + u);
             }
             ctx.store_tile(dst_keys, i, std::span<const Bits>(kbuf, c));
@@ -260,7 +264,7 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
         } else {
           for (std::size_t i = begin; i < end; ++i) {
             ctx.store(dst_keys, i,
-                      Traits::to_radix(ctx.load(in, prob * n + i)));
+                      Traits::to_radix(ctx.load(in, prob * n + i)) ^ order);
             ctx.store(dst_idx, i, static_cast<std::uint32_t>(i));
           }
         }
@@ -403,7 +407,7 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
             const std::span<const std::uint32_t> ti =
                 ctx.load_tile(fin_idx, i, c);
             for (std::size_t u = 0; u < tk.size(); ++u) {
-              vbuf[u] = Traits::from_radix(tk[u]);
+              vbuf[u] = Traits::from_radix(tk[u] ^ order);
             }
             ctx.store_tile(out_vals, prob * k + i, std::span<const T>(vbuf, c));
             ctx.store_tile(out_idx, prob * k + i, ti);
@@ -412,7 +416,7 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
         } else {
           for (std::size_t i = begin; i < end; ++i) {
             ctx.store(out_vals, prob * k + i,
-                      Traits::from_radix(ctx.load(fin_keys, i)));
+                      Traits::from_radix(ctx.load(fin_keys, i) ^ order));
             ctx.store(out_idx, prob * k + i, ctx.load(fin_idx, i));
           }
         }
@@ -420,23 +424,6 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
       });
     }
   }
-}
-
-/// One-shot entry point: plan + bind a local workspace + run.  Kept for
-/// direct callers and tests; the registry (core/topk.cpp) and topk::serve
-/// use the two-phase form so plans and workspaces are reused.
-template <typename T>
-void sort_topk(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-               std::size_t batch, std::size_t n, std::size_t k,
-               simgpu::DeviceBuffer<T> out_vals,
-               simgpu::DeviceBuffer<std::uint32_t> out_idx,
-               const SortTopkOptions& opt = {}) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan =
-      sort_topk_plan<T>(Shape{batch, n, k, false}, dev.spec(), opt, layout);
-  simgpu::Workspace ws(dev);
-  ws.bind(layout);
-  sort_topk_run(dev, plan, ws, in, out_vals, out_idx);
 }
 
 }  // namespace topk

@@ -26,9 +26,8 @@ struct StreamRadixOptions {
 /// each slice into a 2k union buffer, and folds the union back to k with
 /// the same loop whenever it fills.  Workspace = the loop's candidate
 /// ping-pong of one chunk + two 2k union sides + histogram/cursors —
-/// independent of n for n >> chunk_target.  Largest-K is native through the
-/// loop's order mask, so no n-sized negated-input segment is ever planned
-/// (which would break the bounded-scratch claim).
+/// independent of n for n >> chunk_target.  Largest-K runs through the
+/// loop's order mask, like every row.
 template <typename T>
 struct StreamRadixPlan {
   std::size_t batch = 0;

@@ -16,9 +16,9 @@
 /// bucket-approx) plus the sorted partial-list I/O their kernels and the
 /// shard merge share.  Everything here is templated on the selection engine
 /// (SharedQueueEngine or faiss_detail::WarpSelectEngine — the two queue
-/// designs paper Fig. 11 compares), which only has to offer kth(), round(),
-/// round_span() (interleaved fast leg), span_rounds() (contiguous fast leg),
-/// finalize() and list().
+/// designs paper Fig. 11 compares), which only has to offer kth(), order(),
+/// round(), round_span() (interleaved fast leg), span_rounds() (contiguous
+/// fast leg), finalize() and list().
 ///
 /// Every leg loads each element of a warp's range exactly once and drives
 /// the same engine rounds, so KernelStats are identical on the exact leg
@@ -159,7 +159,7 @@ void scan_interleaved(simgpu::BlockCtx& ctx, WarpEngines<Engine>& engines,
         for (std::size_t off = warp_off; off < rc; off += stride) {
           const std::size_t c =
               std::min<std::size_t>(simgpu::kWarpSize, rc - off);
-          below += simgpu::BlockCtx::count_below(tv.subspan(off, c), gate);
+          below += eng.order().count_less(tv.subspan(off, c), gate);
           ++rounds;
         }
         if (below == 0) {
@@ -294,7 +294,7 @@ void store_list(simgpu::BlockCtx& ctx, const KS& src_keys, const IS& src_idx,
 }
 
 /// Publish a sorted top-k list as one cap-long partial list at `base`: the
-/// k live pairs, then (sentinel, 0) padding up to cap, so the merge kernel
+/// k live pairs, then (worst key, 0) padding up to cap, so the merge kernel
 /// can run fixed cap-sized merge_prune networks.
 template <typename T, typename List>
 void publish_padded(simgpu::BlockCtx& ctx, const List& list,
@@ -303,22 +303,22 @@ void publish_padded(simgpu::BlockCtx& ctx, const List& list,
                     std::size_t cap) {
   store_list(ctx, list.keys(), list.indices(), val, idx, base, list.k());
   for (std::size_t i = list.k(); i < cap; ++i) {
-    ctx.store(val, base + i, sort_sentinel<T>());
+    ctx.store(val, base + i, list.order().worst());
     ctx.store(idx, base + i, std::uint32_t{0});
   }
 }
 
 /// Block body of the partial-list merge kernels (GridSelect_merge,
 /// FusedRowwise_block_merge, ShardMergeLevel): fold the `lists` cap-long
-/// sorted lists stored back to back at `src` with merge_prune, then store
-/// the first `count` pairs of the result at `dst`.
+/// lists, sorted under `ord` and stored back to back at `src`, with
+/// merge_prune, then store the first `count` pairs of the result at `dst`.
 template <typename T>
 void merge_lists(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> val,
                  simgpu::DeviceBuffer<std::uint32_t> idx, std::size_t src,
                  std::size_t lists, std::size_t cap,
                  simgpu::DeviceBuffer<T> out_val,
                  simgpu::DeviceBuffer<std::uint32_t> out_idx, std::size_t dst,
-                 std::size_t count) {
+                 std::size_t count, KeyOrder<T> ord) {
   auto acc_keys = ctx.shared<T>(cap, "merge acc keys");
   auto acc_idx = ctx.shared<std::uint32_t>(cap, "merge acc idx");
   auto tmp_keys = ctx.shared<T>(cap, "merge tmp keys");
@@ -326,7 +326,7 @@ void merge_lists(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> val,
   load_list(ctx, val, idx, src, acc_keys, acc_idx, cap);
   for (std::size_t l = 1; l < lists; ++l) {
     load_list(ctx, val, idx, src + l * cap, tmp_keys, tmp_idx, cap);
-    merge_prune(ctx, acc_keys, acc_idx, tmp_keys, tmp_idx);
+    merge_prune(ctx, acc_keys, acc_idx, tmp_keys, tmp_idx, ord);
   }
   store_list(ctx, acc_keys, acc_idx, out_val, out_idx, dst, count);
 }

@@ -26,36 +26,33 @@ namespace faiss_detail {
 template <typename T>
 class WarpSelectEngine {
  public:
-  /// `qlen_override` sets the per-lane thread-queue depth directly (0 keeps
-  /// the k-derived default).  Depth is the WarpSelect tuning axis: a deeper
-  /// queue amortizes the warp-wide sort+merge flush over more inserts at the
-  /// price of a longer predicated shift chain per inserting round.  Both the
-  /// exact and the warpfast path read the same `qlen_`, so per-algorithm
-  /// charge invariance across toggles is unaffected by the choice.
   WarpSelectEngine(simgpu::BlockCtx& ctx, std::size_t k,
-                   std::size_t qlen_override = 0)
-      : qlen_(qlen_override != 0 ? qlen_override : thread_queue_len(k)),
+                   KeyOrder<T> ord = {})
+      : qlen_(thread_queue_len(k)),
         list_keys_(next_pow2(k)),
         list_idx_(next_pow2(k)),
-        list_(std::span<T>(list_keys_), std::span<std::uint32_t>(list_idx_), k),
+        list_(std::span<T>(list_keys_), std::span<std::uint32_t>(list_idx_), k,
+              ord),
         tq_keys_(32 * qlen_),
         tq_idx_(32 * qlen_),
         tq_count_(32, 0) {
     (void)ctx;
   }
 
-  /// Threshold below which an element is a candidate.
+  /// Threshold an element must come before to be a candidate.
   [[nodiscard]] T kth() const { return list_.kth(); }
+  [[nodiscard]] KeyOrder<T> order() const { return list_.order(); }
 
   /// Process one warp-wide round of up to 32 loaded elements.
   /// `valid[lane]` marks lanes whose load was in range.
   void round(simgpu::BlockCtx& ctx, const T* values,
              const std::uint32_t* indices, const bool* valid) {
     const T threshold = list_.kth();
+    const KeyOrder<T> ord = order();
     bool any_insert = false;
     for (int lane = 0; lane < simgpu::kWarpSize; ++lane) {
       if (!valid[lane]) continue;
-      if (values[lane] < threshold) {
+      if (ord.less(values[lane], threshold)) {
         auto& n = tq_count_[static_cast<std::size_t>(lane)];
         tq_keys_[static_cast<std::size_t>(lane) * qlen_ + n] = values[lane];
         tq_idx_[static_cast<std::size_t>(lane) * qlen_ + n] = indices[lane];
@@ -93,15 +90,16 @@ class WarpSelectEngine {
                   std::span<const std::uint32_t> ext_idx,
                   std::uint32_t base_index) {
     const T threshold = list_.kth();
+    const KeyOrder<T> ord = order();
     ctx.ops(kEmptyRoundLaneOps);
     // Vectorized precheck: a candidate-free round inserts nothing and
     // cannot trip the queue-full vote, so the per-lane loop below would
     // only rediscover the empty mask.
-    if (simgpu::BlockCtx::count_below(tile, threshold) == 0) return;
+    if (ord.count_less(tile, threshold) == 0) return;
     bool any_insert = false;
     bool any_full = false;
     for (std::size_t u = 0; u < tile.size(); ++u) {
-      if (tile[u] < threshold) {
+      if (ord.less(tile[u], threshold)) {
         auto& c = tq_count_[u];
         tq_keys_[u * qlen_ + c] = tile[u];
         tq_idx_[u * qlen_ + c] =
@@ -130,7 +128,7 @@ class WarpSelectEngine {
   ///     its round's replay point reproduces the exact insert set, lane
   ///     order, shift-chain charge and queue-full flushes round_span()
   ///     would produce — a round whose packed candidates all fail the
-  ///     re-check degenerates to the floor, same as its count_below gate.
+  ///     re-check degenerates to the floor, same as its count_less gate.
   void span_rounds(simgpu::BlockCtx& ctx, std::span<const T> tile,
                    std::span<const std::uint32_t> ext_idx,
                    std::uint32_t base_index) {
@@ -140,12 +138,13 @@ class WarpSelectEngine {
             (tile.size() + simgpu::kWarpSize - 1) / simgpu::kWarpSize;
         ctx.ops(rounds * kEmptyRoundLaneOps);
         // Warm-up segment, then one big pack: the first pack runs under
-        // the sentinel threshold and would compress-store nearly every
+        // the worst-key threshold and would compress-store nearly every
         // element, so cap it at kSeg rounds; once the list has merged a
         // segment's worth the threshold is tight enough that packing the
         // whole remainder stays cheap (the stale-trim below re-packs if a
         // merge tightens it mid-replay).
         constexpr std::size_t kSeg = 16 * simgpu::kWarpSize;
+        const KeyOrder<T> ord = order();
         span_pack_.resize(std::max(span_pack_.size(), tile.size()));
         // Pack positions (base 0, no ext_idx) so lane/round recovery is
         // arithmetic; external ids are looked up per candidate below.
@@ -154,8 +153,8 @@ class WarpSelectEngine {
           const std::size_t seg_end =
               start < kSeg ? std::min(kSeg, tile.size()) : tile.size();
           const std::size_t m = simgpu::simd::pack_below_f32(
-              tile.data() + start, nullptr, 0, seg_end - start, list_.kth(),
-              span_pack_.data());
+              tile.data() + start, nullptr, 0, seg_end - start,
+              ord.key(list_.kth()), span_pack_.data(), ord.mask());
           if (m == 0) {
             start = seg_end;
             continue;
@@ -177,7 +176,7 @@ class WarpSelectEngine {
               if (rel >= round_end) break;
               const std::size_t pos = start + rel;
               const T v = tile[pos];
-              if (!(v < threshold)) {  // pack threshold was looser
+              if (!ord.less(v, threshold)) {  // pack threshold was looser
                 ++dead;
                 continue;
               }
@@ -197,7 +196,7 @@ class WarpSelectEngine {
               if (any_full) flush(ctx);
             }
             // Stale-pack trim: merges tighten the threshold, so a pack
-            // taken early (worst: the +inf warm-up threshold) can leave a
+            // taken early (worst: the warm-up threshold) can leave a
             // long mostly-dead tail.  When the replay has burned through
             // enough dead candidates and plenty remain, re-pack the
             // unprocessed tail under the current threshold — still a
@@ -232,6 +231,7 @@ class WarpSelectEngine {
       // (flush_pack_ is distinct from span_pack_: a flush can fire while
       // span_rounds is still iterating its packed candidates.)
       if (ctx.warpfast_enabled()) {
+        const KeyOrder<T> ord = order();
         flush_pack_.resize(
             std::max(flush_pack_.size(), simgpu::kWarpSize * qlen_));
         std::size_t count = 0;
@@ -240,7 +240,7 @@ class WarpSelectEngine {
           const auto n = tq_count_[static_cast<std::size_t>(lane)];
           for (std::size_t j = 0; j < n; ++j) {
             flush_pack_[count++] =
-                pack_key_idx<T>(tq_keys_[base + j], tq_idx_[base + j]);
+                ord.pack(tq_keys_[base + j], tq_idx_[base + j]);
           }
           tq_count_[static_cast<std::size_t>(lane)] = 0;
         }
@@ -297,6 +297,7 @@ struct FaissSelectPlan {
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+  KeyOrder<T> order;
   int num_warps = 0;
   std::string_view kernel_name;
 };
@@ -345,7 +346,8 @@ FaissSelectPlan<T> faiss_select_plan(const Shape& s,
                         {{"in", simgpu::kBindInput},
                          {"out_vals", simgpu::kBindOutVals},
                          {"out_idx", simgpu::kBindOutIdx}});
-  return FaissSelectPlan<T>{s.batch, s.n, s.k, num_warps, kernel_name};
+  return FaissSelectPlan<T>{s.batch, s.n, s.k, KeyOrder<T>(s.greatest),
+                            num_warps, kernel_name};
 }
 
 /// Phase 2 — shared implementation of WarpSelect (1 warp per problem) and
@@ -360,6 +362,7 @@ void faiss_select_run(simgpu::Device& dev, const FaissSelectPlan<T>& plan,
   const std::size_t n = plan.n;
   const std::size_t k = plan.k;
   const int num_warps = plan.num_warps;
+  const KeyOrder<T> ord = plan.order;
   const std::string_view kernel_name = plan.kernel_name;
   if (in.size() < batch * n || out_vals.size() < batch * k ||
       out_idx.size() < batch * k) {
@@ -373,7 +376,8 @@ void faiss_select_run(simgpu::Device& dev, const FaissSelectPlan<T>& plan,
     const auto prob = static_cast<std::size_t>(ctx.block_idx());
     // Region length of the warpfast leg: 8 rounds per warp.
     constexpr std::size_t kRegionRounds = 8;
-    warp_scan::WarpEngines<WarpSelectEngine<T>> engines(num_warps, ctx, k);
+    warp_scan::WarpEngines<WarpSelectEngine<T>> engines(num_warps, ctx, k,
+                                                        ord);
     warp_scan::scan_interleaved(ctx, engines, in, {}, prob * n, 0, n,
                                 kRegionRounds);
     ctx.sync();
@@ -384,45 +388,6 @@ void faiss_select_run(simgpu::Device& dev, const FaissSelectPlan<T>& plan,
   });
 }
 
-/// One-shot entry point: plan (no segments) + run.
-template <typename T>
-void faiss_select(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                  std::size_t batch, std::size_t n, std::size_t k,
-                  simgpu::DeviceBuffer<T> out_vals,
-                  simgpu::DeviceBuffer<std::uint32_t> out_idx, int num_warps,
-                  std::string_view kernel_name) {
-  simgpu::WorkspaceLayout layout;
-  const auto plan = faiss_select_plan<T>(Shape{batch, n, k, false},
-                                         dev.spec(), num_warps, kernel_name,
-                                         layout);
-  simgpu::Workspace ws(dev);
-  faiss_select_run(dev, plan, ws, in, out_vals, out_idx);
-}
-
 }  // namespace faiss_detail
-
-/// WarpSelect (Johnson et al., Faiss): one warp per problem, per-thread
-/// register queues, bitonic merge on overflow.  Can process data on the fly;
-/// parallelism is limited to one warp, which is why it collapses for large N
-/// at batch size 1 (paper Fig. 7).
-template <typename T>
-void warp_select(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                 std::size_t batch, std::size_t n, std::size_t k,
-                 simgpu::DeviceBuffer<T> out_vals,
-                 simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  faiss_detail::faiss_select(dev, in, batch, n, k, out_vals, out_idx, 1,
-                             "WarpSelect");
-}
-
-/// BlockSelect (Faiss): WarpSelect extended to one thread block of 4 warps
-/// per problem, still at most one SM per problem.
-template <typename T>
-void block_select(simgpu::Device& dev, simgpu::DeviceBuffer<T> in,
-                  std::size_t batch, std::size_t n, std::size_t k,
-                  simgpu::DeviceBuffer<T> out_vals,
-                  simgpu::DeviceBuffer<std::uint32_t> out_idx) {
-  faiss_detail::faiss_select(dev, in, batch, n, k, out_vals, out_idx, 4,
-                             "BlockSelect");
-}
 
 }  // namespace topk

@@ -1,5 +1,6 @@
 #include "verify/plan_audit.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -298,6 +299,7 @@ std::string_view defect_kind_name(DefectKind kind) {
     case DefectKind::kLifetime: return "lifetime";
     case DefectKind::kMissingFootprint: return "missing-footprint";
     case DefectKind::kBadBind: return "bad-bind";
+    case DefectKind::kDirectionParity: return "direction-parity";
   }
   return "unknown";
 }
@@ -321,6 +323,52 @@ AuditReport audit_schedule(const simgpu::KernelSchedule& sched,
 
 AuditReport audit_plan(const ExecutionPlan& plan) {
   return audit_schedule(plan.schedule(), plan.layout());
+}
+
+AuditReport audit_direction_parity(const ExecutionPlan& smallest,
+                                   const ExecutionPlan& largest) {
+  AuditReport rep;
+  const auto defect = [&](std::string_view where, std::size_t index,
+                          std::string_view detail) {
+    Finding f;
+    f.kind = DefectKind::kDirectionParity;
+    f.kernel = where;
+    f.step_index = index;
+    f.batch = largest.batch();
+    f.n = largest.n();
+    f.k = largest.k();
+    f.detail = std::string("largest-K ") + std::string(detail) +
+               " differs from its smallest-K twin's";
+    rep.findings.push_back(std::move(f));
+  };
+  const auto& sa = smallest.layout().segments;
+  const auto& la = largest.layout().segments;
+  if (sa.size() != la.size()) defect("layout", 0, "segment count");
+  for (std::size_t i = 0; i < std::min(sa.size(), la.size()); ++i) {
+    if (sa[i].name != la[i].name || sa[i].offset != la[i].offset ||
+        sa[i].bytes != la[i].bytes || sa[i].elem_size != la[i].elem_size ||
+        sa[i].host != la[i].host) {
+      defect("layout", i, "segment '" + std::string(la[i].name) + "'");
+    }
+  }
+  const auto& ss = smallest.schedule().steps;
+  const auto& ls = largest.schedule().steps;
+  if (ss.size() != ls.size()) defect("schedule", 0, "step count");
+  for (std::size_t i = 0; i < std::min(ss.size(), ls.size()); ++i) {
+    const simgpu::KernelStep& a = ss[i];
+    const simgpu::KernelStep& b = ls[i];
+    bool same = a.kind == b.kind && a.name == b.name && a.grid == b.grid &&
+                a.block_threads == b.block_threads && a.batch == b.batch &&
+                a.n == b.n && a.k == b.k && a.binds.size() == b.binds.size();
+    for (std::size_t j = 0; same && j < a.binds.size(); ++j) {
+      same = a.binds[j].operand == b.binds[j].operand &&
+             a.binds[j].target == b.binds[j].target &&
+             a.binds[j].access == b.binds[j].access;
+    }
+    if (!same) defect(b.name, i, "step (kind, grid, shape or binds)");
+  }
+  rep.steps_walked = std::min(ss.size(), ls.size());
+  return rep;
 }
 
 std::string to_json(const AuditReport& report) {

@@ -42,6 +42,7 @@ enum class DefectKind : std::uint8_t {
   kMissingFootprint,  ///< launch step's kernel has no registered footprint
   kBadBind,           ///< unknown operand, unbound required operand, or an
                       ///< invalid bind target
+  kDirectionParity,   ///< a largest-K plan differs from its smallest-K twin
 };
 
 /// Stable kebab-case name for a defect kind ("overflow", "uninit-read", ...).
@@ -81,6 +82,15 @@ struct AuditReport {
 /// Audit a planned selection (its recorded schedule against its layout).
 /// Throws std::logic_error on an invalid (default-constructed) plan.
 [[nodiscard]] AuditReport audit_plan(const ExecutionPlan& plan);
+
+/// Direction parity: the direction lives in the plan's KeyOrder, so a
+/// largest-K plan must lay out the same segments (names, bytes, alignment
+/// offsets, host flags) and record the same schedule (step kinds, names,
+/// grids, shapes and binds) as its smallest-K twin.  Reports one
+/// kDirectionParity finding per differing segment or step, or for a
+/// differing count.
+[[nodiscard]] AuditReport audit_direction_parity(
+    const ExecutionPlan& smallest, const ExecutionPlan& largest);
 
 /// Serialize a report as a JSON object:
 ///   {"clean": bool, "steps_walked": N, "binds_checked": M,

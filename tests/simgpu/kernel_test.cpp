@@ -1,7 +1,9 @@
 #include "simgpu/kernel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -394,6 +396,42 @@ TEST(Warpfast, CountBelowIsExactAndChargeFree) {
   // count_below is a pure compute helper: nothing may hit the counters.
   EXPECT_EQ(stats.bytes_read, 0u);
   EXPECT_EQ(stats.lane_ops, 0u);
+}
+
+TEST(Warpfast, CountBelowWithOrderMaskEqualsUnmaskedOnReversedKeys) {
+  // The largest-K mask (sign bit on floats, all ones on integers) must give
+  // exactly the unmasked count over the reversed keys, on the vector path
+  // (float) and the generic loop (u32, double), NaN and ±0 lanes included.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> fv = {3.0f, -1.0f, nan,  -0.0f, 0.0f, 2.0f, -7.5f,
+                                 nan,  9.0f,  0.0f, -0.0f, 1.0f, -2.0f, 4.0f,
+                                 5.0f, -3.0f, 0.5f, nan,   -0.5f};
+  std::vector<float> rfv;
+  for (const float x : fv) {
+    rfv.push_back(std::bit_cast<float>(std::bit_cast<std::uint32_t>(x) ^
+                                       0x80000000u));
+  }
+  const std::vector<std::uint32_t> uv = {5, 0, 7, 0xFFFFFFFFu, 12, 3};
+  std::vector<std::uint32_t> ruv;
+  for (const std::uint32_t x : uv) ruv.push_back(~x);
+  const std::vector<double> dv = {2.5, -0.0, 0.0, -4.0, 1e300, -1e-300};
+  std::vector<double> rdv;
+  for (const double x : dv) rdv.push_back(-x);
+  for (const float t : {0.0f, -0.0f, 1.0f, -2.0f, nan}) {
+    EXPECT_EQ(BlockCtx::count_below<float>(fv, t, 0x80000000u),
+              BlockCtx::count_below<float>(rfv, t))
+        << "threshold " << t;
+  }
+  for (const std::uint32_t t : {0u, 6u, 0xFFFFFFF0u}) {
+    EXPECT_EQ(BlockCtx::count_below<std::uint32_t>(uv, t, ~0u),
+              BlockCtx::count_below<std::uint32_t>(ruv, t))
+        << "threshold " << t;
+  }
+  for (const double t : {0.0, -1.0, 3.0}) {
+    EXPECT_EQ(BlockCtx::count_below<double>(dv, t, std::uint64_t{1} << 63),
+              BlockCtx::count_below<double>(rdv, t))
+        << "threshold " << t;
+  }
 }
 
 TEST(TileAccessors, UncheckedSharedDataGatedOnTilePath) {

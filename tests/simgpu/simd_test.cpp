@@ -5,11 +5,13 @@
 // of the runtime dispatch stay in agreement.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -264,6 +266,137 @@ TEST(PackBelow, OrdinalMapIsMonotone) {
   EXPECT_LE(ref_ord(-0.0f), ref_ord(0.0f));
 }
 
+// ---- key-order masks ---------------------------------------------------
+// With the largest-K mask (the sign bit on f32 keys, all ones on u32 keys)
+// each masked helper must return exactly what the unmasked helper returns on
+// the reversed keys — and, for splitter_classes, reversed splitters — on
+// both the scalar and the AVX-512 body, NaN and ±0 lanes included.
+
+constexpr std::uint32_t kF32Reverse = 0x80000000u;
+
+float reversed(float x) {
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(x) ^ kF32Reverse);
+}
+
+/// Normal draws with NaN, ±0 and ±inf lanes mixed in.
+std::vector<float> keys_with_specials(std::mt19937_64& rng, std::size_t n) {
+  std::normal_distribution<float> dist(0.0f, 3.0f);
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (rng() % 8) {
+      case 0: v[i] = std::numeric_limits<float>::quiet_NaN(); break;
+      case 1: v[i] = -0.0f; break;
+      case 2: v[i] = 0.0f; break;
+      case 3: v[i] = std::numeric_limits<float>::infinity() * (i % 2 ? 1 : -1);
+              break;
+      default: v[i] = dist(rng); break;
+    }
+  }
+  return v;
+}
+
+/// One body of the three masked helpers: the scalar fallback or the
+/// AVX-512 vector body.
+struct MaskedBodies {
+  const char* name;
+  std::size_t (*count)(const float*, std::size_t, float, std::uint32_t);
+  std::size_t (*pack)(const float*, const std::uint32_t*, std::uint32_t,
+                      std::size_t, float, std::uint64_t*, std::uint32_t);
+  void (*classes_f32)(const float*, std::uint32_t, std::span<const float>,
+                      std::uint32_t*, std::uint32_t);
+  void (*classes_u32)(const std::uint32_t*, std::uint32_t,
+                      std::span<const std::uint32_t>, std::uint32_t*,
+                      std::uint32_t);
+};
+
+std::vector<MaskedBodies> masked_bodies() {
+  std::vector<MaskedBodies> bodies = {
+      {"scalar", detail::count_below_f32_scalar, detail::pack_below_f32_scalar,
+       detail::splitter_classes_scalar<float>,
+       detail::splitter_classes_scalar<std::uint32_t>}};
+#if SIMGPU_SIMD_X86
+  if (have_avx512f()) {
+    bodies.push_back(
+        {"avx512", detail::count_below_f32_avx512,
+         detail::pack_below_f32_avx512,
+         [](const float* split, std::uint32_t first, std::span<const float> v,
+            std::uint32_t* cls, std::uint32_t mask) {
+           detail::splitter_classes_avx512<true>(split, first, v.data(),
+                                                 v.size(), cls, mask);
+         },
+         [](const std::uint32_t* split, std::uint32_t first,
+            std::span<const std::uint32_t> v, std::uint32_t* cls,
+            std::uint32_t mask) {
+           detail::splitter_classes_avx512<false>(split, first, v.data(),
+                                                  v.size(), cls, mask);
+         }});
+  }
+#endif
+  return bodies;
+}
+
+TEST(KeyOrderMask, CountAndPackEqualUnmaskedOnReversedKeys) {
+  std::mt19937_64 rng(0x0DE5);
+  for (const MaskedBodies& body : masked_bodies()) {
+    for (int trial = 0; trial < 400; ++trial) {
+      const std::size_t n = trial % 40;  // empty, tails, 2x16 + tail
+      const std::vector<float> v = keys_with_specials(rng, n);
+      std::vector<float> r(v.size());
+      std::transform(v.begin(), v.end(), r.begin(), reversed);
+      for (const float threshold :
+           {0.0f, -0.0f, 1.5f, std::numeric_limits<float>::infinity(),
+            std::numeric_limits<float>::quiet_NaN(),
+            v.empty() ? 2.0f : v[0]}) {
+        const std::string at = std::string(body.name) + " trial " +
+                               std::to_string(trial) + " threshold " +
+                               std::to_string(threshold);
+        EXPECT_EQ(body.count(v.data(), n, threshold, kF32Reverse),
+                  body.count(r.data(), n, threshold, 0))
+            << at;
+        std::vector<std::uint64_t> a(n + 1, 0), b(n + 1, 0);
+        const std::size_t ma = body.pack(v.data(), nullptr, 9u, n, threshold,
+                                         a.data(), kF32Reverse);
+        const std::size_t mb =
+            body.pack(r.data(), nullptr, 9u, n, threshold, b.data(), 0);
+        ASSERT_EQ(ma, mb) << at;
+        EXPECT_TRUE(std::equal(a.begin(), a.begin() + ma, b.begin())) << at;
+      }
+    }
+  }
+}
+
+TEST(KeyOrderMask, SplitterClassesEqualUnmaskedOnReversedKeysAndSplitters) {
+  std::mt19937_64 rng(0x5C1A);
+  for (const MaskedBodies& body : masked_bodies()) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const int probes = 1 + trial % 8;
+      const std::size_t splitters = (std::size_t{1} << probes) - 1;
+      const std::uint32_t first = std::uint32_t{1} << (probes - 1);
+      const std::size_t n = 1 + rng() % 300;
+      std::vector<float> fs = keys_with_specials(rng, splitters);
+      const std::vector<float> fv = keys_with_specials(rng, n);
+      std::vector<std::uint32_t> us(splitters), uv(n);
+      for (auto& x : us) x = static_cast<std::uint32_t>(rng());
+      for (auto& x : uv) x = static_cast<std::uint32_t>(rng());
+      std::vector<float> rfs(fs.size()), rfv(fv.size());
+      std::transform(fs.begin(), fs.end(), rfs.begin(), reversed);
+      std::transform(fv.begin(), fv.end(), rfv.begin(), reversed);
+      std::vector<std::uint32_t> rus(us.size()), ruv(uv.size());
+      std::transform(us.begin(), us.end(), rus.begin(),
+                     [](std::uint32_t x) { return ~x; });
+      std::transform(uv.begin(), uv.end(), ruv.begin(),
+                     [](std::uint32_t x) { return ~x; });
+      std::vector<std::uint32_t> a(n), b(n);
+      body.classes_f32(fs.data(), first, fv, a.data(), kF32Reverse);
+      body.classes_f32(rfs.data(), first, rfv, b.data(), 0);
+      EXPECT_EQ(a, b) << body.name << " f32 trial " << trial;
+      body.classes_u32(us.data(), first, uv, a.data(), ~std::uint32_t{0});
+      body.classes_u32(rus.data(), first, ruv, b.data(), 0);
+      EXPECT_EQ(a, b) << body.name << " u32 trial " << trial;
+    }
+  }
+}
+
 #if SIMGPU_SIMD_X86
 TEST(Dispatch, Avx512BodiesAgreeWithScalarFallbacks) {
   if (!have_avx512f()) GTEST_SKIP() << "host lacks AVX-512F";
@@ -277,12 +410,12 @@ TEST(Dispatch, Avx512BodiesAgreeWithScalarFallbacks) {
 
     std::size_t scalar_count = 0;
     for (float x : v) scalar_count += static_cast<std::size_t>(x < threshold);
-    EXPECT_EQ(detail::count_below_f32_avx512(v.data(), n, threshold),
+    EXPECT_EQ(detail::count_below_f32_avx512(v.data(), n, threshold, 0),
               scalar_count);
 
     std::vector<std::uint64_t> a(n), b(n);
     const std::size_t ma = detail::pack_below_f32_avx512(
-        v.data(), nullptr, 42u, n, threshold, a.data());
+        v.data(), nullptr, 42u, n, threshold, a.data(), 0);
     std::size_t mb = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (v[i] < threshold) {

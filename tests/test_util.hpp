@@ -9,6 +9,7 @@
 #include "core/topk.hpp"
 #include "data/distributions.hpp"
 #include "simgpu/simgpu.hpp"
+#include "topk/air_topk.hpp"
 
 namespace topk::test {
 
@@ -32,6 +33,21 @@ inline std::vector<data::DistributionSpec> standard_distributions() {
       {Distribution::kAdversarial, 10},
       {Distribution::kAdversarial, 20},
   };
+}
+
+/// AIR Top-K through its own plan and run, with a fresh Workspace bound to
+/// the plan's layout: the path the registry takes, for tests that pass
+/// AirTopkOptions the registry does not expose.
+template <typename T>
+void run_air(simgpu::Device& dev, simgpu::DeviceBuffer<T> in, const Shape& s,
+             simgpu::DeviceBuffer<T> out_vals,
+             simgpu::DeviceBuffer<std::uint32_t> out_idx,
+             const AirTopkOptions& opt = {}) {
+  simgpu::WorkspaceLayout layout;
+  const auto plan = air_topk_plan<T>(s, dev.spec(), opt, layout);
+  simgpu::Workspace ws(dev);
+  ws.bind(layout);
+  air_topk_run(dev, plan, ws, in, out_vals, out_idx);
 }
 
 struct SweepCase {

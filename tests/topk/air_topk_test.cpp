@@ -15,6 +15,7 @@ namespace topk {
 namespace {
 
 using test::expect_correct;
+using test::run_air;
 using test::standard_distributions;
 using test::SweepCase;
 
@@ -146,7 +147,7 @@ TEST(AirTopk, AdaptiveStrategyAvoidsBufferTrafficOnAdversarialData) {
     dev.clear_events();
     AirTopkOptions o;
     o.adaptive = adaptive;
-    air_topk(dev, in, 1, values.size(), 100, out_v, out_i, o);
+    run_air(dev, in, Shape{1, values.size(), 100}, out_v, out_i, o);
     std::uint64_t bytes = 0;
     for (const auto& e : dev.events()) {
       if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
@@ -179,7 +180,7 @@ TEST(AirTopk, AdaptiveBufferShrinksPeakMemoryFootprint) {
     dev.reset_peak_live_bytes();
     AirTopkOptions o;
     o.adaptive = adaptive;
-    air_topk(dev, in, 1, values.size(), 100, out_v, out_i, o);
+    run_air(dev, in, Shape{1, values.size(), 100}, out_v, out_i, o);
     return dev.peak_live_bytes();
   };
   // Candidate buffers shrink from 2*N values+indices to 2*N/alpha (paper
@@ -200,7 +201,7 @@ TEST(AirTopk, EarlyStoppingReducesWorkWhenKEqualsN) {
     dev.clear_events();
     AirTopkOptions o;
     o.early_stopping = early;
-    air_topk(dev, in, 1, n, n, out_v, out_i, o);
+    run_air(dev, in, Shape{1, n, n}, out_v, out_i, o);
     std::uint64_t ops = 0;
     for (const auto& e : dev.events()) {
       if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
@@ -263,7 +264,7 @@ TEST(AirTopk, WorksWithUnsignedKeys) {
   const std::size_t k = 777;
   auto out_v = dev.alloc<std::uint32_t>(k);
   auto out_i = dev.alloc<std::uint32_t>(k);
-  air_topk(dev, in, 1, keys.size(), k, out_v, out_i);
+  run_air(dev, in, Shape{1, keys.size(), k}, out_v, out_i);
   std::vector<std::uint32_t> got(out_v.data(), out_v.data() + k);
   std::vector<std::uint32_t> want(keys.begin(), keys.end());
   std::nth_element(want.begin(), want.begin() + static_cast<long>(k) - 1,
@@ -282,17 +283,17 @@ TEST(AirTopk, RejectsInvalidArguments) {
   auto in = dev.alloc<float>(100);
   auto out_v = dev.alloc<float>(10);
   auto out_i = dev.alloc<std::uint32_t>(10);
-  EXPECT_THROW(air_topk(dev, in, 1, 100, 0, out_v, out_i),
+  EXPECT_THROW(run_air(dev, in, Shape{1, 100, 0}, out_v, out_i),
                std::invalid_argument);
-  EXPECT_THROW(air_topk(dev, in, 1, 100, 101, out_v, out_i),
+  EXPECT_THROW(run_air(dev, in, Shape{1, 100, 101}, out_v, out_i),
                std::invalid_argument);
-  EXPECT_THROW(air_topk(dev, in, 0, 100, 10, out_v, out_i),
+  EXPECT_THROW(run_air(dev, in, Shape{0, 100, 10}, out_v, out_i),
                std::invalid_argument);
-  EXPECT_THROW(air_topk(dev, in, 1, 100, 11, out_v, out_i),
+  EXPECT_THROW(run_air(dev, in, Shape{1, 100, 11}, out_v, out_i),
                std::invalid_argument);  // outputs too small
   AirTopkOptions bad;
   bad.alpha = 2;
-  EXPECT_THROW(air_topk(dev, in, 1, 100, 10, out_v, out_i, bad),
+  EXPECT_THROW(run_air(dev, in, Shape{1, 100, 10}, out_v, out_i, bad),
                std::invalid_argument);
 }
 

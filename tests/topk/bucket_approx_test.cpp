@@ -193,30 +193,35 @@ TEST(BucketApproxContract, BoundaryTiesAndDuplicates) {
 
   for (const bool greatest : {false, true}) {
     simgpu::Device dev;
-    SelectOptions opt;
-    opt.greatest = greatest;
-    // Route the explicit shape through the one-shot entry (SelectOptions
-    // cannot carry bucket overrides); negate host-side for greatest, the
-    // same wrap run_select applies.
-    std::vector<float> input = values;
-    if (greatest) {
-      for (auto& v : input) v = -v;
-    }
+    // Plan the row directly (SelectOptions cannot carry bucket overrides),
+    // in the loop's direction.
     auto in = dev.alloc<float>(n);
-    std::copy(input.begin(), input.end(), in.data());
+    std::copy(values.begin(), values.end(), in.data());
     auto out_vals = dev.alloc<float>(k);
     auto out_idx = dev.alloc<std::uint32_t>(k);
-    bucket_approx(dev, in, 1, n, k, out_vals, out_idx, bopt);
+    simgpu::WorkspaceLayout layout;
+    const auto plan = bucket_approx_plan<float>(Shape{1, n, k, greatest},
+                                                dev.spec(), bopt, layout);
+    simgpu::Workspace ws(dev);
+    ws.bind(layout);
+    bucket_approx_run(dev, plan, ws, in, out_vals, out_idx);
 
-    const auto expect = bucket_approx_reference(
-        std::span<const float>(input), k, shape.chunks, shape.keep);
+    // The reference keeps the smallest: largest-K is its answer on the
+    // negated row, negated back.
+    std::vector<float> keys = values;
     std::vector<float> got(out_vals.data(), out_vals.data() + k);
+    if (greatest) {
+      for (auto& v : keys) v = -v;
+      for (auto& v : got) v = -v;
+    }
+    const auto expect = bucket_approx_reference(
+        std::span<const float>(keys), k, shape.chunks, shape.keep);
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, expect) << "greatest=" << greatest;
     // Indices must witness their values in the original input.
     for (std::size_t i = 0; i < k; ++i) {
       ASSERT_LT(out_idx.data()[i], n);
-      EXPECT_EQ(input[out_idx.data()[i]], out_vals.data()[i]) << "i=" << i;
+      EXPECT_EQ(values[out_idx.data()[i]], out_vals.data()[i]) << "i=" << i;
     }
   }
 }
@@ -240,7 +245,12 @@ TEST(BucketApproxContract, DirectEmitMode) {
   auto out_vals = dev.alloc<float>(k);
   auto out_idx = dev.alloc<std::uint32_t>(k);
   dev.clear_events();
-  bucket_approx(dev, in, 1, n, k, out_vals, out_idx, bopt);
+  simgpu::WorkspaceLayout layout;
+  const auto plan =
+      bucket_approx_plan<float>(Shape{1, n, k}, dev.spec(), bopt, layout);
+  simgpu::Workspace ws(dev);
+  ws.bind(layout);
+  bucket_approx_run(dev, plan, ws, in, out_vals, out_idx);
 
   std::size_t launches = 0;
   for (const auto& e : dev.events()) {
@@ -412,8 +422,8 @@ TEST(BucketApproxRouting, DefaultOptionsAreExact) {
   for (const auto& dist : standard_distributions()) {
     const auto values = data::generate(dist, 20000, seed++);
     test::expect_correct(dev, values, k, Algo::kBucketApprox);
-    // Largest-K rides the registry's negation wrap (verify_topk is
-    // smallest-only, so compare against the descending reference directly).
+    // Largest-K (verify_topk is smallest-only, so compare against the
+    // descending reference directly).
     SelectOptions opt;
     opt.greatest = true;
     const SelectResult r = select(dev, values, k, Algo::kBucketApprox, opt);

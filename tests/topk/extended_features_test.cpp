@@ -8,15 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.hpp"
 #include "core/topk.hpp"
 #include "data/distributions.hpp"
 #include "simgpu/simgpu.hpp"
 #include "topk/air_topk.hpp"
 #include "topk/grid_select.hpp"
 #include "topk/half.hpp"
+#include "topk/registry.hpp"
 
 namespace topk {
 namespace {
+
+using test::run_air;
 
 TEST(Half, RoundTripsRepresentableValues) {
   for (float f : {0.0f, -0.0f, 1.0f, -1.0f, 0.5f, 65504.0f, -65504.0f,
@@ -68,7 +72,7 @@ TEST(Half, AirTopkSelectsSmallestHalves) {
   std::copy(data.begin(), data.end(), in.data());
   auto ov = dev.alloc<half>(k);
   auto oi = dev.alloc<std::uint32_t>(k);
-  air_topk(dev, in, 1, n, k, ov, oi);
+  run_air(dev, in, Shape{1, n, k}, ov, oi);
 
   std::vector<float> got(k), want;
   for (std::size_t i = 0; i < k; ++i) got[i] = static_cast<float>(ov.data()[i]);
@@ -98,7 +102,7 @@ TEST(Half, TwoRadixPassesSuffice) {
   auto ov = dev.alloc<half>(10);
   auto oi = dev.alloc<std::uint32_t>(10);
   dev.clear_events();
-  air_topk(dev, in, 1, data.size(), 10, ov, oi);
+  run_air(dev, in, Shape{1, data.size(), 10}, ov, oi);
   std::size_t fused = 0;
   for (const auto& e : dev.events()) {
     if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
@@ -119,13 +123,13 @@ TEST(InputIndices, ChainedSelectionKeepsOriginalIds) {
   std::copy(values.begin(), values.end(), in.data());
   auto coarse_v = dev.alloc<float>(m);
   auto coarse_i = dev.alloc<std::uint32_t>(m);
-  air_topk(dev, in, 1, n, m, coarse_v, coarse_i);
+  run_air(dev, in, Shape{1, n, m}, coarse_v, coarse_i);
 
   auto fine_v = dev.alloc<float>(k);
   auto fine_i = dev.alloc<std::uint32_t>(k);
   AirTopkOptions opt;
   opt.in_idx = coarse_i;
-  air_topk(dev, coarse_v, 1, m, k, fine_v, fine_i, opt);
+  run_air(dev, coarse_v, Shape{1, m, k}, fine_v, fine_i, opt);
 
   SelectResult r;
   r.values.assign(fine_v.data(), fine_v.data() + k);
@@ -149,7 +153,12 @@ TEST(InputIndices, GridSelectHonorsExternalIds) {
   auto oi = dev.alloc<std::uint32_t>(k);
   GridSelectOptions opt;
   opt.in_idx = ids;
-  grid_select(dev, in, 1, n, k, ov, oi, opt);
+  simgpu::WorkspaceLayout layout;
+  const auto plan =
+      grid_select_plan<float>(Shape{1, n, k}, dev.spec(), opt, layout);
+  simgpu::Workspace grid_ws(dev);
+  grid_ws.bind(layout);
+  grid_select_run(dev, plan, grid_ws, in, ov, oi);
   for (std::size_t i = 0; i < k; ++i) {
     const std::uint32_t ext = oi.data()[i];
     EXPECT_EQ((ext - 3) % 7, 0u);
@@ -166,9 +175,7 @@ TEST(NativeGreatest, AirComplementedKeysSelectLargest) {
   const std::size_t k = 333;
   auto ov = dev.alloc<float>(k);
   auto oi = dev.alloc<std::uint32_t>(k);
-  AirTopkOptions opt;
-  opt.greatest = true;
-  air_topk(dev, in, 1, values.size(), k, ov, oi, opt);
+  run_air(dev, in, Shape{1, values.size(), k, /*greatest=*/true}, ov, oi);
 
   std::vector<float> got(ov.data(), ov.data() + k);
   std::vector<float> want(values.begin(), values.end());
@@ -182,10 +189,9 @@ TEST(NativeGreatest, AirComplementedKeysSelectLargest) {
 }
 
 TEST(NativeGreatest, CoreRouteDoesNotMutateInput) {
-  // The native largest-K rows (AIR, RadixSelect, stream-radix) must not need
-  // the negate-copy fallback: no "negated input" segment on either carrier,
-  // the device input stays byte-identical, and the answers match Sort's
-  // negate-wrapped ones.
+  // Every row selects largest-K natively: on either carrier its plan lays
+  // out exactly its smallest-K plan's segments, the device input stays
+  // byte-identical, and the answer is the k largest values.
   simgpu::Device dev;
   const auto values = data::uniform_values(5000, 22);
   const std::size_t n = values.size(), k = 25;
@@ -195,15 +201,26 @@ TEST(NativeGreatest, CoreRouteDoesNotMutateInput) {
     std::sort(v.begin(), v.end());
     return v;
   };
-  const SelectResult sort_based = select(dev, values, k, Algo::kSort, opt);
-  for (const Algo algo :
-       {Algo::kAirTopk, Algo::kRadixSelect, Algo::kStreamRadix}) {
+  std::vector<float> largest(values);
+  std::sort(largest.begin(), largest.end(), std::greater<>());
+  largest.resize(k);
+  for (const AlgoRow& row : kAlgoTable) {
+    if (row.plan == nullptr) continue;
+    const Algo algo = row.algo;
     for (const KeyType dtype : {KeyType::kF32, KeyType::kI32}) {
+      if (!algo_supports_dtype(algo, dtype)) continue;
       SelectOptions o = opt;
       o.dtype = dtype;
       const ExecutionPlan plan = plan_select(dev.spec(), 1, n, k, algo, o);
-      for (const auto& seg : plan.layout().segments) {
-        EXPECT_NE(seg.name, "negated input")
+      o.greatest = false;
+      const ExecutionPlan twin = plan_select(dev.spec(), 1, n, k, algo, o);
+      EXPECT_EQ(plan.workspace_bytes(), twin.workspace_bytes())
+          << algo_name(algo) << " " << key_type_name(dtype);
+      ASSERT_EQ(plan.layout().segments.size(), twin.layout().segments.size())
+          << algo_name(algo) << " " << key_type_name(dtype);
+      for (std::size_t i = 0; i < plan.layout().segments.size(); ++i) {
+        EXPECT_EQ(plan.layout().segments[i].name,
+                  twin.layout().segments[i].name)
             << algo_name(algo) << " " << key_type_name(dtype);
       }
     }
@@ -217,7 +234,7 @@ TEST(NativeGreatest, CoreRouteDoesNotMutateInput) {
     EXPECT_TRUE(std::equal(values.begin(), values.end(), in.data()))
         << algo_name(algo);
     EXPECT_EQ(sorted(std::vector<float>(ov.data(), ov.data() + k)),
-              sorted(sort_based.values))
+              sorted(largest))
         << algo_name(algo);
     for (std::size_t i = 0; i < k; ++i) {
       EXPECT_EQ(values[oi.data()[i]], ov.data()[i]) << algo_name(algo);

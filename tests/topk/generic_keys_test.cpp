@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.hpp"
 #include "data/distributions.hpp"
 #include "simgpu/simgpu.hpp"
 #include "topk/air_topk.hpp"
@@ -93,7 +94,9 @@ TEST(GenericKeys, AirTopkOnSignedInts) {
   const auto data = random_ints<std::int32_t>(50000, 2);
   check_algo<std::int32_t>(data, 321,
                            [](auto& dev, auto in, auto n, auto k, auto ov,
-                              auto oi) { air_topk(dev, in, 1, n, k, ov, oi); },
+                              auto oi) {
+                             test::run_air(dev, in, Shape{1, n, k}, ov, oi);
+                           },
                            "air int32");
 }
 
@@ -105,7 +108,7 @@ TEST(GenericKeys, AirTopkOnDoubles) {
   for (auto& v : data) v = dist(rng);
   check_algo<double>(data, 100,
                      [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-                       air_topk(dev, in, 1, n, k, ov, oi);
+                       test::run_air(dev, in, Shape{1, n, k}, ov, oi);
                      },
                      "air double");
 }
@@ -130,7 +133,12 @@ TEST(GenericKeys, SortOnUnsignedInts) {
   check_algo<std::uint32_t>(
       data, 1000,
       [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-        sort_topk(dev, in, 1, n, k, ov, oi);
+        simgpu::WorkspaceLayout layout;
+        const auto plan = sort_topk_plan<std::uint32_t>(
+            Shape{1, n, k}, dev.spec(), {}, layout);
+        simgpu::Workspace ws(dev);
+        ws.bind(layout);
+        sort_topk_run(dev, plan, ws, in, ov, oi);
       },
       "sort u32");
 }
@@ -140,7 +148,12 @@ TEST(GenericKeys, GridSelectOnSignedInts) {
   check_algo<std::int32_t>(
       data, 64,
       [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-        grid_select(dev, in, 1, n, k, ov, oi);
+        simgpu::WorkspaceLayout layout;
+        const auto plan = grid_select_plan<std::int32_t>(
+            Shape{1, n, k}, dev.spec(), {}, layout);
+        simgpu::Workspace ws(dev);
+        ws.bind(layout);
+        grid_select_run(dev, plan, ws, in, ov, oi);
       },
       "grid_select int32");
 }
@@ -152,7 +165,14 @@ TEST(GenericKeys, WarpSelectOnDoubles) {
   for (auto& v : data) v = dist(rng);
   check_algo<double>(data, 40,
                      [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-                       warp_select(dev, in, 1, n, k, ov, oi);
+                       simgpu::WorkspaceLayout layout;
+                       const auto plan =
+                           faiss_detail::faiss_select_plan<double>(
+                               Shape{1, n, k}, dev.spec(), 1, "WarpSelect",
+                               layout);
+                       simgpu::Workspace ws(dev);
+                       faiss_detail::faiss_select_run(dev, plan, ws, in, ov,
+                                                      oi);
                      },
                      "warp_select double");
 }
@@ -162,7 +182,12 @@ TEST(GenericKeys, BitonicTopkOnUnsignedInts) {
   check_algo<std::uint32_t>(
       data, 128,
       [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-        bitonic_topk(dev, in, 1, n, k, ov, oi);
+        simgpu::WorkspaceLayout layout;
+        const auto plan = bitonic_topk_plan<std::uint32_t>(
+            Shape{1, n, k}, dev.spec(), {}, layout);
+        simgpu::Workspace ws(dev);
+        ws.bind(layout);
+        bitonic_topk_run(dev, plan, ws, in, ov, oi);
       },
       "bitonic u32");
 }

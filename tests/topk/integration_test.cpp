@@ -70,7 +70,7 @@ TEST(Integration, AirAlphaExtremesStayCorrect) {
     auto oi = dev.alloc<std::uint32_t>(500);
     AirTopkOptions opt;
     opt.alpha = alpha;
-    air_topk(dev, in, 1, values.size(), 500, ov, oi, opt);
+    test::run_air(dev, in, Shape{1, values.size(), 500}, ov, oi, opt);
     SelectResult r;
     r.values.assign(ov.data(), ov.data() + 500);
     r.indices.assign(oi.data(), oi.data() + 500);
@@ -89,8 +89,9 @@ TEST(Integration, AirDigitWidthsAllCorrectWithExpectedPassCounts) {
     auto oi = dev.alloc<std::uint32_t>(100);
     AirTopkOptions opt;
     opt.digit_bits = 16;
-    EXPECT_THROW(air_topk(dev, in, 1, values.size(), 100, ov, oi, opt),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        test::run_air(dev, in, Shape{1, values.size(), 100}, ov, oi, opt),
+        std::invalid_argument);
   }
   for (const auto& [bits, passes] :
        {std::pair<int, std::size_t>{4, 8}, {8, 4}, {11, 3}, {12, 3}}) {
@@ -102,7 +103,7 @@ TEST(Integration, AirDigitWidthsAllCorrectWithExpectedPassCounts) {
     dev.clear_events();
     AirTopkOptions opt;
     opt.digit_bits = bits;
-    air_topk(dev, in, 1, values.size(), 100, ov, oi, opt);
+    test::run_air(dev, in, Shape{1, values.size(), 100}, ov, oi, opt);
     std::size_t fused = 0;
     for (const auto& e : dev.events()) {
       if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -60,7 +61,7 @@ TEST(Bitonic, DescendingSortWorks) {
   run_in_block([](simgpu::BlockCtx& ctx) {
     std::vector<float> keys = {5, 1, 9, 3, 7, 2, 8, 4};
     std::vector<std::uint32_t> idx(8, 0);
-    bitonic_sort<float>(ctx, keys, idx, /*ascending=*/false);
+    bitonic_sort<float>(ctx, keys, idx, KeyOrder<float>(/*greatest=*/true));
     std::vector<float> want = {9, 8, 7, 5, 4, 3, 2, 1};
     EXPECT_EQ(keys, want);
   });
@@ -181,7 +182,9 @@ TEST(TopkList, KthStartsAtSentinel) {
     std::vector<float> storage(32);
     std::vector<std::uint32_t> istorage(32);
     TopkList<float> list(storage, istorage, 20);
-    EXPECT_EQ(list.kth(), sort_sentinel<float>());
+    EXPECT_EQ(list.kth(), std::numeric_limits<float>::infinity());
+    TopkList<float> largest(storage, istorage, 20, KeyOrder<float>(true));
+    EXPECT_EQ(largest.kth(), -std::numeric_limits<float>::infinity());
   });
 }
 
@@ -342,7 +345,12 @@ TEST(GridSelect, SharedQueueVariantDoesFewerMergeOpsOnSkewedData) {
     dev.clear_events();
     GridSelectOptions o;
     o.shared_queue = shared;
-    grid_select(dev, in, 1, values.size(), 64, ov, oi, o);
+    simgpu::WorkspaceLayout layout;
+    const auto plan = grid_select_plan<float>(Shape{1, values.size(), 64},
+                                              dev.spec(), o, layout);
+    simgpu::Workspace grid_ws(dev);
+    grid_ws.bind(layout);
+    grid_select_run(dev, plan, grid_ws, in, ov, oi);
     std::uint64_t ops = 0;
     for (const auto& e : dev.events()) {
       if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -34,6 +35,8 @@
 #include "topk/fused_rowwise.hpp"
 #include "topk/grid_select.hpp"
 #include "topk/key_codec.hpp"
+#include "topk/radix_traits.hpp"
+#include "topk/registry.hpp"
 
 namespace topk {
 namespace {
@@ -280,9 +283,15 @@ std::vector<InvarianceCase> cases() {
     cases.push_back({algo, 1, 70001, 517});      // many tiles + ragged tail
     cases.push_back({algo, 3, 10007, 100});      // batched, odd sizes
   }
-  // Native largest-K rows xor a direction mask into every radix key, the
-  // SIMD histogram included.
-  for (Algo algo : {Algo::kAirTopk, Algo::kRadixSelect, Algo::kStreamRadix}) {
+  // Largest-K runs every comparison, sentinel and packed key through the
+  // plan's KeyOrder: the radix rows xor its mask into every radix key (the
+  // SIMD histogram included), the warp-queue rows into their gates and
+  // packed candidates, Sort into its digit keys.
+  for (Algo algo :
+       {Algo::kAirTopk, Algo::kRadixSelect, Algo::kStreamRadix,
+        Algo::kGridSelect, Algo::kGridSelectThreadQueue, Algo::kWarpSelect,
+        Algo::kBlockSelect, Algo::kFusedWarpRowwise, Algo::kFusedBlockRowwise,
+        Algo::kBucketApprox, Algo::kSort}) {
     cases.push_back({algo, 1, 70001, 517, true});
     cases.push_back({algo, 3, 10007, 100, true});
   }
@@ -1311,6 +1320,352 @@ TEST(PartitionCountPin, KernelStatsAndModeledTimeMatchRecording) {
   expect_matches_recording(pinned_runs(rows, kPartitionRecorded));
 }
 
+// ---- largest-K pin and direction parity -------------------------------------
+// Both drive plan_select / run_select on their own Device with both fast
+// paths on (no sanitizer, so TOPK_SIMCHECK runs the same leg).  Keys travel
+// as carrier bit patterns: float bits on the f32 carrier, radix ordinals on
+// the u32 carrier.
+
+struct DirectionTrace {
+  RunTrace trace;
+  std::vector<std::uint32_t> out_bits;  ///< value bits, in output order
+  std::vector<std::uint32_t> out_idx;   ///< indices, in output order
+};
+
+DirectionTrace run_direction(Algo algo, KeyType dtype, bool greatest,
+                             std::span<const std::uint32_t> keys,
+                             std::size_t batch, std::size_t n, std::size_t k) {
+  simgpu::set_tile_path_enabled(true);
+  simgpu::set_warpfast_path_enabled(true);
+  simgpu::set_pool_enabled(true);
+  simgpu::Device dev;
+  SelectOptions opt;
+  opt.greatest = greatest;
+  opt.dtype = dtype;
+  const ExecutionPlan plan = plan_select(dev.spec(), batch, n, k, algo, opt);
+  simgpu::Workspace ws(dev);
+  DirectionTrace t;
+  const auto run = [&](auto carrier) {
+    using C = decltype(carrier);
+    auto in = dev.alloc<C>(batch * n);
+    for (std::size_t i = 0; i < batch * n; ++i) {
+      in.data()[i] = std::bit_cast<C>(keys[i]);
+    }
+    auto ov = dev.alloc<C>(batch * k);
+    auto oi = dev.alloc<std::uint32_t>(batch * k);
+    run_select(dev, plan, ws, in, ov, oi);
+    for (std::size_t i = 0; i < batch * k; ++i) {
+      t.out_bits.push_back(std::bit_cast<std::uint32_t>(ov.data()[i]));
+    }
+    t.out_idx.assign(oi.data(), oi.data() + batch * k);
+  };
+  if (plan.u32_carrier()) {
+    run(std::uint32_t{});
+  } else {
+    run(float{});
+  }
+  for (const auto& e : dev.events()) {
+    if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
+      t.trace.kernels.push_back(ke->stats);
+    }
+  }
+  t.trace.model_us = simgpu::CostModel(dev.spec()).total_us(dev.events());
+  return t;
+}
+
+/// The two pinned inputs as carrier bits: uniform keys, and a tie-heavy
+/// row of keys on the quarter steps of [-16, 0] with every eighth key
+/// alternately -0 and +0, so a largest-K boundary falls inside IEEE-equal
+/// ties.  On i32: uniform 32-bit keys, and ties on {-64, ..., 0} with every
+/// eighth key 0.
+std::vector<std::uint32_t> direction_keys(KeyType dtype, bool ties,
+                                          std::size_t count) {
+  const bool integer = key_type_is_integer(dtype);
+  std::vector<std::uint32_t> keys(count);
+  if (!ties) {
+    if (integer) {
+      keys = data::uniform_u32(count, 0xD1);
+      for (auto& x : keys) {
+        x = RadixTraits<std::int32_t>::to_radix(std::bit_cast<std::int32_t>(x));
+      }
+    } else {
+      const auto v = data::generate({data::Distribution::kUniform, 0}, count,
+                                    0xD1);
+      for (std::size_t i = 0; i < count; ++i) {
+        keys[i] = std::bit_cast<std::uint32_t>(v[i]);
+      }
+    }
+    return keys;
+  }
+  const auto u = data::uniform_values(count, 0xD2);
+  for (std::size_t i = 0; i < count; ++i) {
+    const float step = -std::floor(u[i] * 64.0f);
+    if (integer) {
+      const auto v = i % 8 == 0 ? 0 : static_cast<std::int32_t>(step);
+      keys[i] = RadixTraits<std::int32_t>::to_radix(v);
+    } else {
+      const float v = i % 8 == 0 ? (i % 16 == 0 ? -0.0f : 0.0f) : step / 4.0f;
+      keys[i] = std::bit_cast<std::uint32_t>(v);
+    }
+  }
+  return keys;
+}
+
+/// FNV-1a over 64-bit words and strings.
+class Fnv64 {
+ public:
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) byte(static_cast<std::uint8_t>(v >> (8 * b)));
+  }
+  void add(std::string_view s) {
+    for (const char c : s) byte(static_cast<std::uint8_t>(c));
+    add(s.size());
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(std::uint8_t b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ull;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// One pinned largest-K run: the exact modeled µs, the kernel count, and
+/// FNV-1a digests of every KernelStats field of every kernel (launch
+/// order) and of the output buffers (value bits, then indices, in output
+/// order).
+struct DirectionPin {
+  const char* label;
+  double model_us;
+  std::size_t kernels;
+  std::uint64_t stats_digest;
+  std::uint64_t output_digest;
+};
+
+DirectionPin direction_pin(const char* label, const DirectionTrace& t) {
+  Fnv64 stats;
+  for (const simgpu::KernelStats& x : t.trace.kernels) {
+    stats.add(x.name);
+    for (const std::uint64_t v :
+         {static_cast<std::uint64_t>(x.grid_blocks),
+          static_cast<std::uint64_t>(x.block_threads), x.bytes_read,
+          x.bytes_written, x.lane_ops, x.atomic_ops, x.scattered_atomic_ops,
+          x.block_syncs, x.max_block_bytes, x.max_block_lane_ops}) {
+      stats.add(v);
+    }
+  }
+  Fnv64 out;
+  for (const std::uint32_t v : t.out_bits) out.add(v);
+  for (const std::uint32_t v : t.out_idx) out.add(v);
+  return {label, t.trace.model_us, t.trace.kernels.size(), stats.value(),
+          out.value()};
+}
+
+std::string direction_pin_row(const DirectionPin& p) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "    {\"%s\", %a, %zu, 0x%016llxull, 0x%016llxull},\n",
+                p.label, p.model_us, p.kernels,
+                static_cast<unsigned long long>(p.stats_digest),
+                static_cast<unsigned long long>(p.output_digest));
+  return buf;
+}
+
+// Recorded on the tree whose rows still got largest-K from the negate wrap
+// (these 13 rows on f32, the six carrier-generic ones on i32): single
+// emulator thread, tile and warpfast on, the default device spec.
+const DirectionPin kLargestRecorded[] = {
+    {"grid f32 uniform b1 n70001 k100", 0x1.39c439f1b1631p+3, 2, 0xd59743aa8b40e61bull, 0x3744420a52a9013eull},
+    {"grid-threadqueue f32 uniform b1 n70001 k100", 0x1.39c439f1b1631p+3, 2, 0x1abeb51b1a05f439ull, 0x3744420a52a9013eull},
+    {"warp f32 uniform b1 n70001 k100", 0x1.582dcb5df3cb6p+7, 1, 0xb0aa907e4a4901e3ull, 0x3744420a52a9013eull},
+    {"block f32 uniform b1 n70001 k100", 0x1.672dcb5df3cb6p+5, 1, 0x6441b2a324bf261bull, 0x3744420a52a9013eull},
+    {"bitonic f32 uniform b1 n70001 k100", 0x1.1cp+5, 11, 0xaea205bcabf3cd8full, 0x3744420a52a9013eull},
+    {"quick f32 uniform b1 n70001 k100", 0x1.f1029db90f1bp+8, 52, 0x90ec3e8a2a633917ull, 0x250fef9f322f091eull},
+    {"bucket f32 uniform b1 n70001 k100", 0x1.d54fdff407356p+6, 11, 0x6f258572cb2c086bull, 0x4c125cb6b39af7aaull},
+    {"sample f32 uniform b1 n70001 k100", 0x1.259630ff9d8dap+7, 5, 0x88e15dad8488d878ull, 0x3744420a52a9013eull},
+    {"sort f32 uniform b1 n70001 k100", 0x1.cd70c06cefc0dp+6, 14, 0xe45df6a1a54d016eull, 0x3744420a52a9013eull},
+    {"fused-warp f32 uniform b1 n70001 k100", 0x1.582dcb5df3cb6p+7, 1, 0x8e29bdb891b507c5ull, 0x3744420a52a9013eull},
+    {"fused-block f32 uniform b1 n70001 k100", 0x1.b41b89a1de654p+4, 2, 0x753af5b48a5b64baull, 0x3744420a52a9013eull},
+    {"shard-merge f32 uniform b1 n70001 k100", 0x1.78p+4, 7, 0x22fa60f06b1e96beull, 0x3744420a52a9013eull},
+    {"bucket-approx f32 uniform b1 n70001 k100", 0x1.1p+3, 2, 0xd0a177464f3f4799ull, 0x3744420a52a9013eull},
+    {"grid f32 uniform b3 n10007 k64", 0x1.63dedfa00719cp+2, 1, 0x71845e7c948eb9a3ull, 0x7522c1b2ef7011bdull},
+    {"grid-threadqueue f32 uniform b3 n10007 k64", 0x1.63dedfa00719cp+2, 1, 0xb9c5225f15d3520aull, 0x7522c1b2ef7011bdull},
+    {"warp f32 uniform b3 n10007 k64", 0x1.afbdbf400e339p+4, 1, 0x3c2f62c5039bd106ull, 0x7522c1b2ef7011bdull},
+    {"block f32 uniform b3 n10007 k64", 0x1.13dedfa00719cp+3, 1, 0x23b230defc742155ull, 0x7522c1b2ef7011bdull},
+    {"bitonic f32 uniform b3 n10007 k64", 0x1.d8p+4, 9, 0x972dae98698aa174ull, 0x7522c1b2ef7011bdull},
+    {"quick f32 uniform b3 n10007 k64", 0x1.5cc00a90e6a48p+10, 145, 0x6b7f98e06eaf5b41ull, 0x3b57ca3432b25cf9ull},
+    {"bucket f32 uniform b3 n10007 k64", 0x1.552a0106a4153p+8, 33, 0x14ef9bbd471b92e5ull, 0xb548d4a5d5b50ec9ull},
+    {"sample f32 uniform b3 n10007 k64", 0x1.771111b950d45p+8, 15, 0x4b6774ac8bee41dbull, 0x04eb91e5addea81dull},
+    {"sort f32 uniform b3 n10007 k64", 0x1.01dc7d9dfdf6cp+8, 42, 0x1851cec584ec4309ull, 0x7522c1b2ef7011bdull},
+    {"fused-warp f32 uniform b3 n10007 k64", 0x1.afbdbf400e339p+4, 1, 0xd888393ca9cb8ba3ull, 0x7522c1b2ef7011bdull},
+    {"fused-block f32 uniform b3 n10007 k64", 0x1.1a97ea406aebcp+3, 2, 0xe4ee373c60bfadf9ull, 0x7522c1b2ef7011bdull},
+    {"shard-merge f32 uniform b3 n10007 k64", 0x1.dp+3, 4, 0xa0e0ab2115227723ull, 0x7522c1b2ef7011bdull},
+    {"bucket-approx f32 uniform b3 n10007 k64", 0x1.1p+3, 2, 0xbe61cb1121b45820ull, 0x7522c1b2ef7011bdull},
+    {"grid f32 ties b1 n70001 k100", 0x1.39c439f1b1631p+3, 2, 0xfdc0c39694487025ull, 0xd345525aef7721a5ull},
+    {"grid-threadqueue f32 ties b1 n70001 k100", 0x1.39c439f1b1631p+3, 2, 0xa6ceffeac2862104ull, 0xd345525aef7721a5ull},
+    {"warp f32 ties b1 n70001 k100", 0x1.582dcb5df3cb6p+7, 1, 0xb203db022c2bd9dfull, 0xc48966113b323e90ull},
+    {"block f32 ties b1 n70001 k100", 0x1.672dcb5df3cb6p+5, 1, 0x88c3d81eb040cb6bull, 0xd345525aef7721a5ull},
+    {"bitonic f32 ties b1 n70001 k100", 0x1.1cp+5, 11, 0xaea205bcabf3cd8full, 0xd345525aef7721a5ull},
+    {"quick f32 ties b1 n70001 k100", 0x1.b9900583ae815p+5, 4, 0x78950f2ccd13fcbdull, 0x4ab3e1c5fbf199b0ull},
+    {"bucket f32 ties b1 n70001 k100", 0x1.57ab1bb1c1317p+6, 8, 0xc481e544029dd8f1ull, 0x4ab3e1c5fbf199b0ull},
+    {"sample f32 ties b1 n70001 k100", 0x1.b23e52879c166p+7, 9, 0x2267b83658b4616eull, 0x4ab3e1c5fbf199b0ull},
+    {"sort f32 ties b1 n70001 k100", 0x1.cd70c06cefc0dp+6, 14, 0xe45df6a1a54d016eull, 0xd345525aef7721a5ull},
+    {"fused-warp f32 ties b1 n70001 k100", 0x1.582dcb5df3cb6p+7, 1, 0x82f40c374f00b1e1ull, 0xc48966113b323e90ull},
+    {"fused-block f32 ties b1 n70001 k100", 0x1.b41b89a1de654p+4, 2, 0xb40e134046c79c8aull, 0x9599244bc255146bull},
+    {"shard-merge f32 ties b1 n70001 k100", 0x1.78p+4, 7, 0x22fa60f06b1e96beull, 0xd345525aef7721a5ull},
+    {"bucket-approx f32 ties b1 n70001 k100", 0x1.1p+3, 2, 0xd0a177464f3f4799ull, 0xd345525aef7721a5ull},
+    {"grid f32 ties b3 n10007 k64", 0x1.63dedfa00719cp+2, 1, 0x4d538b8aea34f1d4ull, 0xcfbf998eecdd76e5ull},
+    {"grid-threadqueue f32 ties b3 n10007 k64", 0x1.63dedfa00719cp+2, 1, 0x590aa33dbb5f38d0ull, 0xcfbf998eecdd76e5ull},
+    {"warp f32 ties b3 n10007 k64", 0x1.afbdbf400e339p+4, 1, 0x19a5fcb522f7118bull, 0x1a6cca049cb2ffafull},
+    {"block f32 ties b3 n10007 k64", 0x1.13dedfa00719cp+3, 1, 0xde5663324375cb4cull, 0xcfbf998eecdd76e5ull},
+    {"bitonic f32 ties b3 n10007 k64", 0x1.d8p+4, 9, 0x972dae98698aa174ull, 0xcfbf998eecdd76e5ull},
+    {"quick f32 ties b3 n10007 k64", 0x1.3782c99436a16p+8, 27, 0x672fcaef05fd9ab9ull, 0x8ba7eac3ae6b2793ull},
+    {"bucket f32 ties b3 n10007 k64", 0x1.ebb7af9ce0f58p+7, 24, 0xb496a71bc47988f0ull, 0x8ba7eac3ae6b2793ull},
+    {"sample f32 ties b3 n10007 k64", 0x1.796ed40b1b5dcp+8, 15, 0xd0e3db7f725cf0f3ull, 0x8ba7eac3ae6b2793ull},
+    {"sort f32 ties b3 n10007 k64", 0x1.01dc7d9dfdf6cp+8, 42, 0x1851cec584ec4309ull, 0xcfbf998eecdd76e5ull},
+    {"fused-warp f32 ties b3 n10007 k64", 0x1.afbdbf400e339p+4, 1, 0xd60ece9bfdb62bf7ull, 0x1a6cca049cb2ffafull},
+    {"fused-block f32 ties b3 n10007 k64", 0x1.1a97ea406aebcp+3, 2, 0x23c3adbf08e70d30ull, 0x7f85a9fb0c8fb458ull},
+    {"shard-merge f32 ties b3 n10007 k64", 0x1.dp+3, 4, 0xa0e0ab2115227723ull, 0xcfbf998eecdd76e5ull},
+    {"bucket-approx f32 ties b3 n10007 k64", 0x1.1p+3, 2, 0xbe61cb1121b45820ull, 0xcfbf998eecdd76e5ull},
+    {"grid i32 uniform b1 n70001 k100", 0x1.39c439f1b1631p+3, 2, 0xe7931f16ee13df72ull, 0xe4d49f25b9435b4aull},
+    {"grid-threadqueue i32 uniform b1 n70001 k100", 0x1.39c439f1b1631p+3, 2, 0xae94576c223fcf2aull, 0xe4d49f25b9435b4aull},
+    {"warp i32 uniform b1 n70001 k100", 0x1.582dcb5df3cb6p+7, 1, 0x5225eb033487d453ull, 0xe4d49f25b9435b4aull},
+    {"block i32 uniform b1 n70001 k100", 0x1.672dcb5df3cb6p+5, 1, 0xa7593e38673c607bull, 0xe4d49f25b9435b4aull},
+    {"bitonic i32 uniform b1 n70001 k100", 0x1.1cp+5, 11, 0xaea205bcabf3cd8full, 0xe4d49f25b9435b4aull},
+    {"sort i32 uniform b1 n70001 k100", 0x1.cd70c06cefc0dp+6, 14, 0xe45df6a1a54d016eull, 0xe4d49f25b9435b4aull},
+    {"grid i32 uniform b3 n10007 k64", 0x1.63dedfa00719cp+2, 1, 0x0bdefaed9cf77f8dull, 0x5ebb93547e5bf36cull},
+    {"grid-threadqueue i32 uniform b3 n10007 k64", 0x1.63dedfa00719cp+2, 1, 0x84f472b33f05da90ull, 0x5ebb93547e5bf36cull},
+    {"warp i32 uniform b3 n10007 k64", 0x1.afbdbf400e339p+4, 1, 0xdaeda68556302d30ull, 0x5ebb93547e5bf36cull},
+    {"block i32 uniform b3 n10007 k64", 0x1.13dedfa00719cp+3, 1, 0x3db23cf962bc70a1ull, 0x5ebb93547e5bf36cull},
+    {"bitonic i32 uniform b3 n10007 k64", 0x1.d8p+4, 9, 0x972dae98698aa174ull, 0x5ebb93547e5bf36cull},
+    {"sort i32 uniform b3 n10007 k64", 0x1.01dc7d9dfdf6cp+8, 42, 0x1851cec584ec4309ull, 0x5ebb93547e5bf36cull},
+    {"grid i32 ties b1 n70001 k100", 0x1.39c439f1b1631p+3, 2, 0xfdc0c39694487025ull, 0x400b51984527a3b0ull},
+    {"grid-threadqueue i32 ties b1 n70001 k100", 0x1.39c439f1b1631p+3, 2, 0xa6ceffeac2862104ull, 0x400b51984527a3b0ull},
+    {"warp i32 ties b1 n70001 k100", 0x1.582dcb5df3cb6p+7, 1, 0xb203db022c2bd9dfull, 0x400b51984527a3b0ull},
+    {"block i32 ties b1 n70001 k100", 0x1.672dcb5df3cb6p+5, 1, 0x88c3d81eb040cb6bull, 0x400b51984527a3b0ull},
+    {"bitonic i32 ties b1 n70001 k100", 0x1.1cp+5, 11, 0xaea205bcabf3cd8full, 0x400b51984527a3b0ull},
+    {"sort i32 ties b1 n70001 k100", 0x1.cd70c06cefc0dp+6, 14, 0xe45df6a1a54d016eull, 0x400b51984527a3b0ull},
+    {"grid i32 ties b3 n10007 k64", 0x1.63dedfa00719cp+2, 1, 0x4d538b8aea34f1d4ull, 0x3f4605bea0766c13ull},
+    {"grid-threadqueue i32 ties b3 n10007 k64", 0x1.63dedfa00719cp+2, 1, 0x590aa33dbb5f38d0ull, 0x3f4605bea0766c13ull},
+    {"warp i32 ties b3 n10007 k64", 0x1.afbdbf400e339p+4, 1, 0x19a5fcb522f7118bull, 0x3f4605bea0766c13ull},
+    {"block i32 ties b3 n10007 k64", 0x1.13dedfa00719cp+3, 1, 0xde5663324375cb4cull, 0x3f4605bea0766c13ull},
+    {"bitonic i32 ties b3 n10007 k64", 0x1.d8p+4, 9, 0x972dae98698aa174ull, 0x3f4605bea0766c13ull},
+    {"sort i32 ties b3 n10007 k64", 0x1.01dc7d9dfdf6cp+8, 42, 0x1851cec584ec4309ull, 0x3f4605bea0766c13ull},
+};
+
+TEST(LargestKPin, KernelStatsModeledTimeAndOutputsMatchRecording) {
+  TileGuard guard;
+  const struct {
+    const char* key;
+    Algo algo;
+    bool i32;
+  } rows[] = {
+      {"grid", Algo::kGridSelect, true},
+      {"grid-threadqueue", Algo::kGridSelectThreadQueue, true},
+      {"warp", Algo::kWarpSelect, true},
+      {"block", Algo::kBlockSelect, true},
+      {"bitonic", Algo::kBitonicTopk, true},
+      {"quick", Algo::kQuickSelect, false},
+      {"bucket", Algo::kBucketSelect, false},
+      {"sample", Algo::kSampleSelect, false},
+      {"sort", Algo::kSort, true},
+      {"fused-warp", Algo::kFusedWarpRowwise, false},
+      {"fused-block", Algo::kFusedBlockRowwise, false},
+      {"shard-merge", Algo::kShardMerge, false},
+      {"bucket-approx", Algo::kBucketApprox, false},
+  };
+  for (const KeyType dtype : {KeyType::kF32, KeyType::kI32}) {
+    for (const bool ties : {false, true}) {
+      for (const auto& [batch, n, k] :
+           {std::tuple<std::size_t, std::size_t, std::size_t>{1, 70001, 100},
+            {3, 10007, 64}}) {
+        const auto keys = direction_keys(dtype, ties, batch * n);
+        for (const auto& row : rows) {
+          if (dtype == KeyType::kI32 && !row.i32) continue;
+          const std::string label =
+              std::string(row.key) + " " +
+              std::string(key_type_name(dtype)) +
+              (ties ? " ties" : " uniform") + " b" + std::to_string(batch) +
+              " n" + std::to_string(n) + " k" + std::to_string(k);
+          const DirectionPin got = direction_pin(
+              label.c_str(),
+              run_direction(row.algo, dtype, true, keys, batch, n, k));
+          const DirectionPin* want = nullptr;
+          for (const DirectionPin& rec : kLargestRecorded) {
+            if (label == rec.label) want = &rec;
+          }
+          const bool same = want != nullptr &&
+                            got.model_us == want->model_us &&
+                            got.kernels == want->kernels &&
+                            got.stats_digest == want->stats_digest &&
+                            got.output_digest == want->output_digest;
+          EXPECT_TRUE(same) << label << " differs from its recording; "
+                            << "measured:\n" << direction_pin_row(got);
+        }
+      }
+    }
+  }
+}
+
+// Largest-K over x is smallest-K over key(x): the same kernels, counters and
+// modeled µs, and the same outputs once the values map back through key —
+// the sign bit on the f32 carrier, the complement on the u32 carrier.  Every
+// concrete row, on each carrier it supports.
+struct ParityCase {
+  Algo algo;
+  KeyType dtype;
+};
+
+class DirectionParity : public ::testing::TestWithParam<ParityCase> {};
+
+TEST_P(DirectionParity, LargestKEqualsSmallestKOverReversedKeys) {
+  const ParityCase& c = GetParam();
+  TileGuard guard;
+  const std::size_t batch = 2, n = 5003, k = 64;
+  const std::uint32_t flip =
+      key_type_is_integer(c.dtype) ? 0xFFFFFFFFu : 0x80000000u;
+  for (const bool ties : {false, true}) {
+    const auto keys = direction_keys(c.dtype, ties, batch * n);
+    std::vector<std::uint32_t> reversed(keys);
+    for (auto& x : reversed) x ^= flip;
+    const std::string what = algo_name(c.algo) + " " +
+                             std::string(key_type_name(c.dtype)) +
+                             (ties ? " ties" : " uniform");
+    const DirectionTrace largest =
+        run_direction(c.algo, c.dtype, true, keys, batch, n, k);
+    DirectionTrace smallest =
+        run_direction(c.algo, c.dtype, false, reversed, batch, n, k);
+    for (auto& x : smallest.out_bits) x ^= flip;
+    ASSERT_FALSE(largest.trace.kernels.empty()) << what;
+    expect_identical_stats(largest.trace, smallest.trace, what);
+    EXPECT_EQ(largest.out_bits, smallest.out_bits) << what << " value bits";
+    EXPECT_EQ(largest.out_idx, smallest.out_idx) << what << " indices";
+  }
+}
+
+std::vector<ParityCase> parity_cases() {
+  std::vector<ParityCase> cases;
+  for (const AlgoRow& row : kAlgoTable) {
+    if (row.plan == nullptr) continue;
+    cases.push_back({row.algo, KeyType::kF32});
+    if (algo_supports_dtype(row.algo, KeyType::kU32)) {
+      cases.push_back({row.algo, KeyType::kU32});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRow, DirectionParity, ::testing::ValuesIn(parity_cases()),
+    [](const ::testing::TestParamInfo<ParityCase>& info) {
+      std::string name(algo_key(info.param.algo));
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return name + "_" + std::string(key_type_name(info.param.dtype));
+    });
+
 // ---- in_idx leg -----------------------------------------------------------
 // The rows that accept external input indices (GridSelect in both queue
 // flavours, both fused row-wise variants) must charge identically on every
@@ -1339,16 +1694,24 @@ InIdxTrace run_in_idx(InIdxRow row, std::span<const float> keys,
   auto oi = dev.alloc<std::uint32_t>(batch * k);
   dev.upload(in, keys);
   dev.upload(in_idx, ids);
+  const Shape shape{batch, n, k};
+  simgpu::WorkspaceLayout layout;
+  simgpu::Workspace ws(dev);
   if (row == InIdxRow::kGrid || row == InIdxRow::kGridThreadQueue) {
     GridSelectOptions opt;
     opt.shared_queue = row == InIdxRow::kGrid;
     opt.in_idx = in_idx;
-    grid_select(dev, in, batch, n, k, ov, oi, opt);
+    const auto plan =
+        grid_select_plan<float>(shape, dev.spec(), opt, layout);
+    ws.bind(layout);
+    grid_select_run(dev, plan, ws, in, ov, oi);
   } else {
     FusedRowwiseOptions opt;
     opt.in_idx = in_idx;
-    fused_rowwise(dev, in, batch, n, k, ov, oi,
-                  row == InIdxRow::kFusedBlock, opt);
+    const auto plan = fused_rowwise_plan<float>(
+        shape, dev.spec(), opt, row == InIdxRow::kFusedBlock, layout);
+    ws.bind(layout);
+    fused_rowwise_run(dev, plan, ws, in, ov, oi);
   }
   InIdxTrace t;
   for (const auto& e : dev.events()) {

@@ -335,26 +335,46 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, RegistryAudit,
                            return name;
                          });
 
-TEST(PlanAudit, NegateWrapPrependsHostStepAndStaysClean) {
-  // A largest-K plan on a non-native algorithm must start with the host
-  // negation writing the planned segment; the auditor relies on it for the
-  // init-order proof of every downstream input read.
+TEST_P(RegistryAudit, LargestKPlansLikeItsSmallestKTwin) {
+  // Direction lives in the plan's KeyOrder: a largest-K plan must lay out
+  // and schedule exactly what its smallest-K twin does, on every carrier.
+  const topk::AlgoRow& row = GetParam();
   const simgpu::DeviceSpec spec{};
-  topk::SelectOptions opt;
-  opt.greatest = true;
-  const topk::ExecutionPlan plan =
-      topk::plan_select(spec, 1, 4096, 32, topk::Algo::kGridSelect, opt);
-  const simgpu::KernelSchedule& sched = plan.schedule();
-  ASSERT_FALSE(sched.steps.empty());
-  EXPECT_EQ(sched.steps.front().kind, simgpu::KernelStep::Kind::kHost);
-  EXPECT_EQ(sched.steps.front().name, "negate input");
-  for (std::size_t i = 1; i < sched.steps.size(); ++i) {
-    for (const simgpu::OperandBind& bind : sched.steps[i].binds) {
-      EXPECT_NE(bind.target, simgpu::kBindInput)
-          << "step " << i << " still reads the raw input under negate";
-    }
+  for (const topk::KeyType dtype : {topk::KeyType::kF32, topk::KeyType::kU32}) {
+    if ((row.dtypes & topk::key_type_bit(dtype)) == 0) continue;
+    topk::SelectOptions opt;
+    opt.dtype = dtype;
+    const topk::ExecutionPlan smallest =
+        topk::plan_select(spec, 2, 4096, 64, row.algo, opt);
+    opt.greatest = true;
+    const topk::ExecutionPlan largest =
+        topk::plan_select(spec, 2, 4096, 64, row.algo, opt);
+    const AuditReport rep = audit_direction_parity(smallest, largest);
+    EXPECT_TRUE(rep.clean()) << row.key << " " << topk::key_type_name(dtype)
+                             << ": " << to_json(rep);
   }
-  EXPECT_TRUE(audit_plan(plan).clean());
+}
+
+TEST(PlanAudit, DirectionParityReportsADifferingTwin) {
+  // Plans of different shapes stand in for a direction that changed what is
+  // planned: the rule must name the layout and the schedule.
+  const simgpu::DeviceSpec spec{};
+  const topk::ExecutionPlan a =
+      topk::plan_select(spec, 1, 1u << 16, 8, topk::Algo::kGridSelect);
+  const topk::ExecutionPlan b =
+      topk::plan_select(spec, 1, 1u << 16, 300, topk::Algo::kGridSelect);
+  const AuditReport rep = audit_direction_parity(a, b);
+  ASSERT_FALSE(rep.clean());
+  bool layout = false, schedule = false;
+  for (const Finding& f : rep.findings) {
+    EXPECT_EQ(f.kind, DefectKind::kDirectionParity);
+    layout |= f.kernel == "layout";
+    schedule |= f.kernel != "layout";
+  }
+  EXPECT_TRUE(layout) << to_json(rep);
+  EXPECT_TRUE(schedule) << to_json(rep);
+  EXPECT_EQ(defect_kind_name(DefectKind::kDirectionParity), "direction-parity");
+  EXPECT_TRUE(audit_direction_parity(a, a).clean());
 }
 
 TEST(PlanAudit, AuditPlanRejectsInvalidHandle) {

@@ -27,9 +27,9 @@ bodies in ``src/topk`` must perform **zero** device allocations — every byte
 of scratch is described by ``*_plan()`` in a WorkspaceLayout and served from
 the bound pooled Workspace, so calling ``dev.alloc``/``dev.alloc_zero`` (or
 ``Device::alloc*`` through any other spelling) inside a run body is flagged.
-``plan()`` functions, legacy one-shot wrappers, and other non-hot helpers may
-allocate freely — the rule keys on the ``_run`` suffix of the enclosing
-function definition.  A line may opt out with ``// lint:allow-run-alloc``.
+``plan()`` functions and other non-hot helpers may allocate freely — the
+rule keys on the ``_run`` suffix of the enclosing function definition.  A
+line may opt out with ``// lint:allow-run-alloc``.
 
 Fourth rule — footprint completeness: every kernel name that appears in a
 ``LaunchConfig{"..."}`` literal or an ``intern_name("family(...")`` prefix

@@ -6,7 +6,10 @@
 // iff every audited plan is clean, which makes the binary a CI gate: the
 // plan-audit job runs `topk_audit --all --grid --json` and fails the build
 // on any sizing, initialization-order, write-race or lifetime defect in any
-// plan the registry can produce.
+// plan the registry can produce.  Every configuration is planned in both
+// directions, and the largest-K plan must match its smallest-K twin's
+// layout and schedule exactly (the direction-parity rule: direction is a
+// KeyOrder inside the kernels, never a planned segment or step).
 //
 // Usage:
 //   topk_audit [--all | --algo KEY] [--grid] [--sharded] [--json] [--verbose]
@@ -21,15 +24,16 @@
 //              streaming rows add large-K shapes up to n=2^24, k=2^20
 //   --sharded  additionally audit the plans a sharded multi-device query
 //              executes (topk::shard::plan_sharded against a device capped
-//              at 2^22 keys): every distinct per-shard plan plus the
-//              cross-shard merge plan when the merge runs on a device
-//              (host merges have none), including the N = 2^26 shape no
-//              single capped device can serve
+//              at 2^22 keys), in both directions: every distinct per-shard
+//              plan plus the cross-shard merge plan when the merge runs on
+//              a device (host merges have none), including the N = 2^26
+//              shape no single capped device can serve
 //   --json     emit one JSON report document on stdout
 //   --verbose  print every audited configuration, not just failures
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -68,10 +72,11 @@ std::vector<Config> build_grid(const topk::AlgoRow& row, bool grid,
                                const simgpu::DeviceSpec& spec) {
   std::vector<Config> configs;
   // Every shape is audited once per key type the registry row declares
-  // (the dtype dimension of the grid): the plan's carrier domain and the
-  // negate-vs-complement largest-K wrap both depend on it.  Payloads never
-  // appear here — the payload gather is a host-side post-pass over the
-  // winning indices and plans identically with or without one.
+  // (the dtype dimension of the grid): the plan's carrier domain depends on
+  // it.  Each smallest-K config is followed by its largest-K twin, which the
+  // parity rule compares it against.  Payloads never appear here — the
+  // payload gather is a host-side post-pass over the winning indices and
+  // plans identically with or without one.
   const auto add = [&](std::size_t batch, std::size_t n, std::size_t k) {
     if (k == 0 || k > n) return;
     if (row.k_limit != 0 && k > row.k_limit) return;
@@ -120,6 +125,17 @@ std::string config_label(const Config& cfg) {
   return out.str();
 }
 
+/// Append the direction-parity findings of `largest` against its
+/// smallest-K twin to `report`.
+void add_parity(topk::verify::AuditReport& report,
+                const topk::ExecutionPlan& smallest,
+                const topk::ExecutionPlan& largest) {
+  for (auto& f :
+       topk::verify::audit_direction_parity(smallest, largest).findings) {
+    report.findings.push_back(std::move(f));
+  }
+}
+
 /// One audited plan out of a sharded query's plan set.
 struct ShardedAudit {
   std::string label;
@@ -127,9 +143,11 @@ struct ShardedAudit {
   std::string plan_error;
 };
 
-/// Audit every plan a sharded query would execute, for a sweep of query
-/// shapes against a device capped at 2^22 keys — the scale-out scenario
-/// (first row: N = 2^26, a shape no single capped device can serve).
+/// Audit every plan a sharded query would execute, in both directions, for
+/// a sweep of query shapes against a device capped at 2^22 keys — the
+/// scale-out scenario (first row: N = 2^26, a shape no single capped device
+/// can serve).  Each largest-K plan also answers to the parity rule against
+/// the same position of the smallest-K plan set.
 std::vector<ShardedAudit> audit_sharded(const simgpu::DeviceSpec& base) {
   simgpu::DeviceSpec spec = base;
   spec.max_select_elems = std::size_t{1} << 22;
@@ -143,29 +161,38 @@ std::vector<ShardedAudit> audit_sharded(const simgpu::DeviceSpec& base) {
   };
   std::vector<ShardedAudit> out;
   for (const SweepRow& row : kSweep) {
-    std::ostringstream shape;
-    shape << "n=" << row.n << " k=" << row.k << " shards=";
-    if (row.shards == 0) {
-      shape << "auto";
-    } else {
-      shape << row.shards;
-    }
-    try {
-      const topk::shard::ShardedPlan sp = topk::shard::plan_sharded(
-          spec, row.n, row.k, row.shards, topk::Algo::kAuto);
-      // A host merge has no device plan to audit; the label says so.
-      shape << " merge=" << topk::shard::merge_site_name(sp.merge);
-      for (const auto& [label, plan] : sp.plans) {
+    std::optional<topk::shard::ShardedPlan> twin;
+    for (const bool greatest : {false, true}) {
+      std::ostringstream shape;
+      shape << "n=" << row.n << " k=" << row.k << " shards=";
+      if (row.shards == 0) {
+        shape << "auto";
+      } else {
+        shape << row.shards;
+      }
+      shape << (greatest ? " greatest" : " smallest");
+      try {
+        topk::SelectOptions opt;
+        opt.greatest = greatest;
+        const topk::shard::ShardedPlan sp = topk::shard::plan_sharded(
+            spec, row.n, row.k, row.shards, topk::Algo::kAuto, opt);
+        // A host merge has no device plan to audit; the label says so.
+        shape << " merge=" << topk::shard::merge_site_name(sp.merge);
+        for (std::size_t i = 0; i < sp.plans.size(); ++i) {
+          const auto& [label, plan] = sp.plans[i];
+          ShardedAudit a;
+          a.label = shape.str() + " :: " + label;
+          a.report = topk::verify::audit_plan(plan);
+          if (twin) add_parity(a.report, twin->plans.at(i).second, plan);
+          out.push_back(std::move(a));
+        }
+        twin = sp;
+      } catch (const std::exception& e) {
         ShardedAudit a;
-        a.label = shape.str() + " :: " + label;
-        a.report = topk::verify::audit_plan(plan);
+        a.label = shape.str();
+        a.plan_error = e.what();
         out.push_back(std::move(a));
       }
-    } catch (const std::exception& e) {
-      ShardedAudit a;
-      a.label = shape.str();
-      a.plan_error = e.what();
-      out.push_back(std::move(a));
     }
   }
   return out;
@@ -207,6 +234,9 @@ int main(int argc, char** argv) {
   for (const topk::AlgoRow& row : topk::kAlgoTable) {
     if (row.plan == nullptr) continue;  // kAuto resolves before planning
     if (!all && row.key != algo_key) continue;
+    // The smallest-K plan of the config just audited: its largest-K twin
+    // follows immediately (build_grid).
+    topk::ExecutionPlan twin;
     for (const Config& cfg : build_grid(row, grid, spec)) {
       Result res{cfg, {}, {}};
       try {
@@ -216,6 +246,11 @@ int main(int argc, char** argv) {
         const topk::ExecutionPlan plan =
             topk::plan_select(spec, cfg.batch, cfg.n, cfg.k, cfg.algo, opt);
         res.report = topk::verify::audit_plan(plan);
+        if (cfg.greatest) {
+          add_parity(res.report, twin, plan);
+        } else {
+          twin = plan;
+        }
       } catch (const std::exception& e) {
         res.plan_error = e.what();
       }
