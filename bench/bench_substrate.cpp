@@ -25,12 +25,19 @@
 // (WarpSelect's floor is lower because its exact path — per-thread register
 // queues, no shared-queue insertion machinery — is already cheap, and its
 // warpfast leg sits at the single-core memory-bandwidth floor); SampleSelect
-// and Bitonic Top-K 6× full run, 4× in --smoke.  QuickSelect and
-// BucketSelect are reported without a gate: their exact paths are already
-// within about 2× of the fast one.
-// The gated ratio is fast-paths-on (tile + warpfast, the default config)
-// versus fast-paths-off — the scalar per-lane emulation, i.e. what every
-// run cost before the fast paths existed and still costs under simcheck.
+// and Bitonic Top-K 6× full run, 4× in --smoke; AIR Top-K 4× (2× smoke),
+// AIR Top-K on radix-adversarial M = 20 keys 2.5× (1.25× smoke) and
+// RadixSelect 3.5× (2× smoke; gated with the workspace pool on, since with
+// it off each rep faults in RadixSelect's n-sized candidate buffers in both
+// legs).  QuickSelect and BucketSelect are reported
+// without a gate: their exact paths are already within about 2× of the
+// fast one.
+// The gated ratio is fast-paths-on (tile + warpfast, the default config;
+// tile alone for the radix rows, which have no warp fast path) versus
+// fast-paths-off — the scalar per-lane emulation, i.e. what every run cost
+// before the fast paths existed and still costs under simcheck.  The legs of
+// one row run their timed reps interleaved, so host contention that comes
+// and goes lands on both sides of a ratio.
 //
 // Output: a human-readable table on stdout and BENCH_substrate.json in the
 // working directory (schema documented in docs/performance.md).  `--smoke`
@@ -45,9 +52,12 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <new>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -112,60 +122,88 @@ struct Row {
   std::uint64_t cold_allocs = 0;  ///< plan + first (cold) run allocations
 };
 
-/// Best-of-`reps` wall clock of one algorithm run, measured two-phase: the
-/// plan is built and the pooled workspace warmed OUTSIDE the timed region
-/// (one untimed warm-up rep binds the slab, fills the scratch freelists and
-/// sizes the event buffers), so every timed rep exercises run_select()'s
-/// steady state.  The allocation column is the MINIMUM heap-allocation count
-/// over the timed reps — the per-run steady state, which the pooled path
-/// gates at exactly zero.
-Row measure(simgpu::Device& dev, std::span<const float> data, std::size_t n,
-            std::size_t k, topk::Algo algo, bool tile, bool warpfast,
-            int reps) {
-  simgpu::set_tile_path_enabled(tile);
-  simgpu::set_warpfast_path_enabled(warpfast);
-  Row row;
-  row.algo = topk::algo_name(algo);
-  row.n = n;
-  row.k = k;
-  row.tile = tile;
-  row.warpfast = warpfast;
-  row.wall_ms = 1e300;
-  row.allocs = std::numeric_limits<std::uint64_t>::max();
+/// One fast-path setting to measure a row under.
+struct Mode {
+  bool tile;
+  bool warpfast;
+};
+
+/// Best-of-`reps` wall clock of one algorithm under each of `modes`,
+/// measured two-phase: per mode the plan is built and the pooled workspace
+/// warmed OUTSIDE the timed region (one untimed warm-up run binds the slab,
+/// fills the scratch freelists and sizes the event buffers), so every timed
+/// rep exercises run_select()'s steady state.  The modes' timed reps
+/// interleave, one rep of each mode per round, so host contention that comes
+/// and goes lands on every mode alike and the speedups between them keep
+/// their meaning.  The allocation column is the MINIMUM heap-allocation
+/// count over a mode's timed reps — the per-run steady state, which the
+/// pooled path gates at exactly zero.
+std::vector<Row> measure(simgpu::Device& dev, std::span<const float> data,
+                         std::size_t n, std::size_t k, topk::Algo algo,
+                         std::span<const Mode> modes, int reps) {
+  struct Planned {
+    Planned(topk::ExecutionPlan p, simgpu::Device& d)
+        : plan(std::move(p)), ws(d) {}
+    topk::ExecutionPlan plan;
+    simgpu::Workspace ws;
+  };
   simgpu::ScopedWorkspace arena(dev);
   auto in = dev.alloc<float>(n);
   std::copy(data.begin(), data.end(), in.data());
   auto out_vals = dev.alloc<float>(k);
   auto out_idx = dev.alloc<std::uint32_t>(k);
-  // Cold-start cost: plan construction, workspace bind, and the first run —
-  // everything a fresh shape pays before the steady state.  Gated flat in N
-  // for GridSelect below: per-block engine state must come from the pooled
-  // slab and the scratch freelists, never from O(num_blocks) heap allocs.
-  const std::uint64_t cold0 = g_alloc_count.load(std::memory_order_relaxed);
-  const topk::ExecutionPlan plan =
-      topk::plan_select(dev.spec(), 1, n, k, algo);
-  simgpu::Workspace ws(dev);
-  dev.clear_events();
-  topk::run_select(dev, plan, ws, in, out_vals, out_idx);  // untimed warm-up
-  row.cold_allocs = g_alloc_count.load(std::memory_order_relaxed) - cold0;
-  for (int r = 0; r < reps; ++r) {
+  std::vector<Row> rows(modes.size());
+  std::vector<std::unique_ptr<Planned>> planned;
+  for (std::size_t m = 0; m < modes.size(); ++m) {
+    simgpu::set_tile_path_enabled(modes[m].tile);
+    simgpu::set_warpfast_path_enabled(modes[m].warpfast);
+    Row& row = rows[m];
+    row.algo = topk::algo_name(algo);
+    row.n = n;
+    row.k = k;
+    row.tile = modes[m].tile;
+    row.warpfast = modes[m].warpfast;
+    row.wall_ms = 1e300;
+    row.allocs = std::numeric_limits<std::uint64_t>::max();
+    // Cold-start cost: plan construction, workspace bind, and the first run
+    // — everything a fresh shape pays before the steady state.  Gated flat
+    // in N for GridSelect below: per-block engine state must come from the
+    // pooled slab and the scratch freelists, never from O(num_blocks) heap
+    // allocs.
+    const std::uint64_t cold0 = g_alloc_count.load(std::memory_order_relaxed);
+    planned.push_back(std::make_unique<Planned>(
+        topk::plan_select(dev.spec(), 1, n, k, algo), dev));
     dev.clear_events();
-    const std::uint64_t allocs0 =
-        g_alloc_count.load(std::memory_order_relaxed);
-    const auto t0 = std::chrono::steady_clock::now();
-    topk::run_select(dev, plan, ws, in, out_vals, out_idx);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    row.allocs = std::min(
-        row.allocs, g_alloc_count.load(std::memory_order_relaxed) - allocs0);
-    if (ms < row.wall_ms) {
-      row.wall_ms = ms;
-      row.model_us = simgpu::CostModel(dev.spec()).total_us(dev.events());
+    topk::run_select(dev, planned[m]->plan, planned[m]->ws, in, out_vals,
+                     out_idx);  // untimed warm-up
+    row.cold_allocs = g_alloc_count.load(std::memory_order_relaxed) - cold0;
+  }
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t m = 0; m < modes.size(); ++m) {
+      simgpu::set_tile_path_enabled(modes[m].tile);
+      simgpu::set_warpfast_path_enabled(modes[m].warpfast);
+      Row& row = rows[m];
+      dev.clear_events();
+      const std::uint64_t allocs0 =
+          g_alloc_count.load(std::memory_order_relaxed);
+      const auto t0 = std::chrono::steady_clock::now();
+      topk::run_select(dev, planned[m]->plan, planned[m]->ws, in, out_vals,
+                       out_idx);
+      const auto t1 = std::chrono::steady_clock::now();
+      const double ms =
+          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      row.allocs = std::min(
+          row.allocs, g_alloc_count.load(std::memory_order_relaxed) - allocs0);
+      if (ms < row.wall_ms) {
+        row.wall_ms = ms;
+        row.model_us = simgpu::CostModel(dev.spec()).total_us(dev.events());
+      }
     }
   }
-  row.elems_per_sec = static_cast<double>(n) / (row.wall_ms / 1e3);
-  return row;
+  for (Row& row : rows) {
+    row.elems_per_sec = static_cast<double>(n) / (row.wall_ms / 1e3);
+  }
+  return rows;
 }
 
 std::string fmt_double(double v) {
@@ -174,27 +212,54 @@ std::string fmt_double(double v) {
   return os.str();
 }
 
-/// Rows that get the warpfast A/B leg (tile + warpfast, the default
-/// config), with their speedup floors at the largest swept N (full run,
-/// --smoke); a floor of 0 reports the ratio without gating it.
-struct FastPathRow {
+/// One swept leg: a row on uniform keys, or on radix-adversarial M = 20
+/// keys (the first 20 bits shared), on which AIR re-scans its input every
+/// pass.
+struct Leg {
   topk::Algo algo;
+  bool adversarial = false;
+};
+
+std::string leg_name(const Leg& leg) {
+  return topk::algo_name(leg.algo) +
+         (leg.adversarial ? " (adversarial M=20)" : "");
+}
+
+/// Legs whose speedup against everything off at the largest swept N is
+/// reported, with floors (full run, --smoke); a floor of 0 reports the ratio
+/// without gating it.  The warp-queue rows, the partition rows and Bitonic
+/// Top-K get a warpfast leg (tile + warpfast, the default config) and are
+/// gated on it; the radix rows use no warp fast path and are gated on the
+/// tile leg.
+struct FastPathRow {
+  Leg leg;
+  bool warpfast_leg;
   double floor_full;
   double floor_smoke;
+  /// Gate only with the workspace pool on.  With it off every timed rep
+  /// binds the row's workspace afresh and faults it in, the same
+  /// milliseconds in both legs; for RadixSelect (4n words of candidate
+  /// buffers) that compresses the ratio to 1.1–2.6×, so it is reported.
+  bool pooled_only = false;
 };
 
 constexpr FastPathRow kFastPathRows[] = {
-    {topk::Algo::kGridSelect, 20.0, 3.0},
-    {topk::Algo::kWarpSelect, 6.0, 3.0},
-    {topk::Algo::kSampleSelect, 6.0, 4.0},
-    {topk::Algo::kBitonicTopk, 6.0, 4.0},
-    {topk::Algo::kQuickSelect, 0.0, 0.0},
-    {topk::Algo::kBucketSelect, 0.0, 0.0},
+    {{topk::Algo::kGridSelect}, true, 20.0, 3.0},
+    {{topk::Algo::kWarpSelect}, true, 6.0, 3.0},
+    {{topk::Algo::kSampleSelect}, true, 6.0, 4.0},
+    {{topk::Algo::kBitonicTopk}, true, 6.0, 4.0},
+    {{topk::Algo::kQuickSelect}, true, 0.0, 0.0},
+    {{topk::Algo::kBucketSelect}, true, 0.0, 0.0},
+    {{topk::Algo::kAirTopk}, false, 4.0, 2.0},
+    {{topk::Algo::kAirTopk, true}, false, 2.5, 1.25},
+    {{topk::Algo::kRadixSelect}, false, 3.5, 2.0, true},
 };
 
-const FastPathRow* fast_path_row(topk::Algo algo) {
+const FastPathRow* fast_path_row(const Leg& leg) {
   for (const FastPathRow& r : kFastPathRows) {
-    if (r.algo == algo) return &r;
+    if (r.leg.algo == leg.algo && r.leg.adversarial == leg.adversarial) {
+      return &r;
+    }
   }
   return nullptr;
 }
@@ -209,7 +274,7 @@ int main(int argc, char** argv) {
 
   const auto scale = topk::bench::BenchScale::from_env();
   const int max_log_n = smoke ? 18 : std::min(scale.max_log_n, 22);
-  const int reps = smoke ? 2 : 4;  // rep 1 warms allocations, min is warm
+  const int reps = smoke ? 5 : 4;  // timed reps per mode; min is reported
   const std::size_t k = 256;
   const simgpu::DeviceSpec spec = simgpu::DeviceSpec::a100();
   const bool tile_default = simgpu::tile_path_enabled();
@@ -220,16 +285,17 @@ int main(int argc, char** argv) {
     log_ns.push_back(ln);
   }
 
-  const topk::Algo algos[] = {
-      topk::Algo::kAirTopk,      topk::Algo::kSort,
-      topk::Algo::kRadixSelect,  topk::Algo::kGridSelect,
-      topk::Algo::kWarpSelect,   topk::Algo::kSampleSelect,
-      topk::Algo::kBitonicTopk,  topk::Algo::kQuickSelect,
-      topk::Algo::kBucketSelect};
+  const Leg legs[] = {
+      {topk::Algo::kAirTopk},      {topk::Algo::kAirTopk, true},
+      {topk::Algo::kSort},         {topk::Algo::kRadixSelect},
+      {topk::Algo::kGridSelect},   {topk::Algo::kWarpSelect},
+      {topk::Algo::kSampleSelect}, {topk::Algo::kBitonicTopk},
+      {topk::Algo::kQuickSelect},  {topk::Algo::kBucketSelect}};
 
-  // Warpfast speedup (both fast paths on vs both off) at the largest swept
-  // N, per warpfast-leg row; checked against the floors after the sweep.
-  std::vector<std::pair<const FastPathRow*, double>> wf_speedups;
+  // Gated speedup (the warpfast or the tile leg vs everything off) at the
+  // largest swept N, per FastPathRow; checked against the floors after the
+  // sweep.
+  std::vector<std::pair<const FastPathRow*, double>> speedups;
 
   std::vector<Row> rows;
   std::cout
@@ -238,40 +304,42 @@ int main(int argc, char** argv) {
   // (N, cold_allocs) per GridSelect default-config (tile+warpfast) row, for
   // the flat-in-N gate below.
   std::vector<std::pair<std::size_t, std::uint64_t>> grid_cold;
-  for (const topk::Algo algo : algos) {
+  for (const Leg& leg : legs) {
+    const topk::Algo algo = leg.algo;
+    const FastPathRow* const fp = fast_path_row(leg);
     for (const int ln : log_ns) {
       const std::size_t n = std::size_t{1} << ln;
-      const auto data = topk::data::uniform_values(n, 42 + ln);
+      const auto data =
+          leg.adversarial
+              ? topk::data::radix_adversarial_values(n, 20, 42 + ln)
+              : topk::data::uniform_values(n, 42 + ln);
       simgpu::Device dev(spec);
-      const Row off = measure(dev, data, n, k, algo, false, false, reps);
-      const Row on = measure(dev, data, n, k, algo, true, false, reps);
-      std::vector<const Row*> printed = {&off, &on};
-      Row wf;
-      if (const FastPathRow* fp = fast_path_row(algo)) {
-        wf = measure(dev, data, n, k, algo, true, true, reps);
-        printed.push_back(&wf);
-        if (algo == topk::Algo::kGridSelect) {
-          grid_cold.emplace_back(n, wf.cold_allocs);
-        }
-        if (ln == log_ns.back()) {
-          wf_speedups.emplace_back(fp, off.wall_ms / wf.wall_ms);
-        }
+      // Everything off, the tile leg, and for the warpfast rows both fast
+      // paths on.
+      const bool with_wf = fp != nullptr && fp->warpfast_leg;
+      const Mode modes[] = {{false, false}, {true, false}, {true, true}};
+      std::vector<Row> measured = measure(
+          dev, data, n, k, algo, std::span(modes, with_wf ? 3 : 2), reps);
+      for (Row& r : measured) r.algo = leg_name(leg);
+      const Row& off = measured[0];
+      if (with_wf && algo == topk::Algo::kGridSelect) {
+        grid_cold.emplace_back(n, measured[2].cold_allocs);
       }
-      const double tile_speedup = off.wall_ms / on.wall_ms;
-      for (const Row* r : printed) {
-        // The speedup column reports tile-on vs tile-off for the tile leg,
-        // and the gated ratio — both fast paths on vs both off — for the
-        // warpfast leg.
-        std::string speedup = "-";
-        if (r == &on) speedup = fmt_double(tile_speedup);
-        if (r->warpfast) speedup = fmt_double(off.wall_ms / r->wall_ms);
-        std::cout << r->algo << "," << r->n << "," << r->k << ","
-                  << (r->tile ? "on" : "off") << ","
-                  << (r->warpfast ? "on" : "off") << "," << r->wall_ms << ","
-                  << static_cast<std::uint64_t>(r->elems_per_sec) << ","
-                  << r->model_us << "," << r->allocs << ","
-                  << r->cold_allocs << "," << speedup << "\n";
-        rows.push_back(*r);
+      if (fp != nullptr && ln == log_ns.back()) {
+        speedups.emplace_back(fp, off.wall_ms / measured.back().wall_ms);
+      }
+      for (const Row& r : measured) {
+        // The speedup column is each leg against everything off: tile-on
+        // for the tile leg, both fast paths on for the warpfast leg.
+        const std::string speedup =
+            r.tile ? fmt_double(off.wall_ms / r.wall_ms) : "-";
+        std::cout << r.algo << "," << r.n << "," << r.k << ","
+                  << (r.tile ? "on" : "off") << ","
+                  << (r.warpfast ? "on" : "off") << "," << r.wall_ms << ","
+                  << static_cast<std::uint64_t>(r.elems_per_sec) << ","
+                  << r.model_us << "," << r.allocs << "," << r.cold_allocs
+                  << "," << speedup << "\n";
+        rows.push_back(r);
       }
     }
   }
@@ -310,13 +378,15 @@ int main(int argc, char** argv) {
   out << "  ]\n}\n";
   std::cout << "wrote BENCH_substrate.json (" << rows.size() << " rows)\n";
 
-  // ---- warpfast speedup gates ---------------------------------------------
+  // ---- fast-path speedup gates --------------------------------------------
   bool ok = true;
-  for (const auto& [fp, got] : wf_speedups) {
-    const double floor = smoke ? fp->floor_smoke : fp->floor_full;
-    std::cout << (floor > 0.0 ? "gate: " : "report: ")
-              << topk::algo_name(fp->algo) << " warpfast speedup at N=2^"
-              << log_ns.back() << " = " << fmt_double(got);
+  for (const auto& [fp, got] : speedups) {
+    double floor = smoke ? fp->floor_smoke : fp->floor_full;
+    if (fp->pooled_only && !simgpu::pool_enabled()) floor = 0.0;
+    std::cout << (floor > 0.0 ? "gate: " : "report: ") << leg_name(fp->leg)
+              << (fp->warpfast_leg ? " warpfast" : " tile")
+              << " speedup at N=2^" << log_ns.back() << " = "
+              << fmt_double(got);
     if (floor > 0.0) {
       std::cout << " (floor " << fmt_double(floor) << ") -> "
                 << (got >= floor ? "PASS" : "FAIL");

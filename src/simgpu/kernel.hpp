@@ -600,7 +600,7 @@ class BlockCtx {
   template <typename T>
   [[nodiscard]] ScatterWriter<T> scatter_writer(const DeviceBuffer<T>& b,
                                                 std::size_t count) {
-    const bool bulk = tile_path_enabled() && san_ == nullptr;
+    const bool bulk = unchecked_tiles();
     if (bulk) counters_.bytes_written += count * sizeof(T);
     return ScatterWriter<T>(this, b, bulk);
   }
@@ -616,9 +616,18 @@ class BlockCtx {
   template <typename T>
   [[nodiscard]] const T* prepaid_reads(const DeviceBuffer<T>& b,
                                        std::uint64_t count) {
-    if (!tile_path_enabled() || san_ != nullptr) return nullptr;
+    if (!unchecked_tiles()) return nullptr;
     counters_.bytes_read += count * sizeof(T);
     return b.data();
+  }
+
+  /// True when this block runs the tile fast path unchecked: the tile path
+  /// is on and no sanitizer is attached — the state in which
+  /// SharedSpan::unchecked_data, scatter_writer and prepaid_reads go raw.
+  /// Kernels gate their whole-tile SIMD scans on it, so a simcheck run keeps
+  /// their per-element loops.
+  [[nodiscard]] bool unchecked_tiles() const {
+    return tile_path_enabled() && san_ == nullptr;
   }
 
   /// ---- Threshold-gated warp fast path ------------------------------------

@@ -38,6 +38,46 @@ using KeyBits =
 }
 #endif
 
+/// The 32-bit key carriers the radix scan helpers (histogram_digits,
+/// classify_digits) take: float and uint32.
+template <typename T>
+inline constexpr bool kRadixCarrier =
+    std::is_same_v<T, float> || std::is_same_v<T, std::uint32_t>;
+
+/// The monotone radix ordinal of a carrier key: for float the sign-flip map
+/// of topk::RadixTraits<float>::to_radix (negative floats get all bits
+/// flipped, the others the sign bit set; NaNs order by their bits), for
+/// uint32 the key itself.
+template <typename T>
+  requires kRadixCarrier<T>
+[[nodiscard]] inline std::uint32_t radix_ordinal(T x) {
+  const auto b = std::bit_cast<std::uint32_t>(x);
+  if constexpr (std::is_same_v<T, float>) {
+    return (b & 0x80000000u) ? ~b : (b | 0x80000000u);
+  } else {
+    return b;
+  }
+}
+
+/// The rule classify_digits applies to each key x of a tile.  With
+/// o = radix_ordinal(x) ^ order and v = (o >> shift) & mask, x is *below*
+/// when lo <= v < target and *equal* when v == target; every other key is
+/// out.  An equal key is tagged with its next digit, (o >> tag_shift) &
+/// tag_mask, a below key with kBelowTag.  Shifts are in [0, 31].
+struct DigitRule {
+  std::uint32_t order = 0;
+  int shift = 0;
+  std::uint32_t mask = ~std::uint32_t{0};
+  std::uint32_t lo = 0;
+  std::uint32_t target = 0;
+  int tag_shift = 0;
+  std::uint32_t tag_mask = 0;
+};
+
+/// The tag of a below key.  A rule's tag_mask leaves bit 31 clear, so no
+/// equal key's tag can take this value.
+inline constexpr std::uint32_t kBelowTag = ~std::uint32_t{0};
+
 namespace detail {
 
 inline void ce(std::uint64_t& x, std::uint64_t& y) {
@@ -144,6 +184,36 @@ inline void splitter_classes_scalar(const T* split, std::uint32_t first_step,
     }
     cls[i] = pos;
   }
+}
+
+/// Portable bodies of histogram_digits and classify_digits (see those for
+/// the contracts).  The scalar classify writes (then overwrites) at the
+/// cursor branchlessly.
+template <typename T>
+inline void histogram_digits_scalar(std::span<const T> keys,
+                                    std::uint32_t order, int shift,
+                                    std::uint32_t digit_mask,
+                                    std::uint32_t* hist) {
+  for (const T x : keys) {
+    ++hist[((radix_ordinal(x) ^ order) >> shift) & digit_mask];
+  }
+}
+
+template <typename T>
+inline std::size_t classify_digits_scalar(std::span<const T> keys,
+                                          const DigitRule& r,
+                                          std::span<std::uint32_t> pos,
+                                          std::span<std::uint32_t> tag) {
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint32_t o = radix_ordinal(keys[i]) ^ r.order;
+    const std::uint32_t v = (o >> r.shift) & r.mask;
+    const bool below = v >= r.lo && v < r.target;
+    pos[m] = static_cast<std::uint32_t>(i);
+    tag[m] = below ? kBelowTag : (o >> r.tag_shift) & r.tag_mask;
+    m += static_cast<std::size_t>(below || v == r.target);
+  }
+  return m;
 }
 
 /// Scalar sort32: four register-resident sort8 networks plus three
@@ -413,31 +483,82 @@ __attribute__((target("avx512f"))) inline std::size_t pack_below_f32_avx512(
   return m;
 }
 
-/// Vector body of histogram_digits_f32: 16 keys per iteration through the
+/// The radix ordinals of 16 carrier keys given as raw 32-bit lanes.
+template <bool kFloat>
+__attribute__((target("avx512f"))) inline __m512i ord_avx512(__m512i bits) {
+  if constexpr (kFloat) {
+    return ord_f32_avx512(_mm512_castsi512_ps(bits));
+  } else {
+    return bits;
+  }
+}
+
+/// Vector body of histogram_digits: 16 keys per iteration through the
 /// ordinal map, xor, shift and mask; the 16 digits spill to a stack array and
 /// the histogram bumps stay scalar (radix 256/2048 bins alias too heavily for
-/// conflict-detection gathers to win).
-__attribute__((target("avx512f"))) inline void histogram_digits_f32_avx512(
-    const float* p, std::size_t n, std::uint32_t xor_mask, int shift,
+/// conflict-detection gathers to win).  The tail runs the scalar body.
+template <bool kFloat, typename T>
+__attribute__((target("avx512f"))) inline void histogram_digits_avx512(
+    std::span<const T> keys, std::uint32_t order, int shift,
     std::uint32_t digit_mask, std::uint32_t* hist) {
-  const __m512i xm = _mm512_set1_epi32(static_cast<int>(xor_mask));
+  const __m512i xm = _mm512_set1_epi32(static_cast<int>(order));
   const __m512i dm = _mm512_set1_epi32(static_cast<int>(digit_mask));
   const __m128i sh = _mm_cvtsi32_si128(shift);
   alignas(64) std::uint32_t digits[16];
+  const std::size_t n = keys.size();
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m512i ord = ord_f32_avx512(_mm512_loadu_ps(p + i));
+    const __m512i ord = ord_avx512<kFloat>(_mm512_loadu_si512(&keys[i]));
     const __m512i d = _mm512_and_si512(
         _mm512_srl_epi32(_mm512_xor_si512(ord, xm), sh), dm);
     _mm512_store_si512(digits, d);
     for (std::size_t u = 0; u < 16; ++u) ++hist[digits[u]];
   }
-  for (; i < n; ++i) {
-    std::uint32_t b;
-    __builtin_memcpy(&b, p + i, sizeof(b));
-    const std::uint32_t ord = (b & 0x80000000u) ? ~b : (b | 0x80000000u);
-    ++hist[((ord ^ xor_mask) >> shift) & digit_mask];
+  histogram_digits_scalar(keys.subspan(i), order, shift, digit_mask, hist);
+}
+
+/// Vector body of classify_digits: 16 keys per iteration, the tail masked.
+/// Survivor lanes (below or equal) are compressed in register and written
+/// with a masked store of exactly their count, so nothing lands past them.
+template <bool kFloat, typename T>
+__attribute__((target("avx512f"))) inline std::size_t classify_digits_avx512(
+    std::span<const T> keys, const DigitRule& r, std::uint32_t* pos,
+    std::uint32_t* tag) {
+  const __m512i om = _mm512_set1_epi32(static_cast<int>(r.order));
+  const __m512i mask = _mm512_set1_epi32(static_cast<int>(r.mask));
+  const __m512i lo = _mm512_set1_epi32(static_cast<int>(r.lo));
+  const __m512i target = _mm512_set1_epi32(static_cast<int>(r.target));
+  const __m512i tmask = _mm512_set1_epi32(static_cast<int>(r.tag_mask));
+  const __m512i below_tag = _mm512_set1_epi32(static_cast<int>(kBelowTag));
+  const __m128i sh = _mm_cvtsi32_si128(r.shift);
+  const __m128i tsh = _mm_cvtsi32_si128(r.tag_shift);
+  const __m512i iota =
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  const std::size_t n = keys.size();
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 live =
+        n - i >= 16 ? static_cast<__mmask16>(0xFFFF)
+                    : static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512i o = _mm512_xor_si512(
+        ord_avx512<kFloat>(_mm512_maskz_loadu_epi32(live, &keys[i])), om);
+    const __m512i v = _mm512_and_si512(_mm512_srl_epi32(o, sh), mask);
+    const __mmask16 below = _mm512_mask_cmplt_epu32_mask(
+        _mm512_mask_cmpge_epu32_mask(live, v, lo), v, target);
+    const __mmask16 keep = static_cast<__mmask16>(
+        below | _mm512_mask_cmpeq_epu32_mask(live, v, target));
+    if (keep == 0) continue;
+    const __m512i t = _mm512_mask_mov_epi32(
+        _mm512_and_si512(_mm512_srl_epi32(o, tsh), tmask), below, below_tag);
+    const __m512i at = _mm512_add_epi32(
+        _mm512_set1_epi32(static_cast<int>(i)), iota);
+    const auto kept = static_cast<unsigned>(__builtin_popcount(keep));
+    const auto out = static_cast<__mmask16>((1u << kept) - 1u);
+    _mm512_mask_storeu_epi32(pos + m, out, _mm512_maskz_compress_epi32(keep, at));
+    _mm512_mask_storeu_epi32(tag + m, out, _mm512_maskz_compress_epi32(keep, t));
+    m += kept;
   }
+  return m;
 }
 
 __attribute__((target("avx512f"))) inline std::size_t count_below_f32_avx512(
@@ -632,29 +753,46 @@ inline void merge_sorted_u64(const std::uint64_t* a, std::size_t an,
   }
 }
 
-/// Radix-digit histogram over float keys: for each of p[0..n), bump
-/// hist[((ord(key) ^ xor_mask) >> shift) & digit_mask], where `ord` is the
-/// same monotone sign-flip map as topk::RadixTraits<float>::to_radix.  The
+/// Radix-digit histogram over carrier keys: for each key x, bump
+/// hist[((radix_ordinal(x) ^ order) >> shift) & digit_mask].  The
 /// accumulation order is irrelevant to the result, so the vector and scalar
-/// bodies are bit-identical.  Used by the histogram passes of the AIR /
-/// RadixSelect families on their contiguous input tiles.
-inline void histogram_digits_f32(const float* p, std::size_t n,
-                                 std::uint32_t xor_mask, int shift,
-                                 std::uint32_t digit_mask,
-                                 std::uint32_t* hist) {
+/// bodies are bit-identical.  The histogram passes of AIR and the radix pass
+/// loop run it on their tile spans.
+template <typename T>
+  requires kRadixCarrier<T>
+inline void histogram_digits(std::span<const T> keys, std::uint32_t order,
+                             int shift, std::uint32_t digit_mask,
+                             std::uint32_t* hist) {
 #if SIMGPU_SIMD_X86
   if (have_avx512f()) {
-    detail::histogram_digits_f32_avx512(p, n, xor_mask, shift, digit_mask,
-                                        hist);
+    detail::histogram_digits_avx512<std::is_same_v<T, float>>(
+        keys, order, shift, digit_mask, hist);
     return;
   }
 #endif
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t b;
-    __builtin_memcpy(&b, p + i, sizeof(b));
-    const std::uint32_t ord = (b & 0x80000000u) ? ~b : (b | 0x80000000u);
-    ++hist[((ord ^ xor_mask) >> shift) & digit_mask];
+  detail::histogram_digits_scalar(keys, order, shift, digit_mask, hist);
+}
+
+/// One radix filter step over a tile of carrier keys: classify every key
+/// under `rule` (see DigitRule) and write the position in `keys` and the
+/// tag of each below or equal key to pos[] and tag[], in key order;
+/// return how many were written.  pos and tag must hold keys.size()
+/// entries; entries past the returned count may be overwritten.  NaN, ±0
+/// and ±inf keys classify by their ordinals, like every other key.  Keys
+/// go 16 at a time when the host has AVX-512.
+template <typename T>
+  requires kRadixCarrier<T>
+[[nodiscard]] inline std::size_t classify_digits(std::span<const T> keys,
+                                                 const DigitRule& rule,
+                                                 std::span<std::uint32_t> pos,
+                                                 std::span<std::uint32_t> tag) {
+#if SIMGPU_SIMD_X86
+  if (have_avx512f()) {
+    return detail::classify_digits_avx512<std::is_same_v<T, float>>(
+        keys, rule, pos.data(), tag.data());
   }
+#endif
+  return detail::classify_digits_scalar(keys, rule, pos, tag);
 }
 
 /// Filter-and-pack one warp round of float keys: with key = p[i]'s bits

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "simgpu/simd.hpp"
@@ -388,8 +387,7 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
   if (out_vals.size() < batch * k || out_idx.size() < batch * k) {
     throw std::invalid_argument("air_topk: output buffers too small");
   }
-  const bool has_in_idx = !opt.in_idx.empty();
-  const auto in_idx = opt.in_idx;
+  const auto in_idx = opt.in_idx;  // empty: indices are row positions
   // Largest-k == smallest-k in complemented key space.
   const Bits order_mask = plan.order.radix_mask();
 
@@ -501,8 +499,11 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
           (p >= 1) && !is_last_filter && !copy_mode &&
           (adaptive ? (cand < n_over_alpha) : true);
 
-      const std::size_t count = from_buf ? cand_prev : n;
-      const auto [begin, end] = block_chunk(count, bpp, bip);
+      const RadixSource<T> src =
+          from_buf ? RadixSource<T>{buf_in_val, buf_in_idx, prob * bufcap,
+                                    cand_prev, 0}
+                   : RadixSource<T>{in, in_idx, prob * n, n, 0};
+      const auto [begin, end] = block_chunk(src.count, bpp, bip);
 
       // Result and candidate-buffer appends use warp-aggregated atomics
       // (one reservation per staged batch), as the RAFT kernels do.
@@ -541,44 +542,30 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
       // through the shadowed SharedRef.
       std::uint32_t* const hraw = shist.unchecked_data();
 
-      // The per-element body; fed by the tile-granular scan helpers below
-      // (or scalar loads when the fast path is off — identical counters).
-      const auto process = [&](std::size_t, T value, std::uint32_t index) {
-        const Bits key = Traits::to_radix(value) ^ order_mask;
-
-        if (p != 0) {
-          const Bits pk = static_cast<Bits>(key >> prev.start_bit);
-          const auto target = static_cast<Bits>(prefix);
-          if (pk == target) {
-            // still a candidate
-          } else if (pk < target &&
-                     (pk >> prev.width) == (target >> prev.width)) {
-            // Newly discovered top-K result: earlier digits all match the
-            // K-th prefix and the previous pass's digit is smaller.
-            emit(value, index);
-            return;
-          } else {
-            return;  // definitely not in the top-K (or already emitted)
-          }
-        }
-
-        if (copy_mode) {
-          // Early stopping: every remaining candidate is a result.
+      // Pass p >= 1 keeps the keys whose radix prefix through the previous
+      // pass's digit is the K-th prefix found so far (`equal`), and finds
+      // results among the keys that match it up to that digit and are
+      // smaller there (`below`, prefix in [lo, target)).
+      const auto target = static_cast<Bits>(prefix);
+      const Bits lo = (target >> prev.width) << prev.width;
+      // What happens to a kept key: a below key is a result; an equal one
+      // is a result in copy mode (early stopping: every remaining candidate
+      // is one), takes a tie ticket in the last filter, and otherwise is
+      // buffered (when storing) and counted under its digit of this pass.
+      // Pass 0 keeps every key as equal.
+      const auto take = [&](T value, std::uint32_t index, bool below,
+                            std::uint32_t digit) {
+        if (below || copy_mode) {
           emit(value, index);
           return;
         }
         if (is_last_filter) {
-          // Tie at the K-th value: take the first k_rem by batched ticket.
           tie_v[tie_staged] = value;
           tie_i[tie_staged] = index;
           if (++tie_staged == 32) flush_ties();
           return;
         }
-        if (store_flag) {
-          buf_app.push(ctx, value, index);
-        }
-        const std::uint32_t digit =
-            static_cast<std::uint32_t>(key >> cur.start_bit) & digit_mask;
+        if (store_flag) buf_app.push(ctx, value, index);
         if (hraw != nullptr) {
           ++hraw[digit];
         } else {
@@ -586,78 +573,45 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
         }
       };
 
-      const auto scan_with = [&](auto&& body) {
-        if (from_buf) {
-          scan_pairs(ctx, buf_in_val, buf_in_idx, prob * bufcap, begin, end,
-                     body);
-        } else if (has_in_idx) {
-          scan_pairs(ctx, in, in_idx, prob * n, begin, end, body);
-        } else {
-          ctx.for_each_elem(in, prob * n + begin, end - begin,
-                            [&](std::size_t j, T value) {
-                              body(begin + j, value,
-                                   static_cast<std::uint32_t>(begin + j));
+      // The unchecked tile path classifies whole tiles with SIMD and hands
+      // take() the kept keys in element order; the per-element loop is its
+      // reference.  Both load the same tiles, and the charges below are
+      // bulk, so KernelStats are identical.
+      bool tiled = false;
+      if constexpr (simgpu::simd::kRadixCarrier<T>) {
+        if (ctx.unchecked_tiles()) {
+          if (p == 0) {
+            histogram_tiles(ctx, src, begin, end, order_mask, cur.start_bit,
+                            digit_mask, hraw);
+          } else {
+            const simgpu::simd::DigitRule rule{
+                .order = order_mask, .shift = prev.start_bit, .lo = lo,
+                .target = target, .tag_shift = cur.start_bit,
+                .tag_mask = digit_mask};
+            scan_classified(ctx, src, begin, end, rule,
+                            [&](T value, std::uint32_t index,
+                                std::uint32_t tag) {
+                              take(value, index,
+                                   tag == simgpu::simd::kBelowTag, tag);
                             });
-        }
-      };
-
-      // Specialized bodies for the histogram passes on the unsanitized tile
-      // path.  They are behaviorally identical to `process` with the branches
-      // that are loop-invariant for these passes (copy_mode, is_last_filter,
-      // p == 0, hraw) resolved outside the loop — at -O2 nothing unswitches
-      // them for us, and they dominate the whole-input scans of passes 0/1.
-      // All loop invariants are copied to function-scope locals so raw
-      // histogram stores cannot force reloads of captured state.
-      if (hraw != nullptr && !copy_mode && !is_last_filter) {
-        const Bits fom = order_mask;
-        const int fsb = cur.start_bit;
-        const std::uint32_t fdm = digit_mask;
-        if (p == 0) {
-          bool vectorized = false;
-          if constexpr (std::is_same_v<T, float>) {
-            if (!from_buf && !has_in_idx) {
-              // SIMD-ized pass-0 histogram over the contiguous input chunk
-              // (hraw != nullptr already implies the unsanitized tile path).
-              // load_tile charges the same bytes the scalar scan would and
-              // the bulk ctx.ops below is shared, so KernelStats stay
-              // bit-identical; the histogram is order-independent.
-              std::size_t i = begin;
-              while (i < end) {
-                const std::size_t c = std::min(simgpu::kTileElems, end - i);
-                const std::span<const float> tv =
-                    ctx.load_tile(in, prob * n + i, c);
-                simgpu::simd::histogram_digits_f32(
-                    tv.data(), tv.size(),  // lint:allow-raw-access
-                    static_cast<std::uint32_t>(fom), fsb, fdm, hraw);
-                i += c;
-              }
-              vectorized = true;
-            }
           }
-          if (!vectorized) {
-            scan_with([&](std::size_t, T value, std::uint32_t) {
-              const Bits key = Traits::to_radix(value) ^ fom;
-              ++hraw[static_cast<std::uint32_t>(key >> fsb) & fdm];
-            });
-          }
-        } else {
-          const int psb = prev.start_bit;
-          const int pw = prev.width;
-          const auto target = static_cast<Bits>(prefix);
-          const bool fstore = store_flag;
-          scan_with([&](std::size_t, T value, std::uint32_t index) {
-            const Bits key = Traits::to_radix(value) ^ fom;
-            const Bits pk = static_cast<Bits>(key >> psb);
-            if (pk == target) {
-              if (fstore) buf_app.push(ctx, value, index);
-              ++hraw[static_cast<std::uint32_t>(key >> fsb) & fdm];
-            } else if (pk < target && (pk >> pw) == (target >> pw)) {
-              emit(value, index);
-            }
-          });
+          tiled = true;
         }
-      } else {
-        scan_with(process);
+      }
+      if (!tiled) {
+        scan_source(ctx, src, begin, end, [&](T value, std::uint32_t index) {
+          const Bits key = Traits::to_radix(value) ^ order_mask;
+          const auto digit =
+              static_cast<std::uint32_t>(key >> cur.start_bit) & digit_mask;
+          if (p == 0) {
+            take(value, index, false, digit);
+            return;
+          }
+          const auto pk = static_cast<Bits>(key >> prev.start_bit);
+          if (pk == target || (pk >= lo && pk < target)) {
+            take(value, index, pk != target, digit);
+          }
+        });
       }
       // ~10 lane ops per element: load issue, radix transform, prefix
       // compare chain, digit extract (shift+mask), shared-histogram address
@@ -725,29 +679,41 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
         const std::uint64_t ties_needed = k_rem - less;
         std::uint64_t ties_taken = 0;
         const std::size_t fcount = store_flag ? cand : n;
-        const auto filter = [&](std::size_t, T value, std::uint32_t index) {
-          const Bits key = Traits::to_radix(value) ^ order_mask;
-          if (key == kth) {
-            if (ties_taken < ties_needed) {
-              emit(value, index);
-              ++ties_taken;
-            }
-          } else if (key < kth &&
-                     (key >> cur.width) == (kth >> cur.width)) {
+        const RadixSource<T> fsrc =
+            store_flag ? RadixSource<T>{buf_out_val, buf_out_idx,
+                                        prob * bufcap, fcount, 0}
+                       : RadixSource<T>{in, in_idx, prob * n, fcount, 0};
+        const Bits flo = (kth >> cur.width) << cur.width;
+        const auto ftake = [&](T value, std::uint32_t index, bool below) {
+          if (below) {
             emit(value, index);
+          } else if (ties_taken < ties_needed) {
+            emit(value, index);
+            ++ties_taken;
           }
         };
-        if (store_flag) {
-          scan_pairs(ctx, buf_out_val, buf_out_idx, prob * bufcap, 0, fcount,
-                     filter);
-        } else if (has_in_idx) {
-          scan_pairs(ctx, in, in_idx, prob * n, 0, fcount, filter);
-        } else {
-          ctx.for_each_elem(in, prob * n, fcount,
-                            [&](std::size_t j, T value) {
-                              filter(j, value,
-                                     static_cast<std::uint32_t>(j));
+        bool ftiled = false;
+        if constexpr (simgpu::simd::kRadixCarrier<T>) {
+          if (ctx.unchecked_tiles()) {
+            const simgpu::simd::DigitRule rule{
+                .order = order_mask, .lo = flo, .target = kth};
+            scan_classified(ctx, fsrc, 0, fcount, rule,
+                            [&](T value, std::uint32_t index,
+                                std::uint32_t tag) {
+                              ftake(value, index,
+                                    tag == simgpu::simd::kBelowTag);
                             });
+            ftiled = true;
+          }
+        }
+        if (!ftiled) {
+          scan_source(ctx, fsrc, 0, fcount,
+                      [&](T value, std::uint32_t index) {
+                        const Bits key = Traits::to_radix(value) ^ order_mask;
+                        if (key == kth || (key >= flo && key < kth)) {
+                          ftake(value, index, key != kth);
+                        }
+                      });
         }
         ctx.ops(6 * fcount);
         out_app.flush(ctx);

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "simgpu/simd.hpp"
 #include "simgpu/simgpu.hpp"
 
 namespace topk {
@@ -135,6 +136,43 @@ inline void copy_pairs(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> src_val,
   }
 }
 
+/// What a radix scan reads: `count` elements of `vals` from `base`.  With
+/// `idx` empty the source is an input-row slice whose element i has index
+/// idx0 + i; otherwise element i is the pair (vals, idx)[base + i] — a
+/// candidate buffer, or an input row with external ids.
+template <typename T>
+struct RadixSource {
+  simgpu::DeviceBuffer<T> vals;
+  simgpu::DeviceBuffer<std::uint32_t> idx;
+  std::size_t base = 0;
+  std::size_t count = 0;
+  std::size_t idx0 = 0;
+};
+
+/// Tile-granular visit of the elements [begin, end) of `src`:
+/// `f(vals, ids, first)` once per tile of up to kTileElems elements
+/// starting at element `first`.  `ids` holds the tile's indices when
+/// `src.idx` is bound and is empty otherwise (vals[u] then has index
+/// src.idx0 + first + u).  Charges what scan_source charges.  Tile path
+/// only.
+template <typename T, typename F>
+inline void scan_source_tiles(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
+                              std::size_t begin, std::size_t end, F&& f) {
+  for (std::size_t i = begin; i < end;) {
+    const std::size_t c = std::min(simgpu::kTileElems, end - i);
+    std::span<const T> tv = ctx.load_tile(src.vals, src.base + i, c);
+    std::span<const std::uint32_t> ti;
+    if (!src.idx.empty()) {
+      ti = ctx.load_tile(src.idx, src.base + i, c);
+      const std::size_t m = std::min(tv.size(), ti.size());
+      tv = tv.first(m);
+      ti = ti.first(m);
+    }
+    f(tv, ti, i);
+    i += c;
+  }
+}
+
 /// Tile-granular visit of the candidates [begin, end) of one partition
 /// level: `f(vals, ids)` once per tile of up to kTileElems candidates, where
 /// ids[u] is the index of vals[u].  On the first level the candidates are
@@ -149,22 +187,21 @@ inline void scan_candidate_tiles(simgpu::BlockCtx& ctx, bool from_input,
                                  simgpu::DeviceBuffer<std::uint32_t> src_idx,
                                  std::size_t begin, std::size_t end, F&& f) {
   std::uint32_t positions[simgpu::kTileElems];
-  for (std::size_t i = begin; i < end;) {
-    const std::size_t c = std::min(simgpu::kTileElems, end - i);
-    if (from_input) {
-      const std::span<const T> tv = ctx.load_tile(in, in_base + i, c);
-      for (std::size_t u = 0; u < tv.size(); ++u) {
-        positions[u] = static_cast<std::uint32_t>(i + u);
-      }
-      f(tv, std::span<const std::uint32_t>(positions, tv.size()));
-    } else {
-      const std::span<const T> tv = ctx.load_tile(src_val, i, c);
-      const std::span<const std::uint32_t> ti = ctx.load_tile(src_idx, i, c);
-      const std::size_t m = std::min(tv.size(), ti.size());
-      f(tv.first(m), ti.first(m));
-    }
-    i += c;
-  }
+  const RadixSource<T> src = from_input
+                                 ? RadixSource<T>{in, {}, in_base, end, 0}
+                                 : RadixSource<T>{src_val, src_idx, 0, end, 0};
+  scan_source_tiles(ctx, src, begin, end,
+                    [&](std::span<const T> tv,
+                        std::span<const std::uint32_t> ti, std::size_t first) {
+                      if (from_input) {
+                        for (std::size_t u = 0; u < tv.size(); ++u) {
+                          positions[u] = static_cast<std::uint32_t>(first + u);
+                        }
+                        ti = std::span<const std::uint32_t>(positions,
+                                                            tv.size());
+                      }
+                      f(tv, ti);
+                    });
 }
 
 /// Visit the candidates [begin, end) of one partition level (see
@@ -232,6 +269,76 @@ inline void copy_candidates(simgpu::BlockCtx& ctx, bool from_input,
                       ++at;
                     });
   }
+}
+
+/// Visit the elements [begin, end) of `src`, calling `f(value, index)` per
+/// element: tile-granular when the fast path is on, scalar loads otherwise.
+/// Either way it charges one value read per element, plus one index read
+/// when `src.idx` is bound.  The per-element reference of scan_classified.
+template <typename T, typename F>
+inline void scan_source(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
+                        std::size_t begin, std::size_t end, F&& f) {
+  if (src.idx.empty()) {
+    ctx.for_each_elem(src.vals, src.base + begin, end - begin,
+                      [&](std::size_t j, T value) {
+                        f(value,
+                          static_cast<std::uint32_t>(src.idx0 + begin + j));
+                      });
+  } else {
+    scan_pairs(ctx, src.vals, src.idx, src.base, begin, end,
+               [&](std::size_t, T value, std::uint32_t index) {
+                 f(value, index);
+               });
+  }
+}
+
+/// The whole-tile form of a radix histogram pass: bump
+/// hist[((ord(x) ^ order) >> shift) & digit_mask] for each element x of
+/// [begin, end) of `src` with simd::histogram_digits.  Charges what
+/// scan_source charges.  For the unchecked tile path
+/// (BlockCtx::unchecked_tiles) on carrier keys.
+template <typename T>
+  requires simgpu::simd::kRadixCarrier<T>
+inline void histogram_tiles(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
+                            std::size_t begin, std::size_t end,
+                            std::uint32_t order, int shift,
+                            std::uint32_t digit_mask, std::uint32_t* hist) {
+  scan_source_tiles(ctx, src, begin, end,
+                    [&](std::span<const T> tv, std::span<const std::uint32_t>,
+                        std::size_t) {
+                      simgpu::simd::histogram_digits(tv, order, shift,
+                                                     digit_mask, hist);
+                    });
+}
+
+/// The whole-tile form of a radix filter: classify the elements [begin,
+/// end) of `src` under `rule` with simd::classify_digits and call
+/// `f(value, index, tag)` for each below or equal element, in element order
+/// — the order, and so the appends, a per-element loop over scan_source
+/// makes.  `tag` is simd::kBelowTag for a below element and the equal
+/// element's next digit otherwise.  Charges what scan_source charges.  For
+/// the unchecked tile path (BlockCtx::unchecked_tiles) on carrier keys.
+template <typename T, typename F>
+  requires simgpu::simd::kRadixCarrier<T>
+inline void scan_classified(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
+                            std::size_t begin, std::size_t end,
+                            const simgpu::simd::DigitRule& rule, F&& f) {
+  std::uint32_t pos[simgpu::kTileElems];
+  std::uint32_t tag[simgpu::kTileElems];
+  scan_source_tiles(ctx, src, begin, end,
+                    [&](std::span<const T> tv,
+                        std::span<const std::uint32_t> ti, std::size_t first) {
+                      const std::size_t m =
+                          simgpu::simd::classify_digits(tv, rule, pos, tag);
+                      for (std::size_t s = 0; s < m; ++s) {
+                        const std::uint32_t u = pos[s];
+                        f(tv[u],
+                          ti.empty() ? static_cast<std::uint32_t>(
+                                           src.idx0 + first + u)
+                                     : ti[u],
+                          tag[s]);
+                      }
+                    });
 }
 
 /// Warp-aggregated append into parallel (value, index) output arrays that

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "simgpu/simd.hpp"
@@ -58,18 +57,6 @@ struct RadixPassLoop {
   std::size_t seg_val[2] = {0, 0};
   std::size_t seg_idx[2] = {0, 0};
   std::size_t seg_host_hist = 0;
-};
-
-/// What one radix pass loop selects from: `count` elements of `vals` from
-/// `base`.  With `idx` empty the source is an input-row slice whose indices
-/// are synthesized as idx0 + j; otherwise a (vals, idx) buffer pair.
-template <typename T>
-struct RadixSource {
-  simgpu::DeviceBuffer<T> vals;
-  simgpu::DeviceBuffer<std::uint32_t> idx;
-  std::size_t base = 0;
-  std::size_t count = 0;
-  std::size_t idx0 = 0;
 };
 
 namespace radix_detail {
@@ -267,13 +254,11 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
   for (std::size_t p = 0; p < l.passes.size(); ++p) {
     const int start_bit = l.passes[p].start_bit;
     // Pass 0 reads the source; later passes the candidates the last filter
-    // kept.  Only an input slice synthesizes its indices.
-    const bool first = p == 0;
-    const bool from_slice = first && src.idx.size() == 0;
-    const auto src_val = first ? src.vals : cand_val[cur];
-    const auto src_idx = first ? src.idx : cand_idx[cur];
-    const std::size_t src_base = first ? src.base : 0;
-    const std::size_t idx0 = src.idx0;
+    // kept.  The histogram reads their values only.
+    const RadixSource<T> from =
+        p == 0 ? src
+               : RadixSource<T>{cand_val[cur], cand_idx[cur], 0, count, 0};
+    const RadixSource<T> keys{from.vals, {}, from.base, count, from.idx0};
     const auto dst_val = cand_val[1 - cur];
     const auto dst_idx = cand_idx[1 - cur];
     const auto digit_of = [=](T v) {
@@ -306,30 +291,17 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
             ctx.shared_zero<std::uint32_t>(static_cast<std::size_t>(nb));
         std::uint32_t* const hraw = shist.unchecked_data();
         const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
-        const std::size_t first_elem = src_base + begin;
-        if (hraw == nullptr) {
-          ctx.for_each_elem(src_val, first_elem, end - begin,
-                            [&](std::size_t, T v) { ++shist[digit_of(v)]; });
-        } else if constexpr (std::is_same_v<T, float>) {
-          // SIMD-ized digit histogram over the contiguous candidate chunk
-          // (hraw != nullptr already implies the unsanitized tile path).
-          // Tile loads charge the same bytes as the scalar scan and the
-          // bulk ctx.ops below is shared, so KernelStats stay bit-identical;
-          // accumulation order does not matter.
-          std::size_t i = 0;
-          const std::size_t total = end - begin;
-          while (i < total) {
-            const std::size_t c = std::min(simgpu::kTileElems, total - i);
-            const std::span<const float> tv =
-                ctx.load_tile(src_val, first_elem + i, c);
-            simgpu::simd::histogram_digits_f32(
-                tv.data(), tv.size(),  // lint:allow-raw-access
-                order, start_bit, mask, hraw);
-            i += c;
+        bool tiled = false;
+        if constexpr (simgpu::simd::kRadixCarrier<T>) {
+          if (hraw != nullptr) {
+            histogram_tiles(ctx, keys, begin, end, order, start_bit, mask,
+                            hraw);
+            tiled = true;
           }
-        } else {
-          ctx.for_each_elem(src_val, first_elem, end - begin,
-                            [&](std::size_t, T v) { ++hraw[digit_of(v)]; });
+        }
+        if (!tiled) {
+          scan_source(ctx, keys, begin, end,
+                      [&](T v, std::uint32_t) { ++shist[digit_of(v)]; });
         }
         ctx.ops(3 * (end - begin));
         ctx.sync();
@@ -366,27 +338,37 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
       const std::uint64_t out_cursor_base = win_base + out_written;
       simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
         const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
-        const auto filter = [&](std::size_t, T v, std::uint32_t id) {
-          const std::uint32_t digit = digit_of(v);
-          if (digit < target_digit) {
+        // A winner (digit below the target) appends through cursor 0, a tie
+        // through cursor 1: one counted atomic per element.
+        const auto keep = [&](T v, std::uint32_t id, bool winner) {
+          if (winner) {
             const std::uint32_t pos = ctx.atomic_add(counters, 0, 1u);
             ctx.store(win_val, out_cursor_base + pos, v);
             ctx.store(win_idx, out_cursor_base + pos, id);
-          } else if (digit == target_digit) {
+          } else {
             const std::uint32_t pos = ctx.atomic_add(counters, 1, 1u);
             ctx.store(dst_val, pos, v);
             ctx.store(dst_idx, pos, id);
           }
         };
-        if (from_slice) {
-          ctx.for_each_elem(src_val, src_base + begin, end - begin,
-                            [&](std::size_t j, T v) {
-                              filter(begin + j, v,
-                                     static_cast<std::uint32_t>(idx0 + begin +
-                                                                j));
+        bool tiled = false;
+        if constexpr (simgpu::simd::kRadixCarrier<T>) {
+          if (ctx.unchecked_tiles()) {
+            const simgpu::simd::DigitRule rule{
+                .order = order, .shift = start_bit, .mask = mask,
+                .target = target_digit};
+            scan_classified(ctx, from, begin, end, rule,
+                            [&](T v, std::uint32_t id, std::uint32_t tag) {
+                              keep(v, id, tag == simgpu::simd::kBelowTag);
                             });
-        } else {
-          scan_pairs(ctx, src_val, src_idx, src_base, begin, end, filter);
+            tiled = true;
+          }
+        }
+        if (!tiled) {
+          scan_source(ctx, from, begin, end, [&](T v, std::uint32_t id) {
+            const std::uint32_t digit = digit_of(v);
+            if (digit <= target_digit) keep(v, id, digit < target_digit);
+          });
         }
         ctx.ops(4 * (end - begin));
       });

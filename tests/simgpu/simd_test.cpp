@@ -12,6 +12,8 @@
 #include <random>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -395,6 +397,229 @@ TEST(KeyOrderMask, SplitterClassesEqualUnmaskedOnReversedKeysAndSplitters) {
       EXPECT_EQ(a, b) << body.name << " u32 trial " << trial;
     }
   }
+}
+
+// ---- radix tile scans ------------------------------------------------------
+// classify_digits and histogram_digits on both carriers: every body (scalar,
+// AVX-512 when the host has it, and the dispatcher) against a plain per-key
+// reference, with the order mask 0 and ~0, shifts 0 and 31, and tiles that
+// are all out, all equal or all below.  NaN, ±0 and ±inf lanes classify by
+// their ordinals.
+
+std::uint32_t ref_ord(std::uint32_t x) { return x; }
+
+/// The kept keys' positions and tags, in key order.
+struct Classified {
+  std::vector<std::uint32_t> pos;
+  std::vector<std::uint32_t> tag;
+  bool operator==(const Classified&) const = default;
+};
+
+template <typename T>
+Classified ref_classify(std::span<const T> keys, const DigitRule& r) {
+  Classified c;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint32_t o = ref_ord(keys[i]) ^ r.order;
+    const std::uint32_t v = (o >> r.shift) & r.mask;
+    if (v == r.target) {
+      c.pos.push_back(static_cast<std::uint32_t>(i));
+      c.tag.push_back((o >> r.tag_shift) & r.tag_mask);
+    } else if (r.lo <= v && v < r.target) {
+      c.pos.push_back(static_cast<std::uint32_t>(i));
+      c.tag.push_back(kBelowTag);
+    }
+  }
+  return c;
+}
+
+template <typename T>
+using ClassifyFn = std::size_t (*)(std::span<const T>, const DigitRule&,
+                                   std::span<std::uint32_t>,
+                                   std::span<std::uint32_t>);
+
+/// Every classify_digits body for carrier T, by name.
+template <typename T>
+std::vector<std::pair<const char*, ClassifyFn<T>>> classify_bodies() {
+  std::vector<std::pair<const char*, ClassifyFn<T>>> bodies = {
+      {"scalar", detail::classify_digits_scalar<T>},
+      {"dispatch", [](std::span<const T> keys, const DigitRule& r,
+                      std::span<std::uint32_t> pos,
+                      std::span<std::uint32_t> tag) {
+         return classify_digits(keys, r, pos, tag);
+       }}};
+#if SIMGPU_SIMD_X86
+  if (have_avx512f()) {
+    bodies.push_back({"avx512", [](std::span<const T> keys,
+                                   const DigitRule& r,
+                                   std::span<std::uint32_t> pos,
+                                   std::span<std::uint32_t> tag) {
+                        return detail::classify_digits_avx512<
+                            std::is_same_v<T, float>>(keys, r, pos.data(),
+                                                      tag.data());
+                      }});
+  }
+#endif
+  return bodies;
+}
+
+/// Expect every body to classify `keys` under `r` like the reference.
+template <typename T>
+void expect_classified(const std::vector<T>& keys, const DigitRule& r,
+                       const std::string& what) {
+  const Classified want = ref_classify<T>(keys, r);
+  for (const auto& [name, body] : classify_bodies<T>()) {
+    std::vector<std::uint32_t> pos(keys.size()), tag(keys.size());
+    const std::size_t m = body(keys, r, pos, tag);
+    ASSERT_LE(m, keys.size()) << name << " " << what;
+    pos.resize(m);
+    tag.resize(m);
+    EXPECT_EQ((Classified{pos, tag}), want) << name << " " << what;
+  }
+}
+
+/// The carrier bits of `keys`: float bits, or the u32 keys themselves.
+template <typename T>
+std::vector<T> from_bits(const std::vector<std::uint32_t>& bits) {
+  std::vector<T> keys(bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    keys[i] = std::bit_cast<T>(bits[i]);
+  }
+  return keys;
+}
+
+/// Random carrier bits, with NaN, ±0 and ±inf patterns mixed in.
+std::vector<std::uint32_t> bits_with_specials(std::mt19937_64& rng,
+                                              std::size_t n) {
+  constexpr std::uint32_t kSpecial[] = {0x7FC00000u, 0xFFC00001u,
+                                        0x00000000u, 0x80000000u,
+                                        0x7F800000u, 0xFF800000u};
+  std::vector<std::uint32_t> v(n);
+  for (auto& x : v) {
+    x = rng() % 4 == 0 ? kSpecial[rng() % std::size(kSpecial)]
+                       : static_cast<std::uint32_t>(rng());
+  }
+  return v;
+}
+
+template <typename T>
+void classify_random_tiles(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  for (int trial = 0; trial < 600; ++trial) {
+    // Tails of 1-15 keys after zero, one and two full vectors, and a tile.
+    const std::size_t n = trial % 50 == 49 ? 1024 : trial % 48;
+    const auto bits = bits_with_specials(rng, n);
+    const std::vector<T> keys = from_bits<T>(bits);
+    DigitRule r;
+    r.order = trial % 2 == 0 ? 0u : ~0u;
+    r.shift = trial % 3 == 0   ? 0
+              : trial % 3 == 1 ? 31
+                               : static_cast<int>(rng() % 32);
+    r.mask = trial % 4 == 0 ? ~0u : (1u << (1 + rng() % 11)) - 1u;
+    // Target the digit of a real key, so some keys are equal.
+    const std::uint32_t v0 =
+        n == 0 ? 0 : ((ref_ord(keys[rng() % n]) ^ r.order) >> r.shift) & r.mask;
+    r.target = v0;
+    r.lo = trial % 5 == 0 ? v0 : v0 - std::min<std::uint32_t>(
+                                          v0, static_cast<std::uint32_t>(
+                                                  rng() % (r.mask / 2 + 1)));
+    r.tag_shift = static_cast<int>(rng() % 32);
+    r.tag_mask = trial % 7 == 0 ? 0u : (1u << (1 + rng() % 11)) - 1u;
+    expect_classified(keys, r, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(ClassifyDigits, F32MatchesPerKeyReference) {
+  classify_random_tiles<float>(0xC1A5);
+}
+
+TEST(ClassifyDigits, U32MatchesPerKeyReference) {
+  classify_random_tiles<std::uint32_t>(0xC1A6);
+}
+
+TEST(ClassifyDigits, AllOutAllEqualAllBelowTiles) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{15},
+                              std::size_t{16}, std::size_t{17},
+                              std::size_t{1024}}) {
+    for (const std::uint32_t order : {0u, ~0u}) {
+      const std::string at =
+          "n=" + std::to_string(n) + " order=" + std::to_string(order);
+      // All equal: every key is 1.5f (u32: its bits).
+      const std::vector<std::uint32_t> same(n, 0x3FC00000u);
+      const std::uint32_t o = 0xBFC00000u ^ order;  // ordinal of 1.5f
+      DigitRule eq{.order = order, .shift = 21, .lo = o >> 21,
+                   .target = o >> 21, .tag_shift = 10, .tag_mask = 0x7FF};
+      expect_classified(from_bits<float>(same), eq, "all equal f32 " + at);
+      DigitRule ueq = eq;
+      ueq.lo = ueq.target = (0x3FC00000u ^ order) >> 21;
+      expect_classified(from_bits<std::uint32_t>(same), ueq,
+                        "all equal u32 " + at);
+      // All out: lo == target, and no key has that digit.
+      DigitRule out = eq;
+      out.lo = out.target = eq.target + 1;
+      expect_classified(from_bits<float>(same), out, "all out f32 " + at);
+      // All below: shift 31 leaves the ordinal's top bit; the keys' is 0
+      // with order 0 (negative floats, u32 keys below 2^31) and 1 with ~0.
+      std::mt19937_64 rng(n);
+      std::vector<std::uint32_t> low(n);
+      for (auto& x : low) x = static_cast<std::uint32_t>(rng()) | 0x80000000u;
+      DigitRule below{.order = order, .shift = 31, .mask = 1,
+                      .lo = order == 0 ? 0u : 1u, .target = 2};
+      expect_classified(from_bits<float>(low), below, "all below f32 " + at);
+      for (auto& x : low) x &= 0x7FFFFFFFu;
+      expect_classified(from_bits<std::uint32_t>(low), below,
+                        "all below u32 " + at);
+    }
+  }
+}
+
+TEST(ClassifyDigits, SpecialLanesLandByOrdinal) {
+  // -inf < -1 < -0 < +0 < 1 < +inf on ordinals; a positive NaN's ordinal
+  // is above +inf, a negative NaN's below -inf.
+  const std::vector<float> keys = {
+      -std::numeric_limits<float>::infinity(), -1.0f, -0.0f, 0.0f, 1.0f,
+      std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN()};
+  for (std::size_t t = 0; t < keys.size(); ++t) {
+    for (const std::uint32_t order : {0u, ~0u}) {
+      const std::uint32_t target = ref_ord(keys[t]) ^ order;
+      expect_classified(keys,
+                        DigitRule{.order = order, .lo = 0, .target = target},
+                        "below-or-equal " + std::to_string(t));
+      expect_classified(keys,
+                        DigitRule{.order = order, .lo = target,
+                                  .target = target, .tag_mask = 0xFF},
+                        "equal " + std::to_string(t));
+    }
+  }
+}
+
+template <typename T>
+void histogram_matches_scalar_loop(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = trial % 30 == 29 ? 1024 : trial % 40;
+    const std::vector<T> keys = from_bits<T>(bits_with_specials(rng, n));
+    const std::uint32_t order = trial % 2 == 0 ? 0u : ~0u;
+    const int shift = trial % 3 == 0 ? 0 : (trial % 3 == 1 ? 31 : 21);
+    const std::uint32_t mask = trial % 2 == 0 ? 0x7FFu : 0xFFu;
+    std::vector<std::uint32_t> want(mask + 1, 0);
+    for (const T x : keys) ++want[((ref_ord(x) ^ order) >> shift) & mask];
+    std::vector<std::uint32_t> got(mask + 1, 0);
+    histogram_digits<T>(keys, order, shift, mask, got.data());
+    EXPECT_EQ(got, want) << "dispatch trial " << trial;
+    std::fill(got.begin(), got.end(), 0);
+    detail::histogram_digits_scalar<T>(keys, order, shift, mask, got.data());
+    EXPECT_EQ(got, want) << "scalar trial " << trial;
+  }
+}
+
+TEST(HistogramDigits, F32MatchesScalarLoop) {
+  histogram_matches_scalar_loop<float>(0x4157);
+}
+
+TEST(HistogramDigits, U32MatchesScalarLoop) {
+  histogram_matches_scalar_loop<std::uint32_t>(0x4158);
 }
 
 #if SIMGPU_SIMD_X86

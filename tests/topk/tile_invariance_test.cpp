@@ -32,6 +32,7 @@
 #include "core/topk.hpp"
 #include "data/distributions.hpp"
 #include "simgpu/simgpu.hpp"
+#include "topk/air_topk.hpp"
 #include "topk/fused_rowwise.hpp"
 #include "topk/grid_select.hpp"
 #include "topk/key_codec.hpp"
@@ -341,6 +342,24 @@ INSTANTIATE_TEST_SUITE_P(PartitionRows, TieHeavyInvariance,
                          ::testing::ValuesIn(partition_row_cases(
                              /*large_only=*/true)),
                          case_name);
+
+/// The radix rows at the partition rows' large shapes, both directions: on
+/// two values AIR's last filter hands out tie tickets, on nine values and
+/// adversarial keys every pass re-scans its input.
+std::vector<InvarianceCase> radix_row_cases() {
+  std::vector<InvarianceCase> cases;
+  for (Algo algo : {Algo::kAirTopk, Algo::kAirTopkFusedFilter,
+                    Algo::kRadixSelect, Algo::kStreamRadix}) {
+    for (const bool greatest : {false, true}) {
+      cases.push_back({algo, 1, 70001, 517, greatest});
+      cases.push_back({algo, 3, 10007, 100, greatest});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(RadixRows, TieHeavyInvariance,
+                         ::testing::ValuesIn(radix_row_cases()), case_name);
 
 // ---- typed keys across the same mode grid ---------------------------------
 // The dtype layer must be invisible to the counter stream too: a typed
@@ -1472,6 +1491,23 @@ std::string direction_pin_row(const DirectionPin& p) {
   return buf;
 }
 
+/// Expect the run `t` labelled `label` to match its entry in `recorded`
+/// exactly; on a mismatch print the measured row in table syntax.
+void expect_matches_pin(std::span<const DirectionPin> recorded,
+                        const std::string& label, const DirectionTrace& t) {
+  const DirectionPin got = direction_pin(label.c_str(), t);
+  const DirectionPin* want = nullptr;
+  for (const DirectionPin& rec : recorded) {
+    if (label == rec.label) want = &rec;
+  }
+  const bool same = want != nullptr && got.model_us == want->model_us &&
+                    got.kernels == want->kernels &&
+                    got.stats_digest == want->stats_digest &&
+                    got.output_digest == want->output_digest;
+  EXPECT_TRUE(same) << label << " differs from its recording; measured:\n"
+                    << direction_pin_row(got);
+}
+
 // Recorded on the tree whose rows still got largest-K from the negate wrap
 // (these 13 rows on f32, the six carrier-generic ones on i32): single
 // emulator thread, tile and warpfast on, the default device spec.
@@ -1588,22 +1624,189 @@ TEST(LargestKPin, KernelStatsModeledTimeAndOutputsMatchRecording) {
               std::string(key_type_name(dtype)) +
               (ties ? " ties" : " uniform") + " b" + std::to_string(batch) +
               " n" + std::to_string(n) + " k" + std::to_string(k);
-          const DirectionPin got = direction_pin(
-              label.c_str(),
+          expect_matches_pin(
+              kLargestRecorded, label,
               run_direction(row.algo, dtype, true, keys, batch, n, k));
-          const DirectionPin* want = nullptr;
-          for (const DirectionPin& rec : kLargestRecorded) {
-            if (label == rec.label) want = &rec;
-          }
-          const bool same = want != nullptr &&
-                            got.model_us == want->model_us &&
-                            got.kernels == want->kernels &&
-                            got.stats_digest == want->stats_digest &&
-                            got.output_digest == want->output_digest;
-          EXPECT_TRUE(same) << label << " differs from its recording; "
-                            << "measured:\n" << direction_pin_row(got);
         }
       }
+    }
+  }
+}
+
+// ---- radix rows on re-scan shapes -------------------------------------------
+// AIR re-scans its input on every pass whose candidate count stays at or
+// above N/alpha: on radix-adversarial keys (the first M = 20 bits shared)
+// every pass, on uniform largest-K the first passes.  This pin holds AIR
+// (adaptive, not adaptive, fused last filter), RadixSelect and stream-radix
+// on those keys, on both carriers and in both directions, plus AIR with
+// external input ids: the exact modeled µs, every KernelStats field and the
+// output bits and indices in output order.  Recorded before the radix scans
+// classified whole tiles, under the settings of kLargestRecorded.
+
+/// Radix-adversarial M = 20 keys (floats just above 1.0) as carrier bits:
+/// positive floats, so their bits order alike as f32 and as u32 keys.
+std::vector<std::uint32_t> adversarial_keys(std::size_t count) {
+  const auto v = data::radix_adversarial_values(count, 20, 0xAD);
+  std::vector<std::uint32_t> keys(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    keys[i] = std::bit_cast<std::uint32_t>(v[i]);
+  }
+  return keys;
+}
+
+/// AIR on f32 keys with in_idx bound to ids distinct within each row and
+/// unrelated to positions.
+DirectionTrace run_air_in_idx(bool greatest,
+                              std::span<const std::uint32_t> keys,
+                              std::size_t batch, std::size_t n,
+                              std::size_t k) {
+  simgpu::set_tile_path_enabled(true);
+  simgpu::set_warpfast_path_enabled(true);
+  simgpu::set_pool_enabled(true);
+  simgpu::Device dev;
+  auto in = dev.alloc<float>(batch * n);
+  auto ids = dev.alloc<std::uint32_t>(batch * n);
+  for (std::size_t i = 0; i < batch * n; ++i) {
+    in.data()[i] = std::bit_cast<float>(keys[i]);
+    ids.data()[i] = 0x9E3779B1u ^ (2654435761u * static_cast<std::uint32_t>(i));
+  }
+  auto ov = dev.alloc<float>(batch * k);
+  auto oi = dev.alloc<std::uint32_t>(batch * k);
+  AirTopkOptions opt;
+  opt.in_idx = ids;
+  simgpu::WorkspaceLayout layout;
+  const auto plan = air_topk_plan<float>(Shape{batch, n, k, greatest},
+                                         dev.spec(), opt, layout);
+  simgpu::Workspace ws(dev);
+  ws.bind(layout);
+  air_topk_run(dev, plan, ws, in, ov, oi);
+  DirectionTrace t;
+  for (std::size_t i = 0; i < batch * k; ++i) {
+    t.out_bits.push_back(std::bit_cast<std::uint32_t>(ov.data()[i]));
+  }
+  t.out_idx.assign(oi.data(), oi.data() + batch * k);
+  for (const auto& e : dev.events()) {
+    if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
+      t.trace.kernels.push_back(ke->stats);
+    }
+  }
+  t.trace.model_us = simgpu::CostModel(dev.spec()).total_us(dev.events());
+  return t;
+}
+
+const DirectionPin kRescanRecorded[] = {
+    {"air f32 adversarial smallest b1 n70001 k100", 0x1.6ea00d54ac438p+4, 5, 0xb488740159f05471ull, 0xeeec4019e1b81f3full},
+    {"air-noadaptive f32 adversarial smallest b1 n70001 k100", 0x1.2428c5626d6a3p+5, 5, 0xaae7aa16e9c187bdull, 0xeeec4019e1b81f3full},
+    {"air-fusedfilter f32 adversarial smallest b1 n70001 k100", 0x1.3eef148f0955ep+5, 4, 0xd8364ec5a9656149ull, 0x50760fc9eb23933bull},
+    {"radixselect f32 adversarial smallest b1 n70001 k100", 0x1.6607f4bf42286p+7, 13, 0x1cc72fe969a2a5ebull, 0x43748759c72e5eafull},
+    {"stream-radix f32 adversarial smallest b1 n70001 k100", 0x1.8507f4bf42286p+7, 14, 0x576685ecf165872eull, 0x43748759c72e5eafull},
+    {"air f32 adversarial largest b1 n70001 k100", 0x1.73915fcc8e21cp+4, 5, 0x33c4c399fe927e71ull, 0x74688600219882c0ull},
+    {"air-noadaptive f32 adversarial largest b1 n70001 k100", 0x1.2682829ff17a7p+5, 5, 0x92d2c068e12e418full, 0x74688600219882c0ull},
+    {"air-fusedfilter f32 adversarial largest b1 n70001 k100", 0x1.416a371288196p+5, 4, 0xb2e9700ae267d3a2ull, 0x2f6951158adcf4c8ull},
+    {"radixselect f32 adversarial largest b1 n70001 k100", 0x1.65f20064376b7p+7, 13, 0x576cd87627e7dee4ull, 0xf811c1b36cd227fcull},
+    {"stream-radix f32 adversarial largest b1 n70001 k100", 0x1.84f20064376b7p+7, 14, 0xa8c7d00810257c5bull, 0xf811c1b36cd227fcull},
+    {"air f32 uniform largest b1 n70001 k100", 0x1.5898ccbcacc18p+4, 5, 0xb2e7ed994c9c7547ull, 0x4c125cb6b39af7aaull},
+    {"air-noadaptive f32 uniform largest b1 n70001 k100", 0x1.5365946801979p+4, 5, 0x22007d9139e32ef5ull, 0x4c125cb6b39af7aaull},
+    {"air-fusedfilter f32 uniform largest b1 n70001 k100", 0x1.28a2b1dae4131p+4, 4, 0x84ba1edc67978059ull, 0x4c125cb6b39af7aaull},
+    {"radixselect f32 uniform largest b1 n70001 k100", 0x1.f1fde1eca9fap+6, 10, 0xf8c25660a2b2f791ull, 0x4c125cb6b39af7aaull},
+    {"stream-radix f32 uniform largest b1 n70001 k100", 0x1.17fef0f654fdp+7, 11, 0xa969b09e2cb5956dull, 0x4c125cb6b39af7aaull},
+    {"air u32 adversarial smallest b1 n70001 k100", 0x1.69ad7e39037bp+4, 5, 0x08f7fc0bb587d6f1ull, 0xeeec4019e1b81f3full},
+    {"air-noadaptive u32 adversarial smallest b1 n70001 k100", 0x1.21af7dd49905fp+5, 5, 0x11e8a6507a5a943dull, 0xeeec4019e1b81f3full},
+    {"air-fusedfilter u32 adversarial smallest b1 n70001 k100", 0x1.3c75cd0134f1ap+5, 4, 0x5b21d4edbcb292c9ull, 0x50760fc9eb23933bull},
+    {"radixselect u32 adversarial smallest b1 n70001 k100", 0x1.6607f4bf42286p+7, 13, 0x1cc72fe969a2a5ebull, 0x43748759c72e5eafull},
+    {"stream-radix u32 adversarial smallest b1 n70001 k100", 0x1.8507f4bf42286p+7, 14, 0x576685ecf165872eull, 0x43748759c72e5eafull},
+    {"air u32 adversarial largest b1 n70001 k100", 0x1.7883eee836ea4p+4, 5, 0xffdf85007fb96f51ull, 0x74688600219882c0ull},
+    {"air-noadaptive u32 adversarial largest b1 n70001 k100", 0x1.28fbca2dc5debp+5, 5, 0x79a65284f10994afull, 0x74688600219882c0ull},
+    {"air-fusedfilter u32 adversarial largest b1 n70001 k100", 0x1.43e37ea05c7dap+5, 4, 0xcc02ceb6f6e4be82ull, 0x2f6951158adcf4c8ull},
+    {"radixselect u32 adversarial largest b1 n70001 k100", 0x1.65f20064376b7p+7, 13, 0x576cd87627e7dee4ull, 0xf811c1b36cd227fcull},
+    {"stream-radix u32 adversarial largest b1 n70001 k100", 0x1.84f20064376b7p+7, 14, 0xa8c7d00810257c5bull, 0xf811c1b36cd227fcull},
+    {"air u32 uniform largest b1 n70001 k100", 0x1.47efb6e8ef9f2p+4, 5, 0x3a0ff4fe20f262aaull, 0xca2e6c8602d94d22ull},
+    {"air-noadaptive u32 uniform largest b1 n70001 k100", 0x1.47efb6e8ef9f2p+4, 5, 0x3a0ff4fe20f262aaull, 0xca2e6c8602d94d22ull},
+    {"air-fusedfilter u32 uniform largest b1 n70001 k100", 0x1.17efb6e8ef9f2p+4, 4, 0x5e2a373fa1cb73f3ull, 0xca2e6c8602d94d22ull},
+    {"radixselect u32 uniform largest b1 n70001 k100", 0x1.ce99eae8b330bp+6, 10, 0x8628d1df8695c98dull, 0x9c0271ae81204cdeull},
+    {"stream-radix u32 uniform largest b1 n70001 k100", 0x1.064cf57459986p+7, 11, 0xa6cec6de3c81e2c1ull, 0x9c0271ae81204cdeull},
+    {"air in_idx f32 adversarial smallest b1 n70001 k100", 0x1.3e991e1888c14p+5, 5, 0x4ef4d3ce6781311aull, 0xcbecccf1d55fdd18ull},
+    {"air in_idx f32 adversarial largest b1 n70001 k100", 0x1.4111c75479b06p+5, 5, 0x66807d799017975eull, 0xfb2f9d807453e04aull},
+    {"air f32 adversarial smallest b3 n10007 k64", 0x1.21f2dc6f81f41p+4, 5, 0x4ff93b22ab0115ddull, 0x7a35fdabfbab987dull},
+    {"air-noadaptive f32 adversarial smallest b3 n10007 k64", 0x1.cb1ab6e7d62ap+4, 5, 0xec0027b672fbdbacull, 0x7a35fdabfbab987dull},
+    {"air-fusedfilter f32 adversarial smallest b3 n10007 k64", 0x1.21e404c22ef9cp+4, 4, 0x37069035151dacccull, 0x40260488318f6abdull},
+    {"radixselect f32 adversarial smallest b3 n10007 k64", 0x1.ed0bb8e1a5e75p+8, 39, 0x32933126188d1f6cull, 0x7a35fdabfbab987dull},
+    {"stream-radix f32 adversarial smallest b3 n10007 k64", 0x1.0dc5dc70d2f3ap+9, 42, 0xb49ae70a3c266bd5ull, 0x7a35fdabfbab987dull},
+    {"air f32 adversarial largest b3 n10007 k64", 0x1.26e921767f7b3p+4, 5, 0xb2b18a43d476eab2ull, 0xfa4f1e06a6199224ull},
+    {"air-noadaptive f32 adversarial largest b3 n10007 k64", 0x1.cf59ed3fd44c2p+4, 5, 0xd37cdedae04e5ef9ull, 0xfa4f1e06a6199224ull},
+    {"air-fusedfilter f32 adversarial largest b3 n10007 k64", 0x1.26da49c92c80dp+4, 4, 0xaeddc1fc9f6c1767ull, 0x401036ece03c5854ull},
+    {"radixselect f32 adversarial largest b3 n10007 k64", 0x1.ed03d64d91d24p+8, 39, 0x01bb632062aac3e2ull, 0xfa4f1e06a6199224ull},
+    {"stream-radix f32 adversarial largest b3 n10007 k64", 0x1.0dc1eb26c8e92p+9, 42, 0xb468e54e8a98b929ull, 0xfa4f1e06a6199224ull},
+    {"air f32 uniform largest b3 n10007 k64", 0x1.1d026ea6cc30cp+4, 5, 0xe5806c24a64ddcd2ull, 0x93958698b4694881ull},
+    {"air-noadaptive f32 uniform largest b3 n10007 k64", 0x1.2886cbde96544p+4, 5, 0x90ea484e10c4e00dull, 0x93958698b4694881ull},
+    {"air-fusedfilter f32 uniform largest b3 n10007 k64", 0x1.da04dd4d98617p+3, 4, 0x4fe3e788290a0d45ull, 0x93958698b4694881ull},
+    {"radixselect f32 uniform largest b3 n10007 k64", 0x1.5ce746ec89713p+8, 30, 0xba29cca420f3ad1cull, 0xb548d4a5d5b50ec9ull},
+    {"stream-radix f32 uniform largest b3 n10007 k64", 0x1.8b6746ec89712p+8, 33, 0x306d88ced42e24b2ull, 0xb548d4a5d5b50ec9ull},
+    {"air u32 adversarial smallest b3 n10007 k64", 0x1.1d004d53d92b9p+4, 5, 0x25a0e44c66b20996ull, 0x7a35fdabfbab987dull},
+    {"air-noadaptive u32 adversarial smallest b3 n10007 k64", 0x1.c62827cc2d618p+4, 5, 0x2a8bd447f74d4ac3ull, 0x7a35fdabfbab987dull},
+    {"air-fusedfilter u32 adversarial smallest b3 n10007 k64", 0x1.1cf175a686314p+4, 4, 0xf9e67c7cac76186full, 0x40260488318f6abdull},
+    {"radixselect u32 adversarial smallest b3 n10007 k64", 0x1.ed0bb8e1a5e75p+8, 39, 0x32933126188d1f6cull, 0x7a35fdabfbab987dull},
+    {"stream-radix u32 adversarial smallest b3 n10007 k64", 0x1.0dc5dc70d2f3ap+9, 42, 0xb49ae70a3c266bd5ull, 0x7a35fdabfbab987dull},
+    {"air u32 adversarial largest b3 n10007 k64", 0x1.2bdbb0922843bp+4, 5, 0xeafcc447da528e95ull, 0xfa4f1e06a6199224ull},
+    {"air-noadaptive u32 adversarial largest b3 n10007 k64", 0x1.d44c7c5b7d14ap+4, 5, 0x2736c0caabd2ac26ull, 0xfa4f1e06a6199224ull},
+    {"air-fusedfilter u32 adversarial largest b3 n10007 k64", 0x1.2bccd8e4d5495p+4, 4, 0x29644cc3c2c80a40ull, 0x401036ece03c5854ull},
+    {"radixselect u32 adversarial largest b3 n10007 k64", 0x1.ed03d64d91d24p+8, 39, 0x01bb632062aac3e2ull, 0xfa4f1e06a6199224ull},
+    {"stream-radix u32 adversarial largest b3 n10007 k64", 0x1.0dc1eb26c8e92p+9, 42, 0xb468e54e8a98b929ull, 0xfa4f1e06a6199224ull},
+    {"air u32 uniform largest b3 n10007 k64", 0x1.1fe2075983b3ep+4, 5, 0x6cca7d181dbd3df0ull, 0x215f082b555af584ull},
+    {"air-noadaptive u32 uniform largest b3 n10007 k64", 0x1.1fe2075983b3ep+4, 5, 0x6cca7d181dbd3df0ull, 0x215f082b555af584ull},
+    {"air-fusedfilter u32 uniform largest b3 n10007 k64", 0x1.dfc40eb30767dp+3, 4, 0xb56707193903c3fbull, 0x215f082b555af584ull},
+    {"radixselect u32 uniform largest b3 n10007 k64", 0x1.e42d2be5d8cb1p+7, 21, 0x24c945293e5b8f7bull, 0x484c5289f4901840ull},
+    {"stream-radix u32 uniform largest b3 n10007 k64", 0x1.209695f2ec658p+8, 24, 0x8d5d73dcf39f282cull, 0x484c5289f4901840ull},
+    {"air in_idx f32 adversarial smallest b3 n10007 k64", 0x1.e3587481b4a9ap+4, 5, 0x1466f9bc884376fbull, 0x8409306f311e94beull},
+    {"air in_idx f32 adversarial largest b3 n10007 k64", 0x1.e84eb988b230cp+4, 5, 0x5ecc1c399e7ff57full, 0xa854a07ab2c8f76aull},
+};
+
+TEST(RescanCountPin, KernelStatsModeledTimeAndOutputsMatchRecording) {
+  TileGuard guard;
+  const struct {
+    const char* key;
+    Algo algo;
+  } rows[] = {
+      {"air", Algo::kAirTopk},
+      {"air-noadaptive", Algo::kAirTopkNoAdaptive},
+      {"air-fusedfilter", Algo::kAirTopkFusedFilter},
+      {"radixselect", Algo::kRadixSelect},
+      {"stream-radix", Algo::kStreamRadix},
+  };
+  // Radix-adversarial keys in both directions, uniform keys largest-K.
+  const struct {
+    const char* keys;
+    bool adversarial;
+    bool greatest;
+  } inputs[] = {{"adversarial smallest", true, false},
+                {"adversarial largest", true, true},
+                {"uniform largest", false, true}};
+  const auto check = [](const std::string& label, const DirectionTrace& t) {
+    expect_matches_pin(kRescanRecorded, label, t);
+  };
+  for (const auto& [batch, n, k] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{1, 70001, 100},
+        {3, 10007, 64}}) {
+    const std::string shape = " b" + std::to_string(batch) + " n" +
+                              std::to_string(n) + " k" + std::to_string(k);
+    for (const KeyType dtype : {KeyType::kF32, KeyType::kU32}) {
+      for (const auto& in : inputs) {
+        const auto keys = in.adversarial
+                              ? adversarial_keys(batch * n)
+                              : direction_keys(dtype, false, batch * n);
+        for (const auto& row : rows) {
+          check(std::string(row.key) + " " +
+                    std::string(key_type_name(dtype)) + " " + in.keys + shape,
+                run_direction(row.algo, dtype, in.greatest, keys, batch, n,
+                              k));
+        }
+      }
+    }
+    const auto keys = adversarial_keys(batch * n);
+    for (const bool greatest : {false, true}) {
+      check(std::string("air in_idx f32 adversarial ") +
+                (greatest ? "largest" : "smallest") + shape,
+            run_air_in_idx(greatest, keys, batch, n, k));
     }
   }
 }
