@@ -44,13 +44,14 @@ double run_with_opt(const simgpu::DeviceSpec& spec,
                     Algo algo, const SelectOptions& opt,
                     std::vector<float>* out = nullptr) {
   simgpu::Device dev(spec);
-  simgpu::ScopedWorkspace ws(dev);
   auto in = dev.alloc<float>(n);
   std::copy(data.begin(), data.end(), in.data());
   auto out_vals = dev.alloc<float>(k);
   auto out_idx = dev.alloc<std::uint32_t>(k);
   dev.clear_events();
-  select_device(dev, in, 1, n, k, out_vals, out_idx, algo, opt);
+  const ExecutionPlan plan = plan_select(spec, 1, n, k, algo, opt);
+  simgpu::Workspace ws(dev);
+  run_select(dev, plan, ws, in, out_vals, out_idx);
   if (out) out->assign(out_vals.data(), out_vals.data() + k);
   return simgpu::CostModel(spec).total_us(dev.events());
 }

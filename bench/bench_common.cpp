@@ -13,7 +13,6 @@ RunResult run_algo(const simgpu::DeviceSpec& spec,
                    std::span<const float> data, std::size_t batch,
                    std::size_t n, std::size_t k, Algo algo, bool verify) {
   simgpu::Device dev(spec);
-  simgpu::ScopedWorkspace ws(dev);
   auto in = dev.alloc<float>(batch * n);
   std::copy(data.begin(), data.end(), in.data());
   auto out_vals = dev.alloc<float>(batch * k);
@@ -21,7 +20,9 @@ RunResult run_algo(const simgpu::DeviceSpec& spec,
 
   dev.clear_events();
   const auto t0 = std::chrono::steady_clock::now();
-  select_device(dev, in, batch, n, k, out_vals, out_idx, algo);
+  const ExecutionPlan plan = plan_select(spec, batch, n, k, algo);
+  simgpu::Workspace ws(dev);
+  run_select(dev, plan, ws, in, out_vals, out_idx);
   const auto t1 = std::chrono::steady_clock::now();
 
   RunResult r;

@@ -19,13 +19,14 @@ int main() {
 
   for (Algo algo : {Algo::kRadixSelect, Algo::kAirTopk}) {
     simgpu::Device dev(spec);
-    simgpu::ScopedWorkspace ws(dev);
     auto in = dev.alloc<float>(n);
     std::copy(values.begin(), values.end(), in.data());
     auto out_vals = dev.alloc<float>(k);
     auto out_idx = dev.alloc<std::uint32_t>(k);
     dev.clear_events();
-    select_device(dev, in, 1, n, k, out_vals, out_idx, algo);
+    const ExecutionPlan plan = plan_select(spec, 1, n, k, algo);
+    simgpu::Workspace ws(dev);
+    run_select(dev, plan, ws, in, out_vals, out_idx);
 
     const simgpu::CostModel model(spec);
     const simgpu::Timeline tl = model.simulate(dev.events());

@@ -430,16 +430,6 @@ void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
   run_planned(dev, impl, ws, in, out_vals, out_idx);
 }
 
-void select_device(simgpu::Device& dev, simgpu::DeviceBuffer<float> in,
-                   std::size_t batch, std::size_t n, std::size_t k,
-                   simgpu::DeviceBuffer<float> out_vals,
-                   simgpu::DeviceBuffer<std::uint32_t> out_idx, Algo algo,
-                   const SelectOptions& opt) {
-  const ExecutionPlan plan = plan_select(dev.spec(), batch, n, k, algo, opt);
-  simgpu::Workspace ws(dev);
-  run_select(dev, plan, ws, in, out_vals, out_idx);
-}
-
 bool simcheck_env_enabled() {
   const char* v = std::getenv("TOPK_SIMCHECK");
   return v != nullptr && *v != '\0' && std::string_view(v) != "0";

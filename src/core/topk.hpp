@@ -224,7 +224,7 @@ struct WorkloadHints {
                                        const WorkloadHints& hints = {});
 
 /// Resolve Algo::kAuto into a concrete algorithm via recommend_algorithm
-/// (identity for every other value).  select()/select_batch()/select_device()
+/// (identity for every other value).  select()/select_batch()/plan_select()
 /// call this, so kAuto is usable anywhere a concrete Algo is.
 [[nodiscard]] Algo resolve_algo(Algo algo, std::size_t n, std::size_t k,
                                 std::size_t batch = 1,
@@ -261,7 +261,6 @@ void sort_result_best_first(SelectResult& r, bool greatest,
 
 /// Extra knobs forwarded to the algorithms.
 struct SelectOptions {
-  int alpha = 128;                ///< AIR adaptive threshold (paper §5: 128)
   /// Select the largest K instead of the smallest (the plan's KeyOrder,
   /// topk/key_order.hpp, applied wherever keys are compared).
   bool greatest = false;
@@ -391,16 +390,6 @@ void run_select(simgpu::Device& dev, const ExecutionPlan& plan,
                 simgpu::DeviceBuffer<std::uint32_t> in,
                 simgpu::DeviceBuffer<std::uint32_t> out_vals,
                 simgpu::DeviceBuffer<std::uint32_t> out_idx);
-
-/// Device-side entry point used by the benches: input already resident on
-/// the device, outputs written to device buffers, events recorded on `dev`.
-/// One-shot wrapper over plan_select + run_select with a local workspace
-/// (steady-state callers should cache the plan and reuse a Workspace).
-void select_device(simgpu::Device& dev, simgpu::DeviceBuffer<float> in,
-                   std::size_t batch, std::size_t n, std::size_t k,
-                   simgpu::DeviceBuffer<float> out_vals,
-                   simgpu::DeviceBuffer<std::uint32_t> out_idx, Algo algo,
-                   const SelectOptions& opt = {});
 
 /// True when the TOPK_SIMCHECK environment variable requests the simcheck
 /// sanitizer (set and neither empty nor "0"); read per call so tests can

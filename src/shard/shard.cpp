@@ -193,10 +193,8 @@ ShardedPlan plan_sharded(const simgpu::DeviceSpec& spec, std::size_t n,
   sp.k = k;
   sp.shard_algo = algo;
   sp.merge = merge_site(shards, k, spec);
-  // Shards and the merge plan in the query's direction (the merge row
-  // ignores alpha).
+  // Shards and the merge plan in the query's direction.
   SelectOptions shard_opt;
-  shard_opt.alpha = opt.alpha;
   shard_opt.greatest = opt.greatest;
   // block_chunk yields at most two distinct shard lengths (base + 1 for the
   // leading remainder chunks, base for the rest) — the first and last shard
@@ -282,10 +280,9 @@ ShardedResult Coordinator::select(std::span<const float> data, std::size_t k,
   }
 
   // Every plan of the query, the merge's included, selects in its
-  // direction (the merge row ignores alpha).
+  // direction.
   const KeyOrder<float> ord(cfg_.options.greatest);
   SelectOptions shard_opt;
-  shard_opt.alpha = cfg_.options.alpha;
   shard_opt.greatest = ord.greatest();
 
   const std::size_t devices_used = std::min(S, slots_.size());

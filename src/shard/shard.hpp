@@ -51,8 +51,7 @@ struct ShardConfig {
   /// Per-shard selection algorithm (kAuto recommends at the per-shard
   /// shape via WorkloadHints::shards).
   Algo algo = Algo::kAuto;
-  /// greatest (every plan's direction), sorted (the final result) and
-  /// alpha (the per-shard plans).
+  /// greatest (every plan's direction) and sorted (the final result).
   SelectOptions options{};
 };
 

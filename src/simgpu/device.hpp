@@ -298,7 +298,10 @@ class Device {
 
   void add_chunk(std::size_t capacity) {
     Chunk c;
-    c.storage = std::make_unique<std::byte[]>(capacity + kAlign);
+    // alloc() hands out uninitialized memory, so the chunk is not
+    // zero-filled: its pages are faulted in when first touched rather than
+    // all when the chunk is added.
+    c.storage = std::make_unique_for_overwrite<std::byte[]>(capacity + kAlign);
     const auto addr = reinterpret_cast<std::uintptr_t>(c.storage.get());
     const std::uintptr_t aligned = (addr + kAlign - 1) / kAlign * kAlign;
     c.base = c.storage.get() + (aligned - addr);

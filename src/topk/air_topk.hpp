@@ -29,8 +29,6 @@ struct AirTopkOptions {
   /// does not adopt this design (§3.1).
   bool fuse_last_filter = false;
   int digit_bits = 11;
-  int block_threads = 256;
-  std::size_t items_per_block = 16 * 1024;
   /// Optional input indices (size batch*n).  When set, the reported result
   /// indices are taken from this buffer instead of the positions in `in` —
   /// the RAFT select_k `in_idx` feature used to chain selections (e.g. a
@@ -282,8 +280,7 @@ AirTopkPlan<T> air_topk_plan(const Shape& s, const simgpu::DeviceSpec& spec,
       static_cast<std::uint64_t>(s.n) / static_cast<std::uint64_t>(opt.alpha);
   p.bufcap =
       opt.adaptive ? static_cast<std::size_t>(p.n_over_alpha) + 1 : s.n;
-  p.shape = make_grid(s.batch, s.n, spec, opt.block_threads,
-                      opt.items_per_block);
+  p.shape = make_grid(s.batch, s.n, spec);
 
   p.seg_st = layout.add<std::uint64_t>("air state", s.batch * kNumFields);
   p.seg_hist.reserve(p.passes.size());
@@ -315,7 +312,7 @@ AirTopkPlan<T> air_topk_plan(const Shape& s, const simgpu::DeviceSpec& spec,
       init_binds.push_back({"hist", static_cast<int>(seg)});
     }
     simgpu::record_launch(sched, "air_init", static_cast<int>(s.batch),
-                          opt.block_threads, s.batch, s.n, s.k,
+                          kBlockThreads, s.batch, s.n, s.k,
                           std::move(init_binds));
     const int last_kernel =
         opt.fuse_last_filter ? p.num_passes - 1 : p.num_passes;
@@ -349,7 +346,7 @@ AirTopkPlan<T> air_topk_plan(const Shape& s, const simgpu::DeviceSpec& spec,
           sched,
           is_last_filter ? std::string_view{"last_filter_kernel"}
                          : p.pass_names[static_cast<std::size_t>(pass)],
-          p.shape.total_blocks(), opt.block_threads, s.batch, s.n, s.k,
+          p.shape.total_blocks(), kBlockThreads, s.batch, s.n, s.k,
           std::move(binds));
     }
   }
@@ -423,7 +420,7 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
   // ---- init kernel: control state + histograms (cudaMemsetAsync analogue)
   {
     simgpu::LaunchConfig cfg{"air_init", static_cast<int>(batch),
-                             opt.block_threads, batch, n, k};
+                             kBlockThreads, batch, n, k};
     simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
       const auto prob = static_cast<std::size_t>(ctx.block_idx());
       ctx.store<std::uint64_t>(st, sidx(prob, kKRem), k);
@@ -473,7 +470,7 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
     simgpu::LaunchConfig cfg{
         is_last_filter ? std::string_view{"last_filter_kernel"}
                        : plan.pass_names[static_cast<std::size_t>(p)],
-        shape.total_blocks(), opt.block_threads, batch, n, k};
+        shape.total_blocks(), kBlockThreads, batch, n, k};
 
     simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
       const std::size_t prob = shape.problem_of(ctx.block_idx());

@@ -15,17 +15,11 @@
 
 namespace topk {
 
-/// Options for Bitonic Top-K.
-struct BitonicTopkOptions {
-  int block_threads = 256;
-};
-
 /// Execution plan for Bitonic Top-K: the full halving-pass schedule (with
 /// per-pass kernel names interned once, so running the plan never builds a
 /// string) plus the double-buffer workspace segments.
 template <typename T>
 struct BitonicTopkPlan {
-  BitonicTopkOptions opt;
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
@@ -128,7 +122,6 @@ inline void register_bitonic_topk_footprints() {
 template <typename T>
 BitonicTopkPlan<T> bitonic_topk_plan(const Shape& s,
                                      const simgpu::DeviceSpec& spec,
-                                     const BitonicTopkOptions& opt,
                                      simgpu::WorkspaceLayout& layout,
                                      simgpu::KernelSchedule* sched = nullptr) {
   validate_problem(s.n, s.k, s.batch);
@@ -138,7 +131,6 @@ BitonicTopkPlan<T> bitonic_topk_plan(const Shape& s,
   }
 
   BitonicTopkPlan<T> p;
-  p.opt = opt;
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
@@ -146,7 +138,7 @@ BitonicTopkPlan<T> bitonic_topk_plan(const Shape& s,
   p.cap = next_pow2(s.k);
   p.chunks0 = (s.n + p.cap - 1) / p.cap;
   p.half0 = (p.chunks0 + 1) / 2;
-  p.shape0 = make_grid(s.batch, p.half0 * p.cap, spec, opt.block_threads,
+  p.shape0 = make_grid(s.batch, p.half0 * p.cap, spec, kBlockThreads,
                        8 * p.cap);
 
   std::size_t chunks = p.half0;
@@ -155,7 +147,7 @@ BitonicTopkPlan<T> bitonic_topk_plan(const Shape& s,
     typename BitonicTopkPlan<T>::MergePass mp;
     mp.pairs = (chunks + 1) / 2;
     mp.src_chunks = chunks;
-    mp.shape = make_grid(s.batch, mp.pairs * p.cap, spec, opt.block_threads,
+    mp.shape = make_grid(s.batch, mp.pairs * p.cap, spec, kBlockThreads,
                          8 * p.cap);
     mp.name = simgpu::intern_name("BitonicTopK_merge(" +
                                   std::to_string(pass) + ")");
@@ -191,7 +183,7 @@ BitonicTopkPlan<T> bitonic_topk_plan(const Shape& s,
     cur = 1 - cur;
   }
   simgpu::record_launch(sched, "BitonicTopK_emit", static_cast<int>(s.batch),
-                        opt.block_threads, s.batch, s.n, s.k,
+                        kBlockThreads, s.batch, s.n, s.k,
                         {{"fin_val", static_cast<int>(p.seg_val[cur])},
                          {"fin_idx", static_cast<int>(p.seg_idx[cur])},
                          {"out_vals", simgpu::kBindOutVals},
@@ -443,7 +435,7 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
   // ---- emit the surviving chunk's first K pairs ---------------------------
   {
     simgpu::LaunchConfig cfg{"BitonicTopK_emit", static_cast<int>(batch),
-                             plan.opt.block_threads, batch, n, k};
+                             kBlockThreads, batch, n, k};
     const auto fin_val = work_val[cur];
     const auto fin_idx = work_idx[cur];
     simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {

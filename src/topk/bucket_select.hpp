@@ -17,19 +17,14 @@
 
 namespace topk {
 
-/// Options for the BucketSelect baseline.
-struct BucketSelectOptions {
-  int num_buckets = 256;
-  int block_threads = 256;
-  std::size_t items_per_block = 16 * 1024;
-};
+/// Buckets per BucketSelect refinement level.
+inline constexpr int kBucketSelectBuckets = 256;
 
 /// Execution plan for BucketSelect: validated shape plus workspace segments,
 /// including a host staging segment for the copied-back histogram (the
 /// per-iteration grids are data-dependent arithmetic computed in run()).
 template <typename T>
 struct BucketSelectPlan {
-  BucketSelectOptions opt;
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
@@ -43,8 +38,8 @@ struct BucketSelectPlan {
 };
 
 /// Footprint contracts for the BucketSelect kernels.  Histogram and
-/// candidate bounds are segment-sized (bucket counts are tuning options and
-/// the candidate set shrinks data-dependently); the filter's output writes
+/// candidate bounds are segment-sized (the bucket count is a tuning constant
+/// and the candidate set shrinks data-dependently); the filter's output writes
 /// go through cursor-reserved aggregated appends.
 inline void register_bucket_select_footprints() {
   using simgpu::Access;
@@ -168,18 +163,16 @@ inline void register_bucket_select_footprints() {
 template <typename T>
 BucketSelectPlan<T> bucket_select_plan(const Shape& s,
                                        const simgpu::DeviceSpec& spec,
-                                       const BucketSelectOptions& opt,
                                        simgpu::WorkspaceLayout& layout,
                                        simgpu::KernelSchedule* sched = nullptr) {
   validate_problem(s.n, s.k, s.batch);
 
   BucketSelectPlan<T> p;
-  p.opt = opt;
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
   p.order = KeyOrder<T>(s.greatest);
-  const auto nb = static_cast<std::size_t>(opt.num_buckets);
+  constexpr auto nb = static_cast<std::size_t>(kBucketSelectBuckets);
   p.seg_val[0] = layout.add<T>("bucket cand vals 0", s.n);
   p.seg_val[1] = layout.add<T>("bucket cand vals 1", s.n);
   p.seg_idx[0] = layout.add<std::uint32_t>("bucket cand idx 0", s.n);
@@ -195,8 +188,7 @@ BucketSelectPlan<T> bucket_select_plan(const Shape& s,
     // Nominal per-problem unrolling: two refinement iterations (the first
     // scans the input, the second the ping-pong candidates — together they
     // exercise both buffer sides) followed by the terminal remainder copy.
-    const GridShape shape =
-        make_grid(1, s.n, spec, opt.block_threads, opt.items_per_block);
+    const GridShape shape = make_grid(1, s.n, spec);
     int cur = 0;
     for (int iter = 0; iter < 2; ++iter) {
       const bool fi = (iter == 0);
@@ -211,7 +203,7 @@ BucketSelectPlan<T> bucket_select_plan(const Shape& s,
       }
       reduce_binds.push_back({"minmax", static_cast<int>(p.seg_minmax)});
       simgpu::record_launch(sched, "minmax_reduce", shape.total_blocks(),
-                            opt.block_threads, 1, s.n, s.k,
+                            kBlockThreads, 1, s.n, s.k,
                             std::move(reduce_binds));
       simgpu::record_host(sched, "minmax",
                           {{"minmax", static_cast<int>(p.seg_minmax),
@@ -226,7 +218,7 @@ BucketSelectPlan<T> bucket_select_plan(const Shape& s,
       }
       hist_binds.push_back({"hist", static_cast<int>(p.seg_hist)});
       simgpu::record_launch(sched, "bucket_histogram", shape.total_blocks(),
-                            opt.block_threads, 1, s.n, s.k,
+                            kBlockThreads, 1, s.n, s.k,
                             std::move(hist_binds));
       simgpu::record_host(
           sched, "bucket hist",
@@ -249,12 +241,12 @@ BucketSelectPlan<T> bucket_select_plan(const Shape& s,
       filter_binds.push_back({"dst_val", static_cast<int>(p.seg_val[1 - cur])});
       filter_binds.push_back({"dst_idx", static_cast<int>(p.seg_idx[1 - cur])});
       simgpu::record_launch(sched, "bucket_filter", shape.total_blocks(),
-                            opt.block_threads, 1, s.n, s.k,
+                            kBlockThreads, 1, s.n, s.k,
                             std::move(filter_binds));
       cur = 1 - cur;
     }
     simgpu::record_launch(sched, "CopyRemainder", shape.total_blocks(),
-                          opt.block_threads, 1, s.n, s.k,
+                          kBlockThreads, 1, s.n, s.k,
                           {{"src_val", static_cast<int>(p.seg_val[cur])},
                            {"src_idx", static_cast<int>(p.seg_idx[cur])},
                            {"out_vals", simgpu::kBindOutVals},
@@ -277,13 +269,12 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
   const std::size_t batch = plan.batch;
   const std::size_t n = plan.n;
   const std::size_t k = plan.k;
-  const BucketSelectOptions& opt = plan.opt;
   if (in.size() < batch * n || out_vals.size() < batch * k ||
       out_idx.size() < batch * k) {
     throw std::invalid_argument("bucket_select: buffer too small");
   }
 
-  const int nb = opt.num_buckets;
+  constexpr int nb = kBucketSelectBuckets;
   const KeyOrder<T> ord = plan.order;
   simgpu::DeviceBuffer<T> cand_val[2] = {ws.get<T>(plan.seg_val[0]),
                                          ws.get<T>(plan.seg_val[1])};
@@ -312,11 +303,10 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
       const auto copy_first = [&](std::uint64_t m) {
         const std::uint64_t dst = out_cursor;
         const bool fi = from_input;
-        const GridShape shape = make_grid(1, m, dev.spec(), opt.block_threads,
-                                          opt.items_per_block);
+        const GridShape shape = make_grid(1, m, dev.spec());
         const int bpp = shape.blocks_per_problem;
         simgpu::LaunchConfig cfg{"CopyRemainder", shape.total_blocks(),
-                                 opt.block_threads, 1, n, k};
+                                 kBlockThreads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           const auto [begin, end] = block_chunk(m, bpp, ctx.block_idx());
           copy_candidates(ctx, fi, in, prob * n, src_val, src_idx, begin, end,
@@ -341,13 +331,11 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
           ctx.store<std::uint32_t>(counters, 1, 0);
         });
       }
-      const GridShape shape = make_grid(1, count, dev.spec(),
-                                        opt.block_threads,
-                                        opt.items_per_block);
+      const GridShape shape = make_grid(1, count, dev.spec());
       const int bpp = shape.blocks_per_problem;
       {
         simgpu::LaunchConfig cfg{"minmax_reduce", shape.total_blocks(),
-                                 opt.block_threads, 1, n, k};
+                                 kBlockThreads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
           T lo = std::numeric_limits<T>::max();
@@ -407,7 +395,7 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
       }
       {
         simgpu::LaunchConfig cfg{"bucket_histogram", shape.total_blocks(),
-                                 opt.block_threads, 1, n, k};
+                                 kBlockThreads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           auto shist =
               ctx.shared_zero<std::uint32_t>(static_cast<std::size_t>(nb));
@@ -457,7 +445,7 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
       const std::uint64_t out_base = out_cursor;
       {
         simgpu::LaunchConfig cfg{"bucket_filter", shape.total_blocks(),
-                                 opt.block_threads, 1, n, k};
+                                 kBlockThreads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
           AggregatedAppender<T, std::uint32_t> out_app(

@@ -14,12 +14,12 @@
 namespace topk {
 
 /// The problem shape every two-phase plan is built from: the batched
-/// (batch, n, k) triple plus the selection direction.  Algorithm flags that
-/// vary per algorithm (alpha, digit widths, queue shapes) live in the
-/// per-algorithm Options structs, which the plan functions take alongside
-/// the Shape.  The direction has one home: every plan function turns
-/// `greatest` into its KeyOrder (topk/key_order.hpp), which every
-/// comparison, sentinel and packed key of the row goes through.
+/// (batch, n, k) triple plus the selection direction.  The few per-algorithm
+/// knobs callers set (AIR's ablation flags, GridSelect's queue design, input
+/// ids) live in the Options structs of those rows, which their plan
+/// functions take alongside the Shape.  The direction has one home: every
+/// plan function turns `greatest` into its KeyOrder (topk/key_order.hpp),
+/// which every comparison, sentinel and packed key of the row goes through.
 struct Shape {
   std::size_t batch = 1;
   std::size_t n = 0;
@@ -27,12 +27,19 @@ struct Shape {
   bool greatest = false;
 };
 
+/// Launch tuning shared by the radix and partition rows: 256-thread blocks,
+/// each owning up to 16 Ki elements of a scan, and at most 4096 blocks per
+/// batched launch.
+inline constexpr int kBlockThreads = 256;
+inline constexpr std::size_t kItemsPerBlock = 16 * 1024;
+inline constexpr std::size_t kMaxTotalBlocks = 4096;
+
 /// Grid shape for a batched data-parallel kernel: every problem of the batch
 /// gets the same number of blocks, laid out problem-major
 /// (block_idx = problem * blocks_per_problem + block_in_problem).
 struct GridShape {
   int blocks_per_problem = 1;
-  int block_threads = 256;
+  int block_threads = kBlockThreads;
   std::size_t batch = 1;
 
   [[nodiscard]] int total_blocks() const {
@@ -52,9 +59,8 @@ struct GridShape {
 /// huge batches do not drown the (simulated) block scheduler.
 inline GridShape make_grid(std::size_t batch, std::size_t n,
                            const simgpu::DeviceSpec& spec,
-                           int block_threads = 256,
-                           std::size_t items_per_block = 16 * 1024,
-                           int max_total_blocks = 4096) {
+                           int block_threads = kBlockThreads,
+                           std::size_t items_per_block = kItemsPerBlock) {
   GridShape g;
   g.batch = batch;
   g.block_threads = block_threads;
@@ -62,8 +68,7 @@ inline GridShape make_grid(std::size_t batch, std::size_t n,
   const std::size_t device_cap =
       static_cast<std::size_t>(2 * spec.sm_count);
   const std::size_t per_problem_cap = std::max<std::size_t>(
-      1, static_cast<std::size_t>(max_total_blocks) / std::max<std::size_t>(
-                                                           1, batch));
+      1, kMaxTotalBlocks / std::max<std::size_t>(1, batch));
   g.blocks_per_problem = static_cast<int>(
       std::clamp<std::size_t>(std::min(needed, device_cap), 1,
                               per_problem_cap));

@@ -20,10 +20,6 @@ namespace topk {
 /// Options for the fused row-wise family (serving-shaped batches: many rows
 /// of small-to-mid n — MoE routing, attention sparsity, ANN re-ranking).
 struct FusedRowwiseOptions {
-  /// Warp variant: independent rows packed into one block, one warp each.
-  int rows_per_block = 8;
-  /// Block variant: warps cooperating on one row (shrunk to shared memory).
-  int warps_per_block = 8;
   /// Optional input indices (size batch*n), as in RAFT's select_k: result
   /// indices are taken from here instead of row positions — the natural
   /// shape for re-ranking shortlists that carry original candidate ids.
@@ -159,10 +155,9 @@ FusedRowwisePlan<T> fused_rowwise_plan(const Shape& s,
   register_fused_rowwise_footprints();
 
   if (!block_variant) {
+    // Warp variant: independent rows packed into one block, one warp each.
     p.rows_per_block = static_cast<int>(std::min<std::size_t>(
-        s.batch,
-        static_cast<std::size_t>(
-            std::clamp(opt.rows_per_block, 1, simgpu::kMaxWarpsPerBlock))));
+        s.batch, static_cast<std::size_t>(kQueueWarpsPerBlock)));
     p.grid = static_cast<int>(
         (s.batch + static_cast<std::size_t>(p.rows_per_block) - 1) /
         static_cast<std::size_t>(p.rows_per_block));
@@ -179,7 +174,7 @@ FusedRowwisePlan<T> fused_rowwise_plan(const Shape& s,
   // Block variant: one block of shared-queue warps per row.  Shrink the
   // warp count until the per-warp queue + list state fits shared memory,
   // exactly as grid_select does.
-  p.num_warps = std::clamp(opt.warps_per_block, 1, simgpu::kMaxWarpsPerBlock);
+  p.num_warps = kQueueWarpsPerBlock;
   const std::size_t per_warp_shared =
       (simgpu::kWarpSize + p.cap) * (sizeof(T) + sizeof(std::uint32_t));
   while (p.num_warps > 1 && static_cast<std::size_t>(p.num_warps) *

@@ -18,10 +18,14 @@
 
 namespace topk {
 
+/// Warps per block of GridSelect and the fused row-wise launches (one warp
+/// per row in the fused warp variant).  GridSelect and the fused block
+/// variant halve it until their queues fit shared memory.
+inline constexpr int kQueueWarpsPerBlock = 8;
+
 /// Options for GridSelect (paper §4).
 struct GridSelectOptions {
-  int warps_per_block = 8;
-  std::size_t items_per_block = 16 * 1024;
+  std::size_t items_per_block = kItemsPerBlock;
   /// false reproduces the Fig. 11 ablation: per-thread register queues
   /// (BlockSelect-style) inside the multi-block structure.
   bool shared_queue = true;
@@ -411,7 +415,7 @@ GridSelectPlan<T> grid_select_plan(const Shape& s,
   // Shrink the block until the per-warp queue + list state fits the
   // device's shared memory (large K on small-shared-memory devices like
   // the A10 runs with fewer warps per block).
-  p.num_warps = std::min(opt.warps_per_block, simgpu::kMaxWarpsPerBlock);
+  p.num_warps = kQueueWarpsPerBlock;
   const std::size_t per_warp_shared =
       (simgpu::kWarpSize + p.cap) * (sizeof(T) + sizeof(std::uint32_t));
   while (p.num_warps > 1 && static_cast<std::size_t>(p.num_warps) *

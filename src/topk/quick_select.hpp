@@ -14,12 +14,6 @@
 
 namespace topk {
 
-/// Options for the QuickSelect baseline.
-struct QuickSelectOptions {
-  int block_threads = 256;
-  std::size_t items_per_block = 16 * 1024;
-};
-
 /// Execution plan for QuickSelect.  The recursion itself is data-dependent
 /// (grids are sized per iteration from live candidate counts — pure
 /// arithmetic, no allocation), so the plan is just the validated shape plus
@@ -27,7 +21,6 @@ struct QuickSelectOptions {
 /// to be allocated inside the loop.
 template <typename T>
 struct QuickSelectPlan {
-  QuickSelectOptions opt;
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
@@ -154,13 +147,11 @@ inline void register_quick_select_footprints() {
 template <typename T>
 QuickSelectPlan<T> quick_select_plan(const Shape& s,
                                      const simgpu::DeviceSpec& spec,
-                                     const QuickSelectOptions& opt,
                                      simgpu::WorkspaceLayout& layout,
                                      simgpu::KernelSchedule* sched = nullptr) {
   validate_problem(s.n, s.k, s.batch);
 
   QuickSelectPlan<T> p;
-  p.opt = opt;
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
@@ -183,8 +174,7 @@ QuickSelectPlan<T> quick_select_plan(const Shape& s,
     // Nominal per-problem unrolling: two partition iterations (input first,
     // then the rotated less-side buffer as if k_rem landed strictly below
     // the pivot) and the terminal less+equal collection.
-    const GridShape shape =
-        make_grid(1, s.n, spec, opt.block_threads, opt.items_per_block);
+    const GridShape shape = make_grid(1, s.n, spec);
     int src = 0, d_less = 1, d_greater = 2;
     for (int iter = 0; iter < 2; ++iter) {
       const bool fi = (iter == 0);
@@ -219,7 +209,7 @@ QuickSelectPlan<T> quick_select_plan(const Shape& s,
       part_binds.push_back(
           {"greater_idx", static_cast<int>(p.seg_idx[d_greater])});
       simgpu::record_launch(sched, "partition", shape.total_blocks(),
-                            opt.block_threads, 1, s.n, s.k,
+                            kBlockThreads, 1, s.n, s.k,
                             std::move(part_binds));
       simgpu::record_host(sched, "part counts",
                           {{"counters", static_cast<int>(p.seg_counters),
@@ -227,13 +217,13 @@ QuickSelectPlan<T> quick_select_plan(const Shape& s,
       std::swap(src, d_less);
     }
     simgpu::record_launch(sched, "collect_results", shape.total_blocks(),
-                          opt.block_threads, 1, s.n, s.k,
+                          kBlockThreads, 1, s.n, s.k,
                           {{"src_val", static_cast<int>(p.seg_val[src])},
                            {"src_idx", static_cast<int>(p.seg_idx[src])},
                            {"out_vals", simgpu::kBindOutVals},
                            {"out_idx", simgpu::kBindOutIdx}});
     simgpu::record_launch(sched, "collect_results", shape.total_blocks(),
-                          opt.block_threads, 1, s.n, s.k,
+                          kBlockThreads, 1, s.n, s.k,
                           {{"src_val", static_cast<int>(p.seg_eq_val)},
                            {"src_idx", static_cast<int>(p.seg_eq_idx)},
                            {"out_vals", simgpu::kBindOutVals},
@@ -258,7 +248,6 @@ void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
   const std::size_t batch = plan.batch;
   const std::size_t n = plan.n;
   const std::size_t k = plan.k;
-  const QuickSelectOptions& opt = plan.opt;
   const KeyOrder<T> ord = plan.order;
   if (in.size() < batch * n || out_vals.size() < batch * k ||
       out_idx.size() < batch * k) {
@@ -284,11 +273,10 @@ void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
                             simgpu::DeviceBuffer<std::uint32_t> ix,
                             std::uint64_t dst, std::uint64_t m) {
     if (m == 0) return;
-    const GridShape shape =
-        make_grid(1, m, dev.spec(), opt.block_threads, opt.items_per_block);
+    const GridShape shape = make_grid(1, m, dev.spec());
     const int bpp = shape.blocks_per_problem;
     simgpu::LaunchConfig cfg{"collect_results", shape.total_blocks(),
-                             opt.block_threads, 1, n, k};
+                             kBlockThreads, 1, n, k};
     simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
       const auto [begin, end] = block_chunk(m, bpp, ctx.block_idx());
       copy_candidates(ctx, fi, in, prob * n, v, ix, begin, end, out_vals,
@@ -345,9 +333,7 @@ void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
           ctx.store<std::uint32_t>(counters, 2, 0);
         });
       }
-      const GridShape shape = make_grid(1, count, dev.spec(),
-                                        opt.block_threads,
-                                        opt.items_per_block);
+      const GridShape shape = make_grid(1, count, dev.spec());
       const int bpp = shape.blocks_per_problem;
       const auto less_val = bv[d_less];
       const auto less_idx = bi[d_less];
@@ -355,7 +341,7 @@ void quick_select_run(simgpu::Device& dev, const QuickSelectPlan<T>& plan,
       const auto greater_idx = bi[d_greater];
       {
         simgpu::LaunchConfig cfg{"partition", shape.total_blocks(),
-                                 opt.block_threads, 1, n, k};
+                                 kBlockThreads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
           // GpuSelection partitions with warp-aggregated atomics: one

@@ -14,13 +14,6 @@
 
 namespace topk {
 
-/// Options for the host-managed RadixSelect baseline.
-struct RadixSelectOptions {
-  int digit_bits = 8;  ///< 8-bit digits / 256 buckets, as in DrTopK
-  int block_threads = 256;
-  std::size_t items_per_block = 16 * 1024;
-};
-
 /// The host-driven radix pass loop: one k-selection over `count` source
 /// elements, shared by RadixSelect (one loop per batch row) and the
 /// streaming large-K row (one per chunk and per union fold).  Per pass the
@@ -31,17 +24,17 @@ struct RadixSelectOptions {
 /// The direction is the Shape's KeyOrder: `order` (its radix_mask) is
 /// xor-ed into every radix key, so the smallest masked key is always the
 /// best.  The kernel names belong to the owning plan, so each row keeps its
-/// own KernelStats, footprints and schedule.
+/// own KernelStats, footprints and schedule.  Digits are 8 bits wide (256
+/// buckets), as in DrTopK.
 template <typename T>
 struct RadixPassLoop {
   using Bits = typename RadixTraits<T>::Bits;
+  static constexpr int kDigitBits = 8;
+  static constexpr int kBuckets = 1 << kDigitBits;
+  static constexpr std::uint32_t kMask = kBuckets - 1;
 
   std::size_t n = 0;  ///< row length (launch shape context only)
   std::size_t k = 0;  ///< winners per loop
-  int block_threads = 256;
-  std::size_t items_per_block = 16 * 1024;
-  int nb = 0;
-  std::uint32_t mask = 0;
   Bits order = 0;  ///< 0 selects the smallest K, all-ones the largest
 
   struct Pass {
@@ -62,9 +55,9 @@ struct RadixPassLoop {
 namespace radix_detail {
 
 /// Operand lists of the loop's kernels, registered by each row under its
-/// own kernel names.  The histogram and candidate bounds are segment-sized
-/// because the bucket count and candidate capacity are tuning options that
-/// must not be folded into a shape-generic contract.
+/// own kernel names.  The histogram and candidate bounds are segment-sized:
+/// the candidate capacity is each row's choice (n for RadixSelect, a chunk
+/// for stream-radix), which no shape-generic contract covers.
 inline std::vector<simgpu::OperandSpec> memset_operands() {
   using simgpu::Access;
   using simgpu::AffineVar;
@@ -121,35 +114,31 @@ inline std::vector<simgpu::OperandSpec> filter_operands(
 /// Plan one radix pass loop: the per-pass digit schedule (kernel names are
 /// left for the owning plan to intern) and its workspace segments, with
 /// `cand_cap` elements per candidate buffer.
-template <typename T, typename Options>
-RadixPassLoop<T> radix_pass_loop_plan(const Shape& s, const Options& opt,
-                                      std::size_t cand_cap,
+template <typename T>
+RadixPassLoop<T> radix_pass_loop_plan(const Shape& s, std::size_t cand_cap,
                                       simgpu::WorkspaceLayout& layout) {
   using Traits = RadixTraits<T>;
-  RadixPassLoop<T> l;
+  using Loop = RadixPassLoop<T>;
+  Loop l;
   l.n = s.n;
   l.k = s.k;
-  l.block_threads = opt.block_threads;
-  l.items_per_block = opt.items_per_block;
-  l.nb = 1 << opt.digit_bits;
-  l.mask = static_cast<std::uint32_t>(l.nb - 1);
   l.order = KeyOrder<T>(s.greatest).radix_mask();
   const int num_passes =
-      (Traits::kBits + opt.digit_bits - 1) / opt.digit_bits;
+      (Traits::kBits + Loop::kDigitBits - 1) / Loop::kDigitBits;
   l.passes.resize(static_cast<std::size_t>(num_passes));
   for (int pass = 0; pass < num_passes; ++pass) {
     l.passes[static_cast<std::size_t>(pass)].start_bit =
-        std::max(0, Traits::kBits - (pass + 1) * opt.digit_bits);
+        std::max(0, Traits::kBits - (pass + 1) * Loop::kDigitBits);
   }
   l.seg_hist = layout.add<std::uint32_t>("radix digit histogram",
-                                         static_cast<std::size_t>(l.nb));
+                                         Loop::kBuckets);
   l.seg_counters = layout.add<std::uint32_t>("radix cursors", 2);
   l.seg_val[0] = layout.add<T>("radix cand vals 0", cand_cap);
   l.seg_val[1] = layout.add<T>("radix cand vals 1", cand_cap);
   l.seg_idx[0] = layout.add<std::uint32_t>("radix cand idx 0", cand_cap);
   l.seg_idx[1] = layout.add<std::uint32_t>("radix cand idx 1", cand_cap);
-  l.seg_host_hist = layout.add<std::uint32_t>(
-      "radix host hist", static_cast<std::size_t>(l.nb), /*host=*/true);
+  l.seg_host_hist = layout.add<std::uint32_t>("radix host hist", Loop::kBuckets,
+                                              /*host=*/true);
   return l;
 }
 
@@ -167,15 +156,13 @@ void record_radix_pass_loop(simgpu::KernelSchedule* sched,
                             const simgpu::OperandBind& win_val,
                             const simgpu::OperandBind& win_idx) {
   const auto seg = [](std::size_t id) { return static_cast<int>(id); };
-  const int grid =
-      make_grid(1, count, spec, l.block_threads, l.items_per_block)
-          .total_blocks();
+  const int grid = make_grid(1, count, spec).total_blocks();
   int cur = 0;
   for (std::size_t pass = 0; pass < l.passes.size(); ++pass) {
     const bool from_input = pass == 0 && src_val == simgpu::kBindInput;
     const int sv = pass == 0 ? src_val : seg(l.seg_val[cur]);
     const int si = pass == 0 ? src_idx : seg(l.seg_idx[cur]);
-    simgpu::record_launch(sched, "Memset", 1, l.block_threads, 1, l.n, l.k,
+    simgpu::record_launch(sched, "Memset", 1, kBlockThreads, 1, l.n, l.k,
                           {{"hist", seg(l.seg_hist)},
                            {"counters", seg(l.seg_counters)}});
     std::vector<simgpu::OperandBind> hist_binds;
@@ -190,8 +177,7 @@ void record_radix_pass_loop(simgpu::KernelSchedule* sched,
     }
     hist_binds.push_back({"hist", seg(l.seg_hist)});
     simgpu::record_launch(sched, l.passes[pass].hist_name, grid,
-                          l.block_threads, 1, l.n, l.k,
-                          std::move(hist_binds));
+                          kBlockThreads, 1, l.n, l.k, std::move(hist_binds));
     simgpu::record_host(
         sched, "histogram",
         {{"hist", seg(l.seg_hist), simgpu::Access::kRead},
@@ -205,11 +191,10 @@ void record_radix_pass_loop(simgpu::KernelSchedule* sched,
     filter_binds.push_back({"dst_val", seg(l.seg_val[1 - cur])});
     filter_binds.push_back({"dst_idx", seg(l.seg_idx[1 - cur])});
     simgpu::record_launch(sched, l.passes[pass].filter_name, grid,
-                          l.block_threads, 1, l.n, l.k,
-                          std::move(filter_binds));
+                          kBlockThreads, 1, l.n, l.k, std::move(filter_binds));
     cur = 1 - cur;
   }
-  simgpu::record_launch(sched, l.take_name, 1, l.block_threads, 1, l.n, l.k,
+  simgpu::record_launch(sched, l.take_name, 1, kBlockThreads, 1, l.n, l.k,
                         {{"src_val", seg(l.seg_val[cur])},
                          {"src_idx", seg(l.seg_idx[cur])},
                          win_val, win_idx});
@@ -232,8 +217,8 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
 
   const std::size_t n = l.n;
   const std::size_t k = l.k;
-  const int nb = l.nb;
-  const std::uint32_t mask = l.mask;
+  constexpr int nb = RadixPassLoop<T>::kBuckets;
+  constexpr std::uint32_t mask = RadixPassLoop<T>::kMask;
   const Bits order = l.order;
   auto ghist = ws.get<std::uint32_t>(l.seg_hist);
   auto counters = ws.get<std::uint32_t>(l.seg_counters);
@@ -269,7 +254,7 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
 
     // ---- kernel 0: cudaMemset analogue for histogram + cursors -----------
     {
-      simgpu::LaunchConfig cfg{"Memset", 1, l.block_threads, 1, n, k};
+      simgpu::LaunchConfig cfg{"Memset", 1, kBlockThreads, 1, n, k};
       simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
         for (int d = 0; d < nb; ++d) {
           ctx.store<std::uint32_t>(ghist, static_cast<std::size_t>(d), 0);
@@ -280,12 +265,11 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
     }
 
     // ---- kernel 1: histogram over the current candidates -----------------
-    const GridShape hshape = make_grid(1, count, dev.spec(), l.block_threads,
-                                       l.items_per_block);
+    const GridShape hshape = make_grid(1, count, dev.spec());
     const int bpp = hshape.blocks_per_problem;
     {
       simgpu::LaunchConfig cfg{l.passes[p].hist_name, hshape.total_blocks(),
-                               l.block_threads, 1, n, k};
+                               kBlockThreads, 1, n, k};
       simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
         auto shist =
             ctx.shared_zero<std::uint32_t>(static_cast<std::size_t>(nb));
@@ -334,7 +318,7 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
     // ---- kernel 2: filter (winners out, ties to the other buffer) --------
     {
       simgpu::LaunchConfig cfg{l.passes[p].filter_name, hshape.total_blocks(),
-                               l.block_threads, 1, n, k};
+                               kBlockThreads, 1, n, k};
       const std::uint64_t out_cursor_base = win_base + out_written;
       simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
         const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
@@ -389,7 +373,7 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
       const auto fin_val = cand_val[cur];
       const auto fin_idx = cand_idx[cur];
       const std::uint64_t out_cursor_base = win_base + out_written;
-      simgpu::LaunchConfig cfg{l.take_name, 1, l.block_threads, 1, n, k};
+      simgpu::LaunchConfig cfg{l.take_name, 1, kBlockThreads, 1, n, k};
       simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
         copy_pairs(ctx, fin_val, fin_idx, 0, win_val, win_idx,
                    out_cursor_base, take);
@@ -433,14 +417,13 @@ inline void register_radix_select_footprints() {
 template <typename T>
 RadixSelectPlan<T> radix_select_plan(const Shape& s,
                                      const simgpu::DeviceSpec& spec,
-                                     const RadixSelectOptions& opt,
                                      simgpu::WorkspaceLayout& layout,
                                      simgpu::KernelSchedule* sched = nullptr) {
   validate_problem(s.n, s.k, s.batch);
 
   RadixSelectPlan<T> p;
   p.batch = s.batch;
-  p.loop = radix_pass_loop_plan<T>(s, opt, s.n, layout);
+  p.loop = radix_pass_loop_plan<T>(s, s.n, layout);
   for (std::size_t pass = 0; pass < p.loop.passes.size(); ++pass) {
     const std::string id = std::to_string(pass);
     p.loop.passes[pass].hist_name =

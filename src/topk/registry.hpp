@@ -86,9 +86,8 @@ void on_carrier(const PlanImpl& impl, F&& plan) {
 
 /// One AirTopkOptions for all four AIR table rows: the ablation variants are
 /// flag deltas on the same planner, not separate implementations.
-inline AirTopkOptions air_options_for(Algo algo, const SelectOptions& opt) {
+inline AirTopkOptions air_options_for(Algo algo) {
   AirTopkOptions o;
-  o.alpha = opt.alpha;
   if (algo == Algo::kAirTopkNoAdaptive) o.adaptive = false;
   if (algo == Algo::kAirTopkNoEarlyStop) o.early_stopping = false;
   if (algo == Algo::kAirTopkFusedFilter) o.fuse_last_filter = true;
@@ -96,10 +95,10 @@ inline AirTopkOptions air_options_for(Algo algo, const SelectOptions& opt) {
 }
 
 inline void plan_air(PlanImpl& impl, const simgpu::DeviceSpec& spec,
-                     const SelectOptions& opt) {
+                     const SelectOptions&) {
   on_carrier(impl, [&](auto key) {
     impl.plan = air_topk_plan<decltype(key)>(impl.shape, spec,
-                                             air_options_for(impl.algo, opt),
+                                             air_options_for(impl.algo),
                                              impl.layout, &impl.schedule);
   });
 }
@@ -117,8 +116,8 @@ inline void plan_grid(PlanImpl& impl, const simgpu::DeviceSpec& spec,
 inline void plan_radix(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                        const SelectOptions&) {
   on_carrier(impl, [&](auto key) {
-    impl.plan = radix_select_plan<decltype(key)>(impl.shape, spec, {},
-                                                 impl.layout, &impl.schedule);
+    impl.plan = radix_select_plan<decltype(key)>(impl.shape, spec, impl.layout,
+                                                 &impl.schedule);
   });
 }
 
@@ -143,16 +142,16 @@ inline void plan_block(PlanImpl& impl, const simgpu::DeviceSpec& spec,
 inline void plan_bitonic(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                          const SelectOptions&) {
   on_carrier(impl, [&](auto key) {
-    impl.plan = bitonic_topk_plan<decltype(key)>(impl.shape, spec, {},
-                                                 impl.layout, &impl.schedule);
+    impl.plan = bitonic_topk_plan<decltype(key)>(impl.shape, spec, impl.layout,
+                                                 &impl.schedule);
   });
 }
 
 inline void plan_sort(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                       const SelectOptions&) {
   on_carrier(impl, [&](auto key) {
-    impl.plan = sort_topk_plan<decltype(key)>(impl.shape, spec, {},
-                                              impl.layout, &impl.schedule);
+    impl.plan = sort_topk_plan<decltype(key)>(impl.shape, spec, impl.layout,
+                                              &impl.schedule);
   });
 }
 
@@ -166,19 +165,19 @@ inline void plan_stream_radix(PlanImpl& impl, const simgpu::DeviceSpec& spec,
 
 inline void plan_quick(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                        const SelectOptions&) {
-  impl.plan = quick_select_plan<float>(impl.shape, spec, {}, impl.layout,
+  impl.plan = quick_select_plan<float>(impl.shape, spec, impl.layout,
                                        &impl.schedule);
 }
 
 inline void plan_bucket(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                         const SelectOptions&) {
-  impl.plan = bucket_select_plan<float>(impl.shape, spec, {}, impl.layout,
+  impl.plan = bucket_select_plan<float>(impl.shape, spec, impl.layout,
                                         &impl.schedule);
 }
 
 inline void plan_sample(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                         const SelectOptions&) {
-  impl.plan = sample_select_plan<float>(impl.shape, spec, {}, impl.layout,
+  impl.plan = sample_select_plan<float>(impl.shape, spec, impl.layout,
                                         &impl.schedule);
 }
 
@@ -198,7 +197,7 @@ inline void plan_fused_block(PlanImpl& impl, const simgpu::DeviceSpec& spec,
 
 inline void plan_shard_merge(PlanImpl& impl, const simgpu::DeviceSpec& spec,
                              const SelectOptions&) {
-  impl.plan = shard_merge_plan<float>(impl.shape, spec, {}, impl.layout,
+  impl.plan = shard_merge_plan<float>(impl.shape, spec, impl.layout,
                                       &impl.schedule);
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -15,14 +14,13 @@
 
 namespace topk {
 
-/// Options for the SampleSelect baseline.
-struct SampleSelectOptions {
-  int num_buckets = 256;       ///< buckets per level (255 splitters)
-  std::size_t sample_size = 1024;
-  std::size_t small_threshold = 4096;  ///< final on-chip sort below this
-  int block_threads = 256;
-  std::size_t items_per_block = 16 * 1024;
-};
+/// SampleSelect's tuning: 256 buckets per level (255 splitters, so every
+/// splitter search takes exactly 8 probes), a 1024-element sample, and a
+/// final on-chip sort once at most 4096 candidates remain.
+inline constexpr int kSplitterProbes = 8;
+inline constexpr int kSampleBuckets = 1 << kSplitterProbes;
+inline constexpr std::size_t kSampleSize = 1024;
+inline constexpr std::size_t kSampleSmallThreshold = 4096;
 
 /// Execution plan for SampleSelect: validated shape plus workspace segments.
 /// Host staging for the copied-back sample, the splitters (sorted on the
@@ -30,7 +28,6 @@ struct SampleSelectOptions {
 /// upload_recorded — the allocation-free H2D path) and the class histogram.
 template <typename T>
 struct SampleSelectPlan {
-  SampleSelectOptions opt;
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
@@ -189,29 +186,27 @@ inline void register_sample_select_footprints() {
 template <typename T>
 SampleSelectPlan<T> sample_select_plan(const Shape& s,
                                        const simgpu::DeviceSpec& spec,
-                                       const SampleSelectOptions& opt,
                                        simgpu::WorkspaceLayout& layout,
                                        simgpu::KernelSchedule* sched = nullptr) {
   validate_problem(s.n, s.k, s.batch);
 
   SampleSelectPlan<T> p;
-  p.opt = opt;
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
   p.order = KeyOrder<T>(s.greatest);
-  const auto nb = static_cast<std::size_t>(opt.num_buckets);
+  constexpr auto nb = static_cast<std::size_t>(kSampleBuckets);
   p.seg_val[0] = layout.add<T>("sample cand vals 0", s.n);
   p.seg_val[1] = layout.add<T>("sample cand vals 1", s.n);
   p.seg_idx[0] = layout.add<std::uint32_t>("sample cand idx 0", s.n);
   p.seg_idx[1] = layout.add<std::uint32_t>("sample cand idx 1", s.n);
   p.seg_hist = layout.add<std::uint32_t>("sample bucket histogram", nb);
   p.seg_counters = layout.add<std::uint32_t>("sample cursors", 2);
-  p.seg_sample = layout.add<T>("sample probe", opt.sample_size);
+  p.seg_sample = layout.add<T>("sample probe", kSampleSize);
   p.seg_splitters = layout.add<T>("splitters", nb - 1);
   p.seg_host_hist = layout.add<std::uint32_t>("sample host hist", nb,
                                               /*host=*/true);
-  p.seg_host_sample = layout.add<T>("sample host buf", opt.sample_size,
+  p.seg_host_sample = layout.add<T>("sample host buf", kSampleSize,
                                     /*host=*/true);
   p.seg_host_split = layout.add<T>("sample host split", nb - 1,
                                    /*host=*/true);
@@ -220,8 +215,7 @@ SampleSelectPlan<T> sample_select_plan(const Shape& s,
     register_sample_select_footprints();
     // Nominal per-problem unrolling: two splitter levels (input, then the
     // ping-pong candidates) followed by the terminal on-chip sort.
-    const GridShape shape =
-        make_grid(1, s.n, spec, opt.block_threads, opt.items_per_block);
+    const GridShape shape = make_grid(1, s.n, spec);
     int cur = 0;
     for (int level = 0; level < 2; ++level) {
       const bool fi = (level == 0);
@@ -232,7 +226,7 @@ SampleSelectPlan<T> sample_select_plan(const Shape& s,
         sample_binds.push_back({"src_val", static_cast<int>(p.seg_val[cur])});
       }
       sample_binds.push_back({"sample", static_cast<int>(p.seg_sample)});
-      simgpu::record_launch(sched, "sample", 1, opt.block_threads, 1, s.n,
+      simgpu::record_launch(sched, "sample", 1, kBlockThreads, 1, s.n,
                             s.k, std::move(sample_binds));
       simgpu::record_host(
           sched, "sample",
@@ -263,7 +257,7 @@ SampleSelectPlan<T> sample_select_plan(const Shape& s,
       hist_binds.push_back({"splitters", static_cast<int>(p.seg_splitters)});
       hist_binds.push_back({"hist", static_cast<int>(p.seg_hist)});
       simgpu::record_launch(sched, "sample_histogram", shape.total_blocks(),
-                            opt.block_threads, 1, s.n, s.k,
+                            kBlockThreads, 1, s.n, s.k,
                             std::move(hist_binds));
       simgpu::record_host(
           sched, "class histogram",
@@ -287,11 +281,11 @@ SampleSelectPlan<T> sample_select_plan(const Shape& s,
       filter_binds.push_back({"dst_val", static_cast<int>(p.seg_val[1 - cur])});
       filter_binds.push_back({"dst_idx", static_cast<int>(p.seg_idx[1 - cur])});
       simgpu::record_launch(sched, "sample_filter", shape.total_blocks(),
-                            opt.block_threads, 1, s.n, s.k,
+                            kBlockThreads, 1, s.n, s.k,
                             std::move(filter_binds));
       cur = 1 - cur;
     }
-    simgpu::record_launch(sched, "small_sort", 1, opt.block_threads, 1, s.n,
+    simgpu::record_launch(sched, "small_sort", 1, kBlockThreads, 1, s.n,
                           s.k,
                           {{"src_val", static_cast<int>(p.seg_val[cur])},
                            {"src_idx", static_cast<int>(p.seg_idx[cur])},
@@ -316,14 +310,13 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
   const std::size_t batch = plan.batch;
   const std::size_t n = plan.n;
   const std::size_t k = plan.k;
-  const SampleSelectOptions& opt = plan.opt;
   const KeyOrder<T> ord = plan.order;
   if (in.size() < batch * n || out_vals.size() < batch * k ||
       out_idx.size() < batch * k) {
     throw std::invalid_argument("sample_select: buffer too small");
   }
 
-  const int nb = opt.num_buckets;
+  constexpr int nb = kSampleBuckets;
   simgpu::DeviceBuffer<T> cand_val[2] = {ws.get<T>(plan.seg_val[0]),
                                          ws.get<T>(plan.seg_val[1])};
   simgpu::DeviceBuffer<std::uint32_t> cand_idx[2] = {
@@ -356,12 +349,10 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
       if (count == k_rem) {
         const std::uint64_t dst = out_cursor;
         const bool fi = from_input;
-        const GridShape shape = make_grid(1, count, dev.spec(),
-                                          opt.block_threads,
-                                          opt.items_per_block);
+        const GridShape shape = make_grid(1, count, dev.spec());
         const int bpp = shape.blocks_per_problem;
         simgpu::LaunchConfig cfg{"CopyRemainder", shape.total_blocks(),
-                                 opt.block_threads, 1, n, k};
+                                 kBlockThreads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
           copy_candidates(ctx, fi, in, prob * n, src_val, src_idx, begin, end,
@@ -372,12 +363,12 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
         break;
       }
 
-      if (!from_input && count <= opt.small_threshold) {
+      if (!from_input && count <= kSampleSmallThreshold) {
         // Final level: on-chip bitonic sort of the remaining candidates.
         const std::size_t padded = next_pow2(count);
         const std::uint64_t take = k_rem;
         const std::uint64_t dst = out_cursor;
-        simgpu::LaunchConfig cfg{"small_sort", 1, opt.block_threads, 1, n, k};
+        simgpu::LaunchConfig cfg{"small_sort", 1, kBlockThreads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           auto keys = ctx.shared<T>(padded, "sample sort keys");
           auto idx = ctx.shared<std::uint32_t>(padded, "sample sort idx");
@@ -419,9 +410,9 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
       }
 
       // ---- sample kernel + host sort --------------------------------------
-      const std::size_t s = std::min<std::size_t>(opt.sample_size, count);
+      const std::size_t s = std::min<std::size_t>(kSampleSize, count);
       {
-        simgpu::LaunchConfig cfg{"sample", 1, opt.block_threads, 1, n, k};
+        simgpu::LaunchConfig cfg{"sample", 1, kBlockThreads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           for (std::size_t i = 0; i < s; ++i) {
             const std::size_t at = i * count / s;
@@ -454,9 +445,7 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
       dev.upload_recorded(splitter_buf, std::span<const T>(splitters),
                           "splitters");
 
-      const GridShape shape = make_grid(1, count, dev.spec(),
-                                        opt.block_threads,
-                                        opt.items_per_block);
+      const GridShape shape = make_grid(1, count, dev.spec());
       const int bpp = shape.blocks_per_problem;
       const int classes = degenerate ? 3 : nb;
 
@@ -472,12 +461,10 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
         });
       }
       const std::size_t num_splitters = splitters.size();
-      // With 2^m - 1 splitters every search takes exactly m probes, so a
+      // Every splitter search takes exactly kSplitterProbes probes, so a
       // block's splitter reads are known before its scan and can be charged
-      // in bulk (prepaid_reads); any other count keeps the per-probe loads.
-      const int probes = !degenerate && std::has_single_bit(num_splitters + 1)
-                             ? std::countr_zero(num_splitters + 1)
-                             : 0;
+      // in bulk (prepaid_reads); pivot mode reads no splitter.
+      const int probes = degenerate ? 0 : kSplitterProbes;
       // The element's class, on keys: in pivot mode less / equal / greater,
       // else the number of splitters <= v by binary search, one load per
       // probe.
@@ -508,7 +495,7 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
       };
       {
         simgpu::LaunchConfig cfg{"sample_histogram", shape.total_blocks(),
-                                 opt.block_threads, 1, n, k};
+                                 kBlockThreads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           auto shist = ctx.shared_zero<std::uint32_t>(
               static_cast<std::size_t>(classes));
@@ -571,7 +558,7 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
       const std::uint64_t out_base = out_cursor;
       {
         simgpu::LaunchConfig cfg{"sample_filter", shape.total_blocks(),
-                                 opt.block_threads, 1, n, k};
+                                 kBlockThreads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           const auto [begin, end] = block_chunk(count, bpp, ctx.block_idx());
           AggregatedAppender<T, std::uint32_t> out_app(
@@ -625,7 +612,7 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
         const auto fi2 = cand_idx[cur];
         const std::uint64_t take = k_rem;
         const std::uint64_t dst = out_cursor;
-        simgpu::LaunchConfig cfg{"CopyRemainder", 1, opt.block_threads, 1, n,
+        simgpu::LaunchConfig cfg{"CopyRemainder", 1, kBlockThreads, 1, n,
                                  k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           copy_pairs(ctx, fv, fi2, 0, out_vals, out_idx, dst, take);

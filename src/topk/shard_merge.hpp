@@ -14,15 +14,6 @@
 
 namespace topk {
 
-/// Options for the shard candidate merge.
-struct ShardMergeOptions {
-  /// Sorted-run length (power of two, >= next_pow2(k)); 0 picks
-  /// min(next_pow2(n), max(next_pow2(k), 4096)) and shrinks to fit shared
-  /// memory.  Exposed for tests that want to force deep merge trees on
-  /// small inputs.
-  std::size_t run_len = 0;
-};
-
 /// Execution plan for the shard candidate merge: sort fixed-length runs of
 /// the input, then reduce them with a binary merge-prune tree.  Built as the
 /// reduction stage of topk::shard — per-shard candidate lists land
@@ -33,7 +24,6 @@ struct ShardMergeOptions {
 /// auditor cover the merge machinery without a multi-device harness.
 template <typename T>
 struct ShardMergePlan {
-  ShardMergeOptions opt;
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
@@ -150,7 +140,6 @@ inline void register_shard_merge_footprints() {
 template <typename T>
 ShardMergePlan<T> shard_merge_plan(const Shape& s,
                                    const simgpu::DeviceSpec& spec,
-                                   const ShardMergeOptions& opt,
                                    simgpu::WorkspaceLayout& layout,
                                    simgpu::KernelSchedule* sched = nullptr) {
   validate_problem(s.n, s.k, s.batch);
@@ -161,7 +150,6 @@ ShardMergePlan<T> shard_merge_plan(const Shape& s,
   }
 
   ShardMergePlan<T> p;
-  p.opt = opt;
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
@@ -169,14 +157,12 @@ ShardMergePlan<T> shard_merge_plan(const Shape& s,
   p.cap = next_pow2(s.k);
   register_shard_merge_footprints();
 
-  // Run length: long enough that the sort amortizes, short enough for one
-  // block's shared memory (keys + indices); never below cap, so every run
-  // can seed a full candidate list.
+  // Run length: min(next_pow2(n), max(cap, 4096)) — long enough that the
+  // sort amortizes, short enough for one block's shared memory (keys +
+  // indices, shrunk to fit); never below cap, so every run can seed a full
+  // candidate list.
   const std::size_t elem_bytes = sizeof(T) + sizeof(std::uint32_t);
-  p.run_len = opt.run_len != 0
-                  ? std::max(next_pow2(opt.run_len), p.cap)
-                  : std::min(next_pow2(s.n),
-                             std::max<std::size_t>(p.cap, 4096));
+  p.run_len = std::min(next_pow2(s.n), std::max<std::size_t>(p.cap, 4096));
   while (p.run_len > p.cap &&
          p.run_len * elem_bytes > spec.shared_mem_per_block) {
     p.run_len /= 2;

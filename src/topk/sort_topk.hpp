@@ -11,25 +11,20 @@
 
 namespace topk {
 
-/// Options for the full-sort baseline.
-struct SortTopkOptions {
-  int digit_bits = 8;
-  int block_threads = 256;
-  std::size_t items_per_block = 16 * 1024;
-};
+/// Digit width of the full-sort baseline's LSD passes: four passes over
+/// 32-bit keys, 256 buckets each.
+inline constexpr int kSortDigitBits = 8;
+inline constexpr int kSortBuckets = 1 << kSortDigitBits;
 
 /// Execution plan of the sort baseline (see sort_topk_plan): precomputed
 /// grids, pass count and workspace segment ids.  Cheap to copy and cache;
 /// sort_topk_run() consumes it without allocating.
 template <typename T>
 struct SortTopkPlan {
-  SortTopkOptions opt;
   std::size_t batch = 0;
   std::size_t n = 0;
   std::size_t k = 0;
   KeyOrder<T> order;
-  int nb = 0;
-  std::uint32_t mask = 0;
   int num_passes = 0;
   GridShape shape;   // full-n scan grid
   GridShape cshape;  // take-k copy grid
@@ -126,7 +121,6 @@ inline void register_sort_topk_footprints() {
 /// `layout` is everything sort_topk_run needs.
 template <typename T>
 SortTopkPlan<T> sort_topk_plan(const Shape& s, const simgpu::DeviceSpec& spec,
-                               const SortTopkOptions& opt,
                                simgpu::WorkspaceLayout& layout,
                                simgpu::KernelSchedule* sched = nullptr) {
   using Traits = RadixTraits<T>;
@@ -135,16 +129,13 @@ SortTopkPlan<T> sort_topk_plan(const Shape& s, const simgpu::DeviceSpec& spec,
   validate_problem(s.n, s.k, s.batch);
 
   SortTopkPlan<T> p;
-  p.opt = opt;
   p.batch = s.batch;
   p.n = s.n;
   p.k = s.k;
   p.order = KeyOrder<T>(s.greatest);
-  p.nb = 1 << opt.digit_bits;
-  p.mask = static_cast<std::uint32_t>(p.nb - 1);
-  p.num_passes = (Traits::kBits + opt.digit_bits - 1) / opt.digit_bits;
-  p.shape = make_grid(1, s.n, spec, opt.block_threads, opt.items_per_block);
-  p.cshape = make_grid(1, s.k, spec, opt.block_threads, opt.items_per_block);
+  p.num_passes = (Traits::kBits + kSortDigitBits - 1) / kSortDigitBits;
+  p.shape = make_grid(1, s.n, spec);
+  p.cshape = make_grid(1, s.k, spec);
 
   p.seg_keys[0] = layout.add<Bits>("sort keys 0", s.n);
   p.seg_keys[1] = layout.add<Bits>("sort keys 1", s.n);
@@ -153,28 +144,27 @@ SortTopkPlan<T> sort_topk_plan(const Shape& s, const simgpu::DeviceSpec& spec,
   // Per-(block, digit) counts; rewritten as scatter offsets by the scan.
   p.seg_hist = layout.add<std::uint32_t>(
       "sort block hist",
-      static_cast<std::size_t>(p.shape.blocks_per_problem) *
-          static_cast<std::size_t>(p.nb));
+      static_cast<std::size_t>(p.shape.blocks_per_problem) * kSortBuckets);
 
   if (sched != nullptr) {
     register_sort_topk_footprints();
     // Nominal per-problem unrolling of the full LSD pipeline.
     const int bpp = p.shape.blocks_per_problem;
-    simgpu::record_launch(sched, "radix_transform", bpp, opt.block_threads, 1,
-                          s.n, s.k,
+    simgpu::record_launch(sched, "radix_transform", bpp, kBlockThreads, 1, s.n,
+                          s.k,
                           {{"in", simgpu::kBindInput},
                            {"dst_keys", static_cast<int>(p.seg_keys[0])},
                            {"dst_idx", static_cast<int>(p.seg_idx[0])}});
     int cur = 0;
     for (int pass = 0; pass < p.num_passes; ++pass) {
       simgpu::record_launch(
-          sched, "sort_histogram", bpp, opt.block_threads, 1, s.n, s.k,
+          sched, "sort_histogram", bpp, kBlockThreads, 1, s.n, s.k,
           {{"src_keys", static_cast<int>(p.seg_keys[cur])},
            {"hist", static_cast<int>(p.seg_hist)}});
-      simgpu::record_launch(sched, "sort_scan", 1, opt.block_threads, 1, s.n,
-                            s.k, {{"hist", static_cast<int>(p.seg_hist)}});
+      simgpu::record_launch(sched, "sort_scan", 1, kBlockThreads, 1, s.n, s.k,
+                            {{"hist", static_cast<int>(p.seg_hist)}});
       simgpu::record_launch(
-          sched, "sort_scatter", bpp, opt.block_threads, 1, s.n, s.k,
+          sched, "sort_scatter", bpp, kBlockThreads, 1, s.n, s.k,
           {{"src_keys", static_cast<int>(p.seg_keys[cur])},
            {"src_idx", static_cast<int>(p.seg_idx[cur])},
            {"hist", static_cast<int>(p.seg_hist)},
@@ -183,7 +173,7 @@ SortTopkPlan<T> sort_topk_plan(const Shape& s, const simgpu::DeviceSpec& spec,
       cur = 1 - cur;
     }
     simgpu::record_launch(sched, "sort_take_k",
-                          p.cshape.blocks_per_problem, opt.block_threads, 1,
+                          p.cshape.blocks_per_problem, kBlockThreads, 1,
                           s.n, s.k,
                           {{"fin_keys", static_cast<int>(p.seg_keys[cur])},
                            {"fin_idx", static_cast<int>(p.seg_idx[cur])},
@@ -221,8 +211,8 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
     throw std::invalid_argument("sort_topk: buffer too small");
   }
 
-  const int nb = plan.nb;
-  const std::uint32_t mask = plan.mask;
+  constexpr int nb = kSortBuckets;
+  constexpr std::uint32_t mask = nb - 1;
   // Sort the keys' radix ordinals: largest-K sorts them complemented.
   const Bits order = plan.order.radix_mask();
   const int bpp = plan.shape.blocks_per_problem;
@@ -237,8 +227,7 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
   for (std::size_t prob = 0; prob < batch; ++prob) {
     // ---- transform kernel: monotone bit reinterpretation + iota indices --
     {
-      simgpu::LaunchConfig cfg{"radix_transform", bpp, plan.opt.block_threads,
-                               1, n, k};
+      simgpu::LaunchConfig cfg{"radix_transform", bpp, kBlockThreads, 1, n, k};
       const auto dst_keys = keys[0];
       const auto dst_idx = idx[0];
       simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
@@ -274,7 +263,7 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
 
     int cur = 0;
     for (int p = 0; p < plan.num_passes; ++p) {
-      const int start_bit = p * plan.opt.digit_bits;
+      const int start_bit = p * kSortDigitBits;
       const auto src_keys = keys[cur];
       const auto src_idx = idx[cur];
       const auto dst_keys = keys[1 - cur];
@@ -282,8 +271,8 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
 
       // ---- kernel 1: per-block digit histogram --------------------------
       {
-        simgpu::LaunchConfig cfg{"sort_histogram", bpp,
-                                 plan.opt.block_threads, 1, n, k};
+        simgpu::LaunchConfig cfg{"sort_histogram", bpp, kBlockThreads, 1, n,
+                                 k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           auto shist =
               ctx.shared_zero<std::uint32_t>(static_cast<std::size_t>(nb));
@@ -319,8 +308,7 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
 
       // ---- kernel 2: digit-major exclusive scan --------------------------
       {
-        simgpu::LaunchConfig cfg{"sort_scan", 1, plan.opt.block_threads, 1, n,
-                                 k};
+        simgpu::LaunchConfig cfg{"sort_scan", 1, kBlockThreads, 1, n, k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           std::uint32_t running = 0;
           for (int d = 0; d < nb; ++d) {
@@ -340,8 +328,8 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
 
       // ---- kernel 3: stable scatter --------------------------------------
       {
-        simgpu::LaunchConfig cfg{"sort_scatter", bpp, plan.opt.block_threads,
-                                 1, n, k};
+        simgpu::LaunchConfig cfg{"sort_scatter", bpp, kBlockThreads, 1, n,
+                                 k};
         simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
           // Running per-digit cursors start at this block's scanned bases.
           auto cursor =
@@ -394,8 +382,7 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
       const auto fin_keys = keys[cur];
       const auto fin_idx = idx[cur];
       const int cbpp = plan.cshape.blocks_per_problem;
-      simgpu::LaunchConfig cfg{"sort_take_k", cbpp, plan.opt.block_threads, 1,
-                               n, k};
+      simgpu::LaunchConfig cfg{"sort_take_k", cbpp, kBlockThreads, 1, n, k};
       simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
         const auto [begin, end] = block_chunk(k, cbpp, ctx.block_idx());
         if (simgpu::tile_path_enabled()) {

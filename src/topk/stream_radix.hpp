@@ -13,9 +13,6 @@ namespace topk {
 
 /// Options for the streaming large-K radix select (RadiK direction).
 struct StreamRadixOptions {
-  int digit_bits = 8;  ///< 8-bit digits / 256 buckets per pass
-  int block_threads = 256;
-  std::size_t items_per_block = 16 * 1024;
   /// Target chunk length.  Scratch is sized by max(chunk, 2k), never by n —
   /// the bounded-workspace contract the large-K tier exists for.
   std::size_t chunk_target = std::size_t{1} << 22;
@@ -100,7 +97,7 @@ StreamRadixPlan<T> stream_radix_plan(const Shape& s,
   p.chunk_cap = (s.n + p.chunks - 1) / p.chunks;
   p.cand_cap = std::max(p.chunk_cap, 2 * s.k);
 
-  p.loop = radix_pass_loop_plan<T>(s, opt, p.cand_cap, layout);
+  p.loop = radix_pass_loop_plan<T>(s, p.cand_cap, layout);
   for (std::size_t pass = 0; pass < p.loop.passes.size(); ++pass) {
     const std::string id = std::to_string(pass);
     p.loop.passes[pass].hist_name =
@@ -140,8 +137,7 @@ StreamRadixPlan<T> stream_radix_plan(const Shape& s,
                              {"win_val", uval(1)}, {"win_idx", uidx(1)});
       emit_side = 1;
     }
-    simgpu::record_launch(sched, "StreamEmit", 1, opt.block_threads, 1, s.n,
-                          s.k,
+    simgpu::record_launch(sched, "StreamEmit", 1, kBlockThreads, 1, s.n, s.k,
                           {{"src_val", uval(emit_side)},
                            {"src_idx", uidx(emit_side)},
                            {"out_vals", simgpu::kBindOutVals},
@@ -198,8 +194,7 @@ void stream_radix_run(simgpu::Device& dev, const StreamRadixPlan<T>& plan,
     const auto fv = union_val[uside];
     const auto fi = union_idx[uside];
     const std::uint64_t out_base = prob * k;
-    simgpu::LaunchConfig cfg{"StreamEmit", 1, plan.loop.block_threads, 1, n,
-                             k};
+    simgpu::LaunchConfig cfg{"StreamEmit", 1, kBlockThreads, 1, n, k};
     simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
       copy_pairs(ctx, fv, fi, 0, out_vals, out_idx, out_base, k);
       ctx.ops(k);

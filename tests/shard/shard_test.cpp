@@ -18,6 +18,7 @@
 #include "serve/service.hpp"
 #include "shard/shard.hpp"
 #include "simgpu/simgpu.hpp"
+#include "topk/shard_merge.hpp"
 #include "verify/plan_audit.hpp"
 
 namespace topk {
@@ -193,6 +194,47 @@ TEST(ShardSweep, PlanCacheReusedAcrossQueries) {
   EXPECT_GT(coord.plan_cache_hits(), std::size_t{0});
   EXPECT_EQ(a.topk.values, b.topk.values);
   EXPECT_EQ(a.topk.indices, b.topk.indices);
+}
+
+// ---------------------------------------------------------------------------
+// The merge row: run length and tree depth follow the shape and the device.
+// ---------------------------------------------------------------------------
+
+// Runs are min(next_pow2(n), max(next_pow2(k), 4096)) long, halved until a
+// run's keys and indices fit one block's shared memory.  A device with
+// little shared memory so forces a deep merge tree on a small input, and
+// the result must stay exact.
+TEST(ShardMerge, RunLengthFollowsShapeAndSharedMemory) {
+  const simgpu::DeviceSpec a100 = simgpu::DeviceSpec::a100();
+  simgpu::WorkspaceLayout layout;
+  const auto single = shard_merge_plan<float>(Shape{1, 100, 10}, a100, layout);
+  EXPECT_EQ(single.run_len, 128u);
+  EXPECT_EQ(single.runs, 1u);
+  EXPECT_EQ(single.levels, 0);
+
+  const std::size_t n = 70001;
+  const std::size_t k = 64;
+  const auto wide = shard_merge_plan<float>(Shape{1, n, k}, a100, layout);
+  EXPECT_EQ(wide.run_len, 4096u);
+  EXPECT_EQ(wide.runs, 18u);
+  EXPECT_EQ(wide.levels, 5);
+
+  simgpu::DeviceSpec small = a100;
+  small.shared_mem_per_block = 16 * 1024;
+  const auto deep = shard_merge_plan<float>(Shape{1, n, k}, small, layout);
+  EXPECT_EQ(deep.run_len, 2048u);
+  EXPECT_EQ(deep.runs, 35u);
+  EXPECT_EQ(deep.levels, 6);
+
+  const std::vector<float> data = uniform_data(n, 77);
+  simgpu::Device dev(small);
+  for (const bool greatest : {false, true}) {
+    SCOPED_TRACE(greatest ? "greatest" : "least");
+    SelectOptions opt;
+    opt.greatest = greatest;
+    expect_exact(data, k, greatest,
+                 select(dev, data, k, Algo::kShardMerge, opt));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -28,6 +28,19 @@ TEST(Device, AllocZeroFills) {
   for (std::size_t i = 0; i < 1000; ++i) EXPECT_EQ(b.data()[i], 0u);
 }
 
+// A chunk is not zero-filled and alloc() hands memory back as its last owner
+// left it, so alloc_zero must clear what an earlier allocation wrote.
+TEST(Device, AllocZeroClearsReusedMemory) {
+  Device dev;
+  const auto mark = dev.mark();
+  auto dirty = dev.alloc<std::uint32_t>(1000);
+  for (std::size_t i = 0; i < 1000; ++i) dirty.data()[i] = 0xdeadbeefu;
+  dev.release_to(mark);
+  auto b = dev.alloc_zero<std::uint32_t>(1000);
+  ASSERT_EQ(b.data(), dirty.data()) << "released memory should be reused";
+  for (std::size_t i = 0; i < 1000; ++i) EXPECT_EQ(b.data()[i], 0u);
+}
+
 TEST(Device, LargeAllocationSpansChunks) {
   Device dev;
   // Larger than the 64 MiB chunk size.

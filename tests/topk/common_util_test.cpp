@@ -50,6 +50,21 @@ TEST(MakeGrid, CoversDeviceWithoutOverdoingIt) {
   EXPECT_EQ(batch.block_in_problem(batch.blocks_per_problem + 1), 1);
 }
 
+// One block per kItemsPerBlock elements, and a batched launch shares
+// kMaxTotalBlocks among its problems, at least one block each.
+TEST(MakeGrid, BatchSharesTheTotalBlockCap) {
+  const auto spec = simgpu::DeviceSpec::a100();
+  EXPECT_EQ(make_grid(1, 3 * kItemsPerBlock, spec).blocks_per_problem, 3);
+  EXPECT_EQ(make_grid(1, 3 * kItemsPerBlock + 1, spec).blocks_per_problem, 4);
+  const GridShape batch = make_grid(100, 1 << 26, spec);
+  EXPECT_EQ(batch.blocks_per_problem,
+            static_cast<int>(kMaxTotalBlocks / 100));
+  EXPECT_EQ(batch.block_threads, kBlockThreads);
+  const GridShape wide = make_grid(2 * kMaxTotalBlocks, 1 << 20, spec);
+  EXPECT_EQ(wide.blocks_per_problem, 1);
+  EXPECT_EQ(wide.total_blocks(), static_cast<int>(2 * kMaxTotalBlocks));
+}
+
 TEST(ValidateProblem, RejectsDegenerateInput) {
   EXPECT_THROW(validate_problem(0, 1, 1), std::invalid_argument);
   EXPECT_THROW(validate_problem(10, 0, 1), std::invalid_argument);

@@ -120,7 +120,7 @@ TEST(GenericKeys, RadixSelectOnUnsignedInts) {
       [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
         simgpu::WorkspaceLayout layout;
         const auto plan = radix_select_plan<std::uint32_t>(
-            Shape{1, n, k, false}, dev.spec(), {}, layout);
+            Shape{1, n, k, false}, dev.spec(), layout);
         simgpu::Workspace ws(dev);
         ws.bind(layout);
         radix_select_run(dev, plan, ws, in, ov, oi);
@@ -134,8 +134,8 @@ TEST(GenericKeys, SortOnUnsignedInts) {
       data, 1000,
       [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
         simgpu::WorkspaceLayout layout;
-        const auto plan = sort_topk_plan<std::uint32_t>(
-            Shape{1, n, k}, dev.spec(), {}, layout);
+        const auto plan =
+            sort_topk_plan<std::uint32_t>(Shape{1, n, k}, dev.spec(), layout);
         simgpu::Workspace ws(dev);
         ws.bind(layout);
         sort_topk_run(dev, plan, ws, in, ov, oi);
@@ -184,7 +184,7 @@ TEST(GenericKeys, BitonicTopkOnUnsignedInts) {
       [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
         simgpu::WorkspaceLayout layout;
         const auto plan = bitonic_topk_plan<std::uint32_t>(
-            Shape{1, n, k}, dev.spec(), {}, layout);
+            Shape{1, n, k}, dev.spec(), layout);
         simgpu::Workspace ws(dev);
         ws.bind(layout);
         bitonic_topk_run(dev, plan, ws, in, ov, oi);

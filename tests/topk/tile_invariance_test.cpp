@@ -1637,11 +1637,13 @@ TEST(LargestKPin, KernelStatsModeledTimeAndOutputsMatchRecording) {
 // AIR re-scans its input on every pass whose candidate count stays at or
 // above N/alpha: on radix-adversarial keys (the first M = 20 bits shared)
 // every pass, on uniform largest-K the first passes.  This pin holds AIR
-// (adaptive, not adaptive, fused last filter), RadixSelect and stream-radix
-// on those keys, on both carriers and in both directions, plus AIR with
-// external input ids: the exact modeled µs, every KernelStats field and the
-// output bits and indices in output order.  Recorded before the radix scans
-// classified whole tiles, under the settings of kLargestRecorded.
+// (adaptive, not adaptive, no early stop, fused last filter), RadixSelect
+// and stream-radix on those keys, on both carriers and in both directions,
+// plus AIR with external input ids and AIR without early stopping on
+// uniform smallest-K keys: the exact modeled µs, every KernelStats field and
+// the output bits and indices in output order.  Recorded before the radix
+// scans classified whole tiles (the no-early-stop rows later, see below),
+// under the settings of kLargestRecorded.
 
 /// Radix-adversarial M = 20 keys (floats just above 1.0) as carrier bits:
 /// positive floats, so their bits order alike as f32 and as u32 keys.
@@ -1759,6 +1761,24 @@ const DirectionPin kRescanRecorded[] = {
     {"stream-radix u32 uniform largest b3 n10007 k64", 0x1.209695f2ec658p+8, 24, 0x8d5d73dcf39f282cull, 0x484c5289f4901840ull},
     {"air in_idx f32 adversarial smallest b3 n10007 k64", 0x1.e3587481b4a9ap+4, 5, 0x1466f9bc884376fbull, 0x8409306f311e94beull},
     {"air in_idx f32 adversarial largest b3 n10007 k64", 0x1.e84eb988b230cp+4, 5, 0x5ecc1c399e7ff57full, 0xa854a07ab2c8f76aull},
+    // AIR without early stopping (Fig. 10), recorded after the tile scans and
+    // before AIR's launch tuning became constants, under the same settings.
+    {"air-noearlystop f32 adversarial smallest b1 n70001 k100", 0x1.6ea00d54ac438p+4, 5, 0xb488740159f05471ull, 0xeeec4019e1b81f3full},
+    {"air-noearlystop f32 adversarial largest b1 n70001 k100", 0x1.73915fcc8e21cp+4, 5, 0x33c4c399fe927e71ull, 0x74688600219882c0ull},
+    {"air-noearlystop f32 uniform largest b1 n70001 k100", 0x1.589653751eed2p+4, 5, 0xde4555c23d9f64dbull, 0x4c125cb6b39af7aaull},
+    {"air-noearlystop f32 uniform smallest b1 n70001 k100", 0x1.487688a4a1567p+4, 5, 0xa2e397d9829c29f6ull, 0xa19b9cdd6b2c7e57ull},
+    {"air-noearlystop u32 adversarial smallest b1 n70001 k100", 0x1.69ad7e39037bp+4, 5, 0x08f7fc0bb587d6f1ull, 0xeeec4019e1b81f3full},
+    {"air-noearlystop u32 adversarial largest b1 n70001 k100", 0x1.7883eee836ea4p+4, 5, 0xffdf85007fb96f51ull, 0x74688600219882c0ull},
+    {"air-noearlystop u32 uniform largest b1 n70001 k100", 0x1.47ed3da161cacp+4, 5, 0xf397c9cc15a1e6daull, 0xf314af0f4f677de6ull},
+    {"air-noearlystop u32 uniform smallest b1 n70001 k100", 0x1.4334d0973e017p+4, 5, 0x7c54f16e04fdb729ull, 0x88a3f19ed1f64d8dull},
+    {"air-noearlystop f32 adversarial smallest b3 n10007 k64", 0x1.21f2dc6f81f41p+4, 5, 0x4ff93b22ab0115ddull, 0x7a35fdabfbab987dull},
+    {"air-noearlystop f32 adversarial largest b3 n10007 k64", 0x1.26e921767f7b3p+4, 5, 0xb2b18a43d476eab2ull, 0xfa4f1e06a6199224ull},
+    {"air-noearlystop f32 uniform largest b3 n10007 k64", 0x1.20f76e9c2b6f1p+4, 5, 0x2449cd39bd65de40ull, 0x0da3eb41b0e387a5ull},
+    {"air-noearlystop f32 uniform smallest b3 n10007 k64", 0x1.244029afeeb4fp+4, 5, 0x8596c2b5456a36b3ull, 0x24e8918a4378f21bull},
+    {"air-noearlystop u32 adversarial smallest b3 n10007 k64", 0x1.1d004d53d92b9p+4, 5, 0x25a0e44c66b20996ull, 0x7a35fdabfbab987dull},
+    {"air-noearlystop u32 adversarial largest b3 n10007 k64", 0x1.2bdbb0922843bp+4, 5, 0xeafcc447da528e95ull, 0xfa4f1e06a6199224ull},
+    {"air-noearlystop u32 uniform largest b3 n10007 k64", 0x1.1fdf8e11f5df8p+4, 5, 0x78cc9eb39aec7e99ull, 0x215f082b555af584ull},
+    {"air-noearlystop u32 uniform smallest b3 n10007 k64", 0x1.227684fa70388p+4, 5, 0xb13afa4f9c86771full, 0x0a7b3d8343ee1e14ull},
 };
 
 TEST(RescanCountPin, KernelStatsModeledTimeAndOutputsMatchRecording) {
@@ -1769,6 +1789,7 @@ TEST(RescanCountPin, KernelStatsModeledTimeAndOutputsMatchRecording) {
   } rows[] = {
       {"air", Algo::kAirTopk},
       {"air-noadaptive", Algo::kAirTopkNoAdaptive},
+      {"air-noearlystop", Algo::kAirTopkNoEarlyStop},
       {"air-fusedfilter", Algo::kAirTopkFusedFilter},
       {"radixselect", Algo::kRadixSelect},
       {"stream-radix", Algo::kStreamRadix},
@@ -1801,6 +1822,11 @@ TEST(RescanCountPin, KernelStatsModeledTimeAndOutputsMatchRecording) {
                               k));
         }
       }
+      check("air-noearlystop " + std::string(key_type_name(dtype)) +
+                " uniform smallest" + shape,
+            run_direction(Algo::kAirTopkNoEarlyStop, dtype, false,
+                          direction_keys(dtype, false, batch * n), batch, n,
+                          k));
     }
     const auto keys = adversarial_keys(batch * n);
     for (const bool greatest : {false, true}) {
