@@ -26,10 +26,12 @@
 // queues, no shared-queue insertion machinery — is already cheap, and its
 // warpfast leg sits at the single-core memory-bandwidth floor); SampleSelect
 // and Bitonic Top-K 6× full run, 4× in --smoke; AIR Top-K 4× (2× smoke),
-// AIR Top-K on radix-adversarial M = 20 keys 2.5× (1.25× smoke) and
-// RadixSelect 3.5× (2× smoke; gated with the workspace pool on, since with
-// it off each rep faults in RadixSelect's n-sized candidate buffers in both
-// legs).  QuickSelect and BucketSelect are reported
+// AIR Top-K on radix-adversarial M = 20 keys 2.5× (1.25× smoke),
+// RadixSelect 3.5× (2× smoke) and RadixSelect on radix-adversarial keys 3×
+// (3.5× smoke), where every key is kept as a tie and the tile leg reserves
+// a tile's appends at once (both gated with the workspace pool on, since
+// with it off each rep faults in RadixSelect's n-sized candidate buffers in
+// both legs).  QuickSelect and BucketSelect are reported
 // without a gate: their exact paths are already within about 2× of the
 // fast one.
 // The gated ratio is fast-paths-on (tile + warpfast, the default config;
@@ -253,6 +255,7 @@ constexpr FastPathRow kFastPathRows[] = {
     {{topk::Algo::kAirTopk}, false, 4.0, 2.0},
     {{topk::Algo::kAirTopk, true}, false, 2.5, 1.25},
     {{topk::Algo::kRadixSelect}, false, 3.5, 2.0, true},
+    {{topk::Algo::kRadixSelect, true}, false, 3.0, 3.5, true},
 };
 
 const FastPathRow* fast_path_row(const Leg& leg) {
@@ -288,6 +291,7 @@ int main(int argc, char** argv) {
   const Leg legs[] = {
       {topk::Algo::kAirTopk},      {topk::Algo::kAirTopk, true},
       {topk::Algo::kSort},         {topk::Algo::kRadixSelect},
+      {topk::Algo::kRadixSelect, true},
       {topk::Algo::kGridSelect},   {topk::Algo::kWarpSelect},
       {topk::Algo::kSampleSelect}, {topk::Algo::kBitonicTopk},
       {topk::Algo::kQuickSelect},  {topk::Algo::kBucketSelect}};

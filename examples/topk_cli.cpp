@@ -22,7 +22,9 @@
 // result is then scored by measured recall against the exact reference
 // instead of the exactness verifier.  `--explain` prints the recommender's
 // per-candidate modeled costs (and, with a sub-1.0 SLO, the approximate
-// tier's chunk shape and analytic expected recall) before running.
+// tier's chunk shape and analytic expected recall) before running, and a
+// per-kernel table after it: launches, modeled µs and the emulator's host
+// wall time (KernelEvent::emu_ms) per kernel name.
 //
 // `--dtype {f32,f16,bf16,i32,u32}` runs the query with typed keys (the
 // generated floats are converted; i32/u32 scale them into the integer
@@ -36,9 +38,11 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/topk.hpp"
@@ -434,5 +438,43 @@ int main(int argc, char** argv) {
             << " kernels | " << bytes / 1024.0 / 1024.0
             << " MiB device traffic\n\n";
   std::cout << simgpu::render_timeline(tl, 90);
+  if (explain) {
+    // Where the time went, per kernel name in first-launch order: the cost
+    // model's kernel durations and the emulator's host wall time for the
+    // same launches.
+    struct KernelRow {
+      std::string_view name;
+      std::size_t launches = 0;
+      double model_us = 0.0;
+      double emu_ms = 0.0;
+    };
+    std::vector<KernelRow> krows;
+    double emu_total = 0.0;
+    for (const auto& e : dev.events()) {
+      const auto* ke = std::get_if<simgpu::KernelEvent>(&e);
+      if (ke == nullptr) continue;
+      auto it = std::find_if(krows.begin(), krows.end(),
+                             [&](const KernelRow& r) {
+                               return r.name == ke->stats.name;
+                             });
+      if (it == krows.end()) {
+        krows.push_back({ke->stats.name});
+        it = krows.end() - 1;
+      }
+      ++it->launches;
+      it->model_us += model.kernel_cost(ke->stats).duration_us;
+      it->emu_ms += ke->emu_ms;
+      emu_total += ke->emu_ms;
+    }
+    std::cout << "\nper kernel: launches | modeled us | emulator ms\n";
+    for (const KernelRow& r : krows) {
+      std::cout << "  " << std::left << std::setw(28) << r.name << std::right
+                << std::setw(6) << r.launches << std::fixed
+                << std::setprecision(2) << std::setw(12) << r.model_us
+                << std::setw(12) << r.emu_ms << "\n"
+                << std::defaultfloat;
+    }
+    std::cout << "  emulator total " << emu_total << " ms\n";
+  }
   return 0;
 }

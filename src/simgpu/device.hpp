@@ -258,8 +258,8 @@ class Device {
     events_.push_back(HostComputeEvent{std::move(label), host_ops});
   }
 
-  void record_kernel(KernelStats stats) {
-    events_.push_back(KernelEvent{std::move(stats)});
+  void record_kernel(KernelStats stats, double emu_ms) {
+    events_.push_back(KernelEvent{std::move(stats), emu_ms});
   }
 
   [[nodiscard]] const EventLog& events() const { return events_; }

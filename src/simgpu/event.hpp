@@ -47,6 +47,10 @@ struct KernelStats {
 /// overhead and continues.
 struct KernelEvent {
   KernelStats stats;
+  /// Host wall time the emulator spent running the grid, in milliseconds.
+  /// Diagnostic only (`topk_cli --explain` lists it per kernel): the cost
+  /// model never reads it, so modeled time stays independent of the host.
+  double emu_ms = 0.0;
 };
 
 /// A host<->device copy.  Like cudaMemcpy, a copy synchronizes the host with

@@ -1,6 +1,7 @@
 #include "simgpu/kernel.hpp"
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -51,6 +52,19 @@ bool pool_enabled() { return lazy_toggle(g_pool, "TOPK_SIM_POOL"); }
 
 void set_pool_enabled(bool enabled) {
   g_pool.store(enabled ? 1 : 0, std::memory_order_relaxed);
+}
+
+std::mutex& detail::flush_lock(const void* bins) {
+  // One cache line per stripe, so stripes taken by different pool threads
+  // do not false-share.
+  struct alignas(64) Stripe {
+    std::mutex mu;
+  };
+  static Stripe stripes[64];
+  const auto h = static_cast<std::uint64_t>(
+                     reinterpret_cast<std::uintptr_t>(bins) >> 2) *
+                 0x9E3779B97F4A7C15ull;
+  return stripes[h >> 58].mu;
 }
 
 std::string_view intern_name(std::string_view name) {

@@ -4,10 +4,12 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -146,6 +148,12 @@ class SharedMemoryOverflow : public std::runtime_error {
 class BlockCtx;
 
 namespace detail {
+/// The lock of a small striped table that BlockCtx::flush_counts takes for
+/// a flush into the span starting at `bins`: one stripe per span start, so
+/// blocks flushing the same histogram serialize and different histograms
+/// rarely share a stripe.
+[[nodiscard]] std::mutex& flush_lock(const void* bins);
+
 /// Suppressed-access sink for out-of-bounds shared references.
 template <typename T>
 T* shared_sink() {
@@ -440,6 +448,58 @@ class BlockCtx {
     }
     std::atomic_ref<T> ref(b.data()[i]);
     return ref.fetch_add(v, std::memory_order_seq_cst);
+  }
+
+  /// Reserve `count` consecutive slots of the cursor b[i] (an append of
+  /// `count` elements): one fetch_add of `count`, returning the first slot,
+  /// charged as `count` contended atomics — what `count` calls of
+  /// atomic_add(b, i, 1), one per appended element, charge.  On one emulator
+  /// thread the slots are the ones those calls would return in turn.
+  template <typename T>
+  T atomic_reserve(const DeviceBuffer<T>& b, std::size_t i,
+                   std::type_identity_t<T> count) {
+    counters_.atomic_ops += static_cast<std::uint64_t>(count);
+    if (san_ != nullptr &&
+        !device_access_ok(b.data(), sizeof(T), i, b.size(), true, true,
+                          true)) {
+      return T{};
+    }
+    std::atomic_ref<T> ref(b.data()[i]);
+    return ref.fetch_add(count, std::memory_order_seq_cst);
+  }
+
+  /// Flush a block's per-bin counts into global bins:
+  /// dst[first + d] += counts[d] for every d, charged as one scattered
+  /// atomic per non-zero entry — what a loop of atomic_add_scattered over
+  /// the non-zero bins charges.  On the unchecked tile path
+  /// (unchecked_tiles) the adds are plain adds under one lock of a striped
+  /// table keyed by &dst[first], not one seq_cst RMW per bin; the caller's
+  /// next atomic (a last-block election, say) still orders them before
+  /// whatever it publishes to.  Flushes that can run concurrently must
+  /// therefore cover the same span or disjoint ones, as per-problem
+  /// histograms do.  A span reaching past `dst` is suppressed wholesale,
+  /// like store_tile.  Otherwise (tile path off, or a sanitizer attached)
+  /// it is that per-bin loop, reading the counts through SharedRef, so
+  /// simcheck sees every shared read and every atomic.
+  template <typename T>
+  void flush_counts(const DeviceBuffer<T>& dst, std::size_t first,
+                    const SharedSpan<T>& counts) {
+    if (const T* raw = counts.unchecked_data(); raw != nullptr) {
+      const std::size_t n = counts.size();
+      std::uint64_t nonzero = 0;
+      for (std::size_t d = 0; d < n; ++d) nonzero += raw[d] != 0 ? 1 : 0;
+      counters_.scattered_atomic_ops += nonzero;
+      if (nonzero == 0 || first > dst.size() || n > dst.size() - first) {
+        return;
+      }
+      T* const bins = dst.data() + first;
+      const std::lock_guard<std::mutex> lock(detail::flush_lock(bins));
+      for (std::size_t d = 0; d < n; ++d) bins[d] += raw[d];
+      return;
+    }
+    for (std::size_t d = 0; d < counts.size(); ++d) {
+      if (counts[d] != 0) atomic_add_scattered(dst, first + d, counts[d]);
+    }
   }
 
   template <typename T>
@@ -833,8 +893,9 @@ struct LaunchConfig {
 };
 
 /// Launch a kernel: run `body(BlockCtx&)` for every block of the grid on the
-/// thread pool, accumulate the block counters, and record the kernel event on
-/// the device timeline.  Launches are asynchronous with respect to the
+/// thread pool, accumulate the block counters, and record the kernel event
+/// (with the grid's host wall time, KernelEvent::emu_ms) on the device
+/// timeline.  Launches are asynchronous with respect to the
 /// modeled host (no SyncEvent is recorded); wall-clock-wise the call blocks
 /// until the grid drains, like a correctness-checking emulator must.
 template <typename Body>
@@ -858,6 +919,7 @@ KernelStats launch(Device& dev, const LaunchConfig& cfg, Body&& body) {
   Sanitizer* const san = dev.sanitizer();
   const std::uint32_t launch_id = san != nullptr ? san->begin_launch() : 0;
 
+  const auto wall_start = std::chrono::steady_clock::now();
   dev.pool().run_blocks(
       static_cast<std::size_t>(cfg.grid), [&](std::size_t b) {
         std::vector<std::byte>& arena = detail::shared_arena();
@@ -877,6 +939,9 @@ KernelStats launch(Device& dev, const LaunchConfig& cfg, Body&& body) {
         fetch_max(max_block_bytes, c.bytes_read + c.bytes_written);
         fetch_max(max_block_lane_ops, c.lane_ops);
       });
+  const double emu_ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - wall_start)
+                            .count();
 
   KernelStats stats;
   stats.name = cfg.name;
@@ -900,7 +965,7 @@ KernelStats launch(Device& dev, const LaunchConfig& cfg, Body&& body) {
         stats.atomic_ops + stats.scattered_atomic_ops, cfg.grid,
         cfg.block_threads, cfg.batch, cfg.n, cfg.k);
   }
-  dev.record_kernel(stats);
+  dev.record_kernel(stats, emu_ms);
   return stats;
 }
 

@@ -493,10 +493,29 @@ __attribute__((target("avx512f"))) inline __m512i ord_avx512(__m512i bits) {
   }
 }
 
-/// Vector body of histogram_digits: 16 keys per iteration through the
-/// ordinal map, xor, shift and mask; the 16 digits spill to a stack array and
-/// the histogram bumps stay scalar (radix 256/2048 bins alias too heavily for
-/// conflict-detection gathers to win).  The tail runs the scalar body.
+/// The 16 digits of keys p[0..16): ((ord ^ xm) >> sh) & dm, stored to
+/// `out`; returns whether all 16 are equal.
+template <bool kFloat, typename T>
+__attribute__((target("avx512f"))) inline bool digit_group_avx512(
+    const T* p, __m512i xm, __m128i sh, __m512i dm, std::uint32_t* out) {
+  const __m512i ord = ord_avx512<kFloat>(_mm512_loadu_si512(p));
+  const __m512i d =
+      _mm512_and_si512(_mm512_srl_epi32(_mm512_xor_si512(ord, xm), sh), dm);
+  _mm512_store_si512(out, d);
+  const __m512i lane0 =
+      _mm512_permutexvar_epi32(_mm512_setzero_si512(), d);
+  return _mm512_cmpeq_epi32_mask(d, lane0) == 0xFFFF;
+}
+
+/// Vector body of histogram_digits: 16 keys per group through the ordinal
+/// map, xor, shift and mask.  The bumps stay scalar (radix 256/2048 bins
+/// alias too heavily for conflict-detection gathers to win) but never wait
+/// on the digits just stored: group g is bumped while group g + 1's digits
+/// are computed and stored, by which time g's store has left the store
+/// buffer.  A group whose 16 digits are equal (every group of a pass whose
+/// keys share the digit, as on radix-adversarial keys) adds 16 to its bin
+/// at once instead of running a 16-deep chain of increments on it.  The
+/// tail runs the scalar body.
 template <bool kFloat, typename T>
 __attribute__((target("avx512f"))) inline void histogram_digits_avx512(
     std::span<const T> keys, std::uint32_t order, int shift,
@@ -504,17 +523,27 @@ __attribute__((target("avx512f"))) inline void histogram_digits_avx512(
   const __m512i xm = _mm512_set1_epi32(static_cast<int>(order));
   const __m512i dm = _mm512_set1_epi32(static_cast<int>(digit_mask));
   const __m128i sh = _mm_cvtsi32_si128(shift);
-  alignas(64) std::uint32_t digits[16];
-  const std::size_t n = keys.size();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i ord = ord_avx512<kFloat>(_mm512_loadu_si512(&keys[i]));
-    const __m512i d = _mm512_and_si512(
-        _mm512_srl_epi32(_mm512_xor_si512(ord, xm), sh), dm);
-    _mm512_store_si512(digits, d);
-    for (std::size_t u = 0; u < 16; ++u) ++hist[digits[u]];
+  alignas(64) std::uint32_t digits[2][16];
+  const auto bump = [hist](const std::uint32_t* d, bool same) {
+    if (same) {
+      hist[d[0]] += 16;
+      return;
+    }
+    for (std::size_t u = 0; u < 16; ++u) ++hist[d[u]];
+  };
+  const std::size_t groups = keys.size() / 16;
+  if (groups > 0) {
+    bool same = digit_group_avx512<kFloat>(keys.data(), xm, sh, dm, digits[0]);
+    for (std::size_t g = 1; g < groups; ++g) {
+      const bool next = digit_group_avx512<kFloat>(keys.data() + 16 * g, xm,
+                                                   sh, dm, digits[g & 1]);
+      bump(digits[(g - 1) & 1], same);
+      same = next;
+    }
+    bump(digits[(groups - 1) & 1], same);
   }
-  histogram_digits_scalar(keys.subspan(i), order, shift, digit_mask, hist);
+  histogram_digits_scalar(keys.subspan(16 * groups), order, shift, digit_mask,
+                          hist);
 }
 
 /// Vector body of classify_digits: 16 keys per iteration, the tail masked.

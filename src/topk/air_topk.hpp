@@ -438,10 +438,8 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
             finish, static_cast<std::size_t>(p) * batch + prob, 0);
       }
       for (int p = 0; p < num_passes; ++p) {
-        const std::size_t nb = std::size_t{1} << passes[p].width;
-        for (std::size_t d = 0; d < nb; ++d) {
-          ctx.store<std::uint32_t>(hist[p], (prob << passes[p].width) + d, 0);
-        }
+        zero_fill(ctx, hist[p], prob << passes[p].width,
+                  std::size_t{1} << passes[p].width);
       }
       ctx.ops(1u << opt.digit_bits);
     });
@@ -585,12 +583,38 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
                 .order = order_mask, .shift = prev.start_bit, .lo = lo,
                 .target = target, .tag_shift = cur.start_bit,
                 .tag_mask = digit_mask};
-            scan_classified(ctx, src, begin, end, rule,
-                            [&](T value, std::uint32_t index,
-                                std::uint32_t tag) {
-                              take(value, index,
-                                   tag == simgpu::simd::kBelowTag, tag);
-                            });
+            scan_classified_tiles(
+                ctx, src, begin, end, rule, [&](const ClassifiedTile<T>& t) {
+                  if (copy_mode || is_last_filter) {
+                    for (std::size_t s = 0; s < t.kept; ++s) {
+                      take(t.value(s), t.index(s),
+                           t.tag[s] == simgpu::simd::kBelowTag, t.tag[s]);
+                    }
+                    return;
+                  }
+                  // take() of a counting pass, a tile at a time: below keys
+                  // are results and equal keys are buffered when storing,
+                  // each appender seeing its pushes in element order; then
+                  // the SIMD histogram counts the equal keys' tags (their
+                  // next digit).  A below key's tag, kBelowTag, masks to the
+                  // last bin, which gives those counts back.
+                  std::size_t below = 0;
+                  for (std::size_t s = 0; s < t.kept; ++s) {
+                    below += t.tag[s] == simgpu::simd::kBelowTag ? 1 : 0;
+                  }
+                  if (below != 0 || store_flag) {
+                    for (std::size_t s = 0; s < t.kept; ++s) {
+                      if (t.tag[s] == simgpu::simd::kBelowTag) {
+                        out_app.push(ctx, t.value(s), t.index(s));
+                      } else if (store_flag) {
+                        buf_app.push(ctx, t.value(s), t.index(s));
+                      }
+                    }
+                  }
+                  simgpu::simd::histogram_digits<std::uint32_t>(
+                      {t.tag, t.kept}, 0, 0, digit_mask, hraw);
+                  hraw[digit_mask] -= static_cast<std::uint32_t>(below);
+                });
           }
           tiled = true;
         }
@@ -624,11 +648,7 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
       // this problem compute prefix sum + target digit (Algorithm 1 l.23-28).
       if (!is_last_filter && !copy_mode) {
         ctx.sync();
-        for (std::size_t d = 0; d < nb; ++d) {
-          if (shist[d] != 0) {
-            ctx.atomic_add_scattered(ghist, (prob << cur.width) + d, shist[d]);
-          }
-        }
+        ctx.flush_counts(ghist, prob << cur.width, shist);
         ctx.ops(nb);
       }
       if (is_last_filter && !copy_mode) return;

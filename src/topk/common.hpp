@@ -316,18 +316,38 @@ inline void histogram_tiles(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
                     });
 }
 
+/// One tile of a radix filter after simd::classify_digits: its `kept`
+/// below or equal elements in element order, element s being
+/// vals[pos[s]] with tag tag[s] (simd::kBelowTag for a below element, the
+/// equal element's next digit otherwise).
+template <typename T>
+struct ClassifiedTile {
+  std::span<const T> vals;
+  std::span<const std::uint32_t> ids;  ///< bound indices, or empty
+  std::size_t idx0 = 0;  ///< index of vals[0] when `ids` is empty
+  const std::uint32_t* pos = nullptr;
+  const std::uint32_t* tag = nullptr;
+  std::size_t kept = 0;
+
+  [[nodiscard]] T value(std::size_t s) const { return vals[pos[s]]; }
+  [[nodiscard]] std::uint32_t index(std::size_t s) const {
+    return ids.empty() ? static_cast<std::uint32_t>(idx0 + pos[s])
+                       : ids[pos[s]];
+  }
+};
+
 /// The whole-tile form of a radix filter: classify the elements [begin,
-/// end) of `src` under `rule` with simd::classify_digits and call
-/// `f(value, index, tag)` for each below or equal element, in element order
-/// — the order, and so the appends, a per-element loop over scan_source
-/// makes.  `tag` is simd::kBelowTag for a below element and the equal
-/// element's next digit otherwise.  Charges what scan_source charges.  For
-/// the unchecked tile path (BlockCtx::unchecked_tiles) on carrier keys.
+/// end) of `src` under `rule` with simd::classify_digits and call `f(tile)`
+/// with each tile's ClassifiedTile, in element order — the order, and so
+/// the appends, a per-element loop over scan_source makes.  Charges what
+/// scan_source charges.  For the unchecked tile path
+/// (BlockCtx::unchecked_tiles) on carrier keys.
 template <typename T, typename F>
   requires simgpu::simd::kRadixCarrier<T>
-inline void scan_classified(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
-                            std::size_t begin, std::size_t end,
-                            const simgpu::simd::DigitRule& rule, F&& f) {
+inline void scan_classified_tiles(simgpu::BlockCtx& ctx,
+                                  const RadixSource<T>& src, std::size_t begin,
+                                  std::size_t end,
+                                  const simgpu::simd::DigitRule& rule, F&& f) {
   std::uint32_t pos[simgpu::kTileElems];
   std::uint32_t tag[simgpu::kTileElems];
   scan_source_tiles(ctx, src, begin, end,
@@ -335,15 +355,42 @@ inline void scan_classified(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
                         std::span<const std::uint32_t> ti, std::size_t first) {
                       const std::size_t m =
                           simgpu::simd::classify_digits(tv, rule, pos, tag);
-                      for (std::size_t s = 0; s < m; ++s) {
-                        const std::uint32_t u = pos[s];
-                        f(tv[u],
-                          ti.empty() ? static_cast<std::uint32_t>(
-                                           src.idx0 + first + u)
-                                     : ti[u],
-                          tag[s]);
-                      }
+                      f(ClassifiedTile<T>{tv, ti, src.idx0 + first, pos, tag,
+                                          m});
                     });
+}
+
+/// scan_classified_tiles calling `f(value, index, tag)` for each below or
+/// equal element.
+template <typename T, typename F>
+  requires simgpu::simd::kRadixCarrier<T>
+inline void scan_classified(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
+                            std::size_t begin, std::size_t end,
+                            const simgpu::simd::DigitRule& rule, F&& f) {
+  scan_classified_tiles(ctx, src, begin, end, rule,
+                        [&](const ClassifiedTile<T>& t) {
+                          for (std::size_t s = 0; s < t.kept; ++s) {
+                            f(t.value(s), t.index(s), t.tag[s]);
+                          }
+                        });
+}
+
+/// Accounted zero-fill of b[first, first + count): store_tile from a zero
+/// tile on the tile path, one store per element otherwise; either way it
+/// charges count elements written.
+template <typename T>
+inline void zero_fill(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> b,
+                      std::size_t first, std::size_t count) {
+  if (simgpu::tile_path_enabled()) {
+    static constexpr T kZeros[simgpu::kTileElems] = {};
+    for (std::size_t i = 0; i < count; i += simgpu::kTileElems) {
+      ctx.store_tile(b, first + i,
+                     std::span<const T>(
+                         kZeros, std::min(simgpu::kTileElems, count - i)));
+    }
+  } else {
+    for (std::size_t i = 0; i < count; ++i) ctx.store(b, first + i, T{});
+  }
 }
 
 /// Warp-aggregated append into parallel (value, index) output arrays that

@@ -256,9 +256,7 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
     {
       simgpu::LaunchConfig cfg{"Memset", 1, kBlockThreads, 1, n, k};
       simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
-        for (int d = 0; d < nb; ++d) {
-          ctx.store<std::uint32_t>(ghist, static_cast<std::size_t>(d), 0);
-        }
+        zero_fill(ctx, ghist, 0, static_cast<std::size_t>(nb));
         ctx.store<std::uint32_t>(counters, 0, 0);
         ctx.store<std::uint32_t>(counters, 1, 0);
       });
@@ -289,12 +287,7 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
         }
         ctx.ops(3 * (end - begin));
         ctx.sync();
-        for (int d = 0; d < nb; ++d) {
-          if (shist[static_cast<std::size_t>(d)] != 0) {
-            ctx.atomic_add_scattered(ghist, static_cast<std::size_t>(d),
-                                     shist[static_cast<std::size_t>(d)]);
-          }
-        }
+        ctx.flush_counts(ghist, 0, shist);
         ctx.ops(static_cast<std::uint64_t>(nb));
       });
     }
@@ -338,13 +331,52 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
         bool tiled = false;
         if constexpr (simgpu::simd::kRadixCarrier<T>) {
           if (ctx.unchecked_tiles()) {
+            // keep() a tile at a time: the tile's winners and its ties each
+            // reserve their run with one atomic_reserve (charged one atomic
+            // per element) and land with store_tile, in the slots, in
+            // element order, that keep() would give them on one emulator
+            // thread.
+            T win_v[simgpu::kTileElems];
+            std::uint32_t win_i[simgpu::kTileElems];
+            T tie_v[simgpu::kTileElems];
+            std::uint32_t tie_i[simgpu::kTileElems];
+            const auto append = [&](std::size_t cursor, std::size_t base,
+                                    simgpu::DeviceBuffer<T> vals,
+                                    simgpu::DeviceBuffer<std::uint32_t> ids,
+                                    const T* v, const std::uint32_t* id,
+                                    std::size_t count) {
+              if (count == 0) return;
+              const std::size_t at =
+                  base + ctx.atomic_reserve(
+                             counters, cursor,
+                             static_cast<std::uint32_t>(count));
+              ctx.store_tile(vals, at, std::span<const T>(v, count));
+              ctx.store_tile(ids, at,
+                             std::span<const std::uint32_t>(id, count));
+            };
             const simgpu::simd::DigitRule rule{
                 .order = order, .shift = start_bit, .mask = mask,
                 .target = target_digit};
-            scan_classified(ctx, from, begin, end, rule,
-                            [&](T v, std::uint32_t id, std::uint32_t tag) {
-                              keep(v, id, tag == simgpu::simd::kBelowTag);
-                            });
+            scan_classified_tiles(
+                ctx, from, begin, end, rule,
+                [&](const ClassifiedTile<T>& t) {
+                  std::size_t wins = 0;
+                  std::size_t ties = 0;
+                  for (std::size_t s = 0; s < t.kept; ++s) {
+                    const T v = t.value(s);
+                    const std::uint32_t id = t.index(s);
+                    const bool win = t.tag[s] == simgpu::simd::kBelowTag;
+                    win_v[wins] = v;
+                    win_i[wins] = id;
+                    tie_v[ties] = v;
+                    tie_i[ties] = id;
+                    wins += win ? 1 : 0;
+                    ties += win ? 0 : 1;
+                  }
+                  append(0, out_cursor_base, win_val, win_idx, win_v, win_i,
+                         wins);
+                  append(1, 0, dst_val, dst_idx, tie_v, tie_i, ties);
+                });
             tiled = true;
           }
         }

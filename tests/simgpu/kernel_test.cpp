@@ -6,10 +6,13 @@
 #include <limits>
 #include <numeric>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "simgpu/cost_model.hpp"
 #include "simgpu/device.hpp"
 
 namespace simgpu {
@@ -178,6 +181,25 @@ TEST(Launch, KernelEventRecordedOnDevice) {
   EXPECT_EQ(k->stats.grid_blocks, 2);
 }
 
+TEST(Launch, EmulatorWallIsRecordedButNeverModeled) {
+  Device dev;
+  auto sink = dev.alloc_zero<std::uint64_t>(1);
+  launch(dev, {"busy", 8, 32}, [=](BlockCtx& ctx) {
+    std::uint64_t acc = 0;
+    for (std::uint64_t i = 0; i < 20000; ++i) acc += i * i;
+    ctx.atomic_add(sink, 0, acc);
+  });
+  ASSERT_EQ(dev.events().size(), 1u);
+  const auto* k = std::get_if<KernelEvent>(&dev.events()[0]);
+  ASSERT_NE(k, nullptr);
+  EXPECT_GT(k->emu_ms, 0.0);
+  // The cost model prices counters only: another wall time, same µs.
+  EventLog other = dev.events();
+  std::get<KernelEvent>(other[0]).emu_ms = 1e6;
+  const CostModel model(dev.spec());
+  EXPECT_EQ(model.total_us(other), model.total_us(dev.events()));
+}
+
 /// Restores the process-global tile toggle however a test exits.
 class TileGuard {
  public:
@@ -332,6 +354,143 @@ TEST(TileAccessors, ScatterWriterChargesIdenticallyInBothModes) {
     hit[(i * 7919) % kN] = true;
   }
   EXPECT_TRUE(std::all_of(hit.begin(), hit.end(), [](bool b) { return b; }));
+}
+
+void expect_same_stats(const KernelStats& a, const KernelStats& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.bytes_read, b.bytes_read) << what;
+  EXPECT_EQ(a.bytes_written, b.bytes_written) << what;
+  EXPECT_EQ(a.lane_ops, b.lane_ops) << what;
+  EXPECT_EQ(a.atomic_ops, b.atomic_ops) << what;
+  EXPECT_EQ(a.scattered_atomic_ops, b.scattered_atomic_ops) << what;
+  EXPECT_EQ(a.block_syncs, b.block_syncs) << what;
+  EXPECT_EQ(a.max_block_bytes, b.max_block_bytes) << what;
+  EXPECT_EQ(a.max_block_lane_ops, b.max_block_lane_ops) << what;
+}
+
+/// Block `block`'s count for bin `d` in the flush tests: every bin non-zero
+/// (dense), or every seventh bin, shifted by the block (sparse).
+std::uint32_t flush_test_count(int block, std::size_t d, bool dense) {
+  if (dense) return static_cast<std::uint32_t>(1 + (31 * block + d) % 5);
+  return (d + static_cast<std::size_t>(block)) % 7 == 0
+             ? static_cast<std::uint32_t>(block + 1)
+             : 0u;
+}
+
+TEST(BulkAtomics, FlushCountsAddsAndChargesLikeThePerBinLoop) {
+  // 96 blocks on the pool flush 2048-bin spans into three per-problem
+  // histograms of one buffer (block b into problem b % 3), as AIR's
+  // iteration-fused kernels do.  flush_counts on either tile setting and
+  // the per-bin atomic loop it replaces must give the host sums, one
+  // scattered atomic per non-zero entry and identical KernelStats.
+  TileGuard guard;
+  constexpr int kBlocks = 96;
+  constexpr std::size_t kBins = 2048;
+  constexpr std::size_t kProblems = 3;
+  for (const bool dense : {false, true}) {
+    std::vector<std::uint32_t> want(kProblems * kBins, 0);
+    std::uint64_t nonzero = 0;
+    for (int b = 0; b < kBlocks; ++b) {
+      for (std::size_t d = 0; d < kBins; ++d) {
+        const std::uint32_t c = flush_test_count(b, d, dense);
+        want[static_cast<std::size_t>(b) % kProblems * kBins + d] += c;
+        nonzero += c != 0 ? 1 : 0;
+      }
+    }
+    const auto run = [&](bool tile, bool per_bin_loop) {
+      set_tile_path_enabled(tile);
+      Device dev;
+      auto bins = dev.alloc_zero<std::uint32_t>(kProblems * kBins);
+      const KernelStats stats = launch(
+          dev, {"flush", kBlocks, 64}, [=](BlockCtx& ctx) {
+            auto counts = ctx.shared_zero<std::uint32_t>(kBins, "counts");
+            for (std::size_t d = 0; d < kBins; ++d) {
+              const std::uint32_t c =
+                  flush_test_count(ctx.block_idx(), d, dense);
+              if (c != 0) counts[d] = c;
+            }
+            ctx.sync();
+            const std::size_t first =
+                static_cast<std::size_t>(ctx.block_idx()) % kProblems * kBins;
+            if (per_bin_loop) {
+              for (std::size_t d = 0; d < kBins; ++d) {
+                if (counts[d] != 0) {
+                  ctx.atomic_add_scattered(bins, first + d, counts[d]);
+                }
+              }
+            } else {
+              ctx.flush_counts(bins, first, counts);
+            }
+          });
+      const std::string what = std::string(dense ? "dense" : "sparse") +
+                               " tile=" + std::to_string(tile) +
+                               " loop=" + std::to_string(per_bin_loop);
+      EXPECT_EQ(dev.to_host(bins), want) << what;
+      EXPECT_EQ(stats.scattered_atomic_ops, nonzero) << what;
+      EXPECT_EQ(stats.atomic_ops, 0u) << what;
+      return stats;
+    };
+    const KernelStats loop = run(true, true);
+    expect_same_stats(run(true, false), loop, dense ? "dense" : "sparse");
+    expect_same_stats(run(false, false), loop, dense ? "dense" : "sparse");
+  }
+}
+
+TEST(BulkAtomics, ReservationsTileTheRangeAndChargeEveryAtomic) {
+  // 64 blocks on the pool each reserve 1-40 slots of one cursor, five
+  // times: the runs must tile [0, total) with no gap or overlap, and each
+  // reservation charges one atomic per slot.
+  Device dev;
+  constexpr int kBlocks = 64;
+  constexpr std::size_t kPer = 5;
+  const auto count_of = [](std::size_t block, std::size_t j) {
+    return static_cast<std::uint32_t>(1 + (block * 13 + j * 7) % 40);
+  };
+  auto cursor = dev.alloc_zero<std::uint32_t>(1);
+  auto starts = dev.alloc_zero<std::uint32_t>(kBlocks * kPer);
+  const KernelStats stats =
+      launch(dev, {"reserve", kBlocks, 32}, [=](BlockCtx& ctx) {
+        const auto b = static_cast<std::size_t>(ctx.block_idx());
+        for (std::size_t j = 0; j < kPer; ++j) {
+          ctx.store(starts, b * kPer + j,
+                    ctx.atomic_reserve(cursor, 0, count_of(b, j)));
+        }
+      });
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
+  std::uint64_t total = 0;
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    for (std::size_t j = 0; j < kPer; ++j) {
+      runs.emplace_back(starts.data()[b * kPer + j], count_of(b, j));
+      total += count_of(b, j);
+    }
+  }
+  std::sort(runs.begin(), runs.end());
+  std::uint64_t next = 0;
+  for (const auto& [start, count] : runs) {
+    EXPECT_EQ(start, next) << "gap or overlap at slot " << next;
+    next = start + count;
+  }
+  EXPECT_EQ(next, total);
+  EXPECT_EQ(cursor.data()[0], total);
+  EXPECT_EQ(stats.atomic_ops, total);
+  EXPECT_EQ(stats.scattered_atomic_ops, 0u);
+}
+
+TEST(BulkAtomics, ReservationTakesTheSlotsOfPerElementAppends) {
+  // One block alone: reserving n slots returns what the first of n
+  // atomic_add(..., 1) calls would, and leaves the cursor where they would.
+  Device dev;
+  auto cursor = dev.alloc_zero<std::uint32_t>(1);
+  std::vector<std::uint32_t> got;
+  const KernelStats stats =
+      launch(dev, {"reserve order", 1, 32}, [&](BlockCtx& ctx) {
+        got.push_back(ctx.atomic_reserve(cursor, 0, 5u));
+        for (int i = 0; i < 3; ++i) got.push_back(ctx.atomic_add(cursor, 0, 1u));
+        got.push_back(ctx.atomic_reserve(cursor, 0, 2u));
+      });
+  EXPECT_EQ(got, (std::vector<std::uint32_t>{0, 5, 6, 7, 8}));
+  EXPECT_EQ(cursor.data()[0], 10u);
+  EXPECT_EQ(stats.atomic_ops, 10u);
 }
 
 /// Restores the warpfast toggle however a test exits.

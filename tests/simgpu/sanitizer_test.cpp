@@ -541,6 +541,64 @@ TEST(SimcheckTile, ScatterWriterShadowsPerElementUnderSanitizer) {
   EXPECT_EQ(host[7], 2.0f);
 }
 
+TEST(SimcheckTile, FlushCountsOutOfBoundsReportedPerBinWithAttribution) {
+  // Under simcheck flush_counts is the per-bin atomic loop: a seeded
+  // out-of-bounds flush (block 2's span starts 8 bins before the end of a
+  // 32-bin buffer) reports each non-zero bin past the end, attributed to
+  // the kernel, the block and the buffer, and lands the bins in range.
+  TileGuard guard;
+  set_tile_path_enabled(true);
+  Device dev;
+  dev.enable_sanitizer();
+  auto bins = dev.alloc_zero<std::uint32_t>(32, "global bins");
+  launch(dev, {"oob flush", 3, 32}, [&](BlockCtx& ctx) {
+    auto counts = ctx.shared_zero<std::uint32_t>(16, "block counts");
+    for (std::size_t d = 0; d < 16; d += 2) counts[d] = 1;  // 8 non-zero
+    ctx.sync();
+    const std::size_t first = ctx.block_idx() == 2 ? 24 : 0;  // bug: 24+16
+    ctx.flush_counts(bins, first, counts);
+  });
+  const auto rep = dev.sanitizer()->snapshot();
+  ASSERT_EQ(count_kind(rep, IssueKind::kOutOfBounds), 4u) << rep.to_string();
+  for (const auto& issue : rep.issues) {
+    EXPECT_EQ(issue.kernel, "oob flush");
+    EXPECT_EQ(issue.block, 2);
+    EXPECT_EQ(issue.buffer, "global bins");
+    EXPECT_GE(issue.index, 32u);
+  }
+  const auto host = dev.to_host(bins);
+  EXPECT_EQ(host[0], 2u);   // blocks 0 and 1
+  EXPECT_EQ(host[24], 1u);  // block 2's in-range bins
+  EXPECT_EQ(host[25], 0u);
+}
+
+TEST(SimcheckTile, FlushesBeforeAnElectedLastBlockAreNotARace) {
+  // AIR's epilogue: every block flushes its counts into one histogram, an
+  // arrival counter elects the last block, which reads the histogram.
+  TileGuard guard;
+  set_tile_path_enabled(true);
+  Device dev;
+  dev.enable_sanitizer();
+  constexpr int kBlocks = 8;
+  auto bins = dev.alloc_zero<std::uint32_t>(64, "histogram");
+  auto arrivals = dev.alloc_zero<std::uint32_t>(1, "arrivals");
+  auto total = dev.alloc_zero<std::uint32_t>(1, "total");
+  launch(dev, {"flush then elect", kBlocks, 32}, [&](BlockCtx& ctx) {
+    auto counts = ctx.shared_zero<std::uint32_t>(64, "counts");
+    counts[static_cast<std::size_t>(ctx.block_idx()) * 5] = 3;
+    ctx.sync();
+    ctx.flush_counts(bins, 0, counts);
+    if (ctx.atomic_add(arrivals, 0, 1u) == kBlocks - 1) {
+      std::uint32_t sum = 0;
+      for (std::size_t d = 0; d < 64; ++d) sum += ctx.load(bins, d);
+      ctx.store(total, 0, sum);
+    }
+  });
+  EXPECT_EQ(dev.to_host(total)[0], 3u * kBlocks);
+  EXPECT_TRUE(dev.sanitizer()->snapshot().clean())
+      << dev.sanitizer()->snapshot().to_string();
+}
+
 TEST(SimcheckTile, UncheckedSharedDataNullUnderSanitizer) {
   TileGuard guard;
   set_tile_path_enabled(true);

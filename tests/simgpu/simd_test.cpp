@@ -622,6 +622,104 @@ TEST(HistogramDigits, U32MatchesScalarLoop) {
   histogram_matches_scalar_loop<std::uint32_t>(0x4158);
 }
 
+/// A carrier key whose digit ((ord ^ order) >> shift) & mask is `digit`,
+/// its other ordinal bits taken from `noise`.
+template <typename T>
+T key_with_digit(std::uint32_t digit, std::uint32_t order, int shift,
+                 std::uint32_t mask, std::uint32_t noise) {
+  const std::uint32_t o =
+      ((noise & ~(mask << shift)) | (digit << shift)) ^ order;
+  if constexpr (std::is_same_v<T, float>) {
+    // Invert the ordinal map: set sign bit -> non-negative, else negative.
+    return std::bit_cast<float>((o & 0x80000000u) ? (o ^ 0x80000000u) : ~o);
+  } else {
+    return o;
+  }
+}
+
+/// Digit sequences with runs: all equal, two alternating digits, one odd
+/// lane per 16-lane group, and runs of 5, 11 and 21 that cross group
+/// boundaries.
+std::uint32_t run_pattern_digit(int pattern, std::size_t i, std::uint32_t a,
+                                std::uint32_t b) {
+  switch (pattern) {
+    case 0:
+      return a;
+    case 1:
+      return i % 2 == 0 ? a : b;
+    case 2:
+      return i % 16 == (i / 16) % 16 ? b : a;
+    default: {
+      constexpr std::size_t kRuns[] = {5, 11, 21};
+      std::size_t at = 0;
+      for (std::size_t r = 0;; ++r) {
+        const std::size_t len = kRuns[r % 3];
+        if (i < at + len) return r % 2 == 0 ? a : b;
+        at += len;
+      }
+    }
+  }
+}
+
+template <typename T>
+void histogram_matches_on_runs() {
+  const std::pair<int, std::uint32_t> digits[] = {
+      {21, 0x7FFu}, {10, 0x7FFu}, {0, 0xFFu}, {24, 0xFFu}};
+  std::mt19937_64 rng(0x5A11);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 50; ++n) lengths.push_back(n);
+  for (std::size_t n = 1023; n <= 1025; ++n) lengths.push_back(n);
+  for (const std::uint32_t order : {0u, ~0u}) {
+    for (const auto& [shift, mask] : digits) {
+      for (int pattern = 0; pattern < 4; ++pattern) {
+        for (const std::size_t n : lengths) {
+          const auto a = static_cast<std::uint32_t>(rng()) & mask;
+          const auto b = (a + 1 + static_cast<std::uint32_t>(rng()) % mask) &
+                         mask;  // never a
+          std::vector<T> keys(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            keys[i] = key_with_digit<T>(run_pattern_digit(pattern, i, a, b),
+                                        order, shift, mask,
+                                        static_cast<std::uint32_t>(rng()));
+          }
+          const std::string what =
+              "pattern " + std::to_string(pattern) + " n=" +
+              std::to_string(n) + " shift=" + std::to_string(shift) +
+              " order=" + std::to_string(order);
+          std::vector<std::uint32_t> want(mask + 1, 0);
+          detail::histogram_digits_scalar<T>(keys, order, shift, mask,
+                                             want.data());
+          std::vector<std::uint32_t> got(mask + 1, 0);
+          histogram_digits<T>(keys, order, shift, mask, got.data());
+          ASSERT_EQ(got, want) << "dispatch " << what;
+          std::size_t in_b = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            in_b += run_pattern_digit(pattern, i, a, b) == b ? 1 : 0;
+          }
+          ASSERT_EQ(want[b], in_b) << "scalar " << what;
+          ASSERT_EQ(want[a], n - in_b) << "scalar " << what;
+#if SIMGPU_SIMD_X86
+          if (have_avx512f()) {
+            std::fill(got.begin(), got.end(), 0);
+            detail::histogram_digits_avx512<std::is_same_v<T, float>>(
+                std::span<const T>(keys), order, shift, mask, got.data());
+            ASSERT_EQ(got, want) << "avx512 " << what;
+          }
+#endif
+        }
+      }
+    }
+  }
+}
+
+TEST(HistogramDigits, F32RunsMatchScalarLoop) {
+  histogram_matches_on_runs<float>();
+}
+
+TEST(HistogramDigits, U32RunsMatchScalarLoop) {
+  histogram_matches_on_runs<std::uint32_t>();
+}
+
 #if SIMGPU_SIMD_X86
 TEST(Dispatch, Avx512BodiesAgreeWithScalarFallbacks) {
   if (!have_avx512f()) GTEST_SKIP() << "host lacks AVX-512F";
