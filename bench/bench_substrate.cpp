@@ -9,7 +9,8 @@
 //     tile off vs on for every algorithm, and
 //   - the threshold-gated warp fast path (TOPK_SIM_WARPFAST, "warpfast"),
 //     A/B'd as warpfast off vs on (tile on in both) for the WarpSelect
-//     family rows (GridSelect, WarpSelect), whose cost is per-lane round
+//     family rows (GridSelect, WarpSelect, BlockSelect at k = 2048; every
+//     other leg runs at k = 256), whose cost is per-lane round
 //     emulation rather than memory accounting, and for the partition rows
 //     (SampleSelect, QuickSelect, BucketSelect) and Bitonic Top-K, whose
 //     splitter searches, scans and networks run packed or bulk-charged
@@ -24,7 +25,10 @@
 // run, 3× in --smoke, where shared-runner noise and tiny N compress ratios
 // (WarpSelect's floor is lower because its exact path — per-thread register
 // queues, no shared-queue insertion machinery — is already cheap, and its
-// warpfast leg sits at the single-core memory-bandwidth floor); SampleSelect
+// warpfast leg sits at the single-core memory-bandwidth floor); BlockSelect
+// at k = 2048 3.5× full run, 4.5× in --smoke (its flushes drain up to 320
+// thread-queue candidates into a 2048-long list, the largest list the
+// engines' scratch holds); SampleSelect
 // and Bitonic Top-K 6× full run, 4× in --smoke; AIR Top-K 4× (2× smoke),
 // AIR Top-K on radix-adversarial M = 20 keys 2.5× (1.25× smoke),
 // RadixSelect 3.5× (2× smoke) and RadixSelect on radix-adversarial keys 3×
@@ -216,15 +220,17 @@ std::string fmt_double(double v) {
 
 /// One swept leg: a row on uniform keys, or on radix-adversarial M = 20
 /// keys (the first 20 bits shared), on which AIR re-scans its input every
-/// pass.
+/// pass; at k = 256 unless the leg says otherwise.
 struct Leg {
   topk::Algo algo;
   bool adversarial = false;
+  std::size_t k = 256;
 };
 
 std::string leg_name(const Leg& leg) {
   return topk::algo_name(leg.algo) +
-         (leg.adversarial ? " (adversarial M=20)" : "");
+         (leg.adversarial ? " (adversarial M=20)" : "") +
+         (leg.k != 256 ? " k=" + std::to_string(leg.k) : "");
 }
 
 /// Legs whose speedup against everything off at the largest swept N is
@@ -248,6 +254,7 @@ struct FastPathRow {
 constexpr FastPathRow kFastPathRows[] = {
     {{topk::Algo::kGridSelect}, true, 20.0, 3.0},
     {{topk::Algo::kWarpSelect}, true, 6.0, 3.0},
+    {{topk::Algo::kBlockSelect, false, 2048}, true, 3.5, 4.5},
     {{topk::Algo::kSampleSelect}, true, 6.0, 4.0},
     {{topk::Algo::kBitonicTopk}, true, 6.0, 4.0},
     {{topk::Algo::kQuickSelect}, true, 0.0, 0.0},
@@ -260,7 +267,8 @@ constexpr FastPathRow kFastPathRows[] = {
 
 const FastPathRow* fast_path_row(const Leg& leg) {
   for (const FastPathRow& r : kFastPathRows) {
-    if (r.leg.algo == leg.algo && r.leg.adversarial == leg.adversarial) {
+    if (r.leg.algo == leg.algo && r.leg.adversarial == leg.adversarial &&
+        r.leg.k == leg.k) {
       return &r;
     }
   }
@@ -278,7 +286,6 @@ int main(int argc, char** argv) {
   const auto scale = topk::bench::BenchScale::from_env();
   const int max_log_n = smoke ? 18 : std::min(scale.max_log_n, 22);
   const int reps = smoke ? 5 : 4;  // timed reps per mode; min is reported
-  const std::size_t k = 256;
   const simgpu::DeviceSpec spec = simgpu::DeviceSpec::a100();
   const bool tile_default = simgpu::tile_path_enabled();
   const bool warpfast_default = simgpu::warpfast_path_enabled();
@@ -293,6 +300,7 @@ int main(int argc, char** argv) {
       {topk::Algo::kSort},         {topk::Algo::kRadixSelect},
       {topk::Algo::kRadixSelect, true},
       {topk::Algo::kGridSelect},   {topk::Algo::kWarpSelect},
+      {topk::Algo::kBlockSelect, false, 2048},
       {topk::Algo::kSampleSelect}, {topk::Algo::kBitonicTopk},
       {topk::Algo::kQuickSelect},  {topk::Algo::kBucketSelect}};
 
@@ -323,7 +331,7 @@ int main(int argc, char** argv) {
       const bool with_wf = fp != nullptr && fp->warpfast_leg;
       const Mode modes[] = {{false, false}, {true, false}, {true, true}};
       std::vector<Row> measured = measure(
-          dev, data, n, k, algo, std::span(modes, with_wf ? 3 : 2), reps);
+          dev, data, n, leg.k, algo, std::span(modes, with_wf ? 3 : 2), reps);
       for (Row& r : measured) r.algo = leg_name(leg);
       const Row& off = measured[0];
       if (with_wf && algo == topk::Algo::kGridSelect) {

@@ -26,12 +26,14 @@
 // per-kernel table after it: launches, modeled µs and the emulator's host
 // wall time (KernelEvent::emu_ms) per kernel name.
 //
-// `--dtype {f32,f16,bf16,i32,u32}` runs the query with typed keys (the
-// generated floats are converted; i32/u32 scale them into the integer
-// domain) through the typed select path, verifying against an exact host
-// reference in the key's own ordinal domain.  `--explain` then shows the
-// recommender race filtered by dtype: candidates whose registry row lacks
-// the key type are listed as filtered instead of priced.  `--payload`
+// `--dtype {f32,f16,bf16,i32,u32}` runs the query with typed keys through
+// the typed select path, verifying against an exact host reference in the
+// key's own ordinal domain.  f16 and bf16 round the generated floats; i32
+// and u32 bit-cast them, so a uniform run's integer keys are the bit
+// patterns of floats in (0, 1], not uniform 32-bit integers.  `--explain`
+// then shows the recommender race filtered by dtype: candidates whose
+// registry row lacks the key type are listed as filtered instead of
+// priced.  `--payload`
 // attaches a u32 payload (the key's global position) and checks the
 // winners' entries ride along.
 

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <utility>
 
 /// Host-side vector kernels for the emulator's warpfast scan path.  These are
 /// pure compute helpers: they never touch BlockCounters, so they cannot
@@ -230,6 +232,68 @@ inline void sort32_u64_scalar(std::uint64_t* v) {
   merge_runs_u64<16>(v, tmp, tmp + 16);
 }
 
+/// The merge-path split of merge_sorted_u64: how many of the first t
+/// outputs of merging ascending runs a[0..an) and b[0..bn) come from b
+/// (t <= an + bn).  Ties go to a; equal values are equal bit patterns, so
+/// any split of a tie yields the same output.  A stream that starts here
+/// and emits the next outputs depends on no other stream.
+inline std::size_t merge_split(const std::uint64_t* a, std::size_t an,
+                               const std::uint64_t* b, std::size_t bn,
+                               std::size_t t) {
+  std::size_t lo = t > an ? t - an : 0;
+  std::size_t hi = t < bn ? t : bn;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const bool take = b[mid] < a[t - 1 - mid];
+    lo = take ? mid + 1 : lo;
+    hi = take ? hi : mid;
+  }
+  return lo;
+}
+
+/// One step of the portable merge: emit the smaller head of a[i..an) and
+/// b[j..bn) and advance its cursor.  Clamp-then-select instead of
+/// branching: the take side alternates data-dependently, so a branch would
+/// mispredict about half the time.  Requires an, bn >= 1.
+inline std::uint64_t merge_take(const std::uint64_t* a, std::size_t an,
+                                const std::uint64_t* b, std::size_t bn,
+                                std::size_t& i, std::size_t& j) {
+  const std::uint64_t av = a[i < an ? i : an - 1];
+  const std::uint64_t bv = b[j < bn ? j : bn - 1];
+  const bool takeb = (i >= an) | ((j < bn) & (bv < av));
+  j += takeb ? 1 : 0;
+  i += takeb ? 0 : 1;
+  return takeb ? bv : av;
+}
+
+/// Portable body of merge_sorted_u64 (see there for the contract).  One
+/// two-pointer loop is a serial chain of about 10 cycles per output (each
+/// cursor update waits on the compare of the loads it addresses), so a
+/// merge of 32 or more outputs splits them at the middle diagonal into two
+/// merge-path streams and interleaves their loops (four streams measured
+/// slower inside the list update).  Requires an, bn >= 1.
+inline void merge_sorted_u64_scalar(const std::uint64_t* a, std::size_t an,
+                                    const std::uint64_t* b, std::size_t bn,
+                                    std::uint64_t* out, std::size_t outn) {
+  std::size_t i0 = 0;
+  std::size_t j0 = 0;
+  if (outn < 32) {
+    for (std::size_t t = 0; t < outn; ++t) {
+      out[t] = merge_take(a, an, b, bn, i0, j0);
+    }
+    return;
+  }
+  const std::size_t half = outn / 2;
+  std::size_t j1 = merge_split(a, an, b, bn, half);
+  std::size_t i1 = half - j1;
+  for (std::size_t t = 0; t < half; ++t) {
+    out[t] = merge_take(a, an, b, bn, i0, j0);
+    out[half + t] = merge_take(a, an, b, bn, i1, j1);
+  }
+  // An odd outn leaves the second stream one output longer.
+  if (outn % 2 != 0) out[outn - 1] = merge_take(a, an, b, bn, i1, j1);
+}
+
 #if SIMGPU_SIMD_X86
 
 /// One intra-register bitonic stage: compare-exchange each lane with lane^j
@@ -348,73 +412,112 @@ __attribute__((target("avx512f"))) inline void sort16_u64_avx512(
   _mm512_storeu_si512(v + 8, z1);
 }
 
-/// Load 8 uint64 lanes from p, padding lanes past `rem` with ~0 so pads
-/// sort to the tail of any merge they enter.
-__attribute__((target("avx512f"))) inline __m512i load8_pad_u64(
-    const std::uint64_t* p, std::size_t rem) {
+/// The next 8-lane block of one merge stream: 8 entries from whichever of
+/// a[ai..an) and b[bi..bn) has the smaller head, ~0-padded past the run's
+/// end (an exhausted run's head reads as ~0, so once both are exhausted
+/// the block is all pads and no memory is touched).  The side choice stays
+/// a branch: it is mostly predictable, and a select would put the loads
+/// it addresses on the cursor chain.  A full block is a plain load; the
+/// masked load's merge into the pad vector would take a vector-port slot
+/// from the merge network.  Requires an, bn >= 1.
+__attribute__((target("avx512f"), always_inline)) inline __m512i
+merge_next_block(const std::uint64_t* a, std::size_t an,
+                 const std::uint64_t* b, std::size_t bn, std::size_t& ai,
+                 std::size_t& bi) {
+  const std::size_t arem = ai < an ? an - ai : 0;
+  const std::size_t brem = bi < bn ? bn - bi : 0;
+  const std::uint64_t ah = arem > 0 ? a[ai] : ~std::uint64_t{0};
+  const std::uint64_t bh = brem > 0 ? b[bi] : ~std::uint64_t{0};
+  const std::uint64_t* p;
+  std::size_t rem;
+  if (bh < ah) {
+    p = b + bi;
+    rem = brem;
+    bi += 8;
+  } else {
+    p = a + (an - arem);
+    rem = arem;
+    ai += 8;
+  }
   if (rem >= 8) return _mm512_loadu_si512(p);
-  return _mm512_mask_loadu_epi64(
-      _mm512_set1_epi64(-1), static_cast<__mmask8>((1u << rem) - 1u), p);
+  return _mm512_mask_loadu_epi64(_mm512_set1_epi64(-1),
+                                 static_cast<__mmask8>((1u << rem) - 1u), p);
+}
+
+/// One 16-element bitonic merge step of a merge stream: `u` is the next
+/// sorted block, `r` the stream's carry (its 8 largest so far, reversed).
+/// Stores the low 8 of the union, sorted, at `out` and returns the new
+/// reversed carry.  The three half-cleaner stages run on both halves at
+/// once through two-source permutes — two permutes and one min/max pair per
+/// stage, where a per-register stage needs a permute, a min, a max and a
+/// blend for each half — and the final permutes fold the output
+/// interleave and the next step's reversal into one shuffle each.
+__attribute__((target("avx512f"), always_inline)) inline __m512i merge_step8(
+    __m512i u, __m512i r, std::uint64_t* out) {
+  const __m512i i4a = _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11);
+  const __m512i i4b = _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15);
+  const __m512i i2a = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+  const __m512i i2b = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+  const __m512i i1a = _mm512_setr_epi64(0, 8, 2, 10, 4, 12, 6, 14);
+  const __m512i i1b = _mm512_setr_epi64(1, 9, 3, 11, 5, 13, 7, 15);
+  const __m512i lo8 = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
+  const __m512i hi8_rev = _mm512_setr_epi64(15, 7, 14, 6, 13, 5, 12, 4);
+  // Low and high halves, each bitonic, every low entry <= every high one.
+  __m512i mn = _mm512_min_epu64(u, r);
+  __m512i mx = _mm512_max_epu64(u, r);
+  __m512i x = _mm512_permutex2var_epi64(mn, i4a, mx);
+  __m512i y = _mm512_permutex2var_epi64(mn, i4b, mx);
+  mn = _mm512_min_epu64(x, y);
+  mx = _mm512_max_epu64(x, y);
+  x = _mm512_permutex2var_epi64(mn, i2a, mx);
+  y = _mm512_permutex2var_epi64(mn, i2b, mx);
+  mn = _mm512_min_epu64(x, y);
+  mx = _mm512_max_epu64(x, y);
+  x = _mm512_permutex2var_epi64(mn, i1a, mx);
+  y = _mm512_permutex2var_epi64(mn, i1b, mx);
+  mn = _mm512_min_epu64(x, y);
+  mx = _mm512_max_epu64(x, y);
+  _mm512_storeu_si512(out, _mm512_permutex2var_epi64(mn, lo8, mx));
+  return _mm512_permutex2var_epi64(mn, hi8_rev, mx);
 }
 
 /// Vector body of merge_sorted_u64 (see below for the contract).  The
-/// classic 8-lane register merge: keep an 8-element carry `v`, and per
-/// iteration load 8 from whichever run has the smaller head, run one
-/// 16-element bitonic merge step (reverse + min/max + three cleanup
-/// stages per half), emit the low 8, keep the high 8 as the new carry.
-/// Emitted batches are globally smallest among everything unloaded: any
-/// unloaded element is >= its run's head, and the low 8 of the 16 in
-/// registers cannot contain an element above either head (that would
-/// force 9 elements below it into the low half).  Requires an % 8 == 0,
-/// outn % 8 == 0, bn >= 1, and either outn <= an (b's ragged tail is loaded
-/// with ~0-padding, and pads can never be emitted because the union holds
-/// at least outn real elements) or a full merge: bn % 8 == 0 and
-/// outn == an + bn.  A full merge has no block left to load for its last 8
-/// outputs; they are the final carry, the 8 largest, already sorted.
+/// classic 8-lane register merge — keep an 8-element carry, load 8 from
+/// the run with the smaller head, emit the low 8 of one 16-element bitonic
+/// merge, keep the high 8 — in two independent streams: the output splits
+/// at the merge-path diagonal `half`, and each stream starts at its own
+/// split, so the two carry chains interleave instead of one waiting on the
+/// other.  Emitted batches are a stream's smallest among everything it has
+/// not loaded: any unloaded element is >= its run's head, and the low 8 of
+/// the 16 in registers cannot contain an element above either head.  A
+/// stream may load past its split; those entries are >= everything it
+/// emits.  ~0 pads never reach the output while real entries remain, and
+/// once both runs are exhausted an all-pad block flushes the carry, which
+/// is how a full merge (outn == an + bn) emits its last 8.  Requires
+/// an, bn >= 1 and outn % 8 == 0.
 __attribute__((target("avx512f"))) inline void merge_sorted_u64_avx512(
     const std::uint64_t* a, std::size_t an, const std::uint64_t* b,
     std::size_t bn, std::uint64_t* out, std::size_t outn) {
   const __m512i rev = _mm512_setr_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-  const __m512i p1 = _mm512_setr_epi64(1, 0, 3, 2, 5, 4, 7, 6);
-  const __m512i p2 = _mm512_setr_epi64(2, 3, 0, 1, 6, 7, 4, 5);
-  const __m512i p4 = _mm512_setr_epi64(4, 5, 6, 7, 0, 1, 2, 3);
-  std::size_t ai = 0;
-  std::size_t bi = 0;
-  __m512i v;
-  if (b[0] < a[0]) {
-    v = load8_pad_u64(b, bn);
-    bi = 8;
-  } else {
-    v = _mm512_loadu_si512(a);
-    ai = 8;
+  const std::size_t half = outn / 16 * 8;
+  std::size_t ai0 = 0;
+  std::size_t bi0 = 0;
+  std::size_t bi1 = merge_split(a, an, b, bn, half);
+  std::size_t ai1 = half - bi1;
+  __m512i r0 = _mm512_permutexvar_epi64(
+      rev, merge_next_block(a, an, b, bn, ai0, bi0));
+  __m512i r1 = _mm512_permutexvar_epi64(
+      rev, merge_next_block(a, an, b, bn, ai1, bi1));
+  for (std::size_t t = 0; t < half; t += 8) {
+    const __m512i u0 = merge_next_block(a, an, b, bn, ai0, bi0);
+    const __m512i u1 = merge_next_block(a, an, b, bn, ai1, bi1);
+    r0 = merge_step8(u0, r0, out + t);
+    r1 = merge_step8(u1, r1, out + half + t);
   }
-  const std::size_t loaded_out = outn == an + bn ? outn - 8 : outn;
-  for (std::size_t t = 0; t < loaded_out; t += 8) {
-    // One side always has a block left: the loop consumes t + 16 lanes
-    // through iteration t, and either an + 8 * ceil(bn / 8) >= outn + 8 or
-    // the loop stops one block early (full merge).
-    const bool from_b = (bi < bn) && (ai >= an || b[bi] < a[ai]);
-    __m512i u;
-    if (from_b) {
-      u = load8_pad_u64(b + bi, bn - bi);
-      bi += 8;
-    } else {
-      u = _mm512_loadu_si512(a + ai);
-      ai += 8;
-    }
-    const __m512i r = _mm512_permutexvar_epi64(rev, v);
-    __m512i lo = _mm512_min_epu64(u, r);
-    __m512i hi = _mm512_max_epu64(u, r);
-    lo = ce_stage(lo, p4, 0xF0);
-    hi = ce_stage(hi, p4, 0xF0);
-    lo = ce_stage(lo, p2, 0xCC);
-    hi = ce_stage(hi, p2, 0xCC);
-    lo = ce_stage(lo, p1, 0xAA);
-    hi = ce_stage(hi, p1, 0xAA);
-    _mm512_storeu_si512(out + t, lo);
-    v = hi;
+  // An odd block count leaves the second stream one step longer.
+  if (outn - half > half) {
+    merge_step8(merge_next_block(a, an, b, bn, ai1, bi1), r1, out + 2 * half);
   }
-  if (loaded_out != outn) _mm512_storeu_si512(out + loaded_out, v);
 }
 
 /// Monotone float->uint32 ordinal map (sign-flip trick), vectorized:
@@ -683,18 +786,6 @@ __attribute__((target("avx512f"))) inline void splitter_classes_avx512(
 
 }  // namespace detail
 
-/// Sort 16 uint64s ascending, in place.  Data-independent cost; pad short
-/// batches with ~0 so pads sort to the tail.
-inline void sort16_u64(std::uint64_t* v) {
-#if SIMGPU_SIMD_X86
-  if (have_avx512f()) {
-    detail::sort16_u64_avx512(v);
-    return;
-  }
-#endif
-  detail::sort16_u64_scalar(v);
-}
-
 /// Sort 32 uint64s ascending, in place.  Data-independent cost; pad short
 /// batches with ~0 so pads sort to the tail.
 inline void sort32_u64(std::uint64_t* v) {
@@ -748,8 +839,9 @@ inline void splitter_classes(const T* split, int probes, std::span<const T> v,
 /// runs a[0..an) and b[0..bn) into out[0..outn), ascending.  Requires
 /// outn <= an + bn; `out` must not alias either input.  Equal values are
 /// interchangeable bit patterns, so the result does not depend on which
-/// body runs.  The vector body covers a-prefix merges (outn <= an) and
-/// full merges (outn == an + bn) of 8-aligned runs.
+/// body runs.  Both bodies split the output at merge-path diagonals into
+/// independent streams; the vector body takes any outn that is a multiple
+/// of 8, the portable one the rest.
 inline void merge_sorted_u64(const std::uint64_t* a, std::size_t an,
                              const std::uint64_t* b, std::size_t bn,
                              std::uint64_t* out, std::size_t outn) {
@@ -759,27 +851,94 @@ inline void merge_sorted_u64(const std::uint64_t* a, std::size_t an,
     return;
   }
 #if SIMGPU_SIMD_X86
-  if (an % 8 == 0 && outn % 8 == 0 &&
-      (outn <= an || (bn % 8 == 0 && outn == an + bn)) && have_avx512f()) {
+  if (outn % 8 == 0 && have_avx512f()) {
     detail::merge_sorted_u64_avx512(a, an, b, bn, out, outn);
     return;
   }
 #endif
-  // Clamp-then-select instead of branching on the exhausted sides: the
-  // take side alternates data-dependently, so a conditional branch here
-  // would mispredict about half the time and dominate the loop.
-  const std::size_t imax = an - 1;
-  const std::size_t jmax = bn - 1;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  for (std::size_t t = 0; t < outn; ++t) {
-    const std::uint64_t av = a[i < an ? i : imax];
-    const std::uint64_t bv = b[j < bn ? j : jmax];
-    const bool takeb = (i >= an) | ((j < bn) & (bv < av));
-    out[t] = takeb ? bv : av;
-    j += takeb ? 1 : 0;
-    i += takeb ? 0 : 1;
+  detail::merge_sorted_u64_scalar(a, an, b, bn, out, outn);
+}
+
+/// Entries sort_u64 needs in each of its two buffers to sort n values.
+[[nodiscard]] constexpr std::size_t sort_u64_room(std::size_t n) {
+  return (n + 31) / 32 * 32;
+}
+
+namespace detail {
+
+/// The body of sort_u64 (see there): `vector` runs the AVX-512 networks
+/// (the caller checked have_avx512f), otherwise the portable ones.
+inline void sort_u64_body(std::uint64_t* v, std::size_t n, std::uint64_t* tmp,
+                          [[maybe_unused]] bool vector) {
+  if (n <= 1) return;
+  const std::size_t room = n <= 16 ? 16 : sort_u64_room(n);
+  for (std::size_t i = n; i < room; ++i) v[i] = ~std::uint64_t{0};
+#if SIMGPU_SIMD_X86
+  if (vector && room == 16) {
+    sort16_u64_avx512(v);
+    return;
   }
+#endif
+  if (room == 16) {
+    sort16_u64_scalar(v);
+    return;
+  }
+  std::size_t passes = 0;
+  for (std::size_t w = 32; w < room; w *= 2) ++passes;
+  // Sort the chunks where an even number of passes leaves the result in v.
+  std::uint64_t* src = v;
+  std::uint64_t* dst = tmp;
+  if (passes % 2 == 1) {
+    for (std::size_t i = 0; i < room; ++i) tmp[i] = v[i];
+    std::swap(src, dst);
+  }
+  for (std::size_t c = 0; c < room; c += 32) {
+#if SIMGPU_SIMD_X86
+    if (vector) {
+      sort32_u64_avx512(src + c);
+      continue;
+    }
+#endif
+    sort32_u64_scalar(src + c);
+  }
+  for (std::size_t w = 32; w < room; w *= 2) {
+    for (std::size_t lo = 0; lo < room; lo += 2 * w) {
+      const std::size_t an = std::min(w, room - lo);
+      const std::size_t bn = std::min(w, room - lo - an);
+      if (bn == 0) {
+        for (std::size_t i = 0; i < an; ++i) dst[lo + i] = src[lo + i];
+        continue;
+      }
+#if SIMGPU_SIMD_X86
+      if (vector) {
+        merge_sorted_u64_avx512(src + lo, an, src + lo + an, bn, dst + lo,
+                                an + bn);
+        continue;
+      }
+#endif
+      merge_sorted_u64_scalar(src + lo, an, src + lo + an, bn, dst + lo,
+                              an + bn);
+    }
+    std::swap(src, dst);
+  }
+}
+
+}  // namespace detail
+
+/// Sort v[0..n) ascending with data-oblivious networks: sort32_u64 over
+/// 32-entry chunks (the last one padded with ~0; one 16-entry network when
+/// n <= 16),
+/// then pairwise full merge_sorted_u64 passes until one run remains.  v and
+/// tmp must each hold sort_u64_room(n) entries; v[n..) and tmp are
+/// clobbered.
+inline void sort_u64(std::uint64_t* v, std::size_t n, std::uint64_t* tmp) {
+#if SIMGPU_SIMD_X86
+  if (have_avx512f()) {
+    detail::sort_u64_body(v, n, tmp, true);
+    return;
+  }
+#endif
+  detail::sort_u64_body(v, n, tmp, false);
 }
 
 /// Radix-digit histogram over carrier keys: for each key x, bump

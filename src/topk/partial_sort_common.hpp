@@ -30,18 +30,6 @@ inline constexpr std::size_t kMaxBitonicTopkK = 256;  // Bitonic Top-K
 /// which is what lets the fast path skip it and stay bit-identical.
 inline constexpr std::uint64_t kEmptyRoundLaneOps = simgpu::kWarpSize + 1;
 
-namespace detail {
-
-/// Branchless sort of 32 uint64s in place, used to sort one staged
-/// candidate batch before the tournament-free batch merge in TopkList.
-/// Data-independent cost and far cheaper than 32 serial heap sifts; the
-/// implementation (simgpu::simd) is an AVX-512 bitonic network when the
-/// host supports it, else register-resident sort8 networks plus branchless
-/// binary merges.
-inline void sort32_packed(std::uint64_t* v) { simgpu::simd::sort32_u64(v); }
-
-}  // namespace detail
-
 /// A sorted top-K list with merge-and-prune updates, the common core of
 /// WarpSelect, BlockSelect, GridSelect and Bitonic Top-K.  `keys`/`idx` are
 /// caller-provided storage of `capacity()` elements (registers for the Faiss
@@ -97,8 +85,9 @@ class TopkList {
   /// the fast path: the exact network charges are applied in one bulk
   /// ctx.ops (the networks are data-oblivious, so the charge is a closed
   /// form of the lengths — see bitonic_sort_ops/merge_prune_ops) while the
-  /// list content is maintained as a k-entry max-heap of the smallest pairs
-  /// and materialized into sorted storage lazily.  The retained *value*
+  /// list content is maintained as the k smallest pairs — packed and
+  /// sorted for 32-bit keys (merge_packed), a max-heap otherwise — and
+  /// materialized into sorted storage lazily.  The retained *value*
   /// multiset is identical to the network path; index choice can differ
   /// only between elements tying at the K-th value, which the result
   /// contract already leaves open (tile_invariance_test compares sorted
@@ -110,42 +99,31 @@ class TopkList {
              const CandIdx& cand_idx, std::size_t count) {
     if (count == 0) return;
     if (ctx.warpfast_enabled()) {
-      // Memoized: flushes almost always carry a full queue, so `count` is
-      // nearly constant and the formula loops would otherwise run per
-      // flush.
-      if (count != fast_charge_count_) {
-        const std::size_t q = next_pow2(count);
-        fast_charge_count_ = count;
-        fast_charge_ = bitonic_sort_ops(q) +
-                       ((q + cap_ - 1) / cap_) * merge_prune_ops(cap_);
-      }
-      ctx.ops(fast_charge_);
-      ensure_heap();
       if constexpr (kPackedHeap) {
         // Pack the candidates (through raw spans when the stores are
-        // SharedSpan proxies; shared reads are never charged), sort, and
-        // fold them in with one batch merge.
-        pack_scratch_.resize(count);
+        // SharedSpan proxies; shared reads are never charged) and take
+        // the engines' packed update path.
+        cand_pack_.resize(count);
+        const auto pack = [&](const auto& keys, const auto& idx) {
+          for (std::size_t i = 0; i < count; ++i) {
+            cand_pack_[i] = ord_.pack(keys[i], idx[i]);
+          }
+        };
         if constexpr (kProxyView<CandKeys> && kProxyView<CandIdx>) {
           const auto rk = raw_view(cand_keys);
           const auto ri = raw_view(cand_idx);
           if (!rk.empty() && !ri.empty()) {
-            for (std::size_t i = 0; i < count; ++i) {
-              pack_scratch_[i] = ord_.pack(rk[i], ri[i]);
-            }
+            pack(rk, ri);
           } else {
-            for (std::size_t i = 0; i < count; ++i) {
-              pack_scratch_[i] = ord_.pack(cand_keys[i], cand_idx[i]);
-            }
+            pack(cand_keys, cand_idx);
           }
         } else {
-          for (std::size_t i = 0; i < count; ++i) {
-            pack_scratch_[i] = ord_.pack(cand_keys[i], cand_idx[i]);
-          }
+          pack(cand_keys, cand_idx);
         }
-        std::sort(pack_scratch_.begin(), pack_scratch_.end());
-        sorted_batch_merge(pack_scratch_.data(), count);
+        merge_packed(ctx, cand_pack_.data(), count);
       } else {
+        charge_flush(ctx, count);
+        ensure_heap();
         if constexpr (kProxyView<CandKeys> && kProxyView<CandIdx>) {
           const auto rk = raw_view(cand_keys);
           const auto ri = raw_view(cand_idx);
@@ -158,8 +136,8 @@ class TopkList {
         for (std::size_t i = 0; i < count; ++i) {
           heap_offer(cand_keys[i], cand_idx[i]);
         }
+        storage_dirty_ = true;
       }
-      storage_dirty_ = true;
       return;
     }
     // Process candidates in sorted chunks of the list capacity so the
@@ -203,45 +181,46 @@ class TopkList {
   /// through a single 8-byte store/load/compare end to end).  Charges are
   /// identical to merge() over the same count; callers must be inside the
   /// warpfast gate — the exact network path has no packed form.
+  ///
+  /// Warm-up: until k candidates have arrived, the k-th entry of the state
+  /// is a sentinel whatever order the others are in, so candidates are
+  /// appended unsorted ahead of the sentinels (kth() reads the sentinel, as
+  /// a merge would leave it) and the state is sorted once, with networks,
+  /// when the k-th candidate arrives.  A batch crossing k fills the list,
+  /// settles it and merges its remainder.
   void merge_packed(simgpu::BlockCtx& ctx, const std::uint64_t* cands,
                     std::size_t count)
     requires kPackableKey<T>
   {
     if (count == 0) return;
-    if (count != fast_charge_count_) {
-      const std::size_t q = next_pow2(count);
-      fast_charge_count_ = count;
-      fast_charge_ = bitonic_sort_ops(q) +
-                     ((q + cap_ - 1) / cap_) * merge_prune_ops(cap_);
-    }
-    ctx.ops(fast_charge_);
+    charge_flush(ctx, count);
     ensure_heap();
-    if (count <= 16) {
-      // The typical drain is well under half a queue's capacity, and the
-      // charge above already prices the next_pow2(count) network — run the
-      // matching half-width one instead of padding out a full sort32.
-      std::uint64_t buf[16];
-      std::size_t i = 0;
-      for (; i < count; ++i) buf[i] = cands[i];
-      for (; i < 16; ++i) buf[i] = ~std::uint64_t{0};
-      simgpu::simd::sort16_u64(buf);
-      sorted_batch_merge(buf, count);
-    } else if (count <= 32) {
-      // The hot flush shape: sort one staged batch with the fixed network
-      // (+inf-max pads sort to the tail and sit beyond the merge's
-      // candidate bound) and fold it in with one branchless merge pass.
-      std::uint64_t buf[32];
-      std::size_t i = 0;
-      for (; i < count; ++i) buf[i] = cands[i];
-      for (; i < 32; ++i) buf[i] = ~std::uint64_t{0};
-      detail::sort32_packed(buf);
-      sorted_batch_merge(buf, count);
-    } else {
-      pack_scratch_.assign(cands, cands + count);
-      std::sort(pack_scratch_.begin(), pack_scratch_.end());
-      sorted_batch_merge(pack_scratch_.data(), count);
-    }
     storage_dirty_ = true;
+    if (!settled_) {
+      // A candidate above the sentinel would lose to it in a merge, so it
+      // is appended as the sentinel.
+      const std::uint64_t pad = sentinel();
+      const std::size_t take = std::min(count, k_ - fill_);
+      for (std::size_t i = 0; i < take; ++i) {
+        tsorted_[fill_ + i] = std::min(cands[i], pad);
+      }
+      fill_ += take;
+      if (fill_ < k_) return;
+      settle();
+      cands += take;
+      count -= take;
+      if (count == 0) return;
+    }
+    // Sort the batch with networks (simd::sort_u64: one 16- or 32-entry
+    // network for a queue flush, 32-entry chunks and vector merges for a
+    // thread-queue drain of up to 32 x the queue length; ~0 pads sort past
+    // the batch) and fold it in with one merge.
+    const std::size_t room = simgpu::simd::sort_u64_room(count);
+    pack_scratch_.resize(std::max(pack_scratch_.size(), 2 * room));
+    std::copy_n(cands, count, pack_scratch_.begin());
+    simgpu::simd::sort_u64(pack_scratch_.data(), count,
+                           pack_scratch_.data() + room);
+    sorted_batch_merge(pack_scratch_.data(), count);
   }
 
   /// Merge a chunk of at most capacity() pairs, already sorted under
@@ -284,6 +263,8 @@ class TopkList {
       ensure_heap();
       other.ensure_heap();
       if constexpr (kPackedHeap) {
+        settle();
+        other.settle();
         sorted_batch_merge(other.tsorted_.data(), other.k_);
       } else {
         for (std::size_t i = 0; i < other.k_; ++i) {
@@ -313,16 +294,54 @@ class TopkList {
 
   /// 32-bit key types keep the fast-path selection state as a flat
   /// ascending-sorted array of packed (key, index) uint64s, updated one
-  /// whole candidate batch at a time: sort the batch (branchless network),
-  /// then one 256-step two-pointer merge keeps the k first of the
-  /// union.  Unlike a per-candidate heap, the batch update has no serial
-  /// dependent-address chain — the merge is a straight-line cmov loop —
-  /// and exactness is only ever observed at batch boundaries (the
-  /// selection threshold is read between flushes, never mid-flush).  A
-  /// pleasant side effect: materialization is a plain unpack, the state is
-  /// already sorted.  Wider key types use the generic struct-of-arrays
-  /// 4-ary heap below.
+  /// whole candidate batch at a time: sort the batch (branchless
+  /// networks), then one merge keeps the k first of the union
+  /// (simd::merge_sorted_u64, whose streams have no carry chain in common).
+  /// Exactness is only ever observed at batch boundaries (the selection
+  /// threshold is read between flushes, never mid-flush).  The k first of
+  /// the union are unique bytes — indices are distinct and sentinels are
+  /// one bit pattern — so the state after every flush does not depend on
+  /// how it was computed.  During the warm-up the first fill_ entries
+  /// are unsorted; settle() sorts them before anything but kth() reads the
+  /// state.  Materialization is a plain unpack.  Wider key types
+  /// use the generic struct-of-arrays 4-ary heap below.
   static constexpr bool kPackedHeap = kPackableKey<T>;
+
+  /// Lane-op charge of one fast-path flush of `count` candidates: the
+  /// exact path's sort network over next_pow2(count) plus its merge-prune
+  /// networks.  Memoized: flushes almost always carry a full queue, so
+  /// `count` is nearly constant and the formula loops would otherwise run
+  /// per flush.
+  void charge_flush(simgpu::BlockCtx& ctx, std::size_t count) {
+    if (count != fast_charge_count_) {
+      const std::size_t q = next_pow2(count);
+      fast_charge_count_ = count;
+      fast_charge_ = bitonic_sort_ops(q) +
+                     ((q + cap_ - 1) / cap_) * merge_prune_ops(cap_);
+    }
+    ctx.ops(fast_charge_);
+  }
+
+  /// The packed empty slot: worst() at index 0, as the storage is padded.
+  [[nodiscard]] std::uint64_t sentinel() const
+    requires kPackedHeap
+  {
+    return ord_.pack(ord_.worst(), 0);
+  }
+
+  /// End the packed warm-up: sort the fill_ appended entries in place (the
+  /// sentinels after them are already in order) and mark the state sorted.
+  void settle() const {
+    if constexpr (kPackedHeap) {
+      if (settled_) return;
+      simgpu::simd::sort_u64(tsorted_.data(), fill_, tscratch_.data());
+      // The sort pads its last chunk past fill_; put the sentinels back.
+      std::fill(tsorted_.begin() + static_cast<std::ptrdiff_t>(fill_),
+                tsorted_.begin() + static_cast<std::ptrdiff_t>(k_),
+                sentinel());
+      settled_ = true;
+    }
+  }
 
   /// Generic-heap pad value that can never win a max comparison nor be
   /// displaced by a real entry: the first key of the order, the reverse of
@@ -335,19 +354,18 @@ class TopkList {
 
   /// Seed the fast-path state: k_ sentinel entries mirroring the storage
   /// fill in the constructor (same idx-0 padding the exact path reports
-  /// when fewer than k candidates exist), so the threshold stays worst() and
-  /// every early offer is accepted and replaces a sentinel — warm-up needs
-  /// no special casing in either layout.  Tournament (packed): slots are
-  /// padded to a multiple of 32.  Generic: a 4-ary max-heap (halved depth
-  /// versus binary — the sift is a serial address-dependent chain, so
-  /// depth is the dominant latency term) whose root is the threshold,
-  /// with three pad entries at k_..k_+2 so the larger-child scan can read
-  /// c..c+3 unconditionally.
+  /// when fewer than k candidates exist), so the threshold stays worst()
+  /// until k candidates have arrived.  Packed: both buffers hold
+  /// simd::sort_u64_room(k_) entries, the room settle()'s sort needs.
+  /// Generic: a 4-ary max-heap (halved depth versus binary — the sift is a
+  /// serial address-dependent chain, so depth is the dominant latency term)
+  /// whose root is the threshold, with three pad entries at k_..k_+2 so
+  /// the larger-child scan can read c..c+3 unconditionally.
   void ensure_heap() const {
     if constexpr (kPackedHeap) {
       if (!tsorted_.empty()) return;
-      tsorted_.assign(k_, ord_.pack(ord_.worst(), 0));
-      tscratch_.resize(k_);
+      tsorted_.assign(simgpu::simd::sort_u64_room(k_), sentinel());
+      tscratch_.resize(tsorted_.size());
       return;
     } else {
       if (!hkeys_.empty()) return;
@@ -437,8 +455,9 @@ class TopkList {
   /// order).  Lazy: only runs when the sorted view is actually requested.
   void materialize() const {
     if constexpr (kPackedHeap) {
-      // The packed state is kept sorted (ascending by key, then index),
-      // so materialization is a straight unpack.
+      // Once settled, the packed state is sorted (ascending by key, then
+      // index), so materialization is a straight unpack.
+      settle();
       for (std::size_t i = 0; i < k_; ++i) {
         keys_[i] = ord_.unpack(tsorted_[i]);
         idx_[i] = static_cast<std::uint32_t>(tsorted_[i]);
@@ -482,11 +501,15 @@ class TopkList {
   // hidx_) layouts is used, per kPackedHeap.
   mutable simgpu::ScratchVec<std::uint64_t> tsorted_;
   mutable simgpu::ScratchVec<std::uint64_t> tscratch_;
-  mutable simgpu::ScratchVec<std::uint64_t> pack_scratch_;
+  simgpu::ScratchVec<std::uint64_t> pack_scratch_;
+  simgpu::ScratchVec<std::uint64_t> cand_pack_;
   mutable simgpu::ScratchVec<T> hkeys_;
   mutable simgpu::ScratchVec<std::uint32_t> hidx_;
   mutable simgpu::ScratchVec<std::pair<T, std::uint32_t>> sorted_scratch_;
+  // Entries filled so far (generic heap) or appended during the packed
+  // warm-up, which ends when settle() sorts them.
   mutable std::size_t fill_ = 0;
+  mutable bool settled_ = false;
   mutable bool storage_dirty_ = false;
   std::size_t fast_charge_count_ = static_cast<std::size_t>(-1);
   std::uint64_t fast_charge_ = 0;

@@ -183,6 +183,132 @@ TEST(MergeSorted, FullLengthMergeEmitsEveryElement) {
   }
 }
 
+// ---- merge-path merges and the network sort, both bodies -----------------
+// The list update of the warp-queue rows: a-prefix merges (outn = an, the
+// k-long list keeping k) and full merges (the network sort's passes), for
+// list lengths from the 8-lane minimum to k = 2048 and drains up to 320.
+
+using MergeFn = void (*)(const std::uint64_t*, std::size_t,
+                         const std::uint64_t*, std::size_t, std::uint64_t*,
+                         std::size_t);
+
+struct MergeBody {
+  const char* name;
+  MergeFn fn;
+  bool any_outn;  // false: outn must be a multiple of 8
+};
+
+std::vector<MergeBody> merge_bodies() {
+  std::vector<MergeBody> bodies = {
+      {"portable", detail::merge_sorted_u64_scalar, true},
+      {"dispatch", merge_sorted_u64, true}};
+#if SIMGPU_SIMD_X86
+  if (have_avx512f()) {
+    bodies.push_back({"avx512", detail::merge_sorted_u64_avx512, false});
+  }
+#endif
+  return bodies;
+}
+
+/// Runs of an and bn ascending values; `mode` picks how they interleave.
+std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>> merge_runs(
+    std::mt19937_64& rng, std::size_t an, std::size_t bn, int mode) {
+  std::vector<std::uint64_t> a(an), b(bn);
+  const auto fill = [&](std::vector<std::uint64_t>& v, std::uint64_t lo,
+                        std::uint64_t span) {
+    for (auto& x : v) x = lo + rng() % span;
+  };
+  switch (mode) {
+    case 0:  // interleaved, distinct almost surely
+      fill(a, 0, ~std::uint64_t{0} - 1);
+      fill(b, 0, ~std::uint64_t{0} - 1);
+      break;
+    case 1:  // ties within and across the runs
+      fill(a, 100, 1 + (an + bn) / 4);
+      fill(b, 100, 1 + (an + bn) / 4);
+      break;
+    case 2:  // b wholly below a
+      fill(a, 1000000, 1000);
+      fill(b, 0, 1000);
+      break;
+    case 3:  // b wholly above a
+      fill(a, 0, 1000);
+      fill(b, 1000000, 1000);
+      break;
+    default:  // ~0 pads ending both runs
+      fill(a, 0, 5000);
+      fill(b, 0, 5000);
+      for (std::size_t i = an - std::min<std::size_t>(an, 3); i < an; ++i) {
+        a[i] = ~std::uint64_t{0};
+      }
+      b[bn - 1] = ~std::uint64_t{0};
+      break;
+  }
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  return {std::move(a), std::move(b)};
+}
+
+TEST(MergeSorted, EveryBodyMatchesStdMergeOnListAndDrainShapes) {
+  std::mt19937_64 rng(0x3E7C);
+  const auto bodies = merge_bodies();
+  for (const std::size_t an : {8u, 13u, 16u, 64u, 100u, 104u, 128u, 256u,
+                               2048u}) {
+    for (std::size_t bn = 1; bn <= 320; ++bn) {
+      const auto [a, b] = merge_runs(rng, an, bn, static_cast<int>(bn % 5));
+      std::vector<std::uint64_t> all;
+      std::merge(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(all));
+      for (const std::size_t outn : {an, an + bn}) {
+        for (const MergeBody& body : bodies) {
+          if (!body.any_outn && outn % 8 != 0) continue;
+          std::vector<std::uint64_t> out(outn + 1, 0x5EEDu);
+          body.fn(a.data(), an, b.data(), bn, out.data(), outn);
+          ASSERT_TRUE(std::equal(all.begin(), all.begin() + outn, out.begin()))
+              << body.name << " an=" << an << " bn=" << bn
+              << " outn=" << outn << " mode=" << bn % 5;
+          ASSERT_EQ(out[outn], 0x5EEDu) << body.name << " wrote past outn";
+        }
+      }
+    }
+  }
+}
+
+TEST(SortU64, EveryBodyMatchesStdSortUpToADrainOf320) {
+  std::mt19937_64 rng(0x5027);
+  for (std::size_t n = 1; n <= 320; ++n) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<std::uint64_t> v(n);
+      for (auto& x : v) {
+        x = trial == 0 ? rng() : rng() % (trial == 1 ? 8 : 1000);
+      }
+      if (trial == 2) v[rng() % n] = ~std::uint64_t{0};
+      std::vector<std::uint64_t> want = v;
+      std::sort(want.begin(), want.end());
+      for (const bool vector : {false, true}) {
+#if SIMGPU_SIMD_X86
+        if (vector && !have_avx512f()) continue;
+#else
+        if (vector) continue;
+#endif
+        std::vector<std::uint64_t> s(sort_u64_room(n));
+        std::vector<std::uint64_t> tmp(sort_u64_room(n));
+        std::copy(v.begin(), v.end(), s.begin());
+        detail::sort_u64_body(s.data(), n, tmp.data(), vector);
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), s.begin()))
+            << (vector ? "avx512" : "portable") << " n=" << n
+            << " trial=" << trial;
+      }
+      std::vector<std::uint64_t> s(sort_u64_room(n));
+      std::vector<std::uint64_t> tmp(sort_u64_room(n));
+      std::copy(v.begin(), v.end(), s.begin());
+      sort_u64(s.data(), n, tmp.data());
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), s.begin()))
+          << "dispatch n=" << n << " trial=" << trial;
+    }
+  }
+}
+
 /// The binary search splitter_classes must reproduce probe for probe.
 template <typename T>
 std::uint32_t binary_search_class(const std::vector<T>& split, T v) {

@@ -1,7 +1,9 @@
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -174,6 +176,151 @@ TEST(TopkList, MaintainsSmallestKAcrossMerges) {
       EXPECT_EQ(list.keys()[i], all[i]) << i;
     }
   });
+}
+
+// ---- packed warm-up boundary -----------------------------------------------
+// The packed list appends its first k candidates unsorted and sorts them
+// once when the k-th arrives.  Whatever the batch sizes, its observable
+// state after every merge must be the k smallest of (every candidate so far
+// ∪ k sentinels), sorted: kth() after every merge, and keys()/indices()
+// wherever a reader settles the list early.
+
+/// The reference state: the k smallest packed values of every candidate
+/// offered so far and k sentinels, ascending.
+struct PackedReference {
+  std::size_t k;
+  KeyOrder<float> ord;
+  std::vector<std::uint64_t> seen;
+
+  [[nodiscard]] std::vector<std::uint64_t> state() const {
+    std::vector<std::uint64_t> v = seen;
+    v.insert(v.end(), k, ord.pack(ord.worst(), 0));
+    std::sort(v.begin(), v.end());
+    v.resize(k);
+    return v;
+  }
+};
+
+/// `count` candidates with tied keys (50 distinct values, so equal keys
+/// must keep their index order) and an occasional worst() key, which a merge
+/// loses to the sentinel; indices continue from `next_index`.
+std::vector<std::uint64_t> tied_batch(std::mt19937& rng, KeyOrder<float> ord,
+                                      std::size_t count,
+                                      std::uint32_t& next_index) {
+  std::vector<std::uint64_t> batch(count);
+  for (auto& c : batch) {
+    const float key = rng() % 97 == 0 ? ord.worst()
+                                      : static_cast<float>(rng() % 50);
+    c = ord.pack(key, next_index++);
+  }
+  return batch;
+}
+
+void expect_list_matches(const TopkList<float>& list,
+                         const PackedReference& ref, const std::string& what) {
+  const std::vector<std::uint64_t> want = ref.state();
+  const auto keys = list.keys();
+  const auto idx = list.indices();
+  for (std::size_t i = 0; i < ref.k; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(keys[i]),
+              std::bit_cast<std::uint32_t>(ref.ord.unpack(want[i])))
+        << what << " position " << i;
+    ASSERT_EQ(idx[i], static_cast<std::uint32_t>(want[i])) << what << " " << i;
+  }
+}
+
+TEST(TopkList, PackedWarmupMatchesReferenceAfterEveryMerge) {
+  // Batch sizes cycle through queue flushes (32, 16 and below) and
+  // thread-queue drains (up to 32 x 10), so drains cross k mid-batch.
+  const std::size_t sizes[] = {32, 7, 1, 31, 320, 33, 96, 5, 17, 128};
+  for (const std::size_t k : {1u, 13u, 24u, 100u, 256u, 2048u}) {
+    for (const bool greatest : {false, true}) {
+      for (const bool read_every_merge : {false, true}) {
+        run_in_block([&](simgpu::BlockCtx& ctx) {
+          const std::size_t cap = next_pow2(k);
+          std::vector<float> storage(cap);
+          std::vector<std::uint32_t> istorage(cap);
+          const KeyOrder<float> ord(greatest);
+          TopkList<float> list(storage, istorage, k, ord);
+          PackedReference ref{k, ord, {}};
+          std::mt19937 rng(static_cast<unsigned>(k) * 2 + greatest);
+          std::uint32_t next_index = 0;
+          for (std::size_t m = 0; ref.seen.size() < 3 * k + 64; ++m) {
+            const auto batch = tied_batch(rng, ord, sizes[m % 10], next_index);
+            list.merge_packed(ctx, batch.data(), batch.size());
+            ref.seen.insert(ref.seen.end(), batch.begin(), batch.end());
+            const std::string what = "k=" + std::to_string(k) +
+                                     " greatest=" + std::to_string(greatest) +
+                                     " merge " + std::to_string(m);
+            const std::uint64_t kth = ref.state()[k - 1];
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(list.kth()),
+                      std::bit_cast<std::uint32_t>(ord.unpack(kth)))
+                << what;
+            if (ref.seen.size() < k) {
+              ASSERT_EQ(list.kth(), ord.worst()) << what;
+            }
+            if (read_every_merge) expect_list_matches(list, ref, what);
+          }
+          expect_list_matches(list, ref, "final k=" + std::to_string(k));
+        });
+      }
+    }
+  }
+}
+
+TEST(TopkList, PackedListShortOfKPadsLikeTheExactPath) {
+  // Fewer than k candidates in all: keys() settles the warm-up and pads
+  // with worst() at index 0, as the storage is padded.
+  for (const std::size_t k : {1u, 13u, 24u, 100u, 256u, 2048u}) {
+    run_in_block([&](simgpu::BlockCtx& ctx) {
+      const std::size_t cap = next_pow2(k);
+      std::vector<float> storage(cap);
+      std::vector<std::uint32_t> istorage(cap);
+      TopkList<float> list(storage, istorage, k);
+      PackedReference ref{k, {}, {}};
+      std::mt19937 rng(static_cast<unsigned>(k));
+      std::uint32_t next_index = 0;
+      const auto batch = tied_batch(rng, {}, k - 1, next_index);
+      if (!batch.empty()) list.merge_packed(ctx, batch.data(), batch.size());
+      ref.seen = batch;
+      EXPECT_EQ(list.kth(), std::numeric_limits<float>::infinity());
+      expect_list_matches(list, ref, "k=" + std::to_string(k));
+      EXPECT_EQ(list.keys()[k - 1], std::numeric_limits<float>::infinity());
+      EXPECT_EQ(list.indices()[k - 1], 0u);
+    });
+  }
+}
+
+TEST(TopkList, MergeListSettlesListsStillFilling) {
+  for (const std::size_t k : {13u, 100u, 256u}) {
+    for (const std::size_t other_count : {k / 3, k, 2 * k}) {
+      run_in_block([&](simgpu::BlockCtx& ctx) {
+        const std::size_t cap = next_pow2(k);
+        std::vector<float> s1(cap), s2(cap);
+        std::vector<std::uint32_t> i1(cap), i2(cap);
+        TopkList<float> acc(s1, i1, k);
+        TopkList<float> other(s2, i2, k);
+        PackedReference ref{k, {}, {}};
+        std::mt19937 rng(static_cast<unsigned>(k + other_count));
+        std::uint32_t next_index = 0;
+        const auto mine = tied_batch(rng, {}, k / 2, next_index);
+        const auto theirs = tied_batch(rng, {}, other_count, next_index);
+        acc.merge_packed(ctx, mine.data(), mine.size());
+        other.merge_packed(ctx, theirs.data(), theirs.size());
+        acc.merge_list(ctx, other);
+        ref.seen = mine;
+        ref.seen.insert(ref.seen.end(), theirs.begin(), theirs.end());
+        expect_list_matches(acc, ref,
+                            "k=" + std::to_string(k) +
+                                " other=" + std::to_string(other_count));
+        // The accumulated list keeps taking merges after the early settle.
+        const auto more = tied_batch(rng, {}, 32, next_index);
+        acc.merge_packed(ctx, more.data(), more.size());
+        ref.seen.insert(ref.seen.end(), more.begin(), more.end());
+        expect_list_matches(acc, ref, "k=" + std::to_string(k) + " after");
+      });
+    }
+  }
 }
 
 TEST(TopkList, KthStartsAtSentinel) {

@@ -82,6 +82,7 @@ struct RunTrace {
   std::vector<std::vector<float>> sorted_values;  // one per problem
   bool sanitizer_clean = true;
   std::string sanitizer_report;
+  std::uint64_t output_digest = 0;  // run_pinned only
 };
 
 RunTrace run_once(std::span<const float> data, std::size_t batch,
@@ -494,13 +495,35 @@ TEST(TypedTileInvariance, DtypeAndPayloadInvisibleToCounterStream) {
   }
 }
 
+/// FNV-1a over 64-bit words and strings.
+class Fnv64 {
+ public:
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) byte(static_cast<std::uint8_t>(v >> (8 * b)));
+  }
+  void add(std::string_view s) {
+    for (const char c : s) byte(static_cast<std::uint8_t>(c));
+    add(s.size());
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(std::uint8_t b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ull;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
 // ---- warp-queue family count pin ------------------------------------------
 // The suite above compares fast-path settings within one build; this pin
 // compares builds.  Every KernelStats field of every kernel, plus the
 // modeled µs, is recorded for each warp-queue row at one batch-1 and one
 // batch-8 shape, so a refactor of the shared scan must reproduce the
-// recorded counts exactly.  On a mismatch the test prints the row it
-// measured in table syntax.
+// recorded counts exactly; the warp-queue rows also pin an FNV-1a digest of
+// their outputs (every value's bits, then every index, in output order), so
+// a list update that keeps the counts but emits other indices fails too.
+// On a mismatch the test prints the row it measured in table syntax.
 
 struct PinnedKernel {
   const char* name;
@@ -520,6 +543,7 @@ struct PinnedRecord {
   const char* label;
   double model_us;
   std::vector<PinnedKernel> kernels;
+  std::uint64_t output_digest = 0;  ///< 0 where outputs are not pinned
 };
 
 struct PinnedRun {
@@ -529,10 +553,12 @@ struct PinnedRun {
   std::size_t batch;
   std::size_t n;
   std::size_t k;
+  bool ties;  // keys floor(4096 u): the K-th value falls inside a tie group
   const PinnedRecord* want;  // null until recorded
 };
 
-std::string pin_row(const std::string& label, const RunTrace& got) {
+std::string pin_row(const std::string& label, const RunTrace& got,
+                    bool pin_outputs) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%a", got.model_us);
   std::string s = "    {\"" + label + "\", " + buf + ", {\n";
@@ -548,20 +574,35 @@ std::string pin_row(const std::string& label, const RunTrace& got) {
          std::to_string(x.max_block_bytes) + ", " +
          std::to_string(x.max_block_lane_ops) + "},\n";
   }
-  return s + "    }},\n";
+  if (!pin_outputs) return s + "    }},\n";
+  std::snprintf(buf, sizeof buf, "0x%016llxull",
+                static_cast<unsigned long long>(got.output_digest));
+  return s + "    }, " + buf + "},\n";
 }
 
 RunTrace run_pinned(const PinnedRun& run) {
   simgpu::set_tile_path_enabled(true);
   simgpu::set_warpfast_path_enabled(true);
   simgpu::set_pool_enabled(true);
-  const auto data = data::generate({data::Distribution::kUniform, 0},
-                                   run.batch * run.n, 0x5EED);
+  auto data = data::generate({data::Distribution::kUniform, 0},
+                             run.batch * run.n, 0x5EED);
+  if (run.ties) {
+    for (float& x : data) x = std::floor(x * 4096.0f);
+  }
   simgpu::Device dev;
   SelectOptions opt;
   opt.recall_target = run.recall_target;
-  select_batch(dev, data, run.batch, run.n, run.k, run.algo, opt);
+  const auto results =
+      select_batch(dev, data, run.batch, run.n, run.k, run.algo, opt);
   RunTrace t;
+  Fnv64 out;
+  for (const SelectResult& r : results) {
+    for (const float v : r.values) out.add(std::bit_cast<std::uint32_t>(v));
+  }
+  for (const SelectResult& r : results) {
+    for (const std::uint32_t i : r.indices) out.add(i);
+  }
+  t.output_digest = out.value();
   for (const auto& e : dev.events()) {
     if (const auto* ke = std::get_if<simgpu::KernelEvent>(&e)) {
       t.kernels.push_back(ke->stats);
@@ -575,64 +616,122 @@ RunTrace run_pinned(const PinnedRun& run) {
 // and warpfast on, the default device spec.  Kernel fields in KernelStats
 // order: name, grid_blocks, block_threads, bytes_read, bytes_written,
 // lane_ops, atomic_ops, scattered_atomic_ops, block_syncs, max_block_bytes,
-// max_block_lane_ops.
+// max_block_lane_ops.  The output digests and the tie-heavy rows were
+// recorded later, on the tree whose list warm-up still merged every flush
+// and whose drains still sorted with std::sort.
 const PinnedRecord kRecorded[] = {
     {"grid b1 n70001 k100", 0x1.39c439f1b1631p+3, {
         {"GridSelect_partial", 5, 256, 280004, 5120, 580392, 0, 0, 5, 57028, 117433},
         {"GridSelect_merge", 1, 1024, 5120, 800, 2304, 0, 0, 0, 5920, 2304},
-    }},
+    }, 0xa2df545038d2211dull},
     {"grid-threadqueue b1 n70001 k100", 0x1.39c439f1b1631p+3, {
         {"GridSelect_partial_threadqueue", 5, 256, 280004, 5120, 823938, 0, 0, 5, 57028, 166510},
         {"GridSelect_merge", 1, 1024, 5120, 800, 2304, 0, 0, 0, 5920, 2304},
-    }},
+    }, 0xa2df545038d2211dull},
     {"warp b1 n70001 k100", 0x1.582dcb5df3cb6p+7, {
         {"WarpSelect", 1, 32, 280004, 800, 137988, 0, 0, 1, 280804, 137988},
-    }},
+    }, 0xa2df545038d2211dull},
     {"block b1 n70001 k100", 0x1.672dcb5df3cb6p+5, {
         {"BlockSelect", 1, 128, 280004, 800, 261566, 0, 0, 1, 280804, 261566},
-    }},
+    }, 0xa2df545038d2211dull},
     {"fused-warp b1 n70001 k100", 0x1.582dcb5df3cb6p+7, {
         {"FusedRowwise_warp", 1, 32, 280004, 800, 137988, 0, 0, 0, 280804, 137988},
-    }},
+    }, 0xa2df545038d2211dull},
     {"fused-block b1 n70001 k100", 0x1.b41b89a1de654p+4, {
         {"FusedRowwise_block", 1, 256, 280004, 8192, 211699, 0, 0, 1, 288196, 211699},
         {"FusedRowwise_block_merge", 1, 1024, 8192, 800, 4032, 0, 0, 0, 8992, 4032},
-    }},
+    }, 0xa2df545038d2211dull},
     {"bucket-approx@1.0 b1 n70001 k100", 0x1.1p+3, {
         {"BucketApproxScan", 32, 864, 280004, 25600, 2859552, 0, 0, 32, 9552, 89361},
         {"BucketApproxRefine", 1, 1024, 25600, 800, 159744, 0, 0, 0, 26400, 159744},
-    }},
+    }, 0xa2df545038d2211dull},
     {"bucket-approx@0.9 b1 n70001 k100", 0x1.1p+3, {
         {"BucketApproxScan", 32, 864, 280004, 1280, 984418, 0, 0, 32, 8792, 31099},
         {"BucketApproxRefine", 1, 1024, 1280, 800, 4608, 0, 0, 0, 2080, 4608},
-    }},
+    }, 0x2962029467087b26ull},
     {"grid b8 n10007 k64", 0x1.63dedfa00719cp+2, {
         {"GridSelect_partial", 8, 256, 320224, 4096, 441600, 0, 0, 8, 40540, 56033},
-    }},
+    }, 0xf938cb3e5aa2adeaull},
     {"grid-threadqueue b8 n10007 k64", 0x1.63dedfa00719cp+2, {
         {"GridSelect_partial_threadqueue", 8, 256, 320224, 4096, 779704, 0, 0, 8, 40540, 99855},
-    }},
+    }, 0xf938cb3e5aa2adeaull},
     {"warp b8 n10007 k64", 0x1.afbdbf400e338p+4, {
         {"WarpSelect", 8, 32, 320224, 4096, 279687, 0, 0, 8, 40540, 36521},
-    }},
+    }, 0xf938cb3e5aa2adeaull},
     {"block b8 n10007 k64", 0x1.13dedfa00719cp+3, {
         {"BlockSelect", 8, 128, 320224, 4096, 559080, 0, 0, 8, 40540, 71681},
-    }},
+    }, 0xf938cb3e5aa2adeaull},
     {"fused-warp b8 n10007 k64", 0x1.afbdbf400e338p+4, {
         {"FusedRowwise_warp", 1, 256, 320224, 4096, 279687, 0, 0, 0, 324320, 279687},
-    }},
+    }, 0xf938cb3e5aa2adeaull},
     {"fused-block b8 n10007 k64", 0x1.1a97ea406aebcp+3, {
         {"FusedRowwise_block", 8, 256, 320224, 32768, 427264, 0, 0, 8, 44124, 54241},
         {"FusedRowwise_block_merge", 8, 1024, 32768, 4096, 14336, 0, 0, 0, 4608, 1792},
-    }},
+    }, 0xf938cb3e5aa2adeaull},
     {"bucket-approx@1.0 b8 n10007 k64", 0x1.1p+3, {
         {"BucketApproxScan", 32, 864, 320224, 16384, 2538016, 0, 0, 32, 10520, 79313},
         {"BucketApproxRefine", 8, 1024, 16384, 4096, 36864, 0, 0, 0, 2560, 4608},
-    }},
+    }, 0xf938cb3e5aa2adeaull},
     {"bucket-approx@0.9 b8 n10007 k64", 0x1.1p+3, {
         {"BucketApproxScan", 32, 864, 320224, 4352, 1251277, 0, 0, 32, 10144, 39368},
         {"BucketApproxRefine", 8, 1024, 4352, 4096, 14336, 0, 0, 0, 1056, 1792},
-    }},
+    }, 0xb64880d3e0c88babull},
+    {"grid ties b1 n70001 k100", 0x1.39c439f1b1631p+3, {
+        {"GridSelect_partial", 5, 256, 280004, 5120, 580359, 0, 0, 5, 57028, 117436},
+        {"GridSelect_merge", 1, 1024, 5120, 800, 2304, 0, 0, 0, 5920, 2304},
+    }, 0xeac74c309d3a082full},
+    {"grid-threadqueue ties b1 n70001 k100", 0x1.39c439f1b1631p+3, {
+        {"GridSelect_partial_threadqueue", 5, 256, 280004, 5120, 823842, 0, 0, 5, 57028, 166414},
+        {"GridSelect_merge", 1, 1024, 5120, 800, 2304, 0, 0, 0, 5920, 2304},
+    }, 0xeac74c309d3a082full},
+    {"warp ties b1 n70001 k100", 0x1.582dcb5df3cb6p+7, {
+        {"WarpSelect", 1, 32, 280004, 800, 136804, 0, 0, 1, 280804, 136804},
+    }, 0xeac74c309d3a082full},
+    {"block ties b1 n70001 k100", 0x1.672dcb5df3cb6p+5, {
+        {"BlockSelect", 1, 128, 280004, 800, 261278, 0, 0, 1, 280804, 261278},
+    }, 0xeac74c309d3a082full},
+    {"fused-warp ties b1 n70001 k100", 0x1.582dcb5df3cb6p+7, {
+        {"FusedRowwise_warp", 1, 32, 280004, 800, 136804, 0, 0, 0, 280804, 136804},
+    }, 0xeac74c309d3a082full},
+    {"fused-block ties b1 n70001 k100", 0x1.b41b89a1de654p+4, {
+        {"FusedRowwise_block", 1, 256, 280004, 8192, 211663, 0, 0, 1, 288196, 211663},
+        {"FusedRowwise_block_merge", 1, 1024, 8192, 800, 4032, 0, 0, 0, 8992, 4032},
+    }, 0x01f155ff2d34e6c1ull},
+    {"bucket-approx@1.0 ties b1 n70001 k100", 0x1.1p+3, {
+        {"BucketApproxScan", 32, 864, 280004, 25600, 2859552, 0, 0, 32, 9552, 89361},
+        {"BucketApproxRefine", 1, 1024, 25600, 800, 159744, 0, 0, 0, 26400, 159744},
+    }, 0xeac74c309d3a082full},
+    {"bucket-approx@0.9 ties b1 n70001 k100", 0x1.1p+3, {
+        {"BucketApproxScan", 32, 864, 280004, 1280, 984399, 0, 0, 32, 8792, 31099},
+        {"BucketApproxRefine", 1, 1024, 1280, 800, 4608, 0, 0, 0, 2080, 4608},
+    }, 0x0dd96296d79c1611ull},
+    {"grid ties b8 n300 k64", 0x1.6p+2, {
+        {"GridSelect_partial", 8, 256, 9600, 4096, 60080, 0, 0, 8, 1712, 7510},
+    }, 0xd5a103799661711dull},
+    {"grid-threadqueue ties b8 n300 k64", 0x1.6p+2, {
+        {"GridSelect_partial_threadqueue", 8, 256, 9600, 4096, 63312, 0, 0, 8, 1712, 7914},
+    }, 0xd5a103799661711dull},
+    {"warp ties b8 n300 k64", 0x1.6p+2, {
+        {"WarpSelect", 8, 32, 9600, 4096, 51520, 0, 0, 8, 1712, 7106},
+    }, 0xd5a103799661711dull},
+    {"block ties b8 n300 k64", 0x1.6p+2, {
+        {"BlockSelect", 8, 128, 9600, 4096, 68176, 0, 0, 8, 1712, 8522},
+    }, 0xd5a103799661711dull},
+    {"fused-warp ties b8 n300 k64", 0x1.6p+2, {
+        {"FusedRowwise_warp", 1, 256, 9600, 4096, 51520, 0, 0, 0, 13696, 51520},
+    }, 0xd5a103799661711dull},
+    {"fused-block ties b8 n300 k64", 0x1.1p+3, {
+        {"FusedRowwise_block", 8, 256, 9600, 32768, 45744, 0, 0, 8, 5296, 5718},
+        {"FusedRowwise_block_merge", 8, 1024, 32768, 4096, 14336, 0, 0, 0, 4608, 1792},
+    }, 0xb49ffcbfacf9e6ddull},
+    {"bucket-approx@1.0 ties b8 n300 k64", 0x1.1p+3, {
+        {"BucketApproxScan", 32, 96, 9600, 16384, 76384, 0, 0, 32, 812, 2387},
+        {"BucketApproxRefine", 8, 1024, 16384, 4096, 36864, 0, 0, 0, 2560, 4608},
+    }, 0xd5a103799661711dull},
+    {"bucket-approx@0.9 ties b8 n300 k64", 0x1.1p+3, {
+        {"BucketApproxScan", 32, 96, 9600, 4352, 50272, 0, 0, 32, 436, 1571},
+        {"BucketApproxRefine", 8, 1024, 4352, 4096, 14336, 0, 0, 0, 1056, 1792},
+    }, 0x85e8c28eb11361c3ull},
 };
 
 struct PinRow {
@@ -641,34 +740,49 @@ struct PinRow {
   double recall;
 };
 
-/// Every row at one batch-1 and one batch-8 shape, each paired with its
-/// entry in `recorded` (null when the label has none).
+/// Every row at one batch-1 and one batch-8 shape, on uniform keys and,
+/// with `ties`, on tie-heavy keys too, each paired with its entry in
+/// `recorded` (null when the label has none).  The tie-heavy batch-8 rows
+/// are short (n = 300), so the per-warp lists of the multi-warp rows end
+/// below k and are published before their warm-up is sorted.
 std::vector<PinnedRun> pinned_runs(std::span<const PinRow> rows,
-                                   std::span<const PinnedRecord> recorded) {
+                                   std::span<const PinnedRecord> recorded,
+                                   bool ties) {
+  using Shape = std::tuple<std::size_t, std::size_t, std::size_t>;
   std::vector<PinnedRun> runs;
-  for (const auto& [batch, n, k] :
-       {std::tuple<std::size_t, std::size_t, std::size_t>{1, 70001, 100},
-        {8, 10007, 64}}) {
-    for (const PinRow& r : rows) {
-      PinnedRun run{std::string(r.label) + " b" + std::to_string(batch) +
-                        " n" + std::to_string(n) + " k" + std::to_string(k),
-                    r.algo, r.recall, batch, n, k, nullptr};
-      for (const PinnedRecord& rec : recorded) {
-        if (run.label == rec.label) run.want = &rec;
+  for (const bool tied : {false, true}) {
+    if (tied && !ties) continue;
+    for (const auto& [batch, n, k] :
+         {Shape{1, 70001, 100}, tied ? Shape{8, 300, 64} : Shape{8, 10007, 64}}) {
+      for (const PinRow& r : rows) {
+        PinnedRun run{std::string(r.label) + (tied ? " ties" : "") + " b" +
+                          std::to_string(batch) + " n" + std::to_string(n) +
+                          " k" + std::to_string(k),
+                      r.algo, r.recall, batch, n, k, tied, nullptr};
+        for (const PinnedRecord& rec : recorded) {
+          if (run.label == rec.label) run.want = &rec;
+        }
+        runs.push_back(std::move(run));
       }
-      runs.push_back(std::move(run));
     }
   }
   return runs;
 }
 
-void expect_matches_recording(const std::vector<PinnedRun>& runs) {
+void expect_matches_recording(const std::vector<PinnedRun>& runs,
+                              bool pin_outputs) {
   TileGuard guard;
   for (const PinnedRun& run : runs) {
     const RunTrace got = run_pinned(run);
+    // Under TOPK_SIMCHECK select_batch attaches a sanitizer, so the exact
+    // leg runs; its networks break ties at the K-th value another way (the
+    // result contract leaves that open), so tie rows pin their outputs on
+    // the fast leg only.  Counts and modeled µs are pinned on both.
+    const bool outputs = pin_outputs && !(run.ties && simcheck_env_enabled());
     bool same = run.want != nullptr &&
                 got.kernels.size() == run.want->kernels.size() &&
-                got.model_us == run.want->model_us;
+                got.model_us == run.want->model_us &&
+                (!outputs || got.output_digest == run.want->output_digest);
     for (std::size_t i = 0; same && i < got.kernels.size(); ++i) {
       const simgpu::KernelStats& x = got.kernels[i];
       const PinnedKernel& y = run.want->kernels[i];
@@ -683,7 +797,7 @@ void expect_matches_recording(const std::vector<PinnedRun>& runs) {
              x.max_block_lane_ops == y.max_block_lane_ops;
     }
     EXPECT_TRUE(same) << run.label << " differs from its recording; measured:\n"
-                      << pin_row(run.label, got);
+                      << pin_row(run.label, got, pin_outputs);
   }
 }
 
@@ -698,7 +812,7 @@ TEST(WarpQueueCountPin, KernelStatsAndModeledTimeMatchRecording) {
       {"bucket-approx@1.0", Algo::kBucketApprox, 1.0},
       {"bucket-approx@0.9", Algo::kBucketApprox, 0.9},
   };
-  expect_matches_recording(pinned_runs(rows, kRecorded));
+  expect_matches_recording(pinned_runs(rows, kRecorded, true), true);
 }
 
 // ---- partition rows, Bitonic Top-K and AIR count pin ----------------------
@@ -1336,7 +1450,8 @@ TEST(PartitionCountPin, KernelStatsAndModeledTimeMatchRecording) {
       {"bucket", Algo::kBucketSelect, 1.0},
       {"air", Algo::kAirTopk, 1.0},
   };
-  expect_matches_recording(pinned_runs(rows, kPartitionRecorded));
+  expect_matches_recording(pinned_runs(rows, kPartitionRecorded, false),
+                           false);
 }
 
 // ---- largest-K pin and direction parity -------------------------------------
@@ -1430,25 +1545,6 @@ std::vector<std::uint32_t> direction_keys(KeyType dtype, bool ties,
   return keys;
 }
 
-/// FNV-1a over 64-bit words and strings.
-class Fnv64 {
- public:
-  void add(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) byte(static_cast<std::uint8_t>(v >> (8 * b)));
-  }
-  void add(std::string_view s) {
-    for (const char c : s) byte(static_cast<std::uint8_t>(c));
-    add(s.size());
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  void byte(std::uint8_t b) {
-    h_ ^= b;
-    h_ *= 0x100000001b3ull;
-  }
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
 
 /// One pinned largest-K run: the exact modeled µs, the kernel count, and
 /// FNV-1a digests of every KernelStats field of every kernel (launch
