@@ -18,16 +18,12 @@
 // full run — gating 4-shard total at <= 0.35x the 1-shard baseline with the
 // merge phase under 10% of the total.
 //
-// `--pool={on,off,both}` (default both) controls the workspace-pool A/B leg:
-// `both` re-runs the batched single-device config on a warmed service with
-// the memory pool on and off and gates on what the pool promises — counts:
-// the pooled leg's steady-state workspace-slab allocations per query are
-// exactly zero with pool hits above zero, and the unpooled leg allocates.
-// Both legs' wall p99 are printed, not gated (on a shared host they are
-// scheduling noise).  `on`/`off` pin the toggle for every config and skip
-// the A/B gate.  Each row reports workspace-slab allocations per query
-// (pool misses / completed) — zero in steady state with the pool on,
-// one-per-bind with it off.
+// A warmed leg re-runs the batched single-device config on a service that
+// has already served one untimed burst, and gates on what the workspace
+// pool promises — counts: zero workspace-slab allocations per query, with
+// pool hits above zero.  Its wall p99 is printed, not gated (on a shared
+// host it is scheduling noise).  Each row reports workspace-slab
+// allocations per query (pool misses / completed) and the pool hit rate.
 
 #include <algorithm>
 #include <cstddef>
@@ -57,7 +53,6 @@ struct ResultRow {
   ConfigRow cfg;
   std::size_t n = 0;   ///< row length this config served
   std::size_t k = 0;   ///< requested k
-  bool pooled = true;  ///< memory-pool toggle this row ran under
   std::size_t completed = 0;
   std::size_t timed_out = 0;
   std::size_t rejected = 0;
@@ -74,9 +69,7 @@ struct ResultRow {
 
 ResultRow run_config(const ConfigRow& cfg, std::size_t k,
                      const std::vector<std::vector<float>>& pool,
-                     bool pool_on, bool warmup = false) {
-  const bool pool_before = simgpu::pool_enabled();
-  simgpu::set_pool_enabled(pool_on);
+                     bool warmup = false) {
   topk::serve::ServiceConfig scfg;
   scfg.num_devices = cfg.devices;
   scfg.max_batch = cfg.cap;
@@ -107,8 +100,8 @@ ResultRow run_config(const ConfigRow& cfg, std::size_t k,
   row.n = pool.empty() ? 0 : pool.front().size();
   row.k = k;
   // On a warmed service, run two timed bursts and keep the faster one: a
-  // single one-core burst can still eat a scheduler hiccup, and the A/B
-  // gate below wants the dispatch-policy signal, not that noise.  Every
+  // single one-core burst can still eat a scheduler hiccup, and the fused
+  // dispatch gate below wants the dispatch-policy signal, not that noise.  Every
   // counter is a per-burst delta between stats() snapshots either way (a
   // fresh service's first snapshot is all zeros, so the math is shared).
   const int bursts = warmup ? 2 : 1;
@@ -153,13 +146,11 @@ ResultRow run_config(const ConfigRow& cfg, std::size_t k,
   }
   const topk::serve::ServiceStats s = svc.stats();
   svc.shutdown();
-  simgpu::set_pool_enabled(pool_before);
 
   const std::uint64_t completed = after.completed - before.completed;
   const double modeled = after.modeled_device_us - before.modeled_device_us;
   const std::uint64_t misses = after.pool_misses - before.pool_misses;
   const std::uint64_t hits = after.pool_hits - before.pool_hits;
-  row.pooled = pool_on;
   row.completed = completed;
   row.allocs_per_query =
       completed > 0
@@ -193,15 +184,9 @@ std::string fmt(double v) {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool sharded = false;
-  std::string pool_mode = "both";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--sharded") == 0) sharded = true;
-    if (std::strncmp(argv[i], "--pool=", 7) == 0) pool_mode = argv[i] + 7;
-  }
-  if (pool_mode != "on" && pool_mode != "off" && pool_mode != "both") {
-    std::cerr << "bench_serving: --pool must be on, off, or both\n";
-    return 2;
   }
 
   // The acceptance shape: N = 2^20, K = 256, uniform keys.  Smoke keeps the
@@ -225,44 +210,30 @@ int main(int argc, char** argv) {
     pool.push_back(topk::data::uniform_values(n, 0x5E7 + i));
   }
 
-  std::cout << "cap,devices,queries,n,k,pool,completed,mean_batch_rows,algo,"
+  std::cout << "cap,devices,queries,n,k,completed,mean_batch_rows,algo,"
                "model_us_per_query,wall_p50_us,wall_p95_us,wall_p99_us,"
                "wall_qps,allocs_per_query,pool_hit_rate\n";
   const auto print_row = [](const ResultRow& row) {
     std::cout << row.cfg.cap << "," << row.cfg.devices << ","
               << row.cfg.queries << "," << row.n << "," << row.k << ","
-              << (row.pooled ? "on" : "off") << ","
               << row.completed << "," << row.mean_batch_rows << ","
               << row.algo << "," << row.model_us_per_query << ","
               << row.wall_p50_us << "," << row.wall_p95_us << ","
               << row.wall_p99_us << "," << row.wall_qps << ","
               << row.allocs_per_query << "," << row.pool_hit_rate << "\n";
   };
-  const bool main_legs_pooled = pool_mode != "off";
   std::vector<ResultRow> rows;
   for (const ConfigRow& cfg : configs) {
-    const ResultRow row = run_config(cfg, k, pool, main_legs_pooled);
+    const ResultRow row = run_config(cfg, k, pool);
     rows.push_back(row);
     print_row(row);
   }
 
-  // Workspace-pool A/B: the batched single-device config with the pool on
-  // vs off, each on a warmed service (one untimed burst first), so the
-  // counters are the steady state's.  Same shapes, same plans — only slab
-  // reuse differs (modeled time is bit-identical by design).
-  const bool ab = pool_mode == "both";
-  ResultRow ab_pooled;
-  ResultRow ab_unpooled;
-  if (ab) {
-    ab_pooled = run_config(configs[1], k, pool, /*pool_on=*/true,
-                           /*warmup=*/true);
-    ab_unpooled = run_config(configs[1], k, pool, /*pool_on=*/false,
-                             /*warmup=*/true);
-    for (const ResultRow* r : {&ab_pooled, &ab_unpooled}) {
-      rows.push_back(*r);
-      print_row(*r);
-    }
-  }
+  // Warmed leg: the batched single-device config on a service that served
+  // one untimed burst first, so its counters are the steady state's.
+  const ResultRow warm = run_config(configs[1], k, pool, /*warmup=*/true);
+  rows.push_back(warm);
+  print_row(warm);
 
   // ---- fused row-wise dispatch leg: batch=1000 x N=2^12, k=32 -------------
   // Many small rows is the shape the fused row-wise family exists for: the
@@ -286,19 +257,19 @@ int main(int argc, char** argv) {
     fused_pool.push_back(topk::data::uniform_values(fused_n, 0xF00D + i));
   }
   // One cold burst is dominated by first-touch page faults on the coalesced
-  // 16 MiB batch buffer, not by dispatch policy.  Like the pool A/B below,
-  // both legs run a few bursts interleaved and keep their best wall qps;
-  // modeled device time is bit-identical across reps by construction.
+  // 16 MiB batch buffer, not by dispatch policy.  Like the warmed leg above,
+  // both legs run on warmed services, a few bursts interleaved, and keep
+  // their best wall qps; modeled device time is bit-identical across reps by
+  // construction.
   constexpr int kFusedReps = 3;
   ResultRow fused_leg;
   ResultRow perrow_leg;
   for (int r = 0; r < kFusedReps; ++r) {
-    const ResultRow f =
-        run_config({fused_burst, 1, fused_burst}, fused_k, fused_pool,
-                   main_legs_pooled, /*warmup=*/true);
+    const ResultRow f = run_config({fused_burst, 1, fused_burst}, fused_k,
+                                   fused_pool, /*warmup=*/true);
     if (r == 0 || f.wall_qps > fused_leg.wall_qps) fused_leg = f;
-    const ResultRow p = run_config({1, 1, fused_burst}, fused_k, fused_pool,
-                                   main_legs_pooled, /*warmup=*/true);
+    const ResultRow p =
+        run_config({1, 1, fused_burst}, fused_k, fused_pool, /*warmup=*/true);
     if (r == 0 || p.wall_qps > perrow_leg.wall_qps) perrow_leg = p;
   }
   rows.push_back(fused_leg);
@@ -386,7 +357,6 @@ int main(int argc, char** argv) {
       << "    \"n\": " << n << ",\n"
       << "    \"k\": " << k << ",\n"
       << "    \"distribution\": \"uniform\",\n"
-      << "    \"pool_mode\": \"" << pool_mode << "\",\n"
       << "    \"model_speedup_cap" << big_cap << "_vs_1\": "
       << fmt(model_speedup) << ",\n"
       << "    \"fused_leg\": {\"n\": " << fused_n << ", \"k\": " << fused_k
@@ -402,7 +372,6 @@ int main(int argc, char** argv) {
     out << "    {\"cap\": " << r.cfg.cap << ", \"devices\": " << r.cfg.devices
         << ", \"queries\": " << r.cfg.queries << ", \"n\": " << r.n
         << ", \"k\": " << r.k
-        << ", \"pool\": " << (r.pooled ? "true" : "false")
         << ", \"completed\": " << r.completed
         << ", \"rejected\": " << r.rejected
         << ", \"timed_out\": " << r.timed_out
@@ -456,27 +425,20 @@ int main(int argc, char** argv) {
               << "); speedup gate skipped\n";
   }
 
-  // Gate: the pool keeps its promise in counts — a warmed pooled service
-  // binds every workspace from retained slabs (zero slab allocations per
-  // query, pool hits above zero) while the unpooled one allocates.  The
-  // wall p99 of both legs is printed for the record, not gated.
-  if (ab) {
-    std::cout << "pool A/B (cap=" << big_cap << ", warmed): allocs/query "
-              << fmt(ab_pooled.allocs_per_query) << " vs "
-              << fmt(ab_unpooled.allocs_per_query) << ", pool hit rate "
-              << fmt(ab_pooled.pool_hit_rate) << " vs "
-              << fmt(ab_unpooled.pool_hit_rate) << ", wall p99 "
-              << fmt(ab_pooled.wall_p99_us) << " us vs "
-              << fmt(ab_unpooled.wall_p99_us) << " us\n";
-    if (ab_pooled.allocs_per_query != 0.0 || ab_pooled.pool_hit_rate <= 0.0 ||
-        ab_unpooled.allocs_per_query <= 0.0) {
-      std::cerr << "FAIL: pooled leg must allocate nothing with pool hits "
-                   "above zero, and the unpooled leg must allocate\n";
-      return 1;
-    }
-    std::cout << "gate: pooled allocs/query == 0 with pool hits, unpooled "
-                 "allocates -> PASS\n";
+  // Gate: the pool keeps its promise in counts — a warmed service binds
+  // every workspace from retained slabs (zero slab allocations per query,
+  // pool hits above zero).  Its wall p99 is printed for the record, not
+  // gated.
+  std::cout << "warmed service (cap=" << big_cap << "): allocs/query "
+            << fmt(warm.allocs_per_query) << ", pool hit rate "
+            << fmt(warm.pool_hit_rate) << ", wall p99 "
+            << fmt(warm.wall_p99_us) << " us\n";
+  if (warm.allocs_per_query != 0.0 || warm.pool_hit_rate <= 0.0) {
+    std::cerr << "FAIL: a warmed service must allocate no workspace slab, "
+                 "with pool hits above zero\n";
+    return 1;
   }
+  std::cout << "gate: warmed allocs/query == 0 with pool hits -> PASS\n";
 
   // Gate: the fused coalesced launch must beat per-row dispatch in modeled
   // device time per query — 3x in the full run, relaxed in smoke where the

@@ -249,7 +249,9 @@ class Device {
   /// cudaDeviceSynchronize analogue: the host blocks until the device
   /// drains.  Charged by the cost model.
   void synchronize(std::string label = {}) {
-    events_.push_back(SyncEvent{std::move(label)});
+    // Built in place: GCC 12 misreads a moved temporary variant as reading
+    // the MemcpyEvent alternative (-Wmaybe-uninitialized).
+    events_.emplace_back(std::in_place_type<SyncEvent>, std::move(label));
   }
 
   /// Record host-side CPU work of roughly `host_ops` scalar operations

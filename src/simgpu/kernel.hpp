@@ -35,36 +35,6 @@ inline constexpr int kWarpSize = 32;
 /// in L1.
 inline constexpr std::size_t kTileElems = 1024;
 
-/// Runtime switch for the tile-granular fast path (BlockCtx::load_tile /
-/// store_tile / for_each_elem and the algorithm scan loops built on them).
-/// Default on; set the environment variable TOPK_SIM_TILE=0 to start
-/// disabled.  The switch exists for A/B benchmarking (bench_substrate) and
-/// the counter-invariance suite — KernelStats and modeled time are
-/// bit-identical in both modes by construction, only wall-clock changes.
-[[nodiscard]] bool tile_path_enabled();
-void set_tile_path_enabled(bool enabled);
-
-/// Runtime switch for the threshold-gated warp fast path of the WarpSelect
-/// algorithm family (GridSelect shared/thread queues, WarpSelect,
-/// BlockSelect, and the streaming SharedQueueEngine): warp rounds proven
-/// candidate-free by a vectorized compare skip the exact ballot/insertion
-/// emulation and bulk-charge the identical counters.  Default on; set
-/// TOPK_SIM_WARPFAST=0 to start disabled.  The path additionally requires
-/// the tile path (it scans load_tile spans) and is forced off while a
-/// sanitizer is attached so simcheck observes every lane access —
-/// BlockCtx::warpfast_enabled() is the combined gate kernels consult.
-[[nodiscard]] bool warpfast_path_enabled();
-void set_warpfast_path_enabled(bool enabled);
-
-/// Runtime switch for the per-device MemoryPool (see memory_pool.hpp):
-/// with the pool on, Workspace slabs released back to the pool are retained
-/// and reused by size class; off, every release frees and every acquire
-/// mallocs.  Default on; set TOPK_SIM_POOL=0 to start disabled.  The switch
-/// exists for A/B benchmarking — allocation provenance never feeds the cost
-/// model, so KernelStats and modeled time are bit-identical in both modes.
-[[nodiscard]] bool pool_enabled();
-void set_pool_enabled(bool enabled);
-
 /// Intern a kernel/segment name into permanent storage and return a stable
 /// view of it.  LaunchConfig and KernelStats hold string_views so recording
 /// a kernel event never heap-allocates on the hot path; names built
@@ -220,13 +190,12 @@ class SharedSpan {
   /// Read-only raw view (element reads through it are not shadowed).
   operator std::span<const T>() const { return {data_, size_}; }  // NOLINT
 
-  /// Raw mutable pointer for the tile fast path, or nullptr when the caller
-  /// must go through SharedRef.  Non-null only when the tile path is enabled
-  /// AND no sanitizer is attached: shared-memory accesses are not charged to
-  /// BlockCounters, so writing through the raw pointer cannot perturb
-  /// KernelStats, and with the sanitizer off there is no shadow state to
-  /// keep element-exact.  Hot loops hoist this once and fall back to
-  /// operator[] on nullptr.
+  /// Raw mutable pointer for the unchecked path, or nullptr when the caller
+  /// must go through SharedRef.  Non-null only when no sanitizer is
+  /// attached: shared-memory accesses are not charged to BlockCounters, so
+  /// writing through the raw pointer cannot perturb KernelStats, and with
+  /// the sanitizer off there is no shadow state to keep element-exact.  Hot
+  /// loops hoist this once and fall back to operator[] on nullptr.
   [[nodiscard]] T* unchecked_data() const;
 
  private:
@@ -242,10 +211,9 @@ class SharedSpan {
 /// digit, filter compaction) cannot use store_tile, but when the per-element
 /// store COUNT is known up front the byte accounting can still be bulk: the
 /// factory pre-charges `count` element writes and put() degenerates to a raw
-/// write.  With the tile path off, or with a sanitizer attached, put()
-/// instead charges/shadows per element exactly like BlockCtx::store — the
-/// caller contract (exactly `count` puts per writer) makes the charged
-/// totals identical in every mode.
+/// write.  With a sanitizer attached, put() instead charges/shadows per
+/// element exactly like BlockCtx::store — the caller contract (exactly
+/// `count` puts per writer) makes the charged totals identical either way.
 template <typename T>
 class ScatterWriter {
  public:
@@ -310,10 +278,6 @@ class BlockCtx {
       sshadow_ = std::make_unique<SharedShadow>();
       sshadow_->cells.resize(shared_capacity_);
     }
-    // Sampled once per block: the toggles are only flipped from the driving
-    // host thread between launches, never while a grid is in flight.
-    warpfast_ = tile_path_enabled() && warpfast_path_enabled() &&
-                san_ == nullptr;
   }
 
   [[nodiscard]] int block_idx() const { return block_idx_; }
@@ -471,16 +435,15 @@ class BlockCtx {
   /// Flush a block's per-bin counts into global bins:
   /// dst[first + d] += counts[d] for every d, charged as one scattered
   /// atomic per non-zero entry — what a loop of atomic_add_scattered over
-  /// the non-zero bins charges.  On the unchecked tile path
-  /// (unchecked_tiles) the adds are plain adds under one lock of a striped
-  /// table keyed by &dst[first], not one seq_cst RMW per bin; the caller's
-  /// next atomic (a last-block election, say) still orders them before
-  /// whatever it publishes to.  Flushes that can run concurrently must
-  /// therefore cover the same span or disjoint ones, as per-problem
-  /// histograms do.  A span reaching past `dst` is suppressed wholesale,
-  /// like store_tile.  Otherwise (tile path off, or a sanitizer attached)
-  /// it is that per-bin loop, reading the counts through SharedRef, so
-  /// simcheck sees every shared read and every atomic.
+  /// the non-zero bins charges.  On the unchecked path (unchecked_tiles)
+  /// the adds are plain adds under one lock of a striped table keyed by
+  /// &dst[first], not one seq_cst RMW per bin; the caller's next atomic (a
+  /// last-block election, say) still orders them before whatever it
+  /// publishes to.  Flushes that can run concurrently must therefore cover
+  /// the same span or disjoint ones, as per-problem histograms do.  A span
+  /// reaching past `dst` is suppressed wholesale, like store_tile.  With a
+  /// sanitizer attached it is that per-bin loop, reading the counts through
+  /// SharedRef, so simcheck sees every shared read and every atomic.
   template <typename T>
   void flush_counts(const DeviceBuffer<T>& dst, std::size_t first,
                     const SharedSpan<T>& counts) {
@@ -562,7 +525,7 @@ class BlockCtx {
     ref.store(v, std::memory_order_seq_cst);
   }
 
-  /// ---- Tile-granular device memory access (fast path) --------------------
+  /// ---- Tile-granular device memory access --------------------------------
   ///
   /// Bulk counterparts of load/store.  They charge BlockCounters once per
   /// tile instead of once per element and expose contiguous spans the
@@ -572,13 +535,12 @@ class BlockCtx {
   /// would check it (simcheck loses no precision); counters are charged
   /// identically with checking on or off and identically to an equivalent
   /// sequence of scalar load/store calls, so KernelStats and modeled time
-  /// are bit-identical across the scalar path, the tile path, and both
-  /// simcheck modes.
+  /// are bit-identical in both simcheck modes.
 
   /// Accounted read of `count` contiguous elements starting at `first`.
   /// Returns a read-only view of the tile.  A tile reaching past the buffer
   /// extent is suppressed wholesale (empty span) and reported through the
-  /// sanitizer when one is attached — the scalar path suppresses the same
+  /// sanitizer when one is attached — scalar loads suppress the same
   /// accesses element by element.
   template <typename T>
   [[nodiscard]] std::span<const T> load_tile(const DeviceBuffer<T>& b,
@@ -631,32 +593,24 @@ class BlockCtx {
     std::memcpy(b.data() + first, src.data(), src.size_bytes());
   }
 
-  /// Visit b[first + j] for j in [0, count), calling `f(j, value)` —
-  /// tile-granular (kTileElems per tile) when the fast path is enabled,
-  /// scalar load() per element otherwise.  The single entry point hot loops
-  /// use so both paths share one body and charge identical counters.
+  /// Visit b[first + j] for j in [0, count), calling `f(j, value)`, one
+  /// load_tile of kTileElems elements at a time.
   template <typename T, typename F>
   void for_each_elem(const DeviceBuffer<T>& b, std::size_t first,
                      std::size_t count, F&& f) {
-    if (tile_path_enabled()) {
-      std::size_t j = 0;
-      while (j < count) {
-        const std::size_t c = std::min(kTileElems, count - j);
-        const std::span<const T> tile = load_tile(b, first + j, c);
-        for (std::size_t u = 0; u < tile.size(); ++u) f(j + u, tile[u]);
-        j += c;
-      }
-    } else {
-      for (std::size_t j = 0; j < count; ++j) f(j, load(b, first + j));
+    for (std::size_t j = 0; j < count; j += kTileElems) {
+      const std::span<const T> tile =
+          load_tile(b, first + j, std::min(kTileElems, count - j));
+      for (std::size_t u = 0; u < tile.size(); ++u) f(j + u, tile[u]);
     }
   }
 
   /// Writer for exactly `count` data-dependent (scattered) element stores
-  /// into `b`.  On the tile fast path without a sanitizer the byte cost is
-  /// charged here in bulk and each put() is a raw write; otherwise put()
-  /// charges and shadows per element, identically to store().  Calling put()
-  /// a different number of times than `count` breaks counter invariance
-  /// between the two modes — the count is the caller's promise.
+  /// into `b`.  Without a sanitizer the byte cost is charged here in bulk
+  /// and each put() is a raw write; with one, put() charges and shadows per
+  /// element, identically to store().  Calling put() a different number of
+  /// times than `count` breaks counter invariance between the two modes —
+  /// the count is the caller's promise.
   template <typename T>
   [[nodiscard]] ScatterWriter<T> scatter_writer(const DeviceBuffer<T>& b,
                                                 std::size_t count) {
@@ -667,12 +621,12 @@ class BlockCtx {
 
   /// Read-side counterpart of scatter_writer for exactly `count`
   /// data-dependent element reads of `b` (a search over a small table, say).
-  /// On the tile fast path without a sanitizer the byte cost is charged here
-  /// in bulk and the raw base pointer is returned, so each read is a plain
-  /// load.  Otherwise nothing is charged and nullptr is returned: the caller
-  /// reads through load(), which charges and shadows per element.  Reading
-  /// a different number of elements than `count` breaks counter invariance
-  /// between the two modes — the count is the caller's promise.
+  /// Without a sanitizer the byte cost is charged here in bulk and the raw
+  /// base pointer is returned, so each read is a plain load.  With one,
+  /// nothing is charged and nullptr is returned: the caller reads through
+  /// load(), which charges and shadows per element.  Reading a different
+  /// number of elements than `count` breaks counter invariance between the
+  /// two modes — the count is the caller's promise.
   template <typename T>
   [[nodiscard]] const T* prepaid_reads(const DeviceBuffer<T>& b,
                                        std::uint64_t count) {
@@ -681,23 +635,20 @@ class BlockCtx {
     return b.data();
   }
 
-  /// True when this block runs the tile fast path unchecked: the tile path
-  /// is on and no sanitizer is attached — the state in which
-  /// SharedSpan::unchecked_data, scatter_writer and prepaid_reads go raw.
-  /// Kernels gate their whole-tile SIMD scans on it, so a simcheck run keeps
-  /// their per-element loops.
-  [[nodiscard]] bool unchecked_tiles() const {
-    return tile_path_enabled() && san_ == nullptr;
-  }
+  /// True when this block runs unchecked: no sanitizer is attached — the
+  /// state in which SharedSpan::unchecked_data, scatter_writer, prepaid_reads
+  /// and flush_counts go raw.  Kernels gate their whole-tile SIMD scans on
+  /// it, so a simcheck run keeps their per-element loops.
+  [[nodiscard]] bool unchecked_tiles() const { return san_ == nullptr; }
 
   /// ---- Threshold-gated warp fast path ------------------------------------
 
   /// True when kernels may take the threshold-gated warp fast path for this
-  /// block: the warpfast AND tile toggles are on and no sanitizer is
-  /// attached.  With a sanitizer the exact per-lane round machinery runs so
-  /// simcheck keeps element-exact attribution (the fallback is enforced by
-  /// tile_invariance_test's {tile × warpfast × simcheck} grid).
-  [[nodiscard]] bool warpfast_enabled() const { return warpfast_; }
+  /// block: no sanitizer is attached (the same state as unchecked_tiles).
+  /// With a sanitizer the exact per-lane round machinery runs so simcheck
+  /// keeps element-exact attribution; tile_invariance_test holds the two
+  /// paths to identical counts.
+  [[nodiscard]] bool warpfast_enabled() const { return san_ == nullptr; }
 
   /// Vectorizable scan primitive for threshold-gated warp rounds: how many
   /// elements of `tile`, with `mask` xor-ed into their bits (a selection
@@ -796,7 +747,6 @@ class BlockCtx {
   std::uint32_t sync_epoch_ = 0;
   int active_warp_ = -1;
   int active_lane_ = -1;
-  bool warpfast_ = false;
   std::unique_ptr<SharedShadow> sshadow_;
 };
 
@@ -851,7 +801,6 @@ SharedRef<T>& SharedRef<T>::operator-=(T v) {
 
 template <typename T>
 T* SharedSpan<T>::unchecked_data() const {
-  if (!tile_path_enabled()) return nullptr;
   if (ctx_ != nullptr && ctx_->sanitizing()) return nullptr;
   return data_;
 }

@@ -11,17 +11,11 @@
 
 namespace simgpu {
 
-/// See kernel.hpp: runtime switch (TOPK_SIM_POOL) consulted by MemoryPool /
-/// Workspace to decide whether released slabs are retained for reuse.
-[[nodiscard]] bool pool_enabled();
-void set_pool_enabled(bool enabled);
-
 /// A per-device pool of retained memory slabs with power-of-two size-class
 /// reuse.  Workspace (workspace.hpp) acquires one slab per bind and either
 /// keeps it across binds (the steady-state, counted as a hit via note_hit)
-/// or releases/re-acquires when the layout grows.  With the pool disabled
-/// (pool_enabled() == false), release() frees instead of retaining and every
-/// acquire is a fresh host allocation — the A/B mode bench_serving measures.
+/// or releases/re-acquires when the layout grows.  Released slabs are
+/// always retained until trim().
 ///
 /// The pool hands out raw host storage; it knows nothing about the cost
 /// model, so pooling cannot perturb KernelStats or modeled time.  Stale-data
@@ -69,27 +63,25 @@ class MemoryPool {
   MemoryPool& operator=(const MemoryPool&) = delete;
 
   /// Get a slab of at least `bytes` (rounded up to the next power-of-two
-  /// size class).  Reuses the smallest retained slab that fits when the
-  /// pool is enabled; otherwise allocates fresh.
+  /// size class).  Reuses the smallest retained slab that fits; otherwise
+  /// allocates fresh.
   [[nodiscard]] Slab acquire(std::size_t bytes) {
     const std::size_t want = size_class(bytes);
-    if (pool_enabled()) {
-      std::size_t best = free_.size();
-      for (std::size_t i = 0; i < free_.size(); ++i) {
-        if (free_[i].bytes >= want &&
-            (best == free_.size() || free_[i].bytes < free_[best].bytes)) {
-          best = i;
-        }
+    std::size_t best = free_.size();
+    for (std::size_t i = 0; i < free_.size(); ++i) {
+      if (free_[i].bytes >= want &&
+          (best == free_.size() || free_[i].bytes < free_[best].bytes)) {
+        best = i;
       }
-      if (best != free_.size()) {
-        Slab s = std::move(free_[best]);
-        free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(best));
-        bytes_held_ -= s.bytes;
-        bytes_live_ += s.bytes;
-        ++hits_;
-        note_high_water();
-        return s;
-      }
+    }
+    if (best != free_.size()) {
+      Slab s = std::move(free_[best]);
+      free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(best));
+      bytes_held_ -= s.bytes;
+      bytes_live_ += s.bytes;
+      ++hits_;
+      note_high_water();
+      return s;
     }
     ++misses_;
     Slab s;
@@ -103,15 +95,13 @@ class MemoryPool {
     return s;
   }
 
-  /// Return a slab.  Retained for reuse when the pool is enabled, freed
-  /// otherwise.  `poison` overwrites the slab so a stale read of recycled
-  /// storage sees garbage rather than plausible old results (callers pass
-  /// true when a sanitizer is attached; see Workspace::release).
+  /// Return a slab; it is retained for reuse.  `poison` overwrites the
+  /// slab so a stale read of recycled storage sees garbage rather than
+  /// plausible old results (see Workspace::release).
   void release(Slab&& slab, bool poison = false) {
     if (slab.empty()) return;
     bytes_live_ -= slab.bytes;
     if (poison) std::memset(slab.base, kPoisonByte, slab.bytes);
-    if (!pool_enabled()) return;  // slab's storage frees on scope exit
     bytes_held_ += slab.bytes;
     note_high_water();
     free_.push_back(std::move(slab));

@@ -20,7 +20,13 @@
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SIMGPU_SIMD_X86 1
+// GCC 12's intrinsic headers self-initialize their "undefined" vectors
+// (`__m512i __Y = __Y;`), which -Wall reports at every inlined use.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #else
 #define SIMGPU_SIMD_X86 0
 #endif

@@ -37,11 +37,10 @@ class Workspace {
   Workspace& operator=(const Workspace&) = delete;
 
   /// Materialize `layout` in pooled storage.  Reuses the held slab when it
-  /// is big enough and pooling is on; otherwise swaps it for one from the
-  /// device pool.
+  /// is big enough; otherwise swaps it for one from the device pool.
   void bind(const WorkspaceLayout& layout) {
     const std::size_t need = layout.total_bytes();
-    if (!slab_.empty() && slab_.bytes >= need && pool_enabled()) {
+    if (!slab_.empty() && slab_.bytes >= need) {
       dev_->memory_pool().note_hit();
     } else {
       release();

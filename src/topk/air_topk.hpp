@@ -532,9 +532,9 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
       if (!is_last_filter && !copy_mode) {
         shist = ctx.shared_zero<std::uint32_t>(nb, "air digit histogram");
       }
-      // Raw histogram pointer on the unsanitized tile path (shared accesses
-      // are uncounted, so this cannot perturb KernelStats); nullptr means go
-      // through the shadowed SharedRef.
+      // Raw histogram pointer while no sanitizer is attached (shared
+      // accesses are uncounted, so this cannot perturb KernelStats); nullptr
+      // means go through the shadowed SharedRef.
       std::uint32_t* const hraw = shist.unchecked_data();
 
       // Pass p >= 1 keeps the keys whose radix prefix through the previous
@@ -568,7 +568,7 @@ void air_topk_run(simgpu::Device& dev, const AirTopkPlan<T>& plan,
         }
       };
 
-      // The unchecked tile path classifies whole tiles with SIMD and hands
+      // The unchecked path classifies whole tiles with SIMD and hands
       // take() the kept keys in element order; the per-element loop is its
       // reference.  Both load the same tiles, and the charges below are
       // bulk, so KernelStats are identical.

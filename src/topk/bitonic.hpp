@@ -31,9 +31,8 @@ inline constexpr bool kProxyView = requires(const V& v) {
 /// Unwrap a view to an equivalent raw std::span when uncounted raw element
 /// access is legal.  For std::span views this is the identity; for
 /// simgpu::SharedSpan it is unchecked_data(), which is non-null only while
-/// the tile fast path is on and no sanitizer is attached (shared-memory
-/// accesses are never charged to BlockCounters, so bypassing the proxies
-/// cannot perturb KernelStats).  An empty return means "not available" —
+/// no sanitizer is attached (shared-memory accesses are never charged to
+/// BlockCounters, so bypassing the proxies cannot perturb KernelStats).  An empty return means "not available" —
 /// callers fall back to the proxy view.
 template <SortableView V>
 [[nodiscard]] std::span<typename V::element_type> raw_view(const V& v) {
@@ -188,9 +187,9 @@ void merge_prune(simgpu::BlockCtx& ctx, AK a_keys, AI a_idx, BK b_keys,
                  BI b_idx, KeyOrder<typename AK::value_type> ord = {}) {
   // Unwrap proxy views to raw spans when legal (see bitonic_merge) — this
   // is the hot inner loop of every queue/list merge in the WarpSelect
-  // family.  unchecked_data() is all-or-nothing per kernel (one global gate
-  // + one sanitizer test), so a partial unwrap cannot happen in practice;
-  // the fallback keeps the code correct if it ever does.
+  // family.  unchecked_data() is all-or-nothing per block (one sanitizer
+  // test), so a partial unwrap cannot happen in practice; the fallback
+  // keeps the code correct if it ever does.
   if constexpr (kProxyView<AK> || kProxyView<AI> || kProxyView<BK> ||
                 kProxyView<BI>) {
     const auto rak = raw_view(a_keys);

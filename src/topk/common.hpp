@@ -87,57 +87,37 @@ inline std::pair<std::size_t, std::size_t> block_chunk(std::size_t count,
 }
 
 /// Visit the (value, index) pairs of rows [begin, end) of two parallel
-/// buffers offset by `base`, calling `f(i, value, index)` with i in
-/// [begin, end).  Rides the tile-granular fast path when it is enabled and
-/// degrades to scalar BlockCtx::load per element otherwise; either way the
-/// counted traffic is identical.  The single entry point used by the input
-/// scans of the radix-family kernels.
+/// buffers offset by `base`, one tile at a time, calling `f(i, value, index)`
+/// with i in [begin, end).  The single entry point used by the input scans
+/// of the radix-family kernels.
 template <typename T, typename F>
 inline void scan_pairs(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> vals,
                        simgpu::DeviceBuffer<std::uint32_t> idx,
                        std::size_t base, std::size_t begin, std::size_t end,
                        F&& f) {
-  if (simgpu::tile_path_enabled()) {
-    std::size_t i = begin;
-    while (i < end) {
-      const std::size_t c = std::min(simgpu::kTileElems, end - i);
-      const std::span<const T> tv = ctx.load_tile(vals, base + i, c);
-      const std::span<const std::uint32_t> ti = ctx.load_tile(idx, base + i, c);
-      const std::size_t n = std::min(tv.size(), ti.size());
-      for (std::size_t u = 0; u < n; ++u) f(i + u, tv[u], ti[u]);
-      i += c;
-    }
-  } else {
-    for (std::size_t i = begin; i < end; ++i) {
-      f(i, ctx.load(vals, base + i), ctx.load(idx, base + i));
-    }
+  for (std::size_t i = begin; i < end; i += simgpu::kTileElems) {
+    const std::size_t c = std::min(simgpu::kTileElems, end - i);
+    const std::span<const T> tv = ctx.load_tile(vals, base + i, c);
+    const std::span<const std::uint32_t> ti = ctx.load_tile(idx, base + i, c);
+    const std::size_t n = std::min(tv.size(), ti.size());
+    for (std::size_t u = 0; u < n; ++u) f(i + u, tv[u], ti[u]);
   }
 }
 
 /// Accounted tile-granular copy of `count` (value, index) pairs from
-/// src[src_base...] to dst[dst_base...]; scalar load/store when the fast
-/// path is off.
+/// src[src_base...] to dst[dst_base...].
 template <typename T>
 inline void copy_pairs(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> src_val,
                        simgpu::DeviceBuffer<std::uint32_t> src_idx,
                        std::size_t src_base, simgpu::DeviceBuffer<T> dst_val,
                        simgpu::DeviceBuffer<std::uint32_t> dst_idx,
                        std::size_t dst_base, std::size_t count) {
-  if (simgpu::tile_path_enabled()) {
-    std::size_t i = 0;
-    while (i < count) {
-      const std::size_t c = std::min(simgpu::kTileElems, count - i);
-      ctx.store_tile(dst_val, dst_base + i,
-                     ctx.load_tile(src_val, src_base + i, c));
-      ctx.store_tile(dst_idx, dst_base + i,
-                     ctx.load_tile(src_idx, src_base + i, c));
-      i += c;
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      ctx.store(dst_val, dst_base + i, ctx.load(src_val, src_base + i));
-      ctx.store(dst_idx, dst_base + i, ctx.load(src_idx, src_base + i));
-    }
+  for (std::size_t i = 0; i < count; i += simgpu::kTileElems) {
+    const std::size_t c = std::min(simgpu::kTileElems, count - i);
+    ctx.store_tile(dst_val, dst_base + i,
+                   ctx.load_tile(src_val, src_base + i, c));
+    ctx.store_tile(dst_idx, dst_base + i,
+                   ctx.load_tile(src_idx, src_base + i, c));
   }
 }
 
@@ -158,8 +138,7 @@ struct RadixSource {
 /// `f(vals, ids, first)` once per tile of up to kTileElems elements
 /// starting at element `first`.  `ids` holds the tile's indices when
 /// `src.idx` is bound and is empty otherwise (vals[u] then has index
-/// src.idx0 + first + u).  Charges what scan_source charges.  Tile path
-/// only.
+/// src.idx0 + first + u).  Charges what scan_source charges.
 template <typename T, typename F>
 inline void scan_source_tiles(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
                               std::size_t begin, std::size_t end, F&& f) {
@@ -182,8 +161,7 @@ inline void scan_source_tiles(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
 /// level: `f(vals, ids)` once per tile of up to kTileElems candidates, where
 /// ids[u] is the index of vals[u].  On the first level the candidates are
 /// the raw input row in[in_base + i] with index i, afterwards the
-/// (value, index) pairs of a candidate buffer.  Tile path only; callers
-/// that must also run with it off use scan_candidates.
+/// (value, index) pairs of a candidate buffer.
 template <typename T, typename F>
 inline void scan_candidate_tiles(simgpu::BlockCtx& ctx, bool from_input,
                                  simgpu::DeviceBuffer<T> in,
@@ -210,41 +188,28 @@ inline void scan_candidate_tiles(simgpu::BlockCtx& ctx, bool from_input,
 }
 
 /// Visit the candidates [begin, end) of one partition level (see
-/// scan_candidate_tiles), calling `f(value, index)` per candidate.
-/// Tile-granular when the fast path is on, scalar loads otherwise; the
-/// counted traffic is identical either way.  The input scan of the
-/// partition rows (QuickSelect, SampleSelect, BucketSelect).
+/// scan_candidate_tiles), calling `f(value, index)` per candidate.  The
+/// input scan of the partition rows (QuickSelect, SampleSelect,
+/// BucketSelect).
 template <typename T, typename F>
 inline void scan_candidates(simgpu::BlockCtx& ctx, bool from_input,
                             simgpu::DeviceBuffer<T> in, std::size_t in_base,
                             simgpu::DeviceBuffer<T> src_val,
                             simgpu::DeviceBuffer<std::uint32_t> src_idx,
                             std::size_t begin, std::size_t end, F&& f) {
-  if (simgpu::tile_path_enabled()) {
-    scan_candidate_tiles(ctx, from_input, in, in_base, src_val, src_idx,
-                         begin, end,
-                         [&](std::span<const T> tv,
-                             std::span<const std::uint32_t> ti) {
-                           for (std::size_t u = 0; u < tv.size(); ++u) {
-                             f(tv[u], ti[u]);
-                           }
-                         });
-  } else {
-    for (std::size_t i = begin; i < end; ++i) {
-      if (from_input) {
-        f(ctx.load(in, in_base + i), static_cast<std::uint32_t>(i));
-      } else {
-        const T v = ctx.load(src_val, i);
-        f(v, ctx.load(src_idx, i));
-      }
-    }
-  }
+  scan_candidate_tiles(ctx, from_input, in, in_base, src_val, src_idx, begin,
+                       end,
+                       [&](std::span<const T> tv,
+                           std::span<const std::uint32_t> ti) {
+                         for (std::size_t u = 0; u < tv.size(); ++u) {
+                           f(tv[u], ti[u]);
+                         }
+                       });
 }
 
 /// Copy the candidates [begin, end) of a partition level (see
 /// scan_candidate_tiles) to dst[dst_base + begin ...]: value plus index,
-/// where a raw input candidate's index is its position.  Tile-granular when
-/// the fast path is on, scalar otherwise; either way it charges one value
+/// where a raw input candidate's index is its position.  Charges one value
 /// read, plus one index read for buffered candidates, and two stores per
 /// element.
 template <typename T>
@@ -257,29 +222,19 @@ inline void copy_candidates(simgpu::BlockCtx& ctx, bool from_input,
                             simgpu::DeviceBuffer<std::uint32_t> dst_idx,
                             std::size_t dst_base) {
   std::size_t at = dst_base + begin;
-  if (simgpu::tile_path_enabled()) {
-    scan_candidate_tiles(ctx, from_input, in, in_base, src_val, src_idx,
-                         begin, end,
-                         [&](std::span<const T> tv,
-                             std::span<const std::uint32_t> ti) {
-                           ctx.store_tile(dst_val, at, tv);
-                           ctx.store_tile(dst_idx, at, ti);
-                           at += tv.size();
-                         });
-  } else {
-    scan_candidates(ctx, from_input, in, in_base, src_val, src_idx, begin,
-                    end, [&](T v, std::uint32_t id) {
-                      ctx.store(dst_val, at, v);
-                      ctx.store(dst_idx, at, id);
-                      ++at;
-                    });
-  }
+  scan_candidate_tiles(ctx, from_input, in, in_base, src_val, src_idx, begin,
+                       end,
+                       [&](std::span<const T> tv,
+                           std::span<const std::uint32_t> ti) {
+                         ctx.store_tile(dst_val, at, tv);
+                         ctx.store_tile(dst_idx, at, ti);
+                         at += tv.size();
+                       });
 }
 
 /// Visit the elements [begin, end) of `src`, calling `f(value, index)` per
-/// element: tile-granular when the fast path is on, scalar loads otherwise.
-/// Either way it charges one value read per element, plus one index read
-/// when `src.idx` is bound.  The per-element reference of scan_classified.
+/// element.  Charges one value read per element, plus one index read when
+/// `src.idx` is bound.  The per-element reference of scan_classified.
 template <typename T, typename F>
 inline void scan_source(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
                         std::size_t begin, std::size_t end, F&& f) {
@@ -300,8 +255,8 @@ inline void scan_source(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
 /// The whole-tile form of a radix histogram pass: bump
 /// hist[((ord(x) ^ order) >> shift) & digit_mask] for each element x of
 /// [begin, end) of `src` with simd::histogram_digits.  Charges what
-/// scan_source charges.  For the unchecked tile path
-/// (BlockCtx::unchecked_tiles) on carrier keys.
+/// scan_source charges.  For the unchecked path (BlockCtx::unchecked_tiles)
+/// on carrier keys.
 template <typename T>
   requires simgpu::simd::kRadixCarrier<T>
 inline void histogram_tiles(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
@@ -340,8 +295,8 @@ struct ClassifiedTile {
 /// end) of `src` under `rule` with simd::classify_digits and call `f(tile)`
 /// with each tile's ClassifiedTile, in element order — the order, and so
 /// the appends, a per-element loop over scan_source makes.  Charges what
-/// scan_source charges.  For the unchecked tile path
-/// (BlockCtx::unchecked_tiles) on carrier keys.
+/// scan_source charges.  For the unchecked path (BlockCtx::unchecked_tiles)
+/// on carrier keys.
 template <typename T, typename F>
   requires simgpu::simd::kRadixCarrier<T>
 inline void scan_classified_tiles(simgpu::BlockCtx& ctx,
@@ -376,20 +331,15 @@ inline void scan_classified(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
 }
 
 /// Accounted zero-fill of b[first, first + count): store_tile from a zero
-/// tile on the tile path, one store per element otherwise; either way it
-/// charges count elements written.
+/// tile, charging count elements written.
 template <typename T>
 inline void zero_fill(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> b,
                       std::size_t first, std::size_t count) {
-  if (simgpu::tile_path_enabled()) {
-    static constexpr T kZeros[simgpu::kTileElems] = {};
-    for (std::size_t i = 0; i < count; i += simgpu::kTileElems) {
-      ctx.store_tile(b, first + i,
-                     std::span<const T>(
-                         kZeros, std::min(simgpu::kTileElems, count - i)));
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i) ctx.store(b, first + i, T{});
+  static constexpr T kZeros[simgpu::kTileElems] = {};
+  for (std::size_t i = 0; i < count; i += simgpu::kTileElems) {
+    ctx.store_tile(b, first + i,
+                   std::span<const T>(kZeros,
+                                      std::min(simgpu::kTileElems, count - i)));
   }
 }
 
@@ -434,16 +384,9 @@ class AggregatedAppender {
     }
     // The reserved slots are contiguous, so the staged run is two tiles.
     const std::size_t at = dst_base_ + static_cast<std::size_t>(base);
-    if (simgpu::tile_path_enabled()) {
-      ctx.store_tile(vals_, at, std::span<const T>(staged_v_, staged_));
-      ctx.store_tile(idx_, at,
-                     std::span<const std::uint32_t>(staged_i_, staged_));
-    } else {
-      for (std::size_t i = 0; i < staged_; ++i) {
-        ctx.store(vals_, at + i, staged_v_[i]);
-        ctx.store(idx_, at + i, staged_i_[i]);
-      }
-    }
+    ctx.store_tile(vals_, at, std::span<const T>(staged_v_, staged_));
+    ctx.store_tile(idx_, at,
+                   std::span<const std::uint32_t>(staged_i_, staged_));
     ctx.ops(2);  // ballot + leader election of the aggregated atomic
     staged_ = 0;
   }

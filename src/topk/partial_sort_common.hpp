@@ -146,7 +146,7 @@ class TopkList {
     scratch_keys_.assign(q, ord_.worst());
     scratch_idx_.assign(q, 0);
     // The candidate stores may be SharedSpans; copy through raw pointers
-    // when the tile path makes that legal (shared-memory reads are never
+    // when no sanitizer is attached (shared-memory reads are never
     // charged, so the charges below are unaffected).
     if constexpr (kProxyView<CandKeys> && kProxyView<CandIdx>) {
       const auto rk = raw_view(cand_keys);

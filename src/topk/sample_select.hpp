@@ -375,7 +375,7 @@ void sample_select_run(simgpu::Device& dev, const SampleSelectPlan<T>& plan,
           T* const rk = keys.unchecked_data();
           std::uint32_t* const ri = idx.unchecked_data();
           if (rk != nullptr && ri != nullptr) {
-            // Tile path: stage and emit through raw shared memory.
+            // Unchecked path: stage and emit through raw shared memory.
             scan_pairs(ctx, src_val, src_idx, 0, 0, count,
                        [&](std::size_t i, T v, std::uint32_t id) {
                          rk[i] = v;

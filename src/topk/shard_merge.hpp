@@ -279,23 +279,15 @@ void sort_run(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> in,
               std::size_t in_base, std::size_t begin, std::size_t count,
               std::size_t L, std::size_t keep, KS& keys, IS& idx,
               KeyOrder<T> ord) {
-  if (simgpu::tile_path_enabled()) {
-    const auto rk = raw_view(keys);
-    std::size_t i = 0;
-    while (i < count) {
-      const std::size_t c = std::min(simgpu::kTileElems, count - i);
-      const std::span<const T> tv = ctx.load_tile(in, in_base + i, c);
-      if (!rk.empty()) {
-        std::copy(tv.begin(), tv.end(),
-                  rk.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        for (std::size_t u = 0; u < tv.size(); ++u) keys[i + u] = tv[u];
-      }
-      i += c;
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      keys[i] = ctx.load(in, in_base + i);
+  const auto rk = raw_view(keys);
+  for (std::size_t i = 0; i < count; i += simgpu::kTileElems) {
+    const std::span<const T> tv =
+        ctx.load_tile(in, in_base + i, std::min(simgpu::kTileElems, count - i));
+    if (!rk.empty()) {
+      std::copy(tv.begin(), tv.end(),
+                rk.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      for (std::size_t u = 0; u < tv.size(); ++u) keys[i + u] = tv[u];
     }
   }
   for (std::size_t i = 0; i < count; ++i) {

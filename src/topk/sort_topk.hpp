@@ -232,30 +232,19 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
       const auto dst_idx = idx[0];
       simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
         const auto [begin, end] = block_chunk(n, bpp, ctx.block_idx());
-        if (simgpu::tile_path_enabled()) {
-          // Stage one tile of transformed keys + iota indices, then store
-          // both with a single accounted (and shadow-exact) bulk write.
-          Bits kbuf[simgpu::kTileElems];
-          std::uint32_t ibuf[simgpu::kTileElems];
-          std::size_t i = begin;
-          while (i < end) {
-            const std::size_t c = std::min(simgpu::kTileElems, end - i);
-            const std::span<const T> tv = ctx.load_tile(in, prob * n + i, c);
-            for (std::size_t u = 0; u < tv.size(); ++u) {
-              kbuf[u] = Traits::to_radix(tv[u]) ^ order;
-              ibuf[u] = static_cast<std::uint32_t>(i + u);
-            }
-            ctx.store_tile(dst_keys, i, std::span<const Bits>(kbuf, c));
-            ctx.store_tile(dst_idx, i,
-                           std::span<const std::uint32_t>(ibuf, c));
-            i += c;
+        // Stage one tile of transformed keys + iota indices, then store
+        // both with a single accounted (and shadow-exact) bulk write.
+        Bits kbuf[simgpu::kTileElems];
+        std::uint32_t ibuf[simgpu::kTileElems];
+        for (std::size_t i = begin; i < end; i += simgpu::kTileElems) {
+          const std::size_t c = std::min(simgpu::kTileElems, end - i);
+          const std::span<const T> tv = ctx.load_tile(in, prob * n + i, c);
+          for (std::size_t u = 0; u < tv.size(); ++u) {
+            kbuf[u] = Traits::to_radix(tv[u]) ^ order;
+            ibuf[u] = static_cast<std::uint32_t>(i + u);
           }
-        } else {
-          for (std::size_t i = begin; i < end; ++i) {
-            ctx.store(dst_keys, i,
-                      Traits::to_radix(ctx.load(in, prob * n + i)) ^ order);
-            ctx.store(dst_idx, i, static_cast<std::uint32_t>(i));
-          }
+          ctx.store_tile(dst_keys, i, std::span<const Bits>(kbuf, c));
+          ctx.store_tile(dst_idx, i, std::span<const std::uint32_t>(ibuf, c));
         }
         ctx.ops(end - begin);
       });
@@ -343,10 +332,10 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
           }
           ctx.sync();
           const auto [begin, end] = block_chunk(n, bpp, ctx.block_idx());
-          // Loads ride the tile path.  The stores scatter by digit, so
-          // store_tile does not apply, but every element stores exactly one
-          // (key, idx) pair — a ScatterWriter bulk-charges that known count
-          // and writes raw on the unsanitized fast path.
+          // Loads go by tile.  The stores scatter by digit, so store_tile
+          // does not apply, but every element stores exactly one (key, idx)
+          // pair — a ScatterWriter bulk-charges that known count and writes
+          // raw while no sanitizer is attached.
           auto wkey = ctx.scatter_writer(dst_keys, end - begin);
           auto widx = ctx.scatter_writer(dst_idx, end - begin);
           std::uint32_t* const craw = cursor.unchecked_data();
@@ -385,27 +374,17 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
       simgpu::LaunchConfig cfg{"sort_take_k", cbpp, kBlockThreads, 1, n, k};
       simgpu::launch(dev, cfg, [=](simgpu::BlockCtx& ctx) {
         const auto [begin, end] = block_chunk(k, cbpp, ctx.block_idx());
-        if (simgpu::tile_path_enabled()) {
-          T vbuf[simgpu::kTileElems];
-          std::size_t i = begin;
-          while (i < end) {
-            const std::size_t c = std::min(simgpu::kTileElems, end - i);
-            const std::span<const Bits> tk = ctx.load_tile(fin_keys, i, c);
-            const std::span<const std::uint32_t> ti =
-                ctx.load_tile(fin_idx, i, c);
-            for (std::size_t u = 0; u < tk.size(); ++u) {
-              vbuf[u] = Traits::from_radix(tk[u] ^ order);
-            }
-            ctx.store_tile(out_vals, prob * k + i, std::span<const T>(vbuf, c));
-            ctx.store_tile(out_idx, prob * k + i, ti);
-            i += c;
+        T vbuf[simgpu::kTileElems];
+        for (std::size_t i = begin; i < end; i += simgpu::kTileElems) {
+          const std::size_t c = std::min(simgpu::kTileElems, end - i);
+          const std::span<const Bits> tk = ctx.load_tile(fin_keys, i, c);
+          const std::span<const std::uint32_t> ti =
+              ctx.load_tile(fin_idx, i, c);
+          for (std::size_t u = 0; u < tk.size(); ++u) {
+            vbuf[u] = Traits::from_radix(tk[u] ^ order);
           }
-        } else {
-          for (std::size_t i = begin; i < end; ++i) {
-            ctx.store(out_vals, prob * k + i,
-                      Traits::from_radix(ctx.load(fin_keys, i) ^ order));
-            ctx.store(out_idx, prob * k + i, ctx.load(fin_idx, i));
-          }
+          ctx.store_tile(out_vals, prob * k + i, std::span<const T>(vbuf, c));
+          ctx.store_tile(out_idx, prob * k + i, ti);
         }
         ctx.ops(end - begin);
       });

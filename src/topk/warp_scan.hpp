@@ -22,8 +22,8 @@
 ///
 /// Every leg loads each element of a warp's range exactly once and drives
 /// the same engine rounds, so KernelStats are identical on the exact leg
-/// (warp fast path off or a sanitizer attached) and on the warpfast legs;
-/// the fast legs only skip emulation work.
+/// (a sanitizer attached) and on the warpfast legs; the fast legs only skip
+/// emulation work.
 namespace topk::warp_scan {
 
 /// One selection engine per warp of a block, constructed in place (no
@@ -56,47 +56,32 @@ class WarpEngines {
 
 /// Exact leg: one warp's 32-lane rounds at positions first, first + stride,
 /// ... below `end` of the row at flat offset `base`.  Each round is one
-/// tile load (tile path) or 32 scalar loads, fed to round(); finalize()
-/// drains the queue.  Indices are row positions, or in_idx entries when
-/// in_idx is bound.
+/// tile load fed to round(); finalize() drains the queue.  Indices are row
+/// positions, or in_idx entries when in_idx is bound.
 template <typename Engine, typename T>
 void exact_rounds(simgpu::BlockCtx& ctx, simgpu::Warp& warp, Engine& eng,
                   simgpu::DeviceBuffer<T> in,
                   simgpu::DeviceBuffer<std::uint32_t> in_idx,
                   std::size_t base, std::size_t first, std::size_t end,
                   std::size_t stride) {
-  const bool tile = simgpu::tile_path_enabled();
   const bool has_idx = !in_idx.empty();
   T values[simgpu::kWarpSize];
   std::uint32_t indices[simgpu::kWarpSize];
   bool valid[simgpu::kWarpSize];
   for (std::size_t pos = first; pos < end; pos += stride) {
-    if (tile) {
-      const std::size_t c = std::min<std::size_t>(simgpu::kWarpSize, end - pos);
-      const std::span<const T> tv = ctx.load_tile(in, base + pos, c);
-      const std::span<const std::uint32_t> ti =
-          has_idx ? ctx.load_tile(in_idx, base + pos, c)
-                  : std::span<const std::uint32_t>{};
-      warp.each([&](int lane) {
-        const auto u = static_cast<std::size_t>(lane);
-        valid[lane] = u < tv.size();
-        if (valid[lane]) {
-          values[lane] = tv[u];
-          indices[lane] =
-              has_idx ? ti[u] : static_cast<std::uint32_t>(pos + u);
-        }
-      });
-    } else {
-      warp.each([&](int lane) {
-        const std::size_t i = pos + static_cast<std::size_t>(lane);
-        valid[lane] = i < end;
-        if (valid[lane]) {
-          values[lane] = ctx.load(in, base + i);
-          indices[lane] = has_idx ? ctx.load(in_idx, base + i)
-                                  : static_cast<std::uint32_t>(i);
-        }
-      });
-    }
+    const std::size_t c = std::min<std::size_t>(simgpu::kWarpSize, end - pos);
+    const std::span<const T> tv = ctx.load_tile(in, base + pos, c);
+    const std::span<const std::uint32_t> ti =
+        has_idx ? ctx.load_tile(in_idx, base + pos, c)
+                : std::span<const std::uint32_t>{};
+    warp.each([&](int lane) {
+      const auto u = static_cast<std::size_t>(lane);
+      valid[lane] = u < tv.size();
+      if (valid[lane]) {
+        values[lane] = tv[u];
+        indices[lane] = has_idx ? ti[u] : static_cast<std::uint32_t>(pos + u);
+      }
+    });
     eng.round(ctx, values, indices, valid);
   }
   eng.finalize(ctx);
@@ -229,63 +214,49 @@ void scan_contiguous(simgpu::BlockCtx& ctx, WarpEngines<Engine>& engines,
 }
 
 /// Pull `count` already-sorted (value, index) pairs from device memory into
-/// a pair of shared-memory views, riding the tile path when enabled.
+/// a pair of shared-memory views, one tile at a time.
 template <typename T, typename KS, typename IS>
 void load_list(simgpu::BlockCtx& ctx, simgpu::DeviceBuffer<T> val,
                simgpu::DeviceBuffer<std::uint32_t> idx, std::size_t base,
                KS& dst_keys, IS& dst_idx, std::size_t count) {
-  if (simgpu::tile_path_enabled()) {
-    const auto rk = raw_view(dst_keys);
-    const auto ri = raw_view(dst_idx);
-    std::size_t i = 0;
-    while (i < count) {
-      const std::size_t c = std::min(simgpu::kTileElems, count - i);
-      const std::span<const T> tk = ctx.load_tile(val, base + i, c);
-      const std::span<const std::uint32_t> tix =
-          ctx.load_tile(idx, base + i, c);
-      if (!rk.empty() && !ri.empty()) {
-        std::copy(tk.begin(), tk.end(),
-                  rk.begin() + static_cast<std::ptrdiff_t>(i));
-        std::copy(tix.begin(), tix.end(),
-                  ri.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        for (std::size_t u = 0; u < tk.size(); ++u) {
-          dst_keys[i + u] = tk[u];
-          dst_idx[i + u] = tix[u];
-        }
+  const auto rk = raw_view(dst_keys);
+  const auto ri = raw_view(dst_idx);
+  for (std::size_t i = 0; i < count; i += simgpu::kTileElems) {
+    const std::size_t c = std::min(simgpu::kTileElems, count - i);
+    const std::span<const T> tk = ctx.load_tile(val, base + i, c);
+    const std::span<const std::uint32_t> tix = ctx.load_tile(idx, base + i, c);
+    if (!rk.empty() && !ri.empty()) {
+      std::copy(tk.begin(), tk.end(),
+                rk.begin() + static_cast<std::ptrdiff_t>(i));
+      std::copy(tix.begin(), tix.end(),
+                ri.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      for (std::size_t u = 0; u < tk.size(); ++u) {
+        dst_keys[i + u] = tk[u];
+        dst_idx[i + u] = tix[u];
       }
-      i += c;
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      dst_keys[i] = ctx.load(val, base + i);
-      dst_idx[i] = ctx.load(idx, base + i);
     }
   }
 }
 
 /// Store the first `count` pairs of a pair of shared or register views to
-/// device memory.
+/// device memory: tile by tile from raw views, per element through the
+/// proxies while a sanitizer is attached.
 template <typename T, typename KS, typename IS>
 void store_list(simgpu::BlockCtx& ctx, const KS& src_keys, const IS& src_idx,
                 simgpu::DeviceBuffer<T> val,
                 simgpu::DeviceBuffer<std::uint32_t> idx, std::size_t base,
                 std::size_t count) {
-  if (simgpu::tile_path_enabled()) {
-    const auto rk = raw_view(src_keys);
-    const auto ri = raw_view(src_idx);
-    if (!rk.empty() && !ri.empty()) {
-      std::size_t i = 0;
-      while (i < count) {
-        const std::size_t c = std::min(simgpu::kTileElems, count - i);
-        ctx.store_tile(val, base + i,
-                       std::span<const T>(rk.data() + i, c));
-        ctx.store_tile(idx, base + i,
-                       std::span<const std::uint32_t>(ri.data() + i, c));
-        i += c;
-      }
-      return;
+  const auto rk = raw_view(src_keys);
+  const auto ri = raw_view(src_idx);
+  if (!rk.empty() && !ri.empty()) {
+    for (std::size_t i = 0; i < count; i += simgpu::kTileElems) {
+      const std::size_t c = std::min(simgpu::kTileElems, count - i);
+      ctx.store_tile(val, base + i, std::span<const T>(rk.data() + i, c));
+      ctx.store_tile(idx, base + i,
+                     std::span<const std::uint32_t>(ri.data() + i, c));
     }
+    return;
   }
   for (std::size_t i = 0; i < count; ++i) {
     ctx.store(val, base + i, src_keys[i]);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
@@ -200,19 +201,7 @@ TEST(Launch, EmulatorWallIsRecordedButNeverModeled) {
   EXPECT_EQ(model.total_us(other), model.total_us(dev.events()));
 }
 
-/// Restores the process-global tile toggle however a test exits.
-class TileGuard {
- public:
-  TileGuard() : was_(tile_path_enabled()) {}
-  ~TileGuard() { set_tile_path_enabled(was_); }
-
- private:
-  bool was_;
-};
-
 TEST(TileAccessors, LoadTileChargesAndReturnsData) {
-  TileGuard guard;
-  set_tile_path_enabled(true);
   Device dev;
   constexpr std::size_t kN = 2500;  // two full tiles + a ragged tail
   auto in = dev.alloc<float>(kN);
@@ -233,8 +222,6 @@ TEST(TileAccessors, LoadTileChargesAndReturnsData) {
 }
 
 TEST(TileAccessors, StoreTileRoundtripAndCharge) {
-  TileGuard guard;
-  set_tile_path_enabled(true);
   Device dev;
   constexpr std::size_t kN = 1300;
   auto out = dev.alloc_zero<std::uint32_t>(kN);
@@ -256,18 +243,26 @@ TEST(TileAccessors, StoreTileRoundtripAndCharge) {
   }
 }
 
+/// A Device with a sanitizer attached when `sanitize` is set: the one switch
+/// between the unchecked fast paths and the per-element ones.
+std::unique_ptr<Device> leg_device(bool sanitize) {
+  auto dev = std::make_unique<Device>();
+  if (sanitize) dev->enable_sanitizer();
+  return dev;
+}
+
 TEST(TileAccessors, CountersIdenticalToScalarEquivalents) {
-  TileGuard guard;
-  Device dev;
   constexpr std::size_t kN = 3001;
-  auto in = dev.alloc<float>(kN);
-  auto out = dev.alloc<float>(kN);
-  std::iota(in.data(), in.data() + kN, 0.0f);
+  std::vector<float> host(kN);
+  std::iota(host.begin(), host.end(), 0.0f);
   KernelStats got[2];
-  for (const bool tile : {false, true}) {
-    set_tile_path_enabled(tile);
-    got[tile ? 1 : 0] =
-        launch(dev, {"copy_modes", 4, 32}, [=](BlockCtx& ctx) {
+  for (const bool sanitize : {false, true}) {
+    const auto dev = leg_device(sanitize);
+    auto in = dev->alloc<float>(kN);
+    auto out = dev->alloc<float>(kN);
+    dev->upload(in, std::span<const float>(host));
+    got[sanitize ? 1 : 0] =
+        launch(*dev, {"copy_modes", 4, 32}, [=](BlockCtx& ctx) {
           const std::size_t per = (kN + 3) / 4;
           const auto b = static_cast<std::size_t>(ctx.block_idx());
           const std::size_t begin = std::min(b * per, kN);
@@ -285,6 +280,10 @@ TEST(TileAccessors, CountersIdenticalToScalarEquivalents) {
                               }
                             });
         });
+    if (sanitize) {
+      EXPECT_TRUE(dev->sanitizer()->snapshot().clean())
+          << dev->sanitizer()->snapshot().to_string();
+    }
   }
   EXPECT_EQ(got[0].bytes_read, got[1].bytes_read);
   EXPECT_EQ(got[0].bytes_written, got[1].bytes_written);
@@ -293,8 +292,6 @@ TEST(TileAccessors, CountersIdenticalToScalarEquivalents) {
 }
 
 TEST(TileAccessors, OutOfBoundsTileSuppressedWithoutSanitizer) {
-  TileGuard guard;
-  set_tile_path_enabled(true);
   Device dev;
   auto small = dev.alloc_zero<std::uint32_t>(10);
   std::size_t got_elems = 1;
@@ -311,49 +308,47 @@ TEST(TileAccessors, OutOfBoundsTileSuppressedWithoutSanitizer) {
 }
 
 TEST(TileAccessors, ForEachElemVisitsIdenticallyInBothModes) {
-  TileGuard guard;
-  Device dev;
   constexpr std::size_t kN = 2100;
-  auto in = dev.alloc<std::uint32_t>(kN);
-  std::iota(in.data(), in.data() + kN, 0u);
-  for (const bool tile : {false, true}) {
-    set_tile_path_enabled(tile);
+  std::vector<std::uint32_t> host(kN);
+  std::iota(host.begin(), host.end(), 0u);
+  for (const bool sanitize : {false, true}) {
+    const auto dev = leg_device(sanitize);
+    auto in = dev->alloc<std::uint32_t>(kN);
+    dev->upload(in, std::span<const std::uint32_t>(host));
     std::vector<std::uint32_t> seen;
-    launch(dev, {"visit", 1, 32}, [&](BlockCtx& ctx) {
+    launch(*dev, {"visit", 1, 32}, [&](BlockCtx& ctx) {
       ctx.for_each_elem(in, 100, kN - 100, [&](std::size_t j, std::uint32_t v) {
         ASSERT_EQ(v, 100 + j);
         seen.push_back(v);
       });
     });
-    ASSERT_EQ(seen.size(), kN - 100) << "tile=" << tile;
-    EXPECT_EQ(seen.front(), 100u) << "tile=" << tile;
-    EXPECT_EQ(seen.back(), kN - 1) << "tile=" << tile;
+    ASSERT_EQ(seen.size(), kN - 100) << "sanitize=" << sanitize;
+    EXPECT_EQ(seen.front(), 100u) << "sanitize=" << sanitize;
+    EXPECT_EQ(seen.back(), kN - 1) << "sanitize=" << sanitize;
   }
 }
 
 TEST(TileAccessors, ScatterWriterChargesIdenticallyInBothModes) {
-  TileGuard guard;
-  Device dev;
   constexpr std::size_t kN = 1777;
-  auto out = dev.alloc_zero<std::uint32_t>(kN);
-  for (const bool tile : {false, true}) {
-    set_tile_path_enabled(tile);
+  for (const bool sanitize : {false, true}) {
+    const auto dev = leg_device(sanitize);
+    auto out = dev->alloc_zero<std::uint32_t>(kN);
     const KernelStats stats =
-        launch(dev, {"scatter", 1, 32}, [=](BlockCtx& ctx) {
+        launch(*dev, {"scatter", 1, 32}, [=](BlockCtx& ctx) {
           auto w = ctx.scatter_writer(out, kN);
           for (std::size_t i = 0; i < kN; ++i) {
             w.put((i * 7919) % kN, static_cast<std::uint32_t>(i));
           }
         });
     EXPECT_EQ(stats.bytes_written, kN * sizeof(std::uint32_t))
-        << "tile=" << tile;
+        << "sanitize=" << sanitize;
+    // 7919 is coprime with kN, so every slot is written exactly once.
+    const std::vector<std::uint32_t> got = dev->to_host(out);
+    for (std::size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(got[(i * 7919) % kN], static_cast<std::uint32_t>(i))
+          << "sanitize=" << sanitize << " put " << i;
+    }
   }
-  // 7919 is coprime with kN, so every slot was written by both passes.
-  std::vector<bool> hit(kN, false);
-  for (std::size_t i = 0; i < kN; ++i) {
-    hit[(i * 7919) % kN] = true;
-  }
-  EXPECT_TRUE(std::all_of(hit.begin(), hit.end(), [](bool b) { return b; }));
 }
 
 void expect_same_stats(const KernelStats& a, const KernelStats& b,
@@ -380,10 +375,10 @@ std::uint32_t flush_test_count(int block, std::size_t d, bool dense) {
 TEST(BulkAtomics, FlushCountsAddsAndChargesLikeThePerBinLoop) {
   // 96 blocks on the pool flush 2048-bin spans into three per-problem
   // histograms of one buffer (block b into problem b % 3), as AIR's
-  // iteration-fused kernels do.  flush_counts on either tile setting and
-  // the per-bin atomic loop it replaces must give the host sums, one
-  // scattered atomic per non-zero entry and identical KernelStats.
-  TileGuard guard;
+  // iteration-fused kernels do.  flush_counts unchecked and with a
+  // sanitizer attached, and the per-bin atomic loop it replaces, must give
+  // the host sums, one scattered atomic per non-zero entry and identical
+  // KernelStats.
   constexpr int kBlocks = 96;
   constexpr std::size_t kBins = 2048;
   constexpr std::size_t kProblems = 3;
@@ -397,12 +392,11 @@ TEST(BulkAtomics, FlushCountsAddsAndChargesLikeThePerBinLoop) {
         nonzero += c != 0 ? 1 : 0;
       }
     }
-    const auto run = [&](bool tile, bool per_bin_loop) {
-      set_tile_path_enabled(tile);
-      Device dev;
-      auto bins = dev.alloc_zero<std::uint32_t>(kProblems * kBins);
+    const auto run = [&](bool sanitize, bool per_bin_loop) {
+      const auto dev = leg_device(sanitize);
+      auto bins = dev->alloc_zero<std::uint32_t>(kProblems * kBins);
       const KernelStats stats = launch(
-          dev, {"flush", kBlocks, 64}, [=](BlockCtx& ctx) {
+          *dev, {"flush", kBlocks, 64}, [=](BlockCtx& ctx) {
             auto counts = ctx.shared_zero<std::uint32_t>(kBins, "counts");
             for (std::size_t d = 0; d < kBins; ++d) {
               const std::uint32_t c =
@@ -423,16 +417,20 @@ TEST(BulkAtomics, FlushCountsAddsAndChargesLikeThePerBinLoop) {
             }
           });
       const std::string what = std::string(dense ? "dense" : "sparse") +
-                               " tile=" + std::to_string(tile) +
+                               " sanitize=" + std::to_string(sanitize) +
                                " loop=" + std::to_string(per_bin_loop);
-      EXPECT_EQ(dev.to_host(bins), want) << what;
+      EXPECT_EQ(dev->to_host(bins), want) << what;
       EXPECT_EQ(stats.scattered_atomic_ops, nonzero) << what;
       EXPECT_EQ(stats.atomic_ops, 0u) << what;
+      if (sanitize) {
+        EXPECT_TRUE(dev->sanitizer()->snapshot().clean())
+            << what << "\n" << dev->sanitizer()->snapshot().to_string();
+      }
       return stats;
     };
-    const KernelStats loop = run(true, true);
-    expect_same_stats(run(true, false), loop, dense ? "dense" : "sparse");
+    const KernelStats loop = run(false, true);
     expect_same_stats(run(false, false), loop, dense ? "dense" : "sparse");
+    expect_same_stats(run(true, false), loop, dense ? "dense" : "sparse");
   }
 }
 
@@ -493,56 +491,35 @@ TEST(BulkAtomics, ReservationTakesTheSlotsOfPerElementAppends) {
   EXPECT_EQ(stats.atomic_ops, 10u);
 }
 
-/// Restores the warpfast toggle however a test exits.
-class WarpfastGuard {
- public:
-  WarpfastGuard() : was_(warpfast_path_enabled()) {}
-  ~WarpfastGuard() { set_warpfast_path_enabled(was_); }
-
- private:
-  bool was_;
-};
-
-TEST(Warpfast, EnabledOnlyWithTileToggleAndNoSanitizer) {
-  TileGuard tile_guard;
-  WarpfastGuard wf_guard;
-  for (const bool tile : {false, true}) {
-    for (const bool wf : {false, true}) {
-      for (const bool sanitize : {false, true}) {
-        set_tile_path_enabled(tile);
-        set_warpfast_path_enabled(wf);
-        Device dev;
-        if (sanitize) dev.enable_sanitizer();
-        bool got = false;
-        launch(dev, {"wfgate", 1, 32},
-               [&](BlockCtx& ctx) { got = ctx.warpfast_enabled(); });
-        EXPECT_EQ(got, tile && wf && !sanitize)
-            << "tile=" << tile << " wf=" << wf << " sanitize=" << sanitize;
-      }
-    }
+TEST(Warpfast, EnabledOnlyWithoutSanitizer) {
+  for (const bool sanitize : {false, true}) {
+    const auto dev = leg_device(sanitize);
+    bool got = sanitize;
+    launch(*dev, {"wfgate", 1, 32},
+           [&](BlockCtx& ctx) { got = ctx.warpfast_enabled(); });
+    EXPECT_EQ(got, !sanitize) << "sanitize=" << sanitize;
   }
 }
 
-TEST(Warpfast, ToggleSampledPerLaunchNotPerCall) {
-  TileGuard tile_guard;
-  WarpfastGuard wf_guard;
-  set_tile_path_enabled(true);
-  set_warpfast_path_enabled(true);
+TEST(Warpfast, SanitizerAttachedBetweenLaunchesGatesTheNextLaunch) {
   Device dev;
   bool first = false;
   launch(dev, {"wf1", 1, 32},
          [&](BlockCtx& ctx) { first = ctx.warpfast_enabled(); });
-  set_warpfast_path_enabled(false);
+  dev.enable_sanitizer();
   bool second = true;
   launch(dev, {"wf2", 1, 32},
          [&](BlockCtx& ctx) { second = ctx.warpfast_enabled(); });
+  dev.disable_sanitizer();
+  bool third = false;
+  launch(dev, {"wf3", 1, 32},
+         [&](BlockCtx& ctx) { third = ctx.warpfast_enabled(); });
   EXPECT_TRUE(first);
   EXPECT_FALSE(second);
+  EXPECT_TRUE(third);
 }
 
 TEST(Warpfast, CountBelowIsExactAndChargeFree) {
-  TileGuard guard;
-  set_tile_path_enabled(true);
   Device dev;
   std::vector<float> fv = {3.0f, -1.0f, 2.0f, 2.0f, -7.5f, 0.0f, 9.0f};
   std::vector<int> iv = {5, -2, 7, 7, 0, -9};
@@ -593,15 +570,13 @@ TEST(Warpfast, CountBelowWithOrderMaskEqualsUnmaskedOnReversedKeys) {
   }
 }
 
-TEST(TileAccessors, UncheckedSharedDataGatedOnTilePath) {
-  TileGuard guard;
-  Device dev;
-  for (const bool tile : {false, true}) {
-    set_tile_path_enabled(tile);
-    launch(dev, {"shraw", 1, 32}, [&](BlockCtx& ctx) {
+TEST(TileAccessors, UncheckedSharedDataNullOnlyUnderSanitizer) {
+  for (const bool sanitize : {false, true}) {
+    const auto dev = leg_device(sanitize);
+    launch(*dev, {"shraw", 1, 32}, [&](BlockCtx& ctx) {
       auto s = ctx.shared_zero<std::uint32_t>(64);
       std::uint32_t* raw = s.unchecked_data();
-      if (tile) {
+      if (!sanitize) {
         ASSERT_NE(raw, nullptr);
         raw[7] = 42;
         EXPECT_EQ(static_cast<std::uint32_t>(s[7]), 42u);
@@ -609,6 +584,70 @@ TEST(TileAccessors, UncheckedSharedDataGatedOnTilePath) {
         EXPECT_EQ(raw, nullptr);
       }
     });
+  }
+}
+
+TEST(RawEscapes, LiveExactlyWhenNoSanitizerIsAttached) {
+  // Every raw escape of the emulator answers one question — is a sanitizer
+  // attached? — and goes raw exactly when none is: the two gates, the
+  // shared-memory pointer, prepaid reads (charged up front), the bulk-charged
+  // scatter writer and the plain-add counts flush, which suppresses a span
+  // reaching past its buffer wholesale where the per-bin atomic loop lands
+  // the bins in range and reports the rest.
+  for (const bool sanitize : {false, true}) {
+    const std::string what = "sanitize=" + std::to_string(sanitize);
+    const auto dev = leg_device(sanitize);
+    auto table = dev->alloc_zero<float>(16, "table");
+    auto out = dev->alloc_zero<float>(8, "out");
+    auto bins = dev->alloc_zero<std::uint32_t>(8, "bins");
+    bool unchecked = sanitize;
+    bool warpfast = sanitize;
+    bool shared_raw = sanitize;
+    bool prepaid_raw = sanitize;
+    std::uint64_t prepaid_bytes = 1;
+    std::uint64_t scatter_bytes = 1;
+    launch(*dev, {"escapes", 1, 32}, [&](BlockCtx& ctx) {
+      unchecked = ctx.unchecked_tiles();
+      warpfast = ctx.warpfast_enabled();
+      auto counts = ctx.shared_zero<std::uint32_t>(4, "counts");
+      shared_raw = counts.unchecked_data() != nullptr;
+      const std::uint64_t read0 = ctx.counters().bytes_read;
+      const float* const prepaid = ctx.prepaid_reads(table, 3);
+      prepaid_raw = prepaid != nullptr;
+      prepaid_bytes = ctx.counters().bytes_read - read0;
+      for (std::size_t i = 0; i < 3; ++i) {
+        (void)(prepaid != nullptr ? prepaid[i] : ctx.load(table, i));
+      }
+      const std::uint64_t written0 = ctx.counters().bytes_written;
+      auto w = ctx.scatter_writer(out, 2);
+      scatter_bytes = ctx.counters().bytes_written - written0;
+      w.put(5, 1.0f);
+      w.put(2, 2.0f);
+      for (std::size_t d = 0; d < 4; ++d) counts[d] = 1;
+      ctx.sync();
+      ctx.flush_counts(bins, 6, counts);  // bins 8 and 9 lie past the end
+    });
+    EXPECT_EQ(unchecked, !sanitize) << what;
+    EXPECT_EQ(warpfast, !sanitize) << what;
+    EXPECT_EQ(shared_raw, !sanitize) << what;
+    EXPECT_EQ(prepaid_raw, !sanitize) << what;
+    EXPECT_EQ(prepaid_bytes, sanitize ? 0u : 3 * sizeof(float)) << what;
+    EXPECT_EQ(scatter_bytes, sanitize ? 0u : 2 * sizeof(float)) << what;
+    const std::vector<float> stored = dev->to_host(out);
+    EXPECT_EQ(stored[5], 1.0f) << what;
+    EXPECT_EQ(stored[2], 2.0f) << what;
+    const std::vector<std::uint32_t> flushed = dev->to_host(bins);
+    EXPECT_EQ(flushed[6], sanitize ? 1u : 0u) << what;
+    EXPECT_EQ(flushed[7], sanitize ? 1u : 0u) << what;
+    if (sanitize) {
+      const SanitizerReport rep = dev->sanitizer()->snapshot();
+      std::size_t oob = 0;
+      for (const auto& issue : rep.issues) {
+        if (issue.kind == IssueKind::kOutOfBounds) ++oob;
+      }
+      EXPECT_EQ(oob, 2u) << rep.to_string();
+      EXPECT_EQ(rep.issues.size(), 2u) << rep.to_string();
+    }
   }
 }
 

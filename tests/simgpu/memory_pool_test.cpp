@@ -1,6 +1,5 @@
 // MemoryPool / Workspace coverage: size-class reuse and the hit/miss/
-// high-water stats, the TOPK_SIM_POOL toggle's no-retention mode, poisoning
-// of released slabs, and — the part that keeps pooling honest — simcheck
+// high-water stats, poisoning of released slabs, and — the part that keeps pooling honest — simcheck
 // attribution *inside* pooled segments: an out-of-bounds access is blamed on
 // the named segment, and a read of recycled bytes after a rebind is reported
 // as uninitialized rather than silently served stale data.
@@ -18,19 +17,7 @@
 namespace simgpu {
 namespace {
 
-/// Restores the process-global pool toggle however a test exits.
-class PoolGuard {
- public:
-  PoolGuard() : was_(pool_enabled()) {}
-  ~PoolGuard() { set_pool_enabled(was_); }
-
- private:
-  bool was_;
-};
-
 TEST(MemoryPool, SizeClassReuseAndStats) {
-  PoolGuard guard;
-  set_pool_enabled(true);
   MemoryPool pool;
 
   // First acquire: host allocator, rounded up to the smallest size class.
@@ -63,22 +50,7 @@ TEST(MemoryPool, SizeClassReuseAndStats) {
   EXPECT_EQ(pool.stats().bytes_held, 0u);
 }
 
-TEST(MemoryPool, DisabledPoolNeverRetains) {
-  PoolGuard guard;
-  set_pool_enabled(false);
-  MemoryPool pool;
-  MemoryPool::Slab s = pool.acquire(100);
-  pool.release(std::move(s));
-  EXPECT_EQ(pool.stats().bytes_held, 0u);
-  MemoryPool::Slab t = pool.acquire(100);
-  EXPECT_EQ(pool.stats().hits, 0u);
-  EXPECT_EQ(pool.stats().misses, 2u);
-  pool.release(std::move(t));
-}
-
 TEST(MemoryPool, ReleasePoisonsWhenAsked) {
-  PoolGuard guard;
-  set_pool_enabled(true);
   MemoryPool pool;
   MemoryPool::Slab s = pool.acquire(64);
   s.base[0] = std::byte{0x42};
@@ -92,8 +64,6 @@ TEST(MemoryPool, ReleasePoisonsWhenAsked) {
 }
 
 TEST(Workspace, RebindCountsHitsAndGrowthMisses) {
-  PoolGuard guard;
-  set_pool_enabled(true);
   Device dev;
   Workspace ws(dev);
 

@@ -41,13 +41,13 @@ std::size_t count_kind(const SanitizerReport& rep, IssueKind kind) {
 TEST(DeviceBufferSubspan, RejectsRangePastTheEnd) {
   std::vector<float> storage(8);
   DeviceBuffer<float> buf(storage.data(), storage.size());
-  EXPECT_NO_THROW(buf.subspan(0, 8));
-  EXPECT_NO_THROW(buf.subspan(8, 0));
-  EXPECT_NO_THROW(buf.subspan(6, 2));
-  EXPECT_THROW(buf.subspan(6, 3), std::out_of_range);
-  EXPECT_THROW(buf.subspan(9, 0), std::out_of_range);
+  EXPECT_NO_THROW((void)buf.subspan(0, 8));
+  EXPECT_NO_THROW((void)buf.subspan(8, 0));
+  EXPECT_NO_THROW((void)buf.subspan(6, 2));
+  EXPECT_THROW((void)buf.subspan(6, 3), std::out_of_range);
+  EXPECT_THROW((void)buf.subspan(9, 0), std::out_of_range);
   // Overflow-proof form: offset + count wrapping around must not pass.
-  EXPECT_THROW(buf.subspan(1, static_cast<std::size_t>(-1)),
+  EXPECT_THROW((void)buf.subspan(1, static_cast<std::size_t>(-1)),
                std::out_of_range);
 }
 
@@ -444,22 +444,10 @@ TEST(Simcheck, WorkspaceRollbackDropsShadowRegions) {
 }
 
 // ---------------------------------------------------------------------------
-// Tile fast path: with a sanitizer attached the bulk accessors fall back to
+// Tile accessors: with a sanitizer attached the bulk accessors fall back to
 // per-element shadowing, so simcheck keeps element-exact precision.
 
-/// Restores the process-global tile toggle however a test exits.
-class TileGuard {
- public:
-  TileGuard() : was_(tile_path_enabled()) {}
-  ~TileGuard() { set_tile_path_enabled(was_); }
-
- private:
-  bool was_;
-};
-
 TEST(SimcheckTile, CatchesOutOfBoundsTileLoad) {
-  TileGuard guard;
-  set_tile_path_enabled(true);
   Device dev;
   dev.enable_sanitizer();
   auto buf = dev.alloc_zero<float>(8, "short buffer");
@@ -473,8 +461,6 @@ TEST(SimcheckTile, CatchesOutOfBoundsTileLoad) {
 }
 
 TEST(SimcheckTile, CatchesOutOfBoundsTileStore) {
-  TileGuard guard;
-  set_tile_path_enabled(true);
   Device dev;
   dev.enable_sanitizer();
   auto buf = dev.alloc_zero<float>(8, "short buffer");
@@ -489,8 +475,6 @@ TEST(SimcheckTile, CatchesOutOfBoundsTileStore) {
 }
 
 TEST(SimcheckTile, CatchesUninitializedReadThroughTilePath) {
-  TileGuard guard;
-  set_tile_path_enabled(true);
   Device dev;
   dev.enable_sanitizer();
   auto buf = dev.alloc<float>(4, "never written");  // bug: alloc, no init
@@ -506,8 +490,6 @@ TEST(SimcheckTile, CatchesUninitializedReadThroughTilePath) {
 }
 
 TEST(SimcheckTile, StoreTileSeedsShadowValidity) {
-  TileGuard guard;
-  set_tile_path_enabled(true);
   Device dev;
   dev.enable_sanitizer();
   auto buf = dev.alloc<float>(8, "produced");
@@ -522,8 +504,6 @@ TEST(SimcheckTile, StoreTileSeedsShadowValidity) {
 }
 
 TEST(SimcheckTile, ScatterWriterShadowsPerElementUnderSanitizer) {
-  TileGuard guard;
-  set_tile_path_enabled(true);
   Device dev;
   dev.enable_sanitizer();
   auto buf = dev.alloc<float>(8, "scatter target");
@@ -546,8 +526,6 @@ TEST(SimcheckTile, FlushCountsOutOfBoundsReportedPerBinWithAttribution) {
   // out-of-bounds flush (block 2's span starts 8 bins before the end of a
   // 32-bin buffer) reports each non-zero bin past the end, attributed to
   // the kernel, the block and the buffer, and lands the bins in range.
-  TileGuard guard;
-  set_tile_path_enabled(true);
   Device dev;
   dev.enable_sanitizer();
   auto bins = dev.alloc_zero<std::uint32_t>(32, "global bins");
@@ -575,8 +553,6 @@ TEST(SimcheckTile, FlushCountsOutOfBoundsReportedPerBinWithAttribution) {
 TEST(SimcheckTile, FlushesBeforeAnElectedLastBlockAreNotARace) {
   // AIR's epilogue: every block flushes its counts into one histogram, an
   // arrival counter elects the last block, which reads the histogram.
-  TileGuard guard;
-  set_tile_path_enabled(true);
   Device dev;
   dev.enable_sanitizer();
   constexpr int kBlocks = 8;
@@ -600,8 +576,6 @@ TEST(SimcheckTile, FlushesBeforeAnElectedLastBlockAreNotARace) {
 }
 
 TEST(SimcheckTile, UncheckedSharedDataNullUnderSanitizer) {
-  TileGuard guard;
-  set_tile_path_enabled(true);
   Device dev;
   dev.enable_sanitizer();
   launch(dev, {"shraw gated", 1, 32}, [&](BlockCtx& ctx) {

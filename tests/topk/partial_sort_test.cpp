@@ -98,9 +98,8 @@ TEST(Bitonic, ClosedFormChargesMatchTheNetworks) {
   // ctx.ops(...) charges computed from the closed forms in bitonic.hpp;
   // charge identity rests on those forms matching what the real
   // (data-oblivious) networks charge, so pin them here at every size the
-  // selection family can use.
-  const bool wf_was = simgpu::warpfast_path_enabled();
-  simgpu::set_warpfast_path_enabled(false);  // run the exact networks
+  // selection family can use.  A sanitizer attached to `checked` sends its
+  // launches down the exact networks; `dev` runs the fast paths.
   for (const std::size_t n : {2u, 4u, 8u, 32u, 256u, 1024u, 2048u}) {
     std::mt19937 rng(static_cast<unsigned>(n));
     std::vector<float> a(n), b(n);
@@ -111,28 +110,29 @@ TEST(Bitonic, ClosedFormChargesMatchTheNetworks) {
     std::sort(b.begin(), b.end());
 
     simgpu::Device dev;
+    simgpu::Device checked;
+    checked.enable_sanitizer();
     const auto merge_stats =
-        simgpu::launch(dev, {"merge", 1, 32}, [&](simgpu::BlockCtx& ctx) {
+        simgpu::launch(checked, {"merge", 1, 32}, [&](simgpu::BlockCtx& ctx) {
           bitonic_merge(ctx, std::span<float>(a), std::span<std::uint32_t>(ai),
                         0, n, /*ascending=*/true);
         });
     EXPECT_EQ(merge_stats.lane_ops, bitonic_merge_ops(n)) << "n=" << n;
 
     const auto sort_stats =
-        simgpu::launch(dev, {"sort", 1, 32}, [&](simgpu::BlockCtx& ctx) {
+        simgpu::launch(checked, {"sort", 1, 32}, [&](simgpu::BlockCtx& ctx) {
           bitonic_sort<float>(ctx, a, ai);
         });
     EXPECT_EQ(sort_stats.lane_ops, bitonic_sort_ops(n)) << "n=" << n;
 
     std::sort(a.begin(), a.end());
     const auto prune_stats =
-        simgpu::launch(dev, {"prune", 1, 32}, [&](simgpu::BlockCtx& ctx) {
+        simgpu::launch(checked, {"prune", 1, 32}, [&](simgpu::BlockCtx& ctx) {
           merge_prune<float>(ctx, a, ai, b, bi);
         });
     EXPECT_EQ(prune_stats.lane_ops, merge_prune_ops(n)) << "n=" << n;
 
     // And the warpfast two-pointer fast path must charge exactly the same.
-    simgpu::set_warpfast_path_enabled(true);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     const auto fast_stats =
@@ -140,9 +140,7 @@ TEST(Bitonic, ClosedFormChargesMatchTheNetworks) {
           merge_prune<float>(ctx, a, ai, b, bi);
         });
     EXPECT_EQ(fast_stats.lane_ops, merge_prune_ops(n)) << "n=" << n;
-    simgpu::set_warpfast_path_enabled(false);
   }
-  simgpu::set_warpfast_path_enabled(wf_was);
 }
 
 TEST(Bitonic, NextPow2) {

@@ -1,14 +1,14 @@
-// Counter-invariance suite for the tile-granular fast path and the
-// threshold-gated warp fast path layered on top of it: for every ported
-// algorithm, across distributions and (N, K, batch) shapes, the recorded
-// KernelStats stream — every counter of every kernel, in launch order — and
-// the modeled device time must be BIT-IDENTICAL across the full
-// {tile × warpfast × simcheck × pool} grid relative to the scalar baseline.  The
+// Counter-invariance suite for the emulator's unchecked fast paths (tile
+// scans, whole-tile SIMD filters, the threshold-gated warp rounds, raw
+// shared-memory escapes): for every ported algorithm, across distributions
+// and (N, K, batch) shapes, the recorded KernelStats stream — every counter
+// of every kernel, in launch order — and the modeled device time of the
+// default run must be BIT-IDENTICAL to those of the same run with a
+// sanitizer attached, which takes the per-element reference paths instead
+// (exact warp rounds, per-element filters, SharedRef accesses).  The
 // selected value multiset must also agree (indices may differ only where
 // elements tie at the K-th value, which is claimed by atomic ticket across
-// concurrent blocks), and simcheck must stay clean with both fast paths
-// enabled (the warp fast path is gated off under the sanitizer, so that leg
-// also proves the exact path reproduces the bulk charges).
+// concurrent blocks), and the sanitizer-attached run must stay clean.
 
 #include <algorithm>
 #include <bit>
@@ -56,26 +56,6 @@ const bool g_single_threaded = [] {
   return true;
 }();
 
-/// Restores the process-global tile + warpfast + memory-pool toggles however
-/// a test exits.
-class TileGuard {
- public:
-  TileGuard()
-      : tile_was_(simgpu::tile_path_enabled()),
-        warpfast_was_(simgpu::warpfast_path_enabled()),
-        pool_was_(simgpu::pool_enabled()) {}
-  ~TileGuard() {
-    simgpu::set_tile_path_enabled(tile_was_);
-    simgpu::set_warpfast_path_enabled(warpfast_was_);
-    simgpu::set_pool_enabled(pool_was_);
-  }
-
- private:
-  bool tile_was_;
-  bool warpfast_was_;
-  bool pool_was_;
-};
-
 struct RunTrace {
   std::vector<simgpu::KernelStats> kernels;
   double model_us = 0.0;
@@ -87,10 +67,7 @@ struct RunTrace {
 
 RunTrace run_once(std::span<const float> data, std::size_t batch,
                   std::size_t n, std::size_t k, Algo algo, bool greatest,
-                  bool tile, bool warpfast, bool simcheck, bool pool = true) {
-  simgpu::set_tile_path_enabled(tile);
-  simgpu::set_warpfast_path_enabled(warpfast);
-  simgpu::set_pool_enabled(pool);
+                  bool simcheck) {
   simgpu::Device dev;
   if (simcheck) dev.enable_sanitizer();
   SelectOptions opt;
@@ -116,9 +93,8 @@ RunTrace run_once(std::span<const float> data, std::size_t batch,
     }
     const std::string err = verify_topk(row, k, checked);
     EXPECT_TRUE(err.empty())
-        << algo_name(algo) << " greatest=" << greatest << " tile=" << tile
-        << " warpfast=" << warpfast << " simcheck=" << simcheck
-        << " problem " << b << ": " << err;
+        << algo_name(algo) << " greatest=" << greatest
+        << " simcheck=" << simcheck << " problem " << b << ": " << err;
     std::vector<float> vals = results[b].values;
     std::sort(vals.begin(), vals.end());
     t.sorted_values.push_back(std::move(vals));
@@ -173,52 +149,21 @@ std::string case_name(const ::testing::TestParamInfo<InvarianceCase>& info) {
          (info.param.greatest ? "_largest" : "");
 }
 
-/// Run `c` on `values` on every {tile × warpfast × simcheck × pool} leg and
-/// expect each leg bit-identical to the scalar baseline, with simcheck
-/// clean.
+/// Run `c` on `values` once unchecked (the fast paths) and once with a
+/// sanitizer attached (the per-element paths), and expect the two runs
+/// bit-identical, with the sanitizer clean.
 void expect_invariant_across_modes(std::span<const float> values,
                                    const InvarianceCase& c,
                                    const std::string& what) {
-  const auto leg = [&](bool tile, bool warpfast, bool simcheck,
-                       bool pool = true) {
-    return run_once(values, c.batch, c.n, c.k, c.algo, c.greatest, tile,
-                    warpfast, simcheck, pool);
+  const auto leg = [&](bool simcheck) {
+    return run_once(values, c.batch, c.n, c.k, c.algo, c.greatest, simcheck);
   };
-  const RunTrace scalar = leg(false, false, false);
-  const RunTrace tile = leg(true, false, false);
-  // Warpfast without the tile path must be inert: the warp fast path only
-  // activates on tile-backed spans, so this leg is bit-identical to scalar.
-  const RunTrace wf_no_tile = leg(false, true, false);
-  const RunTrace wf = leg(true, true, false);
-  // Under simcheck the warp fast path gates itself off; this leg proves
-  // the exact per-round path reproduces the fast path's bulk charges.
-  const RunTrace wf_checked = leg(true, true, true);
-  // Memory-pool invariance: slab provenance never feeds the cost model,
-  // so disabling pooled reuse must be invisible to counters, modeled time
-  // and results — on the scalar baseline, with both fast paths, and under
-  // simcheck.
-  const RunTrace nopool_scalar = leg(false, false, false, false);
-  const RunTrace nopool_wf = leg(true, true, false, false);
-  const RunTrace nopool_checked = leg(true, true, true, false);
-  ASSERT_FALSE(scalar.kernels.empty()) << what;
-  expect_identical_stats(scalar, tile, what + " [tile vs scalar]");
-  expect_identical_stats(scalar, wf_no_tile,
-                         what + " [warpfast w/o tile vs scalar]");
-  expect_identical_stats(scalar, wf, what + " [tile+warpfast vs scalar]");
-  expect_identical_stats(scalar, wf_checked,
-                         what + " [tile+warpfast+simcheck vs scalar]");
-  expect_identical_stats(scalar, nopool_scalar,
-                         what + " [pool off vs scalar]");
-  expect_identical_stats(scalar, nopool_wf,
-                         what + " [pool off + tile+warpfast vs scalar]");
-  expect_identical_stats(scalar, nopool_checked,
-                         what + " [pool off + simcheck vs scalar]");
-  EXPECT_TRUE(wf_checked.sanitizer_clean)
-      << what << " raised issues with the fast paths enabled:\n"
-      << wf_checked.sanitizer_report;
-  EXPECT_TRUE(nopool_checked.sanitizer_clean)
-      << what << " raised issues with the pool disabled:\n"
-      << nopool_checked.sanitizer_report;
+  const RunTrace fast = leg(false);
+  const RunTrace checked = leg(true);
+  ASSERT_FALSE(fast.kernels.empty()) << what;
+  expect_identical_stats(fast, checked, what + " [simcheck vs default]");
+  EXPECT_TRUE(checked.sanitizer_clean)
+      << what << " raised issues:\n" << checked.sanitizer_report;
 }
 
 std::string case_what(const InvarianceCase& c, const std::string& data) {
@@ -230,7 +175,6 @@ class TileInvariance : public ::testing::TestWithParam<InvarianceCase> {};
 
 TEST_P(TileInvariance, StatsAndModeledTimeBitIdenticalAcrossModes) {
   const InvarianceCase& c = GetParam();
-  TileGuard guard;
   std::uint64_t seed = 77;
   for (const auto& spec : standard_distributions()) {
     const auto values = data::generate(spec, c.batch * c.n, seed++);
@@ -263,14 +207,14 @@ std::vector<InvarianceCase> partition_row_cases(bool large_only) {
 }
 
 std::vector<InvarianceCase> cases() {
-  // Every algorithm whose inner loops ride the tile path, plus the
+  // Every algorithm whose inner loops ride the tile scans, plus the
   // fused-last-filter AIR variant (its fused filter scans through the same
   // tile helpers).  The warp-queue family — GridSelect in both queue
   // flavours, WarpSelect, BlockSelect, both fused row-wise variants, and the
   // bucketed approximate tier (exact at the default recall_target = 1.0) —
   // additionally exercises the threshold-gated warp fast path.  RadixSelect
-  // and stream-radix run the same radix pass loop (SIMD digit histogram on
-  // the tile path).  The partition rows and Bitonic Top-K follow
+  // and stream-radix run the same radix pass loop (SIMD digit histogram
+  // when unchecked).  The partition rows and Bitonic Top-K follow
   // (partition_row_cases).
   const Algo algos[] = {Algo::kAirTopk,          Algo::kSort,
                         Algo::kRadixSelect,      Algo::kGridSelect,
@@ -330,7 +274,6 @@ class TieHeavyInvariance : public ::testing::TestWithParam<InvarianceCase> {};
 
 TEST_P(TieHeavyInvariance, StatsAndModeledTimeBitIdenticalAcrossModes) {
   const InvarianceCase& c = GetParam();
-  TileGuard guard;
   const char* const names[] = {"two values", "nine values",
                                "radix-adversarial m=30"};
   for (int kind = 0; kind < 3; ++kind) {
@@ -362,13 +305,13 @@ std::vector<InvarianceCase> radix_row_cases() {
 INSTANTIATE_TEST_SUITE_P(RadixRows, TieHeavyInvariance,
                          ::testing::ValuesIn(radix_row_cases()), case_name);
 
-// ---- typed keys across the same mode grid ---------------------------------
+// ---- typed keys, default vs sanitizer-attached ----------------------------
 // The dtype layer must be invisible to the counter stream too: a typed
 // select (f16 on the float carrier with a u32 payload, i32 on the u32
 // carrier with a u64 payload) produces bit-identical KernelStats, modeled
-// time, result bits and gathered payloads across the full
-// {tile x warpfast x simcheck x pool} grid.  Payload gather is a host-side
-// post-pass, so it must contribute zero kernels to the stream.
+// time, result bits and gathered payloads unchecked and with a sanitizer
+// attached.  Payload gather is a host-side post-pass, so it must contribute
+// zero kernels to the stream.
 
 struct TypedTrace {
   std::vector<simgpu::KernelStats> kernels;
@@ -380,11 +323,7 @@ struct TypedTrace {
 };
 
 TypedTrace run_typed_once(KeyView keys, PayloadView payload, std::size_t n,
-                          std::size_t k, Algo algo, bool tile, bool warpfast,
-                          bool simcheck, bool pool) {
-  simgpu::set_tile_path_enabled(tile);
-  simgpu::set_warpfast_path_enabled(warpfast);
-  simgpu::set_pool_enabled(pool);
+                          std::size_t k, Algo algo, bool simcheck) {
   simgpu::Device dev;
   if (simcheck) dev.enable_sanitizer();
   const auto results = select_batch(dev, keys, 1, n, k, algo, {}, payload);
@@ -431,7 +370,6 @@ void expect_identical_typed(const TypedTrace& a, const TypedTrace& b,
 }
 
 TEST(TypedTileInvariance, DtypeAndPayloadInvisibleToCounterStream) {
-  TileGuard guard;
   const std::size_t n = 70001, k = 517;
   const auto values = data::generate(
       {data::Distribution::kAdversarial, 20}, n, 0xD7);
@@ -466,32 +404,22 @@ TEST(TypedTileInvariance, DtypeAndPayloadInvisibleToCounterStream) {
        Algo::kAirTopk, "i32+u64pay air"},
   };
   for (const Leg& leg : legs) {
-    const TypedTrace scalar = run_typed_once(leg.keys, leg.payload, n, k,
-                                             leg.algo, false, false, false,
-                                             true);
-    ASSERT_FALSE(scalar.kernels.empty()) << leg.what;
-    const TypedTrace wf = run_typed_once(leg.keys, leg.payload, n, k,
-                                         leg.algo, true, true, false, true);
-    const TypedTrace wf_checked = run_typed_once(
-        leg.keys, leg.payload, n, k, leg.algo, true, true, true, true);
-    const TypedTrace nopool = run_typed_once(leg.keys, leg.payload, n, k,
-                                             leg.algo, true, true, false,
-                                             false);
-    expect_identical_typed(scalar, wf,
-                           std::string(leg.what) + " [tile+warpfast]");
-    expect_identical_typed(scalar, wf_checked,
+    const TypedTrace fast =
+        run_typed_once(leg.keys, leg.payload, n, k, leg.algo, false);
+    ASSERT_FALSE(fast.kernels.empty()) << leg.what;
+    const TypedTrace checked =
+        run_typed_once(leg.keys, leg.payload, n, k, leg.algo, true);
+    expect_identical_typed(fast, checked,
                            std::string(leg.what) + " [simcheck]");
-    expect_identical_typed(scalar, nopool,
-                           std::string(leg.what) + " [pool off]");
-    EXPECT_TRUE(wf_checked.sanitizer_clean)
-        << leg.what << ":\n" << wf_checked.sanitizer_report;
-    // The float-keyed baseline on identical carrier data must produce the
-    // same kernel stream shape (payload adds no kernels).
-    const TypedTrace nopay = run_typed_once(leg.keys, {}, n, k, leg.algo,
-                                            false, false, false, true);
-    ASSERT_EQ(scalar.kernels.size(), nopay.kernels.size())
+    EXPECT_TRUE(checked.sanitizer_clean)
+        << leg.what << ":\n" << checked.sanitizer_report;
+    // The same keys without a payload must produce the same kernel stream
+    // shape (payload adds no kernels).
+    const TypedTrace nopay =
+        run_typed_once(leg.keys, {}, n, k, leg.algo, false);
+    ASSERT_EQ(fast.kernels.size(), nopay.kernels.size())
         << leg.what << ": payload gather must stay off-device";
-    EXPECT_EQ(scalar.model_us, nopay.model_us) << leg.what;
+    EXPECT_EQ(fast.model_us, nopay.model_us) << leg.what;
   }
 }
 
@@ -516,7 +444,7 @@ class Fnv64 {
 };
 
 // ---- warp-queue family count pin ------------------------------------------
-// The suite above compares fast-path settings within one build; this pin
+// The suite above compares the two paths within one build; this pin
 // compares builds.  Every KernelStats field of every kernel, plus the
 // modeled µs, is recorded for each warp-queue row at one batch-1 and one
 // batch-8 shape, so a refactor of the shared scan must reproduce the
@@ -581,9 +509,6 @@ std::string pin_row(const std::string& label, const RunTrace& got,
 }
 
 RunTrace run_pinned(const PinnedRun& run) {
-  simgpu::set_tile_path_enabled(true);
-  simgpu::set_warpfast_path_enabled(true);
-  simgpu::set_pool_enabled(true);
   auto data = data::generate({data::Distribution::kUniform, 0},
                              run.batch * run.n, 0x5EED);
   if (run.ties) {
@@ -771,7 +696,6 @@ std::vector<PinnedRun> pinned_runs(std::span<const PinRow> rows,
 
 void expect_matches_recording(const std::vector<PinnedRun>& runs,
                               bool pin_outputs) {
-  TileGuard guard;
   for (const PinnedRun& run : runs) {
     const RunTrace got = run_pinned(run);
     // Under TOPK_SIMCHECK select_batch attaches a sanitizer, so the exact
@@ -1455,8 +1379,8 @@ TEST(PartitionCountPin, KernelStatsAndModeledTimeMatchRecording) {
 }
 
 // ---- largest-K pin and direction parity -------------------------------------
-// Both drive plan_select / run_select on their own Device with both fast
-// paths on (no sanitizer, so TOPK_SIMCHECK runs the same leg).  Keys travel
+// Both drive plan_select / run_select on their own Device with no sanitizer
+// attached, so TOPK_SIMCHECK runs the same unchecked path.  Keys travel
 // as carrier bit patterns: float bits on the f32 carrier, radix ordinals on
 // the u32 carrier.
 
@@ -1469,9 +1393,6 @@ struct DirectionTrace {
 DirectionTrace run_direction(Algo algo, KeyType dtype, bool greatest,
                              std::span<const std::uint32_t> keys,
                              std::size_t batch, std::size_t n, std::size_t k) {
-  simgpu::set_tile_path_enabled(true);
-  simgpu::set_warpfast_path_enabled(true);
-  simgpu::set_pool_enabled(true);
   simgpu::Device dev;
   SelectOptions opt;
   opt.greatest = greatest;
@@ -1687,7 +1608,6 @@ const DirectionPin kLargestRecorded[] = {
 };
 
 TEST(LargestKPin, KernelStatsModeledTimeAndOutputsMatchRecording) {
-  TileGuard guard;
   const struct {
     const char* key;
     Algo algo;
@@ -1758,9 +1678,6 @@ DirectionTrace run_air_in_idx(bool greatest,
                               std::span<const std::uint32_t> keys,
                               std::size_t batch, std::size_t n,
                               std::size_t k) {
-  simgpu::set_tile_path_enabled(true);
-  simgpu::set_warpfast_path_enabled(true);
-  simgpu::set_pool_enabled(true);
   simgpu::Device dev;
   auto in = dev.alloc<float>(batch * n);
   auto ids = dev.alloc<std::uint32_t>(batch * n);
@@ -1878,7 +1795,6 @@ const DirectionPin kRescanRecorded[] = {
 };
 
 TEST(RescanCountPin, KernelStatsModeledTimeAndOutputsMatchRecording) {
-  TileGuard guard;
   const struct {
     const char* key;
     Algo algo;
@@ -1946,7 +1862,6 @@ class DirectionParity : public ::testing::TestWithParam<ParityCase> {};
 
 TEST_P(DirectionParity, LargestKEqualsSmallestKOverReversedKeys) {
   const ParityCase& c = GetParam();
-  TileGuard guard;
   const std::size_t batch = 2, n = 5003, k = 64;
   const std::uint32_t flip =
       key_type_is_integer(c.dtype) ? 0xFFFFFFFFu : 0x80000000u;
@@ -1993,9 +1908,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- in_idx leg -----------------------------------------------------------
 // The rows that accept external input indices (GridSelect in both queue
-// flavours, both fused row-wise variants) must charge identically on every
-// {tile x warpfast x simcheck} leg with in_idx bound, and every returned
-// index must be one of its row's external ids, paired with that id's key.
+// flavours, both fused row-wise variants) must charge identically unchecked
+// and with a sanitizer attached with in_idx bound, and every returned index
+// must be one of its row's external ids, paired with that id's key.
 
 struct InIdxTrace {
   RunTrace trace;
@@ -2007,10 +1922,7 @@ enum class InIdxRow { kGrid, kGridThreadQueue, kFusedWarp, kFusedBlock };
 
 InIdxTrace run_in_idx(InIdxRow row, std::span<const float> keys,
                       std::span<const std::uint32_t> ids, std::size_t batch,
-                      std::size_t n, std::size_t k, bool tile, bool warpfast,
-                      bool simcheck) {
-  simgpu::set_tile_path_enabled(tile);
-  simgpu::set_warpfast_path_enabled(warpfast);
+                      std::size_t n, std::size_t k, bool simcheck) {
   simgpu::Device dev;
   if (simcheck) dev.enable_sanitizer();
   auto in = dev.alloc<float>(batch * n);
@@ -2062,7 +1974,6 @@ InIdxTrace run_in_idx(InIdxRow row, std::span<const float> keys,
 }
 
 TEST(InIdxLeg, ExternalIdsChargeIdenticallyOnEveryLeg) {
-  TileGuard guard;
   const struct {
     InIdxRow row;
     const char* what;
@@ -2110,24 +2021,15 @@ TEST(InIdxLeg, ExternalIdsChargeIdenticallyOnEveryLeg) {
     const std::string what = std::string(c.what) + " b" +
                              std::to_string(c.batch) + " n" +
                              std::to_string(c.n);
-    const InIdxTrace base = run_in_idx(c.row, keys, ids, c.batch, c.n, c.k,
-                                       false, false, false);
-    check_pairs(base, what + " scalar");
-    for (const bool tile : {false, true}) {
-      for (const bool warpfast : {false, true}) {
-        for (const bool simcheck : {false, true}) {
-          const std::string at = what + " tile=" + std::to_string(tile) +
-                                 " warpfast=" + std::to_string(warpfast) +
-                                 " simcheck=" + std::to_string(simcheck);
-          const InIdxTrace leg = run_in_idx(c.row, keys, ids, c.batch, c.n,
-                                            c.k, tile, warpfast, simcheck);
-          expect_identical_stats(base.trace, leg.trace, at);
-          check_pairs(leg, at);
-          EXPECT_TRUE(leg.trace.sanitizer_clean)
-              << at << ":\n" << leg.trace.sanitizer_report;
-        }
-      }
-    }
+    const InIdxTrace fast =
+        run_in_idx(c.row, keys, ids, c.batch, c.n, c.k, false);
+    check_pairs(fast, what + " default");
+    const InIdxTrace checked =
+        run_in_idx(c.row, keys, ids, c.batch, c.n, c.k, true);
+    expect_identical_stats(fast.trace, checked.trace, what + " simcheck");
+    check_pairs(checked, what + " simcheck");
+    EXPECT_TRUE(checked.trace.sanitizer_clean)
+        << what << ":\n" << checked.trace.sanitizer_report;
   }
 }
 

@@ -11,12 +11,12 @@ a ``launch(...)`` call expression under ``src/topk``.
 Raw-span *escapes* — ``unchecked_data()`` on a SharedSpan, the
 ``raw_view(...)`` unwrap helper and ``BlockCtx::prepaid_reads()`` (a raw
 device pointer whose reads were charged in bulk) — are a second, related
-hazard: they are only legal behind the tile/warpfast gates, because each
-returns a usable pointer exclusively while the tile fast path is on and no
-sanitizer is attached.  Every escape site must therefore show gate evidence
-in an *enclosing brace scope*: a nullptr/empty check of the unwrapped result
-(the canonical gate — the null return *is* the gate state), or an explicit
-``tile_path_enabled()`` / ``warpfast_enabled()`` / per-block gate flag test.
+hazard: each returns a usable pointer only while no sanitizer is attached,
+so a site must not dereference it before checking.  Every escape site must
+therefore show gate evidence in an *enclosing brace scope*: a nullptr or
+``empty()`` check of the unwrapped result (the canonical gate — the null
+return *is* the gate state), or a ``warpfast_enabled()`` test (or a
+per-block flag sampled from it), which holds in exactly the same state.
 The search walks outward from the innermost scope containing the escape
 (including each scope's ``if (...)`` header), so evidence in a *neighboring*
 function can never vouch for an ungated escape the way the old fixed
@@ -61,8 +61,8 @@ ESCAPE_RE = re.compile(
     r"|(?<![\w:])(raw_view)\s*\("
 )
 GATE_EVIDENCE_RE = re.compile(
-    r"[!=]=\s*nullptr|\.\s*empty\s*\(|tile_path_enabled\s*\("
-    r"|warpfast_enabled\s*\(|packed_q_|kProxyView"
+    r"[!=]=\s*nullptr|\.\s*empty\s*\(|warpfast_enabled\s*\(|packed_q_"
+    r"|kProxyView"
 )
 RUN_FN_RE = re.compile(r"(?<![\w:])[A-Za-z_]\w*_run\s*\(")
 RUN_ALLOC_RE = re.compile(
@@ -254,11 +254,12 @@ def lint_text(text: str, path: str):
                 "zero-alloc — describe the scratch in the plan's "
                 "WorkspaceLayout and fetch it with Workspace::get",
             ))
-    # Raw-span escapes: unchecked_data()/raw_view() must sit behind the
-    # tile/warpfast gates — evidenced by a nullptr or empty() check of the
-    # unwrapped result, or an explicit gate test, inside an enclosing brace
-    # scope (innermost outward; a scope's if/for header counts as part of
-    # it).  Scope-bounded, so a gate in an adjacent function never vouches.
+    # Raw-span escapes: unchecked_data()/raw_view()/prepaid_reads() must sit
+    # behind a gate — evidenced by a nullptr or empty() check of the
+    # unwrapped result, or a warpfast_enabled() test, inside an enclosing
+    # brace scope (innermost outward; a scope's if/for header counts as part
+    # of it).  Scope-bounded, so a gate in an adjacent function never
+    # vouches.
     pairs = brace_pairs(clean)
     for m in ESCAPE_RE.finditer(clean):
         name = m.group(1) or m.group(2)
@@ -293,9 +294,9 @@ def lint_text(text: str, path: str):
             continue
         findings.append(finding(
             path, line_no, "escape-gate",
-            f"raw-span escape {name}() with no tile/warpfast gate evidence "
-            "in any enclosing scope; check the unwrapped result against "
-            "nullptr/empty() or test the gate explicitly",
+            f"raw-span escape {name}() with no gate evidence in any "
+            "enclosing scope; check the unwrapped result against nullptr or "
+            "empty(), or test warpfast_enabled()",
         ))
     return findings
 
