@@ -481,7 +481,10 @@ struct PinnedRun {
   std::size_t batch;
   std::size_t n;
   std::size_t k;
-  bool ties;  // keys floor(4096 u): the K-th value falls inside a tie group
+  /// Tie-heavy keys floor(4096 u), so the K-th value falls inside a tie
+  /// group; with `one_value` every key is the same.
+  bool ties;
+  bool one_value;
   const PinnedRecord* want;  // null until recorded
 };
 
@@ -512,7 +515,7 @@ RunTrace run_pinned(const PinnedRun& run) {
   auto data = data::generate({data::Distribution::kUniform, 0},
                              run.batch * run.n, 0x5EED);
   if (run.ties) {
-    for (float& x : data) x = std::floor(x * 4096.0f);
+    for (float& x : data) x = run.one_value ? 42.0f : std::floor(x * 4096.0f);
   }
   simgpu::Device dev;
   SelectOptions opt;
@@ -669,12 +672,19 @@ struct PinRow {
 /// with `ties`, on tie-heavy keys too, each paired with its entry in
 /// `recorded` (null when the label has none).  The tie-heavy batch-8 rows
 /// are short (n = 300), so the per-warp lists of the multi-warp rows end
-/// below k and are published before their warm-up is sorted.
+/// below k and are published before their warm-up is sorted.  With
+/// `one_value`, every row also runs at batch 8, n = 300 with every key
+/// equal.
 std::vector<PinnedRun> pinned_runs(std::span<const PinRow> rows,
                                    std::span<const PinnedRecord> recorded,
-                                   bool ties) {
+                                   bool ties, bool one_value = false) {
   using Shape = std::tuple<std::size_t, std::size_t, std::size_t>;
   std::vector<PinnedRun> runs;
+  const auto find = [&](PinnedRun& run) {
+    for (const PinnedRecord& rec : recorded) {
+      if (run.label == rec.label) run.want = &rec;
+    }
+  };
   for (const bool tied : {false, true}) {
     if (tied && !ties) continue;
     for (const auto& [batch, n, k] :
@@ -683,13 +693,17 @@ std::vector<PinnedRun> pinned_runs(std::span<const PinRow> rows,
         PinnedRun run{std::string(r.label) + (tied ? " ties" : "") + " b" +
                           std::to_string(batch) + " n" + std::to_string(n) +
                           " k" + std::to_string(k),
-                      r.algo, r.recall, batch, n, k, tied, nullptr};
-        for (const PinnedRecord& rec : recorded) {
-          if (run.label == rec.label) run.want = &rec;
-        }
+                      r.algo, r.recall, batch, n, k, tied, false, nullptr};
+        find(run);
         runs.push_back(std::move(run));
       }
     }
+  }
+  for (const PinRow& r : one_value ? rows : std::span<const PinRow>()) {
+    PinnedRun run{std::string(r.label) + " one-value b8 n300 k64", r.algo,
+                  r.recall, 8, 300, 64, true, true, nullptr};
+    find(run);
+    runs.push_back(std::move(run));
   }
   return runs;
 }
@@ -739,12 +753,21 @@ TEST(WarpQueueCountPin, KernelStatsAndModeledTimeMatchRecording) {
   expect_matches_recording(pinned_runs(rows, kRecorded, true), true);
 }
 
-// ---- partition rows, Bitonic Top-K and AIR count pin ----------------------
+// ---- partition rows, Bitonic Top-K, AIR and RadixSelect count pin ---------
 // The same pin for the rows whose scans, splitter searches and networks run
 // on the tile and warp fast paths: Bitonic Top-K, QuickSelect, SampleSelect,
 // BucketSelect, and AIR, whose filter appends through the same
-// AggregatedAppender as the three partition rows.  Recorded before those
-// fast paths existed, under the same settings as kRecorded.
+// AggregatedAppender as the three partition rows; and RadixSelect, whose
+// host loop shares its level plumbing with the three partition rows
+// (topk/level_loop.hpp).  The uniform rows' counts were recorded before
+// those fast paths existed, under the same settings as kRecorded.  The
+// output digests, the tie-heavy and one-value rows and the RadixSelect
+// rows were recorded later, on the tree just before the shared level loop.
+// Between them the rows reach every exit of the host loops: the remainder
+// copy at count == k_rem, BucketSelect's all-equal exit, SampleSelect's
+// on-chip sort and its pivot fallback with the pivot-equal exit (one-value
+// rows), QuickSelect's equal-partition finish, and the radix loop's tie
+// and last-pass takes.
 const PinnedRecord kPartitionRecorded[] = {
     {"bitonic b1 n70001 k100", 0x1.1cp+5, {
         {"BitonicTopK_sort_prune(0)", 35, 256, 280004, 280576, 1139840, 0, 0, 0, 16384, 33280},
@@ -758,7 +781,7 @@ const PinnedRecord kPartitionRecorded[] = {
         {"BitonicTopK_merge(8)", 1, 256, 3072, 2048, 576, 0, 0, 0, 5120, 576},
         {"BitonicTopK_merge(9)", 1, 256, 2048, 1024, 576, 0, 0, 0, 3072, 576},
         {"BitonicTopK_emit", 1, 256, 800, 800, 0, 0, 0, 0, 1600, 0},
-    }},
+    }, 0xa2df545038d2211dull},
     {"quick b1 n70001 k100", 0x1.d567540aa3673p+8, {
         {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
         {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
@@ -811,14 +834,14 @@ const PinnedRecord kPartitionRecorded[] = {
         {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
         {"partition", 1, 256, 56, 56, 27, 3, 0, 0, 112, 27},
         {"collect_results", 1, 256, 24, 24, 0, 0, 0, 0, 48, 0},
-    }},
+    }, 0x3480ce5b564c32c9ull},
     {"sample b1 n70001 k100", 0x1.2576ce43c616fp+7, {
         {"sample", 1, 256, 4096, 4096, 2048, 0, 0, 0, 8192, 2048},
         {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
         {"sample_histogram", 5, 256, 2520036, 0, 700010, 0, 1280, 5, 504036, 140010},
         {"sample_filter", 5, 256, 2520036, 2864, 770041, 15, 0, 0, 504640, 154017},
         {"small_sort", 1, 256, 2864, 800, 11520, 0, 0, 0, 3664, 11520},
-    }},
+    }, 0xa2df545038d2211dull},
     {"bucket b1 n70001 k100", 0x1.4cc2992c43357p+7, {
         {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
         {"minmax_reduce", 5, 256, 280004, 0, 140002, 10, 0, 0, 56004, 28002},
@@ -836,14 +859,26 @@ const PinnedRecord kPartitionRecorded[] = {
         {"bucket_histogram", 1, 256, 12, 0, 12, 0, 3, 1, 12, 12},
         {"bucket_filter", 1, 256, 24, 16, 19, 2, 0, 0, 40, 19},
         {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
-    }},
+    }, 0x96729c5000c90505ull},
     {"air b1 n70001 k100", 0x1.4e81dcf9abc96p+4, {
         {"air_init", 1, 256, 0, 20576, 2048, 0, 0, 0, 20576, 2048},
         {"iteration_fused_kernel(1)", 5, 256, 286220, 40, 714346, 5, 244, 5, 62064, 146144},
         {"iteration_fused_kernel(2)", 5, 256, 286536, 896, 714366, 15, 19, 5, 62540, 146148},
         {"iteration_fused_kernel(3)", 5, 256, 392, 112, 200, 10, 0, 0, 112, 42},
         {"last_filter_kernel", 5, 256, 80, 0, 0, 0, 0, 0, 16, 0},
-    }},
+    }, 0x152d369bf67e71f5ull},
+    {"radixselect b1 n70001 k100", 0x1.ce884acae0a76p+6, {
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 5, 256, 280004, 0, 211283, 0, 41, 5, 56004, 42259},
+        {"Filter(0)", 5, 256, 280004, 1080, 280004, 135, 0, 0, 56248, 56004},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 428, 0, 577, 0, 87, 1, 428, 577},
+        {"Filter(1)", 1, 256, 856, 584, 428, 73, 0, 0, 1440, 428},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(2)", 1, 256, 8, 0, 262, 0, 2, 1, 8, 262},
+        {"Filter(2)", 1, 256, 16, 8, 8, 1, 0, 0, 24, 8},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+    }, 0x11b93e8ea3892d7dull},
     {"bitonic b8 n10007 k64", 0x1.d8p+4, {
         {"BitonicTopK_sort_prune(0)", 80, 256, 320224, 323584, 1011200, 0, 0, 0, 8192, 12800},
         {"BitonicTopK_merge(1)", 40, 256, 323584, 163840, 79872, 0, 0, 0, 12288, 2048},
@@ -854,7 +889,7 @@ const PinnedRecord kPartitionRecorded[] = {
         {"BitonicTopK_merge(6)", 8, 256, 12288, 8192, 2048, 0, 0, 0, 2560, 256},
         {"BitonicTopK_merge(7)", 8, 256, 8192, 4096, 2048, 0, 0, 0, 1536, 256},
         {"BitonicTopK_emit", 8, 256, 4096, 4096, 0, 0, 0, 0, 1024, 0},
-    }},
+    }, 0xf938cb3e5aa2adeaull},
     {"quick b8 n10007 k64", 0x1.b1498245ce38fp+11, {
         {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
         {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
@@ -1224,7 +1259,7 @@ const PinnedRecord kPartitionRecorded[] = {
         {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
         {"partition", 1, 256, 16, 16, 10, 2, 0, 0, 32, 10},
         {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
-    }},
+    }, 0x3133988a24d6b16eull},
     {"sample b8 n10007 k64", 0x1.f424a5e62ac11p+9, {
         {"sample", 1, 256, 4096, 4096, 2048, 0, 0, 0, 8192, 2048},
         {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
@@ -1266,7 +1301,7 @@ const PinnedRecord kPartitionRecorded[] = {
         {"sample_histogram", 1, 256, 360252, 0, 100070, 0, 256, 1, 360252, 100070},
         {"sample_filter", 1, 256, 360252, 768, 110083, 3, 0, 0, 361020, 110083},
         {"small_sort", 1, 256, 768, 512, 1792, 0, 0, 0, 1280, 1792},
-    }},
+    }, 0x2d89ad331c154c06ull},
     {"bucket b8 n10007 k64", 0x1.c6e1cbbf83366p+9, {
         {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
         {"minmax_reduce", 1, 256, 40028, 0, 20014, 2, 0, 0, 40028, 20014},
@@ -1356,14 +1391,804 @@ const PinnedRecord kPartitionRecorded[] = {
         {"bucket_histogram", 1, 256, 180, 0, 180, 0, 42, 1, 180, 180},
         {"bucket_filter", 1, 256, 360, 208, 229, 2, 0, 0, 568, 229},
         {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
-    }},
+    }, 0x0d8824931d1aeb22ull},
     {"air b8 n10007 k64", 0x1.27959b1e11fp+4, {
         {"air_init", 8, 256, 0, 164608, 16384, 0, 0, 0, 20576, 2048},
         {"iteration_fused_kernel(1)", 8, 256, 368696, 336, 849712, 8, 374, 8, 46132, 106214},
         {"iteration_fused_kernel(2)", 8, 256, 339776, 4736, 837468, 30, 67, 6, 46248, 106220},
         {"iteration_fused_kernel(3)", 8, 256, 856, 248, 682, 12, 0, 0, 216, 152},
         {"last_filter_kernel", 8, 256, 128, 0, 0, 0, 0, 0, 16, 0},
-    }},
+    }, 0x9fe65848d054e366ull},
+    {"radixselect b8 n10007 k64", 0x1.42cab6ae77553p+9, {
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 40028, 0, 30277, 0, 8, 1, 40028, 30277},
+        {"Filter(0)", 1, 256, 40028, 624, 40028, 78, 0, 0, 40652, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 248, 0, 442, 0, 50, 1, 248, 442},
+        {"Filter(1)", 1, 256, 496, 384, 248, 48, 0, 0, 880, 248},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 40028, 0, 30277, 0, 8, 1, 40028, 30277},
+        {"Filter(0)", 1, 256, 40028, 544, 40028, 68, 0, 0, 40572, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 200, 0, 406, 0, 46, 1, 200, 406},
+        {"Filter(1)", 1, 256, 400, 368, 200, 46, 0, 0, 768, 200},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 40028, 0, 30277, 0, 8, 1, 40028, 30277},
+        {"Filter(0)", 1, 256, 40028, 600, 40028, 75, 0, 0, 40628, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 216, 0, 418, 0, 51, 1, 216, 418},
+        {"Filter(1)", 1, 256, 432, 344, 216, 43, 0, 0, 776, 216},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 40028, 0, 30277, 0, 8, 1, 40028, 30277},
+        {"Filter(0)", 1, 256, 40028, 736, 40028, 92, 0, 0, 40764, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 288, 0, 472, 0, 65, 1, 288, 472},
+        {"Filter(1)", 1, 256, 576, 352, 288, 44, 0, 0, 928, 288},
+        {"CopyRemainder", 1, 256, 24, 24, 3, 0, 0, 0, 48, 3},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 40028, 0, 30277, 0, 8, 1, 40028, 30277},
+        {"Filter(0)", 1, 256, 40028, 656, 40028, 82, 0, 0, 40684, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 244, 0, 439, 0, 56, 1, 244, 439},
+        {"Filter(1)", 1, 256, 488, 344, 244, 43, 0, 0, 832, 244},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 40028, 0, 30277, 0, 9, 1, 40028, 30277},
+        {"Filter(0)", 1, 256, 40028, 616, 40028, 77, 0, 0, 40644, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 228, 0, 427, 0, 53, 1, 228, 427},
+        {"Filter(1)", 1, 256, 456, 352, 228, 44, 0, 0, 808, 228},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 40028, 0, 30277, 0, 8, 1, 40028, 30277},
+        {"Filter(0)", 1, 256, 40028, 688, 40028, 86, 0, 0, 40716, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 268, 0, 457, 0, 62, 1, 268, 457},
+        {"Filter(1)", 1, 256, 536, 360, 268, 45, 0, 0, 896, 268},
+        {"CopyRemainder", 1, 256, 16, 16, 2, 0, 0, 0, 32, 2},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 40028, 0, 30277, 0, 9, 1, 40028, 30277},
+        {"Filter(0)", 1, 256, 40028, 664, 40028, 83, 0, 0, 40692, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 244, 0, 439, 0, 56, 1, 244, 439},
+        {"Filter(1)", 1, 256, 488, 336, 244, 42, 0, 0, 824, 244},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+    }, 0xa8f3265ca6d1d04eull},
+    {"bitonic ties b1 n70001 k100", 0x1.1cp+5, {
+        {"BitonicTopK_sort_prune(0)", 35, 256, 280004, 280576, 1139840, 0, 0, 0, 16384, 33280},
+        {"BitonicTopK_merge(1)", 18, 256, 280576, 140288, 78912, 0, 0, 0, 24576, 4608},
+        {"BitonicTopK_merge(2)", 9, 256, 140288, 70656, 39168, 0, 0, 0, 24576, 4608},
+        {"BitonicTopK_merge(3)", 5, 256, 70656, 35840, 19584, 0, 0, 0, 21504, 4032},
+        {"BitonicTopK_merge(4)", 3, 256, 35840, 18432, 9792, 0, 0, 0, 18432, 3456},
+        {"BitonicTopK_merge(5)", 2, 256, 18432, 9216, 5184, 0, 0, 0, 15360, 2880},
+        {"BitonicTopK_merge(6)", 1, 256, 9216, 5120, 2304, 0, 0, 0, 14336, 2304},
+        {"BitonicTopK_merge(7)", 1, 256, 5120, 3072, 1152, 0, 0, 0, 8192, 1152},
+        {"BitonicTopK_merge(8)", 1, 256, 3072, 2048, 576, 0, 0, 0, 5120, 576},
+        {"BitonicTopK_merge(9)", 1, 256, 2048, 1024, 576, 0, 0, 0, 3072, 576},
+        {"BitonicTopK_emit", 1, 256, 800, 800, 0, 0, 0, 0, 1600, 0},
+    }, 0xeac74c309d3a082full},
+    {"quick ties b1 n70001 k100", 0x1.1251732bc65c8p+8, {
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 5, 256, 280004, 560008, 214395, 2196, 0, 0, 168012, 42883},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 20144, 20144, 7714, 80, 0, 0, 40288, 7714},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 9048, 9048, 3465, 36, 0, 0, 18096, 3465},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 2264, 2264, 871, 11, 0, 0, 4528, 871},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1304, 1304, 501, 6, 0, 0, 2608, 501},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1216, 1216, 468, 6, 0, 0, 2432, 468},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 848, 848, 328, 5, 0, 0, 1696, 328},
+        {"collect_results", 1, 256, 128, 128, 0, 0, 0, 0, 256, 0},
+        {"collect_results", 1, 256, 96, 96, 0, 0, 0, 0, 192, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 624, 624, 240, 3, 0, 0, 1248, 240},
+        {"collect_results", 1, 256, 472, 472, 0, 0, 0, 0, 944, 0},
+        {"collect_results", 1, 256, 104, 104, 0, 0, 0, 0, 208, 0},
+    }, 0x1d8af5b4ae5c10a3ull},
+    {"sample ties b1 n70001 k100", 0x1.2575919fff2ccp+7, {
+        {"sample", 1, 256, 4096, 4096, 2048, 0, 0, 0, 8192, 2048},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 5, 256, 2520036, 0, 700010, 0, 1280, 5, 504036, 140010},
+        {"sample_filter", 5, 256, 2520036, 2760, 770039, 14, 0, 0, 504608, 154017},
+        {"small_sort", 1, 256, 2760, 800, 11520, 0, 0, 0, 3560, 11520},
+    }, 0xf79df33525de67e4ull},
+    {"bucket ties b1 n70001 k100", 0x1.0ba77b998b376p+7, {
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 5, 256, 280004, 0, 140002, 10, 0, 0, 56004, 28002},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 5, 256, 280004, 0, 280004, 0, 1280, 5, 56004, 56004},
+        {"bucket_filter", 5, 256, 280004, 2112, 350025, 10, 0, 0, 56488, 70009},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1056, 0, 528, 2, 0, 0, 1056, 528},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 1056, 0, 1056, 0, 16, 1, 1056, 1056},
+        {"bucket_filter", 1, 256, 2112, 848, 1328, 4, 0, 0, 2960, 1328},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 76, 0, 38, 2, 0, 0, 76, 38},
+        {"CopyRemainder", 1, 256, 104, 104, 0, 0, 0, 0, 208, 0},
+    }, 0xc01fcf3883730643ull},
+    {"air ties b1 n70001 k100", 0x1.472264b5f3c2ap+4, {
+        {"air_init", 1, 256, 0, 20576, 2048, 0, 0, 0, 20576, 2048},
+        {"iteration_fused_kernel(1)", 5, 256, 286412, 40, 714346, 5, 220, 5, 62256, 146144},
+        {"iteration_fused_kernel(2)", 5, 256, 280248, 888, 714366, 15, 5, 5, 56244, 146148},
+        {"iteration_fused_kernel(3)", 5, 256, 396, 192, 7368, 10, 5, 5, 140, 3104},
+        {"last_filter_kernel", 5, 256, 392, 104, 208, 9, 0, 0, 112, 44},
+    }, 0xc01fcf3883730643ull},
+    {"radixselect ties b1 n70001 k100", 0x1.285f42f82851cp+7, {
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 5, 256, 280004, 0, 211283, 0, 40, 5, 56004, 42259},
+        {"Filter(0)", 5, 256, 280004, 1080, 280004, 135, 0, 0, 56248, 56004},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 428, 0, 577, 0, 6, 1, 428, 577},
+        {"Filter(1)", 1, 256, 856, 624, 428, 78, 0, 0, 1480, 428},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(2)", 1, 256, 76, 0, 313, 0, 1, 1, 76, 313},
+        {"Filter(2)", 1, 256, 152, 152, 76, 19, 0, 0, 304, 76},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(3)", 1, 256, 76, 0, 313, 0, 1, 1, 76, 313},
+        {"Filter(3)", 1, 256, 152, 152, 76, 19, 0, 0, 304, 76},
+        {"CopyRemainder", 1, 256, 104, 104, 13, 0, 0, 0, 208, 13},
+    }, 0xfc78febb4e270127ull},
+    {"bitonic ties b8 n300 k64", 0x1.dp+3, {
+        {"BitonicTopK_sort_prune(0)", 8, 256, 9600, 12288, 38400, 0, 0, 0, 2736, 4800},
+        {"BitonicTopK_merge(1)", 8, 256, 12288, 8192, 2048, 0, 0, 0, 2560, 256},
+        {"BitonicTopK_merge(2)", 8, 256, 8192, 4096, 2048, 0, 0, 0, 1536, 256},
+        {"BitonicTopK_emit", 8, 256, 4096, 4096, 0, 0, 0, 0, 1024, 0},
+    }, 0xd5a103799661711dull},
+    {"quick ties b8 n300 k64", 0x1.0b97113b027b5p+11, {
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 922, 11, 0, 0, 3600, 922},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 696, 696, 271, 5, 0, 0, 1392, 271},
+        {"collect_results", 1, 256, 312, 312, 0, 0, 0, 0, 624, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 376, 376, 147, 3, 0, 0, 752, 147},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 232, 232, 93, 3, 0, 0, 464, 93},
+        {"collect_results", 1, 256, 168, 168, 0, 0, 0, 0, 336, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 56, 56, 27, 3, 0, 0, 112, 27},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 922, 11, 0, 0, 3600, 922},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1936, 1936, 744, 9, 0, 0, 3872, 744},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 976, 976, 378, 6, 0, 0, 1952, 378},
+        {"collect_results", 1, 256, 360, 360, 0, 0, 0, 0, 720, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 608, 608, 238, 5, 0, 0, 1216, 238},
+        {"collect_results", 1, 256, 56, 56, 0, 0, 0, 0, 112, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 544, 544, 212, 4, 0, 0, 1088, 212},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 336, 336, 132, 3, 0, 0, 672, 132},
+        {"collect_results", 1, 256, 80, 80, 0, 0, 0, 0, 160, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 922, 11, 0, 0, 3600, 922},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1640, 1640, 631, 8, 0, 0, 3280, 631},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 728, 728, 283, 5, 0, 0, 1456, 283},
+        {"collect_results", 1, 256, 416, 416, 0, 0, 0, 0, 832, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 304, 304, 122, 4, 0, 0, 608, 122},
+        {"collect_results", 1, 256, 32, 32, 0, 0, 0, 0, 64, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 264, 264, 105, 3, 0, 0, 528, 105},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 216, 216, 87, 3, 0, 0, 432, 87},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 160, 160, 66, 3, 0, 0, 320, 66},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 104, 104, 45, 3, 0, 0, 208, 45},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 88, 88, 39, 3, 0, 0, 176, 39},
+        {"collect_results", 1, 256, 16, 16, 0, 0, 0, 0, 32, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 64, 64, 30, 3, 0, 0, 128, 30},
+        {"collect_results", 1, 256, 16, 16, 0, 0, 0, 0, 32, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 924, 12, 0, 0, 3600, 924},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 2080, 2080, 800, 10, 0, 0, 4160, 800},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1632, 1632, 628, 8, 0, 0, 3264, 628},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1464, 1464, 563, 7, 0, 0, 2928, 563},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 984, 984, 381, 6, 0, 0, 1968, 381},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 712, 712, 277, 5, 0, 0, 1424, 277},
+        {"collect_results", 1, 256, 304, 304, 0, 0, 0, 0, 608, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 400, 400, 158, 4, 0, 0, 800, 158},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 272, 272, 108, 3, 0, 0, 544, 108},
+        {"collect_results", 1, 256, 200, 200, 0, 0, 0, 0, 400, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 922, 11, 0, 0, 3600, 922},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1680, 1680, 648, 9, 0, 0, 3360, 648},
+        {"collect_results", 1, 256, 344, 344, 0, 0, 0, 0, 688, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1328, 1328, 512, 7, 0, 0, 2656, 512},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 568, 568, 221, 4, 0, 0, 1136, 221},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 232, 232, 93, 3, 0, 0, 464, 93},
+        {"collect_results", 1, 256, 80, 80, 0, 0, 0, 0, 160, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 144, 144, 60, 3, 0, 0, 288, 60},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 128, 128, 54, 3, 0, 0, 256, 54},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 112, 112, 48, 3, 0, 0, 224, 48},
+        {"collect_results", 1, 256, 56, 56, 0, 0, 0, 0, 112, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 922, 11, 0, 0, 3600, 922},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 624, 624, 244, 5, 0, 0, 1248, 244},
+        {"collect_results", 1, 256, 88, 88, 0, 0, 0, 0, 176, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 528, 528, 206, 4, 0, 0, 1056, 206},
+        {"collect_results", 1, 256, 104, 104, 0, 0, 0, 0, 208, 0},
+        {"collect_results", 1, 256, 16, 16, 0, 0, 0, 0, 32, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 408, 408, 161, 4, 0, 0, 816, 161},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 304, 304, 120, 3, 0, 0, 608, 120},
+        {"collect_results", 1, 256, 192, 192, 0, 0, 0, 0, 384, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 104, 104, 45, 3, 0, 0, 208, 45},
+        {"collect_results", 1, 256, 64, 64, 0, 0, 0, 0, 128, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 32, 32, 18, 3, 0, 0, 64, 18},
+        {"collect_results", 1, 256, 16, 16, 0, 0, 0, 0, 32, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 924, 12, 0, 0, 3600, 924},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 808, 808, 313, 5, 0, 0, 1616, 313},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 656, 656, 256, 5, 0, 0, 1312, 256},
+        {"collect_results", 1, 256, 280, 280, 0, 0, 0, 0, 560, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 368, 368, 144, 3, 0, 0, 736, 144},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 240, 240, 96, 3, 0, 0, 480, 96},
+        {"collect_results", 1, 256, 64, 64, 0, 0, 0, 0, 128, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 168, 168, 69, 3, 0, 0, 336, 69},
+        {"collect_results", 1, 256, 24, 24, 0, 0, 0, 0, 48, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 136, 136, 57, 3, 0, 0, 272, 57},
+        {"collect_results", 1, 256, 40, 40, 0, 0, 0, 0, 80, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 88, 88, 39, 3, 0, 0, 176, 39},
+        {"collect_results", 1, 256, 48, 48, 0, 0, 0, 0, 96, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 32, 32, 18, 3, 0, 0, 64, 18},
+        {"collect_results", 1, 256, 16, 16, 0, 0, 0, 0, 32, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 922, 11, 0, 0, 3600, 922},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 976, 976, 378, 6, 0, 0, 1952, 378},
+        {"collect_results", 1, 256, 264, 264, 0, 0, 0, 0, 528, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 704, 704, 274, 5, 0, 0, 1408, 274},
+        {"collect_results", 1, 256, 40, 40, 0, 0, 0, 0, 80, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 656, 656, 254, 4, 0, 0, 1312, 254},
+        {"collect_results", 1, 256, 144, 144, 0, 0, 0, 0, 288, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 504, 504, 197, 4, 0, 0, 1008, 197},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 368, 368, 146, 4, 0, 0, 736, 146},
+        {"collect_results", 1, 256, 16, 16, 0, 0, 0, 0, 32, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 344, 344, 135, 3, 0, 0, 688, 135},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 80, 80, 36, 3, 0, 0, 160, 36},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 56, 56, 27, 3, 0, 0, 112, 27},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"collect_results", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+    }, 0xc136d392fa98a7fdull},
+    {"sample ties b8 n300 k64", 0x1.1e9129888f861p+9, {
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 10800, 0, 3000, 0, 247, 1, 10800, 3000},
+        {"sample_filter", 1, 256, 10800, 512, 3306, 3, 0, 0, 11312, 3306},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 10800, 0, 3000, 0, 249, 1, 10800, 3000},
+        {"sample_filter", 1, 256, 10800, 512, 3306, 3, 0, 0, 11312, 3306},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 10800, 0, 3000, 0, 246, 1, 10800, 3000},
+        {"sample_filter", 1, 256, 10800, 512, 3306, 3, 0, 0, 11312, 3306},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 10800, 0, 3000, 0, 245, 1, 10800, 3000},
+        {"sample_filter", 1, 256, 10800, 512, 3306, 3, 0, 0, 11312, 3306},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 10800, 0, 3000, 0, 249, 1, 10800, 3000},
+        {"sample_filter", 1, 256, 10800, 512, 3306, 3, 0, 0, 11312, 3306},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 10800, 0, 3000, 0, 252, 1, 10800, 3000},
+        {"sample_filter", 1, 256, 10800, 512, 3306, 3, 0, 0, 11312, 3306},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 10800, 0, 3000, 0, 250, 1, 10800, 3000},
+        {"sample_filter", 1, 256, 10800, 512, 3306, 3, 0, 0, 11312, 3306},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"sample_histogram", 1, 256, 10800, 0, 3000, 0, 249, 1, 10800, 3000},
+        {"sample_filter", 1, 256, 10800, 512, 3306, 3, 0, 0, 11312, 3306},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+    }, 0x7e9545b634647af5ull},
+    {"bucket ties b8 n300 k64", 0x1.334432ca57a77p+9, {
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 1200, 0, 1200, 0, 176, 1, 1200, 1200},
+        {"bucket_filter", 1, 256, 1200, 512, 1506, 3, 0, 0, 1712, 1506},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 1200, 0, 1200, 0, 179, 1, 1200, 1200},
+        {"bucket_filter", 1, 256, 1200, 512, 1506, 3, 0, 0, 1712, 1506},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 1200, 0, 1200, 0, 179, 1, 1200, 1200},
+        {"bucket_filter", 1, 256, 1200, 520, 1506, 3, 0, 0, 1720, 1506},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 8, 0, 4, 2, 0, 0, 8, 4},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 8, 0, 8, 0, 2, 1, 8, 8},
+        {"bucket_filter", 1, 256, 16, 8, 12, 1, 0, 0, 24, 12},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 1200, 0, 1200, 0, 176, 1, 1200, 1200},
+        {"bucket_filter", 1, 256, 1200, 520, 1506, 3, 0, 0, 1720, 1506},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 8, 0, 4, 2, 0, 0, 8, 4},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 8, 0, 8, 0, 2, 1, 8, 8},
+        {"bucket_filter", 1, 256, 16, 8, 12, 1, 0, 0, 24, 12},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 1200, 0, 1200, 0, 175, 1, 1200, 1200},
+        {"bucket_filter", 1, 256, 1200, 512, 1506, 3, 0, 0, 1712, 1506},
+        {"CopyRemainder", 1, 256, 24, 24, 0, 0, 0, 0, 48, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 1200, 0, 1200, 0, 181, 1, 1200, 1200},
+        {"bucket_filter", 1, 256, 1200, 512, 1506, 3, 0, 0, 1712, 1506},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 1200, 0, 1200, 0, 181, 1, 1200, 1200},
+        {"bucket_filter", 1, 256, 1200, 512, 1506, 3, 0, 0, 1712, 1506},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"hist_memset", 1, 32, 0, 1024, 0, 0, 0, 0, 1024, 0},
+        {"bucket_histogram", 1, 256, 1200, 0, 1200, 0, 172, 1, 1200, 1200},
+        {"bucket_filter", 1, 256, 1200, 512, 1506, 3, 0, 0, 1712, 1506},
+        {"CopyRemainder", 1, 256, 8, 8, 0, 0, 0, 0, 16, 0},
+    }, 0xfc48254288380969ull},
+    {"air ties b8 n300 k64", 0x1.18p+4, {
+        {"air_init", 8, 256, 0, 164608, 16384, 0, 0, 0, 20576, 2048},
+        {"iteration_fused_kernel(1)", 8, 256, 60280, 328, 73152, 8, 197, 8, 7584, 9144},
+        {"iteration_fused_kernel(2)", 8, 256, 34684, 4152, 67040, 24, 72, 7, 7260, 9148},
+        {"iteration_fused_kernel(3)", 8, 256, 8752, 344, 21014, 14, 0, 0, 1320, 3002},
+        {"last_filter_kernel", 8, 256, 128, 0, 0, 0, 0, 0, 16, 0},
+    }, 0xb7686ed3174370d5ull},
+    {"radixselect ties b8 n300 k64", 0x1.52b33daf8df79p+9, {
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 5, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 1304, 1200, 163, 0, 0, 2504, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 496, 0, 628, 0, 85, 1, 496, 628},
+        {"Filter(1)", 1, 256, 992, 200, 496, 25, 0, 0, 1192, 496},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 6, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 1064, 1200, 133, 0, 0, 2264, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 392, 0, 550, 0, 79, 1, 392, 550},
+        {"Filter(1)", 1, 256, 784, 232, 392, 29, 0, 0, 1016, 392},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 5, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 1192, 1200, 149, 0, 0, 2392, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 440, 0, 586, 0, 90, 1, 440, 586},
+        {"Filter(1)", 1, 256, 880, 208, 440, 26, 0, 0, 1088, 440},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(2)", 1, 256, 8, 0, 262, 0, 2, 1, 8, 262},
+        {"Filter(2)", 1, 256, 16, 8, 8, 1, 0, 0, 24, 8},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 4, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 1152, 1200, 144, 0, 0, 2352, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 440, 0, 586, 0, 87, 1, 440, 586},
+        {"Filter(1)", 1, 256, 880, 240, 440, 30, 0, 0, 1120, 440},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 4, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 1168, 1200, 146, 0, 0, 2368, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 464, 0, 604, 0, 87, 1, 464, 604},
+        {"Filter(1)", 1, 256, 928, 272, 464, 34, 0, 0, 1200, 464},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 4, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 1208, 1200, 151, 0, 0, 2408, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 492, 0, 625, 0, 105, 1, 492, 625},
+        {"Filter(1)", 1, 256, 984, 288, 492, 36, 0, 0, 1272, 492},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 6, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 1112, 1200, 139, 0, 0, 2312, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 440, 0, 586, 0, 86, 1, 440, 586},
+        {"Filter(1)", 1, 256, 880, 280, 440, 35, 0, 0, 1160, 440},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 5, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 1152, 1200, 144, 0, 0, 2352, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 432, 0, 580, 0, 79, 1, 432, 580},
+        {"Filter(1)", 1, 256, 864, 224, 432, 28, 0, 0, 1088, 432},
+        {"CopyRemainder", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+    }, 0xa5758f301dffc3fdull},
+    {"bitonic one-value b8 n300 k64", 0x1.dp+3, {
+        {"BitonicTopK_sort_prune(0)", 8, 256, 9600, 12288, 38400, 0, 0, 0, 2736, 4800},
+        {"BitonicTopK_merge(1)", 8, 256, 12288, 8192, 2048, 0, 0, 0, 2560, 256},
+        {"BitonicTopK_merge(2)", 8, 256, 8192, 4096, 2048, 0, 0, 0, 1536, 256},
+        {"BitonicTopK_emit", 8, 256, 4096, 4096, 0, 0, 0, 0, 1024, 0},
+    }, 0x6044304fda1e8325ull},
+    {"quick one-value b8 n300 k64", 0x1.6c17cfb8c8c24p+8, {
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 920, 10, 0, 0, 3600, 920},
+        {"collect_results", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 920, 10, 0, 0, 3600, 920},
+        {"collect_results", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 920, 10, 0, 0, 3600, 920},
+        {"collect_results", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 920, 10, 0, 0, 3600, 920},
+        {"collect_results", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 920, 10, 0, 0, 3600, 920},
+        {"collect_results", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 920, 10, 0, 0, 3600, 920},
+        {"collect_results", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 920, 10, 0, 0, 3600, 920},
+        {"collect_results", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"pivot_probe", 1, 32, 12, 12, 0, 0, 0, 0, 24, 0},
+        {"partition_memset", 1, 32, 0, 12, 0, 0, 0, 0, 12, 0},
+        {"partition", 1, 256, 1200, 2400, 920, 10, 0, 0, 3600, 920},
+        {"collect_results", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+    }, 0x6044304fda1e8325ull},
+    {"sample one-value b8 n300 k64", 0x1.1c6191148fd9ep+9, {
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 20, 0, 0, 0, 0, 20, 0},
+        {"sample_histogram", 1, 256, 1200, 0, 3000, 0, 1, 1, 1200, 3000},
+        {"sample_filter", 1, 256, 1200, 2400, 3320, 10, 0, 0, 3600, 3320},
+        {"CopyRemainder", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 20, 0, 0, 0, 0, 20, 0},
+        {"sample_histogram", 1, 256, 1200, 0, 3000, 0, 1, 1, 1200, 3000},
+        {"sample_filter", 1, 256, 1200, 2400, 3320, 10, 0, 0, 3600, 3320},
+        {"CopyRemainder", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 20, 0, 0, 0, 0, 20, 0},
+        {"sample_histogram", 1, 256, 1200, 0, 3000, 0, 1, 1, 1200, 3000},
+        {"sample_filter", 1, 256, 1200, 2400, 3320, 10, 0, 0, 3600, 3320},
+        {"CopyRemainder", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 20, 0, 0, 0, 0, 20, 0},
+        {"sample_histogram", 1, 256, 1200, 0, 3000, 0, 1, 1, 1200, 3000},
+        {"sample_filter", 1, 256, 1200, 2400, 3320, 10, 0, 0, 3600, 3320},
+        {"CopyRemainder", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 20, 0, 0, 0, 0, 20, 0},
+        {"sample_histogram", 1, 256, 1200, 0, 3000, 0, 1, 1, 1200, 3000},
+        {"sample_filter", 1, 256, 1200, 2400, 3320, 10, 0, 0, 3600, 3320},
+        {"CopyRemainder", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 20, 0, 0, 0, 0, 20, 0},
+        {"sample_histogram", 1, 256, 1200, 0, 3000, 0, 1, 1, 1200, 3000},
+        {"sample_filter", 1, 256, 1200, 2400, 3320, 10, 0, 0, 3600, 3320},
+        {"CopyRemainder", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 20, 0, 0, 0, 0, 20, 0},
+        {"sample_histogram", 1, 256, 1200, 0, 3000, 0, 1, 1, 1200, 3000},
+        {"sample_filter", 1, 256, 1200, 2400, 3320, 10, 0, 0, 3600, 3320},
+        {"CopyRemainder", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+        {"sample", 1, 256, 1200, 1200, 600, 0, 0, 0, 2400, 600},
+        {"hist_memset", 1, 32, 0, 20, 0, 0, 0, 0, 20, 0},
+        {"sample_histogram", 1, 256, 1200, 0, 3000, 0, 1, 1, 1200, 3000},
+        {"sample_filter", 1, 256, 1200, 2400, 3320, 10, 0, 0, 3600, 3320},
+        {"CopyRemainder", 1, 256, 512, 512, 0, 0, 0, 0, 1024, 0},
+    }, 0x6044304fda1e8325ull},
+    {"bucket one-value b8 n300 k64", 0x1.0000a7c5ac471p+8, {
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"CopyRemainder", 1, 256, 256, 512, 0, 0, 0, 0, 768, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"CopyRemainder", 1, 256, 256, 512, 0, 0, 0, 0, 768, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"CopyRemainder", 1, 256, 256, 512, 0, 0, 0, 0, 768, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"CopyRemainder", 1, 256, 256, 512, 0, 0, 0, 0, 768, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"CopyRemainder", 1, 256, 256, 512, 0, 0, 0, 0, 768, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"CopyRemainder", 1, 256, 256, 512, 0, 0, 0, 0, 768, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"CopyRemainder", 1, 256, 256, 512, 0, 0, 0, 0, 768, 0},
+        {"minmax_memset", 1, 32, 0, 16, 0, 0, 0, 0, 16, 0},
+        {"minmax_reduce", 1, 256, 1200, 0, 600, 2, 0, 0, 1200, 600},
+        {"CopyRemainder", 1, 256, 256, 512, 0, 0, 0, 0, 768, 0},
+    }, 0x6044304fda1e8325ull},
+    {"air one-value b8 n300 k64", 0x1.18p+4, {
+        {"air_init", 8, 256, 0, 164608, 16384, 0, 0, 0, 20576, 2048},
+        {"iteration_fused_kernel(1)", 8, 256, 59712, 320, 73152, 8, 8, 8, 7504, 9144},
+        {"iteration_fused_kernel(2)", 8, 256, 26400, 320, 73152, 8, 8, 8, 3340, 9144},
+        {"iteration_fused_kernel(3)", 8, 256, 10016, 320, 48576, 8, 8, 8, 1292, 6072},
+        {"last_filter_kernel", 8, 256, 9984, 4096, 24192, 96, 0, 0, 1760, 3024},
+    }, 0x6044304fda1e8325ull},
+    {"radixselect one-value b8 n300 k64", 0x1.236c764adff8p+10, {
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"CopyRemainder", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"CopyRemainder", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"CopyRemainder", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"CopyRemainder", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"CopyRemainder", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"CopyRemainder", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"CopyRemainder", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"CalculateOccurence(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"Filter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"CopyRemainder", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+    }, 0x6044304fda1e8325ull},
 };
 
 TEST(PartitionCountPin, KernelStatsAndModeledTimeMatchRecording) {
@@ -1373,9 +2198,10 @@ TEST(PartitionCountPin, KernelStatsAndModeledTimeMatchRecording) {
       {"sample", Algo::kSampleSelect, 1.0},
       {"bucket", Algo::kBucketSelect, 1.0},
       {"air", Algo::kAirTopk, 1.0},
+      {"radixselect", Algo::kRadixSelect, 1.0},
   };
-  expect_matches_recording(pinned_runs(rows, kPartitionRecorded, false),
-                           false);
+  expect_matches_recording(pinned_runs(rows, kPartitionRecorded, true, true),
+                           true);
 }
 
 // ---- largest-K pin and direction parity -------------------------------------
