@@ -405,83 +405,6 @@ class AggregatedAppender {
   std::size_t staged_ = 0;
 };
 
-/// Liveness bound of the host-looped partition rows (QuickSelect,
-/// SampleSelect, BucketSelect).  On ordered keys every level shrinks the
-/// candidate count, but a NaN pivot compares false against every key,
-/// sends them all to one side, and the count never falls.  next() takes each
-/// level's surviving count and throws std::logic_error, naming the row and
-/// problem, once kMaxStalledLevels consecutive levels have not shrunk it; a
-/// level that stalls and then recovers is legal.  Host-side only: it records
-/// no event, so counts and modeled time are unaffected.
-class LevelGuard {
- public:
-  static constexpr int kMaxStalledLevels = 64;
-
-  LevelGuard(const char* row, std::size_t problem, std::uint64_t count)
-      : row_(row), problem_(problem), count_(count) {}
-
-  void next(std::uint64_t count) {
-    stalled_ = count < count_ ? 0 : stalled_ + 1;
-    count_ = count;
-    if (stalled_ >= kMaxStalledLevels) {
-      throw std::logic_error(
-          std::string(row_) + ": problem " + std::to_string(problem_) +
-          ": the candidate count (" + std::to_string(count_) +
-          ") has not fallen in " + std::to_string(kMaxStalledLevels) +
-          " consecutive levels; a NaN pivot sends every key to one side");
-    }
-  }
-
- private:
-  const char* row_;
-  std::size_t problem_;
-  std::uint64_t count_;
-  int stalled_ = 0;
-};
-
-/// Footprint contract for the "CopyRemainder" terminal kernel shared by the
-/// radix-family baselines (radix / bucket / sample select): copy the
-/// surviving candidates — or, on degenerate shapes, an input prefix — into
-/// the output slice.  One registration serves all three algorithms, so the
-/// source operands are optional and segment-sized.
-inline void register_copy_remainder_footprint() {
-  using simgpu::Access;
-  using simgpu::AffineVar;
-  using simgpu::WriteScope;
-  simgpu::register_footprint(
-      {"CopyRemainder",
-       {
-           {"in",
-            Access::kRead,
-            WriteScope::kNone,
-            {{AffineVar::kBatchN}},
-            8,
-            /*optional=*/true},
-           {"src_val",
-            Access::kRead,
-            WriteScope::kNone,
-            {{AffineVar::kSegElems}},
-            8,
-            /*optional=*/true},
-           {"src_idx",
-            Access::kRead,
-            WriteScope::kNone,
-            {{AffineVar::kSegElems}},
-            4,
-            /*optional=*/true},
-           {"out_vals",
-            Access::kWrite,
-            WriteScope::kBlockLocal,
-            {{AffineVar::kBatchK}},
-            8},
-           {"out_idx",
-            Access::kWrite,
-            WriteScope::kBlockLocal,
-            {{AffineVar::kBatchK}},
-            4},
-       }});
-}
-
 /// Validate the (n, k, batch) triple shared by all algorithms.
 inline void validate_problem(std::size_t n, std::size_t k, std::size_t batch) {
   if (batch == 0) throw std::invalid_argument("top-k: batch must be > 0");

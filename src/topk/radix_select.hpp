@@ -11,6 +11,7 @@
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
 #include "topk/key_order.hpp"
+#include "topk/level_loop.hpp"
 
 namespace topk {
 
@@ -51,65 +52,6 @@ struct RadixPassLoop {
   std::size_t seg_idx[2] = {0, 0};
   std::size_t seg_host_hist = 0;
 };
-
-namespace radix_detail {
-
-/// Operand lists of the loop's kernels, registered by each row under its
-/// own kernel names.  The histogram and candidate bounds are segment-sized:
-/// the candidate capacity is each row's choice (n for RadixSelect, a chunk
-/// for stream-radix), which no shape-generic contract covers.
-inline std::vector<simgpu::OperandSpec> memset_operands() {
-  using simgpu::Access;
-  using simgpu::AffineVar;
-  using simgpu::WriteScope;
-  return {
-      {"hist", Access::kWrite, WriteScope::kSingleBlock,
-       {{AffineVar::kSegElems}}, 4},
-      {"counters", Access::kWrite, WriteScope::kSingleBlock,
-       {{AffineVar::kOne, 2}}, 4},
-  };
-}
-
-inline std::vector<simgpu::OperandSpec> hist_operands() {
-  using simgpu::Access;
-  using simgpu::AffineVar;
-  using simgpu::WriteScope;
-  return {
-      {"in", Access::kRead, WriteScope::kNone, {{AffineVar::kBatchN}}, 8,
-       /*optional=*/true},
-      {"src_val", Access::kRead, WriteScope::kNone,
-       {{AffineVar::kSegElems}}, 8, /*optional=*/true},
-      {"hist", Access::kAtomic, WriteScope::kNone, {{AffineVar::kSegElems}},
-       4},
-  };
-}
-
-/// Winners append through the reserved cursor 0 to (win_val, win_idx),
-/// bounded by `win_extent`; ties go to (dst_val, dst_idx) through cursor 1.
-inline std::vector<simgpu::OperandSpec> filter_operands(
-    const char* win_val, const char* win_idx, simgpu::AffineVar win_extent) {
-  using simgpu::Access;
-  using simgpu::AffineVar;
-  using simgpu::WriteScope;
-  return {
-      {"in", Access::kRead, WriteScope::kNone, {{AffineVar::kBatchN}}, 8,
-       /*optional=*/true},
-      {"src_val", Access::kRead, WriteScope::kNone,
-       {{AffineVar::kSegElems}}, 8, /*optional=*/true},
-      {"src_idx", Access::kRead, WriteScope::kNone,
-       {{AffineVar::kSegElems}}, 4, /*optional=*/true},
-      {"counters", Access::kAtomic, WriteScope::kNone,
-       {{AffineVar::kOne, 2}}, 4},
-      {win_val, Access::kWrite, WriteScope::kReserved, {{win_extent}}, 8},
-      {win_idx, Access::kWrite, WriteScope::kReserved, {{win_extent}}, 4},
-      {"dst_val", Access::kWrite, WriteScope::kReserved,
-       {{AffineVar::kSegElems}}, 8},
-      {"dst_idx", Access::kWrite, WriteScope::kReserved,
-       {{AffineVar::kSegElems}}, 4},
-  };
-}
-
-}  // namespace radix_detail
 
 /// Plan one radix pass loop: the per-pass digit schedule (kernel names are
 /// left for the owning plan to intern) and its workspace segments, with
@@ -156,42 +98,24 @@ void record_radix_pass_loop(simgpu::KernelSchedule* sched,
                             const simgpu::OperandBind& win_val,
                             const simgpu::OperandBind& win_idx) {
   const auto seg = [](std::size_t id) { return static_cast<int>(id); };
-  const int grid = make_grid(1, count, spec).total_blocks();
+  LevelSteps steps{.copy_label = "histogram",
+                   .scan_label = "scan+find_digit",
+                   .grid = make_grid(1, count, spec).total_blocks(),
+                   .n = l.n,
+                   .k = l.k,
+                   .seg_hist = seg(l.seg_hist),
+                   .seg_host_hist = seg(l.seg_host_hist),
+                   .seg_counters = seg(l.seg_counters)};
   int cur = 0;
   for (std::size_t pass = 0; pass < l.passes.size(); ++pass) {
-    const bool from_input = pass == 0 && src_val == simgpu::kBindInput;
-    const int sv = pass == 0 ? src_val : seg(l.seg_val[cur]);
-    const int si = pass == 0 ? src_idx : seg(l.seg_idx[cur]);
     simgpu::record_launch(sched, "Memset", 1, kBlockThreads, 1, l.n, l.k,
                           {{"hist", seg(l.seg_hist)},
                            {"counters", seg(l.seg_counters)}});
-    std::vector<simgpu::OperandBind> hist_binds;
-    std::vector<simgpu::OperandBind> filter_binds;
-    if (from_input) {
-      hist_binds.push_back({"in", simgpu::kBindInput});
-      filter_binds.push_back({"in", simgpu::kBindInput});
-    } else {
-      hist_binds.push_back({"src_val", sv});
-      filter_binds.push_back({"src_val", sv});
-      filter_binds.push_back({"src_idx", si});
-    }
-    hist_binds.push_back({"hist", seg(l.seg_hist)});
-    simgpu::record_launch(sched, l.passes[pass].hist_name, grid,
-                          kBlockThreads, 1, l.n, l.k, std::move(hist_binds));
-    simgpu::record_host(
-        sched, "histogram",
-        {{"hist", seg(l.seg_hist), simgpu::Access::kRead},
-         {"host_hist", seg(l.seg_host_hist), simgpu::Access::kWrite}});
-    simgpu::record_host(
-        sched, "scan+find_digit",
-        {{"host_hist", seg(l.seg_host_hist), simgpu::Access::kRead}});
-    filter_binds.push_back({"counters", seg(l.seg_counters)});
-    filter_binds.push_back(win_val);
-    filter_binds.push_back(win_idx);
-    filter_binds.push_back({"dst_val", seg(l.seg_val[1 - cur])});
-    filter_binds.push_back({"dst_idx", seg(l.seg_idx[1 - cur])});
-    simgpu::record_launch(sched, l.passes[pass].filter_name, grid,
-                          kBlockThreads, 1, l.n, l.k, std::move(filter_binds));
+    steps.hist_name = l.passes[pass].hist_name;
+    steps.filter_name = l.passes[pass].filter_name;
+    record_level(sched, steps, pass == 0 ? src_val : seg(l.seg_val[cur]),
+                 pass == 0 ? src_idx : seg(l.seg_idx[cur]), {}, win_val,
+                 win_idx, seg(l.seg_val[1 - cur]), seg(l.seg_idx[1 - cur]));
     cur = 1 - cur;
   }
   simgpu::record_launch(sched, l.take_name, 1, kBlockThreads, 1, l.n, l.k,
@@ -293,20 +217,9 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
     }
 
     // ---- host round trip: copy histogram, prefix-sum, pick digit ---------
-    dev.copy_to_host(ghist, host_hist, "histogram");
-    dev.host_compute("scan+find_digit", static_cast<std::uint64_t>(3 * nb));
-    std::uint64_t less = 0;
-    std::uint32_t target_digit = 0;
-    std::uint64_t target_count = 0;
-    for (int d = 0; d < nb; ++d) {
-      const std::uint32_t c = host_hist[static_cast<std::size_t>(d)];
-      if (less + c >= k_rem) {
-        target_digit = static_cast<std::uint32_t>(d);
-        target_count = c;
-        break;
-      }
-      less += c;
-    }
+    const LevelTarget t = find_target(dev, ghist, host_hist, "histogram",
+                                      "scan+find_digit", k_rem);
+    const std::uint32_t target_digit = t.cls;
 
     // ---- kernel 2: filter (winners out, ties to the other buffer) --------
     {
@@ -390,9 +303,9 @@ void radix_pass_loop_run(simgpu::Device& dev, const RadixPassLoop<T>& l,
       });
     }
 
-    out_written += less;
-    k_rem -= less;
-    count = target_count;
+    out_written += t.less;
+    k_rem -= t.less;
+    count = t.count;
     cur = 1 - cur;
 
     // The host decides whether more passes are needed; it must synchronize
@@ -435,12 +348,11 @@ struct RadixSelectPlan {
 /// per-pass kernels register under their bare family names; winners land
 /// directly in the caller's output.
 inline void register_radix_select_footprints() {
-  simgpu::register_footprint({"Memset", radix_detail::memset_operands()});
+  simgpu::register_footprint({"Memset", memset_operands()});
+  simgpu::register_footprint({"CalculateOccurence", hist_operands()});
   simgpu::register_footprint(
-      {"CalculateOccurence", radix_detail::hist_operands()});
-  simgpu::register_footprint(
-      {"Filter", radix_detail::filter_operands("out_vals", "out_idx",
-                                               simgpu::AffineVar::kBatchK)});
+      {"Filter", filter_operands("out_vals", "out_idx",
+                                 simgpu::AffineVar::kBatchK)});
   register_copy_remainder_footprint();
 }
 

@@ -43,11 +43,11 @@ inline void register_stream_radix_footprints() {
   using simgpu::Access;
   using simgpu::AffineVar;
   using simgpu::WriteScope;
-  simgpu::register_footprint({"Memset", radix_detail::memset_operands()});
-  simgpu::register_footprint({"StreamHist", radix_detail::hist_operands()});
+  simgpu::register_footprint({"Memset", memset_operands()});
+  simgpu::register_footprint({"StreamHist", hist_operands()});
   simgpu::register_footprint(
-      {"StreamFilter", radix_detail::filter_operands(
-                           "win_val", "win_idx", AffineVar::kSegElems)});
+      {"StreamFilter",
+       filter_operands("win_val", "win_idx", AffineVar::kSegElems)});
   simgpu::register_footprint(
       {"StreamTake",
        {

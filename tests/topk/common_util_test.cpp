@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "simgpu/simgpu.hpp"
+#include "topk/level_loop.hpp"
 
 namespace topk {
 namespace {
