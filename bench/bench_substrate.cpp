@@ -20,15 +20,14 @@
 // shrinks N and the repetition count for CI.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <new>
 #include <span>
 #include <sstream>
 #include <string>
@@ -40,47 +39,9 @@
 #include "data/distributions.hpp"
 #include "simgpu/simgpu.hpp"
 
-// ---- allocation counting ---------------------------------------------------
-// Counts every global operator-new call so a timed region can report how many
-// heap allocations it performed.  Deliberately simple: malloc/free plus one
-// relaxed atomic increment; the increment is noise next to malloc itself.
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(align);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+// Global operator-new calls so far (bench/alloc_hook.cpp, which replaces
+// the global operator new/delete to count them).
+std::uint64_t heap_allocs();
 
 namespace {
 
@@ -119,22 +80,21 @@ Row measure(simgpu::Device& dev, std::span<const float> data, std::size_t n,
   // N for GridSelect below: per-block engine state must come from the
   // pooled slab and the scratch freelists, never from O(num_blocks) heap
   // allocs.
-  const std::uint64_t cold0 = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t cold0 = heap_allocs();
   const topk::ExecutionPlan plan = topk::plan_select(dev.spec(), 1, n, k, algo);
   simgpu::Workspace ws(dev);
   dev.clear_events();
   topk::run_select(dev, plan, ws, in, out_vals, out_idx);  // untimed warm-up
-  row.cold_allocs = g_alloc_count.load(std::memory_order_relaxed) - cold0;
+  row.cold_allocs = heap_allocs() - cold0;
   for (int r = 0; r < reps; ++r) {
     dev.clear_events();
-    const std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+    const std::uint64_t allocs0 = heap_allocs();
     const auto t0 = std::chrono::steady_clock::now();
     topk::run_select(dev, plan, ws, in, out_vals, out_idx);
     const auto t1 = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
-    row.allocs = std::min(
-        row.allocs, g_alloc_count.load(std::memory_order_relaxed) - allocs0);
+    row.allocs = std::min(row.allocs, heap_allocs() - allocs0);
     if (ms < row.wall_ms) {
       row.wall_ms = ms;
       row.model_us = simgpu::CostModel(dev.spec()).total_us(dev.events());

@@ -264,10 +264,6 @@ class TopkService {
   void execute_batch(Worker& w, std::size_t worker_id, Batch batch);
   void execute_sharded(Worker& w, std::size_t worker_id, Batch batch);
 
-  // All methods below require `mu_` to be held.
-  void enqueue_ready_locked(Batch&& batch);
-  void resolve_rejected_locked(Request& req, const std::string& why);
-
   ServiceConfig cfg_;
 
   mutable std::mutex mu_;

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -332,21 +331,13 @@ inline void record_host(KernelSchedule* sched, std::string_view label,
 /// ---- Launch-time contract cross-check ------------------------------------
 
 /// Whether simgpu::launch cross-checks KernelStats against registered
-/// footprints.  Defaults on in debug builds (NDEBUG off), off in release;
-/// the environment variable TOPK_FOOTPRINT_CHECK overrides either way
-/// ("0" disables, anything else enables).
-[[nodiscard]] inline bool footprint_check_enabled() {
-  static const bool enabled = [] {
-    if (const char* v = std::getenv("TOPK_FOOTPRINT_CHECK")) {
-      return !(v[0] == '0' && v[1] == '\0');
-    }
+/// footprints: in debug builds (NDEBUG unset), not in release builds.
+[[nodiscard]] constexpr bool footprint_check_enabled() {
 #ifndef NDEBUG
-    return true;
+  return true;
 #else
-    return false;
+  return false;
 #endif
-  }();
-  return enabled;
 }
 
 /// Thrown when an observed launch contradicts the kernel's declared

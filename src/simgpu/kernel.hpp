@@ -499,32 +499,6 @@ class BlockCtx {
     return cur;
   }
 
-  /// Atomic load with acquire semantics (volatile read analogue).
-  template <typename T>
-  T atomic_load(const DeviceBuffer<T>& b, std::size_t i) {
-    ++counters_.atomic_ops;
-    if (san_ != nullptr &&
-        !device_access_ok(b.data(), sizeof(T), i, b.size(), true, false,
-                          true)) {
-      return T{};
-    }
-    std::atomic_ref<T> ref(b.data()[i]);
-    return ref.load(std::memory_order_seq_cst);
-  }
-
-  template <typename T>
-  void atomic_store(const DeviceBuffer<T>& b, std::size_t i,
-                    std::type_identity_t<T> v) {
-    ++counters_.atomic_ops;
-    if (san_ != nullptr &&
-        !device_access_ok(b.data(), sizeof(T), i, b.size(), false, true,
-                          true)) {
-      return;
-    }
-    std::atomic_ref<T> ref(b.data()[i]);
-    ref.store(v, std::memory_order_seq_cst);
-  }
-
   /// ---- Tile-granular device memory access --------------------------------
   ///
   /// Bulk counterparts of load/store.  They charge BlockCounters once per
@@ -904,10 +878,10 @@ KernelStats launch(Device& dev, const LaunchConfig& cfg, Body&& body) {
   stats.block_syncs = block_syncs.load();
   stats.max_block_bytes = max_block_bytes.load();
   stats.max_block_lane_ops = max_block_lane_ops.load();
-  // Contract cross-check (debug builds / TOPK_FOOTPRINT_CHECK=1): the
-  // observed counters must be explainable by the kernel's registered
-  // footprint.  Strictly read-only over the already-assembled stats, so
-  // KernelStats and modeled time are bit-identical with checking on or off.
+  // Contract cross-check (debug builds): the observed counters must be
+  // explainable by the kernel's registered footprint.  Strictly read-only
+  // over the already-assembled stats, so KernelStats and modeled time are
+  // bit-identical with checking on or off.
   if (footprint_check_enabled()) {
     check_launch_against_footprint(
         cfg.name, stats.bytes_read, stats.bytes_written,

@@ -112,7 +112,6 @@ class Workspace {
   }
 
   [[nodiscard]] bool bound() const { return layout_ != nullptr; }
-  [[nodiscard]] std::size_t slab_bytes() const { return slab_.bytes; }
 
  private:
   [[nodiscard]] const WorkspaceLayout::Segment& segment(std::size_t id) const {

@@ -63,7 +63,6 @@ inline bf16 decode_bf16(float carrier) {
 inline std::int32_t decode_i32(std::uint32_t carrier) {
   return RadixTraits<std::int32_t>::from_radix(carrier);
 }
-inline std::uint32_t decode_u32(std::uint32_t carrier) { return carrier; }
 
 // --- bulk encode ---
 

@@ -73,12 +73,4 @@ struct RadixTraits<double> {
   }
 };
 
-/// Extract the digit of width `bits` whose least-significant bit sits at
-/// `start_bit` (counting from bit 0).
-template <typename Bits>
-constexpr std::uint32_t extract_digit(Bits key, int start_bit, int bits) {
-  return static_cast<std::uint32_t>(key >> start_bit) &
-         ((1u << bits) - 1u);
-}
-
 }  // namespace topk

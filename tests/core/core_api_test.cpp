@@ -108,15 +108,9 @@ TEST(CoreApi, SelectBatchValidatesSize) {
 }
 
 TEST(CoreApi, RecommendationFollowsPaperGuidelines) {
-  // §5.1 guideline 1: on-the-fly -> GridSelect.
-  WorkloadHints fly;
-  fly.on_the_fly = true;
-  EXPECT_EQ(recommend_algorithm(1 << 20, 100, fly), Algo::kGridSelect);
-  EXPECT_THROW((void)recommend_algorithm(1 << 20, 4096, fly),
-               std::invalid_argument);
-  // Guideline 2: large N, small K -> GridSelect.
+  // Large N, small K -> GridSelect.
   EXPECT_EQ(recommend_algorithm(1 << 24, 10), Algo::kGridSelect);
-  // Guideline 3: most other cases -> AIR Top-K.
+  // Most other cases -> AIR Top-K.
   EXPECT_EQ(recommend_algorithm(1 << 24, 4096), Algo::kAirTopk);
   EXPECT_EQ(recommend_algorithm(1 << 24, 1 << 20), Algo::kAirTopk);
   EXPECT_EQ(recommend_algorithm(1000, 500), Algo::kAirTopk);  // k not small

@@ -7,6 +7,7 @@
 // (the soak and integration suites cover uniform/normal/adversarial data).
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,28 +28,47 @@ TEST(RecommendCoverage, AlwaysReturnsServablePlan) {
     for (const std::size_t k : ks) {
       if (k == 0 || k > n) continue;
       for (const std::size_t batch : batches) {
-        for (const bool fly : {false, true}) {
-          WorkloadHints hints;
-          hints.on_the_fly = fly;
-          hints.batch = batch;
-          if (fly && k > 2048) {
-            // Documented unsatisfiable case: on-the-fly is a hard
-            // constraint only the queue family meets, and it caps at 2048.
-            EXPECT_THROW((void)recommend_algorithm(n, k, hints),
-                         std::invalid_argument)
-                << "n=" << n << " k=" << k;
-            continue;
-          }
-          const Algo rec = recommend_algorithm(n, k, hints);
-          EXPECT_NE(rec, Algo::kAuto)
-              << "recommender must resolve to a concrete algorithm";
-          EXPECT_LE(k, max_k(rec, n))
-              << "unservable plan " << algo_name(rec) << " for n=" << n
-              << " k=" << k << " batch=" << batch << " fly=" << fly;
-          if (fly) {
-            EXPECT_EQ(rec, Algo::kGridSelect)
-                << "on-the-fly must pick the shared-queue family";
-          }
+        WorkloadHints hints;
+        hints.batch = batch;
+        const Algo rec = recommend_algorithm(n, k, hints);
+        EXPECT_NE(rec, Algo::kAuto)
+            << "recommender must resolve to a concrete algorithm";
+        EXPECT_LE(k, max_k(rec, n))
+            << "unservable plan " << algo_name(rec) << " for n=" << n
+            << " k=" << k << " batch=" << batch;
+      }
+    }
+  }
+}
+
+// explain_recommendation returns recommend_algorithm's pick, and prices
+// exactly the races that ran: the batch candidates at batch >= 64 only, the
+// approximate race below recall 1 only.
+TEST(RecommendCoverage, ExplanationMatchesThePickAndItsRaces) {
+  for (const std::size_t batch : {1, 63, 64, 100}) {
+    for (const double recall : {1.0, 0.9}) {
+      for (const std::size_t k : {16, 300, 4096}) {
+        WorkloadHints hints;
+        hints.batch = batch;
+        hints.recall_target = recall;
+        const std::size_t n = std::size_t{1} << 14;
+        const Recommendation why = explain_recommendation(n, k, hints);
+        const std::string at = "batch=" + std::to_string(batch) +
+                               " recall=" + std::to_string(recall) +
+                               " k=" + std::to_string(k);
+        EXPECT_EQ(why.algo, recommend_algorithm(n, k, hints)) << at;
+        EXPECT_NE(std::string(why.rule), "") << at;
+        EXPECT_EQ(why.batch_race.empty(), batch < 64) << at;
+        for (const PricedCandidate& c : why.batch_race) {
+          EXPECT_EQ(c.skipped == nullptr, k <= max_k(c.algo, n)) << at;
+        }
+        if (recall == 1.0) {
+          EXPECT_TRUE(why.approx_race.empty()) << at;
+          EXPECT_EQ(why.algo, why.exact) << at;
+        } else if (!why.approx_race.empty()) {
+          ASSERT_EQ(why.approx_race.size(), 2u) << at;
+          EXPECT_EQ(why.approx_race[0].algo, Algo::kBucketApprox) << at;
+          EXPECT_EQ(why.approx_race[1].algo, why.exact) << at;
         }
       }
     }
