@@ -289,11 +289,12 @@ INSTANTIATE_TEST_SUITE_P(PartitionRows, TieHeavyInvariance,
 
 /// The radix rows at the partition rows' large shapes, both directions: on
 /// two values AIR's last filter hands out tie tickets, on nine values and
-/// adversarial keys every pass re-scans its input.
+/// adversarial keys every pass re-scans its input.  Sort's digit histogram
+/// sees whole 16-key groups in one bin on all three.
 std::vector<InvarianceCase> radix_row_cases() {
   std::vector<InvarianceCase> cases;
   for (Algo algo : {Algo::kAirTopk, Algo::kAirTopkFusedFilter,
-                    Algo::kRadixSelect, Algo::kStreamRadix}) {
+                    Algo::kRadixSelect, Algo::kStreamRadix, Algo::kSort}) {
     for (const bool greatest : {false, true}) {
       cases.push_back({algo, 1, 70001, 517, greatest});
       cases.push_back({algo, 3, 10007, 100, greatest});
@@ -753,16 +754,20 @@ TEST(WarpQueueCountPin, KernelStatsAndModeledTimeMatchRecording) {
   expect_matches_recording(pinned_runs(rows, kRecorded, true), true);
 }
 
-// ---- partition rows, Bitonic Top-K, AIR and RadixSelect count pin ---------
+// ---- partition rows, Bitonic Top-K, AIR and the radix rows count pin ------
 // The same pin for the rows whose scans, splitter searches and networks run
 // on the tile and warp fast paths: Bitonic Top-K, QuickSelect, SampleSelect,
 // BucketSelect, and AIR, whose filter appends through the same
-// AggregatedAppender as the three partition rows; and RadixSelect, whose
+// AggregatedAppender as the three partition rows; RadixSelect, whose
 // host loop shares its level plumbing with the three partition rows
-// (topk/level_loop.hpp).  The uniform rows' counts were recorded before
+// (topk/level_loop.hpp); and Sort and stream-radix, whose 256-bin
+// histograms share the lane-split counter with BucketSelect and
+// RadixSelect.  The uniform rows' counts were recorded before
 // those fast paths existed, under the same settings as kRecorded.  The
 // output digests, the tie-heavy and one-value rows and the RadixSelect
-// rows were recorded later, on the tree just before the shared level loop.
+// rows were recorded later, on the tree just before the shared level loop;
+// the Sort and stream-radix rows on the tree just before the lane-split
+// counter (simd::SplitCounts256).
 // Between them the rows reach every exit of the host loops: the remainder
 // copy at count == k_rem, BucketSelect's all-equal exit, SampleSelect's
 // on-chip sort and its pivot fallback with the pivot-equal exit (one-value
@@ -2189,6 +2194,658 @@ const PinnedRecord kPartitionRecorded[] = {
         {"Filter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
         {"CopyRemainder", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
     }, 0x6044304fda1e8325ull},
+    {"sort b1 n70001 k100", 0x1.cd70c06cefc0dp+6, {
+        {"radix_transform", 5, 256, 280004, 560008, 70001, 0, 0, 0, 168012, 14001},
+        {"sort_histogram", 5, 256, 280004, 5120, 140002, 0, 0, 5, 57028, 28002},
+        {"sort_scan", 1, 256, 5120, 5120, 1280, 0, 0, 0, 10240, 1280},
+        {"sort_scatter", 5, 256, 565128, 560008, 210003, 0, 0, 5, 225040, 42003},
+        {"sort_histogram", 5, 256, 280004, 5120, 140002, 0, 0, 5, 57028, 28002},
+        {"sort_scan", 1, 256, 5120, 5120, 1280, 0, 0, 0, 10240, 1280},
+        {"sort_scatter", 5, 256, 565128, 560008, 210003, 0, 0, 5, 225040, 42003},
+        {"sort_histogram", 5, 256, 280004, 5120, 140002, 0, 0, 5, 57028, 28002},
+        {"sort_scan", 1, 256, 5120, 5120, 1280, 0, 0, 0, 10240, 1280},
+        {"sort_scatter", 5, 256, 565128, 560008, 210003, 0, 0, 5, 225040, 42003},
+        {"sort_histogram", 5, 256, 280004, 5120, 140002, 0, 0, 5, 57028, 28002},
+        {"sort_scan", 1, 256, 5120, 5120, 1280, 0, 0, 0, 10240, 1280},
+        {"sort_scatter", 5, 256, 565128, 560008, 210003, 0, 0, 5, 225040, 42003},
+        {"sort_take_k", 1, 256, 800, 800, 100, 0, 0, 0, 1600, 100},
+    }, 0xa2df545038d2211dull},
+    {"stream-radix b1 n70001 k100", 0x1.064425657053bp+7, {
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 5, 256, 280004, 0, 211283, 0, 41, 5, 56004, 42259},
+        {"StreamFilter(0)", 5, 256, 280004, 1080, 280004, 135, 0, 0, 56248, 56004},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 428, 0, 577, 0, 87, 1, 428, 577},
+        {"StreamFilter(1)", 1, 256, 856, 584, 428, 73, 0, 0, 1440, 428},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(2)", 1, 256, 8, 0, 262, 0, 2, 1, 8, 262},
+        {"StreamFilter(2)", 1, 256, 16, 8, 8, 1, 0, 0, 24, 8},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 800, 800, 100, 0, 0, 0, 1600, 100},
+    }, 0x11b93e8ea3892d7dull},
+    {"sort b8 n10007 k64", 0x1.55bb5227fd49ap+9, {
+        {"radix_transform", 1, 256, 40028, 80056, 10007, 0, 0, 0, 120084, 10007},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 40028, 80056, 10007, 0, 0, 0, 120084, 10007},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 40028, 80056, 10007, 0, 0, 0, 120084, 10007},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 40028, 80056, 10007, 0, 0, 0, 120084, 10007},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 40028, 80056, 10007, 0, 0, 0, 120084, 10007},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 40028, 80056, 10007, 0, 0, 0, 120084, 10007},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 40028, 80056, 10007, 0, 0, 0, 120084, 10007},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 40028, 80056, 10007, 0, 0, 0, 120084, 10007},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_histogram", 1, 256, 40028, 1024, 20014, 0, 0, 1, 41052, 20014},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 81080, 80056, 30021, 0, 0, 1, 161136, 30021},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+    }, 0xf938cb3e5aa2adeaull},
+    {"stream-radix b8 n10007 k64", 0x1.80cab6ae77553p+9, {
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 40028, 0, 30277, 0, 8, 1, 40028, 30277},
+        {"StreamFilter(0)", 1, 256, 40028, 624, 40028, 78, 0, 0, 40652, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 248, 0, 442, 0, 50, 1, 248, 442},
+        {"StreamFilter(1)", 1, 256, 496, 384, 248, 48, 0, 0, 880, 248},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 40028, 0, 30277, 0, 8, 1, 40028, 30277},
+        {"StreamFilter(0)", 1, 256, 40028, 544, 40028, 68, 0, 0, 40572, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 200, 0, 406, 0, 46, 1, 200, 406},
+        {"StreamFilter(1)", 1, 256, 400, 368, 200, 46, 0, 0, 768, 200},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 40028, 0, 30277, 0, 8, 1, 40028, 30277},
+        {"StreamFilter(0)", 1, 256, 40028, 600, 40028, 75, 0, 0, 40628, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 216, 0, 418, 0, 51, 1, 216, 418},
+        {"StreamFilter(1)", 1, 256, 432, 344, 216, 43, 0, 0, 776, 216},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 40028, 0, 30277, 0, 8, 1, 40028, 30277},
+        {"StreamFilter(0)", 1, 256, 40028, 736, 40028, 92, 0, 0, 40764, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 288, 0, 472, 0, 65, 1, 288, 472},
+        {"StreamFilter(1)", 1, 256, 576, 352, 288, 44, 0, 0, 928, 288},
+        {"StreamTake", 1, 256, 24, 24, 3, 0, 0, 0, 48, 3},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 40028, 0, 30277, 0, 8, 1, 40028, 30277},
+        {"StreamFilter(0)", 1, 256, 40028, 656, 40028, 82, 0, 0, 40684, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 244, 0, 439, 0, 56, 1, 244, 439},
+        {"StreamFilter(1)", 1, 256, 488, 344, 244, 43, 0, 0, 832, 244},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 40028, 0, 30277, 0, 9, 1, 40028, 30277},
+        {"StreamFilter(0)", 1, 256, 40028, 616, 40028, 77, 0, 0, 40644, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 228, 0, 427, 0, 53, 1, 228, 427},
+        {"StreamFilter(1)", 1, 256, 456, 352, 228, 44, 0, 0, 808, 228},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 40028, 0, 30277, 0, 8, 1, 40028, 30277},
+        {"StreamFilter(0)", 1, 256, 40028, 688, 40028, 86, 0, 0, 40716, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 268, 0, 457, 0, 62, 1, 268, 457},
+        {"StreamFilter(1)", 1, 256, 536, 360, 268, 45, 0, 0, 896, 268},
+        {"StreamTake", 1, 256, 16, 16, 2, 0, 0, 0, 32, 2},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 40028, 0, 30277, 0, 9, 1, 40028, 30277},
+        {"StreamFilter(0)", 1, 256, 40028, 664, 40028, 83, 0, 0, 40692, 40028},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 244, 0, 439, 0, 56, 1, 244, 439},
+        {"StreamFilter(1)", 1, 256, 488, 336, 244, 42, 0, 0, 824, 244},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+    }, 0xa8f3265ca6d1d04eull},
+    {"sort ties b1 n70001 k100", 0x1.cd70c06cefc0dp+6, {
+        {"radix_transform", 5, 256, 280004, 560008, 70001, 0, 0, 0, 168012, 14001},
+        {"sort_histogram", 5, 256, 280004, 5120, 140002, 0, 0, 5, 57028, 28002},
+        {"sort_scan", 1, 256, 5120, 5120, 1280, 0, 0, 0, 10240, 1280},
+        {"sort_scatter", 5, 256, 565128, 560008, 210003, 0, 0, 5, 225040, 42003},
+        {"sort_histogram", 5, 256, 280004, 5120, 140002, 0, 0, 5, 57028, 28002},
+        {"sort_scan", 1, 256, 5120, 5120, 1280, 0, 0, 0, 10240, 1280},
+        {"sort_scatter", 5, 256, 565128, 560008, 210003, 0, 0, 5, 225040, 42003},
+        {"sort_histogram", 5, 256, 280004, 5120, 140002, 0, 0, 5, 57028, 28002},
+        {"sort_scan", 1, 256, 5120, 5120, 1280, 0, 0, 0, 10240, 1280},
+        {"sort_scatter", 5, 256, 565128, 560008, 210003, 0, 0, 5, 225040, 42003},
+        {"sort_histogram", 5, 256, 280004, 5120, 140002, 0, 0, 5, 57028, 28002},
+        {"sort_scan", 1, 256, 5120, 5120, 1280, 0, 0, 0, 10240, 1280},
+        {"sort_scatter", 5, 256, 565128, 560008, 210003, 0, 0, 5, 225040, 42003},
+        {"sort_take_k", 1, 256, 800, 800, 100, 0, 0, 0, 1600, 100},
+    }, 0xeac74c309d3a082full},
+    {"stream-radix ties b1 n70001 k100", 0x1.475f42f82851cp+7, {
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 5, 256, 280004, 0, 211283, 0, 40, 5, 56004, 42259},
+        {"StreamFilter(0)", 5, 256, 280004, 1080, 280004, 135, 0, 0, 56248, 56004},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 428, 0, 577, 0, 6, 1, 428, 577},
+        {"StreamFilter(1)", 1, 256, 856, 624, 428, 78, 0, 0, 1480, 428},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(2)", 1, 256, 76, 0, 313, 0, 1, 1, 76, 313},
+        {"StreamFilter(2)", 1, 256, 152, 152, 76, 19, 0, 0, 304, 76},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(3)", 1, 256, 76, 0, 313, 0, 1, 1, 76, 313},
+        {"StreamFilter(3)", 1, 256, 152, 152, 76, 19, 0, 0, 304, 76},
+        {"StreamTake", 1, 256, 104, 104, 13, 0, 0, 0, 208, 13},
+        {"StreamEmit", 1, 256, 800, 800, 100, 0, 0, 0, 1600, 100},
+    }, 0xfc78febb4e270127ull},
+    {"sort ties b8 n300 k64", 0x1.528p+8, {
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+    }, 0xd5a103799661711dull},
+    {"stream-radix ties b8 n300 k64", 0x1.90b33daf8df79p+9, {
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 5, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 1304, 1200, 163, 0, 0, 2504, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 496, 0, 628, 0, 85, 1, 496, 628},
+        {"StreamFilter(1)", 1, 256, 992, 200, 496, 25, 0, 0, 1192, 496},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 6, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 1064, 1200, 133, 0, 0, 2264, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 392, 0, 550, 0, 79, 1, 392, 550},
+        {"StreamFilter(1)", 1, 256, 784, 232, 392, 29, 0, 0, 1016, 392},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 5, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 1192, 1200, 149, 0, 0, 2392, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 440, 0, 586, 0, 90, 1, 440, 586},
+        {"StreamFilter(1)", 1, 256, 880, 208, 440, 26, 0, 0, 1088, 440},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(2)", 1, 256, 8, 0, 262, 0, 2, 1, 8, 262},
+        {"StreamFilter(2)", 1, 256, 16, 8, 8, 1, 0, 0, 24, 8},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 4, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 1152, 1200, 144, 0, 0, 2352, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 440, 0, 586, 0, 87, 1, 440, 586},
+        {"StreamFilter(1)", 1, 256, 880, 240, 440, 30, 0, 0, 1120, 440},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 4, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 1168, 1200, 146, 0, 0, 2368, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 464, 0, 604, 0, 87, 1, 464, 604},
+        {"StreamFilter(1)", 1, 256, 928, 272, 464, 34, 0, 0, 1200, 464},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 4, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 1208, 1200, 151, 0, 0, 2408, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 492, 0, 625, 0, 105, 1, 492, 625},
+        {"StreamFilter(1)", 1, 256, 984, 288, 492, 36, 0, 0, 1272, 492},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 6, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 1112, 1200, 139, 0, 0, 2312, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 440, 0, 586, 0, 86, 1, 440, 586},
+        {"StreamFilter(1)", 1, 256, 880, 280, 440, 35, 0, 0, 1160, 440},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 5, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 1152, 1200, 144, 0, 0, 2352, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 432, 0, 580, 0, 79, 1, 432, 580},
+        {"StreamFilter(1)", 1, 256, 864, 224, 432, 28, 0, 0, 1088, 432},
+        {"StreamTake", 1, 256, 8, 8, 1, 0, 0, 0, 16, 1},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+    }, 0xa5758f301dffc3fdull},
+    {"sort one-value b8 n300 k64", 0x1.528p+8, {
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"radix_transform", 1, 256, 1200, 2400, 300, 0, 0, 0, 3600, 300},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_histogram", 1, 256, 1200, 1024, 600, 0, 0, 1, 2224, 600},
+        {"sort_scan", 1, 256, 1024, 1024, 256, 0, 0, 0, 2048, 256},
+        {"sort_scatter", 1, 256, 3424, 2400, 900, 0, 0, 1, 5824, 900},
+        {"sort_take_k", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+    }, 0x6044304fda1e8325ull},
+    {"stream-radix one-value b8 n300 k64", 0x1.426c764adff8p+10, {
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"StreamTake", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"StreamTake", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"StreamTake", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"StreamTake", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"StreamTake", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"StreamTake", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"StreamTake", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(0)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(0)", 1, 256, 1200, 2400, 1200, 300, 0, 0, 3600, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(1)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(1)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(2)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(2)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"Memset", 1, 256, 0, 1032, 0, 0, 0, 0, 1032, 0},
+        {"StreamHist(3)", 1, 256, 1200, 0, 1156, 0, 1, 1, 1200, 1156},
+        {"StreamFilter(3)", 1, 256, 2400, 2400, 1200, 300, 0, 0, 4800, 1200},
+        {"StreamTake", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+        {"StreamEmit", 1, 256, 512, 512, 64, 0, 0, 0, 1024, 64},
+    }, 0x6044304fda1e8325ull},
 };
 
 TEST(PartitionCountPin, KernelStatsAndModeledTimeMatchRecording) {
@@ -2199,6 +2856,8 @@ TEST(PartitionCountPin, KernelStatsAndModeledTimeMatchRecording) {
       {"bucket", Algo::kBucketSelect, 1.0},
       {"air", Algo::kAirTopk, 1.0},
       {"radixselect", Algo::kRadixSelect, 1.0},
+      {"sort", Algo::kSort, 1.0},
+      {"stream-radix", Algo::kStreamRadix, 1.0},
   };
   expect_matches_recording(pinned_runs(rows, kPartitionRecorded, true, true),
                            true);
