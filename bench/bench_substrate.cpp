@@ -112,7 +112,8 @@ std::string fmt_double(double v) {
 
 /// One swept leg: a row on uniform keys, or on radix-adversarial M = 20
 /// keys (the first 20 bits shared), on which AIR re-scans its input every
-/// pass; at k = 256 unless the leg says otherwise.
+/// pass and whole 16-key groups of Sort's and BucketSelect's histograms
+/// fall in one bin; at k = 256 unless the leg says otherwise.
 struct Leg {
   topk::Algo algo;
   bool adversarial = false;
@@ -150,7 +151,8 @@ int main(int argc, char** argv) {
       {topk::Algo::kGridSelect},   {topk::Algo::kWarpSelect},
       {topk::Algo::kBlockSelect, false, 2048},
       {topk::Algo::kSampleSelect}, {topk::Algo::kBitonicTopk},
-      {topk::Algo::kQuickSelect},  {topk::Algo::kBucketSelect}};
+      {topk::Algo::kQuickSelect},  {topk::Algo::kBucketSelect},
+      {topk::Algo::kSort, true},   {topk::Algo::kBucketSelect, true}};
 
   std::vector<Row> rows;
   std::cout << "algo,n,k,wall_ms,elems_per_sec,model_us,allocs,cold_allocs\n";

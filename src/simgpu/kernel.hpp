@@ -567,16 +567,27 @@ class BlockCtx {
     std::memcpy(b.data() + first, src.data(), src.size_bytes());
   }
 
-  /// Visit b[first + j] for j in [0, count), calling `f(j, value)`, one
-  /// load_tile of kTileElems elements at a time.
+  /// Visit b[first, first + count) one load_tile of kTileElems elements at
+  /// a time, calling `f(j, tile)` with the tile's offset j from `first`.
+  template <typename T, typename F>
+  void for_each_tile(const DeviceBuffer<T>& b, std::size_t first,
+                     std::size_t count, F&& f) {
+    for (std::size_t j = 0; j < count; j += kTileElems) {
+      f(j, load_tile(b, first + j, std::min(kTileElems, count - j)));
+    }
+  }
+
+  /// Visit b[first + j] for j in [0, count), calling `f(j, value)`, tile
+  /// by tile (for_each_tile).
   template <typename T, typename F>
   void for_each_elem(const DeviceBuffer<T>& b, std::size_t first,
                      std::size_t count, F&& f) {
-    for (std::size_t j = 0; j < count; j += kTileElems) {
-      const std::span<const T> tile =
-          load_tile(b, first + j, std::min(kTileElems, count - j));
-      for (std::size_t u = 0; u < tile.size(); ++u) f(j + u, tile[u]);
-    }
+    for_each_tile(b, first, count,
+                  [&](std::size_t j, std::span<const T> tile) {
+                    for (std::size_t u = 0; u < tile.size(); ++u) {
+                      f(j + u, tile[u]);
+                    }
+                  });
   }
 
   /// Writer for exactly `count` data-dependent (scattered) element stores

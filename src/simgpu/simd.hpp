@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -85,6 +86,20 @@ struct DigitRule {
 /// The tag of a below key.  A rule's tag_mask leaves bit 31 clear, so no
 /// equal key's tag can take this value.
 inline constexpr std::uint32_t kBelowTag = ~std::uint32_t{0};
+
+/// BucketSelect's interpolation bucket of `key`: d = (double(key) - lo) *
+/// scale, truncated toward zero and clamped to [0, top].  Defined for every
+/// d: a NaN d (a NaN key) gives 0, as does a negative one, and d >= top
+/// (+inf included) gives top.  For a key in [lo, hi] with scale =
+/// (top + 1) / (hi - lo) this is the clamped integer cast of d.
+template <typename T>
+[[nodiscard]] inline std::uint32_t interpolation_bucket(T key, double lo,
+                                                        double scale,
+                                                        std::uint32_t top) {
+  const double d = (static_cast<double>(key) - lo) * scale;
+  if (!(d >= 0.0)) return 0;
+  return d >= static_cast<double>(top) ? top : static_cast<std::uint32_t>(d);
+}
 
 namespace detail {
 
@@ -176,19 +191,22 @@ inline std::size_t pack_below_f32_scalar(const float* p,
   return m;
 }
 
+/// The key of x under an order mask: x's bits xor `mask`.
+template <typename T>
+[[nodiscard]] inline T masked_key(T x, KeyBits<T> mask) {
+  return std::bit_cast<T>(
+      static_cast<KeyBits<T>>(std::bit_cast<KeyBits<T>>(x) ^ mask));
+}
+
 template <typename T>
 inline void splitter_classes_scalar(const T* split, std::uint32_t first_step,
                                     std::span<const T> v, std::uint32_t* cls,
                                     KeyBits<T> mask) {
-  using Bits = KeyBits<T>;
-  const auto key = [mask](T x) {
-    return std::bit_cast<T>(static_cast<Bits>(std::bit_cast<Bits>(x) ^ mask));
-  };
   for (std::size_t i = 0; i < v.size(); ++i) {
-    const T kv = key(v[i]);
+    const T kv = masked_key(v[i], mask);
     std::uint32_t pos = 0;
     for (std::uint32_t step = first_step; step > 0; step /= 2) {
-      pos += key(split[pos + step - 1]) <= kv ? step : 0;
+      pos += masked_key(split[pos + step - 1], mask) <= kv ? step : 0;
     }
     cls[i] = pos;
   }
@@ -222,6 +240,69 @@ inline std::size_t classify_digits_scalar(std::span<const T> keys,
     m += static_cast<std::size_t>(below || v == r.target);
   }
   return m;
+}
+
+/// Portable bodies of key_minmax, interpolation_buckets and radix_digits
+/// (see those for the contracts).  The min/max fold keeps eight lanes of
+/// bounds, so consecutive keys do not wait on each other's compare.
+template <typename T>
+inline void key_minmax_scalar(std::span<const T> keys, KeyBits<T> mask, T& lo,
+                              T& hi) {
+  constexpr std::size_t kLanes = 8;
+  T lane_lo[kLanes];
+  T lane_hi[kLanes];
+  std::fill(lane_lo, lane_lo + kLanes, lo);
+  std::fill(lane_hi, lane_hi + kLanes, hi);
+  std::size_t i = 0;
+  for (; i + kLanes <= keys.size(); i += kLanes) {
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      const T kv = masked_key(keys[i + j], mask);
+      lane_lo[j] = std::min(lane_lo[j], kv);
+      lane_hi[j] = std::max(lane_hi[j], kv);
+    }
+  }
+  for (; i < keys.size(); ++i) {
+    const T kv = masked_key(keys[i], mask);
+    lo = std::min(lo, kv);
+    hi = std::max(hi, kv);
+  }
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    lo = std::min(lo, lane_lo[j]);
+    hi = std::max(hi, lane_hi[j]);
+  }
+}
+
+template <typename T>
+inline void interpolation_buckets_scalar(std::span<const T> keys,
+                                         KeyBits<T> mask, double lo,
+                                         double scale, std::uint32_t top,
+                                         std::uint8_t* out) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(
+        interpolation_bucket(masked_key(keys[i], mask), lo, scale, top));
+  }
+}
+
+/// The ordinal a digit is cut from: radix_ordinal for a carrier key, the
+/// key itself for a uint64 (a 64-bit radix key already in ordinal form).
+template <typename T>
+[[nodiscard]] inline KeyBits<T> digit_ordinal(T x) {
+  if constexpr (std::is_same_v<T, std::uint64_t>) {
+    return x;
+  } else {
+    return radix_ordinal(x);
+  }
+}
+
+template <typename T>
+inline void radix_digits_scalar(std::span<const T> keys, KeyBits<T> order,
+                                int shift, std::uint32_t digit_mask,
+                                std::uint8_t* out) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(
+        static_cast<std::uint32_t>((digit_ordinal(keys[i]) ^ order) >> shift) &
+        digit_mask);
+  }
 }
 
 /// Scalar sort32: four register-resident sort8 networks plus three
@@ -699,6 +780,96 @@ __attribute__((target("avx512f"))) inline std::size_t classify_digits_avx512(
   return m;
 }
 
+/// The live-lane mask of the 16-lane step at i of an n-lane loop.
+[[nodiscard]] inline __mmask16 live16(std::size_t i, std::size_t n) {
+  return n - i >= 16 ? static_cast<__mmask16>(0xFFFF)
+                     : static_cast<__mmask16>((1u << (n - i)) - 1u);
+}
+
+/// Vector body of key_minmax for float keys (BucketSelect's carrier): one
+/// 16-lane bound pair, each lane folded with min/max instructions, which
+/// keep their second operand (the bound) when a compare is false, as
+/// std::min and std::max do; then the lanes, in lane order.  Dead tail
+/// lanes keep their bounds.
+__attribute__((target("avx512f"))) inline void key_minmax_avx512(
+    std::span<const float> keys, std::uint32_t mask, float& lo, float& hi) {
+  const __m512i xm = _mm512_set1_epi32(static_cast<int>(mask));
+  __m512 vlo = _mm512_set1_ps(lo);
+  __m512 vhi = _mm512_set1_ps(hi);
+  const std::size_t n = keys.size();
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 live = live16(i, n);
+    const __m512 k = _mm512_castsi512_ps(
+        _mm512_xor_si512(_mm512_maskz_loadu_epi32(live, &keys[i]), xm));
+    vlo = _mm512_mask_min_ps(vlo, live, k, vlo);
+    vhi = _mm512_mask_max_ps(vhi, live, k, vhi);
+  }
+  alignas(64) float lane_lo[16];
+  alignas(64) float lane_hi[16];
+  _mm512_store_ps(lane_lo, vlo);
+  _mm512_store_ps(lane_hi, vhi);
+  for (std::size_t j = 0; j < 16; ++j) {
+    lo = std::min(lo, lane_lo[j]);
+    hi = std::max(hi, lane_hi[j]);
+  }
+}
+
+/// Eight interpolation buckets: (key - lo) * scale in double, raised to 0
+/// (max keeps its second operand, 0, for a NaN), lowered to top, then
+/// truncated — interpolation_bucket's steps in its order.
+__attribute__((target("avx512f"))) inline __m256i bucket8_avx512(
+    __m512d key, __m512d lo, __m512d scale, __m512d top) {
+  __m512d d = _mm512_mul_pd(_mm512_sub_pd(key, lo), scale);
+  d = _mm512_max_pd(d, _mm512_setzero_pd());
+  d = _mm512_min_pd(d, top);
+  return _mm512_cvttpd_epi32(d);
+}
+
+/// Vector body of interpolation_buckets for float keys: 16 keys per step,
+/// widened exactly to doubles in two halves; the tail is masked.
+__attribute__((target("avx512f"))) inline void interpolation_buckets_avx512(
+    std::span<const float> keys, std::uint32_t mask, double lo, double scale,
+    std::uint32_t top, std::uint8_t* out) {
+  const __m512i xm = _mm512_set1_epi32(static_cast<int>(mask));
+  const __m512d vlo = _mm512_set1_pd(lo);
+  const __m512d vscale = _mm512_set1_pd(scale);
+  const __m512d vtop = _mm512_set1_pd(static_cast<double>(top));
+  const std::size_t n = keys.size();
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 live = live16(i, n);
+    const __m512i k =
+        _mm512_xor_si512(_mm512_maskz_loadu_epi32(live, &keys[i]), xm);
+    const __m512d k0 =
+        _mm512_cvtps_pd(_mm256_castsi256_ps(_mm512_castsi512_si256(k)));
+    const __m512d k1 =
+        _mm512_cvtps_pd(_mm256_castsi256_ps(_mm512_extracti64x4_epi64(k, 1)));
+    const __m512i b = _mm512_inserti64x4(
+        _mm512_castsi256_si512(bucket8_avx512(k0, vlo, vscale, vtop)),
+        bucket8_avx512(k1, vlo, vscale, vtop), 1);
+    _mm512_mask_cvtepi32_storeu_epi8(out + i, live, b);
+  }
+}
+
+/// Vector body of radix_digits for carrier keys: 16 keys per step through
+/// the ordinal map, xor, shift and mask, narrowed to bytes; the tail is
+/// masked.
+template <bool kFloat, typename T>
+__attribute__((target("avx512f"))) inline void radix_digits_avx512(
+    std::span<const T> keys, std::uint32_t order, int shift,
+    std::uint32_t digit_mask, std::uint8_t* out) {
+  const __m512i xm = _mm512_set1_epi32(static_cast<int>(order));
+  const __m512i dm = _mm512_set1_epi32(static_cast<int>(digit_mask));
+  const __m128i sh = _mm_cvtsi32_si128(shift);
+  const std::size_t n = keys.size();
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 live = live16(i, n);
+    const __m512i o = _mm512_xor_si512(
+        ord_avx512<kFloat>(_mm512_maskz_loadu_epi32(live, &keys[i])), xm);
+    _mm512_mask_cvtepi32_storeu_epi8(
+        out + i, live, _mm512_and_si512(_mm512_srl_epi32(o, sh), dm));
+  }
+}
+
 __attribute__((target("avx512f"))) inline std::size_t count_below_f32_avx512(
     const float* p, std::size_t n, float threshold, std::uint32_t mask) {
   const __m512 t = _mm512_set1_ps(threshold);
@@ -988,6 +1159,134 @@ template <typename T>
 #endif
   return detail::classify_digits_scalar(keys, rule, pos, tag);
 }
+
+/// Fold the keys of a tile into a running bound pair: lo = std::min(lo, kv)
+/// and hi = std::max(hi, kv) for each key kv = x's bits xor `mask`.  A NaN
+/// key fails both compares, so it never replaces a bound.  The bodies fold
+/// in lanes and then fold the lanes, so where the smallest (largest) key is
+/// a zero of both signs, the sign of lo (hi) may differ from a sequential
+/// fold's; no other bit can.  Float keys go 16 at a time when the host has
+/// AVX-512.
+template <typename T>
+inline void key_minmax(std::span<const T> keys, KeyBits<T> mask, T& lo,
+                       T& hi) {
+#if SIMGPU_SIMD_X86
+  if constexpr (std::is_same_v<T, float>) {
+    if (have_avx512f()) {
+      detail::key_minmax_avx512(keys, mask, lo, hi);
+      return;
+    }
+  }
+#endif
+  detail::key_minmax_scalar(keys, mask, lo, hi);
+}
+
+/// interpolation_bucket of every key of a tile, key = x's bits xor `mask`,
+/// into out[0..keys.size()) (top <= 255).  Both bodies run the same double
+/// arithmetic in the same order, so every input gets the scalar map's
+/// bucket.  Float keys go 16 at a time when the host has AVX-512.
+template <typename T>
+inline void interpolation_buckets(std::span<const T> keys, KeyBits<T> mask,
+                                  double lo, double scale, std::uint32_t top,
+                                  std::uint8_t* out) {
+#if SIMGPU_SIMD_X86
+  if constexpr (std::is_same_v<T, float>) {
+    if (have_avx512f()) {
+      detail::interpolation_buckets_avx512(keys, mask, lo, scale, top, out);
+      return;
+    }
+  }
+#endif
+  detail::interpolation_buckets_scalar(keys, mask, lo, scale, top, out);
+}
+
+/// The keys radix_digits takes: the carriers, and uint64 radix keys.
+template <typename T>
+inline constexpr bool kDigitKey =
+    kRadixCarrier<T> || std::is_same_v<T, std::uint64_t>;
+
+/// The 8-bit digit ((ord(x) ^ order) >> shift) & digit_mask of every key of
+/// a tile into out[0..keys.size()): ord is radix_ordinal on a carrier key
+/// and the identity on a uint64 radix key; digit_mask <= 255.  Carrier keys
+/// go 16 at a time when the host has AVX-512.
+template <typename T>
+  requires kDigitKey<T>
+inline void radix_digits(std::span<const T> keys, KeyBits<T> order, int shift,
+                         std::uint32_t digit_mask, std::uint8_t* out) {
+#if SIMGPU_SIMD_X86
+  if constexpr (kRadixCarrier<T>) {
+    if (have_avx512f()) {
+      detail::radix_digits_avx512<std::is_same_v<T, float>>(
+          keys, order, shift, digit_mask, out);
+      return;
+    }
+  }
+#endif
+  detail::radix_digits_scalar(keys, order, shift, digit_mask, out);
+}
+
+/// A 256-bin histogram kept as four interleaved copies of the bins (4 KiB):
+/// key u of a 16-key group bumps copy u % 4 of its bin, so a run of keys in
+/// one hot bin makes four independent chains of increments instead of one
+/// (each increment of a bin otherwise waits for the store of the one
+/// before).  A group whose 16 keys share a bin adds 16 to one copy.  Lives
+/// on a block's stack; fold_into sums the copies into the block's shared
+/// histogram once.
+class SplitCounts256 {
+ public:
+  static constexpr std::size_t kBins = 256;
+
+  /// Count one key in bin b for each b of `bins`.
+  void add(std::span<const std::uint8_t> bins) {
+    const std::uint8_t* b = bins.data();
+    const std::size_t groups = bins.size() / 16;
+    for (std::size_t g = 0; g < groups; ++g, b += 16) {
+      std::uint64_t w0;
+      std::uint64_t w1;
+      std::memcpy(&w0, b, 8);
+      std::memcpy(&w1, b + 8, 8);
+      if (w0 == w1 && w0 == 0x0101010101010101ull * b[0]) {
+        c_[4 * b[0]] += 16;
+        continue;
+      }
+      for (std::size_t u = 0; u < 16; u += 4) {
+        ++c_[4 * b[u]];
+        ++c_[4 * b[u + 1] + 1];
+        ++c_[4 * b[u + 2] + 2];
+        ++c_[4 * b[u + 3] + 3];
+      }
+    }
+    for (std::size_t u = 16 * groups; u < bins.size(); ++u) {
+      ++c_[4 * bins[u] + u % 4];
+    }
+  }
+
+  /// add() of the radix_digits of `keys`.
+  template <typename T>
+    requires kDigitKey<T>
+  void add_digits(std::span<const T> keys, KeyBits<T> order, int shift,
+                  std::uint32_t digit_mask) {
+    constexpr std::size_t kChunk = 1024;
+    std::uint8_t digits[kChunk];
+    for (std::size_t i = 0; i < keys.size(); i += kChunk) {
+      const std::span<const T> part =
+          keys.subspan(i, std::min(kChunk, keys.size() - i));
+      radix_digits(part, order, shift, digit_mask, digits);
+      add({digits, part.size()});
+    }
+  }
+
+  /// hist[b] += the count of bin b, for b < hist.size() (at most kBins;
+  /// no key may have been counted in a bin past it).
+  void fold_into(std::span<std::uint32_t> hist) const {
+    for (std::size_t b = 0; b < hist.size(); ++b) {
+      hist[b] += c_[4 * b] + c_[4 * b + 1] + c_[4 * b + 2] + c_[4 * b + 3];
+    }
+  }
+
+ private:
+  alignas(64) std::uint32_t c_[4 * kBins] = {};
+};
 
 /// Filter-and-pack one warp round of float keys: with key = p[i]'s bits
 /// xor `mask`, write (ord(key) << 32 | index) to out[] for each key strictly

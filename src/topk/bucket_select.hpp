@@ -231,12 +231,19 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
         T hi = std::numeric_limits<T>::lowest();
         const auto src = from_input ? in : src_val;
         const std::size_t base = from_input ? prob * n : 0;
-        ctx.for_each_elem(src, base + begin, end - begin,
-                          [&](std::size_t, T v) {
-                            const T kv = ord.key(v);
-                            lo = std::min(lo, kv);
-                            hi = std::max(hi, kv);
-                          });
+        if (ctx.unchecked_tiles()) {
+          ctx.for_each_tile(src, base + begin, end - begin,
+                            [&](std::size_t, std::span<const T> tv) {
+                              simgpu::simd::key_minmax(tv, ord.mask(), lo, hi);
+                            });
+        } else {
+          ctx.for_each_elem(src, base + begin, end - begin,
+                            [&](std::size_t, T v) {
+                              const T kv = ord.key(v);
+                              lo = std::min(lo, kv);
+                              hi = std::max(hi, kv);
+                            });
+        }
         ctx.ops(2 * (end - begin));
         if (begin < end) {
           ctx.atomic_min(minmax, 0, lo);
@@ -264,12 +271,10 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
       throw std::runtime_error(err.str());
     }
     const double scale = static_cast<double>(nb) / (hi - lo);
+    constexpr std::uint32_t top = nb - 1;
     // Interpolated bucket of a value's key, clamped to [0, nb).
     const auto bucket_of = [=](T v) {
-      const auto raw = static_cast<std::int64_t>(
-          (static_cast<double>(ord.key(v)) - lo) * scale);
-      return static_cast<std::uint32_t>(
-          std::clamp<std::int64_t>(raw, 0, nb - 1));
+      return simgpu::simd::interpolation_bucket(ord.key(v), lo, scale, top);
     };
 
     // ---- kernel 2: interpolation histogram --------------------------------
@@ -291,16 +296,21 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
         std::uint32_t* const hist = shist.unchecked_data();
         const auto src = from_input ? in : src_val;
         const std::size_t base = from_input ? prob * n : 0;
-        const auto bucket = bucket_of;  // held in registers by the loop
-        ctx.for_each_elem(src, base + begin, end - begin,
-                          [&](std::size_t, T v) {
-                            const std::uint32_t b = bucket(v);
-                            if (hist != nullptr) {
-                              ++hist[b];
-                            } else {
-                              ++shist[b];
-                            }
-                          });
+        if (hist != nullptr) {
+          simgpu::simd::SplitCounts256 counts;
+          std::uint8_t bins[simgpu::kTileElems];
+          ctx.for_each_tile(src, base + begin, end - begin,
+                            [&](std::size_t, std::span<const T> tv) {
+                              simgpu::simd::interpolation_buckets(
+                                  tv, ord.mask(), lo, scale, top, bins);
+                              counts.add({bins, tv.size()});
+                            });
+          counts.fold_into({hist, static_cast<std::size_t>(nb)});
+        } else {
+          const auto bucket = bucket_of;  // held in registers by the loop
+          ctx.for_each_elem(src, base + begin, end - begin,
+                            [&](std::size_t, T v) { ++shist[bucket(v)]; });
+        }
         ctx.ops(4 * (end - begin));
         ctx.sync();
         ctx.flush_counts(ghist, 0, shist);
@@ -324,17 +334,34 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
         AggregatedAppender<T, std::uint32_t> cand_app(
             dst_val, dst_idx, 0, counters, 1, count,
             "bucket_select candidates");
-        const auto bucket = bucket_of;  // held in registers by the loop
-        scan_candidates(
-            ctx, from_input, in, prob * n, src_val, src_idx, begin, end,
-            [&](T v, std::uint32_t id) {
-              const std::uint32_t b = bucket(v);
-              if (b < t.cls) {
-                out_app.push(ctx, v, id);
-              } else if (b == t.cls) {
-                cand_app.push(ctx, v, id);
-              }
-            });
+        // Below the target bucket a candidate is a result, in it a
+        // candidate of the next level; each appender sees its pushes in
+        // element order on either path.
+        const auto keep = [&](std::uint32_t b, T v, std::uint32_t id) {
+          if (b < t.cls) {
+            out_app.push(ctx, v, id);
+          } else if (b == t.cls) {
+            cand_app.push(ctx, v, id);
+          }
+        };
+        if (ctx.unchecked_tiles()) {
+          std::uint8_t bins[simgpu::kTileElems];
+          scan_candidate_tiles(
+              ctx, from_input, in, prob * n, src_val, src_idx, begin, end,
+              [&](std::span<const T> tv, std::span<const std::uint32_t> ti) {
+                simgpu::simd::interpolation_buckets(tv, ord.mask(), lo, scale,
+                                                    top, bins);
+                for (std::size_t u = 0; u < tv.size(); ++u) {
+                  keep(bins[u], tv[u], ti[u]);
+                }
+              });
+        } else {
+          const auto bucket = bucket_of;  // held in registers by the loop
+          scan_candidates(ctx, from_input, in, prob * n, src_val, src_idx,
+                          begin, end, [&](T v, std::uint32_t id) {
+                            keep(bucket(v), v, id);
+                          });
+        }
         out_app.flush(ctx);
         cand_app.flush(ctx);
         ctx.ops(5 * (end - begin));

@@ -254,15 +254,27 @@ inline void scan_source(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
 
 /// The whole-tile form of a radix histogram pass: bump
 /// hist[((ord(x) ^ order) >> shift) & digit_mask] for each element x of
-/// [begin, end) of `src` with simd::histogram_digits.  Charges what
-/// scan_source charges.  For the unchecked path (BlockCtx::unchecked_tiles)
-/// on carrier keys.
+/// [begin, end) of `src`.  Up to 256 bins (the radix pass loop's 8-bit
+/// digits) count in a simd::SplitCounts256 folded into `hist` at the end;
+/// wider digits (AIR's 11-bit pass 0) with simd::histogram_digits.
+/// Charges what scan_source charges.  For the unchecked path
+/// (BlockCtx::unchecked_tiles) on carrier keys.
 template <typename T>
   requires simgpu::simd::kRadixCarrier<T>
 inline void histogram_tiles(simgpu::BlockCtx& ctx, const RadixSource<T>& src,
                             std::size_t begin, std::size_t end,
                             std::uint32_t order, int shift,
                             std::uint32_t digit_mask, std::uint32_t* hist) {
+  if (digit_mask < simgpu::simd::SplitCounts256::kBins) {
+    simgpu::simd::SplitCounts256 counts;
+    scan_source_tiles(ctx, src, begin, end,
+                      [&](std::span<const T> tv,
+                          std::span<const std::uint32_t>, std::size_t) {
+                        counts.add_digits(tv, order, shift, digit_mask);
+                      });
+    counts.fold_into({hist, std::size_t{digit_mask} + 1});
+    return;
+  }
   scan_source_tiles(ctx, src, begin, end,
                     [&](std::span<const T> tv, std::span<const std::uint32_t>,
                         std::size_t) {

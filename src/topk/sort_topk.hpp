@@ -270,11 +270,12 @@ void sort_topk_run(simgpu::Device& dev, const SortTopkPlan<T>& plan,
           const int sb = start_bit;
           const std::uint32_t dm = mask;
           if (hraw != nullptr) {
-            ctx.for_each_elem(src_keys, begin, end - begin,
-                              [&](std::size_t, Bits key) {
-                                ++hraw[static_cast<std::uint32_t>(key >> sb) &
-                                       dm];
+            simgpu::simd::SplitCounts256 counts;
+            ctx.for_each_tile(src_keys, begin, end - begin,
+                              [&](std::size_t, std::span<const Bits> tile) {
+                                counts.add_digits(tile, Bits{0}, sb, dm);
                               });
+            counts.fold_into({hraw, static_cast<std::size_t>(nb)});
           } else {
             ctx.for_each_elem(src_keys, begin, end - begin,
                               [&](std::size_t, Bits key) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -844,6 +845,347 @@ TEST(HistogramDigits, F32RunsMatchScalarLoop) {
 
 TEST(HistogramDigits, U32RunsMatchScalarLoop) {
   histogram_matches_on_runs<std::uint32_t>();
+}
+
+// ---- BucketSelect and 256-bin histogram tile helpers ------------------------
+// key_minmax, interpolation_buckets and radix_digits on every body (portable,
+// AVX-512 when the host has it, and the dispatcher) against a per-key scalar
+// reference, with NaN, ±0 and ±inf lanes, tails of 0-33 keys and the order
+// masks of both directions; and SplitCounts256 against a plain histogram on
+// one-bin, two-bin and all-equal-group tiles.
+
+/// Tile lengths: every tail of 0-33 keys, then a few full tiles.
+std::vector<std::size_t> tile_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 33; ++n) lengths.push_back(n);
+  for (const std::size_t n : {48u, 255u, 1000u, 1024u}) lengths.push_back(n);
+  return lengths;
+}
+
+template <typename T>
+using MinmaxFn = void (*)(std::span<const T>, KeyBits<T>, T&, T&);
+
+template <typename T>
+std::vector<std::pair<const char*, MinmaxFn<T>>> minmax_bodies() {
+  std::vector<std::pair<const char*, MinmaxFn<T>>> bodies = {
+      {"portable", detail::key_minmax_scalar<T>}, {"dispatch", key_minmax<T>}};
+#if SIMGPU_SIMD_X86
+  if constexpr (std::is_same_v<T, float>) {
+    if (have_avx512f()) bodies.push_back({"avx512", detail::key_minmax_avx512});
+  }
+#endif
+  return bodies;
+}
+
+/// Equal as keys, and bit-equal unless both are zeros (whose sign a lane
+/// fold may change).
+template <typename T>
+bool same_bound(T got, T want) {
+  if (std::bit_cast<KeyBits<T>>(got) == std::bit_cast<KeyBits<T>>(want)) {
+    return true;
+  }
+  return got == want && got == T{0};
+}
+
+template <typename T>
+void minmax_matches_sequential_fold(const std::vector<std::uint32_t>& bits,
+                                    KeyBits<T> mask, T lo0, T hi0,
+                                    const std::string& what) {
+  const std::vector<T> keys = from_bits<T>(bits);
+  T want_lo = lo0;
+  T want_hi = hi0;
+  for (const T x : keys) {
+    const T kv = std::bit_cast<T>(std::bit_cast<KeyBits<T>>(x) ^ mask);
+    want_lo = std::min(want_lo, kv);
+    want_hi = std::max(want_hi, kv);
+  }
+  for (const auto& [name, body] : minmax_bodies<T>()) {
+    T lo = lo0;
+    T hi = hi0;
+    body(keys, mask, lo, hi);
+    EXPECT_TRUE(same_bound(lo, want_lo))
+        << name << " lo " << lo << " want " << want_lo << " " << what;
+    EXPECT_TRUE(same_bound(hi, want_hi))
+        << name << " hi " << hi << " want " << want_hi << " " << what;
+  }
+}
+
+TEST(KeyMinmax, EveryBodyMatchesTheSequentialFold) {
+  std::mt19937_64 rng(0x313A);
+  for (const std::size_t n : tile_lengths()) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto bits = bits_with_specials(rng, n);
+      const std::string what =
+          "n=" + std::to_string(n) + " trial " + std::to_string(trial);
+      for (const std::uint32_t mask : {0u, kF32Reverse}) {
+        minmax_matches_sequential_fold<float>(
+            bits, mask, std::numeric_limits<float>::max(),
+            std::numeric_limits<float>::lowest(), what);
+        // A running pair from an earlier tile, a zero among them.
+        minmax_matches_sequential_fold<float>(bits, mask, 0.0f, -0.0f, what);
+      }
+      for (const std::uint32_t mask : {0u, ~0u}) {
+        minmax_matches_sequential_fold<std::uint32_t>(
+            bits, mask, ~0u, 0u, what);
+        minmax_matches_sequential_fold<std::uint32_t>(bits, mask, 1u << 31,
+                                                      1u << 30, what);
+      }
+    }
+  }
+}
+
+TEST(KeyMinmax, NanNeverReplacesABoundAndEqualTilesFoldToTheirKey) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::size_t n : tile_lengths()) {
+    const std::vector<float> nans(n, kNan);
+    for (const auto& [name, body] : minmax_bodies<float>()) {
+      float lo = std::numeric_limits<float>::max();
+      float hi = std::numeric_limits<float>::lowest();
+      body(nans, 0u, lo, hi);
+      EXPECT_EQ(lo, std::numeric_limits<float>::max()) << name << " n=" << n;
+      EXPECT_EQ(hi, std::numeric_limits<float>::lowest()) << name << " n=" << n;
+      std::vector<float> same(n, 2.5f);
+      if (n > 1) same[n / 2] = kNan;
+      body(same, kF32Reverse, lo, hi);
+      if (n > 1) {
+        EXPECT_EQ(lo, -2.5f) << name << " n=" << n;
+        EXPECT_EQ(hi, -2.5f) << name << " n=" << n;
+      }
+    }
+  }
+}
+
+template <typename T>
+using BucketsFn = void (*)(std::span<const T>, KeyBits<T>, double, double,
+                           std::uint32_t, std::uint8_t*);
+
+template <typename T>
+std::vector<std::pair<const char*, BucketsFn<T>>> bucket_bodies() {
+  std::vector<std::pair<const char*, BucketsFn<T>>> bodies = {
+      {"portable", detail::interpolation_buckets_scalar<T>},
+      {"dispatch", interpolation_buckets<T>}};
+#if SIMGPU_SIMD_X86
+  if constexpr (std::is_same_v<T, float>) {
+    if (have_avx512f()) {
+      bodies.push_back({"avx512", detail::interpolation_buckets_avx512});
+    }
+  }
+#endif
+  return bodies;
+}
+
+/// Expect every body to give each key the scalar map's bucket, writing
+/// nothing past the tile.
+template <typename T>
+void expect_buckets(const std::vector<T>& keys, KeyBits<T> mask, double lo,
+                    double scale, std::uint32_t top, const std::string& what) {
+  std::vector<std::uint8_t> want(keys.size() + 1, 0xEE);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const T kv = std::bit_cast<T>(std::bit_cast<KeyBits<T>>(keys[i]) ^ mask);
+    want[i] = static_cast<std::uint8_t>(
+        interpolation_bucket(kv, lo, scale, top));
+  }
+  for (const auto& [name, body] : bucket_bodies<T>()) {
+    std::vector<std::uint8_t> got(keys.size() + 1, 0xEE);
+    body(keys, mask, lo, scale, top, got.data());
+    EXPECT_EQ(got, want) << name << " " << what;
+  }
+}
+
+TEST(InterpolationBuckets, EveryBodyMatchesTheScalarMapOnEveryInput) {
+  std::mt19937_64 rng(0xB0C7);
+  for (const std::size_t n : tile_lengths()) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto bits = bits_with_specials(rng, n);
+      const std::vector<float> f = from_bits<float>(bits);
+      const std::vector<std::uint32_t> u = from_bits<std::uint32_t>(bits);
+      const std::string what =
+          "n=" + std::to_string(n) + " trial " + std::to_string(trial);
+      // A narrow range (most keys clamp), a wide one, and one around zero.
+      const std::pair<double, double> ranges[] = {
+          {-1.0, 1.0}, {-3.0e38, 3.0e38}, {-1e-30, 2e-30}};
+      for (const auto& [lo, hi] : ranges) {
+        const double scale = 256.0 / (hi - lo);
+        for (const std::uint32_t mask : {0u, kF32Reverse}) {
+          expect_buckets(f, mask, lo, scale, 255, what);
+        }
+      }
+      for (const std::uint32_t mask : {0u, ~0u}) {
+        expect_buckets(u, mask, 1e9, 256.0 / 2e9, 255, what);
+        expect_buckets(u, mask, 0.0, 256.0 / 4294967295.0, 255, what);
+      }
+    }
+  }
+}
+
+TEST(InterpolationBuckets, OneBinAndTwoBinTiles) {
+  for (const std::size_t n : tile_lengths()) {
+    std::vector<float> one(n, 0.75f);
+    expect_buckets(one, 0u, 0.0, 256.0, 255, "one bin n=" + std::to_string(n));
+    std::vector<float> two(n);
+    for (std::size_t i = 0; i < n; ++i) two[i] = i % 3 == 0 ? 0.0f : 1.0f;
+    expect_buckets(two, 0u, 0.0, 256.0, 255, "two bins n=" + std::to_string(n));
+    expect_buckets(two, kF32Reverse, -1.0, 256.0, 255,
+                   "two bins reversed n=" + std::to_string(n));
+  }
+}
+
+// BucketSelect's map, defined for every input: a NaN key lands in bucket 0
+// (the bucket the x86 integer cast gave it when the map cast an undefined
+// double), and every key in [lo, hi] keeps the clamped cast's bucket.
+TEST(InterpolationBucket, NanIsBucketZeroAndRangeKeysKeepTheCastBucket) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(interpolation_bucket(kNan, 0.0, 256.0, 255), 0u);
+  EXPECT_EQ(interpolation_bucket(-kNan, -5.0, 1.0, 255), 0u);
+  EXPECT_EQ(interpolation_bucket(std::numeric_limits<double>::quiet_NaN(),
+                                 1.0, 3.0, 255),
+            0u);
+  EXPECT_EQ(interpolation_bucket(-kInf, 0.0, 1.0, 255), 0u);
+  EXPECT_EQ(interpolation_bucket(kInf, 0.0, 1.0, 255), 255u);
+  const auto cast_bucket = [](double key, double lo, double scale) {
+    const auto raw = static_cast<std::int64_t>((key - lo) * scale);
+    return static_cast<std::uint32_t>(std::clamp<std::int64_t>(raw, 0, 255));
+  };
+  std::mt19937_64 rng(0x1B0C);
+  const std::pair<float, float> ranges[] = {
+      {0.0f, 1.0f},      {-1.0f, 1.0f},   {-0.0f, 1e-40f},
+      {-3e38f, 3e38f},   {5.0f, 5.0001f}, {-7.0f, -6.0f},
+      {1e-45f, 3e-45f}};
+  for (const auto& [flo, fhi] : ranges) {
+    const double lo = flo;
+    const double hi = fhi;
+    const double scale = 256.0 / (hi - lo);
+    std::uniform_real_distribution<double> in(lo, hi);
+    std::vector<float> keys = {flo, fhi, std::nextafter(fhi, flo),
+                               std::nextafter(flo, fhi)};
+    for (int i = 0; i < 2000; ++i) {
+      keys.push_back(std::clamp(static_cast<float>(in(rng)), flo, fhi));
+    }
+    for (const float key : keys) {
+      EXPECT_EQ(interpolation_bucket(key, lo, scale, 255),
+                cast_bucket(key, lo, scale))
+          << "key " << key << " in [" << flo << ", " << fhi << "]";
+    }
+  }
+}
+
+template <typename T>
+using DigitsFn = void (*)(std::span<const T>, KeyBits<T>, int, std::uint32_t,
+                          std::uint8_t*);
+
+template <typename T>
+std::vector<std::pair<const char*, DigitsFn<T>>> digit_bodies() {
+  std::vector<std::pair<const char*, DigitsFn<T>>> bodies = {
+      {"portable", detail::radix_digits_scalar<T>},
+      {"dispatch", radix_digits<T>}};
+#if SIMGPU_SIMD_X86
+  if constexpr (kRadixCarrier<T>) {
+    if (have_avx512f()) {
+      bodies.push_back(
+          {"avx512", [](std::span<const T> keys, KeyBits<T> order, int shift,
+                        std::uint32_t mask, std::uint8_t* out) {
+             detail::radix_digits_avx512<std::is_same_v<T, float>>(
+                 keys, order, shift, mask, out);
+           }});
+    }
+  }
+#endif
+  return bodies;
+}
+
+std::uint64_t ref_ord(std::uint64_t x) { return x; }
+
+template <typename T>
+void digits_match_per_key(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  constexpr int kBits = 8 * sizeof(T);
+  for (const std::size_t n : tile_lengths()) {
+    std::vector<T> keys(n);
+    const auto bits = bits_with_specials(rng, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if constexpr (sizeof(T) == 8) {
+        keys[i] = rng() % 3 == 0 ? std::uint64_t{bits[i]} << 32 : rng();
+      } else {
+        keys[i] = std::bit_cast<T>(bits[i]);
+      }
+    }
+    for (const KeyBits<T> order : {KeyBits<T>{0}, ~KeyBits<T>{0}}) {
+      for (const int shift : {0, 8, kBits - 8, kBits - 1}) {
+        for (const std::uint32_t mask : {0xFFu, 0x7Fu}) {
+          std::vector<std::uint8_t> want(n + 1, 0xEE);
+          for (std::size_t i = 0; i < n; ++i) {
+            want[i] = static_cast<std::uint8_t>(
+                static_cast<std::uint32_t>((ref_ord(keys[i]) ^ order) >>
+                                           shift) &
+                mask);
+          }
+          for (const auto& [name, body] : digit_bodies<T>()) {
+            std::vector<std::uint8_t> got(n + 1, 0xEE);
+            body(keys, order, shift, mask, got.data());
+            EXPECT_EQ(got, want) << name << " n=" << n << " shift=" << shift
+                                 << " mask=" << mask;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RadixDigits, F32MatchesPerKeyReference) {
+  digits_match_per_key<float>(0xD161);
+}
+
+TEST(RadixDigits, U32MatchesPerKeyReference) {
+  digits_match_per_key<std::uint32_t>(0xD162);
+}
+
+TEST(RadixDigits, U64MatchesPerKeyReference) {
+  digits_match_per_key<std::uint64_t>(0xD163);
+}
+
+TEST(SplitCounts256, OneBinTwoBinAndAllEqualGroupTilesCountLikeAPlainLoop) {
+  std::mt19937_64 rng(0x5C25);
+  std::vector<std::size_t> lengths = tile_lengths();
+  lengths.push_back(1025);
+  for (int pattern = 0; pattern < 4; ++pattern) {
+    for (const std::size_t n : lengths) {
+      const auto a = static_cast<std::uint32_t>(rng() % 256);
+      const auto b = (a + 1 + static_cast<std::uint32_t>(rng() % 255)) % 256;
+      std::vector<std::uint8_t> bins(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        bins[i] = static_cast<std::uint8_t>(run_pattern_digit(pattern, i, a, b));
+      }
+      std::vector<std::uint32_t> want(256, 7);
+      for (const std::uint8_t x : bins) ++want[x];
+      SplitCounts256 counts;
+      // In two calls, the first ending mid-group.
+      const std::size_t cut = n / 3;
+      counts.add({bins.data(), cut});
+      counts.add({bins.data() + cut, n - cut});
+      std::vector<std::uint32_t> got(256, 7);
+      counts.fold_into(got);
+      EXPECT_EQ(got, want) << "pattern " << pattern << " n=" << n;
+    }
+  }
+}
+
+TEST(SplitCounts256, AddDigitsMatchesHistogramDigitsAndFoldsANarrowSpan) {
+  std::mt19937_64 rng(0x5C26);
+  for (const std::size_t n : {0u, 1u, 17u, 33u, 1024u, 3000u}) {
+    for (const std::uint32_t order : {0u, ~0u}) {
+      const std::vector<float> f = from_bits<float>(bits_with_specials(rng, n));
+      for (const std::uint32_t mask : {0xFFu, 0x7Fu}) {
+        std::vector<std::uint32_t> want(mask + 1, 0);
+        detail::histogram_digits_scalar<float>(f, order, 24, mask, want.data());
+        SplitCounts256 counts;
+        counts.add_digits<float>(f, order, 24, mask);
+        std::vector<std::uint32_t> got(mask + 1, 0);
+        counts.fold_into(got);
+        EXPECT_EQ(got, want) << "n=" << n << " mask=" << mask;
+      }
+    }
+  }
 }
 
 #if SIMGPU_SIMD_X86
