@@ -307,9 +307,8 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
                             });
           counts.fold_into({hist, static_cast<std::size_t>(nb)});
         } else {
-          const auto bucket = bucket_of;  // held in registers by the loop
           ctx.for_each_elem(src, base + begin, end - begin,
-                            [&](std::size_t, T v) { ++shist[bucket(v)]; });
+                            [&](std::size_t, T v) { ++shist[bucket_of(v)]; });
         }
         ctx.ops(4 * (end - begin));
         ctx.sync();
@@ -356,10 +355,9 @@ void bucket_select_run(simgpu::Device& dev, const BucketSelectPlan<T>& plan,
                 }
               });
         } else {
-          const auto bucket = bucket_of;  // held in registers by the loop
           scan_candidates(ctx, from_input, in, prob * n, src_val, src_idx,
                           begin, end, [&](T v, std::uint32_t id) {
-                            keep(bucket(v), v, id);
+                            keep(bucket_of(v), v, id);
                           });
         }
         out_app.flush(ctx);
