@@ -16,7 +16,6 @@
 //     so their ceiling is ~2x; see docs/performance.md).
 
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -173,25 +172,32 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream out("BENCH_approx.json");
-  out << "{\n  \"config\": {\n"
-      << "    \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "    \"k\": " << k << ",\n"
-      << "    \"repeats\": " << repeats << "\n  },\n  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    out << "    {\"n\": " << c.n << ", \"k\": " << c.k << ", \"dist\": \""
-        << c.dist << "\", \"recall_target\": " << c.recall_target
-        << ", \"chunks\": " << c.chunks << ", \"keep\": " << c.keep
-        << ", \"expected_recall\": " << c.expected_recall
-        << ", \"measured_recall\": " << c.measured_recall
-        << ", \"approx_us\": " << c.approx_us << ", \"exact_algo\": \""
-        << c.exact_algo << "\", \"exact_us\": " << c.exact_us
-        << ", \"speedup\": " << c.speedup << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
+  JsonReport report;
+  report.meta()
+      .add("bench", "bench_approx")
+      .add("smoke", smoke)
+      .add("k", k)
+      .add("repeats", repeats);
+  for (const Cell& c : cells) {
+    report.add_row("results", JsonRow()
+                                  .add("n", c.n)
+                                  .add("k", c.k)
+                                  .add("dist", c.dist)
+                                  .add("recall_target", c.recall_target)
+                                  .add("chunks", c.chunks)
+                                  .add("keep", c.keep)
+                                  .add("expected_recall", c.expected_recall)
+                                  .add("measured_recall", c.measured_recall)
+                                  .add("approx_us", c.approx_us)
+                                  .add("exact_algo", c.exact_algo)
+                                  .add("exact_us", c.exact_us)
+                                  .add("speedup", c.speedup));
   }
-  out << "  ]\n}\n";
-  std::cout << "wrote BENCH_approx.json (" << cells.size() << " cells)\n";
+  if (report.write("BENCH_approx.json")) {
+    std::cout << "wrote BENCH_approx.json (" << cells.size() << " cells)\n";
+  } else {
+    std::cerr << "could not write BENCH_approx.json\n";
+  }
 
   // --- gates ---------------------------------------------------------------
   bool ok = true;

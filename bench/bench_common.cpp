@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -84,6 +86,54 @@ std::string fmt_us(double us) {
     os << us << "us";
   }
   return os.str();
+}
+
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char esc[8];
+      std::snprintf(esc, sizeof esc, "\\u%04x", static_cast<unsigned>(c));
+      out += esc;
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
+}
+
+JsonRow& JsonRow::field(const std::string& key, const std::string& json) {
+  if (!body_.empty()) body_ += ", ";
+  body_ += json_string(key) + ": " + json;
+  return *this;
+}
+
+void JsonReport::add_row(const std::string& array, JsonRow row) {
+  for (auto& [name, rows] : arrays_) {
+    if (name == array) {
+      rows.push_back(std::move(row));
+      return;
+    }
+  }
+  arrays_.push_back({array, {std::move(row)}});
+}
+
+bool JsonReport::write(const std::string& path) const {
+  std::ofstream out(path);
+  out << "{\n  \"meta\": " << meta_.str();
+  for (const auto& [name, rows] : arrays_) {
+    out << ",\n  " << json_string(name) << ": [\n";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      out << "    " << rows[i].str() << (i + 1 < rows.size() ? ",\n" : "\n");
+    }
+    out << "  ]";
+  }
+  out << "\n}\n";
+  out.close();
+  return !out.fail();
 }
 
 double geomean(const std::vector<double>& xs) {

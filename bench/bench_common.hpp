@@ -1,8 +1,12 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/topk.hpp"
@@ -59,6 +63,55 @@ class CsvWriter {
 
 /// Format microseconds with sensible precision.
 std::string fmt_us(double us);
+
+/// `s` as a quoted JSON string: quote, backslash and control characters
+/// escaped.
+std::string json_string(const std::string& s);
+
+/// One flat JSON object, its scalar fields in insertion order.  Numbers
+/// print as an ostream prints them (a non-finite one as null).
+class JsonRow {
+ public:
+  JsonRow& add(const std::string& key, const std::string& v) {
+    return field(key, json_string(v));
+  }
+  JsonRow& add(const std::string& key, const char* v) {
+    return field(key, json_string(v));
+  }
+  JsonRow& add(const std::string& key, bool v) {
+    return field(key, v ? "true" : "false");
+  }
+  template <typename V>
+    requires std::is_arithmetic_v<V>
+  JsonRow& add(const std::string& key, V v) {
+    if constexpr (std::is_floating_point_v<V>) {
+      if (!std::isfinite(v)) return field(key, "null");
+    }
+    std::ostringstream os;
+    os << v;
+    return field(key, os.str());
+  }
+  [[nodiscard]] std::string str() const { return "{" + body_ + "}"; }
+
+ private:
+  JsonRow& field(const std::string& key, const std::string& json);
+  std::string body_;
+};
+
+/// The BENCH_*.json report every bench writes: scalar `meta` fields, then
+/// named arrays of flat rows (one row a line), arrays in the order of their
+/// first row.
+class JsonReport {
+ public:
+  JsonRow& meta() { return meta_; }
+  void add_row(const std::string& array, JsonRow row);
+  /// Write the report to `path`; false when the file could not be written.
+  [[nodiscard]] bool write(const std::string& path) const;
+
+ private:
+  JsonRow meta_;
+  std::vector<std::pair<std::string, std::vector<JsonRow>>> arrays_;
+};
 
 /// Geometric-mean helper used by the speedup summaries.
 double geomean(const std::vector<double>& xs);

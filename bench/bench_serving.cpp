@@ -28,13 +28,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/topk.hpp"
 #include "data/distributions.hpp"
 #include "serve/service.hpp"
@@ -350,65 +350,67 @@ int main(int argc, char** argv) {
             << "x modeled device time per query at n=" << n << " k=" << k
             << "\n";
 
-  std::ofstream out("BENCH_serving.json");
-  out << "{\n  \"meta\": {\n"
-      << "    \"bench\": \"bench_serving\",\n"
-      << "    \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "    \"n\": " << n << ",\n"
-      << "    \"k\": " << k << ",\n"
-      << "    \"distribution\": \"uniform\",\n"
-      << "    \"model_speedup_cap" << big_cap << "_vs_1\": "
-      << fmt(model_speedup) << ",\n"
-      << "    \"fused_leg\": {\"n\": " << fused_n << ", \"k\": " << fused_k
-      << ", \"rows\": " << fused_burst << ", \"algo\": \"" << fused_leg.algo
-      << "\", \"model_speedup_vs_per_row\": " << fmt(fused_model_speedup)
-      << ", \"wall_qps_speedup_vs_per_row\": " << fmt(fused_wall_speedup)
-      << "},\n"
-      << "    \"metric\": \"modeled device us per completed query (primary); "
-         "wall latency percentiles and qps are emulator diagnostics\"\n"
-      << "  },\n  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ResultRow& r = rows[i];
-    out << "    {\"cap\": " << r.cfg.cap << ", \"devices\": " << r.cfg.devices
-        << ", \"queries\": " << r.cfg.queries << ", \"n\": " << r.n
-        << ", \"k\": " << r.k
-        << ", \"completed\": " << r.completed
-        << ", \"rejected\": " << r.rejected
-        << ", \"timed_out\": " << r.timed_out
-        << ", \"mean_batch_rows\": " << fmt(r.mean_batch_rows)
-        << ", \"algo\": \"" << r.algo << "\""
-        << ", \"model_us_per_query\": " << fmt(r.model_us_per_query)
-        << ", \"wall_p50_us\": " << fmt(r.wall_p50_us)
-        << ", \"wall_p95_us\": " << fmt(r.wall_p95_us)
-        << ", \"wall_p99_us\": " << fmt(r.wall_p99_us)
-        << ", \"wall_qps\": " << fmt(r.wall_qps)
-        << ", \"allocs_per_query\": " << fmt(r.allocs_per_query)
-        << ", \"pool_hit_rate\": " << fmt(r.pool_hit_rate) << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+  topk::bench::JsonReport report;
+  report.meta()
+      .add("bench", "bench_serving")
+      .add("smoke", smoke)
+      .add("n", n)
+      .add("k", k)
+      .add("distribution", "uniform")
+      .add("model_speedup_cap" + std::to_string(big_cap) + "_vs_1",
+           model_speedup)
+      .add("fused_n", fused_n)
+      .add("fused_k", fused_k)
+      .add("fused_rows", fused_burst)
+      .add("fused_algo", fused_leg.algo)
+      .add("fused_model_speedup_vs_per_row", fused_model_speedup)
+      .add("fused_wall_qps_speedup_vs_per_row", fused_wall_speedup)
+      .add("metric",
+           "modeled device us per completed query (primary); wall latency "
+           "percentiles and qps are emulator diagnostics");
+  for (const ResultRow& r : rows) {
+    report.add_row("results", topk::bench::JsonRow()
+                                  .add("cap", r.cfg.cap)
+                                  .add("devices", r.cfg.devices)
+                                  .add("queries", r.cfg.queries)
+                                  .add("n", r.n)
+                                  .add("k", r.k)
+                                  .add("completed", r.completed)
+                                  .add("rejected", r.rejected)
+                                  .add("timed_out", r.timed_out)
+                                  .add("mean_batch_rows", r.mean_batch_rows)
+                                  .add("algo", r.algo)
+                                  .add("model_us_per_query",
+                                       r.model_us_per_query)
+                                  .add("wall_p50_us", r.wall_p50_us)
+                                  .add("wall_p95_us", r.wall_p95_us)
+                                  .add("wall_p99_us", r.wall_p99_us)
+                                  .add("wall_qps", r.wall_qps)
+                                  .add("allocs_per_query", r.allocs_per_query)
+                                  .add("pool_hit_rate", r.pool_hit_rate));
   }
-  out << "  ]";
-  if (sharded) {
-    out << ",\n  \"sharded\": [\n";
-    for (std::size_t i = 0; i < shard_legs.size(); ++i) {
-      const ShardLeg& l = shard_legs[i];
-      out << "    {\"shards\": " << l.shards << ", \"devices\": 4"
-          << ", \"n\": " << shard_n << ", \"k\": " << shard_k
-          << ", \"algo\": \"" << l.algo << "\""
-          << ", \"select_us\": " << fmt(l.t.select_us)
-          << ", \"gather_us\": " << fmt(l.t.gather_us)
-          << ", \"merge_us\": " << fmt(l.t.merge_us)
-          << ", \"output_us\": " << fmt(l.t.output_us)
-          << ", \"total_us\": " << fmt(l.t.total_us) << "}"
-          << (i + 1 < shard_legs.size() ? "," : "") << "\n";
-    }
-    out << "  ]";
+  for (const ShardLeg& l : shard_legs) {
+    report.add_row("sharded", topk::bench::JsonRow()
+                                  .add("shards", l.shards)
+                                  .add("devices", 4)
+                                  .add("n", shard_n)
+                                  .add("k", shard_k)
+                                  .add("algo", l.algo)
+                                  .add("select_us", l.t.select_us)
+                                  .add("gather_us", l.t.gather_us)
+                                  .add("merge_us", l.t.merge_us)
+                                  .add("output_us", l.t.output_us)
+                                  .add("total_us", l.t.total_us));
   }
-  out << "\n}\n";
-  std::cout << "wrote BENCH_serving.json (" << rows.size() << " rows"
-            << (sharded ? " + " + std::to_string(shard_legs.size()) +
-                              " sharded legs"
-                        : "")
-            << ")\n";
+  if (report.write("BENCH_serving.json")) {
+    std::cout << "wrote BENCH_serving.json (" << rows.size() << " rows"
+              << (sharded ? " + " + std::to_string(shard_legs.size()) +
+                                " sharded legs"
+                          : "")
+              << ")\n";
+  } else {
+    std::cerr << "could not write BENCH_serving.json\n";
+  }
 
   // Gate: micro-batching must beat batch=1 in modeled device time per query
   // whenever batches actually formed.  (If scheduling noise left the batches

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <span>
@@ -104,12 +103,6 @@ Row measure(simgpu::Device& dev, std::span<const float> data, std::size_t n,
   return row;
 }
 
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 /// One swept leg: a row on uniform keys, or on radix-adversarial M = 20
 /// keys (the first 20 bits shared), on which AIR re-scans its input every
 /// pass and whole 16-key groups of Sort's and BucketSelect's histograms
@@ -179,29 +172,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream out("BENCH_substrate.json");
-  out << "{\n  \"meta\": {\n"
-      << "    \"bench\": \"bench_substrate\",\n"
-      << "    \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "    \"reps\": " << reps << ",\n"
-      << "    \"pool_threads\": " << simgpu::ThreadPool::instance().size()
-      << ",\n"
-      << "    \"device\": \"" << spec.name << "\",\n"
-      << "    \"metric\": \"wall-clock elements/sec of the emulator's "
-         "unchecked path (modeled device time is the same with a sanitizer "
-         "attached by construction)\"\n"
-      << "  },\n  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << "    {\"algo\": \"" << r.algo << "\", \"n\": " << r.n
-        << ", \"k\": " << r.k << ", \"wall_ms\": " << r.wall_ms
-        << ", \"elems_per_sec\": " << fmt_double(r.elems_per_sec)
-        << ", \"model_us\": " << r.model_us << ", \"allocs\": " << r.allocs
-        << ", \"cold_allocs\": " << r.cold_allocs << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+  topk::bench::JsonReport report;
+  report.meta()
+      .add("bench", "bench_substrate")
+      .add("smoke", smoke)
+      .add("reps", reps)
+      .add("pool_threads", simgpu::ThreadPool::instance().size())
+      .add("device", spec.name)
+      .add("metric",
+           "wall-clock elements/sec of the emulator's unchecked path "
+           "(modeled device time is the same with a sanitizer attached by "
+           "construction)");
+  for (const Row& r : rows) {
+    report.add_row("results", topk::bench::JsonRow()
+                                  .add("algo", r.algo)
+                                  .add("n", r.n)
+                                  .add("k", r.k)
+                                  .add("wall_ms", r.wall_ms)
+                                  .add("elems_per_sec", r.elems_per_sec)
+                                  .add("model_us", r.model_us)
+                                  .add("allocs", r.allocs)
+                                  .add("cold_allocs", r.cold_allocs));
   }
-  out << "  ]\n}\n";
-  std::cout << "wrote BENCH_substrate.json (" << rows.size() << " rows)\n";
+  if (report.write("BENCH_substrate.json")) {
+    std::cout << "wrote BENCH_substrate.json (" << rows.size() << " rows)\n";
+  } else {
+    std::cerr << "could not write BENCH_substrate.json\n";
+  }
 
   bool ok = true;
 

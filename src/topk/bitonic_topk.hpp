@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "simgpu/simgpu.hpp"
@@ -193,30 +192,6 @@ BitonicTopkPlan<T> bitonic_topk_plan(const Shape& s,
 
 namespace detail {
 
-/// Sort buf[0, len) — packed (key, index) entries, len a power of two >= 32
-/// — as 32-entry runs (simd::sort32_u64) merged pairwise
-/// (simd::merge_sorted_u64), and return the `keep` smallest, ascending: a
-/// pointer into buf or tmp, whichever the last merge wrote.  The last level
-/// merges only those `keep` (keep <= len / 2 when len > 32).  Packed entries
-/// order like their keys under the plan's KeyOrder, so smallest is best.
-inline const std::uint64_t* sort_packed_smallest(std::uint64_t* buf,
-                                                 std::uint64_t* tmp,
-                                                 std::size_t len,
-                                                 std::size_t keep) {
-  for (std::size_t r = 0; r < len; r += 32) simgpu::simd::sort32_u64(buf + r);
-  std::uint64_t* src = buf;
-  std::uint64_t* dst = tmp;
-  for (std::size_t w = 32; w < len; w *= 2) {
-    const std::size_t outn = 2 * w == len ? keep : 2 * w;
-    for (std::size_t r = 0; r < len; r += 2 * w) {
-      simgpu::simd::merge_sorted_u64(src + r, w, src + r + w, w, dst + r,
-                                     outn);
-    }
-    std::swap(src, dst);
-  }
-  return src;
-}
-
 /// Split packed entries back into keys and indices (KeyOrder::pack
 /// inverted).
 template <typename T>
@@ -242,19 +217,19 @@ inline void unpack_pairs(KeyOrder<T> ord, const std::uint64_t* packed,
 /// climbs steeply with K (paper Fig. 6) and why K is capped at 256 by
 /// shared-memory capacity (paper §2.2).
 ///
-/// Under the warpfast gate with 32-bit keys (kPackableKey: the f32 and u32
-/// carriers), each network step runs as a packed sort instead of an
+/// Keys are 32-bit (kPackableKey: the f32 and u32 carriers).  Under the
+/// warpfast gate each network step runs as a packed sort instead of an
 /// emulated network, as TopkList does: chunks move as (key, index) uint64s
-/// (KeyOrder::pack), pass 0 sorts each chunk pair and keeps the cap best,
-/// and the halving passes keep the cap best of two sorted chunks with one
-/// merge.  Every block charges the exact networks' closed forms
-/// (bitonic_sort_ops, merge_prune_ops — pinned against the networks in
-/// partial_sort_test) and the same tile traffic, so KernelStats and modeled
-/// time are unchanged.  Keys order by the packed radix ordinal, then index:
-/// among keys tied at the K-th value the returned indices may differ from
-/// the network's, which the result contract leaves open.  Pads are ~0,
-/// above every real entry, so the network's worst-key pads are never
-/// returned.
+/// (KeyOrder::pack), pass 0 sorts each chunk pair and keeps the cap best
+/// (simd::sort_u64 with keep = cap), and the halving passes keep the cap
+/// best of two sorted chunks with one merge.  Every block charges the exact
+/// networks' closed forms (bitonic_sort_ops, merge_prune_ops — pinned
+/// against the networks in partial_sort_test) and the same tile traffic, so
+/// KernelStats and modeled time are unchanged.  Keys order by the packed
+/// radix ordinal, then index: among keys tied at the K-th value the
+/// returned indices may differ from the network's, which the result
+/// contract leaves open.  Pads are ~0, above every real entry, so the
+/// network's worst-key pads are never returned.
 template <typename T>
 void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
                       simgpu::Workspace& ws, simgpu::DeviceBuffer<T> in,
@@ -291,36 +266,33 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
       const std::size_t prob = shape.problem_of(ctx.block_idx());
       const int bip = shape.block_in_problem(ctx.block_idx());
       const auto [pbegin, pend] = block_chunk(pairs, bpp, bip);
-      if constexpr (kPackableKey<T>) {
-        if (ctx.warpfast_enabled()) {
-          const std::size_t len = std::max<std::size_t>(32, 2 * cap);
-          std::uint64_t buf[2 * kMaxBitonicTopkK];
-          std::uint64_t tmp[2 * kMaxBitonicTopkK];
-          T keys[kMaxBitonicTopkK];
-          std::uint32_t idx[kMaxBitonicTopkK];
-          for (std::size_t p = pbegin; p < pend; ++p) {
-            // The pair's real elements are one contiguous input run; the
-            // network reads exactly these and pads the rest.
-            const std::size_t first = 2 * p * cap;
-            const std::size_t m = std::min(2 * cap, n - first);
-            const std::span<const T> in_tile =
-                ctx.load_tile(in, prob * n + first, m);
-            for (std::size_t i = 0; i < m; ++i) {
-              buf[i] =
-                  ord.pack(in_tile[i], static_cast<std::uint32_t>(first + i));
-            }
-            std::fill(buf + m, buf + len, ~std::uint64_t{0});
-            detail::unpack_pairs(
-                ord, detail::sort_packed_smallest(buf, tmp, len, cap), cap,
-                keys, idx);
-            ctx.ops(2 * bitonic_sort_ops(cap) + merge_prune_ops(cap));
-            const std::size_t at = (prob * pairs + p) * cap;
-            ctx.store_tile(dst_val, at, std::span<const T>(keys, cap));
-            ctx.store_tile(dst_idx, at,
-                           std::span<const std::uint32_t>(idx, cap));
+      if (ctx.warpfast_enabled()) {
+        const std::size_t len = std::max<std::size_t>(32, 2 * cap);
+        std::uint64_t buf[2 * kMaxBitonicTopkK];
+        std::uint64_t tmp[2 * kMaxBitonicTopkK];
+        T keys[kMaxBitonicTopkK];
+        std::uint32_t idx[kMaxBitonicTopkK];
+        for (std::size_t p = pbegin; p < pend; ++p) {
+          // The pair's real elements are one contiguous input run; the
+          // network reads exactly these and pads the rest.
+          const std::size_t first = 2 * p * cap;
+          const std::size_t m = std::min(2 * cap, n - first);
+          const std::span<const T> in_tile =
+              ctx.load_tile(in, prob * n + first, m);
+          for (std::size_t i = 0; i < m; ++i) {
+            buf[i] =
+                ord.pack(in_tile[i], static_cast<std::uint32_t>(first + i));
           }
-          return;
+          std::fill(buf + m, buf + len, ~std::uint64_t{0});
+          simgpu::simd::sort_u64(buf, len, tmp, cap);
+          detail::unpack_pairs(ord, buf, cap, keys, idx);
+          ctx.ops(2 * bitonic_sort_ops(cap) + merge_prune_ops(cap));
+          const std::size_t at = (prob * pairs + p) * cap;
+          ctx.store_tile(dst_val, at, std::span<const T>(keys, cap));
+          ctx.store_tile(dst_idx, at,
+                         std::span<const std::uint32_t>(idx, cap));
         }
+        return;
       }
       auto a_keys = ctx.shared<T>(cap, "bitonic chunk a keys");
       auto a_idx = ctx.shared<std::uint32_t>(cap, "bitonic chunk a idx");
@@ -372,38 +344,35 @@ void bitonic_topk_run(simgpu::Device& dev, const BitonicTopkPlan<T>& plan,
       const std::size_t prob = shape.problem_of(ctx.block_idx());
       const int bip = shape.block_in_problem(ctx.block_idx());
       const auto [pbegin, pend] = block_chunk(pairs, bpp, bip);
-      if constexpr (kPackableKey<T>) {
-        if (ctx.warpfast_enabled()) {
-          std::uint64_t buf[2 * kMaxBitonicTopkK];
-          std::uint64_t merged[kMaxBitonicTopkK];
-          T keys[kMaxBitonicTopkK];
-          std::uint32_t idx[kMaxBitonicTopkK];
-          for (std::size_t p = pbegin; p < pend; ++p) {
-            const std::size_t src = (prob * src_stride + 2 * p) * cap;
-            const std::size_t dst = (prob * dst_stride + p) * cap;
-            if (2 * p + 1 >= src_chunks) {
-              copy_pairs(ctx, src_val, src_idx, src, dst_val, dst_idx, dst,
-                         cap);
-              continue;
-            }
-            // Chunks 2p and 2p + 1 are adjacent: one tile each for keys and
-            // indices covers both.
-            const std::span<const T> tk = ctx.load_tile(src_val, src, 2 * cap);
-            const std::span<const std::uint32_t> ti =
-                ctx.load_tile(src_idx, src, 2 * cap);
-            for (std::size_t i = 0; i < 2 * cap; ++i) {
-              buf[i] = ord.pack(tk[i], ti[i]);
-            }
-            simgpu::simd::merge_sorted_u64(buf, cap, buf + cap, cap, merged,
-                                           cap);
-            detail::unpack_pairs(ord, merged, cap, keys, idx);
-            ctx.ops(merge_prune_ops(cap));
-            ctx.store_tile(dst_val, dst, std::span<const T>(keys, cap));
-            ctx.store_tile(dst_idx, dst,
-                           std::span<const std::uint32_t>(idx, cap));
+      if (ctx.warpfast_enabled()) {
+        std::uint64_t buf[2 * kMaxBitonicTopkK];
+        std::uint64_t merged[kMaxBitonicTopkK];
+        T keys[kMaxBitonicTopkK];
+        std::uint32_t idx[kMaxBitonicTopkK];
+        for (std::size_t p = pbegin; p < pend; ++p) {
+          const std::size_t src = (prob * src_stride + 2 * p) * cap;
+          const std::size_t dst = (prob * dst_stride + p) * cap;
+          if (2 * p + 1 >= src_chunks) {
+            copy_pairs(ctx, src_val, src_idx, src, dst_val, dst_idx, dst, cap);
+            continue;
           }
-          return;
+          // Chunks 2p and 2p + 1 are adjacent: one tile each for keys and
+          // indices covers both.
+          const std::span<const T> tk = ctx.load_tile(src_val, src, 2 * cap);
+          const std::span<const std::uint32_t> ti =
+              ctx.load_tile(src_idx, src, 2 * cap);
+          for (std::size_t i = 0; i < 2 * cap; ++i) {
+            buf[i] = ord.pack(tk[i], ti[i]);
+          }
+          simgpu::simd::merge_sorted_u64(buf, cap, buf + cap, cap, merged,
+                                         cap);
+          detail::unpack_pairs(ord, merged, cap, keys, idx);
+          ctx.ops(merge_prune_ops(cap));
+          ctx.store_tile(dst_val, dst, std::span<const T>(keys, cap));
+          ctx.store_tile(dst_idx, dst,
+                         std::span<const std::uint32_t>(idx, cap));
         }
+        return;
       }
       auto a_keys = ctx.shared<T>(cap, "bitonic merge a keys");
       auto a_idx = ctx.shared<std::uint32_t>(cap, "bitonic merge a idx");

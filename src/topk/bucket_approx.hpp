@@ -11,7 +11,6 @@
 #include "simgpu/simgpu.hpp"
 #include "topk/common.hpp"
 #include "topk/partial_sort_common.hpp"
-#include "topk/shard_merge.hpp"
 #include "topk/warp_scan.hpp"
 #include "topk/warp_select.hpp"
 
@@ -36,12 +35,6 @@ struct BucketApproxOptions {
   /// Expected-recall floor the chunk/keep shape is sized for.  Must be in
   /// (0, 1]; 1.0 forces keep = k, which is exact (see above).
   double recall_target = 1.0;
-  /// Override the chunk count C (rounded up to a power of two); 0 = derive
-  /// from device saturation.  Exposed for tests and the bench frontier.
-  std::size_t buckets = 0;
-  /// Override the per-chunk keep q; 0 = smallest q whose modeled recall
-  /// clears recall_target (plus a small guard band).
-  std::size_t keep = 0;
 };
 
 /// The (C, q, W) shape the planner picked, plus the analytic recall it
@@ -129,16 +122,12 @@ inline BucketApproxShape bucket_approx_configure(
   const std::size_t sat_warps =
       spec.sm_count * spec.saturating_warps_per_sm;
   const std::size_t sat_blocks = (sat_warps + max_w - 1) / max_w;
-  std::size_t chunks = opt.buckets != 0
-                           ? next_pow2(opt.buckets)
-                           : next_pow2((sat_blocks + batch - 1) / batch);
-  chunks = std::min(chunks, next_pow2(n));
+  std::size_t chunks =
+      std::min(next_pow2((sat_blocks + batch - 1) / batch), next_pow2(n));
   for (;;) {
     std::size_t keep;
     const std::size_t keep_floor = (k + chunks - 1) / chunks;
-    if (opt.keep != 0) {
-      keep = std::clamp(opt.keep, keep_floor, k);
-    } else if (target >= 1.0) {
+    if (target >= 1.0) {
       keep = k;  // only q = k is analytically exact
     } else {
       keep = keep_floor;
@@ -406,7 +395,7 @@ void bucket_approx_run(simgpu::Device& dev, const BucketApproxPlan<T>& plan,
       keys[i] = ord.worst();
       idx[i] = 0;
     }
-    shard_merge_detail::sort_pairs(ctx, keys, idx, L, k, ord);
+    sort_pairs(ctx, keys, idx, L, k, ord);
     warp_scan::store_list(ctx, keys, idx, out_vals, out_idx, prob * k, k);
   });
 }

@@ -42,8 +42,10 @@ struct GridSelectOptions {
 ///
 /// This class is also the paper's "process data on-the-fly" device-function
 /// building block: any kernel can instantiate it and push values as it
-/// produces them (see examples/streaming_topk.cpp).
+/// produces them (see examples/streaming_topk.cpp).  Keys are 32-bit
+/// (kPackableKey), as TopkList requires.
 template <typename T>
+  requires kPackableKey<T>
 class SharedQueueEngine {
  public:
   /// TopkList view over the engine's shared-memory storage.
@@ -58,18 +60,8 @@ class SharedQueueEngine {
         list_keys_(ctx.shared<T>(next_pow2(k), "gridselect list keys")),
         list_idx_(ctx.shared<std::uint32_t>(next_pow2(k),
                                             "gridselect list idx")),
-        list_(list_keys_, list_idx_, k, ord) {
-    // Under the warpfast gate, candidates are staged pre-packed (see
-    // KeyOrder::pack) in a plain member buffer instead of the shared-memory
-    // queue: one 8-byte store per insert and the flush offers uint64s
-    // straight into the list's packed heap.  The shared queue is still
-    // allocated (shared-memory capacity modeling is unchanged) but not
-    // written — its contents are unobservable except through the merge,
-    // and the gate is per-block constant so a queue never mixes layouts.
-    if constexpr (kPackableKey<T>) {
-      packed_q_ = ctx.warpfast_enabled();
-    }
-  }
+        list_(list_keys_, list_idx_, k, ord),
+        packed_q_(ctx.warpfast_enabled()) {}
 
   [[nodiscard]] T kth() const { return list_.kth(); }
   [[nodiscard]] KeyOrder<T> order() const { return list_.order(); }
@@ -145,111 +137,58 @@ class SharedQueueEngine {
   }
 
   /// Vectorized round over one contiguous prefix-valid tile (warpfast
-  /// path).  Queue/list state and BlockCounters end up identical to
-  /// round() over the same elements: candidates are extracted in lane
-  /// order — exactly the ballot's bit order — and appended with the same
-  /// two-step placement, and the charges are the same per-round floor +
-  /// `incoming` per insert step.  Only the emulation work (per-lane ballot
-  /// closure, bit walking) is elided.  Indices come from `ext_idx` when
-  /// non-empty, else `base_index + offset`.
+  /// path, so the queue is staged packed).  Queue/list state and
+  /// BlockCounters end up identical to round() over the same elements:
+  /// candidates are extracted in lane order — exactly the ballot's bit
+  /// order — and appended with the same two-step placement, and the
+  /// charges are the same per-round floor + `incoming` per insert step.
+  /// Only the emulation work (per-lane ballot closure, bit walking) is
+  /// elided.  Indices come from `ext_idx` when non-empty, else
+  /// `base_index + offset`.
   void round_span(simgpu::BlockCtx& ctx, std::span<const T> tile,
                   std::span<const std::uint32_t> ext_idx,
                   std::uint32_t base_index) {
     const T threshold = list_.kth();
     const KeyOrder<T> ord = order();
     ctx.ops(kEmptyRoundLaneOps);
-    if constexpr (kPackableKey<T>) {
-      if (packed_q_) {
-        // Fused filter + pack, compressed straight onto the staging queue
-        // tail (qpack_ has kWarpSize slots of slack for exactly this).
-        // Candidates land in lane order — the ballot's bit order — packed
-        // once as 8-byte units that stay packed through staging and the
-        // list merge.  Float keys take the vcompress path in simgpu::simd;
-        // other packable keys use the branchless cursor loop.
-        std::uint64_t* dst = qpack_.data() + q_count_;
-        std::size_t m;
-        if constexpr (std::is_same_v<T, float>) {
-          m = simgpu::simd::pack_below_f32(
-              tile.data(), ext_idx.empty() ? nullptr : ext_idx.data(),
-              base_index, tile.size(), ord.key(threshold), dst, ord.mask());
-        } else {
-          m = 0;
-          for (std::size_t u = 0; u < tile.size(); ++u) {
-            dst[m] = ord.pack(
-                tile[u], ext_idx.empty()
-                             ? base_index + static_cast<std::uint32_t>(u)
-                             : ext_idx[u]);
-            m += ord.less(tile[u], threshold) ? 1 : 0;
-          }
-        }
-        if (m == 0) return;
-        ctx.ops(m);
-        const std::size_t total = q_count_ + m;
-        if (total < simgpu::kWarpSize) {
-          q_count_ = total;
-          return;
-        }
-        // Queue full: sort + merge, then step 2 moves the overflow to the
-        // front — the same two-step placement as the exact round.
-        flush(ctx, simgpu::kWarpSize);
-        const std::size_t rem = total - simgpu::kWarpSize;
-        for (std::size_t i = 0; i < rem; ++i) {
-          qpack_[i] = qpack_[simgpu::kWarpSize + i];
-        }
-        ctx.ops(m);
-        q_count_ = rem;
-        return;
-      }
-    }
-    // Vectorized precheck: most rounds carry no candidate once the
-    // threshold tightens, and the compare-only scan is far cheaper than
-    // the compacting one below.
-    if (ord.count_less(tile, threshold) == 0) return;
-    // Unpackable key types stage through the shared-memory queue as the
-    // exact path does (raw spans when legal — shared-memory traffic is
-    // never charged, so this is free of KernelStats effects).
-    T ck[simgpu::kWarpSize];
-    std::uint32_t ci[simgpu::kWarpSize];
-    std::size_t m = 0;
-    if (ext_idx.empty()) {
-      for (std::size_t u = 0; u < tile.size(); ++u) {
-        ck[m] = tile[u];
-        ci[m] = base_index + static_cast<std::uint32_t>(u);
-        m += ord.less(tile[u], threshold) ? 1 : 0;
-      }
+    // Fused filter + pack, compressed straight onto the staging queue tail
+    // (qpack_ has kWarpSize slots of slack for exactly this).  Candidates
+    // land in lane order — the ballot's bit order — packed once as 8-byte
+    // units that stay packed through staging and the list merge.  Float
+    // keys take the vcompress path in simgpu::simd; other keys use the
+    // branchless cursor loop.
+    std::uint64_t* dst = qpack_.data() + q_count_;
+    std::size_t m;
+    if constexpr (std::is_same_v<T, float>) {
+      m = simgpu::simd::pack_below_f32(
+          tile.data(), ext_idx.empty() ? nullptr : ext_idx.data(), base_index,
+          tile.size(), ord.key(threshold), dst, ord.mask());
     } else {
+      m = 0;
       for (std::size_t u = 0; u < tile.size(); ++u) {
-        ck[m] = tile[u];
-        ci[m] = ext_idx[u];
+        dst[m] = ord.pack(tile[u],
+                          ext_idx.empty()
+                              ? base_index + static_cast<std::uint32_t>(u)
+                              : ext_idx[u]);
         m += ord.less(tile[u], threshold) ? 1 : 0;
       }
     }
     if (m == 0) return;
-    T* qk = raw_view(q_keys_).data();
-    std::uint32_t* qi = raw_view(q_idx_).data();
-    const auto put = [&](std::size_t dst, std::size_t i) {
-      if (qk != nullptr) {
-        qk[dst] = ck[i];
-        qi[dst] = ci[i];
-      } else {
-        q_keys_[dst] = ck[i];
-        q_idx_[dst] = ci[i];
-      }
-    };
-    // Step 1: the candidates that fit the queue tail.
-    const std::size_t take = std::min(m, simgpu::kWarpSize - q_count_);
-    for (std::size_t i = 0; i < take; ++i) put(q_count_ + i, i);
     ctx.ops(m);
     const std::size_t total = q_count_ + m;
     if (total < simgpu::kWarpSize) {
       q_count_ = total;
       return;
     }
-    // Queue full: sort + merge, then step 2 re-issues the overflow.
+    // Queue full: sort + merge, then step 2 moves the overflow to the
+    // front — the same two-step placement as the exact round.
     flush(ctx, simgpu::kWarpSize);
-    for (std::size_t i = take; i < m; ++i) put(i - take, i);
+    const std::size_t rem = total - simgpu::kWarpSize;
+    for (std::size_t i = 0; i < rem; ++i) {
+      qpack_[i] = qpack_[simgpu::kWarpSize + i];
+    }
     ctx.ops(m);
-    q_count_ = total - simgpu::kWarpSize;
+    q_count_ = rem;
   }
 
   /// Drain whatever is queued into the list.
@@ -262,24 +201,19 @@ class SharedQueueEngine {
  private:
   void flush(simgpu::BlockCtx& ctx, std::size_t count) {
     q_count_overflow_base_ = q_count_;
-    if constexpr (kPackableKey<T>) {
-      if (packed_q_) {
-        list_.merge_packed(ctx, qpack_.data(), count);
-        q_count_ = 0;
-        return;
-      }
+    if (packed_q_) {
+      list_.merge_packed(ctx, qpack_.data(), count);
+    } else {
+      list_.merge(ctx, q_keys_, q_idx_, count);
     }
-    list_.merge(ctx, q_keys_, q_idx_, count);
     q_count_ = 0;
   }
 
-  /// One queue insert, honoring the staging layout (see the constructor).
+  /// One queue insert, honoring the staging layout (see packed_q_).
   void q_put(std::size_t pos, T v, std::uint32_t index) {
-    if constexpr (kPackableKey<T>) {
-      if (packed_q_) {
-        qpack_[pos] = order().pack(v, index);
-        return;
-      }
+    if (packed_q_) {
+      qpack_[pos] = order().pack(v, index);
+      return;
     }
     q_keys_[pos] = v;
     q_idx_[pos] = index;
@@ -294,7 +228,14 @@ class SharedQueueEngine {
   // kWarpSize slots of slack so round_span can compress a full round onto
   // the tail before splitting it across a flush.
   std::array<std::uint64_t, 2 * simgpu::kWarpSize> qpack_{};
-  bool packed_q_ = false;
+  // Under the warpfast gate, candidates are staged pre-packed (see
+  // KeyOrder::pack) in qpack_ instead of the shared-memory queue: one
+  // 8-byte store per insert, and the flush hands uint64s straight to the
+  // list's packed state.  The shared queue is still allocated
+  // (shared-memory capacity modeling is unchanged) but not written — its
+  // contents are unobservable except through the merge, and the gate is
+  // per-block constant, so a queue never mixes layouts.
+  bool packed_q_;
   std::size_t q_count_ = 0;
   std::size_t q_count_overflow_base_ = 0;
 };

@@ -194,13 +194,11 @@ ShardMergePlan<T> shard_merge_plan(const Shape& s,
       layout.add<T>("shard merge runs val", s.batch * p.runs * p.cap);
   p.seg_idx[0] = layout.add<std::uint32_t>("shard merge runs idx",
                                            s.batch * p.runs * p.cap);
-  if (p.runs > 1) {
-    p.stride[1] = (p.runs + 1) / 2;
-    p.seg_val[1] =
-        layout.add<T>("shard merge pong val", s.batch * p.stride[1] * p.cap);
-    p.seg_idx[1] = layout.add<std::uint32_t>("shard merge pong idx",
-                                             s.batch * p.stride[1] * p.cap);
-  }
+  p.stride[1] = (p.runs + 1) / 2;
+  p.seg_val[1] =
+      layout.add<T>("shard merge pong val", s.batch * p.stride[1] * p.cap);
+  p.seg_idx[1] = layout.add<std::uint32_t>("shard merge pong idx",
+                                           s.batch * p.stride[1] * p.cap);
 
   simgpu::record_launch(sched, "ShardMergeSort",
                         static_cast<int>(s.batch * p.runs), 1024, s.batch,
@@ -234,41 +232,6 @@ ShardMergePlan<T> shard_merge_plan(const Shape& s,
 }
 
 namespace shard_merge_detail {
-
-/// Sort L shared-memory (key, index) pairs best-first under `ord`.
-/// Warpfast fast path for packable keys: charge the exact data-oblivious
-/// network cost and sort packed (key, index) words host-side — the value
-/// sequence is identical to the network's, only the order of equal keys can
-/// differ, which the result contract leaves open (merge_prune precedent).
-/// Only the first `keep` pairs are guaranteed written back.
-template <typename KS, typename IS>
-void sort_pairs(simgpu::BlockCtx& ctx, KS& keys, IS& idx, std::size_t L,
-                std::size_t keep,
-                KeyOrder<typename KS::value_type> ord) {
-  if constexpr (kPackableKey<typename KS::value_type>) {
-    if (ctx.warpfast_enabled()) {
-      ctx.ops(bitonic_sort_ops(L));
-      const auto rk = raw_view(keys);
-      const auto rx = raw_view(idx);
-      simgpu::ScratchVec<std::uint64_t> packed;
-      packed.resize(L);
-      if (!rk.empty() && !rx.empty()) {
-        for (std::size_t i = 0; i < L; ++i) packed[i] = ord.pack(rk[i], rx[i]);
-      } else {
-        for (std::size_t i = 0; i < L; ++i) {
-          packed[i] = ord.pack(keys[i], idx[i]);
-        }
-      }
-      std::sort(packed.begin(), packed.end());
-      for (std::size_t i = 0; i < keep; ++i) {
-        keys[i] = ord.unpack(packed[i]);
-        idx[i] = static_cast<std::uint32_t>(packed[i]);
-      }
-      return;
-    }
-  }
-  bitonic_sort(ctx, keys, idx, ord);
-}
 
 /// Load one run of `count` input values starting at flat offset `in_base`
 /// into shared views (indices seeded `begin + i`, tail padded with the

@@ -23,7 +23,9 @@ namespace faiss_detail {
 /// BlockSelect).  Elements are pushed per lane; when any lane's queue fills,
 /// all queues are sorted and merged into the list with bitonic networks —
 /// the "costly operations" GridSelect's shared queue reduces (paper §4).
+/// Keys are 32-bit (kPackableKey), as TopkList requires.
 template <typename T>
+  requires kPackableKey<T>
 class WarpSelectEngine {
  public:
   WarpSelectEngine(simgpu::BlockCtx& ctx, std::size_t k,
@@ -223,31 +225,29 @@ class WarpSelectEngine {
 
   /// Drain all thread queues into the list (also called at end of input).
   void flush(simgpu::BlockCtx& ctx) {
-    if constexpr (kPackableKey<T>) {
-      // Packed drain under the warpfast gate: collect (ord, idx) pairs and
-      // fold them in with merge_packed — charge-identical to merge() over
-      // the same count (see TopkList::merge_packed), and the hot ≤32-item
-      // flush runs the fixed sort network instead of a general sort.
-      // (flush_pack_ is distinct from span_pack_: a flush can fire while
-      // span_rounds is still iterating its packed candidates.)
-      if (ctx.warpfast_enabled()) {
-        const KeyOrder<T> ord = order();
-        flush_pack_.resize(
-            std::max(flush_pack_.size(), simgpu::kWarpSize * qlen_));
-        std::size_t count = 0;
-        for (int lane = 0; lane < simgpu::kWarpSize; ++lane) {
-          const auto base = static_cast<std::size_t>(lane) * qlen_;
-          const auto n = tq_count_[static_cast<std::size_t>(lane)];
-          for (std::size_t j = 0; j < n; ++j) {
-            flush_pack_[count++] =
-                ord.pack(tq_keys_[base + j], tq_idx_[base + j]);
-          }
-          tq_count_[static_cast<std::size_t>(lane)] = 0;
+    // Packed drain under the warpfast gate: collect (ord, idx) pairs and
+    // fold them in with merge_packed — charge-identical to merge() over the
+    // same count (see TopkList::merge_packed), and the hot ≤32-item flush
+    // runs the fixed sort network instead of a general sort.  (flush_pack_
+    // is distinct from span_pack_: a flush can fire while span_rounds is
+    // still iterating its packed candidates.)
+    if (ctx.warpfast_enabled()) {
+      const KeyOrder<T> ord = order();
+      flush_pack_.resize(
+          std::max(flush_pack_.size(), simgpu::kWarpSize * qlen_));
+      std::size_t count = 0;
+      for (int lane = 0; lane < simgpu::kWarpSize; ++lane) {
+        const auto base = static_cast<std::size_t>(lane) * qlen_;
+        const auto n = tq_count_[static_cast<std::size_t>(lane)];
+        for (std::size_t j = 0; j < n; ++j) {
+          flush_pack_[count++] =
+              ord.pack(tq_keys_[base + j], tq_idx_[base + j]);
         }
-        if (count == 0) return;
-        list_.merge_packed(ctx, flush_pack_.data(), count);
-        return;
+        tq_count_[static_cast<std::size_t>(lane)] = 0;
       }
+      if (count == 0) return;
+      list_.merge_packed(ctx, flush_pack_.data(), count);
+      return;
     }
     std::size_t count = 0;
     for (int lane = 0; lane < simgpu::kWarpSize; ++lane) {

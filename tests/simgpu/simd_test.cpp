@@ -275,37 +275,55 @@ TEST(MergeSorted, EveryBodyMatchesStdMergeOnListAndDrainShapes) {
   }
 }
 
+// Every length up to a drain of 320, plus 512 (Bitonic Top-K's pass 0 at
+// cap 256) and 4096 (shard-merge's run length); each body must leave the
+// std::sort prefix of length keep, for keep = n, 1, n/2 and 7.
 TEST(SortU64, EveryBodyMatchesStdSortUpToADrainOf320) {
   std::mt19937_64 rng(0x5027);
-  for (std::size_t n = 1; n <= 320; ++n) {
-    for (int trial = 0; trial < 3; ++trial) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 320; ++n) lengths.push_back(n);
+  lengths.push_back(512);
+  lengths.push_back(4096);
+  for (const std::size_t n : lengths) {
+    for (int trial = 0; trial < 4; ++trial) {
+      // Trial 0: distinct values; 1: heavy ties; 2: ties and one ~0 pad;
+      // 3: a ~0-padded tail, as Bitonic's pass 0 pads its last pair.
       std::vector<std::uint64_t> v(n);
       for (auto& x : v) {
-        x = trial == 0 ? rng() : rng() % (trial == 1 ? 8 : 1000);
+        x = trial == 0 || trial == 3 ? rng()
+                                     : rng() % (trial == 1 ? 8 : 1000);
       }
       if (trial == 2) v[rng() % n] = ~std::uint64_t{0};
+      if (trial == 3) std::fill(v.begin() + n / 2, v.end(), ~std::uint64_t{0});
       std::vector<std::uint64_t> want = v;
       std::sort(want.begin(), want.end());
-      for (const bool vector : {false, true}) {
+      const std::size_t keeps[] = {n, 1, n / 2, 7};
+      for (const std::size_t keep : keeps) {
+        if (keep == 0 || keep > n) continue;
+        const auto check = [&](const char* body, const auto& sort) {
+          std::vector<std::uint64_t> s(sort_u64_room(n));
+          std::vector<std::uint64_t> tmp(sort_u64_room(n));
+          std::copy(v.begin(), v.end(), s.begin());
+          sort(s.data(), tmp.data());
+          const auto end = want.begin() + static_cast<std::ptrdiff_t>(keep);
+          ASSERT_TRUE(std::equal(want.begin(), end, s.begin()))
+              << body << " n=" << n << " keep=" << keep << " trial=" << trial;
+        };
+        for (const bool vector : {false, true}) {
 #if SIMGPU_SIMD_X86
-        if (vector && !have_avx512f()) continue;
+          if (vector && !have_avx512f()) continue;
 #else
-        if (vector) continue;
+          if (vector) continue;
 #endif
-        std::vector<std::uint64_t> s(sort_u64_room(n));
-        std::vector<std::uint64_t> tmp(sort_u64_room(n));
-        std::copy(v.begin(), v.end(), s.begin());
-        detail::sort_u64_body(s.data(), n, tmp.data(), vector);
-        ASSERT_TRUE(std::equal(want.begin(), want.end(), s.begin()))
-            << (vector ? "avx512" : "portable") << " n=" << n
-            << " trial=" << trial;
+          check(vector ? "avx512" : "portable",
+                [&](std::uint64_t* s, std::uint64_t* tmp) {
+                  detail::sort_u64_body(s, n, tmp, vector, keep);
+                });
+        }
+        check("dispatch", [&](std::uint64_t* s, std::uint64_t* tmp) {
+          sort_u64(s, n, tmp, keep);
+        });
       }
-      std::vector<std::uint64_t> s(sort_u64_room(n));
-      std::vector<std::uint64_t> tmp(sort_u64_room(n));
-      std::copy(v.begin(), v.end(), s.begin());
-      sort_u64(s.data(), n, tmp.data());
-      ASSERT_TRUE(std::equal(want.begin(), want.end(), s.begin()))
-          << "dispatch n=" << n << " trial=" << trial;
     }
   }
 }

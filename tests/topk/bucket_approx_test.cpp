@@ -172,12 +172,12 @@ TEST(BucketApproxContract, BoundaryTiesAndDuplicates) {
   const std::size_t n = 4096;
   const std::size_t k = 64;
   BucketApproxOptions bopt;
-  bopt.buckets = 8;
-  bopt.keep = 16;  // C*q = 128 > k: refine mode
+  bopt.recall_target = 0.9;
   const auto shape =
       bucket_approx_configure(n, k, 1, bopt, simgpu::DeviceSpec{});
-  ASSERT_EQ(shape.chunks, 8u);
-  ASSERT_EQ(shape.keep, 16u);
+  // The planner's own shape for this row: C*q = 128 > k, refine mode.
+  ASSERT_EQ(shape.chunks, 32u);
+  ASSERT_EQ(shape.keep, 4u);
 
   std::mt19937 rng(4242);
   std::vector<float> values(n);
@@ -193,8 +193,8 @@ TEST(BucketApproxContract, BoundaryTiesAndDuplicates) {
 
   for (const bool greatest : {false, true}) {
     simgpu::Device dev;
-    // Plan the row directly (SelectOptions cannot carry bucket overrides),
-    // in the loop's direction.
+    // Plan the row directly, in the loop's direction, so the mode can be
+    // asserted before the contract is checked.
     auto in = dev.alloc<float>(n);
     std::copy(values.begin(), values.end(), in.data());
     auto out_vals = dev.alloc<float>(k);
@@ -202,6 +202,7 @@ TEST(BucketApproxContract, BoundaryTiesAndDuplicates) {
     simgpu::WorkspaceLayout layout;
     const auto plan = bucket_approx_plan<float>(Shape{1, n, k, greatest},
                                                 dev.spec(), bopt, layout);
+    ASSERT_FALSE(plan.direct);
     simgpu::Workspace ws(dev);
     ws.bind(layout);
     bucket_approx_run(dev, plan, ws, in, out_vals, out_idx);
@@ -232,8 +233,12 @@ TEST(BucketApproxContract, DirectEmitMode) {
   const std::size_t n = 8192;
   const std::size_t k = 64;
   BucketApproxOptions bopt;
-  bopt.buckets = 8;
-  bopt.keep = 8;  // C*q == k: direct emit
+  bopt.recall_target = 0.7;
+  const auto shape =
+      bucket_approx_configure(n, k, 1, bopt, simgpu::DeviceSpec{});
+  // The planner's own shape for this row: C*q == k, direct emit.
+  ASSERT_EQ(shape.chunks, 32u);
+  ASSERT_EQ(shape.keep, 2u);
   std::mt19937 rng(7);
   std::vector<float> values(n);
   std::uniform_int_distribution<int> level(0, 15);
@@ -248,6 +253,7 @@ TEST(BucketApproxContract, DirectEmitMode) {
   simgpu::WorkspaceLayout layout;
   const auto plan =
       bucket_approx_plan<float>(Shape{1, n, k}, dev.spec(), bopt, layout);
+  ASSERT_TRUE(plan.direct);
   simgpu::Workspace ws(dev);
   ws.bind(layout);
   bucket_approx_run(dev, plan, ws, in, out_vals, out_idx);
@@ -258,8 +264,8 @@ TEST(BucketApproxContract, DirectEmitMode) {
   }
   EXPECT_EQ(launches, 1u) << "direct mode must fuse away the refine launch";
 
-  const auto expect =
-      bucket_approx_reference(std::span<const float>(values), k, 8, 8);
+  const auto expect = bucket_approx_reference(std::span<const float>(values),
+                                              k, shape.chunks, shape.keep);
   std::vector<float> got(out_vals.data(), out_vals.data() + k);
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, expect);

@@ -1,6 +1,7 @@
 // The algorithm implementations are templates over the key type; the paper
 // evaluates float32, but the radix traits support uint32/int32/double and
-// the partial sorts anything with operator<.  These tests pin that down.
+// the partial sorts any 32-bit key (kPackableKey).  These tests pin that
+// down.
 
 #include <algorithm>
 #include <cstdint>
@@ -18,7 +19,6 @@
 #include "topk/radix_select.hpp"
 #include "topk/radix_traits.hpp"
 #include "topk/sort_topk.hpp"
-#include "topk/warp_select.hpp"
 
 namespace topk {
 namespace {
@@ -156,25 +156,6 @@ TEST(GenericKeys, GridSelectOnSignedInts) {
         grid_select_run(dev, plan, ws, in, ov, oi);
       },
       "grid_select int32");
-}
-
-TEST(GenericKeys, WarpSelectOnDoubles) {
-  std::mt19937_64 rng(7);
-  std::normal_distribution<double> dist(0.0, 10.0);
-  std::vector<double> data(8000);
-  for (auto& v : data) v = dist(rng);
-  check_algo<double>(data, 40,
-                     [](auto& dev, auto in, auto n, auto k, auto ov, auto oi) {
-                       simgpu::WorkspaceLayout layout;
-                       const auto plan =
-                           faiss_detail::faiss_select_plan<double>(
-                               Shape{1, n, k}, dev.spec(), 1, "WarpSelect",
-                               layout);
-                       simgpu::Workspace ws(dev);
-                       faiss_detail::faiss_select_run(dev, plan, ws, in, ov,
-                                                      oi);
-                     },
-                     "warp_select double");
 }
 
 TEST(GenericKeys, BitonicTopkOnUnsignedInts) {

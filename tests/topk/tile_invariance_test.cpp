@@ -447,11 +447,12 @@ class Fnv64 {
 // ---- warp-queue family count pin ------------------------------------------
 // The suite above compares the two paths within one build; this pin
 // compares builds.  Every KernelStats field of every kernel, plus the
-// modeled µs, is recorded for each warp-queue row at one batch-1 and one
-// batch-8 shape, so a refactor of the shared scan must reproduce the
-// recorded counts exactly; the warp-queue rows also pin an FNV-1a digest of
-// their outputs (every value's bits, then every index, in output order), so
-// a list update that keeps the counts but emits other indices fails too.
+// modeled µs, is recorded for each warp-queue row and for shard-merge at
+// one batch-1 and one batch-8 shape, so a refactor of the shared scan must
+// reproduce the recorded counts exactly; these rows also pin an FNV-1a
+// digest of their outputs (every value's bits, then every index, in output
+// order), so a list update that keeps the counts but emits other indices
+// fails too.
 // On a mismatch the test prints the row it measured in table syntax.
 
 struct PinnedKernel {
@@ -547,7 +548,9 @@ RunTrace run_pinned(const PinnedRun& run) {
 // lane_ops, atomic_ops, scattered_atomic_ops, block_syncs, max_block_bytes,
 // max_block_lane_ops.  The output digests and the tie-heavy rows were
 // recorded later, on the tree whose list warm-up still merged every flush
-// and whose drains still sorted with std::sort.
+// and whose drains still sorted with std::sort.  The shard-merge rows (its
+// multi-run tree at b1 and b8, its single-run sort-and-emit at n = 300)
+// were recorded while its run sort still called std::sort.
 const PinnedRecord kRecorded[] = {
     {"grid b1 n70001 k100", 0x1.39c439f1b1631p+3, {
         {"GridSelect_partial", 5, 256, 280004, 5120, 580392, 0, 0, 5, 57028, 117433},
@@ -661,6 +664,33 @@ const PinnedRecord kRecorded[] = {
         {"BucketApproxScan", 32, 96, 9600, 4352, 50272, 0, 0, 32, 436, 1571},
         {"BucketApproxRefine", 8, 1024, 4352, 4096, 14336, 0, 0, 0, 1056, 1792},
     }, 0x85e8c28eb11361c3ull},
+    {"shard-merge b1 n70001 k100", 0x1.78p+4, {
+        {"ShardMergeSort", 18, 1024, 280004, 18432, 2875392, 0, 0, 0, 17408, 159744},
+        {"ShardMergeLevel(1)", 9, 1024, 18432, 9216, 5184, 0, 0, 0, 3072, 576},
+        {"ShardMergeLevel(2)", 5, 1024, 9216, 5120, 2304, 0, 0, 0, 3072, 576},
+        {"ShardMergeLevel(3)", 3, 1024, 5120, 3072, 1152, 0, 0, 0, 3072, 576},
+        {"ShardMergeLevel(4)", 2, 1024, 3072, 2048, 576, 0, 0, 0, 3072, 576},
+        {"ShardMergeLevel(5)", 1, 1024, 2048, 1024, 576, 0, 0, 0, 3072, 576},
+        {"ShardMergeEmit", 1, 1024, 800, 800, 0, 0, 0, 0, 1600, 0},
+    }, 0xa2df545038d2211dull},
+    {"shard-merge b8 n10007 k64", 0x1.dp+3, {
+        {"ShardMergeSort", 24, 1024, 320224, 12288, 3833856, 0, 0, 0, 16896, 159744},
+        {"ShardMergeLevel(1)", 16, 1024, 12288, 8192, 2048, 0, 0, 0, 1536, 256},
+        {"ShardMergeLevel(2)", 8, 1024, 8192, 4096, 2048, 0, 0, 0, 1536, 256},
+        {"ShardMergeEmit", 8, 1024, 4096, 4096, 0, 0, 0, 0, 1024, 0},
+    }, 0xf938cb3e5aa2adeaull},
+    {"shard-merge ties b1 n70001 k100", 0x1.78p+4, {
+        {"ShardMergeSort", 18, 1024, 280004, 18432, 2875392, 0, 0, 0, 17408, 159744},
+        {"ShardMergeLevel(1)", 9, 1024, 18432, 9216, 5184, 0, 0, 0, 3072, 576},
+        {"ShardMergeLevel(2)", 5, 1024, 9216, 5120, 2304, 0, 0, 0, 3072, 576},
+        {"ShardMergeLevel(3)", 3, 1024, 5120, 3072, 1152, 0, 0, 0, 3072, 576},
+        {"ShardMergeLevel(4)", 2, 1024, 3072, 2048, 576, 0, 0, 0, 3072, 576},
+        {"ShardMergeLevel(5)", 1, 1024, 2048, 1024, 576, 0, 0, 0, 3072, 576},
+        {"ShardMergeEmit", 1, 1024, 800, 800, 0, 0, 0, 0, 1600, 0},
+    }, 0xeac74c309d3a082full},
+    {"shard-merge ties b8 n300 k64", 0x1.6p+2, {
+        {"ShardMergeSortEmit", 8, 1024, 9600, 4096, 92160, 0, 0, 0, 1712, 11520},
+    }, 0xd5a103799661711dull},
 };
 
 struct PinRow {
@@ -750,6 +780,7 @@ TEST(WarpQueueCountPin, KernelStatsAndModeledTimeMatchRecording) {
       {"fused-block", Algo::kFusedBlockRowwise, 1.0},
       {"bucket-approx@1.0", Algo::kBucketApprox, 1.0},
       {"bucket-approx@0.9", Algo::kBucketApprox, 0.9},
+      {"shard-merge", Algo::kShardMerge, 1.0},
   };
   expect_matches_recording(pinned_runs(rows, kRecorded, true), true);
 }
